@@ -24,8 +24,8 @@ pub use explore::{
 };
 pub use sync::{CheckMutex, CheckRwLock};
 
-use qasom_obs::report::{CheckSection, ModelCheck};
-use qasom_obs::{keys, Recorder};
+use qasom_obs::report::{CheckSection, CounterSection, ModelCheck};
+use qasom_obs::{keys, MemoryRecorder, Recorder};
 
 /// Configuration for the standard model suite.
 #[derive(Debug, Clone)]
@@ -80,13 +80,15 @@ impl SuiteReport {
         self.results.iter().map(|r| r.violations).sum()
     }
 
-    /// The serialisable report section.
+    /// The serialisable report section: the suite totals are the
+    /// `check.*` counters [`SuiteReport::record`] bumps, laid out by
+    /// `keys::SECTIONS`.
     pub fn to_section(&self) -> CheckSection {
+        let recorder = MemoryRecorder::new();
+        self.record(&recorder);
+        let totals = recorder.snapshot().unwrap_or_default();
         CheckSection {
-            schedules: self.schedules(),
-            steps: self.results.iter().map(|r| r.steps).sum(),
-            deadlocks: self.deadlocks(),
-            violations: self.violations(),
+            totals: CounterSection::from_snapshot("check", &totals, &[]),
             models: self
                 .results
                 .iter()
@@ -137,7 +139,6 @@ pub fn run_suite(cfg: &SuiteConfig) -> SuiteReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qasom_obs::MemoryRecorder;
 
     #[test]
     fn standard_suite_proves_out_with_enough_schedules() {
@@ -159,7 +160,7 @@ mod tests {
         let section = rep.to_section();
         assert_eq!(
             snap.counter(qasom_obs::keys::CHECK_SCHEDULES),
-            section.schedules
+            section.totals["schedules"]
         );
         assert_eq!(snap.counter(qasom_obs::keys::CHECK_MODELS), 3);
         assert_eq!(section.models.len(), 3);

@@ -9,8 +9,9 @@
 //!
 //! * [`Rule::Wallclock`] (`determinism-wallclock`) — no `Instant::now`,
 //!   `SystemTime::now` or `thread::sleep` on simulated paths
-//!   (`crates/netsim`, `crates/daemon` and
-//!   `crates/selection/src/distributed.rs`). The simulation clock is
+//!   (`crates/netsim`, `crates/daemon`,
+//!   `crates/selection/src/distributed.rs` and the scenario registry
+//!   `crates/bench/src/scenarios.rs`). The simulation clock is
 //!   the only clock; the daemon blocks on channels and sockets, never
 //!   on timers.
 //! * [`Rule::Unordered`] (`determinism-unordered`) — no `HashMap` /
@@ -169,13 +170,16 @@ impl fmt::Display for Finding {
 /// Whether `rel` (workspace-relative, `/`-separated) is on a simulated
 /// path where the determinism rules apply. The observability crate is
 /// in scope: a recorder that read the wall clock would break the
-/// byte-identical same-seed `RunReport` guarantee.
+/// byte-identical same-seed `RunReport` guarantee. So is the scenario
+/// registry, the one file of the (otherwise wall-clock-timing) bench
+/// crate whose output CI compares byte-for-byte against golden files.
 pub fn determinism_scope(rel: &str) -> bool {
     rel.starts_with("crates/netsim/src/")
         || rel.starts_with("crates/obs/src/")
         || rel.starts_with("crates/daemon/src/")
         || rel.starts_with("crates/cluster/src/")
         || rel == "crates/selection/src/distributed.rs"
+        || rel == "crates/bench/src/scenarios.rs"
 }
 
 /// Whether `rel` is daemon code where [`Rule::DaemonWithMut`] applies:
@@ -708,6 +712,12 @@ mod tests {
         let hits = scan_file("crates/daemon/src/tcp.rs", src);
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].rule, Rule::Wallclock);
+        // Of the bench crate only the byte-compared scenario registry
+        // is in scope; the figure harness times things on purpose.
+        let hits = scan_file("crates/bench/src/scenarios.rs", src);
+        assert_eq!(hits.len(), 1);
+        assert_eq!(hits[0].rule, Rule::Wallclock);
+        assert!(scan_file("crates/bench/src/lib.rs", src).is_empty());
     }
 
     #[test]

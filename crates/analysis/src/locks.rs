@@ -98,10 +98,7 @@ pub const MANIFEST: &[LockClass] = &[
     LockClass {
         name: "event-buffer",
         rank: 4,
-        files: &[
-            "crates/core/src/environment.rs",
-            "crates/core/src/events.rs",
-        ],
+        files: &["crates/core/src/events.rs"],
         receivers: &["events", "self"],
     },
     LockClass {

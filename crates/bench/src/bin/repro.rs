@@ -16,26 +16,180 @@ use qasom_bench as bench;
 use qasom_obs::report::{BenchReport, Figure, FigureSeries};
 use qasom_qos::QosModel;
 
-/// Prints a figure and collects it into the JSON report.
-fn show(
-    report: &mut BenchReport,
-    key: &str,
-    title: &str,
-    x_name: &str,
-    series: Vec<bench::Series>,
-) {
-    bench::print_figure(title, x_name, &series);
-    report.figures.push(Figure {
-        name: key.to_owned(),
-        series: series
-            .into_iter()
-            .map(|s| FigureSeries {
-                label: s.label,
-                points: s.points,
-            })
-            .collect(),
-    });
-}
+/// One regenerated figure: the command-line key that selects it (`vi5`
+/// selects both `vi5a` and `vi5b`), its name in the JSON report, the
+/// printed title and x-axis label, and the function producing it.
+type FigureRow = (
+    &'static str,
+    &'static str,
+    &'static str,
+    &'static str,
+    fn(&QosModel) -> Vec<FigureSeries>,
+);
+
+const FIGURES: &[FigureRow] = &[
+    (
+        "vi5",
+        "vi5a",
+        "Fig. VI.5a — selection time vs services/activity (5 activities, 4 constraints)",
+        "services",
+        bench::fig_vi5a,
+    ),
+    (
+        "vi5",
+        "vi5b",
+        "Fig. VI.5b — selection time vs #QoS constraints (100 services/activity)",
+        "constraints",
+        bench::fig_vi5b,
+    ),
+    (
+        "vi6",
+        "vi6a",
+        "Fig. VI.6a — optimality vs services/activity (vs exhaustive optimum)",
+        "services",
+        bench::fig_vi6a,
+    ),
+    (
+        "vi6",
+        "vi6b",
+        "Fig. VI.6b — optimality vs #QoS constraints",
+        "constraints",
+        bench::fig_vi6b,
+    ),
+    (
+        "vi7",
+        "vi7",
+        "Fig. VI.7 — selection time per aggregation approach (choice+loop tasks)",
+        "services",
+        bench::fig_vi7,
+    ),
+    (
+        "vi8",
+        "vi8",
+        "Fig. VI.8 — optimality per aggregation approach",
+        "services",
+        bench::fig_vi8,
+    ),
+    (
+        "vi9",
+        "vi9",
+        "Fig. VI.9 — generated QoS follows N(m, σ)",
+        "property",
+        bench::fig_vi9,
+    ),
+    (
+        "vi10",
+        "vi10",
+        "Fig. VI.10 — selection time with constraints at m vs m+σ",
+        "services",
+        bench::fig_vi10,
+    ),
+    (
+        "vi11",
+        "vi11",
+        "Fig. VI.11 — optimality with constraints at m vs m+σ",
+        "services",
+        bench::fig_vi11,
+    ),
+    (
+        "vi12",
+        "vi12",
+        "Fig. VI.12 — distributed QASSA: simulated phase times vs provider nodes",
+        "providers",
+        bench::fig_vi12,
+    ),
+    (
+        "vi13",
+        "vi13",
+        "Fig. VI.13 — abstract BPEL → behavioural graph transformation time",
+        "activities",
+        |_| bench::fig_vi13(),
+    ),
+    (
+        "v_adapt",
+        "v_adapt",
+        "Ch. V — behavioural adaptation (subgraph homeomorphism) time",
+        "activities",
+        |_| bench::fig_v_adapt(),
+    ),
+    (
+        "loss",
+        "loss",
+        "Extra — fault tolerance under message loss: retries vs no retries (8 providers, 10 seeds)",
+        "loss prob",
+        bench::fig_loss,
+    ),
+    (
+        "activities",
+        "activities",
+        "Extra — selection time vs number of activities (100 services each)",
+        "activities",
+        bench::fig_activities,
+    ),
+    (
+        "serving",
+        "serving",
+        "Serving — concurrent sessions: serial-lock vs read-concurrent compose",
+        "threads",
+        |_| bench::fig_serving(),
+    ),
+    (
+        "daemon",
+        "daemon",
+        "Daemon — batched admission: throughput and discovery cost vs batch size",
+        "batch max",
+        |_| bench::fig_daemon(),
+    ),
+    (
+        "hotpath",
+        "hotpath",
+        "Hot path — compose p50/p99 and full-vs-delta re-selection (8 activities)",
+        "services",
+        |_| bench::fig_hotpath(),
+    ),
+    (
+        "persist",
+        "persist",
+        "Persistence — warm boot: snapshot load / WAL replay vs re-registration",
+        "services",
+        |_| bench::fig_persist(),
+    ),
+    (
+        "scale",
+        "scale",
+        "Scalability — QASSA at large pools (serial vs parallel local phase)",
+        "services",
+        bench::scalability,
+    ),
+    (
+        "ablate",
+        "ablate_kmeans_k",
+        "Ablation — K-means band count k",
+        "k",
+        bench::ablate_kmeans_k,
+    ),
+    (
+        "ablate",
+        "ablate_global",
+        "Ablation — global phase repair budget (feasible-rate, tight constraints)",
+        "services",
+        bench::ablate_global_strategy,
+    ),
+    (
+        "ablate",
+        "ablate_monitoring",
+        "Ablation — proactive vs reactive monitoring (lead on a drifting service)",
+        "drift slope",
+        bench::ablate_monitoring,
+    ),
+    (
+        "ablate",
+        "ablate_semantics",
+        "Ablation — semantic vs syntactic discovery recall",
+        "providers",
+        bench::ablate_semantics,
+    ),
+];
 
 fn main() {
     let mut json_path: Option<String> = None;
@@ -59,211 +213,20 @@ fn main() {
     println!("QASOM evaluation reproduction — simulated substrate");
     println!("(shapes are comparable to the original figures; absolute values are machine-local)");
 
-    if want("vi5") {
-        show(
-            &mut report,
-            "vi5a",
-            "Fig. VI.5a — selection time vs services/activity (5 activities, 4 constraints)",
-            "services",
-            bench::fig_vi5a(&model),
-        );
-        show(
-            &mut report,
-            "vi5b",
-            "Fig. VI.5b — selection time vs #QoS constraints (100 services/activity)",
-            "constraints",
-            bench::fig_vi5b(&model),
-        );
+    for &(key, name, title, x_name, figure) in FIGURES {
+        if want(key) {
+            let series = figure(&model);
+            bench::print_figure(title, x_name, &series);
+            report.figures.push(Figure {
+                name: name.to_owned(),
+                series,
+            });
+        }
     }
-    if want("vi6") {
-        show(
-            &mut report,
-            "vi6a",
-            "Fig. VI.6a — optimality vs services/activity (vs exhaustive optimum)",
-            "services",
-            bench::fig_vi6a(&model),
-        );
-        show(
-            &mut report,
-            "vi6b",
-            "Fig. VI.6b — optimality vs #QoS constraints",
-            "constraints",
-            bench::fig_vi6b(&model),
-        );
-    }
-    if want("vi7") {
-        show(
-            &mut report,
-            "vi7",
-            "Fig. VI.7 — selection time per aggregation approach (choice+loop tasks)",
-            "services",
-            bench::fig_vi7(&model),
-        );
-    }
-    if want("vi8") {
-        show(
-            &mut report,
-            "vi8",
-            "Fig. VI.8 — optimality per aggregation approach",
-            "services",
-            bench::fig_vi8(&model),
-        );
-    }
-    if want("vi9") {
-        println!("\n== Fig. VI.9 — generated QoS follows N(m, σ) ==");
-        let series = bench::fig_vi9(&model);
-        report.figures.push(Figure {
-            name: "vi9".to_owned(),
-            series: series
-                .into_iter()
-                .map(|s| FigureSeries {
-                    label: s.label,
-                    points: s.points,
-                })
-                .collect(),
-        });
-    }
-    if want("vi10") {
-        show(
-            &mut report,
-            "vi10",
-            "Fig. VI.10 — selection time with constraints at m vs m+σ",
-            "services",
-            bench::fig_vi10(&model),
-        );
-    }
-    if want("vi11") {
-        show(
-            &mut report,
-            "vi11",
-            "Fig. VI.11 — optimality with constraints at m vs m+σ",
-            "services",
-            bench::fig_vi11(&model),
-        );
-    }
-    if want("vi12") {
-        show(
-            &mut report,
-            "vi12",
-            "Fig. VI.12 — distributed QASSA: simulated phase times vs provider nodes",
-            "providers",
-            bench::fig_vi12(&model),
-        );
-    }
-    if want("vi13") {
-        show(
-            &mut report,
-            "vi13",
-            "Fig. VI.13 — abstract BPEL → behavioural graph transformation time",
-            "activities",
-            bench::fig_vi13(),
-        );
-    }
-    if want("v_adapt") {
-        show(
-            &mut report,
-            "v_adapt",
-            "Ch. V — behavioural adaptation (subgraph homeomorphism) time",
-            "activities",
-            bench::fig_v_adapt(),
-        );
-    }
-    if want("loss") {
-        show(
-            &mut report,
-            "loss",
-            "Extra — fault tolerance under message loss: retries vs no retries (8 providers, 10 seeds)",
-            "loss prob",
-            bench::fig_loss(&model),
-        );
-    }
-    if want("activities") {
-        show(
-            &mut report,
-            "activities",
-            "Extra — selection time vs number of activities (100 services each)",
-            "activities",
-            bench::fig_activities(&model),
-        );
-    }
-    if want("serving") {
-        show(
-            &mut report,
-            "serving",
-            "Serving — concurrent sessions: serial-lock vs read-concurrent compose",
-            "threads",
-            bench::fig_serving(),
-        );
-    }
-    if want("daemon") {
-        show(
-            &mut report,
-            "daemon",
-            "Daemon — batched admission: throughput and discovery cost vs batch size",
-            "batch max",
-            bench::fig_daemon(),
-        );
-    }
-    if want("hotpath") {
-        show(
-            &mut report,
-            "hotpath",
-            "Hot path — compose p50/p99 and full-vs-delta re-selection (8 activities)",
-            "services",
-            bench::fig_hotpath(),
-        );
-    }
-    if want("persist") {
-        show(
-            &mut report,
-            "persist",
-            "Persistence — warm boot: snapshot load / WAL replay vs re-registration",
-            "services",
-            bench::fig_persist(),
-        );
-    }
-    if want("scale") {
-        show(
-            &mut report,
-            "scale",
-            "Scalability — QASSA at large pools (serial vs parallel local phase)",
-            "services",
-            bench::scalability(&model),
-        );
-    }
+    // The selector comparison prints its own table and has no series.
     if want("compare") {
         println!("\n== Selector comparison (5 activities × 100 services, 10 seeds) ==");
         bench::compare_selectors(&model);
-    }
-    if want("ablate") {
-        show(
-            &mut report,
-            "ablate_kmeans_k",
-            "Ablation — K-means band count k",
-            "k",
-            bench::ablate_kmeans_k(&model),
-        );
-        show(
-            &mut report,
-            "ablate_global",
-            "Ablation — global phase repair budget (feasible-rate, tight constraints)",
-            "services",
-            bench::ablate_global_strategy(&model),
-        );
-        show(
-            &mut report,
-            "ablate_monitoring",
-            "Ablation — proactive vs reactive monitoring (lead on a drifting service)",
-            "drift slope",
-            bench::ablate_monitoring(&model),
-        );
-        show(
-            &mut report,
-            "ablate_semantics",
-            "Ablation — semantic vs syntactic discovery recall",
-            "providers",
-            bench::ablate_semantics(&model),
-        );
     }
 
     if let Some(path) = json_path {

@@ -2,19 +2,22 @@
 //! (thesis Ch. VI §3 and Ch. V §7).
 //!
 //! Each `fig_*` function reproduces one figure as a set of labelled
-//! [`Series`]; the `repro` binary prints them as tables, and the Criterion
-//! benches under `benches/` time the same code paths. The numbers are
-//! produced on *this* machine against the simulated substrate, so
-//! absolute values differ from the original testbed — the shapes (slopes,
-//! orderings, crossovers) are what reproduction means here; see
-//! `EXPERIMENTS.md` for the side-by-side reading.
+//! [`FigureSeries`]; the `repro` binary prints them as tables, and the
+//! Criterion benches under `benches/` time the same code paths. The
+//! numbers are produced on *this* machine against the simulated
+//! substrate, so absolute values differ from the original testbed — the
+//! shapes (slopes, orderings, crossovers) are what reproduction means
+//! here; see `EXPERIMENTS.md` for the side-by-side reading.
 
 #![forbid(unsafe_code)]
+
+pub mod scenarios;
 
 use std::time::Instant;
 
 use qasom_adaptation::BehaviouralAdapter;
 use qasom_netsim::{DeviceProfile, LinkConfig};
+use qasom_obs::report::FigureSeries;
 use qasom_ontology::OntologyBuilder;
 use qasom_qos::QosModel;
 use qasom_selection::baseline::Baselines;
@@ -23,27 +26,8 @@ use qasom_selection::workload::{TaskShape, Tightness, Workload, WorkloadSpec};
 use qasom_selection::{AggregationApproach, LocalRank, Qassa, QassaConfig};
 use qasom_task::{bpel, Activity, BehaviouralGraph, TaskNode, UserTask};
 
-/// One labelled series of `(x, y)` points.
-#[derive(Debug, Clone)]
-pub struct Series {
-    /// Legend label.
-    pub label: String,
-    /// Data points.
-    pub points: Vec<(f64, f64)>,
-}
-
-impl Series {
-    /// Creates an empty series.
-    pub fn new(label: impl Into<String>) -> Self {
-        Series {
-            label: label.into(),
-            points: Vec::new(),
-        }
-    }
-}
-
 /// Prints a figure as an aligned table (x column + one column per series).
-pub fn print_figure(title: &str, x_name: &str, series: &[Series]) {
+pub fn print_figure(title: &str, x_name: &str, series: &[FigureSeries]) {
     println!("\n== {title} ==");
     print!("{x_name:>12}");
     for s in series {
@@ -142,9 +126,9 @@ fn optimality(model: &QosModel, spec: &WorkloadSpec, seeds: u64) -> f64 {
 
 /// Fig. VI.5a — QASSA execution time vs. services per activity
 /// (5 activities, 4 global constraints).
-pub fn fig_vi5a(model: &QosModel) -> Vec<Series> {
-    let mut qassa = Series::new("QASSA [ms]");
-    let mut greedy = Series::new("greedy [ms]");
+pub fn fig_vi5a(model: &QosModel) -> Vec<FigureSeries> {
+    let mut qassa = FigureSeries::new("QASSA [ms]");
+    let mut greedy = FigureSeries::new("greedy [ms]");
     for n in [10, 50, 100, 150, 200, 250, 300] {
         let w = WorkloadSpec::evaluation_default()
             .services_per_activity(n)
@@ -164,8 +148,8 @@ pub fn fig_vi5a(model: &QosModel) -> Vec<Series> {
 
 /// Fig. VI.5b — QASSA execution time vs. number of global QoS constraints
 /// (100 services per activity).
-pub fn fig_vi5b(model: &QosModel) -> Vec<Series> {
-    let mut s = Series::new("QASSA [ms]");
+pub fn fig_vi5b(model: &QosModel) -> Vec<FigureSeries> {
+    let mut s = FigureSeries::new("QASSA [ms]");
     for k in 1..=8 {
         let w = WorkloadSpec::evaluation_default()
             .property_count(k)
@@ -177,8 +161,8 @@ pub fn fig_vi5b(model: &QosModel) -> Vec<Series> {
 
 /// Fig. VI.6a — optimality vs. services per activity (4 activities so the
 /// exhaustive optimum stays tractable).
-pub fn fig_vi6a(model: &QosModel) -> Vec<Series> {
-    let mut s = Series::new("optimality");
+pub fn fig_vi6a(model: &QosModel) -> Vec<FigureSeries> {
+    let mut s = FigureSeries::new("optimality");
     for n in [4, 6, 8, 10, 12, 15] {
         let spec = WorkloadSpec::evaluation_default()
             .activities(4)
@@ -190,8 +174,8 @@ pub fn fig_vi6a(model: &QosModel) -> Vec<Series> {
 
 /// Fig. VI.6b — optimality vs. number of constraints (4 activities × 10
 /// services).
-pub fn fig_vi6b(model: &QosModel) -> Vec<Series> {
-    let mut s = Series::new("optimality");
+pub fn fig_vi6b(model: &QosModel) -> Vec<FigureSeries> {
+    let mut s = FigureSeries::new("optimality");
     for k in 1..=6 {
         let spec = WorkloadSpec::evaluation_default()
             .activities(4)
@@ -212,11 +196,11 @@ fn approaches() -> [(AggregationApproach, &'static str); 3] {
 
 /// Fig. VI.7 — execution time under the three aggregation approaches
 /// (choice- and loop-bearing tasks).
-pub fn fig_vi7(model: &QosModel) -> Vec<Series> {
+pub fn fig_vi7(model: &QosModel) -> Vec<FigureSeries> {
     approaches()
         .into_iter()
         .map(|(approach, label)| {
-            let mut s = Series::new(format!("{label} [ms]"));
+            let mut s = FigureSeries::new(format!("{label} [ms]"));
             for n in [10, 50, 100, 200, 300] {
                 let w = WorkloadSpec::evaluation_default()
                     .shape(TaskShape::Full)
@@ -231,11 +215,11 @@ pub fn fig_vi7(model: &QosModel) -> Vec<Series> {
 }
 
 /// Fig. VI.8 — optimality under the three aggregation approaches.
-pub fn fig_vi8(model: &QosModel) -> Vec<Series> {
+pub fn fig_vi8(model: &QosModel) -> Vec<FigureSeries> {
     approaches()
         .into_iter()
         .map(|(approach, label)| {
-            let mut s = Series::new(label);
+            let mut s = FigureSeries::new(label);
             for n in [4, 8, 12] {
                 let spec = WorkloadSpec::evaluation_default()
                     .activities(4)
@@ -252,13 +236,13 @@ pub fn fig_vi8(model: &QosModel) -> Vec<Series> {
 /// Fig. VI.9 — sanity of the normally distributed QoS workload: per
 /// property, the sample mean and standard deviation of the generated
 /// values (compare against the configured `N(m, σ)`).
-pub fn fig_vi9(model: &QosModel) -> Vec<Series> {
+pub fn fig_vi9(model: &QosModel) -> Vec<FigureSeries> {
     let w = WorkloadSpec::evaluation_default()
         .activities(1)
         .services_per_activity(5_000)
         .build(model, 42);
-    let mut mean_s = Series::new("sample mean");
-    let mut std_s = Series::new("sample std dev");
+    let mut mean_s = FigureSeries::new("sample mean");
+    let mut std_s = FigureSeries::new("sample std dev");
     let props: Vec<_> = w.problem().properties();
     for (i, &p) in props.iter().enumerate() {
         let values: Vec<f64> = w.candidates()[0]
@@ -269,26 +253,20 @@ pub fn fig_vi9(model: &QosModel) -> Vec<Series> {
         let var = values.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / values.len() as f64;
         mean_s.points.push((i as f64, mean));
         std_s.points.push((i as f64, var.sqrt()));
-        println!(
-            "  property {:<16} mean {:>10.3}  std {:>8.3}",
-            model.def(p).name(),
-            mean,
-            var.sqrt()
-        );
     }
     vec![mean_s, std_s]
 }
 
 /// Fig. VI.10 — execution time with global constraints fixed at `m`
 /// (tight) vs. one σ looser.
-pub fn fig_vi10(model: &QosModel) -> Vec<Series> {
+pub fn fig_vi10(model: &QosModel) -> Vec<FigureSeries> {
     [
         (Tightness::AtMean, "bound at m [ms]"),
         (Tightness::AtMeanPlusSigma, "bound at m+σ [ms]"),
     ]
     .into_iter()
     .map(|(tightness, label)| {
-        let mut s = Series::new(label);
+        let mut s = FigureSeries::new(label);
         for n in [10, 50, 100, 200, 300] {
             let w = WorkloadSpec::evaluation_default()
                 .tightness(tightness)
@@ -302,14 +280,14 @@ pub fn fig_vi10(model: &QosModel) -> Vec<Series> {
 }
 
 /// Fig. VI.11 — optimality with constraints at `m` vs. `m+σ`.
-pub fn fig_vi11(model: &QosModel) -> Vec<Series> {
+pub fn fig_vi11(model: &QosModel) -> Vec<FigureSeries> {
     [
         (Tightness::AtMean, "bound at m"),
         (Tightness::AtMeanPlusSigma, "bound at m+σ"),
     ]
     .into_iter()
     .map(|(tightness, label)| {
-        let mut s = Series::new(label);
+        let mut s = FigureSeries::new(label);
         for n in [4, 8, 12] {
             let spec = WorkloadSpec::evaluation_default()
                 .activities(4)
@@ -324,10 +302,10 @@ pub fn fig_vi11(model: &QosModel) -> Vec<Series> {
 
 /// Fig. VI.12 — distributed QASSA: simulated local- and global-selection
 /// time vs. number of provider nodes.
-pub fn fig_vi12(model: &QosModel) -> Vec<Series> {
+pub fn fig_vi12(model: &QosModel) -> Vec<FigureSeries> {
     let w = WorkloadSpec::evaluation_default().build(model, 42);
-    let mut local = Series::new("local phase [ms]");
-    let mut global = Series::new("global phase [ms]");
+    let mut local = FigureSeries::new("local phase [ms]");
+    let mut global = FigureSeries::new("global phase [ms]");
     let driver = DistributedQassa::new(model);
     for providers in [2usize, 5, 10, 20, 50] {
         let setup = DistributedSetup {
@@ -401,8 +379,8 @@ pub fn synthetic_bpel(n: usize) -> String {
 
 /// Fig. VI.13 — time to transform abstract-BPEL specifications into
 /// behavioural graphs (parse + graph construction).
-pub fn fig_vi13() -> Vec<Series> {
-    let mut s = Series::new("transform [ms]");
+pub fn fig_vi13() -> Vec<FigureSeries> {
+    let mut s = FigureSeries::new("transform [ms]");
     for n in [5, 10, 20, 40, 60, 80, 100] {
         let doc = synthetic_bpel(n);
         let ms = time_ms(20, || {
@@ -439,7 +417,7 @@ pub fn adaptation_pair(n: usize) -> (UserTask, UserTask) {
 
 /// Ch. V evaluation — behavioural-adaptation (subgraph homeomorphism)
 /// time vs. task size; the executed prefix is the first half.
-pub fn fig_v_adapt() -> Vec<Series> {
+pub fn fig_v_adapt() -> Vec<FigureSeries> {
     let mut onto = OntologyBuilder::new("ad");
     for i in 0..64 {
         onto.concept(&format!("F{i}"));
@@ -447,7 +425,7 @@ pub fn fig_v_adapt() -> Vec<Series> {
     let onto = onto.build().expect("valid ontology");
     let adapter = BehaviouralAdapter::new(&onto);
 
-    let mut s = Series::new("resume mapping [ms]");
+    let mut s = FigureSeries::new("resume mapping [ms]");
     for n in [4usize, 8, 12, 16, 20, 24] {
         let (current, alternative) = adaptation_pair(n);
         let executed: Vec<String> = (0..n / 2).map(|i| format!("c{i}")).collect();
@@ -462,9 +440,9 @@ pub fn fig_v_adapt() -> Vec<Series> {
 }
 
 /// Ablation — K-means band count `k`: selection time and optimality.
-pub fn ablate_kmeans_k(model: &QosModel) -> Vec<Series> {
-    let mut time_series = Series::new("time [ms]");
-    let mut opt_series = Series::new("optimality");
+pub fn ablate_kmeans_k(model: &QosModel) -> Vec<FigureSeries> {
+    let mut time_series = FigureSeries::new("time [ms]");
+    let mut opt_series = FigureSeries::new("optimality");
     for k in [2usize, 3, 4, 6, 8] {
         let config = QassaConfig {
             local: LocalRank {
@@ -513,7 +491,7 @@ pub fn ablate_kmeans_k(model: &QosModel) -> Vec<Series> {
 
 /// Ablation — repair budget of the global phase: 0 (pure level descent)
 /// vs. the default utility-aware repair.
-pub fn ablate_global_strategy(model: &QosModel) -> Vec<Series> {
+pub fn ablate_global_strategy(model: &QosModel) -> Vec<FigureSeries> {
     [(0usize, "no repairs"), (64, "repairs (default)")]
         .into_iter()
         .map(|(budget, label)| {
@@ -521,7 +499,7 @@ pub fn ablate_global_strategy(model: &QosModel) -> Vec<Series> {
                 max_repairs_per_level: budget,
                 ..QassaConfig::default()
             };
-            let mut s = Series::new(format!("{label}: feasible rate"));
+            let mut s = FigureSeries::new(format!("{label}: feasible rate"));
             for n in [10usize, 50, 100] {
                 let mut feasible = 0;
                 const SEEDS: u64 = 10;
@@ -549,7 +527,7 @@ pub fn ablate_global_strategy(model: &QosModel) -> Vec<Series> {
 /// link loss probability, with retransmissions enabled (default capped
 /// exponential backoff) against retransmissions disabled, averaged over
 /// 10 seeds per point.
-pub fn fig_loss(model: &QosModel) -> Vec<Series> {
+pub fn fig_loss(model: &QosModel) -> Vec<FigureSeries> {
     let w = WorkloadSpec::evaluation_default()
         .activities(3)
         .services_per_activity(30)
@@ -562,8 +540,8 @@ pub fn fig_loss(model: &QosModel) -> Vec<Series> {
     ];
     let mut out = Vec::new();
     for (label, retry) in variants {
-        let mut coverage = Series::new(format!("coverage ({label})"));
-        let mut total = Series::new(format!("total [ms] ({label})"));
+        let mut coverage = FigureSeries::new(format!("coverage ({label})"));
+        let mut total = FigureSeries::new(format!("total [ms] ({label})"));
         for loss in [0.0f64, 0.1, 0.2, 0.3, 0.4, 0.6] {
             let setup = DistributedSetup {
                 providers: 8,
@@ -598,8 +576,8 @@ pub fn fig_loss(model: &QosModel) -> Vec<Series> {
 
 /// Extra axis: QASSA execution time vs. number of abstract activities
 /// (100 services each, 4 constraints).
-pub fn fig_activities(model: &QosModel) -> Vec<Series> {
-    let mut s = Series::new("QASSA [ms]");
+pub fn fig_activities(model: &QosModel) -> Vec<FigureSeries> {
+    let mut s = FigureSeries::new("QASSA [ms]");
     for n in [2usize, 5, 10, 15, 20] {
         let w = WorkloadSpec::evaluation_default()
             .activities(n)
@@ -612,9 +590,9 @@ pub fn fig_activities(model: &QosModel) -> Vec<Series> {
 /// Scalability beyond the paper's axis: QASSA at very large candidate
 /// pools, with the serial and the multi-core (parallel local phase)
 /// variants — the timeliness claim stretched an order of magnitude.
-pub fn scalability(model: &QosModel) -> Vec<Series> {
-    let mut serial = Series::new("serial [ms]");
-    let mut parallel = Series::new("parallel local [ms]");
+pub fn scalability(model: &QosModel) -> Vec<FigureSeries> {
+    let mut serial = FigureSeries::new("serial [ms]");
+    let mut parallel = FigureSeries::new("parallel local [ms]");
     for n in [300usize, 600, 1000, 2000] {
         let w = WorkloadSpec::evaluation_default()
             .activities(10)
@@ -726,13 +704,13 @@ fn compare_selectors_on(model: &QosModel, spec: &WorkloadSpec, seeds: u64) {
 /// invocations earlier does the proactive monitor flag the (future)
 /// violation? Larger lead = more time to substitute before the user
 /// feels it.
-pub fn ablate_monitoring(model: &QosModel) -> Vec<Series> {
+pub fn ablate_monitoring(model: &QosModel) -> Vec<FigureSeries> {
     use qasom_adaptation::{MonitorConfig, QosMonitor};
     use qasom_registry::{ServiceDescription, ServiceRegistry};
 
     let rt = model.property("ResponseTime").expect("standard model");
     let bound = 200.0;
-    let mut lead_series = Series::new("proactive lead [invocations]");
+    let mut lead_series = FigureSeries::new("proactive lead [invocations]");
     for slope in [2.0f64, 5.0, 10.0, 20.0] {
         let mut reg = ServiceRegistry::new();
         let id = reg.register(ServiceDescription::new("s", "d#F"));
@@ -769,7 +747,7 @@ pub fn ablate_monitoring(model: &QosModel) -> Vec<Series> {
 /// Ablation — semantic vs syntactic discovery recall: providers advertise
 /// *specialised* capabilities (subconcepts of what the user asks for);
 /// semantic matching finds them all, exact-syntax matching finds none.
-pub fn ablate_semantics(model: &QosModel) -> Vec<Series> {
+pub fn ablate_semantics(model: &QosModel) -> Vec<FigureSeries> {
     use qasom_ontology::Ontology;
     use qasom_registry::{Discovery, DiscoveryQuery, ServiceDescription, ServiceRegistry};
     use qasom_task::Activity;
@@ -793,8 +771,8 @@ pub fn ablate_semantics(model: &QosModel) -> Vec<Series> {
         (onto, reg)
     };
 
-    let mut semantic = Series::new("semantic recall");
-    let mut syntactic = Series::new("syntactic recall");
+    let mut semantic = FigureSeries::new("semantic recall");
+    let mut syntactic = FigureSeries::new("syntactic recall");
     for n in [1usize, 5, 10, 20] {
         let activity = Activity::new("pay", "shop#Pay");
         let (onto, reg) = build(n, true);
@@ -818,21 +796,13 @@ fn serving_market(per_concept: usize) -> Option<(qasom::SharedEnvironment, qasom
     use qasom_registry::ServiceDescription;
 
     let concepts = ["A", "B", "C"];
-    let mut b = OntologyBuilder::new("d");
-    for c in concepts {
-        b.concept(c);
-    }
-    let ontology = b.build().ok()?;
-    let mut env = qasom::Environment::new(QosModel::standard(), ontology, 17);
-    let rt = env.model().property("ResponseTime")?;
-    for (ci, c) in concepts.iter().enumerate() {
-        for i in 0..per_concept {
-            let desc = ServiceDescription::new(format!("{c}{i}"), &format!("d#{c}"))
-                .with_qos(rt, 40.0 + (ci * per_concept + i) as f64);
-            let nominal = desc.qos().clone();
-            env.deploy(desc, qasom_netsim::runtime::SyntheticService::new(nominal));
-        }
-    }
+    let rt = QosModel::standard().property("ResponseTime")?;
+    let env = scenarios::market("d", &concepts, per_concept, 17, |ci, i| {
+        let c = concepts[ci];
+        ServiceDescription::new(format!("{c}{i}"), &format!("d#{c}"))
+            .with_qos(rt, 40.0 + (ci * per_concept + i) as f64)
+    })
+    .ok()?;
     let task = UserTask::new(
         "serving",
         TaskNode::sequence([
@@ -890,11 +860,11 @@ fn serving_throughput(threads: usize, sessions_per_thread: usize, serial: bool) 
 /// host the read-concurrent sessions/s curve scales with threads while
 /// serial-lock stays flat; single-threaded the two must coincide (the
 /// split costs nothing when uncontended).
-pub fn fig_serving() -> Vec<Series> {
-    let mut serial = Series::new("serial-lock sessions/s");
-    let mut concurrent = Series::new("read-concurrent sessions/s");
-    let mut serial_latency = Series::new("serial-lock ms/session");
-    let mut concurrent_latency = Series::new("read-concurrent ms/session");
+pub fn fig_serving() -> Vec<FigureSeries> {
+    let mut serial = FigureSeries::new("serial-lock sessions/s");
+    let mut concurrent = FigureSeries::new("read-concurrent sessions/s");
+    let mut serial_latency = FigureSeries::new("serial-lock ms/session");
+    let mut concurrent_latency = FigureSeries::new("read-concurrent ms/session");
     for threads in [1usize, 2, 4, 8] {
         let x = threads as f64;
         let (rate, latency) = serving_throughput(threads, 25, true);
@@ -907,60 +877,19 @@ pub fn fig_serving() -> Vec<Series> {
     vec![serial, concurrent, serial_latency, concurrent_latency]
 }
 
-/// Builds the hot-path market: eight concepts, `total / 8` providers
-/// each with varied QoS, an eight-activity sequence task over all of
-/// them, and a request that constrains and weights two properties (so
-/// the flat rank columns are actually exercised).
-pub fn hotpath_market(total: usize) -> Option<(qasom::Environment, qasom::UserRequest)> {
-    use qasom_registry::ServiceDescription;
-
-    const ACTIVITIES: usize = 8;
-    let mut b = OntologyBuilder::new("hp");
-    for i in 0..ACTIVITIES {
-        b.concept(&format!("A{i}"));
-    }
-    let ontology = b.build().ok()?;
-    let mut env = qasom::Environment::new(QosModel::standard(), ontology, 23);
-    let rt = env.model().property("ResponseTime")?;
-    let av = env.model().property("Availability")?;
-    let per = (total / ACTIVITIES).max(1);
-    for ci in 0..ACTIVITIES {
-        for i in 0..per {
-            let desc = ServiceDescription::new(format!("s{ci}-{i}"), &format!("hp#A{ci}"))
-                .with_qos(rt, 40.0 + ((i * 7_919 + ci * 13) % 1_000) as f64)
-                .with_qos(av, 0.90 + ((i * 104_729 + ci) % 100) as f64 / 1_000.0);
-            let nominal = desc.qos().clone();
-            env.deploy(desc, qasom_netsim::runtime::SyntheticService::new(nominal));
-        }
-    }
-    let task = UserTask::new(
-        "hotpath",
-        TaskNode::sequence((0..ACTIVITIES).map(|i| {
-            TaskNode::activity(Activity::new(format!("a{i}"), format!("hp#A{i}").as_str()))
-        })),
-    )
-    .ok()?;
-    let request = qasom::UserRequest::new(task)
-        .constraint("ResponseTime", 10.0, qasom_qos::Unit::Seconds)
-        .ok()?
-        .weight("ResponseTime", 0.7)
-        .weight("Availability", 0.3);
-    Some((env, request))
-}
-
 /// Hot-path figure: full-pipeline compose latency (p50/p99) plus the
 /// full-vs-delta re-selection split after churn touching one of the
 /// eight activities, at 10k and 100k registered services. The speed-up
 /// series is what the delta path buys: full recompose re-discovers and
 /// re-clusters all eight activities, the delta re-ranks exactly one.
-pub fn fig_hotpath() -> Vec<Series> {
-    let mut compose_p50 = Series::new("compose p50 [ms]");
-    let mut compose_p99 = Series::new("compose p99 [ms]");
-    let mut full = Series::new("full recompose [ms]");
-    let mut delta = Series::new("delta recompose [ms]");
-    let mut speedup = Series::new("full/delta speed-up");
+pub fn fig_hotpath() -> Vec<FigureSeries> {
+    let mut compose_p50 = FigureSeries::new("compose p50 [ms]");
+    let mut compose_p99 = FigureSeries::new("compose p99 [ms]");
+    let mut full = FigureSeries::new("full recompose [ms]");
+    let mut delta = FigureSeries::new("delta recompose [ms]");
+    let mut speedup = FigureSeries::new("full/delta speed-up");
     for total in [10_000usize, 100_000] {
-        let Some((mut env, request)) = hotpath_market(total) else {
+        let Ok((mut env, request)) = scenarios::hotpath_market(total, 23) else {
             continue;
         };
         let Ok(comp) = env.compose(&request) else {
@@ -1009,14 +938,14 @@ pub fn fig_hotpath() -> Vec<Series> {
 ///   (one CRC-framed record per historical registration);
 /// * **snapshot load** — recovery from a checkpointed snapshot with an
 ///   empty WAL (the state after a clean shutdown).
-pub fn fig_persist() -> Vec<Series> {
+pub fn fig_persist() -> Vec<FigureSeries> {
     use qasom_registry::persist::{MemoryBackend, PersistConfig, PersistentRegistry};
     use qasom_registry::{ServiceDescription, ServiceRegistry};
 
     const CONCEPTS: usize = 8;
-    let mut rereg = Series::new("re-registration [ms]");
-    let mut replay = Series::new("WAL replay [ms]");
-    let mut snapshot = Series::new("snapshot load [ms]");
+    let mut rereg = FigureSeries::new("re-registration [ms]");
+    let mut replay = FigureSeries::new("WAL replay [ms]");
+    let mut snapshot = FigureSeries::new("snapshot load [ms]");
     let mut b = OntologyBuilder::new("ps");
     for c in 0..CONCEPTS {
         b.concept(&format!("A{c}"));
@@ -1096,37 +1025,17 @@ pub fn fig_persist() -> Vec<Series> {
     vec![rereg, replay, snapshot]
 }
 
-/// Builds the daemon-throughput market (one concept, `providers`
-/// candidates, recorder attached) and the shared hot request.
-fn daemon_market(providers: usize) -> Option<(qasom::SharedEnvironment, qasom::UserRequest)> {
-    use qasom_registry::ServiceDescription;
-
-    let mut b = OntologyBuilder::new("d");
-    b.concept("A");
-    let ontology = b.build().ok()?;
-    let mut env = qasom::Environment::new(QosModel::standard(), ontology, 7);
-    env.set_recorder(std::sync::Arc::new(qasom_obs::MemoryRecorder::new()));
-    let rt = env.model().property("ResponseTime")?;
-    for i in 0..providers {
-        let desc = ServiceDescription::new(format!("s{i}"), "d#A").with_qos(rt, 40.0 + i as f64);
-        let nominal = desc.qos().clone();
-        env.deploy(desc, qasom_netsim::runtime::SyntheticService::new(nominal));
-    }
-    let task = UserTask::new("t", TaskNode::activity(Activity::new("a", "d#A"))).ok()?;
-    Some((
-        qasom::SharedEnvironment::new(env),
-        qasom::UserRequest::new(task).weight("Delay", 1.0),
-    ))
-}
-
 /// Drives `clients × rounds` same-signature sessions through a loopback
-/// daemon at the given `batch_max` and returns
-/// `(sessions completed, discovery queries)` from the recorder — both
-/// deterministic.
+/// daemon over a 40-provider [`scenarios::one_concept_market`] at the
+/// given `batch_max` and returns `(sessions completed, discovery
+/// queries)` from the recorder — both deterministic.
 fn daemon_run(batch_max: usize, clients: usize, rounds: usize) -> Option<(u64, u64)> {
     use qasom_daemon::{AdmissionConfig, BrokerConfig, LoopbackDaemon};
 
-    let (shared, request) = daemon_market(40)?;
+    let mut env = scenarios::one_concept_market(40, 7).ok()?;
+    env.set_recorder(std::sync::Arc::new(qasom_obs::MemoryRecorder::new()));
+    let shared = qasom::SharedEnvironment::new(env);
+    let request = scenarios::one_activity_request("t").ok()?;
     let mut daemon = LoopbackDaemon::new(
         shared.clone(),
         BrokerConfig {
@@ -1137,14 +1046,7 @@ fn daemon_run(batch_max: usize, clients: usize, rounds: usize) -> Option<(u64, u
             },
         },
     );
-    let handles: Vec<_> = (0..clients)
-        .map(|i| {
-            let c = daemon.connect();
-            daemon.send_hello(c, &format!("c{i}")).ok()?;
-            Some(c)
-        })
-        .collect::<Option<_>>()?;
-    daemon.pump();
+    let handles = scenarios::connect_clients(&mut daemon, clients, "c").ok()?;
     let mut corr = 0u64;
     for _ in 0..rounds {
         for c in &handles {
@@ -1169,11 +1071,11 @@ fn daemon_run(batch_max: usize, clients: usize, rounds: usize) -> Option<(u64, u
 /// over the loopback transport. The queries/session series is exact and
 /// deterministic (1 at `batch_max ≥ clients`, approaching 1/`batch_max`
 /// of the unbatched cost); the sessions/s series is machine-local.
-pub fn fig_daemon() -> Vec<Series> {
+pub fn fig_daemon() -> Vec<FigureSeries> {
     const CLIENTS: usize = 8;
     const ROUNDS: usize = 12;
-    let mut rate = Series::new("sessions/s");
-    let mut queries = Series::new("discovery queries/session");
+    let mut rate = FigureSeries::new("sessions/s");
+    let mut queries = FigureSeries::new("discovery queries/session");
     for batch_max in [1usize, 2, 4, 8] {
         let Some((sessions, discovery_queries)) = daemon_run(batch_max, CLIENTS, ROUNDS) else {
             continue;
@@ -1235,8 +1137,8 @@ mod tests {
         // Smoke at tiny scale: both lock disciplines produce finite,
         // positive rates at 1 and 2 threads (no timing assertion — the
         // ≥1.5× speed-up claim belongs to multi-core CI runners).
-        let mut serial = Series::new("serial-lock sessions/s");
-        let mut concurrent = Series::new("read-concurrent sessions/s");
+        let mut serial = FigureSeries::new("serial-lock sessions/s");
+        let mut concurrent = FigureSeries::new("read-concurrent sessions/s");
         for threads in [1usize, 2] {
             let (rate, _) = serving_throughput(threads, 3, true);
             serial.points.push((threads as f64, rate));
@@ -1268,7 +1170,7 @@ mod tests {
         // Tiny scale: the market composes, churn routes the next
         // recompose through the delta path, and the result matches the
         // full oracle.
-        let (mut env, request) = hotpath_market(160).expect("market builds");
+        let (mut env, request) = scenarios::hotpath_market(160, 23).expect("market builds");
         let comp = env.compose(&request).expect("composes");
         let rt = env.model().property("ResponseTime").unwrap();
         let desc = qasom_registry::ServiceDescription::new("late", "hp#A0").with_qos(rt, 35.0);

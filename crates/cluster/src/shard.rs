@@ -24,8 +24,8 @@ use std::sync::Arc;
 use qasom_ontology::{Iri, Ontology};
 use qasom_qos::QosModel;
 use qasom_registry::{
-    DiscoveredCandidate, Discovery, DiscoveryQuery, MatchCache, RegistryEvent, RegistrySync,
-    ReplicaCursor, ServiceDescription, ServiceId, ServiceRegistry, SyncResponse,
+    fnv1a_iri, DiscoveredCandidate, Discovery, DiscoveryQuery, MatchCache, RegistryEvent,
+    RegistrySync, ReplicaCursor, ServiceDescription, ServiceId, ServiceRegistry, SyncResponse,
 };
 
 /// The capability bucket `function` falls into, out of `n_shards`.
@@ -42,25 +42,7 @@ pub fn shard_of(function: &Iri, ontology: &Ontology, n_shards: usize) -> usize {
         }
         None => function,
     };
-    let mut h = fnv1a(key.namespace().as_bytes());
-    h = fnv1a_continue(h, b"#");
-    h = fnv1a_continue(h, key.local_name().as_bytes());
-    (h % n_shards.max(1) as u64) as usize
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    fnv1a_continue(FNV_OFFSET, bytes)
-}
-
-fn fnv1a_continue(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
+    (fnv1a_iri(key) % n_shards.max(1) as u64) as usize
 }
 
 /// How one sync round caught a replica up.

@@ -1,15 +1,12 @@
 //! The middleware instance: environment state + composition pipeline.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use qasom_adaptation::{MonitorConfig, QosMonitor};
 use qasom_analysis::{Analyzer, ApproachKind, RequestSpec};
 use qasom_netsim::runtime::{ServiceRuntime, SyntheticService};
-use qasom_obs::report::{
-    CheckSection, DaemonSection, DiscoverySection, HotpathSection, PersistenceSection, RunReport,
-    SelectionSection, ServingSection,
-};
+use qasom_obs::report::{ComposeSection, ExecutionSection, RunReport};
 use qasom_obs::{keys, Recorder};
 use qasom_ontology::Ontology;
 use qasom_qos::{EndToEnd, QosModel, QosVector};
@@ -21,7 +18,9 @@ use qasom_registry::{
 use qasom_selection::{Qassa, QassaConfig, SelectionProblem, ServiceCandidate};
 use qasom_task::{Activity, TaskClass, TaskClassRepository};
 
-use crate::{ComposeError, EventSink, ExecutableComposition, MiddlewareEvent, UserRequest};
+use crate::{
+    ComposeError, EventSink, ExecutableComposition, ExecutionReport, MiddlewareEvent, UserRequest,
+};
 
 /// Tunables of a middleware instance.
 #[derive(Debug, Clone, Copy)]
@@ -29,10 +28,6 @@ pub struct EnvironmentConfig {
     /// Seed of the synthetic service runtime (and the stamp carried by
     /// exported [`RunReport`]s).
     pub seed: u64,
-    /// How many [`MiddlewareEvent`]s the environment retains for the
-    /// deprecated pull API ([`Environment::events`]). Subscribed sinks
-    /// always see every event regardless of this cap.
-    pub retention: usize,
     /// QASSA parameters.
     pub qassa: QassaConfig,
     /// Monitoring parameters.
@@ -51,7 +46,6 @@ impl Default for EnvironmentConfig {
     fn default() -> Self {
         EnvironmentConfig {
             seed: 0,
-            retention: usize::MAX,
             qassa: QassaConfig::default(),
             monitor: MonitorConfig::default(),
             max_attempts_per_activity: 5,
@@ -73,7 +67,6 @@ impl EnvironmentConfig {
     ///
     /// let env: Environment = EnvironmentConfig::builder()
     ///     .seed(42)
-    ///     .retention(1024)
     ///     .build(QosModel::standard(), OntologyBuilder::new("d").build().unwrap());
     /// assert_eq!(env.config().seed, 42);
     /// ```
@@ -106,14 +99,6 @@ impl EnvironmentBuilder {
     #[must_use]
     pub fn seed(mut self, seed: u64) -> Self {
         self.config.seed = seed;
-        self
-    }
-
-    /// Cap on the retained event buffer (oldest events are dropped
-    /// first once the cap is reached).
-    #[must_use]
-    pub fn retention(mut self, retention: usize) -> Self {
-        self.config.retention = retention;
         self
     }
 
@@ -207,10 +192,6 @@ pub struct Environment {
     perturbations: u64,
     slas: HashMap<ServiceId, qasom_qos::Sla>,
     pub(crate) monitor: QosMonitor,
-    // Interior mutability so `emit` (and hence the whole composition
-    // pipeline) works through `&self`: that is what lets
-    // `SharedEnvironment` run compose/select under the read lock.
-    events: Mutex<Vec<MiddlewareEvent>>,
     pub(crate) config: EnvironmentConfig,
     recorder: Option<Arc<dyn Recorder>>,
     sinks: Vec<Arc<dyn EventSink>>,
@@ -250,7 +231,6 @@ impl Environment {
             perturbations: 0,
             slas: HashMap::new(),
             monitor: QosMonitor::with_config(config.monitor),
-            events: Mutex::new(Vec::new()),
             config,
             recorder: None,
             sinks: Vec::new(),
@@ -310,31 +290,6 @@ impl Environment {
         &self.config
     }
 
-    /// The retained event buffer, poison-recovering: every mutation is
-    /// a single push/drain, so a poisoned buffer is still coherent.
-    fn retained(&self) -> std::sync::MutexGuard<'_, Vec<MiddlewareEvent>> {
-        self.events.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
-    /// A snapshot of the retained event trace (bounded by
-    /// [`EnvironmentConfig::retention`]).
-    #[deprecated(
-        since = "0.2.0",
-        note = "subscribe an EventLog via Environment::subscribe and read it instead"
-    )]
-    pub fn events(&self) -> Vec<MiddlewareEvent> {
-        self.retained().clone()
-    }
-
-    /// Drains and returns the retained event trace.
-    #[deprecated(
-        since = "0.2.0",
-        note = "subscribe an EventLog via Environment::subscribe and take() from it instead"
-    )]
-    pub fn take_events(&mut self) -> Vec<MiddlewareEvent> {
-        std::mem::take(&mut *self.retained())
-    }
-
     /// Subscribes a sink to the event stream: it sees every subsequent
     /// [`MiddlewareEvent`] synchronously, in emission order. The
     /// standard sink is [`crate::EventLog`].
@@ -354,10 +309,9 @@ impl Environment {
         self.recorder.as_ref()
     }
 
-    /// Routes one event to the recorder (per-type counter), every
-    /// subscribed sink, and the bounded retained buffer — the single
-    /// emission path for the whole pipeline. Takes `&self` (the buffer
-    /// has interior mutability) so composition can emit under a shared
+    /// Routes one event to the recorder (per-type counter) and every
+    /// subscribed sink — the single emission path for the whole
+    /// pipeline. Takes `&self` so composition can emit under a shared
     /// reference — the requirement for serving compositions from many
     /// sessions concurrently.
     pub(crate) fn emit(&self, event: MiddlewareEvent) {
@@ -367,15 +321,6 @@ impl Environment {
         for sink in &self.sinks {
             sink.on_event(&event);
         }
-        if self.config.retention == 0 {
-            return;
-        }
-        let mut events = self.retained();
-        if events.len() >= self.config.retention {
-            let excess = events.len() + 1 - self.config.retention;
-            events.drain(..excess);
-        }
-        events.push(event);
     }
 
     /// Hit/miss statistics of the semantic match cache.
@@ -384,9 +329,10 @@ impl Environment {
     }
 
     /// Assembles a [`RunReport`] from the recorder's current snapshot:
-    /// the discovery and selection sections are derived from the
-    /// pipeline counters, the match-cache statistics are folded in, and
-    /// the full [`qasom_obs::MetricsSnapshot`] rides along. Compose/execution/
+    /// every counter-backed section is derived from the pipeline
+    /// counters (per `qasom_obs::keys::SECTIONS`), the match-cache
+    /// statistics are folded in, and the full
+    /// [`qasom_obs::MetricsSnapshot`] rides along. Compose/execution/
     /// distributed sections are left for the caller to fill from the
     /// corresponding reports. Without a recorder the report carries an
     /// empty snapshot and no derived sections.
@@ -395,75 +341,55 @@ impl Environment {
         let Some(snapshot) = self.recorder.as_ref().and_then(|r| r.snapshot()) else {
             return report;
         };
+        // The match cache keeps its totals in its own atomics, not in
+        // the recorder. Checker counters are zero in ordinary runs
+        // (qasom-check fills them in its own process); the section still
+        // rides along so the report's top-level key set is stable
+        // across binaries.
         let cache = self.match_cache.stats();
-        report.discovery = Some(DiscoverySection {
-            indexed_queries: snapshot.counter(keys::DISCOVERY_INDEXED),
-            linear_queries: snapshot.counter(keys::DISCOVERY_LINEAR),
-            services_evaluated: snapshot.counter(keys::DISCOVERY_EVALUATED),
-            candidates: snapshot.counter(keys::DISCOVERY_CANDIDATES),
-            cache_hits: cache.hits,
-            cache_misses: cache.misses,
-        });
-        report.persistence = Some(PersistenceSection {
-            wal_appends: snapshot.counter(keys::PERSIST_WAL_APPENDS),
-            wal_bytes: snapshot.counter(keys::PERSIST_WAL_BYTES),
-            checkpoints: snapshot.counter(keys::PERSIST_CHECKPOINTS),
-            replayed_events: snapshot.counter(keys::PERSIST_REPLAY_EVENTS),
-            torn_tails: snapshot.counter(keys::PERSIST_TORN_TAIL),
-            snapshot_loads: snapshot.counter(keys::PERSIST_SNAPSHOT_LOADS),
-            errors: snapshot.counter(keys::PERSIST_ERRORS),
-        });
-        report.serving = Some(ServingSection {
-            sessions: snapshot.counter(keys::SERVING_SESSIONS),
-            read_locks: snapshot.counter(keys::SERVING_READ_LOCKS),
-            write_locks: snapshot.counter(keys::SERVING_WRITE_LOCKS),
-            snapshot_refreshes: snapshot.counter(keys::SERVING_SNAPSHOTS),
-        });
-        report.daemon = Some(DaemonSection {
-            sessions_admitted: snapshot.counter(keys::DAEMON_ADMITTED),
-            sessions_shed: snapshot.counter(keys::DAEMON_SHED),
-            quota_denials: snapshot.counter(keys::DAEMON_QUOTA_DENIALS),
-            sessions_completed: snapshot.counter(keys::DAEMON_COMPLETED),
-            sessions_rejected: snapshot.counter(keys::DAEMON_REJECTED),
-            sessions_failed: snapshot.counter(keys::DAEMON_FAILED),
-            batches: snapshot.counter(keys::DAEMON_BATCHES),
-            batched_sessions: snapshot.counter(keys::DAEMON_BATCHED_SESSIONS),
-            frames_read: snapshot.counter(keys::DAEMON_FRAMES_READ),
-            frames_written: snapshot.counter(keys::DAEMON_FRAMES_WRITTEN),
-            ticks: snapshot.counter(keys::DAEMON_TICKS),
-        });
-        report.hotpath = Some(HotpathSection {
-            columns_built: snapshot.counter(keys::SELECTION_HOTPATH_COLUMNS),
-            scratch_reuses: snapshot.counter(keys::SELECTION_HOTPATH_SCRATCH_REUSES),
-            interned_iris: self.match_cache.interned_iris(),
-            delta_attempts: snapshot.counter(keys::SELECTION_DELTA_ATTEMPTS),
-            delta_incremental: snapshot.counter(keys::SELECTION_DELTA_INCREMENTAL),
-            delta_full_recomposes: snapshot.counter(keys::SELECTION_DELTA_FULL),
-            delta_activities_reranked: snapshot.counter(keys::SELECTION_DELTA_RERANKED),
-        });
-        // Checker counters are zero in ordinary runs (qasom-check fills
-        // them in its own process); the section still rides along so
-        // the report's top-level key set is stable across binaries.
-        report.check = Some(CheckSection {
-            schedules: snapshot.counter(keys::CHECK_SCHEDULES),
-            steps: snapshot.counter(keys::CHECK_STEPS),
-            deadlocks: snapshot.counter(keys::CHECK_DEADLOCKS),
-            violations: snapshot.counter(keys::CHECK_VIOLATIONS),
-            models: Vec::new(),
-        });
-        report.selection = Some(SelectionSection {
-            runs: snapshot.counter(keys::SELECTION_RUNS),
-            local_ranks: snapshot.counter(keys::SELECTION_LOCAL_RANKS),
-            local_levels: snapshot.counter(keys::SELECTION_LOCAL_LEVELS),
-            local_candidates: snapshot.counter(keys::SELECTION_LOCAL_CANDIDATES),
-            levels_explored: snapshot.counter(keys::SELECTION_LEVELS_EXPLORED),
-            utility_evaluations: snapshot.counter(keys::SELECTION_UTILITY_EVALS),
-            repair_swaps: snapshot.counter(keys::SELECTION_REPAIR_SWAPS),
-            pruned_candidates: snapshot.counter(keys::SELECTION_PRUNED),
-            exact_fallbacks: snapshot.counter(keys::SELECTION_EXACT_FALLBACKS),
-        });
+        report.fill_counter_sections(
+            &snapshot,
+            &[
+                ("discovery.cache_hits", cache.hits),
+                ("discovery.cache_misses", cache.misses),
+                ("hotpath.interned_iris", self.match_cache.interned_iris()),
+            ],
+        );
         report.metrics = snapshot;
         report
+    }
+
+    /// The `compose` section of a [`RunReport`] for `composition`.
+    pub fn compose_section(composition: &ExecutableComposition) -> ComposeSection {
+        ComposeSection {
+            task: composition.task().name().to_owned(),
+            feasible: composition.outcome().feasible,
+            levels_explored: composition.outcome().levels_explored as u64,
+            utility: composition.outcome().utility,
+            analyzer_warnings: composition.warnings().len() as u64,
+        }
+    }
+
+    /// The `execution` section of a [`RunReport`] for `report`, with
+    /// delivered QoS keyed by this environment's property names.
+    pub fn execution_section(&self, report: &ExecutionReport) -> ExecutionSection {
+        ExecutionSection {
+            success: report.success,
+            invocations: report.invocations.len() as u64,
+            failures: report
+                .invocations
+                .iter()
+                .filter(|r| r.qos.is_none())
+                .count() as u64,
+            substitutions: report.substitutions as u64,
+            behavioural_adaptations: report.behavioural_adaptations as u64,
+            violations: report.violations.len() as u64,
+            delivered: report
+                .delivered
+                .iter()
+                .map(|(p, v)| (self.model.def(p).name().to_owned(), v))
+                .collect(),
+        }
     }
 
     /// Replaces the domain ontology: the registry is re-bound (the
@@ -1244,7 +1170,7 @@ mod tests {
     }
 
     #[test]
-    fn builder_configures_recorder_sinks_and_retention() {
+    fn builder_configures_recorder_and_sinks() {
         use qasom_obs::MemoryRecorder;
 
         let mut b = OntologyBuilder::new("d");
@@ -1255,7 +1181,6 @@ mod tests {
         let bounded = crate::EventLog::bounded(1);
         let mut e = EnvironmentConfig::builder()
             .seed(7)
-            .retention(1)
             .recorder(Arc::clone(&recorder) as Arc<dyn qasom_obs::Recorder>)
             .sink(Arc::new(log.clone()))
             .sink(Arc::new(bounded.clone()))
@@ -1286,9 +1211,9 @@ mod tests {
         let rr = e.run_report("unit");
         assert_eq!(rr.seed, 7);
         let selection = rr.selection.expect("selection section");
-        assert_eq!(selection.runs, 1);
+        assert_eq!(selection["runs"], 1);
         let discovery = rr.discovery.expect("discovery section");
-        assert!(discovery.indexed_queries >= 2);
+        assert!(discovery["indexed_queries"] >= 2);
     }
 
     #[test]

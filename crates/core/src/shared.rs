@@ -469,40 +469,6 @@ impl SharedEnvironment {
             }),
         }
     }
-
-    /// One full session, legacy shape: the typed outcome flattened back
-    /// into `Result<ExecutionReport, ServeError>`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates composition and execution errors; analyzer rejections
-    /// surface as [`ServeError::Compose`] with
-    /// [`ComposeError::Rejected`], exactly as before the typed API.
-    #[deprecated(
-        since = "0.3.0",
-        note = "use serve_session(&SessionRequest) and match the typed ServeOutcome"
-    )]
-    pub fn serve(&self, request: &UserRequest) -> Result<ExecutionReport, ServeError> {
-        match self.serve_session(&SessionRequest::new(request.clone()))? {
-            ServeOutcome::Completed(report) => Ok(report),
-            ServeOutcome::Rejected(diags) => {
-                let epoch = self.with(|e| e.epoch());
-                Err(ServeError::Compose {
-                    epoch,
-                    error: ComposeError::Rejected(diags),
-                })
-            }
-            // serve_session never sheds (no admission queue on the
-            // library path); keep the legacy signature total anyway.
-            ServeOutcome::Busy { .. } => {
-                let epoch = self.with(|e| e.epoch());
-                Err(ServeError::Compose {
-                    epoch,
-                    error: ComposeError::Rejected(Vec::new()),
-                })
-            }
-        }
-    }
 }
 
 /// Errors of [`SharedEnvironment::serve_session`]: infrastructure
@@ -626,20 +592,6 @@ mod tests {
             other => panic!("expected Compose error, got {other:?}"),
         }
         assert_eq!(err.epoch(), receipt.epoch);
-    }
-
-    #[test]
-    fn legacy_request_serves_through_the_typed_session_api() {
-        // Replaces the old shim test: a bare UserRequest wrapped in a
-        // SessionRequest must complete just like `serve` used to.
-        let shared = shared();
-        match shared
-            .serve_session(&SessionRequest::new(request()))
-            .unwrap()
-        {
-            ServeOutcome::Completed(report) => assert!(report.success),
-            other => panic!("expected a completed session, got {other:?}"),
-        }
     }
 
     #[test]

@@ -16,11 +16,10 @@
 //!   ticks, and batched serving (one compose pass per batch, one
 //!   execution per session);
 //! - [`loopback`] — a byte-faithful in-process transport; hermetic
-//!   tests and the scripted stress workload run on it;
+//!   tests and the scripted `qasom-cli daemon-stress` workload
+//!   (`qasom_bench::scenarios`) run on it;
 //! - [`tcp`] — the real transport: reader/router/writer threads over
-//!   TCP sockets;
-//! - [`stress`] — the deterministic scripted workload behind
-//!   `qasom-cli daemon-stress`.
+//!   TCP sockets.
 //!
 //! Both transports share every byte of codec, session and broker logic;
 //! the loopback transport is not a mock but the same machinery minus
@@ -34,7 +33,6 @@ pub mod broker;
 pub mod frame;
 pub mod loopback;
 pub mod session;
-pub mod stress;
 pub mod tcp;
 pub mod wire;
 
@@ -43,5 +41,4 @@ pub use broker::{Broker, BrokerConfig, BrokerResponse, SessionReply, Submission}
 pub use frame::{Frame, FrameType, ProtocolError, MAX_FRAME_LEN, PROTOCOL_VERSION};
 pub use loopback::{LoopbackClient, LoopbackDaemon};
 pub use session::{ClientEvent, ClientOutcome, ConnectionSession, SessionEvent, SessionState};
-pub use stress::{stress_report, StressConfig};
 pub use tcp::{spawn, TcpDaemonHandle};

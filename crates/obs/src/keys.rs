@@ -1,8 +1,13 @@
-//! Canonical metric names.
+//! Canonical metric names, and the table that turns them into report
+//! sections.
 //!
 //! Producers (`qasom-registry`, `qasom-selection`, `qasom`) and the
 //! report assembly agree on these constants so a renamed counter is a
-//! compile error, not a silently empty report field.
+//! compile error, not a silently empty report field. [`SECTIONS`] is the
+//! single place that says which counter appears under which field of
+//! which [`RunReport`](crate::report::RunReport) section: a new counter
+//! is one constant plus one row there, and `qasom-cli report --schema`
+//! regenerates the schema fixture from it.
 
 /// Discovery queries answered via the inverted capability index.
 pub const DISCOVERY_INDEXED: &str = "discovery.indexed_queries";
@@ -80,7 +85,7 @@ pub const EVENT_ANALYSIS_WARNING: &str = "events.analysis_warning";
 /// Completed executions (successful or not).
 pub const EVENT_COMPLETED: &str = "events.completed";
 
-/// Sessions served through `SharedEnvironment::serve`.
+/// Sessions served through `SharedEnvironment::serve_session`.
 pub const SERVING_SESSIONS: &str = "serving.sessions";
 /// Read-lock acquisitions by the serving layer (compose/query phase).
 pub const SERVING_READ_LOCKS: &str = "serving.read_locks";
@@ -160,3 +165,123 @@ pub const SPAN_SELECT: &str = "qassa.select";
 pub const SPAN_DISTRIBUTED_LOCAL: &str = "distributed.local_phase";
 /// Span covering a distributed run's global phase (simulated µs).
 pub const SPAN_DISTRIBUTED_GLOBAL: &str = "distributed.global_phase";
+
+/// Where one field of a counter-backed report section takes its value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Source {
+    /// The recorder counter with this key.
+    Counter(&'static str),
+    /// The first count field divided by the sum of the listed count
+    /// fields of the same section; 0 when that sum is 0.
+    Ratio(&'static str, &'static [&'static str]),
+    /// A count that lives outside the recorder; whoever assembles the
+    /// report supplies it under the key `section.field`.
+    Supplied,
+}
+
+use Source::{Counter, Ratio, Supplied};
+
+/// The counter-backed sections of a
+/// [`RunReport`](crate::report::RunReport): section name → its JSON
+/// fields in serialisation order, each with the [`Source`] of its
+/// value. [`CounterSection`](crate::report::CounterSection) is filled
+/// from, read through and serialised by this table and nothing else.
+pub const SECTIONS: &[(&str, &[(&str, Source)])] = &[
+    (
+        "discovery",
+        &[
+            ("indexed_queries", Counter(DISCOVERY_INDEXED)),
+            ("linear_queries", Counter(DISCOVERY_LINEAR)),
+            ("services_evaluated", Counter(DISCOVERY_EVALUATED)),
+            ("candidates", Counter(DISCOVERY_CANDIDATES)),
+            // `MatchCache` lookups that hit / that missed (and were
+            // computed + stored): the cache keeps its own atomics.
+            ("cache_hits", Supplied),
+            ("cache_misses", Supplied),
+            (
+                "cache_hit_ratio",
+                Ratio("cache_hits", &["cache_hits", "cache_misses"]),
+            ),
+        ],
+    ),
+    (
+        "selection",
+        &[
+            ("runs", Counter(SELECTION_RUNS)),
+            ("local_ranks", Counter(SELECTION_LOCAL_RANKS)),
+            ("local_levels", Counter(SELECTION_LOCAL_LEVELS)),
+            ("local_candidates", Counter(SELECTION_LOCAL_CANDIDATES)),
+            ("levels_explored", Counter(SELECTION_LEVELS_EXPLORED)),
+            ("utility_evaluations", Counter(SELECTION_UTILITY_EVALS)),
+            ("repair_swaps", Counter(SELECTION_REPAIR_SWAPS)),
+            ("pruned_candidates", Counter(SELECTION_PRUNED)),
+            ("exact_fallbacks", Counter(SELECTION_EXACT_FALLBACKS)),
+        ],
+    ),
+    (
+        "persistence",
+        &[
+            ("wal_appends", Counter(PERSIST_WAL_APPENDS)),
+            ("wal_bytes", Counter(PERSIST_WAL_BYTES)),
+            ("checkpoints", Counter(PERSIST_CHECKPOINTS)),
+            ("replayed_events", Counter(PERSIST_REPLAY_EVENTS)),
+            ("torn_tails", Counter(PERSIST_TORN_TAIL)),
+            ("snapshot_loads", Counter(PERSIST_SNAPSHOT_LOADS)),
+            ("errors", Counter(PERSIST_ERRORS)),
+        ],
+    ),
+    (
+        "serving",
+        &[
+            ("sessions", Counter(SERVING_SESSIONS)),
+            ("read_locks", Counter(SERVING_READ_LOCKS)),
+            ("write_locks", Counter(SERVING_WRITE_LOCKS)),
+            ("snapshot_refreshes", Counter(SERVING_SNAPSHOTS)),
+        ],
+    ),
+    (
+        "daemon",
+        &[
+            ("sessions_admitted", Counter(DAEMON_ADMITTED)),
+            ("sessions_shed", Counter(DAEMON_SHED)),
+            ("quota_denials", Counter(DAEMON_QUOTA_DENIALS)),
+            ("sessions_completed", Counter(DAEMON_COMPLETED)),
+            ("sessions_rejected", Counter(DAEMON_REJECTED)),
+            ("sessions_failed", Counter(DAEMON_FAILED)),
+            ("batches", Counter(DAEMON_BATCHES)),
+            ("batched_sessions", Counter(DAEMON_BATCHED_SESSIONS)),
+            // Mean sessions per compose batch.
+            ("batch_occupancy", Ratio("batched_sessions", &["batches"])),
+            ("frames_read", Counter(DAEMON_FRAMES_READ)),
+            ("frames_written", Counter(DAEMON_FRAMES_WRITTEN)),
+            ("ticks", Counter(DAEMON_TICKS)),
+        ],
+    ),
+    (
+        "hotpath",
+        &[
+            ("columns_built", Counter(SELECTION_HOTPATH_COLUMNS)),
+            ("scratch_reuses", Counter(SELECTION_HOTPATH_SCRATCH_REUSES)),
+            // Distinct IRIs interned by the semantic match cache.
+            ("interned_iris", Supplied),
+            ("delta_attempts", Counter(SELECTION_DELTA_ATTEMPTS)),
+            ("delta_incremental", Counter(SELECTION_DELTA_INCREMENTAL)),
+            ("delta_full_recomposes", Counter(SELECTION_DELTA_FULL)),
+            (
+                "delta_activities_reranked",
+                Counter(SELECTION_DELTA_RERANKED),
+            ),
+        ],
+    ),
+    // The suite-wide totals of the `check` section; its per-model
+    // breakdown is structured data, not counters.
+    (
+        "check",
+        &[
+            ("schedules", Counter(CHECK_SCHEDULES)),
+            ("steps", Counter(CHECK_STEPS)),
+            ("deadlocks", Counter(CHECK_DEADLOCKS)),
+            ("violations", Counter(CHECK_VIOLATIONS)),
+        ],
+    ),
+];

@@ -8,12 +8,15 @@
 //! serialises with a stable field order so identical seeds yield
 //! byte-identical JSON.
 //!
-//! Sections are plain structs with public fields (no builder
-//! ceremony): producers in `qasom-registry`, `qasom-selection` and
-//! `qasom` construct them directly, and this crate only owns the shape
-//! and the serialisation.
+//! Sections that are plain counts (`discovery`, `selection`,
+//! `persistence`, `serving`, `daemon`, `hotpath`, the `check` totals)
+//! are one generic [`CounterSection`] filled from the
+//! [`keys::SECTIONS`] table. Sections carrying structured outcomes
+//! (`compose`, `execution`, `distributed`, `cluster`) are plain structs
+//! with public fields that their producers construct directly.
 
 use crate::json::JsonValue;
+use crate::keys::{self, Source};
 use crate::recorder::MetricsSnapshot;
 
 /// Schema identifier stamped into every report; bump on breaking shape
@@ -23,85 +26,99 @@ pub const RUN_REPORT_SCHEMA: &str = "qasom.run-report.v1";
 /// Schema identifier for bench trajectory files (`BENCH_*.json`).
 pub const BENCH_REPORT_SCHEMA: &str = "qasom.bench-report.v1";
 
-/// Discovery-side totals: index-vs-linear path split and the
-/// `MatchCache` hit ratio.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct DiscoverySection {
-    /// Queries answered via the inverted capability index.
-    pub indexed_queries: u64,
-    /// Queries that fell back to the linear registry scan.
-    pub linear_queries: u64,
-    /// Service descriptions evaluated across all queries.
-    pub services_evaluated: u64,
-    /// Candidates that survived discovery filtering.
-    pub candidates: u64,
-    /// `MatchCache` lookups that hit.
-    pub cache_hits: u64,
-    /// `MatchCache` lookups that missed (and were computed + stored).
-    pub cache_misses: u64,
+/// One counter-backed report section: the ordered fields
+/// [`keys::SECTIONS`] declares for it, each holding a count. This one
+/// type stands in for a hand-written struct per section — the table
+/// decides which counter lands under which JSON field, so a new counter
+/// is one row there.
+///
+/// Count fields are read by name (`section["read_locks"]`), derived
+/// fields through [`CounterSection::ratio`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CounterSection {
+    fields: &'static [(&'static str, Source)],
+    // One slot per table row; `Ratio` rows stay 0 and are derived on read.
+    counts: Vec<u64>,
 }
 
-impl DiscoverySection {
-    /// Fraction of cache lookups that hit, 0 when the cache was idle.
-    pub fn cache_hit_ratio(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
+impl CounterSection {
+    /// Fills section `name` of [`keys::SECTIONS`]: `Counter` fields
+    /// from `snapshot`, `Supplied` fields from the `section.field`
+    /// entries of `supplied` (absent ones read 0, like absent counters).
+    ///
+    /// # Panics
+    ///
+    /// Panics when the table has no section `name` — a typo in the
+    /// calling code, not a runtime condition.
+    pub fn from_snapshot(name: &str, snapshot: &MetricsSnapshot, supplied: &[(&str, u64)]) -> Self {
+        let fields = keys::SECTIONS
+            .iter()
+            .find(|(section, _)| *section == name)
+            .map(|(_, fields)| *fields)
+            .unwrap_or_else(|| panic!("keys::SECTIONS has no section {name:?}"));
+        let counts = fields
+            .iter()
+            .map(|&(field, source)| match source {
+                Source::Counter(key) => snapshot.counter(key),
+                Source::Supplied => supplied
+                    .iter()
+                    .find(|(path, _)| {
+                        path.strip_prefix(name).and_then(|f| f.strip_prefix('.')) == Some(field)
+                    })
+                    .map_or(0, |&(_, count)| count),
+                Source::Ratio(..) => 0,
+            })
+            .collect();
+        CounterSection { fields, counts }
+    }
+
+    fn position(&self, field: &str) -> usize {
+        self.fields
+            .iter()
+            .position(|(name, _)| *name == field)
+            .unwrap_or_else(|| panic!("no field {field:?} in this report section"))
+    }
+
+    /// The value of derived field `field` (a [`Source::Ratio`] row).
+    ///
+    /// # Panics
+    ///
+    /// Panics when the section has no ratio field of that name.
+    pub fn ratio(&self, field: &str) -> f64 {
+        let Source::Ratio(num, den) = self.fields[self.position(field)].1 else {
+            panic!("report field {field:?} is a count, not a ratio");
+        };
+        let total: u64 = den.iter().map(|&d| self[d]).sum();
         if total == 0 {
             0.0
         } else {
-            self.cache_hits as f64 / total as f64
+            self[num] as f64 / total as f64
         }
     }
 
-    /// Serialises with a stable field order.
+    /// Serialises in table order.
     pub fn to_json(&self) -> JsonValue {
-        JsonValue::object()
-            .field("indexed_queries", self.indexed_queries)
-            .field("linear_queries", self.linear_queries)
-            .field("services_evaluated", self.services_evaluated)
-            .field("candidates", self.candidates)
-            .field("cache_hits", self.cache_hits)
-            .field("cache_misses", self.cache_misses)
-            .field("cache_hit_ratio", self.cache_hit_ratio())
+        let mut json = JsonValue::object();
+        for (&(field, source), &count) in self.fields.iter().zip(&self.counts) {
+            json = match source {
+                Source::Ratio(..) => json.field(field, self.ratio(field)),
+                Source::Counter(_) | Source::Supplied => json.field(field, count),
+            };
+        }
+        json
     }
 }
 
-/// QASSA totals across the local (clustering) and global (level-wise
-/// search + repair) phases.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct SelectionSection {
-    /// Selections performed.
-    pub runs: u64,
-    /// Activities ranked by the local phase.
-    pub local_ranks: u64,
-    /// QoS levels (clusters) the local phase produced.
-    pub local_levels: u64,
-    /// Candidates ranked by the local phase.
-    pub local_candidates: u64,
-    /// QoS levels the global phase explored.
-    pub levels_explored: u64,
-    /// Full-assignment utility/constraint evaluations.
-    pub utility_evaluations: u64,
-    /// Repair swaps attempted.
-    pub repair_swaps: u64,
-    /// Candidates pruned (never admitted to the explored prefix).
-    pub pruned_candidates: u64,
-    /// Exhaustive-scan fallbacks taken.
-    pub exact_fallbacks: u64,
-}
+/// Count fields by name.
+///
+/// # Panics
+///
+/// Indexing panics when the section has no field of that name.
+impl std::ops::Index<&str> for CounterSection {
+    type Output = u64;
 
-impl SelectionSection {
-    /// Serialises with a stable field order.
-    pub fn to_json(&self) -> JsonValue {
-        JsonValue::object()
-            .field("runs", self.runs)
-            .field("local_ranks", self.local_ranks)
-            .field("local_levels", self.local_levels)
-            .field("local_candidates", self.local_candidates)
-            .field("levels_explored", self.levels_explored)
-            .field("utility_evaluations", self.utility_evaluations)
-            .field("repair_swaps", self.repair_swaps)
-            .field("pruned_candidates", self.pruned_candidates)
-            .field("exact_fallbacks", self.exact_fallbacks)
+    fn index(&self, field: &str) -> &u64 {
+        &self.counts[self.position(field)]
     }
 }
 
@@ -292,40 +309,6 @@ impl ClusterSection {
     }
 }
 
-/// Registry persistence totals for one run: WAL traffic, checkpoints
-/// and what boot recovery found.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct PersistenceSection {
-    /// WAL records appended.
-    pub wal_appends: u64,
-    /// WAL bytes written (frame headers included).
-    pub wal_bytes: u64,
-    /// Snapshot checkpoints taken.
-    pub checkpoints: u64,
-    /// Events replayed from the WAL tail on boot.
-    pub replayed_events: u64,
-    /// Torn WAL tails detected and discarded on boot.
-    pub torn_tails: u64,
-    /// Snapshots loaded on boot.
-    pub snapshot_loads: u64,
-    /// Journal I/O failures (journaling stops at the first one).
-    pub errors: u64,
-}
-
-impl PersistenceSection {
-    /// Serialises with a stable field order.
-    pub fn to_json(&self) -> JsonValue {
-        JsonValue::object()
-            .field("wal_appends", self.wal_appends)
-            .field("wal_bytes", self.wal_bytes)
-            .field("checkpoints", self.checkpoints)
-            .field("replayed_events", self.replayed_events)
-            .field("torn_tails", self.torn_tails)
-            .field("snapshot_loads", self.snapshot_loads)
-            .field("errors", self.errors)
-    }
-}
-
 /// Outcome of the composition step of a run.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ComposeSection {
@@ -391,122 +374,6 @@ impl ExecutionSection {
     }
 }
 
-/// Serving-layer totals: how sessions moved through the
-/// `SharedEnvironment` lock split (compose under read, execute under
-/// write).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct ServingSection {
-    /// Sessions served (`serve` calls).
-    pub sessions: u64,
-    /// Read-lock acquisitions (concurrent compose/query phase).
-    pub read_locks: u64,
-    /// Write-lock acquisitions (execution / churn phase).
-    pub write_locks: u64,
-    /// Registry snapshots handed out to sessions.
-    pub snapshot_refreshes: u64,
-}
-
-impl ServingSection {
-    /// Serialises with a stable field order.
-    pub fn to_json(&self) -> JsonValue {
-        JsonValue::object()
-            .field("sessions", self.sessions)
-            .field("read_locks", self.read_locks)
-            .field("write_locks", self.write_locks)
-            .field("snapshot_refreshes", self.snapshot_refreshes)
-    }
-}
-
-/// Daemon-side totals: how sessions moved through `qasomd`'s admission
-/// queue, batcher and framing layer.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct DaemonSection {
-    /// Sessions admitted into the bounded queue.
-    pub sessions_admitted: u64,
-    /// Sessions shed with `Busy` because the queue was at capacity.
-    pub sessions_shed: u64,
-    /// Sessions shed with `Busy` because a client exceeded its quota.
-    pub quota_denials: u64,
-    /// Sessions that completed execution.
-    pub sessions_completed: u64,
-    /// Sessions rejected by static analysis (typed outcome).
-    pub sessions_rejected: u64,
-    /// Sessions that failed with a serve error.
-    pub sessions_failed: u64,
-    /// Compose batches formed (one discovery/selection pass each).
-    pub batches: u64,
-    /// Sessions served out of those batches.
-    pub batched_sessions: u64,
-    /// Frames read from client connections.
-    pub frames_read: u64,
-    /// Frames written back to client connections.
-    pub frames_written: u64,
-    /// Broker scheduling rounds executed.
-    pub ticks: u64,
-}
-
-impl DaemonSection {
-    /// Mean sessions per compose batch, 0 when no batch formed.
-    pub fn batch_occupancy(&self) -> f64 {
-        if self.batches == 0 {
-            0.0
-        } else {
-            self.batched_sessions as f64 / self.batches as f64
-        }
-    }
-
-    /// Serialises with a stable field order.
-    pub fn to_json(&self) -> JsonValue {
-        JsonValue::object()
-            .field("sessions_admitted", self.sessions_admitted)
-            .field("sessions_shed", self.sessions_shed)
-            .field("quota_denials", self.quota_denials)
-            .field("sessions_completed", self.sessions_completed)
-            .field("sessions_rejected", self.sessions_rejected)
-            .field("sessions_failed", self.sessions_failed)
-            .field("batches", self.batches)
-            .field("batched_sessions", self.batched_sessions)
-            .field("batch_occupancy", self.batch_occupancy())
-            .field("frames_read", self.frames_read)
-            .field("frames_written", self.frames_written)
-            .field("ticks", self.ticks)
-    }
-}
-
-/// Hot-path totals: flat-column local ranking, IRI interning at the
-/// discovery boundary, and the delta-vs-full split of re-selections.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct HotpathSection {
-    /// Flat per-property value columns materialised by the local phase.
-    pub columns_built: u64,
-    /// Local rankings that reused an already-warm scratch arena.
-    pub scratch_reuses: u64,
-    /// Distinct IRIs interned by the semantic match cache.
-    pub interned_iris: u64,
-    /// Re-selections attempted (delta-first entry point).
-    pub delta_attempts: u64,
-    /// Re-selections that completed on the incremental path.
-    pub delta_incremental: u64,
-    /// Re-selections that fell back to a full recompose.
-    pub delta_full_recomposes: u64,
-    /// Activities actually re-ranked across all incremental runs.
-    pub delta_activities_reranked: u64,
-}
-
-impl HotpathSection {
-    /// Serialises with a stable field order.
-    pub fn to_json(&self) -> JsonValue {
-        JsonValue::object()
-            .field("columns_built", self.columns_built)
-            .field("scratch_reuses", self.scratch_reuses)
-            .field("interned_iris", self.interned_iris)
-            .field("delta_attempts", self.delta_attempts)
-            .field("delta_incremental", self.delta_incremental)
-            .field("delta_full_recomposes", self.delta_full_recomposes)
-            .field("delta_activities_reranked", self.delta_activities_reranked)
-    }
-}
-
 /// Outcome of exploring one concurrency model in `qasom-check`.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ModelCheck {
@@ -545,16 +412,10 @@ impl ModelCheck {
 
 /// Schedule-explorer totals: `qasom-check`'s deterministic verdict over
 /// the workspace's concurrency protocol models.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckSection {
-    /// Maximal schedules explored across all models.
-    pub schedules: u64,
-    /// Model steps executed across all models.
-    pub steps: u64,
-    /// Deadlocked schedules found (0 in a passing run).
-    pub deadlocks: u64,
-    /// Invariant violations found (0 in a passing run).
-    pub violations: u64,
+    /// Suite-wide totals: the `check` row of [`keys::SECTIONS`].
+    pub totals: CounterSection,
     /// Per-model breakdown, in suite order.
     pub models: Vec<ModelCheck>,
 }
@@ -562,18 +423,13 @@ pub struct CheckSection {
 impl CheckSection {
     /// Serialises with a stable field order.
     pub fn to_json(&self) -> JsonValue {
-        JsonValue::object()
-            .field("schedules", self.schedules)
-            .field("steps", self.steps)
-            .field("deadlocks", self.deadlocks)
-            .field("violations", self.violations)
-            .field(
-                "models",
-                self.models
-                    .iter()
-                    .map(ModelCheck::to_json)
-                    .collect::<Vec<_>>(),
-            )
+        self.totals.to_json().field(
+            "models",
+            self.models
+                .iter()
+                .map(ModelCheck::to_json)
+                .collect::<Vec<_>>(),
+        )
     }
 }
 
@@ -592,23 +448,23 @@ pub struct RunReport {
     /// Execution outcome, when the run executed the composition.
     pub execution: Option<ExecutionSection>,
     /// Discovery totals.
-    pub discovery: Option<DiscoverySection>,
+    pub discovery: Option<CounterSection>,
     /// Selection totals.
-    pub selection: Option<SelectionSection>,
+    pub selection: Option<CounterSection>,
     /// Distributed-protocol totals, when the run was distributed.
     pub distributed: Option<DistributedSection>,
     /// Clustered-registry totals, when the run went through the sharded
     /// registry.
     pub cluster: Option<ClusterSection>,
     /// Registry-persistence totals, when the run journaled to a WAL.
-    pub persistence: Option<PersistenceSection>,
+    pub persistence: Option<CounterSection>,
     /// Serving-layer totals, when the run went through
     /// `SharedEnvironment`.
-    pub serving: Option<ServingSection>,
+    pub serving: Option<CounterSection>,
     /// Daemon-layer totals, when the run went through `qasomd`.
-    pub daemon: Option<DaemonSection>,
+    pub daemon: Option<CounterSection>,
     /// Hot-path totals (flat columns, interning, delta re-selection).
-    pub hotpath: Option<HotpathSection>,
+    pub hotpath: Option<CounterSection>,
     /// Schedule-explorer totals, when the run exercised `qasom-check`.
     pub check: Option<CheckSection>,
     /// Raw metric snapshot (counters / histograms / spans).
@@ -637,58 +493,59 @@ impl RunReport {
         }
     }
 
+    /// Fills every counter-backed section from `snapshot` by walking
+    /// [`keys::SECTIONS`]; `supplied` carries the counts that live
+    /// outside the recorder (see [`CounterSection::from_snapshot`]). The
+    /// `check` section gets its totals and an empty model list.
+    pub fn fill_counter_sections(&mut self, snapshot: &MetricsSnapshot, supplied: &[(&str, u64)]) {
+        for &(name, _) in keys::SECTIONS {
+            let section = Some(CounterSection::from_snapshot(name, snapshot, supplied));
+            match name {
+                "discovery" => self.discovery = section,
+                "selection" => self.selection = section,
+                "persistence" => self.persistence = section,
+                "serving" => self.serving = section,
+                "daemon" => self.daemon = section,
+                "hotpath" => self.hotpath = section,
+                "check" => {
+                    self.check = section.map(|totals| CheckSection {
+                        totals,
+                        models: Vec::new(),
+                    });
+                }
+                other => unreachable!("keys::SECTIONS names {other:?}, which RunReport lacks"),
+            }
+        }
+    }
+
     /// Serialises with a stable field order. Absent sections serialise
     /// as `null` so the key set — the schema CI diffs — is identical
     /// across runs that exercise different pipeline subsets.
     pub fn to_json(&self) -> JsonValue {
-        fn opt(v: Option<JsonValue>) -> JsonValue {
-            v.unwrap_or(JsonValue::Null)
+        fn opt<T>(section: &Option<T>, to_json: fn(&T) -> JsonValue) -> JsonValue {
+            section.as_ref().map_or(JsonValue::Null, to_json)
         }
         JsonValue::object()
             .field("schema", self.schema.as_str())
             .field("seed", self.seed)
             .field("scenario", self.scenario.as_str())
-            .field(
-                "compose",
-                opt(self.compose.as_ref().map(ComposeSection::to_json)),
-            )
-            .field(
-                "execution",
-                opt(self.execution.as_ref().map(ExecutionSection::to_json)),
-            )
-            .field(
-                "discovery",
-                opt(self.discovery.as_ref().map(DiscoverySection::to_json)),
-            )
-            .field(
-                "selection",
-                opt(self.selection.as_ref().map(SelectionSection::to_json)),
-            )
+            .field("compose", opt(&self.compose, ComposeSection::to_json))
+            .field("execution", opt(&self.execution, ExecutionSection::to_json))
+            .field("discovery", opt(&self.discovery, CounterSection::to_json))
+            .field("selection", opt(&self.selection, CounterSection::to_json))
             .field(
                 "distributed",
-                opt(self.distributed.as_ref().map(DistributedSection::to_json)),
+                opt(&self.distributed, DistributedSection::to_json),
             )
-            .field(
-                "cluster",
-                opt(self.cluster.as_ref().map(ClusterSection::to_json)),
-            )
+            .field("cluster", opt(&self.cluster, ClusterSection::to_json))
             .field(
                 "persistence",
-                opt(self.persistence.as_ref().map(PersistenceSection::to_json)),
+                opt(&self.persistence, CounterSection::to_json),
             )
-            .field(
-                "serving",
-                opt(self.serving.as_ref().map(ServingSection::to_json)),
-            )
-            .field(
-                "daemon",
-                opt(self.daemon.as_ref().map(DaemonSection::to_json)),
-            )
-            .field(
-                "hotpath",
-                opt(self.hotpath.as_ref().map(HotpathSection::to_json)),
-            )
-            .field("check", opt(self.check.as_ref().map(CheckSection::to_json)))
+            .field("serving", opt(&self.serving, CounterSection::to_json))
+            .field("daemon", opt(&self.daemon, CounterSection::to_json))
+            .field("hotpath", opt(&self.hotpath, CounterSection::to_json))
+            .field("check", opt(&self.check, CheckSection::to_json))
             .field("metrics", self.metrics.to_json())
     }
 
@@ -713,6 +570,14 @@ pub struct FigureSeries {
 }
 
 impl FigureSeries {
+    /// Creates an empty series.
+    pub fn new(label: impl Into<String>) -> Self {
+        FigureSeries {
+            label: label.into(),
+            points: Vec::new(),
+        }
+    }
+
     /// Serialises with a stable field order.
     pub fn to_json(&self) -> JsonValue {
         let points = self
@@ -792,36 +657,44 @@ mod tests {
         let mut full = RunReport::new(2, "b");
         full.compose = Some(ComposeSection::default());
         full.execution = Some(ExecutionSection::default());
-        full.discovery = Some(DiscoverySection::default());
-        full.selection = Some(SelectionSection::default());
         full.distributed = Some(DistributedSection::default());
         full.cluster = Some(ClusterSection::default());
-        full.persistence = Some(PersistenceSection::default());
-        full.serving = Some(ServingSection::default());
-        full.daemon = Some(DaemonSection::default());
-        full.hotpath = Some(HotpathSection::default());
-        full.check = Some(CheckSection::default());
+        full.fill_counter_sections(&MetricsSnapshot::default(), &[]);
         let top = |r: &RunReport| match r.to_json() {
             JsonValue::Object(fields) => fields.iter().map(|(k, _)| k.clone()).collect::<Vec<_>>(),
             _ => Vec::new(),
         };
         assert_eq!(top(&empty), top(&full));
+        // Every table section landed in its slot and serialises (a
+        // `Ratio` row naming a missing field would panic here).
+        let JsonValue::Object(fields) = full.to_json() else {
+            panic!("a report is an object");
+        };
+        assert!(fields.iter().all(|(_, v)| *v != JsonValue::Null));
     }
 
     #[test]
-    fn report_serialisation_is_deterministic() {
-        let build = || {
-            let mut r = RunReport::new(42, "demo");
-            r.discovery = Some(DiscoverySection {
-                indexed_queries: 3,
-                cache_hits: 5,
-                cache_misses: 5,
-                ..DiscoverySection::default()
-            });
-            r.to_compact_string()
-        };
-        assert_eq!(build(), build());
-        assert!(build().contains("\"cache_hit_ratio\":0.5"));
+    fn counter_sections_follow_the_table() {
+        let recorder = crate::MemoryRecorder::new();
+        crate::Recorder::incr(&recorder, keys::DISCOVERY_INDEXED, 3);
+        crate::Recorder::incr(&recorder, keys::DAEMON_BATCHES, 2);
+        crate::Recorder::incr(&recorder, keys::DAEMON_BATCHED_SESSIONS, 5);
+        let snapshot = crate::Recorder::snapshot(&recorder).expect("memory recorder snapshots");
+        let supplied = [("discovery.cache_hits", 5), ("discovery.cache_misses", 5)];
+
+        let discovery = CounterSection::from_snapshot("discovery", &snapshot, &supplied);
+        assert_eq!(discovery["indexed_queries"], 3);
+        assert_eq!(discovery["cache_hits"], 5);
+        assert_eq!(discovery.ratio("cache_hit_ratio"), 0.5);
+        let json = discovery.to_json().to_compact();
+        assert!(json.starts_with("{\"indexed_queries\":3,\"linear_queries\":0,"));
+        assert!(json.ends_with("\"cache_misses\":5,\"cache_hit_ratio\":0.5}"));
+
+        let daemon = CounterSection::from_snapshot("daemon", &snapshot, &supplied);
+        assert_eq!(daemon.ratio("batch_occupancy"), 2.5);
+        // An idle section divides nothing by nothing.
+        let idle = CounterSection::from_snapshot("daemon", &MetricsSnapshot::default(), &[]);
+        assert_eq!(idle.ratio("batch_occupancy"), 0.0);
     }
 
     #[test]

@@ -173,23 +173,27 @@ pub struct MatchCache {
 /// Number of independent lock shards in a [`MatchCache`].
 pub const CACHE_SHARDS: usize = 8;
 
-/// Deterministic FNV-1a over the IRI's rendered bytes. Deliberately not
+/// Deterministic 64-bit FNV-1a over the IRI's rendered bytes
+/// (`namespace # local_name`) — the one hash behind [`MatchCache`] lock
+/// shards and the cluster plane's capability buckets. Deliberately not
 /// `std`'s `RandomState`, whose per-process random keys would make shard
 /// assignment (and any contention pattern) nondeterministic.
-fn shard_of(iri: &Iri) -> usize {
+pub fn fnv1a_iri(iri: &Iri) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut step = |byte: u8| {
+    let bytes = iri
+        .namespace()
+        .bytes()
+        .chain([b'#'])
+        .chain(iri.local_name().bytes());
+    for byte in bytes {
         hash ^= u64::from(byte);
         hash = hash.wrapping_mul(0x0100_0000_01b3);
-    };
-    for byte in iri.namespace().bytes() {
-        step(byte);
     }
-    step(b'#');
-    for byte in iri.local_name().bytes() {
-        step(byte);
-    }
-    (hash % CACHE_SHARDS as u64) as usize
+    hash
+}
+
+fn shard_of(iri: &Iri) -> usize {
+    (fnv1a_iri(iri) % CACHE_SHARDS as u64) as usize
 }
 
 /// Lifetime hit/miss totals of a [`MatchCache`] (monotone; totals are

@@ -62,7 +62,7 @@ mod service;
 mod sync;
 
 pub use discovery::{
-    CacheStats, DiscoveredCandidate, Discovery, DiscoveryQuery, MatchCache, MatchedVia,
+    fnv1a_iri, CacheStats, DiscoveredCandidate, Discovery, DiscoveryQuery, MatchCache, MatchedVia,
 };
 pub use registry::{EventLogGap, RegistryEvent, RegistrySnapshot, ServiceId, ServiceRegistry};
 pub use service::{Operation, ServiceDescription};

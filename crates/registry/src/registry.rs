@@ -463,27 +463,6 @@ impl ServiceRegistry {
         cut
     }
 
-    /// Events emitted at or after `cursor`, or an [`EventLogGap`] when
-    /// `cursor` predates the oldest retained event. A cursor at or past
-    /// the log head yields an empty slice.
-    #[deprecated(
-        since = "0.4.0",
-        note = "use RegistrySync::sync_from and match the typed SyncResponse — the gap/snapshot fallback is handled inside it"
-    )]
-    pub fn events_since(&self, cursor: usize) -> Result<&[RegistryEvent], EventLogGap> {
-        self.retained_events_from(cursor)
-    }
-
-    /// A consistent resync point: the live services as of the current
-    /// event cursor.
-    #[deprecated(
-        since = "0.4.0",
-        note = "use RegistrySync::sync_from — it returns SyncResponse::Snapshot exactly when a resync is needed"
-    )]
-    pub fn snapshot(&self) -> RegistrySnapshot {
-        self.resync_point()
-    }
-
     /// [`crate::RegistrySync`] backing: retained events from `cursor`,
     /// or the gap when the cursor fell behind the retained window.
     pub(crate) fn retained_events_from(

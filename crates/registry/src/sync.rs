@@ -217,24 +217,4 @@ mod tests {
         assert_eq!(a.advanced_by(4), b);
         assert_eq!(a.to_string(), "@3");
     }
-
-    #[test]
-    fn deprecated_shims_agree_with_the_sync_surface() {
-        #![allow(deprecated)]
-        let mut reg = ServiceRegistry::new();
-        let cursor = reg.sync_cursor();
-        reg.register(svc("a"));
-        let via_shim = reg.events_since(cursor.seq()).map(<[_]>::to_vec);
-        match reg.sync_from(cursor) {
-            SyncResponse::Delta(events) => assert_eq!(via_shim.as_deref(), Ok(events)),
-            SyncResponse::Snapshot(_) => panic!("no gap"),
-        }
-        let snap = reg.snapshot();
-        match reg.sync_from(ReplicaCursor::new(usize::MAX)) {
-            // A cursor past the head is an empty delta, not a gap…
-            SyncResponse::Delta(events) => assert!(events.is_empty()),
-            SyncResponse::Snapshot(_) => panic!("ahead is not behind"),
-        }
-        assert_eq!(snap.cursor, reg.sync_cursor().seq());
-    }
 }

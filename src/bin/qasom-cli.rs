@@ -4,16 +4,7 @@
 //! qasom-cli --services services.xml --classes classes.xml --task shop-v1 \
 //!           [--taxonomy taxonomy.xml] [--constraint Delay=1.5s]... \
 //!           [--weight Delay=2]... [--seed 42] [--verbose] [--report FILE]
-//! qasom-cli report [--seed 42] [--schema] [--out FILE]
-//! qasom-cli check [--seed 42] [--preemptions 3] [--out FILE]
-//! qasom-cli stress [--seed 42] [--sessions 12] [--out FILE]
-//! qasom-cli daemon-stress [--seed 42] [--rounds 12] [--clients 4]
-//!                         [--queue 6] [--quota 2] [--batch 4] [--out FILE]
-//! qasom-cli hotpath-stress [--seed 42] [--services 64] [--rounds 12] [--out FILE]
-//! qasom-cli cluster-stress [--seed 42] [--services 10000,100000]
-//!                          [--shards 1,2,4,8] [--sessions 8] [--out FILE]
-//! qasom-cli persist-stress [--seed 42] [--services 200] [--rounds 24]
-//!                          [--checkpoint-every 16] [--out FILE]
+//! qasom-cli <scenario> [--seed 42] ... [--out FILE]
 //! ```
 //!
 //! * `--services`  QSD document (see `qasom_registry::qsd`).
@@ -27,84 +18,53 @@
 //! * `--report FILE` write the seed-stamped [`RunReport`] JSON of this
 //!   run to `FILE` (`-` for stdout).
 //!
-//! The `report` subcommand runs the builtin deterministic end-to-end
-//! scenario ([`qasom::demo`]) and prints its `RunReport` JSON: identical
-//! seeds produce byte-identical output. With `--schema` it prints the
-//! report's sorted key paths instead — the exact content of
-//! `tests/fixtures/run_report_schema.txt`, so the fixture regenerates
-//! with `qasom-cli report --schema --out tests/fixtures/run_report_schema.txt`.
-//!
-//! The `stress` subcommand runs a fixed, single-threaded serving
-//! scenario over a [`qasom::SharedEnvironment`] (typed sessions
-//! interleaved with `RegistryDelta` churn) and prints the resulting
-//! `RunReport`, serving counters included — the determinism oracle CI
-//! `cmp`s across repeats.
-//!
-//! The `daemon-stress` subcommand drives the `qasomd` broker over the
-//! in-process loopback transport (`qasom_daemon::stress`): several
-//! clients submit batched hot requests past their admission quotas,
-//! with provider churn between rounds. The printed `RunReport` carries
-//! the `daemon.*` counters and is byte-identical for identical
-//! arguments.
-//!
-//! The `hotpath-stress` subcommand composes an eight-activity task over
-//! a synthetic provider market and then alternates provider churn with
-//! `recompose` calls, exercising the delta-QASSA re-selection path and
-//! (via periodic infrastructure perturbations) its full-recompose
-//! fallback. The printed `RunReport` carries the `hotpath` section and
-//! `selection.delta.*` counters and is byte-identical for identical
-//! arguments — the determinism oracle CI `cmp`s across repeats.
-//!
-//! The `persist-stress` subcommand is the kill-and-replay determinism
-//! harness for the registry persistence layer (DESIGN.md §14): seeded
-//! churn runs over a journaled in-memory backend, and at every round
-//! the durable bytes are forked (the crash image) and recovered — the
-//! recovered registry must be byte-identical to the never-crashed
-//! oracle (state encoding, capability index, epoch, WAL cursor), and a
-//! deliberately torn fork must recover cleanly and deterministically.
-//! The emitted JSON is byte-identical for identical arguments.
-//!
-//! The `cluster-stress` subcommand sweeps the clustered registry
-//! (`qasom_cluster`) over shard counts at several service-pool scales:
-//! for each cell it runs the gossip replication plane over the network
-//! simulator, then assembles the converged shards into a serving
-//! environment and drives sessions through the daemon's loopback frame
-//! transport. The emitted JSON reports modelled discovery latency and
-//! session throughput per `(services, shards)` cell and is
-//! byte-identical for identical arguments.
+//! The scenario subcommands (`report`, `check`, `stress`, `daemon-stress`,
+//! `hotpath-stress`, `cluster-stress`, `persist-stress`) are the rows of
+//! [`qasom_bench::scenarios::SCENARIOS`]: each is documented, flagged and
+//! implemented there, prints a JSON document that is byte-identical for
+//! identical arguments, and `qasom-cli --help` lists them all.
+//! `qasom-cli report --schema --out tests/fixtures/run_report_schema.txt`
+//! regenerates the `RunReport` schema fixture.
 
 use std::collections::HashMap;
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use qasom::{
-    demo, Environment, EventLog, RegistryDelta, ServeOutcome, SessionRequest, SharedEnvironment,
-    UserRequest,
-};
-use qasom_cluster::{ClusterBridge, ClusterConfig, ClusterSim, ShardSet};
-use qasom_daemon::stress::StressConfig;
-use qasom_daemon::{AdmissionConfig, BrokerConfig};
-use qasom_netsim::runtime::SyntheticService;
-use qasom_obs::report::{ComposeSection, ExecutionSection, RunReport};
-use qasom_obs::{key_paths, JsonValue, MemoryRecorder, Recorder};
+use qasom::{Environment, EventLog, UserRequest};
+use qasom_bench::scenarios::{self, FlagSpec, Flags, Kind, Scenario, SEED};
+use qasom_obs::{MemoryRecorder, Recorder};
 use qasom_ontology::{ConceptId, Ontology, OntologyBuilder};
-use qasom_qos::{QosModel, QosVector, Unit};
-use qasom_registry::ServiceDescription;
+use qasom_qos::{QosModel, Unit};
 use qasom_task::xml::{self, XmlElement};
-use qasom_task::{Activity, TaskNode, UserTask};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+
+/// Flags of the default (XML-provisioned) run.
+const RUN_FLAGS: &[FlagSpec] = &[
+    ("--services", Kind::Required("FILE")),
+    ("--classes", Kind::Required("FILE")),
+    ("--task", Kind::Required("NAME")),
+    ("--taxonomy", Kind::Value("FILE", "")),
+    ("--constraint", Kind::Repeated("NAME=VALUE[UNIT]")),
+    ("--weight", Kind::Repeated("NAME=W")),
+    SEED,
+    ("--verbose", Kind::Switch),
+    ("--report", Kind::Value("FILE", "")),
+];
 
 fn main() -> ExitCode {
-    let outcome = match std::env::args().nth(1).as_deref() {
-        Some("report") => run_report_subcommand(),
-        Some("check") => run_check_subcommand(),
-        Some("stress") => run_stress_subcommand(),
-        Some("daemon-stress") => run_daemon_stress_subcommand(),
-        Some("hotpath-stress") => run_hotpath_stress_subcommand(),
-        Some("cluster-stress") => run_cluster_stress_subcommand(),
-        Some("persist-stress") => run_persist_stress_subcommand(),
-        _ => run(),
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let scenario = args.first().and_then(|name| scenarios::find(name));
+    if scenario.is_some() {
+        args.remove(0);
+    }
+    let outcome = if args.iter().any(|a| a == "--help" || a == "-h") {
+        print_usage(scenario);
+        Ok(())
+    } else {
+        match scenario {
+            Some(scenario) => Flags::parse(scenario.name, scenario.flags, args)
+                .and_then(|flags| write_text(&scenario.render(&flags)?, flags.get("--out"))),
+            None => Flags::parse("", RUN_FLAGS, args).and_then(|flags| run(&flags)),
+        }
     };
     match outcome {
         Ok(()) => ExitCode::SUCCESS,
@@ -115,691 +75,18 @@ fn main() -> ExitCode {
     }
 }
 
-/// `qasom-cli report [--seed N] [--schema] [--out FILE]`: the builtin
-/// deterministic scenario, exported as pretty-printed `RunReport` JSON —
-/// or, with `--schema`, as its sorted key paths.
-fn run_report_subcommand() -> Result<(), String> {
-    let mut seed = 42u64;
-    let mut schema = false;
-    let mut out: Option<String> = None;
-    let mut it = std::env::args().skip(2);
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} requires a value"));
-        match flag.as_str() {
-            "--seed" => {
-                let raw = value("--seed")?;
-                seed = raw.parse().map_err(|_| format!("bad seed {raw:?}"))?;
-            }
-            "--schema" => schema = true,
-            "--out" => out = Some(value("--out")?),
-            "--help" | "-h" => {
-                println!("usage: qasom-cli report [--seed N] [--schema] [--out FILE]");
-                return Ok(());
-            }
-            other => return Err(format!("unknown flag {other:?} (try report --help)")),
-        }
-    }
-    let mut report = demo::demo_run_report(seed);
-    // The demo scenario serves one host; the cluster section comes from
-    // a companion clustered run at the same seed, so the report (and the
-    // schema fixture) covers the sharded registry too.
-    let cluster = ClusterSim::new(ClusterConfig::default()).run(seed);
-    report.cluster = Some(cluster.to_section());
-    if schema {
-        let paths = key_paths(&report.to_json()).join("\n");
-        return write_text(&paths, out.as_deref());
-    }
-    write_report(&report, out.as_deref())
-}
-
-/// `qasom-cli check [--seed N] [--preemptions N] [--out FILE]`: the
-/// deterministic schedule-exploring race checker (`qasom_analysis::check`)
-/// over the standard protocol-model suite, exported as pretty-printed
-/// `RunReport` JSON with the `check` section and `check.*` counters —
-/// byte-identical for identical arguments. Fails when any model
-/// deadlocks or violates its invariants.
-fn run_check_subcommand() -> Result<(), String> {
-    let mut cfg = qasom_analysis::check::SuiteConfig::default();
-    let mut out: Option<String> = None;
-    let mut it = std::env::args().skip(2);
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} requires a value"));
-        match flag.as_str() {
-            "--seed" => {
-                let raw = value("--seed")?;
-                cfg.seed = raw.parse().map_err(|_| format!("bad seed {raw:?}"))?;
-            }
-            "--preemptions" => {
-                let raw = value("--preemptions")?;
-                cfg.preemption_bound = raw
-                    .parse()
-                    .map_err(|_| format!("bad preemption bound {raw:?}"))?;
-            }
-            "--out" => out = Some(value("--out")?),
-            "--help" | "-h" => {
-                println!("usage: qasom-cli check [--seed N] [--preemptions N] [--out FILE]");
-                return Ok(());
-            }
-            other => return Err(format!("unknown flag {other:?} (try check --help)")),
-        }
-    }
-    let suite = qasom_analysis::check::run_suite(&cfg);
-    let recorder = MemoryRecorder::new();
-    suite.record(&recorder);
-    let mut report = RunReport::new(cfg.seed, "check");
-    report.check = Some(suite.to_section());
-    if let Some(snapshot) = recorder.snapshot() {
-        report.metrics = snapshot;
-    }
-    write_report(&report, out.as_deref())?;
-    if !suite.ok() {
-        return Err(format!(
-            "model checking failed: {} deadlock(s), {} violation(s) across {} schedules",
-            suite.deadlocks(),
-            suite.violations(),
-            suite.schedules()
-        ));
-    }
-    Ok(())
-}
-
-/// `qasom-cli stress [--seed N] [--sessions N] [--out FILE]`: a fixed,
-/// single-threaded interleaving of serving sessions and provider churn
-/// over a `SharedEnvironment`, exported as pretty-printed `RunReport`
-/// JSON — byte-identical for identical arguments.
-fn run_stress_subcommand() -> Result<(), String> {
-    let mut seed = 42u64;
-    let mut sessions = 12usize;
-    let mut out: Option<String> = None;
-    let mut it = std::env::args().skip(2);
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} requires a value"));
-        match flag.as_str() {
-            "--seed" => {
-                let raw = value("--seed")?;
-                seed = raw.parse().map_err(|_| format!("bad seed {raw:?}"))?;
-            }
-            "--sessions" => {
-                let raw = value("--sessions")?;
-                sessions = raw
-                    .parse()
-                    .map_err(|_| format!("bad session count {raw:?}"))?;
-            }
-            "--out" => out = Some(value("--out")?),
-            "--help" | "-h" => {
-                println!("usage: qasom-cli stress [--seed N] [--sessions N] [--out FILE]");
-                return Ok(());
-            }
-            other => return Err(format!("unknown flag {other:?} (try stress --help)")),
-        }
-    }
-    let report = stress_run_report(seed, sessions)?;
-    write_report(&report, out.as_deref())
-}
-
-/// `qasom-cli daemon-stress [--seed N] [--rounds N] [--clients N]
-/// [--queue N] [--quota N] [--batch N] [--out FILE]`: the scripted
-/// broker workload over the loopback transport (see
-/// `qasom_daemon::stress`), exported as pretty-printed `RunReport` JSON
-/// with the `daemon.*` counters — byte-identical for identical
-/// arguments.
-fn run_daemon_stress_subcommand() -> Result<(), String> {
-    let defaults = AdmissionConfig {
-        queue_capacity: 6,
-        client_quota: 2,
-        batch_max: 4,
-    };
-    let mut config = StressConfig {
-        seed: 42,
-        rounds: 12,
-        clients: 4,
-        admission: defaults,
-    };
-    let mut out: Option<String> = None;
-    let mut it = std::env::args().skip(2);
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} requires a value"));
-        match flag.as_str() {
-            "--seed" => config.seed = parse_num(&value("--seed")?)?,
-            "--rounds" => config.rounds = parse_num(&value("--rounds")?)?,
-            "--clients" => config.clients = parse_num(&value("--clients")?)?,
-            "--queue" => config.admission.queue_capacity = parse_num(&value("--queue")?)?,
-            "--quota" => config.admission.client_quota = parse_num(&value("--quota")?)?,
-            "--batch" => config.admission.batch_max = parse_num(&value("--batch")?)?,
-            "--out" => out = Some(value("--out")?),
-            "--help" | "-h" => {
-                println!(
-                    "usage: qasom-cli daemon-stress [--seed N] [--rounds N] [--clients N]\n\
-                     \x20      [--queue N] [--quota N] [--batch N] [--out FILE]"
-                );
-                return Ok(());
-            }
-            other => {
-                return Err(format!("unknown flag {other:?} (try daemon-stress --help)"));
+/// Prints the usage of one scenario — or, without one, of the default
+/// run followed by every scenario — generated from the flag tables.
+fn print_usage(scenario: Option<&Scenario>) {
+    match scenario {
+        Some(s) => println!("usage: {}", scenarios::usage(s.name, s.flags)),
+        None => {
+            println!("usage: {}", scenarios::usage("", RUN_FLAGS));
+            for s in scenarios::SCENARIOS {
+                println!("       {}", scenarios::usage(s.name, s.flags));
             }
         }
     }
-    let report = qasom_daemon::stress::stress_report(&config)?;
-    write_report(&report, out.as_deref())
-}
-
-/// `qasom-cli hotpath-stress [--seed N] [--services N] [--rounds N]
-/// [--out FILE]`: an eight-activity composition followed by scripted
-/// churn-and-recompose rounds through the delta-QASSA path, exported as
-/// pretty-printed `RunReport` JSON (with the `hotpath` section) —
-/// byte-identical for identical arguments.
-fn run_hotpath_stress_subcommand() -> Result<(), String> {
-    let mut seed = 42u64;
-    let mut services = 64usize;
-    let mut rounds = 12usize;
-    let mut out: Option<String> = None;
-    let mut it = std::env::args().skip(2);
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} requires a value"));
-        match flag.as_str() {
-            "--seed" => seed = parse_num(&value("--seed")?)?,
-            "--services" => services = parse_num(&value("--services")?)?,
-            "--rounds" => rounds = parse_num(&value("--rounds")?)?,
-            "--out" => out = Some(value("--out")?),
-            "--help" | "-h" => {
-                println!(
-                    "usage: qasom-cli hotpath-stress [--seed N] [--services N] [--rounds N] [--out FILE]"
-                );
-                return Ok(());
-            }
-            other => {
-                return Err(format!(
-                    "unknown flag {other:?} (try hotpath-stress --help)"
-                ));
-            }
-        }
-    }
-    let report = hotpath_stress_run_report(seed, services, rounds)?;
-    write_report(&report, out.as_deref())
-}
-
-/// The scripted scenario behind `qasom-cli hotpath-stress`: a synthetic
-/// market of `services` providers over eight function concepts, one
-/// compose, then `rounds` rounds that each deploy a fast newcomer and
-/// `recompose` — with periodic departures (delta handles the chosen
-/// service leaving) and periodic infrastructure perturbations (which
-/// disqualify cached levels and force the full-recompose fallback, so
-/// both `selection.delta.incremental` and
-/// `selection.delta.full_recomposes` come out non-zero).
-fn hotpath_stress_run_report(
-    seed: u64,
-    services: usize,
-    rounds: usize,
-) -> Result<RunReport, String> {
-    const ACTIVITIES: usize = 8;
-    let mut builder = OntologyBuilder::new("hp");
-    for i in 0..ACTIVITIES {
-        builder.concept(&format!("A{i}"));
-    }
-    let ontology = builder.build().map_err(|e| e.to_string())?;
-    let mut env = Environment::new(QosModel::standard(), ontology, seed);
-    let recorder = Arc::new(MemoryRecorder::new());
-    env.set_recorder(Arc::clone(&recorder) as Arc<dyn Recorder>);
-    let rt = env
-        .model()
-        .property("ResponseTime")
-        .ok_or("the standard model defines ResponseTime")?;
-    let av = env
-        .model()
-        .property("Availability")
-        .ok_or("the standard model defines Availability")?;
-    let per = (services / ACTIVITIES).max(1);
-    for ci in 0..ACTIVITIES {
-        for i in 0..per {
-            let desc = ServiceDescription::new(format!("s{ci}-{i}"), format!("hp#A{ci}").as_str())
-                .with_qos(rt, 40.0 + ((i * 7_919 + ci * 13) % 1_000) as f64)
-                .with_qos(av, 0.90 + ((i * 104_729 + ci) % 100) as f64 / 1_000.0);
-            let nominal = desc.qos().clone();
-            env.deploy(desc, SyntheticService::new(nominal));
-        }
-    }
-    let task = UserTask::new(
-        "hotpath",
-        TaskNode::sequence((0..ACTIVITIES).map(|i| {
-            TaskNode::activity(Activity::new(format!("a{i}"), format!("hp#A{i}").as_str()))
-        })),
-    )
-    .map_err(|e| e.to_string())?;
-    let request = UserRequest::new(task)
-        .constraint("ResponseTime", 10.0, Unit::Seconds)
-        .map_err(|e| e.to_string())?
-        .weight("ResponseTime", 0.7)
-        .weight("Availability", 0.3);
-    let mut composition = env.compose(&request).map_err(|e| e.to_string())?;
-    for round in 0..rounds {
-        let ci = round % ACTIVITIES;
-        let desc = ServiceDescription::new(format!("late{round}"), format!("hp#A{ci}").as_str())
-            .with_qos(rt, 35.0 - (round % 7) as f64)
-            .with_qos(av, 0.999);
-        let nominal = desc.qos().clone();
-        let id = env.deploy(desc, SyntheticService::new(nominal));
-        composition = env.recompose(&composition).map_err(|e| e.to_string())?;
-        if round % 3 == 2 {
-            // The newcomer just won its activity; its departure makes the
-            // chosen service vanish mid-composition.
-            env.undeploy(id);
-            composition = env.recompose(&composition).map_err(|e| e.to_string())?;
-        }
-        if round % 5 == 4 {
-            // A perceived-QoS perturbation outside the registry event log:
-            // the cached levels are stale and delta must fall back to a
-            // full recompose.
-            env.set_infrastructure(round as u64, QosVector::new());
-            composition = env.recompose(&composition).map_err(|e| e.to_string())?;
-        }
-    }
-    Ok(env.run_report("hotpath-stress"))
-}
-
-/// `qasom-cli cluster-stress [--seed N] [--services L] [--shards L]
-/// [--sessions N] [--out FILE]`: the clustered-registry sweep. `L` is a
-/// comma list (`10000,100000`, `1,2,4,8`). Each `(services, shards)`
-/// cell runs the gossip plane over the simulator and then serves
-/// sessions against the assembled shards; the emitted JSON is
-/// byte-identical for identical arguments — the determinism oracle CI
-/// `cmp`s across repeats.
-fn run_cluster_stress_subcommand() -> Result<(), String> {
-    let mut seed = 42u64;
-    let mut scales = vec![10_000usize, 100_000];
-    let mut shard_counts = vec![1usize, 2, 4, 8];
-    let mut sessions = 8usize;
-    let mut out: Option<String> = None;
-    let mut it = std::env::args().skip(2);
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} requires a value"));
-        match flag.as_str() {
-            "--seed" => seed = parse_num(&value("--seed")?)?,
-            "--services" => scales = parse_num_list(&value("--services")?)?,
-            "--shards" => shard_counts = parse_num_list(&value("--shards")?)?,
-            "--sessions" => sessions = parse_num(&value("--sessions")?)?,
-            "--out" => out = Some(value("--out")?),
-            "--help" | "-h" => {
-                println!(
-                    "usage: qasom-cli cluster-stress [--seed N] [--services N,N...]\n\
-                     \x20      [--shards N,N...] [--sessions N] [--out FILE]"
-                );
-                return Ok(());
-            }
-            other => {
-                return Err(format!(
-                    "unknown flag {other:?} (try cluster-stress --help)"
-                ));
-            }
-        }
-    }
-    if scales.is_empty() || shard_counts.is_empty() {
-        return Err("at least one service scale and one shard count are required".into());
-    }
-    let doc = cluster_stress_json(seed, &scales, &shard_counts, sessions)?;
-    write_text(&doc.to_pretty(), out.as_deref())
-}
-
-/// One `(services, shards)` sweep cell → the bench figures document.
-///
-/// Discovery latency is the modelled scatter/gather figure from the
-/// simulated replication run (one fan-out round trip plus the widest
-/// shard's evaluation work). Session throughput is modelled from it:
-/// sessions serialise behind the discovery fan-out, so a narrower
-/// widest-shard raises throughput as shards are added.
-fn cluster_stress_json(
-    seed: u64,
-    scales: &[usize],
-    shard_counts: &[usize],
-    sessions: usize,
-) -> Result<JsonValue, String> {
-    const FUNCTIONS: usize = 6;
-    let model = QosModel::standard();
-    let mut figures: Vec<JsonValue> = Vec::new();
-    for &services in scales {
-        for &shards in shard_counts {
-            // Replication plane: gossip the pool across the shards over
-            // the network simulator and audit against the oracle.
-            let cfg = ClusterConfig {
-                shards,
-                services,
-                functions: FUNCTIONS,
-                churn_rounds: 4,
-                churn_per_round: 8,
-                ..ClusterConfig::default()
-            };
-            let report = ClusterSim::new(cfg).run(seed);
-            if !report.converged || !report.oracle_match {
-                return Err(format!(
-                    "cluster run diverged at {services} services / {shards} shards"
-                ));
-            }
-
-            // Serving plane: an identically-seeded deterministic shard
-            // set, assembled and driven through the loopback daemon.
-            let ontology = ClusterSim::build_ontology(FUNCTIONS);
-            let mut origin = qasom_registry::ServiceRegistry::with_ontology(Arc::clone(&ontology));
-            let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37_79b9);
-            for j in 0..services {
-                let f = rng.gen_range(0..FUNCTIONS);
-                let sub = rng.gen_range(0..2) == 1;
-                let iri = if sub {
-                    format!("cl#F{f}Sub")
-                } else {
-                    format!("cl#F{f}")
-                };
-                let mut desc = ServiceDescription::new(format!("s{j}"), iri.as_str());
-                if let Some(rt) = model.property("ResponseTime") {
-                    desc = desc.with_qos(rt, 10.0 + f64::from(rng.gen_range(0..90u32)));
-                }
-                if let Some(av) = model.property("Availability") {
-                    desc = desc.with_qos(av, 0.9 + f64::from(rng.gen_range(0..10u32)) / 100.0);
-                }
-                origin.register(desc);
-            }
-            let mut set = ShardSet::new(shards, Arc::clone(&ontology));
-            set.sync_all(&origin);
-            let bridge = ClusterBridge::assemble(&set, seed);
-            let task = UserTask::new(
-                "cluster-probe",
-                TaskNode::sequence(vec![
-                    TaskNode::activity(Activity::new("first", "cl#F0")),
-                    TaskNode::activity(Activity::new("second", "cl#F1")),
-                ]),
-            )
-            .map_err(|e| e.to_string())?;
-            let request = UserRequest::new(task).weight("ResponseTime", 1.0);
-            let requests = vec![request; sessions];
-            let broker = BrokerConfig {
-                admission: AdmissionConfig {
-                    queue_capacity: sessions.max(8),
-                    client_quota: sessions.max(8),
-                    batch_max: 8,
-                },
-            };
-            let served = bridge.serve_sessions(&requests, broker, 64);
-
-            let latency_us = report.scatter_latency_us.max(1);
-            let throughput = if served.submitted == 0 {
-                0.0
-            } else {
-                served.completed as f64 * 1_000_000.0
-                    / (served.submitted as f64 * latency_us as f64)
-            };
-            figures.push(
-                JsonValue::object()
-                    .field("services", services)
-                    .field("shards", shards)
-                    .field("discovery_latency_us", report.scatter_latency_us)
-                    .field("session_throughput_per_s", throughput)
-                    .field("sessions_submitted", served.submitted)
-                    .field("sessions_completed", served.completed)
-                    .field("sessions_failed", served.failed)
-                    .field("gossip_rounds", report.gossip_rounds)
-                    .field("deltas_shipped", report.deltas_shipped)
-                    .field("events_replicated", report.events_replicated)
-                    .field("snapshot_fallbacks", report.snapshot_fallbacks)
-                    .field("retries", report.retries)
-                    .field("converged", report.converged)
-                    .field("oracle_match", report.oracle_match)
-                    .field("coverage_ratio", report.coverage_ratio())
-                    .field("max_staleness_events", report.max_staleness_events)
-                    .field("sim_time_us", report.net.sim_time_us),
-            );
-        }
-    }
-    Ok(JsonValue::object()
-        .field("bench", "cluster")
-        .field("seed", seed)
-        .field("sessions", sessions)
-        .field("figures", figures))
-}
-
-/// `qasom-cli persist-stress [--seed N] [--services N] [--rounds N]
-/// [--checkpoint-every N] [--out FILE]`: the kill-and-replay
-/// determinism harness. Seeded churn over a journaled registry; after
-/// every round the durable bytes are forked as a crash image and
-/// recovered, and the recovered registry is compared byte-for-byte
-/// against the never-crashed oracle. Fails on the first divergence.
-fn run_persist_stress_subcommand() -> Result<(), String> {
-    let mut seed = 42u64;
-    let mut services = 200usize;
-    let mut rounds = 24usize;
-    let mut checkpoint_every = 16usize;
-    let mut out: Option<String> = None;
-    let mut it = std::env::args().skip(2);
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} requires a value"));
-        match flag.as_str() {
-            "--seed" => seed = parse_num(&value("--seed")?)?,
-            "--services" => services = parse_num(&value("--services")?)?,
-            "--rounds" => rounds = parse_num(&value("--rounds")?)?,
-            "--checkpoint-every" => checkpoint_every = parse_num(&value("--checkpoint-every")?)?,
-            "--out" => out = Some(value("--out")?),
-            "--help" | "-h" => {
-                println!(
-                    "usage: qasom-cli persist-stress [--seed N] [--services N] [--rounds N]\n\
-                     \x20      [--checkpoint-every N] [--out FILE]"
-                );
-                return Ok(());
-            }
-            other => {
-                return Err(format!(
-                    "unknown flag {other:?} (try persist-stress --help)"
-                ));
-            }
-        }
-    }
-    let doc = persist_stress_json(seed, services, rounds, checkpoint_every)?;
-    write_text(&doc.to_pretty(), out.as_deref())
-}
-
-/// The seeded kill-and-replay scenario behind `qasom-cli persist-stress`.
-fn persist_stress_json(
-    seed: u64,
-    services: usize,
-    rounds: usize,
-    checkpoint_every: usize,
-) -> Result<JsonValue, String> {
-    use qasom_registry::persist::{encode_state, MemoryBackend, PersistConfig, PersistentRegistry};
-
-    const FUNCTIONS: usize = 4;
-    let mut builder = OntologyBuilder::new("ps");
-    for f in 0..FUNCTIONS {
-        let base = builder.concept(&format!("F{f}"));
-        builder.subconcept(&format!("F{f}Sub"), base);
-    }
-    let ontology = Arc::new(builder.build().map_err(|e| e.to_string())?);
-    let model = QosModel::standard();
-    let config = PersistConfig { checkpoint_every };
-
-    let backend = MemoryBackend::new();
-    let (mut oracle, boot) =
-        PersistentRegistry::open(backend.clone(), config, Some(Arc::clone(&ontology)))
-            .map_err(|e| e.to_string())?;
-    if boot.recovered_anything() {
-        return Err("fresh in-memory backend reported recovered state".into());
-    }
-
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x7a57_1e55);
-    let mut next_name = 0usize;
-    let mut deploy = |oracle: &mut PersistentRegistry, rng: &mut StdRng| -> Result<(), String> {
-        let f = rng.gen_range(0..FUNCTIONS);
-        let iri = if rng.gen_range(0..2) == 1 {
-            format!("ps#F{f}Sub")
-        } else {
-            format!("ps#F{f}")
-        };
-        let mut desc = ServiceDescription::new(format!("s{next_name}"), iri.as_str());
-        next_name += 1;
-        if let Some(rt) = model.property("ResponseTime") {
-            desc = desc.with_qos(rt, 10.0 + f64::from(rng.gen_range(0..90u32)));
-        }
-        if let Some(av) = model.property("Availability") {
-            desc = desc.with_qos(av, 0.9 + f64::from(rng.gen_range(0..10u32)) / 100.0);
-        }
-        oracle.register(desc).map_err(|e| e.to_string())?;
-        Ok(())
-    };
-
-    for _ in 0..services {
-        deploy(&mut oracle, &mut rng)?;
-    }
-
-    // Kill-and-replay at a crash image: the recovered registry must be
-    // byte-identical to the never-crashed oracle.
-    let verify = |oracle: &PersistentRegistry, image: MemoryBackend| -> Result<(), String> {
-        let (recovered, _) = PersistentRegistry::open(image, config, Some(Arc::clone(&ontology)))
-            .map_err(|e| format!("recovery failed: {e}"))?;
-        if encode_state(recovered.registry()) != encode_state(oracle.registry()) {
-            return Err("recovered state bytes diverge from the oracle".into());
-        }
-        if !recovered.registry().index_eq(oracle.registry()) {
-            return Err("recovered capability index diverges from the oracle".into());
-        }
-        if !recovered.registry().index_matches_rebuild() {
-            return Err("recovered capability index fails the rebuild oracle".into());
-        }
-        if recovered.registry().event_cursor() != oracle.registry().event_cursor() {
-            return Err("recovered epoch diverges from the oracle".into());
-        }
-        if recovered.journal().wal_cursor() != oracle.journal().wal_cursor() {
-            return Err("recovered WAL cursor diverges from the oracle".into());
-        }
-        Ok(())
-    };
-
-    let mut crash_points = 0u64;
-    let mut torn_drills = 0u64;
-    verify(&oracle, backend.fork())?;
-    crash_points += 1;
-
-    for round in 0..rounds {
-        // Churn: a few arrivals, sometimes a departure of a random live
-        // service.
-        for _ in 0..1 + round % 3 {
-            deploy(&mut oracle, &mut rng)?;
-        }
-        if oracle.registry().len() > 4 && rng.gen_range(0..2) == 1 {
-            let live: Vec<_> = oracle.registry().iter().map(|(id, _)| id).collect();
-            let id = live[rng.gen_range(0..live.len())];
-            oracle.deregister(id).map_err(|e| e.to_string())?;
-        }
-
-        verify(&oracle, backend.fork())?;
-        crash_points += 1;
-
-        // Torn-tail drill: tear the crash image's WAL tail and require
-        // a clean, deterministic recovery (no panic, no partial
-        // replay — two recoveries of the same torn image agree).
-        let torn = backend.fork();
-        if torn.wal_len() > 0 {
-            use qasom_registry::persist::Persistence;
-            let mut wal = torn.wal_bytes().map_err(|e| e.to_string())?;
-            let last = wal.len() - 1;
-            wal[last] ^= 0xA5;
-            torn.set_wal(wal);
-            let (first, report) =
-                PersistentRegistry::open(torn.fork(), config, Some(Arc::clone(&ontology)))
-                    .map_err(|e| format!("torn-tail recovery failed: {e}"))?;
-            if !report.torn_tail {
-                return Err("torn tail was not detected".into());
-            }
-            let (second, _) = PersistentRegistry::open(torn, config, Some(Arc::clone(&ontology)))
-                .map_err(|e| format!("torn-tail re-recovery failed: {e}"))?;
-            if encode_state(first.registry()) != encode_state(second.registry()) {
-                return Err("torn-tail recovery is not deterministic".into());
-            }
-            if !first.registry().index_matches_rebuild() {
-                return Err("torn-tail recovery broke the capability index".into());
-            }
-            torn_drills += 1;
-        }
-    }
-
-    let stats = oracle.journal().stats();
-    Ok(JsonValue::object()
-        .field("bench", "persist")
-        .field("seed", seed)
-        .field("services", services)
-        .field("rounds", rounds)
-        .field("checkpoint_every", checkpoint_every)
-        .field("crash_points_verified", crash_points)
-        .field("torn_tail_drills", torn_drills)
-        .field("final_epoch", oracle.registry().event_cursor())
-        .field("live_services", oracle.registry().len())
-        .field("wal_appends", stats.appends)
-        .field("wal_bytes", stats.wal_bytes)
-        .field("checkpoints", stats.checkpoints)
-        .field("oracle_match", true))
-}
-
-fn parse_num_list(raw: &str) -> Result<Vec<usize>, String> {
-    raw.split(',')
-        .filter(|s| !s.is_empty())
-        .map(|s| {
-            s.trim()
-                .parse()
-                .map_err(|_| format!("could not parse {s:?} in {raw:?} as a number"))
-        })
-        .collect()
-}
-
-fn parse_num<T: std::str::FromStr>(raw: &str) -> Result<T, String> {
-    raw.parse()
-        .map_err(|_| format!("could not parse {raw:?} as a number"))
-}
-
-/// The scripted serving scenario behind `qasom-cli stress`: six stable
-/// providers, a provider toggled every third round, one typed session
-/// per round.
-fn stress_run_report(seed: u64, sessions: usize) -> Result<RunReport, String> {
-    let mut builder = OntologyBuilder::new("d");
-    builder.concept("A");
-    let ontology = builder.build().map_err(|e| e.to_string())?;
-    let mut env = Environment::new(QosModel::standard(), ontology, seed);
-    let recorder = Arc::new(MemoryRecorder::new());
-    env.set_recorder(Arc::clone(&recorder) as Arc<dyn Recorder>);
-    let rt = env
-        .model()
-        .property("ResponseTime")
-        .ok_or("the standard model defines ResponseTime")?;
-    for i in 0..6 {
-        let desc = ServiceDescription::new(format!("s{i}"), "d#A").with_qos(rt, 40.0 + i as f64);
-        let nominal = desc.qos().clone();
-        env.deploy(desc, SyntheticService::new(nominal));
-    }
-    let shared = SharedEnvironment::new(env);
-
-    let task = UserTask::new("t", TaskNode::activity(Activity::new("a", "d#A")))
-        .map_err(|e| e.to_string())?;
-    let request = UserRequest::new(task).weight("Delay", 1.0);
-    for round in 0..sessions {
-        if round % 3 == 0 {
-            let existing = shared.with(|e| {
-                e.registry()
-                    .iter()
-                    .find(|(_, d)| d.name() == "burst")
-                    .map(|(id, _)| id)
-            });
-            let delta = match existing {
-                Some(id) => RegistryDelta::new().undeploy(id),
-                None => RegistryDelta::new()
-                    .deploy_faithful(ServiceDescription::new("burst", "d#A").with_qos(rt, 10.0)),
-            };
-            shared.apply_churn(delta);
-        }
-        let session = SessionRequest::new(request.clone()).for_client("stress");
-        match shared.serve_session(&session).map_err(|e| e.to_string())? {
-            ServeOutcome::Completed(_) => {}
-            other => return Err(format!("session {round} did not complete: {other:?}")),
-        }
-    }
-    Ok(shared.with(|e| e.run_report("stress")))
-}
-
-/// Writes a report as pretty JSON to `path` (`None` or `"-"` → stdout).
-fn write_report(report: &RunReport, path: Option<&str>) -> Result<(), String> {
-    write_text(&report.to_pretty_string(), path)
 }
 
 /// Writes `text` (plus a trailing newline) to `path` (`None` or `"-"` →
@@ -816,86 +103,6 @@ fn write_text(text: &str, path: Option<&str>) -> Result<(), String> {
             Ok(())
         }
     }
-}
-
-struct Args {
-    services: String,
-    classes: String,
-    task: String,
-    taxonomy: Option<String>,
-    constraints: Vec<(String, f64, Unit)>,
-    weights: Vec<(String, f64)>,
-    seed: u64,
-    verbose: bool,
-    report: Option<String>,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        services: String::new(),
-        classes: String::new(),
-        task: String::new(),
-        taxonomy: None,
-        constraints: Vec::new(),
-        weights: Vec::new(),
-        seed: 42,
-        verbose: false,
-        report: None,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} requires a value"));
-        match flag.as_str() {
-            "--services" => args.services = value("--services")?,
-            "--classes" => args.classes = value("--classes")?,
-            "--task" => args.task = value("--task")?,
-            "--taxonomy" => args.taxonomy = Some(value("--taxonomy")?),
-            "--constraint" => {
-                let raw = value("--constraint")?;
-                args.constraints.push(parse_constraint(&raw)?);
-            }
-            "--weight" => {
-                let raw = value("--weight")?;
-                let (name, w) = raw
-                    .split_once('=')
-                    .ok_or_else(|| format!("bad weight {raw:?} (expected NAME=W)"))?;
-                let w: f64 = w.parse().map_err(|_| format!("bad weight value {w:?}"))?;
-                args.weights.push((name.to_owned(), w));
-            }
-            "--seed" => {
-                let raw = value("--seed")?;
-                args.seed = raw.parse().map_err(|_| format!("bad seed {raw:?}"))?;
-            }
-            "--verbose" => args.verbose = true,
-            "--report" => args.report = Some(value("--report")?),
-            "--help" | "-h" => {
-                println!(
-                    "usage: qasom-cli --services FILE --classes FILE --task NAME\n\
-                     \x20      [--taxonomy FILE] [--constraint NAME=VALUE[UNIT]]...\n\
-                     \x20      [--weight NAME=W]... [--seed N] [--verbose] [--report FILE]\n\
-                     \x20      qasom-cli report [--seed N] [--schema] [--out FILE]\n\
-                     \x20      qasom-cli stress [--seed N] [--sessions N] [--out FILE]\n\
-                     \x20      qasom-cli daemon-stress [--seed N] [--rounds N] [--clients N]\n\
-                     \x20          [--queue N] [--quota N] [--batch N] [--out FILE]\n\
-                     \x20      qasom-cli hotpath-stress [--seed N] [--services N] [--rounds N] [--out FILE]\n\
-                     \x20      qasom-cli cluster-stress [--seed N] [--services N,N...]\n\
-                     \x20          [--shards N,N...] [--sessions N] [--out FILE]"
-                );
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown flag {other:?} (try --help)")),
-        }
-    }
-    for (flag, v) in [
-        ("--services", &args.services),
-        ("--classes", &args.classes),
-        ("--task", &args.task),
-    ] {
-        if v.is_empty() {
-            return Err(format!("{flag} is required (try --help)"));
-        }
-    }
-    Ok(args)
 }
 
 /// Parses `NAME=VALUE[UNIT]`, e.g. `Delay=1.5s` or `Availability=0.9`.
@@ -949,13 +156,29 @@ fn parse_taxonomy(input: &str) -> Result<Ontology, String> {
     builder.build().map_err(|e| e.to_string())
 }
 
-fn run() -> Result<(), String> {
-    let args = parse_args()?;
-    let services_doc =
-        std::fs::read_to_string(&args.services).map_err(|e| format!("{}: {e}", args.services))?;
-    let classes_doc =
-        std::fs::read_to_string(&args.classes).map_err(|e| format!("{}: {e}", args.classes))?;
-    let ontology = match &args.taxonomy {
+fn run(flags: &Flags) -> Result<(), String> {
+    let read = |flag: &str| {
+        let path = flags.get(flag).unwrap_or_default();
+        std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))
+    };
+    let services_doc = read("--services")?;
+    let classes_doc = read("--classes")?;
+    let task_name = flags.get("--task").unwrap_or_default();
+    let constraints = flags
+        .all("--constraint")
+        .map(parse_constraint)
+        .collect::<Result<Vec<_>, _>>()?;
+    let weights = flags
+        .all("--weight")
+        .map(|raw| {
+            let (name, w) = raw
+                .split_once('=')
+                .ok_or_else(|| format!("bad weight {raw:?} (expected NAME=W)"))?;
+            let w: f64 = w.parse().map_err(|_| format!("bad weight value {w:?}"))?;
+            Ok((name.to_owned(), w))
+        })
+        .collect::<Result<Vec<_>, String>>()?;
+    let ontology = match flags.get("--taxonomy") {
         Some(path) => {
             let doc = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
             parse_taxonomy(&doc)?
@@ -965,7 +188,7 @@ fn run() -> Result<(), String> {
             .map_err(|e| e.to_string())?,
     };
 
-    let mut env = Environment::new(QosModel::standard(), ontology, args.seed);
+    let mut env = Environment::new(QosModel::standard(), ontology, flags.num("--seed")?);
     let recorder = Arc::new(MemoryRecorder::new());
     env.set_recorder(Arc::clone(&recorder) as Arc<dyn Recorder>);
     let log = EventLog::new();
@@ -984,23 +207,22 @@ fn run() -> Result<(), String> {
 
     let task = env
         .task_repository()
-        .task(&args.task)
-        .ok_or_else(|| format!("task {:?} not found in the repository", args.task))?
+        .task(task_name)
+        .ok_or_else(|| format!("task {task_name:?} not found in the repository"))?
         .clone();
     let mut request = UserRequest::new(task);
-    for (name, value, unit) in &args.constraints {
+    for (name, value, unit) in &constraints {
         request = request
             .constraint(name.clone(), *value, *unit)
             .map_err(|e| e.to_string())?;
     }
-    for (name, w) in &args.weights {
+    for (name, w) in &weights {
         request = request.weight(name.clone(), *w);
     }
 
     let composition = env.compose(&request).map_err(|e| e.to_string())?;
     println!(
-        "composed {:?}: feasible={}, promised QoS {}",
-        args.task,
+        "composed {task_name:?}: feasible={}, promised QoS {}",
         composition.outcome().feasible,
         env.model().format_vector(composition.promised_qos())
     );
@@ -1018,13 +240,7 @@ fn run() -> Result<(), String> {
         );
     }
 
-    let compose_section = ComposeSection {
-        task: args.task.clone(),
-        feasible: composition.outcome().feasible,
-        levels_explored: composition.outcome().levels_explored as u64,
-        utility: composition.outcome().utility,
-        analyzer_warnings: composition.warnings().len() as u64,
-    };
+    let compose_section = Environment::compose_section(&composition);
 
     let report = env.execute(composition).map_err(|e| e.to_string())?;
     println!(
@@ -1038,33 +254,17 @@ fn run() -> Result<(), String> {
         "delivered QoS: {}",
         env.model().format_vector(&report.delivered)
     );
-    if args.verbose {
+    if flags.is_set("--verbose") {
         println!("\nevent trace:");
         for event in log.events() {
             println!("  {event:?}");
         }
     }
-    if let Some(path) = &args.report {
-        let mut run_report = env.run_report(&args.task);
+    if let Some(path) = flags.get("--report") {
+        let mut run_report = env.run_report(task_name);
         run_report.compose = Some(compose_section);
-        run_report.execution = Some(ExecutionSection {
-            success: report.success,
-            invocations: report.invocations.len() as u64,
-            failures: report
-                .invocations
-                .iter()
-                .filter(|r| r.qos.is_none())
-                .count() as u64,
-            substitutions: report.substitutions as u64,
-            behavioural_adaptations: report.behavioural_adaptations as u64,
-            violations: report.violations.len() as u64,
-            delivered: report
-                .delivered
-                .iter()
-                .map(|(p, v)| (env.model().def(p).name().to_owned(), v))
-                .collect(),
-        });
-        write_report(&run_report, Some(path))?;
+        run_report.execution = Some(env.execution_section(&report));
+        write_text(&run_report.to_pretty_string(), Some(path))?;
     }
     Ok(())
 }

@@ -286,21 +286,12 @@ fn quota_sheds_only_the_greedy_client() {
 /// `cmp` check relies on — and differs across seeds.
 #[test]
 fn daemon_stress_reports_are_byte_identical_per_seed() {
-    let config = qasom_daemon::StressConfig::default();
-    let a = qasom_daemon::stress_report(&config)
-        .unwrap()
-        .to_pretty_string();
-    let b = qasom_daemon::stress_report(&config)
-        .unwrap()
-        .to_pretty_string();
+    let stress = |seed: &str| qasom_bench::scenarios::run("daemon-stress", &["--seed", seed]);
+    let a = stress("42").unwrap();
+    let b = stress("42").unwrap();
     assert_eq!(a, b);
     assert!(a.contains("\"daemon\": {"), "report: {a}");
 
-    let other = qasom_daemon::stress_report(&qasom_daemon::StressConfig {
-        seed: 1729,
-        ..config
-    })
-    .unwrap()
-    .to_pretty_string();
+    let other = stress("1729").unwrap();
     assert_ne!(a, other, "the seed must reach the synthetic substrate");
 }

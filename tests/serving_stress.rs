@@ -158,11 +158,11 @@ fn serving_section_reports_the_lock_split() {
 
     let report = shared.with(|e| e.run_report("stress"));
     let serving = report.serving.expect("recorder configured");
-    assert_eq!(serving.sessions, 5);
+    assert_eq!(serving["sessions"], 5);
     // 5 serve compose-phases + the snapshot `with` + the report `with`.
-    assert_eq!(serving.read_locks, 7);
+    assert_eq!(serving["read_locks"], 7);
     // 5 serve execute-phases; `set_recorder` ran before the recorder
     // was installed, so it is not observed.
-    assert_eq!(serving.write_locks, 5);
-    assert_eq!(serving.snapshot_refreshes, 1);
+    assert_eq!(serving["write_locks"], 5);
+    assert_eq!(serving["snapshot_refreshes"], 1);
 }

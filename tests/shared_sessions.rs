@@ -34,16 +34,20 @@ fn request() -> UserRequest {
 fn many_sessions_with_concurrent_churn() {
     let shared = shared_market(12);
 
-    // A churn thread keeps removing and re-adding providers (one typed
-    // delta per round) while eight session threads serve requests.
+    // A churn thread keeps adding a provider and removing the one it
+    // added the round before (one typed delta per round) while eight
+    // session threads serve requests. It never touches the 12 originals:
+    // a churner that outruns a session parked between compose and
+    // execute could otherwise retire every candidate that composition
+    // ranked, and the session would rightly be abandoned.
     let churner = {
         let s = shared.clone();
         thread::spawn(move || {
             let rt = s.with(|e| e.model().property("ResponseTime").unwrap());
+            let mut previous = None;
             for round in 0..20 {
-                let victim = s.with(|e| e.registry().iter().map(|(id, _)| id).nth(round % 3));
                 let mut delta = RegistryDelta::new();
-                if let Some(id) = victim {
+                if let Some(id) = previous {
                     delta = delta.undeploy(id);
                 }
                 delta = delta.deploy_faithful(
@@ -51,6 +55,7 @@ fn many_sessions_with_concurrent_churn() {
                 );
                 let receipt = s.apply_churn(delta);
                 assert_eq!(receipt.deployed.len(), 1);
+                previous = receipt.deployed.first().copied();
             }
         })
     };
@@ -62,9 +67,12 @@ fn many_sessions_with_concurrent_churn() {
                 let mut successes = 0;
                 for _ in 0..10 {
                     let session = SessionRequest::new(request()).for_client("shared-test");
-                    if let Ok(ServeOutcome::Completed(report)) = s.serve_session(&session) {
-                        assert!(report.success);
-                        successes += 1;
+                    match s.serve_session(&session) {
+                        Ok(ServeOutcome::Completed(report)) => {
+                            assert!(report.success);
+                            successes += 1;
+                        }
+                        other => panic!("session did not complete: {other:?}"),
                     }
                 }
                 successes
