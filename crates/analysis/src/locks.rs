@@ -67,9 +67,8 @@ pub struct LockClass {
 }
 
 /// The lock-order manifest: the declared acquisition order of every
-/// lock in the workspace. Acquiring upward (environment → cluster peer
-/// table → interner → shard → event buffer → recorder) is legal; any
-/// inversion is QA101.
+/// lock in the workspace. Acquiring upward (environment → interner →
+/// shard → event buffer → recorder) is legal; any inversion is QA101.
 pub const MANIFEST: &[LockClass] = &[
     LockClass {
         name: "environment",
@@ -78,32 +77,26 @@ pub const MANIFEST: &[LockClass] = &[
         receivers: &["inner", "self"],
     },
     LockClass {
-        name: "cluster-peer-table",
-        rank: 1,
-        files: &["crates/cluster/src/bridge.rs"],
-        receivers: &["peers"],
-    },
-    LockClass {
         name: "interner",
-        rank: 2,
+        rank: 1,
         files: &["crates/registry/src/discovery.rs"],
         receivers: &["interner"],
     },
     LockClass {
         name: "match-cache-shard",
-        rank: 3,
+        rank: 2,
         files: &["crates/registry/src/discovery.rs"],
         receivers: &["shards", "shard"],
     },
     LockClass {
         name: "event-buffer",
-        rank: 4,
+        rank: 3,
         files: &["crates/core/src/events.rs"],
         receivers: &["events", "self"],
     },
     LockClass {
         name: "recorder",
-        rank: 5,
+        rank: 4,
         files: &["crates/obs/src/recorder.rs"],
         receivers: &["inner", "self"],
     },

@@ -25,7 +25,7 @@ use qasom::{
     demo, Environment, RegistryDelta, ServeOutcome, SessionRequest, SharedEnvironment, UserRequest,
 };
 use qasom_analysis::check::{run_suite, SuiteConfig};
-use qasom_cluster::{ClusterBridge, ClusterConfig, ClusterSim, ShardSet};
+use qasom_cluster::{ClusterConfig, ClusterSim};
 use qasom_daemon::{AdmissionConfig, BrokerConfig, LoopbackClient, LoopbackDaemon};
 use qasom_netsim::runtime::SyntheticService;
 use qasom_obs::report::RunReport;
@@ -35,7 +35,7 @@ use qasom_qos::{QosModel, QosVector, Unit};
 use qasom_registry::persist::{
     encode_state, MemoryBackend, PersistConfig, Persistence, PersistentRegistry,
 };
-use qasom_registry::{ServiceDescription, ServiceId, ServiceRegistry};
+use qasom_registry::{ServiceDescription, ServiceId};
 use qasom_task::{Activity, TaskNode, UserTask};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -257,7 +257,6 @@ pub const SCENARIOS: &[Scenario] = &[
             SEED,
             ("--services", Kind::Value("N,N...", "10000,100000")),
             ("--shards", Kind::Value("N,N...", "1,2,4,8")),
-            count("--sessions", "8"),
             OUT,
         ],
         run: cluster_stress,
@@ -652,31 +651,16 @@ fn hotpath_stress(flags: &Flags) -> Result<JsonValue, String> {
 
 /// `cluster-stress`: sweeps the clustered registry (`qasom_cluster`)
 /// over `--shards` counts at each `--services` scale. Each cell runs the
-/// gossip replication plane over the network simulator, audits it
-/// against the oracle, then assembles an identically-seeded shard set
-/// into a serving environment and drives `--sessions` sessions through
-/// the daemon's loopback transport.
+/// gossip replication plane over the network simulator and audits it
+/// against the single-registry oracle.
 ///
 /// Discovery latency is the modelled scatter/gather figure from the
 /// simulated replication run (one fan-out round trip plus the widest
-/// shard's evaluation work). Session throughput is modelled from it:
-/// sessions serialise behind the discovery fan-out, so a narrower
-/// widest-shard raises throughput as shards are added.
+/// shard's evaluation work).
 fn cluster_stress(flags: &Flags) -> Result<JsonValue, String> {
     const FUNCTIONS: usize = 6;
     let seed: u64 = flags.num("--seed")?;
-    let sessions: usize = flags.num("--sessions")?;
     let shard_counts = flags.list("--shards")?;
-    let model = QosModel::standard();
-    let task = UserTask::new(
-        "cluster-probe",
-        TaskNode::sequence(vec![
-            TaskNode::activity(Activity::new("first", "cl#F0")),
-            TaskNode::activity(Activity::new("second", "cl#F1")),
-        ]),
-    )
-    .map_err(|e| e.to_string())?;
-    let requests = vec![UserRequest::new(task).weight("ResponseTime", 1.0); sessions];
     let mut figures: Vec<JsonValue> = Vec::new();
     for services in flags.list("--services")? {
         for &shards in &shard_counts {
@@ -694,47 +678,11 @@ fn cluster_stress(flags: &Flags) -> Result<JsonValue, String> {
                     "cluster run diverged at {services} services / {shards} shards"
                 ));
             }
-
-            let ontology = ClusterSim::build_ontology(FUNCTIONS);
-            let mut origin = ServiceRegistry::with_ontology(Arc::clone(&ontology));
-            let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37_79b9);
-            for j in 0..services {
-                origin.register(random_description(
-                    &mut rng,
-                    &model,
-                    "cl",
-                    FUNCTIONS,
-                    format!("s{j}"),
-                ));
-            }
-            let mut set = ShardSet::new(shards, Arc::clone(&ontology));
-            set.sync_all(&origin);
-            let bridge = ClusterBridge::assemble(&set, seed);
-            let broker = BrokerConfig {
-                admission: AdmissionConfig {
-                    queue_capacity: sessions.max(8),
-                    client_quota: sessions.max(8),
-                    batch_max: 8,
-                },
-            };
-            let served = bridge.serve_sessions(&requests, broker, 64);
-
-            let latency_us = report.scatter_latency_us.max(1);
-            let throughput = if served.submitted == 0 {
-                0.0
-            } else {
-                served.completed as f64 * 1_000_000.0
-                    / (served.submitted as f64 * latency_us as f64)
-            };
             figures.push(
                 JsonValue::object()
                     .field("services", services)
                     .field("shards", shards)
                     .field("discovery_latency_us", report.scatter_latency_us)
-                    .field("session_throughput_per_s", throughput)
-                    .field("sessions_submitted", served.submitted)
-                    .field("sessions_completed", served.completed)
-                    .field("sessions_failed", served.failed)
                     .field("gossip_rounds", report.gossip_rounds)
                     .field("deltas_shipped", report.deltas_shipped)
                     .field("events_replicated", report.events_replicated)
@@ -751,7 +699,6 @@ fn cluster_stress(flags: &Flags) -> Result<JsonValue, String> {
     Ok(JsonValue::object()
         .field("bench", "cluster")
         .field("seed", seed)
-        .field("sessions", sessions)
         .field("figures", figures))
 }
 

@@ -25,29 +25,22 @@
 //!   fails a query;
 //! * [`manager`] — the run driver ([`ClusterSim`]) and its
 //!   byte-reproducible [`ClusterReport`], including the closing
-//!   oracle-equivalence audit;
-//! * [`bridge`] — the serving front-end ([`ClusterBridge`]): a gathered
-//!   shard set assembled into a [`SharedEnvironment`](qasom::SharedEnvironment)
-//!   and served through the daemon's loopback frame transport;
-//! * [`persist`] — durable replicas ([`PersistentReplica`]): applied
-//!   delta batches journaled to a local CRC-framed WAL with replica
-//!   snapshots (DESIGN.md §14), so a rebooted shard resumes at its
-//!   persisted cursor with an incremental delta instead of forcing the
-//!   origin into a snapshot transfer.
+//!   oracle-equivalence audit.
+//!
+//! The crate replicates a directory and answers discovery probes against
+//! the replicas; it serves no sessions and persists nothing. It depends
+//! on neither the middleware core (`qasom`) nor the daemon, so it sits
+//! below both in the crate graph.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bridge;
 pub mod manager;
 pub mod peer;
-pub mod persist;
 pub mod protocol;
 pub mod shard;
 
-pub use bridge::{BridgeReport, ClusterBridge};
 pub use manager::{ClusterConfig, ClusterReport, ClusterSim};
 pub use peer::{ChurnOp, ClusterRole, OriginState, ShardPeerState};
-pub use persist::{PersistentReplica, ReplicaApply, ReplicaPersistStats, ReplicaRecovery};
 pub use protocol::PeerMessage;
 pub use shard::{shard_of, GatherOutcome, ShardReplica, ShardSet, SyncKind};

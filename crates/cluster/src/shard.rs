@@ -173,53 +173,6 @@ impl ShardReplica {
         Ok(applied)
     }
 
-    /// Replays a journaled applied-subset batch: rows this bucket
-    /// already accepted once (no re-filtering), then jumps the cursor to
-    /// `to`. Persistence recovery only
-    /// ([`PersistentReplica`](crate::persist::PersistentReplica)) —
-    /// live replication goes through [`ShardReplica::apply_delta`].
-    pub(crate) fn replay_applied(
-        &mut self,
-        to: ReplicaCursor,
-        applied: &[(ServiceId, Option<ServiceDescription>)],
-    ) {
-        for (global, description) in applied {
-            match description {
-                Some(desc) => {
-                    let local = self.registry.register(desc.clone());
-                    self.to_local.insert(*global, local);
-                    debug_assert_eq!(local.index(), self.global_ids.len());
-                    self.global_ids.push(*global);
-                }
-                None => {
-                    if let Some(local) = self.to_local.remove(global) {
-                        self.registry.deregister(local);
-                    }
-                }
-            }
-        }
-        self.cursor = to;
-    }
-
-    /// The bucket's live rows with their global ids, local-id order —
-    /// the replica-snapshot payload of the persistence layer.
-    pub(crate) fn live_rows(&self) -> Vec<(ServiceId, ServiceDescription)> {
-        self.registry
-            .iter()
-            .map(|(local, desc)| (self.global_ids[local.index()], desc.clone()))
-            .collect()
-    }
-
-    /// Globals currently live in this bucket, ascending.
-    pub(crate) fn live_globals(&self) -> Vec<ServiceId> {
-        self.to_local.keys().copied().collect()
-    }
-
-    /// The taxonomy this replica routes buckets under.
-    pub(crate) fn taxonomy(&self) -> &Arc<Ontology> {
-        &self.ontology
-    }
-
     /// Installs a full snapshot, replacing the replica's state.
     ///
     /// `live` must be sorted by global id (the origin's snapshot order);

@@ -1058,10 +1058,9 @@ impl Environment {
         let registry_cursor = self.registry.sync_cursor();
         let activities: Vec<&Activity> = task.activities().map(|a| a.activity()).collect();
 
-        // Per-activity discovery is independent, so fan it out when the
-        // `parallel` feature is on; errors are still surfaced in activity
-        // order so the first missing activity wins deterministically.
-        #[cfg(feature = "parallel")]
+        // Per-activity discovery is independent, so fan it out; errors are
+        // still surfaced in activity order so the first missing activity
+        // wins deterministically.
         let gathered: Vec<Result<Vec<ServiceCandidate>, ComposeError>> = {
             use rayon::prelude::*;
             activities
@@ -1069,11 +1068,6 @@ impl Environment {
                 .map(|a| self.discover_for_selection(a, use_monitor))
                 .collect()
         };
-        #[cfg(not(feature = "parallel"))]
-        let gathered: Vec<Result<Vec<ServiceCandidate>, ComposeError>> = activities
-            .iter()
-            .map(|a| self.discover_for_selection(a, use_monitor))
-            .collect();
 
         let mut candidates = Vec::with_capacity(gathered.len());
         for found in gathered {
@@ -1089,10 +1083,7 @@ impl Environment {
         if let Some(rec) = &self.recorder {
             qassa = qassa.with_recorder(rec.as_ref());
         }
-        #[cfg(feature = "parallel")]
         let outcome = qassa.select_parallel(&problem)?;
-        #[cfg(not(feature = "parallel"))]
-        let outcome = qassa.select(&problem)?;
 
         self.emit(MiddlewareEvent::Composed {
             task: task.name().to_owned(),

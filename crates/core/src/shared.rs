@@ -237,11 +237,7 @@ impl SharedEnvironment {
     /// compose inside the closure — e.g. to read the composition and the
     /// [`Environment::epoch`] that produced it atomically.
     pub fn with<R>(&self, f: impl FnOnce(&Environment) -> R) -> R {
-        let env = self.read();
-        if let Some(rec) = env.recorder() {
-            rec.incr(keys::SERVING_READ_LOCKS, 1);
-        }
-        f(&env)
+        f(&self.read())
     }
 
     /// Runs a mutating operation under the exclusive lock (deployments,
@@ -254,11 +250,7 @@ impl SharedEnvironment {
     /// closure over it (`qasom-lint` forbids `with_mut` in
     /// `crates/daemon`).
     pub fn with_mut<R>(&self, f: impl FnOnce(&mut Environment) -> R) -> R {
-        let mut env = self.write();
-        if let Some(rec) = env.recorder() {
-            rec.incr(keys::SERVING_WRITE_LOCKS, 1);
-        }
-        f(&mut env)
+        f(&mut self.write())
     }
 
     /// Applies a batch of registry mutations as one transaction under
@@ -269,9 +261,6 @@ impl SharedEnvironment {
     /// epoch sessions need to tag compositions raced against the churn.
     pub fn apply_churn(&self, delta: RegistryDelta) -> ChurnReceipt {
         let mut env = self.write();
-        if let Some(rec) = env.recorder() {
-            rec.incr(keys::SERVING_WRITE_LOCKS, 1);
-        }
         let mut receipt = ChurnReceipt::default();
         for op in delta.ops {
             match op {
@@ -307,11 +296,7 @@ impl SharedEnvironment {
     /// rebuilt, match cache stamp-invalidated). Returns the new
     /// ontology's stamp.
     pub fn reload_ontology(&self, ontology: Ontology) -> u64 {
-        let mut env = self.write();
-        if let Some(rec) = env.recorder() {
-            rec.incr(keys::SERVING_WRITE_LOCKS, 1);
-        }
-        env.reload_ontology(ontology)
+        self.write().reload_ontology(ontology)
     }
 
     /// Takes a registry persistence checkpoint under the write lock
@@ -323,23 +308,31 @@ impl SharedEnvironment {
     /// closures (lint `daemon-with-mut`), and a checkpoint is a bounded,
     /// accounted write like churn or an ontology reload.
     pub fn checkpoint_registry(&self) -> bool {
-        let mut env = self.write();
+        self.write().checkpoint_registry()
+    }
+
+    /// Takes the shared lock and counts the acquisition.
+    fn read(&self) -> std::sync::RwLockReadGuard<'_, Environment> {
+        let env = self
+            .inner
+            .read()
+            .unwrap_or_else(|poison| poison.into_inner());
+        if let Some(rec) = env.recorder() {
+            rec.incr(keys::SERVING_READ_LOCKS, 1);
+        }
+        env
+    }
+
+    /// Takes the exclusive lock and counts the acquisition.
+    fn write(&self) -> std::sync::RwLockWriteGuard<'_, Environment> {
+        let env = self
+            .inner
+            .write()
+            .unwrap_or_else(|poison| poison.into_inner());
         if let Some(rec) = env.recorder() {
             rec.incr(keys::SERVING_WRITE_LOCKS, 1);
         }
-        env.checkpoint_registry()
-    }
-
-    fn read(&self) -> std::sync::RwLockReadGuard<'_, Environment> {
-        self.inner
-            .read()
-            .unwrap_or_else(|poison| poison.into_inner())
-    }
-
-    fn write(&self) -> std::sync::RwLockWriteGuard<'_, Environment> {
-        self.inner
-            .write()
-            .unwrap_or_else(|poison| poison.into_inner())
+        env
     }
 
     /// Composes a request under the **read** lock: any number of
@@ -351,11 +344,7 @@ impl SharedEnvironment {
     ///
     /// Same conditions as [`Environment::compose`].
     pub fn compose(&self, request: &UserRequest) -> Result<ExecutableComposition, ComposeError> {
-        let env = self.read();
-        if let Some(rec) = env.recorder() {
-            rec.incr(keys::SERVING_READ_LOCKS, 1);
-        }
-        env.compose(request)
+        self.read().compose(request)
     }
 
     /// Composes a request and returns it together with the registry
@@ -372,9 +361,6 @@ impl SharedEnvironment {
         request: &UserRequest,
     ) -> Result<(u64, ExecutableComposition), ComposeError> {
         let env = self.read();
-        if let Some(rec) = env.recorder() {
-            rec.incr(keys::SERVING_READ_LOCKS, 1);
-        }
         let composition = env.compose(request)?;
         Ok((env.epoch(), composition))
     }
@@ -391,11 +377,7 @@ impl SharedEnvironment {
         &self,
         composition: &ExecutableComposition,
     ) -> Result<ExecutableComposition, ComposeError> {
-        let env = self.read();
-        if let Some(rec) = env.recorder() {
-            rec.incr(keys::SERVING_READ_LOCKS, 1);
-        }
-        env.recompose(composition)
+        self.read().recompose(composition)
     }
 
     /// Executes a composition as one transaction over the environment
@@ -408,11 +390,7 @@ impl SharedEnvironment {
         &self,
         composition: ExecutableComposition,
     ) -> Result<ExecutionReport, ExecutionError> {
-        let mut env = self.write();
-        if let Some(rec) = env.recorder() {
-            rec.incr(keys::SERVING_WRITE_LOCKS, 1);
-        }
-        env.execute(composition)
+        self.write().execute(composition)
     }
 
     /// One full session with a typed outcome: composes under the read
@@ -444,7 +422,6 @@ impl SharedEnvironment {
             let env = self.read();
             if let Some(rec) = env.recorder() {
                 rec.incr(keys::SERVING_SESSIONS, 1);
-                rec.incr(keys::SERVING_READ_LOCKS, 1);
             }
             match env.compose(session.request()) {
                 Ok(composition) => composition,
@@ -458,9 +435,6 @@ impl SharedEnvironment {
             }
         };
         let mut env = self.write();
-        if let Some(rec) = env.recorder() {
-            rec.incr(keys::SERVING_WRITE_LOCKS, 1);
-        }
         match env.execute(composition) {
             Ok(report) => Ok(ServeOutcome::Completed(report)),
             Err(error) => Err(ServeError::Execute {

@@ -1,6 +1,6 @@
 //! The broker core: admission + batched serving, transport-independent.
 //!
-//! Both transports drive the same deterministic core: frames come in,
+//! The [`Router`](crate::router::Router) drives it for both transports:
 //! [`Broker::submit`] decides admission, [`Broker::tick`] drains the
 //! queue batch by batch. A batch is a run of queued sessions whose wire
 //! signatures are byte-equal — they ask for the *same* composition, so
@@ -75,7 +75,6 @@ pub struct Broker {
     recorder: Option<Arc<dyn Recorder>>,
     queue: AdmissionQueue,
     next_session_id: u64,
-    ticks: u64,
 }
 
 impl Broker {
@@ -88,7 +87,6 @@ impl Broker {
             recorder,
             queue: AdmissionQueue::new(config.admission),
             next_session_id: 0,
-            ticks: 0,
         }
     }
 
@@ -97,24 +95,9 @@ impl Broker {
         self.queue.config()
     }
 
-    /// The shared environment the broker serves from.
-    pub fn environment(&self) -> &SharedEnvironment {
-        &self.shared
-    }
-
     /// Registry epoch right now (for `HELLO_ACK`).
     pub fn epoch(&self) -> u64 {
         self.shared.with(|e| e.epoch())
-    }
-
-    /// Sessions currently queued.
-    pub fn queued(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Ticks executed so far.
-    pub fn ticks(&self) -> u64 {
-        self.ticks
     }
 
     fn count(&self, key: &str, delta: u64) {
@@ -172,7 +155,6 @@ impl Broker {
     /// Responses come back in deterministic order — batches in queue
     /// order, sessions in admission order within a batch.
     pub fn tick(&mut self) -> Vec<BrokerResponse> {
-        self.ticks += 1;
         self.count(keys::DAEMON_TICKS, 1);
         let mut responses = Vec::new();
         while let Some(batch) = self.queue.take_batch() {
@@ -249,8 +231,7 @@ impl Broker {
 ///
 /// # Errors
 ///
-/// Fails when a diagnostic or error message exceeds the wire's string
-/// width.
+/// Fails when a diagnostic exceeds the wire's string width.
 pub fn reply_frame(corr_id: u64, reply: &SessionReply) -> Result<Frame, ProtocolError> {
     match reply {
         SessionReply::Outcome(ServeOutcome::Completed(report)) => Ok(Frame {
@@ -267,7 +248,7 @@ pub fn reply_frame(corr_id: u64, reply: &SessionReply) -> Result<Frame, Protocol
         }),
         SessionReply::Failed { epoch, message } => Ok(Frame {
             frame_type: FrameType::Error,
-            payload: wire::encode_error(corr_id, *epoch, message)?,
+            payload: wire::encode_error(corr_id, *epoch, message),
         }),
     }
 }
@@ -275,35 +256,9 @@ pub fn reply_frame(corr_id: u64, reply: &SessionReply) -> Result<Frame, Protocol
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qasom::{Environment, SessionRequest, UserRequest};
-    use qasom_netsim::runtime::SyntheticService;
-    use qasom_obs::MemoryRecorder;
-    use qasom_ontology::OntologyBuilder;
-    use qasom_qos::QosModel;
-    use qasom_registry::ServiceDescription;
+    use crate::testkit::{request, shared_with_recorder};
+    use qasom::{SessionRequest, UserRequest};
     use qasom_task::{Activity, TaskNode, UserTask};
-
-    fn shared_with_recorder() -> (SharedEnvironment, Arc<MemoryRecorder>) {
-        let mut b = OntologyBuilder::new("d");
-        b.concept("A");
-        let mut env = Environment::new(QosModel::standard(), b.build().unwrap(), 7);
-        let recorder = Arc::new(MemoryRecorder::new());
-        env.set_recorder(Arc::clone(&recorder) as Arc<dyn Recorder>);
-        let rt = env.model().property("ResponseTime").unwrap();
-        for i in 0..3 {
-            let desc =
-                ServiceDescription::new(format!("s{i}"), "d#A").with_qos(rt, 40.0 + f64::from(i));
-            let nominal = desc.qos().clone();
-            env.deploy(desc, SyntheticService::new(nominal));
-        }
-        (SharedEnvironment::new(env), recorder)
-    }
-
-    fn request(task: &str) -> UserRequest {
-        UserRequest::new(
-            UserTask::new(task, TaskNode::activity(Activity::new("a", "d#A"))).unwrap(),
-        )
-    }
 
     fn submit(broker: &mut Broker, conn: u64, corr: u64, client: &str, task: &str) -> Submission {
         let req = request(task);

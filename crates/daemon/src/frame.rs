@@ -87,17 +87,26 @@ impl Frame {
         }
     }
 
+    /// The frame's length prefix: the type byte plus the payload.
+    ///
+    /// # Errors
+    ///
+    /// Fails when that exceeds [`MAX_FRAME_LEN`].
+    pub fn wire_len(&self) -> Result<u32, ProtocolError> {
+        let len = self.payload.len() as u64 + 1;
+        if len > u64::from(MAX_FRAME_LEN) {
+            return Err(ProtocolError::TooLarge { len });
+        }
+        Ok(len as u32)
+    }
+
     /// Encodes the frame into `out` (length prefix + type + payload).
     ///
     /// # Errors
     ///
     /// Fails when the payload exceeds [`MAX_FRAME_LEN`].
     pub fn encode(&self, out: &mut Vec<u8>) -> Result<(), ProtocolError> {
-        let len = self.payload.len() as u64 + 1;
-        if len > u64::from(MAX_FRAME_LEN) {
-            return Err(ProtocolError::TooLarge { len });
-        }
-        out.extend_from_slice(&(len as u32).to_be_bytes());
+        out.extend_from_slice(&self.wire_len()?.to_be_bytes());
         out.push(self.frame_type.byte());
         out.extend_from_slice(&self.payload);
         Ok(())

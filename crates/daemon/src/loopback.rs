@@ -4,14 +4,14 @@
 //! Loopback "connections" are pairs of byte buffers. Clients append
 //! *real encoded frames* ([`crate::frame`]) to their connection's
 //! inbound buffer; [`LoopbackDaemon::pump`] decodes them through the
-//! same codec the TCP transport uses, drives the session state machines
-//! and the broker, and appends encoded response frames to the outbound
+//! same codec the TCP transport uses, hands them to the same
+//! [`Router`] and appends the frames it answers with to the outbound
 //! buffers. One `pump` is one deterministic scheduling round:
 //!
 //! 1. connections are polled in connection-id order, frames within a
 //!    connection in arrival order — so admission order (and therefore
 //!    shed order) is a pure function of the submission script;
-//! 2. the broker ticks once, draining the queue batch by batch;
+//! 2. the router ticks once, draining the queue batch by batch;
 //! 3. responses are written back in broker order.
 //!
 //! Hermetic tests drive this transport; nothing here touches a socket,
@@ -20,20 +20,17 @@
 use std::collections::BTreeMap;
 
 use qasom::SharedEnvironment;
-use qasom_obs::keys;
 
-use crate::broker::{reply_frame, Broker, BrokerConfig, SessionReply, Submission};
+use crate::broker::BrokerConfig;
 use crate::frame::{Frame, FrameType, ProtocolError};
-use crate::session::{
-    decode_client_event, ClientEvent, ConnectionSession, SessionEvent, SessionState,
-};
+use crate::router::Router;
+use crate::session::{decode_client_event, ClientEvent};
 use crate::wire;
 
+#[derive(Default)]
 struct LoopConn {
-    session: ConnectionSession,
     inbound: Vec<u8>,
     outbound: Vec<u8>,
-    closed: bool,
 }
 
 /// A client handle onto a loopback connection. All operations go
@@ -51,9 +48,9 @@ impl LoopbackClient {
     }
 }
 
-/// The loopback daemon: a broker plus in-memory connections.
+/// The loopback daemon: a router plus in-memory connections.
 pub struct LoopbackDaemon {
-    broker: Broker,
+    router: Router,
     conns: BTreeMap<u64, LoopConn>,
     next_conn: u64,
 }
@@ -62,30 +59,18 @@ impl LoopbackDaemon {
     /// A daemon serving `shared` under the given broker config.
     pub fn new(shared: SharedEnvironment, config: BrokerConfig) -> Self {
         LoopbackDaemon {
-            broker: Broker::new(shared, config),
+            router: Router::new(shared, config),
             conns: BTreeMap::new(),
             next_conn: 0,
         }
-    }
-
-    /// The broker core (for inspection in tests and benches).
-    pub fn broker(&self) -> &Broker {
-        &self.broker
     }
 
     /// Opens a connection. The client still has to say `HELLO`.
     pub fn connect(&mut self) -> LoopbackClient {
         let conn_id = self.next_conn;
         self.next_conn += 1;
-        self.conns.insert(
-            conn_id,
-            LoopConn {
-                session: ConnectionSession::new(),
-                inbound: Vec::new(),
-                outbound: Vec::new(),
-                closed: false,
-            },
-        );
+        self.router.open(conn_id);
+        self.conns.insert(conn_id, LoopConn::default());
         LoopbackClient { conn_id }
     }
 
@@ -93,6 +78,25 @@ impl LoopbackDaemon {
         self.conns
             .get_mut(&client.conn_id)
             .ok_or(ProtocolError::OutOfTurn("connection does not exist"))
+    }
+
+    /// Client side: appends raw bytes — whole frames, partial frames or
+    /// garbage — to the connection's inbound buffer.
+    ///
+    /// # Errors
+    ///
+    /// Fails on unknown connections.
+    pub fn send_bytes(
+        &mut self,
+        client: LoopbackClient,
+        bytes: &[u8],
+    ) -> Result<(), ProtocolError> {
+        self.conn_mut(client)?.inbound.extend_from_slice(bytes);
+        Ok(())
+    }
+
+    fn send_frame(&mut self, client: LoopbackClient, frame: &Frame) -> Result<(), ProtocolError> {
+        frame.encode(&mut self.conn_mut(client)?.inbound)
     }
 
     /// Client side: sends a `HELLO` frame.
@@ -105,8 +109,7 @@ impl LoopbackDaemon {
             frame_type: FrameType::Hello,
             payload: wire::encode_hello(name)?,
         };
-        let conn = self.conn_mut(client)?;
-        frame.encode(&mut conn.inbound)
+        self.send_frame(client, &frame)
     }
 
     /// Client side: sends a `COMPOSE` frame.
@@ -124,8 +127,7 @@ impl LoopbackDaemon {
             frame_type: FrameType::Compose,
             payload: wire::encode_compose(corr_id, request)?,
         };
-        let conn = self.conn_mut(client)?;
-        frame.encode(&mut conn.inbound)
+        self.send_frame(client, &frame)
     }
 
     /// Client side: sends a `BYE` frame.
@@ -134,9 +136,22 @@ impl LoopbackDaemon {
     ///
     /// Fails on unknown connections.
     pub fn send_bye(&mut self, client: LoopbackClient) -> Result<(), ProtocolError> {
-        let frame = Frame::bare(FrameType::Bye);
+        self.send_frame(client, &Frame::bare(FrameType::Bye))
+    }
+
+    /// Client side: takes every response frame buffered on the
+    /// connection, in order.
+    ///
+    /// # Errors
+    ///
+    /// Fails on unknown connections.
+    pub fn drain_frames(&mut self, client: LoopbackClient) -> Result<Vec<Frame>, ProtocolError> {
         let conn = self.conn_mut(client)?;
-        frame.encode(&mut conn.inbound)
+        let mut frames = Vec::new();
+        while let Some(frame) = Frame::take(&mut conn.outbound)? {
+            frames.push(frame);
+        }
+        Ok(frames)
     }
 
     /// Client side: decodes every response frame buffered on the
@@ -150,12 +165,8 @@ impl LoopbackDaemon {
         &mut self,
         client: LoopbackClient,
     ) -> Result<Vec<ClientEvent>, ProtocolError> {
-        let conn = self.conn_mut(client)?;
-        let mut events = Vec::new();
-        while let Some(frame) = Frame::take(&mut conn.outbound)? {
-            events.push(decode_client_event(&frame)?);
-        }
-        Ok(events)
+        let frames = self.drain_frames(client)?;
+        frames.iter().map(decode_client_event).collect()
     }
 
     /// One deterministic scheduling round (see the module docs).
@@ -164,147 +175,42 @@ impl LoopbackDaemon {
     /// offender gets an `ERROR` frame (correlation id 0) and is closed;
     /// other connections proceed.
     pub fn pump(&mut self) {
-        // Phase 1: poll connections in id order, admitting sessions.
-        let conn_ids: Vec<u64> = self.conns.keys().copied().collect();
+        let LoopbackDaemon { router, conns, .. } = self;
+        let conn_ids: Vec<u64> = conns.keys().copied().collect();
         for conn_id in conn_ids {
-            self.poll_conn(conn_id);
-        }
-        // Phase 2: one broker tick; respond in broker order.
-        let responses = self.broker.tick();
-        for response in responses {
-            let frame = match reply_frame(response.corr_id, &response.reply) {
-                Ok(frame) => frame,
-                Err(e) => match encode_error_frame(response.corr_id, 0, &e.to_string()) {
-                    Some(frame) => frame,
-                    None => continue,
-                },
-            };
-            self.write_frame(response.conn_id, &frame);
-        }
-        // Closed connections whose buffers are drained can be dropped.
-        self.conns
-            .retain(|_, c| !(c.closed && c.inbound.is_empty() && c.outbound.is_empty()));
-    }
-
-    fn poll_conn(&mut self, conn_id: u64) {
-        loop {
-            let Some(conn) = self.conns.get_mut(&conn_id) else {
-                return;
-            };
-            if conn.closed {
-                return;
-            }
-            let frame = match Frame::take(&mut conn.inbound) {
-                Ok(Some(frame)) => frame,
-                Ok(None) => return,
-                Err(e) => {
-                    conn.closed = true;
-                    let message = e.to_string();
-                    self.answer_error(conn_id, &message);
-                    return;
-                }
-            };
-            self.count(keys::DAEMON_FRAMES_READ, 1);
-            let event = {
-                let Some(conn) = self.conns.get_mut(&conn_id) else {
-                    return;
+            // Detached while polled: the sink writes into `conns`.
+            let mut inbound = conns
+                .get_mut(&conn_id)
+                .map(|c| std::mem::take(&mut c.inbound))
+                .unwrap_or_default();
+            // A closed connection reads nothing more.
+            while router.is_open(conn_id) {
+                let Some(frame) = Frame::take(&mut inbound).transpose() else {
+                    break;
                 };
-                conn.session.on_frame(&frame)
-            };
-            match event {
-                Ok(SessionEvent::Hello { .. }) => {
-                    let ack = wire::HelloAck {
-                        epoch: self.broker.epoch(),
-                        batch_max: self.broker.admission_config().batch_max as u32,
-                    };
-                    let frame = Frame {
-                        frame_type: FrameType::HelloAck,
-                        payload: wire::encode_hello_ack(ack),
-                    };
-                    self.write_frame(conn_id, &frame);
-                }
-                Ok(SessionEvent::Submit {
-                    corr_id,
-                    request,
-                    signature,
-                }) => {
-                    let client = self
-                        .conns
-                        .get(&conn_id)
-                        .and_then(|c| c.session.client())
-                        .unwrap_or("")
-                        .to_owned();
-                    let submission = self
-                        .broker
-                        .submit(conn_id, corr_id, &client, *request, signature);
-                    if let Submission::Shed { retry_after_ticks } = submission {
-                        // Shed now, in poll order: Busy ordering is
-                        // deterministic in the submission script.
-                        let reply =
-                            SessionReply::Outcome(qasom::ServeOutcome::Busy { retry_after_ticks });
-                        if let Ok(frame) = reply_frame(corr_id, &reply) {
-                            self.write_frame(conn_id, &frame);
-                        }
-                    }
-                }
-                Ok(SessionEvent::Bye) => {
-                    if let Some(conn) = self.conns.get_mut(&conn_id) {
-                        conn.closed = true;
-                    }
-                    return;
-                }
-                Err(e) => {
-                    let message = e.to_string();
-                    if let Some(conn) = self.conns.get_mut(&conn_id) {
-                        conn.closed = true;
-                    }
-                    self.answer_error(conn_id, &message);
-                    return;
-                }
+                router.on_inbound(conn_id, frame, &mut |to, frame| append(conns, to, &frame));
+            }
+            if let Some(conn) = conns.get_mut(&conn_id) {
+                conn.inbound = inbound;
             }
         }
+        router.tick(&mut |to, frame| append(conns, to, &frame));
+        // Closed connections whose buffers are drained can be dropped.
+        conns
+            .retain(|&id, c| router.is_open(id) || !c.inbound.is_empty() || !c.outbound.is_empty());
     }
 
-    fn answer_error(&mut self, conn_id: u64, message: &str) {
-        let epoch = self.broker.epoch();
-        if let Some(frame) = encode_error_frame(0, epoch, message) {
-            self.write_frame(conn_id, &frame);
-        }
-    }
-
-    fn write_frame(&mut self, conn_id: u64, frame: &Frame) {
-        if let Some(conn) = self.conns.get_mut(&conn_id) {
-            if frame.encode(&mut conn.outbound).is_ok() {
-                self.count(keys::DAEMON_FRAMES_WRITTEN, 1);
-            }
-        }
-    }
-
-    fn count(&self, key: &str, delta: u64) {
-        if let Some(rec) = self.broker.recorder() {
-            rec.incr(key, delta);
-        }
-    }
-}
-
-fn encode_error_frame(corr_id: u64, epoch: u64, message: &str) -> Option<Frame> {
-    wire::encode_error(corr_id, epoch, message)
-        .ok()
-        .map(|payload| Frame {
-            frame_type: FrameType::Error,
-            payload,
-        })
-}
-
-/// Convenience for tests and scripted workloads: is the connection's
-/// server-side session closed?
-impl LoopbackDaemon {
     /// Whether the connection is closed (said `BYE` or hit a protocol
     /// error) or already dropped.
     pub fn is_closed(&self, client: LoopbackClient) -> bool {
-        self.conns
-            .get(&client.conn_id)
-            .is_none_or(|c| c.closed || c.session.state() == SessionState::Closed)
+        !self.router.is_open(client.conn_id)
+    }
+}
+
+fn append(conns: &mut BTreeMap<u64, LoopConn>, conn_id: u64, frame: &Frame) {
+    if let Some(conn) = conns.get_mut(&conn_id) {
+        // The router only hands over frames that fit the length cap.
+        let _ = frame.encode(&mut conn.outbound);
     }
 }
 
@@ -312,37 +218,16 @@ impl LoopbackDaemon {
 mod tests {
     use super::*;
     use crate::session::ClientOutcome;
-    use qasom::{Environment, UserRequest};
-    use qasom_netsim::runtime::SyntheticService;
-    use qasom_ontology::OntologyBuilder;
-    use qasom_qos::QosModel;
-    use qasom_registry::ServiceDescription;
+    use crate::testkit::{request, shared};
+    use qasom::UserRequest;
     use qasom_task::{Activity, TaskNode, UserTask};
-
-    fn shared() -> SharedEnvironment {
-        let mut b = OntologyBuilder::new("d");
-        b.concept("A");
-        let mut env = Environment::new(QosModel::standard(), b.build().unwrap(), 3);
-        let rt = env.model().property("ResponseTime").unwrap();
-        for i in 0..3 {
-            let desc =
-                ServiceDescription::new(format!("s{i}"), "d#A").with_qos(rt, 30.0 + f64::from(i));
-            let nominal = desc.qos().clone();
-            env.deploy(desc, SyntheticService::new(nominal));
-        }
-        SharedEnvironment::new(env)
-    }
-
-    fn request() -> UserRequest {
-        UserRequest::new(UserTask::new("t", TaskNode::activity(Activity::new("a", "d#A"))).unwrap())
-    }
 
     #[test]
     fn hello_compose_bye_roundtrip() {
-        let mut d = LoopbackDaemon::new(shared(), BrokerConfig::default());
+        let mut d = LoopbackDaemon::new(shared(3), BrokerConfig::default());
         let c = d.connect();
         d.send_hello(c, "client-1").unwrap();
-        d.send_compose(c, 42, &request()).unwrap();
+        d.send_compose(c, 42, &request("t")).unwrap();
         d.pump();
         let events = d.drain_events(c).unwrap();
         assert_eq!(events.len(), 2);
@@ -360,19 +245,55 @@ mod tests {
     }
 
     #[test]
-    fn compose_before_hello_gets_an_error_frame() {
-        let mut d = LoopbackDaemon::new(shared(), BrokerConfig::default());
-        let c = d.connect();
-        d.send_compose(c, 1, &request()).unwrap();
+    fn garbage_bytes_get_an_error_frame_and_leave_other_connections_alone() {
+        let mut d = LoopbackDaemon::new(shared(3), BrokerConfig::default());
+        let (bad, good) = (d.connect(), d.connect());
+        d.send_bytes(bad, &[0, 0, 0, 1, 0xEE]).unwrap();
+        d.send_hello(good, "client-2").unwrap();
         d.pump();
-        let events = d.drain_events(c).unwrap();
         assert!(matches!(
-            &events[0],
-            ClientEvent::Reply {
+            d.drain_events(bad).unwrap()[..],
+            [ClientEvent::Reply {
                 corr_id: 0,
                 outcome: ClientOutcome::Failed { .. }
-            }
+            }]
         ));
-        assert!(d.is_closed(c));
+        assert!(d.is_closed(bad));
+        assert!(matches!(
+            d.drain_events(good).unwrap()[..],
+            [ClientEvent::HelloAck(_)]
+        ));
+        assert!(!d.is_closed(good));
+    }
+
+    /// `NoServiceFor` quotes the activity name; either name below puts a
+    /// two-byte character across byte 4096 of the message, whatever the
+    /// parity of the text in front of it.
+    #[test]
+    fn multibyte_names_in_long_error_messages_do_not_stall_the_daemon() {
+        let mut d = LoopbackDaemon::new(shared(3), BrokerConfig::default());
+        let c = d.connect();
+        d.send_hello(c, "client-1").unwrap();
+        for (corr_id, lead) in [(1, ""), (2, "a")] {
+            let name = format!("{lead}{}", "é".repeat(3000));
+            let task =
+                UserTask::new("t", TaskNode::activity(Activity::new(name, "d#Nothing"))).unwrap();
+            d.send_compose(c, corr_id, &UserRequest::new(task)).unwrap();
+        }
+        d.pump();
+        let events = d.drain_events(c).unwrap();
+        assert_eq!(events.len(), 3);
+        for (event, want) in events[1..].iter().zip([1, 2]) {
+            match event {
+                ClientEvent::Reply {
+                    corr_id,
+                    outcome: ClientOutcome::Failed { message, .. },
+                } => {
+                    assert_eq!(*corr_id, want);
+                    assert!(message.len() <= 4096 && message.contains('é'), "{message}");
+                }
+                other => panic!("expected a typed failure, got {other:?}"),
+            }
+        }
     }
 }

@@ -1,8 +1,9 @@
 //! The per-connection session state machine.
 //!
-//! Both transports (TCP, loopback) feed decoded frames through
-//! [`ConnectionSession::on_frame`]; the machine enforces protocol order
-//! and turns valid frames into [`SessionEvent`]s for the broker:
+//! The [`Router`](crate::router::Router) feeds every decoded frame, from
+//! either transport, through [`ConnectionSession::on_frame`]; the
+//! machine enforces protocol order and turns valid frames into
+//! [`SessionEvent`]s:
 //!
 //! ```text
 //!              HELLO                 COMPOSE*
@@ -80,6 +81,12 @@ impl ConnectionSession {
     /// The client identity, once the handshake happened.
     pub fn client(&self) -> Option<&str> {
         self.client.as_deref()
+    }
+
+    /// Closes the session without a frame: the byte stream under it
+    /// broke (oversized length prefix, unknown type byte, …).
+    pub fn close(&mut self) {
+        self.state = SessionState::Closed;
     }
 
     /// Feeds one decoded inbound frame.

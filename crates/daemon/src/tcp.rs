@@ -4,44 +4,47 @@
 //!             ┌────────────┐  RouterMsg   ┌────────────┐  Frame   ┌────────────┐
 //! socket ───▶ │ reader     │ ───────────▶ │ router     │ ───────▶ │ writer     │ ───▶ socket
 //!  (1/conn)   │ thread     │   (mpsc)     │ thread     │  (mpsc)  │ thread     │
-//!             └────────────┘              │ + Broker   │ (1/conn) └────────────┘
+//!             └────────────┘              │ + Router   │ (1/conn) └────────────┘
 //!                                         └────────────┘
 //! ```
 //!
-//! Reader threads block on [`Frame::read_from`] and forward decoded
-//! frames; the single router thread owns the [`Broker`] and every
-//! session state machine, so all admission/batching decisions are made
-//! sequentially (the same core the deterministic loopback drives).
-//! After draining every message currently queued — the natural batch
-//! window: frames that arrived while the broker was busy — the router
-//! ticks the broker once and hands responses to the per-connection
-//! writer threads. No thread sleeps or polls a clock; everything blocks
-//! on channels or sockets.
+//! Reader threads block on [`Frame::read_from`] and forward what they
+//! read — a frame, or the framing error that ended the stream; the
+//! single router thread owns the [`Router`], so every protocol and
+//! admission decision is made sequentially by the same core the
+//! deterministic loopback drives. After draining every message
+//! currently queued — the natural batch window: frames that arrived
+//! while the broker was busy — the thread ticks the router once; frames
+//! the router answers with go to the per-connection writer threads. No
+//! thread sleeps or polls a clock; everything blocks on channels or
+//! sockets.
 
+use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 
-use qasom::{ServeOutcome, SharedEnvironment};
-use qasom_obs::keys;
+use qasom::SharedEnvironment;
 
-use crate::broker::{reply_frame, Broker, BrokerConfig, SessionReply, Submission};
-use crate::frame::{Frame, FrameType};
-use crate::session::{ConnectionSession, SessionEvent};
-use crate::wire;
+use crate::broker::BrokerConfig;
+use crate::frame::{Frame, ProtocolError};
+use crate::router::Router;
 
 enum RouterMsg {
-    Connected { conn_id: u64, writer: Sender<Frame> },
-    Inbound { conn_id: u64, frame: Frame },
-    Disconnected { conn_id: u64 },
+    Connected {
+        conn_id: u64,
+        writer: Sender<Frame>,
+    },
+    Inbound {
+        conn_id: u64,
+        frame: Result<Frame, ProtocolError>,
+    },
+    Disconnected {
+        conn_id: u64,
+    },
     Shutdown,
-}
-
-struct ConnState {
-    session: ConnectionSession,
-    writer: Sender<Frame>,
 }
 
 /// A running TCP daemon; dropping the handle does not stop it — call
@@ -93,8 +96,8 @@ pub fn spawn(
     let (router_tx, router_rx) = mpsc::channel();
 
     let router_thread = {
-        let broker = Broker::new(shared, config);
-        std::thread::spawn(move || router_loop(broker, &router_rx))
+        let router = Router::new(shared, config);
+        std::thread::spawn(move || router_loop(router, &router_rx))
     };
 
     let accept_thread = {
@@ -155,171 +158,76 @@ fn spawn_connection(
         let _ = writer_stream.shutdown(std::net::Shutdown::Both);
     });
 
-    // Reader: blocks on frames, forwards them to the router.
+    // Reader: blocks on frames, forwards them to the router. A framing
+    // error goes to the router too (it answers `ERROR`) and ends the
+    // stream: nothing after it can be trusted to start a frame.
     let router_tx = router_tx.clone();
     let mut reader = reader_stream;
     std::thread::spawn(move || loop {
-        match Frame::read_from(&mut reader) {
-            Ok(Some(frame)) => {
-                if router_tx
-                    .send(RouterMsg::Inbound { conn_id, frame })
-                    .is_err()
-                {
-                    break;
-                }
-            }
-            Ok(None) | Err(_) => {
-                let _ = router_tx.send(RouterMsg::Disconnected { conn_id });
-                break;
-            }
+        let inbound = Frame::read_from(&mut reader).transpose();
+        let more = matches!(inbound, Some(Ok(_)));
+        let msg = match inbound {
+            Some(frame) => RouterMsg::Inbound { conn_id, frame },
+            None => RouterMsg::Disconnected { conn_id },
+        };
+        if router_tx.send(msg).is_err() || !more {
+            break;
         }
     });
     Ok(())
 }
 
-fn router_loop(mut broker: Broker, rx: &Receiver<RouterMsg>) {
-    let mut conns: std::collections::BTreeMap<u64, ConnState> = std::collections::BTreeMap::new();
-    'serve: loop {
-        // Block for the first message, then drain whatever else arrived
-        // while the broker was busy — that backlog is the batch window.
-        let first = match rx.recv() {
-            Ok(msg) => msg,
-            Err(_) => break,
-        };
+fn router_loop(mut router: Router, rx: &Receiver<RouterMsg>) {
+    let mut writers: BTreeMap<u64, Sender<Frame>> = BTreeMap::new();
+    // Block for the first message, then drain whatever else arrived
+    // while the broker was busy — that backlog is the batch window.
+    'serve: while let Ok(first) = rx.recv() {
         let mut backlog = vec![first];
-        while let Ok(msg) = rx.try_recv() {
-            backlog.push(msg);
-        }
+        backlog.extend(rx.try_iter());
         for msg in backlog {
             match msg {
                 RouterMsg::Connected { conn_id, writer } => {
-                    conns.insert(
-                        conn_id,
-                        ConnState {
-                            session: ConnectionSession::new(),
-                            writer,
-                        },
-                    );
+                    router.open(conn_id);
+                    writers.insert(conn_id, writer);
                 }
                 RouterMsg::Inbound { conn_id, frame } => {
-                    count(&broker, keys::DAEMON_FRAMES_READ, 1);
-                    handle_frame(&mut broker, &mut conns, conn_id, &frame);
+                    router.on_inbound(conn_id, frame, &mut |to, frame| {
+                        forward(&writers, to, frame)
+                    });
                 }
                 RouterMsg::Disconnected { conn_id } => {
-                    conns.remove(&conn_id);
+                    router.disconnect(conn_id);
+                    writers.remove(&conn_id);
                 }
                 RouterMsg::Shutdown => break 'serve,
             }
         }
-        for response in broker.tick() {
-            if let Ok(frame) = reply_frame(response.corr_id, &response.reply) {
-                send(&broker, &conns, response.conn_id, frame);
-            }
+        // Dropping a closed connection's sender lets its writer thread
+        // flush what is queued and shut the socket down.
+        for conn_id in router.tick(&mut |to, frame| forward(&writers, to, frame)) {
+            writers.remove(&conn_id);
         }
     }
 }
 
-fn handle_frame(
-    broker: &mut Broker,
-    conns: &mut std::collections::BTreeMap<u64, ConnState>,
-    conn_id: u64,
-    frame: &Frame,
-) {
-    let Some(state) = conns.get_mut(&conn_id) else {
-        return;
-    };
-    match state.session.on_frame(frame) {
-        Ok(SessionEvent::Hello { .. }) => {
-            let ack = wire::HelloAck {
-                epoch: broker.epoch(),
-                batch_max: broker.admission_config().batch_max as u32,
-            };
-            let frame = Frame {
-                frame_type: FrameType::HelloAck,
-                payload: wire::encode_hello_ack(ack),
-            };
-            send(broker, conns, conn_id, frame);
-        }
-        Ok(SessionEvent::Submit {
-            corr_id,
-            request,
-            signature,
-        }) => {
-            let client = state.session.client().unwrap_or("").to_owned();
-            let submission = broker.submit(conn_id, corr_id, &client, *request, signature);
-            if let Submission::Shed { retry_after_ticks } = submission {
-                let reply = SessionReply::Outcome(ServeOutcome::Busy { retry_after_ticks });
-                if let Ok(frame) = reply_frame(corr_id, &reply) {
-                    send(broker, conns, conn_id, frame);
-                }
-            }
-        }
-        Ok(SessionEvent::Bye) => {
-            conns.remove(&conn_id);
-        }
-        Err(e) => {
-            let epoch = broker.epoch();
-            if let Ok(payload) = wire::encode_error(0, epoch, &e.to_string()) {
-                let frame = Frame {
-                    frame_type: FrameType::Error,
-                    payload,
-                };
-                send(broker, conns, conn_id, frame);
-            }
-            conns.remove(&conn_id);
-        }
-    }
-}
-
-fn send(
-    broker: &Broker,
-    conns: &std::collections::BTreeMap<u64, ConnState>,
-    conn_id: u64,
-    frame: Frame,
-) {
-    if let Some(state) = conns.get(&conn_id) {
-        if state.writer.send(frame).is_ok() {
-            count(broker, keys::DAEMON_FRAMES_WRITTEN, 1);
-        }
-    }
-}
-
-fn count(broker: &Broker, key: &str, delta: u64) {
-    if let Some(rec) = broker.recorder() {
-        rec.incr(key, delta);
+fn forward(writers: &BTreeMap<u64, Sender<Frame>>, conn_id: u64, frame: Frame) {
+    if let Some(writer) = writers.get(&conn_id) {
+        // A dead writer thread means the peer is gone; its reader will
+        // report the disconnect.
+        let _ = writer.send(frame);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::FrameType;
     use crate::session::{decode_client_event, ClientEvent, ClientOutcome};
-    use qasom::{Environment, UserRequest};
-    use qasom_netsim::runtime::SyntheticService;
-    use qasom_ontology::OntologyBuilder;
-    use qasom_qos::QosModel;
-    use qasom_registry::ServiceDescription;
-    use qasom_task::{Activity, TaskNode, UserTask};
+    use crate::testkit::{request, shared, too_wide_to_reject};
+    use crate::wire;
 
-    fn shared() -> SharedEnvironment {
-        let mut b = OntologyBuilder::new("d");
-        b.concept("A");
-        let mut env = Environment::new(QosModel::standard(), b.build().unwrap(), 11);
-        let rt = env.model().property("ResponseTime").unwrap();
-        for i in 0..3 {
-            let desc =
-                ServiceDescription::new(format!("s{i}"), "d#A").with_qos(rt, 25.0 + f64::from(i));
-            let nominal = desc.qos().clone();
-            env.deploy(desc, SyntheticService::new(nominal));
-        }
-        SharedEnvironment::new(env)
-    }
-
-    #[test]
-    fn sessions_roundtrip_over_a_real_socket() {
-        let handle = spawn("127.0.0.1:0", shared(), BrokerConfig::default()).unwrap();
+    fn connect(handle: &TcpDaemonHandle) -> TcpStream {
         let mut client = TcpStream::connect(handle.addr()).unwrap();
-
         Frame {
             frame_type: FrameType::Hello,
             payload: wire::encode_hello("tcp-test").unwrap(),
@@ -331,26 +239,58 @@ mod tests {
             decode_client_event(&ack).unwrap(),
             ClientEvent::HelloAck(_)
         ));
+        client
+    }
 
-        let request = UserRequest::new(
-            UserTask::new("t", TaskNode::activity(Activity::new("a", "d#A"))).unwrap(),
-        );
+    fn session(client: &mut TcpStream, corr_id: u64, request: &qasom::UserRequest) -> ClientEvent {
         Frame {
             frame_type: FrameType::Compose,
-            payload: wire::encode_compose(9, &request).unwrap(),
+            payload: wire::encode_compose(corr_id, request).unwrap(),
         }
-        .write_to(&mut client)
+        .write_to(client)
         .unwrap();
-        let reply = Frame::read_from(&mut client).unwrap().unwrap();
-        match decode_client_event(&reply).unwrap() {
+        let reply = Frame::read_from(client).unwrap().unwrap();
+        decode_client_event(&reply).unwrap()
+    }
+
+    #[test]
+    fn sessions_roundtrip_over_a_real_socket() {
+        let handle = spawn("127.0.0.1:0", shared(11), BrokerConfig::default()).unwrap();
+        let mut client = connect(&handle);
+        match session(&mut client, 9, &request("t")) {
             ClientEvent::Reply {
                 corr_id: 9,
                 outcome: ClientOutcome::Completed(summary),
             } => assert!(summary.success),
             other => panic!("expected completion, got {other:?}"),
         }
-
+        // BYE closes the connection from the daemon's side.
         Frame::bare(FrameType::Bye).write_to(&mut client).unwrap();
+        assert_eq!(Frame::read_from(&mut client), Ok(None));
+        handle.stop();
+    }
+
+    /// The rejection quotes a constraint name too long for the reply's
+    /// `u16` string width; the session must still get an answer.
+    #[test]
+    fn a_reply_too_wide_to_encode_is_answered_with_an_error_frame() {
+        let handle = spawn("127.0.0.1:0", shared(11), BrokerConfig::default()).unwrap();
+        let mut client = connect(&handle);
+        match session(&mut client, 5, &too_wide_to_reject()) {
+            ClientEvent::Reply {
+                corr_id: 5,
+                outcome: ClientOutcome::Failed { message, .. },
+            } => assert!(message.contains("64 KiB"), "{message}"),
+            other => panic!("expected a typed failure, got {other:?}"),
+        }
+        // The connection stays usable.
+        assert!(matches!(
+            session(&mut client, 6, &request("t")),
+            ClientEvent::Reply {
+                corr_id: 6,
+                outcome: ClientOutcome::Completed(_)
+            }
+        ));
         drop(client);
         handle.stop();
     }

@@ -539,20 +539,21 @@ pub fn decode_rejected(payload: &[u8]) -> Result<(u64, Vec<WireDiagnostic>), Pro
     Ok((corr_id, diags))
 }
 
-/// `ERROR`: correlation id + registry epoch at failure + message.
+/// Longest `ERROR` message, in bytes; longer ones are cut at the last
+/// character boundary at or below it.
+const MAX_ERROR_MESSAGE: usize = 4096;
+
+/// `ERROR`: correlation id + registry epoch at failure + message (cut
+/// to 4096 bytes, so it always fits the string width).
 /// Correlation id 0 marks a connection-level protocol error.
-///
-/// # Errors
-///
-/// Fails when the message exceeds the string width.
-pub fn encode_error(corr_id: u64, epoch: u64, message: &str) -> Result<Vec<u8>, ProtocolError> {
+pub fn encode_error(corr_id: u64, epoch: u64, message: &str) -> Vec<u8> {
+    let message = &message[..message.floor_char_boundary(MAX_ERROR_MESSAGE)];
     let mut out = Vec::new();
     put_u64(&mut out, corr_id);
     put_u64(&mut out, epoch);
-    let mut msg = message.to_owned();
-    msg.truncate(4096);
-    put_str(&mut out, &msg)?;
-    Ok(out)
+    put_u16(&mut out, message.len() as u16);
+    out.extend_from_slice(message.as_bytes());
+    out
 }
 
 /// Decodes `ERROR` into `(corr_id, epoch, message)`.
@@ -655,8 +656,17 @@ mod tests {
             (3, summary)
         );
         assert_eq!(decode_busy(&encode_busy(4, 2)).unwrap(), (4, 2));
-        let (corr, epoch, msg) = decode_error(&encode_error(5, 9, "boom").unwrap()).unwrap();
+        let (corr, epoch, msg) = decode_error(&encode_error(5, 9, "boom")).unwrap();
         assert_eq!((corr, epoch, msg.as_str()), (5, 9, "boom"));
+    }
+
+    #[test]
+    fn long_error_messages_are_cut_at_a_char_boundary() {
+        // Byte 4096 is the second byte of an 'é'.
+        let long = format!("a{}", "é".repeat(3000));
+        let (_, _, msg) = decode_error(&encode_error(1, 2, &long)).unwrap();
+        assert_eq!(msg.len(), MAX_ERROR_MESSAGE - 1);
+        assert!(long.starts_with(&msg));
     }
 
     #[test]

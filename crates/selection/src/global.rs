@@ -211,8 +211,7 @@ impl<'a> Qassa<'a> {
     ///
     /// Results are identical to [`Qassa::local_phase`]: ranking one
     /// activity reads only that activity's candidates, and the output
-    /// order mirrors the input order. Without the `parallel` feature
-    /// this *is* the sequential local phase.
+    /// order mirrors the input order.
     ///
     /// # Errors
     ///
@@ -221,28 +220,22 @@ impl<'a> Qassa<'a> {
         &self,
         problem: &SelectionProblem<'_>,
     ) -> Result<Vec<QosLevels>, SelectionError> {
-        #[cfg(feature = "parallel")]
-        {
-            use rayon::prelude::*;
-            self.validate(problem)?;
-            let properties = problem.properties();
-            let levels: Vec<QosLevels> = problem
-                .candidates()
-                .par_iter()
-                .map(|cands| {
-                    self.config
-                        .local
-                        .rank(self.model, cands, &properties, problem.preferences())
-                })
-                .collect();
-            // Same counter values as the serial phase (each worker owns a
-            // scratch, so the reuse opportunities are identical) — the
-            // feature matrix must not change observed counters.
-            self.record_hotpath(levels.len(), properties.len());
-            Ok(levels)
-        }
-        #[cfg(not(feature = "parallel"))]
-        self.local_phase(problem)
+        use rayon::prelude::*;
+        self.validate(problem)?;
+        let properties = problem.properties();
+        let levels: Vec<QosLevels> = problem
+            .candidates()
+            .par_iter()
+            .map(|cands| {
+                self.config
+                    .local
+                    .rank(self.model, cands, &properties, problem.preferences())
+            })
+            .collect();
+        // Same counter values as the serial phase: each worker owns a
+        // scratch, so the reuse opportunities are identical.
+        self.record_hotpath(levels.len(), properties.len());
+        Ok(levels)
     }
 
     /// Flushes hot-path totals of one local phase: flat value columns
@@ -295,7 +288,7 @@ impl<'a> Qassa<'a> {
 
     /// Flushes local-phase totals (activities ranked, clusters produced,
     /// candidates ranked) after the fan-out has joined, so emission
-    /// order stays deterministic even under the `parallel` feature.
+    /// order stays deterministic.
     fn record_local(&self, levels: &[QosLevels]) {
         if let Some(rec) = self.recorder {
             rec.incr(keys::SELECTION_LOCAL_RANKS, levels.len() as u64);

@@ -1,20 +1,26 @@
 //! Integration tests for the `qasomd` broker over the deterministic
 //! loopback transport: batched admission pays discovery once per batch,
-//! overload sheds typed `Busy` replies in a deterministic order, and
-//! the scripted stress workload is byte-identical per seed.
+//! overload sheds typed `Busy` replies in a deterministic order, the
+//! scripted stress workload is byte-identical per seed, and a real TCP
+//! socket answers a seeded frame script with the same bytes.
 
+use std::io::Write;
+use std::net::TcpStream;
 use std::sync::Arc;
 
 use qasom::{Environment, SharedEnvironment, UserRequest};
 use qasom_daemon::{
-    AdmissionConfig, BrokerConfig, ClientEvent, ClientOutcome, LoopbackClient, LoopbackDaemon,
+    wire, AdmissionConfig, BrokerConfig, ClientEvent, ClientOutcome, Frame, FrameType,
+    LoopbackClient, LoopbackDaemon,
 };
 use qasom_netsim::runtime::SyntheticService;
 use qasom_obs::{keys, MemoryRecorder};
 use qasom_ontology::OntologyBuilder;
-use qasom_qos::QosModel;
+use qasom_qos::{QosModel, Unit};
 use qasom_registry::ServiceDescription;
 use qasom_task::{Activity, TaskNode, UserTask};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// One concept, six providers, recorder installed.
 fn market(seed: u64) -> SharedEnvironment {
@@ -294,4 +300,191 @@ fn daemon_stress_reports_are_byte_identical_per_seed() {
 
     let other = stress("1729").unwrap();
     assert_ne!(a, other, "the seed must reach the synthetic substrate");
+}
+
+/// One step of a frame script: bytes a connection sends, and whether the
+/// daemon answers them with a frame (`BYE` is answered by closing).
+struct Step {
+    conn: usize,
+    bytes: Vec<u8>,
+    answered: bool,
+}
+
+/// A seeded script over `conns` connections: mostly well-formed traffic
+/// (handshakes, sessions that complete, fail, are rejected, or whose
+/// rejection is too wide to encode), salted with everything that closes
+/// a connection — `BYE`, out-of-turn and server-only frames, a bad
+/// version, a truncated payload, and bytes that are not a frame at all.
+fn frame_script(seed: u64, conns: usize, steps: usize) -> Vec<Step> {
+    fn frame(frame_type: FrameType, payload: Vec<u8>) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        Frame {
+            frame_type,
+            payload,
+        }
+        .encode(&mut bytes)
+        .unwrap();
+        bytes
+    }
+    fn task(name: &str, activity: &str, function: &str) -> UserRequest {
+        let node = TaskNode::activity(Activity::new(activity, function));
+        UserRequest::new(UserTask::new(name, node).unwrap()).weight("Delay", 1.0)
+    }
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut greeted = vec![false; conns];
+    let mut script = Vec::new();
+    for corr_id in 1..=steps as u64 {
+        let conn = rng.gen_range(0..conns);
+        let compose = |request: UserRequest| {
+            frame(
+                FrameType::Compose,
+                wire::encode_compose(corr_id, &request).unwrap(),
+            )
+        };
+        let hello = || frame(FrameType::Hello, wire::encode_hello("script").unwrap());
+        let roll = rng.gen_range(0usize..100);
+        let (bytes, answered) = if !greeted[conn] && roll < 85 {
+            greeted[conn] = true;
+            (hello(), true)
+        } else {
+            match roll {
+                0..=39 => (compose(task(["t", "u"][roll % 2], "a", "d#A")), true),
+                40..=49 => (compose(task("t", &"é".repeat(3000), "d#Nothing")), true),
+                50..=59 => {
+                    let bogus = task("t", "a", "d#A").constraint("Bogus", 1.0, Unit::Dimensionless);
+                    (compose(bogus.unwrap()), true)
+                }
+                60..=64 => {
+                    let wide = task("t", "a", "d#A").constraint(
+                        "x".repeat(65_500),
+                        1.0,
+                        Unit::Dimensionless,
+                    );
+                    (compose(wide.unwrap()), true)
+                }
+                65..=74 => (frame(FrameType::Bye, Vec::new()), false),
+                75..=79 => (hello(), true),
+                80..=84 => (frame(FrameType::Busy, wire::encode_busy(corr_id, 1)), true),
+                85..=89 => (frame(FrameType::Hello, vec![9, 0, 0]), true),
+                90..=93 => (frame(FrameType::Compose, vec![0; 5]), true),
+                94..=96 => (vec![0, 0, 0, 1, 0xEE], true),
+                _ => (vec![0xFF; 4], true),
+            }
+        };
+        script.push(Step {
+            conn,
+            bytes,
+            answered,
+        });
+    }
+    script
+}
+
+/// Whether the daemon closes the connection after this exchange: `BYE`
+/// (no answer), or a connection-level `ERROR` (correlation id 0).
+fn closes(answer: Option<&Frame>) -> bool {
+    answer.is_none_or(|frame| {
+        frame.frame_type == FrameType::Error
+            && wire::decode_error(&frame.payload).is_ok_and(|(corr_id, ..)| corr_id == 0)
+    })
+}
+
+type Answers = Vec<Vec<Frame>>;
+
+/// Frames the daemon counted as read and as written.
+fn frame_traffic(shared: &SharedEnvironment) -> [u64; 2] {
+    [keys::DAEMON_FRAMES_READ, keys::DAEMON_FRAMES_WRITTEN].map(|key| counter(shared, key))
+}
+
+fn drive_loopback(script: &[Step], conns: usize, config: BrokerConfig) -> (Answers, [u64; 2]) {
+    let shared = market(5);
+    let mut daemon = LoopbackDaemon::new(shared.clone(), config);
+    let clients: Vec<_> = (0..conns).map(|_| daemon.connect()).collect();
+    let mut answers = vec![Vec::new(); conns];
+    for step in script {
+        let client = clients[step.conn];
+        if daemon.is_closed(client) {
+            continue;
+        }
+        daemon.send_bytes(client, &step.bytes).unwrap();
+        daemon.pump();
+        // An unanswered `BYE` leaves nothing to drain: the pump drops
+        // the closed connection with its empty buffers.
+        let mut frames = if step.answered {
+            daemon.drain_frames(client).unwrap()
+        } else {
+            Vec::new()
+        };
+        assert_eq!(frames.len(), usize::from(step.answered));
+        assert_eq!(daemon.is_closed(client), closes(frames.first()));
+        answers[step.conn].append(&mut frames);
+    }
+    (answers, frame_traffic(&shared))
+}
+
+fn drive_tcp(script: &[Step], conns: usize, config: BrokerConfig) -> (Answers, [u64; 2]) {
+    let shared = market(5);
+    let handle = qasom_daemon::spawn("127.0.0.1:0", shared.clone(), config).unwrap();
+    let mut sockets: Vec<Option<TcpStream>> = (0..conns)
+        .map(|_| Some(TcpStream::connect(handle.addr()).unwrap()))
+        .collect();
+    let mut answers = vec![Vec::new(); conns];
+    for step in script {
+        let Some(socket) = &mut sockets[step.conn] else {
+            continue;
+        };
+        // Lock step — one exchange in flight — so admission and batching
+        // see the order the loopback run sees.
+        socket.write_all(&step.bytes).unwrap();
+        let answer = step
+            .answered
+            .then(|| Frame::read_from(socket).unwrap().expect("an answer"));
+        if closes(answer.as_ref()) {
+            assert_eq!(Frame::read_from(socket), Ok(None), "daemon closes");
+            sockets[step.conn] = None;
+        }
+        answers[step.conn].extend(answer);
+    }
+    drop(sockets);
+    handle.stop();
+    (answers, frame_traffic(&shared))
+}
+
+/// (e) The oracle `tcp ≡ loopback`: one seeded frame script, driven
+/// through the in-process transport and through a real socket, is
+/// answered with byte-identical frames on every connection and counts
+/// the same frame traffic — once with room in the queue and once with
+/// none, so every session is shed `BUSY`.
+#[test]
+fn tcp_and_loopback_answer_a_seeded_script_byte_identically() {
+    const CONNS: usize = 12;
+    let script = frame_script(0x7c9, CONNS, 160);
+    for queue_capacity in [64, 0] {
+        let config = BrokerConfig {
+            admission: AdmissionConfig {
+                queue_capacity,
+                ..AdmissionConfig::default()
+            },
+        };
+        let (looped, looped_traffic) = drive_loopback(&script, CONNS, config);
+        let (socketed, socketed_traffic) = drive_tcp(&script, CONNS, config);
+        let kinds = |kind| {
+            looped
+                .iter()
+                .flatten()
+                .filter(|f| f.frame_type == kind)
+                .count()
+        };
+        if queue_capacity > 0 {
+            // The script reaches every kind of answer.
+            assert!(kinds(FrameType::HelloAck) >= CONNS / 2);
+            for kind in [FrameType::Completed, FrameType::Rejected, FrameType::Error] {
+                assert!(kinds(kind) > 0, "{kind:?}");
+            }
+        } else {
+            assert!(kinds(FrameType::Busy) > 0 && kinds(FrameType::Completed) == 0);
+        }
+        assert_eq!(looped, socketed, "queue capacity {queue_capacity}");
+        assert_eq!(looped_traffic, socketed_traffic);
+    }
 }
