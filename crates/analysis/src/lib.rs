@@ -15,11 +15,6 @@
 //!    code (existing debt is carried in `lint-baseline.txt`). ISSUE 8
 //!    upgrades it with a scope-aware QA1xx lock-discipline family
 //!    ([`locks`], driven by the [`lexer`] token stream).
-//! 3. **Schedule explorer** ([`check`], plus the `qasom-check` binary)
-//!    — a deterministic mini-loom: small models of the workspace's real
-//!    lock protocols are exhaustively interleaved under a
-//!    preemption-bounded DFS scheduler, proving deadlock-freedom and
-//!    per-schedule invariants, with byte-identical seeded reports.
 //!
 //! The crate sits *below* `qasom-registry`, `qasom-selection` and the
 //! core in the dependency graph (it depends only on the ontology, QoS,
@@ -30,7 +25,6 @@
 #![warn(missing_docs)]
 
 mod analyzer;
-pub mod check;
 mod diag;
 pub mod lexer;
 pub mod lint;

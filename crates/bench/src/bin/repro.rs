@@ -127,6 +127,13 @@ const FIGURES: &[FigureRow] = &[
         bench::fig_activities,
     ),
     (
+        "discovery",
+        "discovery",
+        "Discovery — indexed vs linear full scan (32 × 4 taxonomy, category-level request)",
+        "services",
+        bench::fig_discovery,
+    ),
+    (
         "serving",
         "serving",
         "Serving — concurrent sessions: serial-lock vs read-concurrent compose",

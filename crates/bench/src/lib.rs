@@ -2,8 +2,7 @@
 //! (thesis Ch. VI §3 and Ch. V §7).
 //!
 //! Each `fig_*` function reproduces one figure as a set of labelled
-//! [`FigureSeries`]; the `repro` binary prints them as tables, and the
-//! Criterion benches under `benches/` time the same code paths. The
+//! [`FigureSeries`]; the `repro` binary prints them as tables. The
 //! numbers are produced on *this* machine against the simulated
 //! substrate, so absolute values differ from the original testbed — the
 //! shapes (slopes, orderings, crossovers) are what reproduction means
@@ -788,6 +787,69 @@ pub fn ablate_semantics(model: &QosModel) -> Vec<FigureSeries> {
         syntactic.points.push((n as f64, found as f64 / n as f64));
     }
     vec![semantic, syntactic]
+}
+
+/// Discovery latency at registry scale (DESIGN.md §5c): the indexed
+/// pipeline (capability index + memoised match degrees) against the
+/// linear full-scan oracle over 1k/5k/20k advertisements of a
+/// 32-category × 4-leaf taxonomy. A category-level request plugs in 4
+/// leaves × n/128 services; both paths must return identical candidate
+/// vectors before either is timed — only the work differs.
+pub fn fig_discovery(model: &QosModel) -> Vec<FigureSeries> {
+    use qasom_registry::{
+        Discovery, DiscoveryQuery, MatchCache, ServiceDescription, ServiceRegistry,
+    };
+    use std::sync::Arc;
+
+    let mut b = OntologyBuilder::new("d");
+    let root = b.concept("Capability");
+    for i in 0..32 {
+        let mid = b.subconcept(&format!("Cat{i}"), root);
+        for j in 0..4 {
+            b.subconcept(&format!("Cat{i}Leaf{j}"), mid);
+        }
+    }
+    let Ok(onto) = b.build().map(Arc::new) else {
+        return Vec::new();
+    };
+    let activity = Activity::new("a", "d#Cat7");
+    let indexed_query = DiscoveryQuery::new(&activity);
+    let linear_query = DiscoveryQuery::new(&activity).linear_scan(true);
+
+    let mut indexed_ms = FigureSeries::new("indexed [ms]");
+    let mut linear_ms = FigureSeries::new("linear [ms]");
+    let mut speedup = FigureSeries::new("linear/indexed");
+    for n in [1_000usize, 5_000, 20_000] {
+        let mut registry = ServiceRegistry::with_ontology(Arc::clone(&onto));
+        for s in 0..n {
+            registry.register(ServiceDescription::new(
+                format!("svc{s}"),
+                &format!("d#Cat{}Leaf{}", s % 32, s % 4),
+            ));
+        }
+        let cache = MatchCache::new();
+        let indexed = Discovery::with_cache(&onto, model, &cache);
+        let linear = Discovery::new(&onto, model);
+        let expected = indexed.discover(&registry, &indexed_query);
+        assert!(!expected.is_empty());
+        assert_eq!(
+            expected,
+            linear.discover(&registry, &linear_query),
+            "indexed and linear paths must agree before timing them"
+        );
+
+        let x = n as f64;
+        let i = time_ms(20, || {
+            std::hint::black_box(indexed.discover(&registry, &indexed_query));
+        });
+        let l = time_ms(20, || {
+            std::hint::black_box(linear.discover(&registry, &linear_query));
+        });
+        indexed_ms.points.push((x, i));
+        linear_ms.points.push((x, l));
+        speedup.points.push((x, l / i.max(f64::MIN_POSITIVE)));
+    }
+    vec![indexed_ms, linear_ms, speedup]
 }
 
 /// Builds the serving-throughput market: three concepts, `per_concept`

@@ -16,7 +16,9 @@
 //!
 //! The synthetic provider markets the scenarios run on (`market`,
 //! `one_concept_market`, `hotpath_market`) are shared with the `fig_*`
-//! functions of the crate root.
+//! functions of the crate root; `one_concept_market` and
+//! `one_activity_request` are `pub` for the integration tests under
+//! `tests/` that serve the same market.
 
 use std::str::FromStr;
 use std::sync::Arc;
@@ -24,12 +26,10 @@ use std::sync::Arc;
 use qasom::{
     demo, Environment, RegistryDelta, ServeOutcome, SessionRequest, SharedEnvironment, UserRequest,
 };
-use qasom_analysis::check::{run_suite, SuiteConfig};
 use qasom_cluster::{ClusterConfig, ClusterSim};
 use qasom_daemon::{AdmissionConfig, BrokerConfig, LoopbackClient, LoopbackDaemon};
 use qasom_netsim::runtime::SyntheticService;
-use qasom_obs::report::RunReport;
-use qasom_obs::{key_paths, JsonValue, MemoryRecorder, Recorder};
+use qasom_obs::{key_paths, JsonValue, MemoryRecorder};
 use qasom_ontology::OntologyBuilder;
 use qasom_qos::{QosModel, QosVector, Unit};
 use qasom_registry::persist::{
@@ -219,11 +219,6 @@ pub const SCENARIOS: &[Scenario] = &[
         run: report,
     },
     Scenario {
-        name: "check",
-        flags: &[SEED, count("--preemptions", "3"), OUT],
-        run: check,
-    },
-    Scenario {
         name: "stress",
         flags: &[SEED, count("--sessions", "12"), OUT],
         run: stress,
@@ -349,8 +344,12 @@ pub(crate) fn market(
 }
 
 /// The smallest market: `providers` services `s{i}` of the one concept
-/// `d#A`, response time `40 + i` ms.
-pub(crate) fn one_concept_market(providers: usize, seed: u64) -> Result<Environment, String> {
+/// `d#A`, response time `40 + i` ms, faithful behaviour, no recorder.
+///
+/// # Errors
+///
+/// Only if the standard QoS model stops defining `ResponseTime`.
+pub fn one_concept_market(providers: usize, seed: u64) -> Result<Environment, String> {
     let rt = standard_property("ResponseTime")?;
     market("d", &["A"], providers, seed, |_, i| {
         ServiceDescription::new(format!("s{i}"), "d#A").with_qos(rt, 40.0 + i as f64)
@@ -359,7 +358,11 @@ pub(crate) fn one_concept_market(providers: usize, seed: u64) -> Result<Environm
 
 /// The request every [`one_concept_market`] session makes: a task
 /// `task` of the single activity `a` → `d#A`, preferring low delay.
-pub(crate) fn one_activity_request(task: &str) -> Result<UserRequest, String> {
+///
+/// # Errors
+///
+/// Only if the one-activity task stops being a valid task.
+pub fn one_activity_request(task: &str) -> Result<UserRequest, String> {
     let task = UserTask::new(task, TaskNode::activity(Activity::new("a", "d#A")))
         .map_err(|e| e.to_string())?;
     Ok(UserRequest::new(task).weight("Delay", 1.0))
@@ -469,33 +472,6 @@ fn report(flags: &Flags) -> Result<JsonValue, String> {
     let mut report = demo::demo_run_report(seed);
     let cluster = ClusterSim::new(ClusterConfig::default()).run(seed);
     report.cluster = Some(cluster.to_section());
-    Ok(report.to_json())
-}
-
-/// `check`: the deterministic schedule-exploring race checker
-/// (`qasom_analysis::check`) over the standard protocol-model suite, as
-/// a `RunReport` with the `check` section and `check.*` counters. Fails
-/// when any model deadlocks or violates its invariants.
-fn check(flags: &Flags) -> Result<JsonValue, String> {
-    let cfg = SuiteConfig {
-        seed: flags.num("--seed")?,
-        preemption_bound: flags.num("--preemptions")?,
-        ..SuiteConfig::default()
-    };
-    let suite = run_suite(&cfg);
-    if !suite.ok() {
-        return Err(format!(
-            "model checking failed: {} deadlock(s), {} violation(s) across {} schedules",
-            suite.deadlocks(),
-            suite.violations(),
-            suite.schedules()
-        ));
-    }
-    let recorder = MemoryRecorder::new();
-    suite.record(&recorder);
-    let mut report = RunReport::new(cfg.seed, "check");
-    report.check = Some(suite.to_section());
-    report.metrics = recorder.snapshot().unwrap_or_default();
     Ok(report.to_json())
 }
 

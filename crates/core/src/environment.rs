@@ -342,10 +342,7 @@ impl Environment {
             return report;
         };
         // The match cache keeps its totals in its own atomics, not in
-        // the recorder. Checker counters are zero in ordinary runs
-        // (qasom-check fills them in its own process); the section still
-        // rides along so the report's top-level key set is stable
-        // across binaries.
+        // the recorder.
         let cache = self.match_cache.stats();
         report.fill_counter_sections(
             &snapshot,

@@ -118,17 +118,6 @@ pub const DAEMON_FRAMES_WRITTEN: &str = "daemon.frames_written";
 /// Broker scheduling rounds (ticks) executed.
 pub const DAEMON_TICKS: &str = "daemon.ticks";
 
-/// Concurrency models explored by `qasom-check`.
-pub const CHECK_MODELS: &str = "check.models_explored";
-/// Maximal schedules explored across all `qasom-check` models.
-pub const CHECK_SCHEDULES: &str = "check.schedules";
-/// Model steps executed across all `qasom-check` explorations.
-pub const CHECK_STEPS: &str = "check.steps";
-/// Deadlocked schedules found (must stay 0).
-pub const CHECK_DEADLOCKS: &str = "check.deadlocks";
-/// Invariant violations found (must stay 0).
-pub const CHECK_VIOLATIONS: &str = "check.violations";
-
 /// Gossip rounds the cluster origin completed.
 pub const CLUSTER_GOSSIP_ROUNDS: &str = "cluster.gossip_rounds";
 /// Incremental event deltas the origin shipped to shard peers.
@@ -158,6 +147,10 @@ pub const PERSIST_TORN_TAIL: &str = "persistence.wal.torn_tail";
 pub const PERSIST_SNAPSHOT_LOADS: &str = "persistence.snapshot.loads";
 /// Journal I/O failures (journaling stops at the first one).
 pub const PERSIST_ERRORS: &str = "persistence.errors";
+
+/// Spans a `MemoryRecorder` evicted to stay within its retention cap;
+/// the key appears only once an eviction has happened.
+pub const OBS_SPANS_DROPPED: &str = "obs.spans_dropped";
 
 /// Span covering one QASSA selection (logical clock: activities done).
 pub const SPAN_SELECT: &str = "qassa.select";
@@ -271,17 +264,6 @@ pub const SECTIONS: &[(&str, &[(&str, Source)])] = &[
                 "delta_activities_reranked",
                 Counter(SELECTION_DELTA_RERANKED),
             ),
-        ],
-    ),
-    // The suite-wide totals of the `check` section; its per-model
-    // breakdown is structured data, not counters.
-    (
-        "check",
-        &[
-            ("schedules", Counter(CHECK_SCHEDULES)),
-            ("steps", Counter(CHECK_STEPS)),
-            ("deadlocks", Counter(CHECK_DEADLOCKS)),
-            ("violations", Counter(CHECK_VIOLATIONS)),
         ],
     ),
 ];

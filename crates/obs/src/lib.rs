@@ -38,5 +38,5 @@ pub mod report;
 pub use json::{key_paths, JsonValue};
 pub use recorder::{
     Histogram, MemoryRecorder, MetricsSnapshot, NoopRecorder, Recorder, SpanRecord,
-    DEFAULT_BUCKETS_MS,
+    DEFAULT_BUCKETS_MS, MAX_RETAINED_SPANS,
 };

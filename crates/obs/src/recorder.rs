@@ -16,10 +16,11 @@
 //! the "compiles to nothing when disabled" contract. [`NoopRecorder`]
 //! exists for call sites that want a value rather than an `Option`.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Mutex, MutexGuard};
 
 use crate::json::JsonValue;
+use crate::keys;
 
 /// Default histogram bounds, in (simulated) milliseconds: a 1-2.5-5
 /// ladder wide enough for both per-provider RTTs and end-to-end phase
@@ -27,6 +28,13 @@ use crate::json::JsonValue;
 pub const DEFAULT_BUCKETS_MS: [f64; 12] = [
     0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1000.0, 2500.0,
 ];
+
+/// Spans a [`MemoryRecorder`] retains: the most recent this many. A
+/// daemon keeps one recorder for its whole life and every session emits
+/// a span, so without a cap its memory (and every snapshot's clone)
+/// grows with the number of sessions ever served. Evictions are counted
+/// under [`keys::OBS_SPANS_DROPPED`].
+pub const MAX_RETAINED_SPANS: usize = 1024;
 
 /// The instrumentation trait the pipeline is written against.
 ///
@@ -198,7 +206,7 @@ impl SpanRecord {
 
 /// Everything a [`MemoryRecorder`] has accumulated, in deterministic
 /// order: counters and histograms sorted by name (`BTreeMap`), spans in
-/// emission order.
+/// emission order (the most recent [`MAX_RETAINED_SPANS`] of them).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct MetricsSnapshot {
     /// Monotone counters by name.
@@ -206,7 +214,7 @@ pub struct MetricsSnapshot {
     /// Fixed-bucket histograms by name.
     pub histograms: BTreeMap<String, Histogram>,
     /// Spans in the order they were recorded.
-    pub spans: Vec<SpanRecord>,
+    pub spans: VecDeque<SpanRecord>,
 }
 
 impl MetricsSnapshot {
@@ -296,7 +304,19 @@ impl Recorder for MemoryRecorder {
     }
 
     fn span(&self, name: &str, start: u64, end: u64) {
-        self.lock().spans.push(SpanRecord {
+        let mut inner = self.lock();
+        if inner.spans.len() == MAX_RETAINED_SPANS {
+            inner.spans.pop_front();
+            // Not `entry`: a full buffer evicts on every span, and the
+            // key should be allocated once, not per eviction.
+            match inner.counters.get_mut(keys::OBS_SPANS_DROPPED) {
+                Some(dropped) => *dropped = dropped.saturating_add(1),
+                None => {
+                    inner.counters.insert(keys::OBS_SPANS_DROPPED.to_owned(), 1);
+                }
+            }
+        }
+        inner.spans.push_back(SpanRecord {
             name: name.to_owned(),
             start,
             end,
@@ -344,6 +364,30 @@ mod tests {
             }]
         );
         assert_eq!(snap.spans[0].duration(), 20);
+    }
+
+    #[test]
+    fn spans_beyond_the_cap_evict_the_oldest_and_are_counted() {
+        let r = MemoryRecorder::new();
+        for i in 0..MAX_RETAINED_SPANS as u64 {
+            r.span("s", i, i);
+        }
+        let full = r.snapshot().expect("snapshot");
+        assert_eq!(full.spans.len(), MAX_RETAINED_SPANS);
+        assert!(
+            !full.counters.contains_key(keys::OBS_SPANS_DROPPED),
+            "the counter must not exist before the first eviction"
+        );
+
+        r.span("s", MAX_RETAINED_SPANS as u64, MAX_RETAINED_SPANS as u64);
+        let over = r.snapshot().expect("snapshot");
+        assert_eq!(over.spans.len(), MAX_RETAINED_SPANS);
+        assert_eq!(over.spans[0].start, 1, "the oldest span went first");
+        assert_eq!(
+            over.spans[MAX_RETAINED_SPANS - 1].start,
+            MAX_RETAINED_SPANS as u64
+        );
+        assert_eq!(over.counter(keys::OBS_SPANS_DROPPED), 1);
     }
 
     #[test]

@@ -9,11 +9,11 @@
 //! byte-identical JSON.
 //!
 //! Sections that are plain counts (`discovery`, `selection`,
-//! `persistence`, `serving`, `daemon`, `hotpath`, the `check` totals)
-//! are one generic [`CounterSection`] filled from the
-//! [`keys::SECTIONS`] table. Sections carrying structured outcomes
-//! (`compose`, `execution`, `distributed`, `cluster`) are plain structs
-//! with public fields that their producers construct directly.
+//! `persistence`, `serving`, `daemon`, `hotpath`) are one generic
+//! [`CounterSection`] filled from the [`keys::SECTIONS`] table.
+//! Sections carrying structured outcomes (`compose`, `execution`,
+//! `distributed`, `cluster`) are plain structs with public fields that
+//! their producers construct directly.
 
 use crate::json::JsonValue;
 use crate::keys::{self, Source};
@@ -374,65 +374,6 @@ impl ExecutionSection {
     }
 }
 
-/// Outcome of exploring one concurrency model in `qasom-check`.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct ModelCheck {
-    /// Model name (`compose-churn`, `shard-stamp`, `admission-queue`).
-    pub name: String,
-    /// Model thread count.
-    pub threads: u64,
-    /// Preemption budget the exploration ran under.
-    pub preemption_bound: u64,
-    /// Maximal schedules explored.
-    pub schedules: u64,
-    /// Model steps executed.
-    pub steps: u64,
-    /// Longest schedule, in steps.
-    pub max_depth: u64,
-    /// Deadlocked schedules found.
-    pub deadlocks: u64,
-    /// Invariant violations found.
-    pub violations: u64,
-}
-
-impl ModelCheck {
-    /// Serialises with a stable field order.
-    pub fn to_json(&self) -> JsonValue {
-        JsonValue::object()
-            .field("name", self.name.as_str())
-            .field("threads", self.threads)
-            .field("preemption_bound", self.preemption_bound)
-            .field("schedules", self.schedules)
-            .field("steps", self.steps)
-            .field("max_depth", self.max_depth)
-            .field("deadlocks", self.deadlocks)
-            .field("violations", self.violations)
-    }
-}
-
-/// Schedule-explorer totals: `qasom-check`'s deterministic verdict over
-/// the workspace's concurrency protocol models.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CheckSection {
-    /// Suite-wide totals: the `check` row of [`keys::SECTIONS`].
-    pub totals: CounterSection,
-    /// Per-model breakdown, in suite order.
-    pub models: Vec<ModelCheck>,
-}
-
-impl CheckSection {
-    /// Serialises with a stable field order.
-    pub fn to_json(&self) -> JsonValue {
-        self.totals.to_json().field(
-            "models",
-            self.models
-                .iter()
-                .map(ModelCheck::to_json)
-                .collect::<Vec<_>>(),
-        )
-    }
-}
-
 /// The unified, seed-stamped run report.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunReport {
@@ -465,8 +406,6 @@ pub struct RunReport {
     pub daemon: Option<CounterSection>,
     /// Hot-path totals (flat columns, interning, delta re-selection).
     pub hotpath: Option<CounterSection>,
-    /// Schedule-explorer totals, when the run exercised `qasom-check`.
-    pub check: Option<CheckSection>,
     /// Raw metric snapshot (counters / histograms / spans).
     pub metrics: MetricsSnapshot,
 }
@@ -488,15 +427,13 @@ impl RunReport {
             serving: None,
             daemon: None,
             hotpath: None,
-            check: None,
             metrics: MetricsSnapshot::default(),
         }
     }
 
     /// Fills every counter-backed section from `snapshot` by walking
     /// [`keys::SECTIONS`]; `supplied` carries the counts that live
-    /// outside the recorder (see [`CounterSection::from_snapshot`]). The
-    /// `check` section gets its totals and an empty model list.
+    /// outside the recorder (see [`CounterSection::from_snapshot`]).
     pub fn fill_counter_sections(&mut self, snapshot: &MetricsSnapshot, supplied: &[(&str, u64)]) {
         for &(name, _) in keys::SECTIONS {
             let section = Some(CounterSection::from_snapshot(name, snapshot, supplied));
@@ -507,12 +444,6 @@ impl RunReport {
                 "serving" => self.serving = section,
                 "daemon" => self.daemon = section,
                 "hotpath" => self.hotpath = section,
-                "check" => {
-                    self.check = section.map(|totals| CheckSection {
-                        totals,
-                        models: Vec::new(),
-                    });
-                }
                 other => unreachable!("keys::SECTIONS names {other:?}, which RunReport lacks"),
             }
         }
@@ -545,7 +476,6 @@ impl RunReport {
             .field("serving", opt(&self.serving, CounterSection::to_json))
             .field("daemon", opt(&self.daemon, CounterSection::to_json))
             .field("hotpath", opt(&self.hotpath, CounterSection::to_json))
-            .field("check", opt(&self.check, CheckSection::to_json))
             .field("metrics", self.metrics.to_json())
     }
 

@@ -8,38 +8,27 @@ use std::io::Write;
 use std::net::TcpStream;
 use std::sync::Arc;
 
-use qasom::{Environment, SharedEnvironment, UserRequest};
+use qasom::{SharedEnvironment, UserRequest};
+use qasom_bench::scenarios;
 use qasom_daemon::{
     wire, AdmissionConfig, BrokerConfig, ClientEvent, ClientOutcome, Frame, FrameType,
     LoopbackClient, LoopbackDaemon,
 };
-use qasom_netsim::runtime::SyntheticService;
 use qasom_obs::{keys, MemoryRecorder};
-use qasom_ontology::OntologyBuilder;
-use qasom_qos::{QosModel, Unit};
-use qasom_registry::ServiceDescription;
+use qasom_qos::Unit;
 use qasom_task::{Activity, TaskNode, UserTask};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// One concept, six providers, recorder installed.
 fn market(seed: u64) -> SharedEnvironment {
-    let mut b = OntologyBuilder::new("d");
-    b.concept("A");
-    let mut env = Environment::new(QosModel::standard(), b.build().unwrap(), seed);
+    let mut env = scenarios::one_concept_market(6, seed).unwrap();
     env.set_recorder(Arc::new(MemoryRecorder::new()));
-    let rt = env.model().property("ResponseTime").unwrap();
-    for i in 0..6 {
-        let desc = ServiceDescription::new(format!("s{i}"), "d#A").with_qos(rt, 40.0 + i as f64);
-        let nominal = desc.qos().clone();
-        env.deploy(desc, SyntheticService::new(nominal));
-    }
     SharedEnvironment::new(env)
 }
 
 fn request() -> UserRequest {
-    UserRequest::new(UserTask::new("t", TaskNode::activity(Activity::new("a", "d#A"))).unwrap())
-        .weight("Delay", 1.0)
+    scenarios::one_activity_request("t").unwrap()
 }
 
 fn counter(shared: &SharedEnvironment, key: &str) -> u64 {

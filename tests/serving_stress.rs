@@ -2,37 +2,36 @@
 //! compositions under the read lock, provider churn on the write lock,
 //! epoch-consistent results and deterministic serving counters.
 
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::thread;
 
 use qasom::{Environment, ServeOutcome, SessionRequest, SharedEnvironment, UserRequest};
+use qasom_bench::scenarios;
 use qasom_netsim::runtime::SyntheticService;
 use qasom_obs::{MemoryRecorder, Recorder};
-use qasom_ontology::OntologyBuilder;
-use qasom_qos::QosModel;
-use qasom_registry::ServiceDescription;
-use qasom_task::{Activity, TaskNode, UserTask};
+use qasom_ontology::{Iri, Ontology, OntologyBuilder};
+use qasom_registry::{Operation, ServiceDescription};
 
 const BASE_PROVIDERS: usize = 6;
 
 /// One concept, `BASE_PROVIDERS` providers `s0..`, response times
 /// 40, 41, … — `s0` is deterministically the best until "burst" joins.
 fn market(seed: u64) -> SharedEnvironment {
-    let mut b = OntologyBuilder::new("d");
-    b.concept("A");
-    let mut env = Environment::new(QosModel::standard(), b.build().unwrap(), seed);
-    let rt = env.model().property("ResponseTime").unwrap();
-    for i in 0..BASE_PROVIDERS {
-        let desc = ServiceDescription::new(format!("s{i}"), "d#A").with_qos(rt, 40.0 + i as f64);
-        let nominal = desc.qos().clone();
-        env.deploy(desc, SyntheticService::new(nominal));
-    }
-    SharedEnvironment::new(env)
+    SharedEnvironment::new(scenarios::one_concept_market(BASE_PROVIDERS, seed).unwrap())
 }
 
 fn request() -> UserRequest {
-    UserRequest::new(UserTask::new("t", TaskNode::activity(Activity::new("a", "d#A"))).unwrap())
-        .weight("Delay", 1.0)
+    scenarios::one_activity_request("t").unwrap()
+}
+
+/// The name of the service a composition of [`request`] bound, resolved
+/// against the registry of the guard it was composed under.
+fn winner(e: &Environment) -> String {
+    let comp = e.compose(&request()).expect("providers always available");
+    let id = comp.outcome().assignment[0].id();
+    let registry = e.registry_snapshot();
+    let desc = registry.get(id).expect("bound under this guard");
+    desc.name().to_owned()
 }
 
 /// Registers "burst" (strictly best response time) when absent, removes
@@ -86,17 +85,7 @@ fn concurrent_compositions_agree_with_their_epoch() {
                     // Composition, epoch and binding resolution happen
                     // under one read guard, so the triple is consistent
                     // even while the churner queues behind us.
-                    observed.push(s.with(|e| {
-                        let comp = e.compose(&request()).expect("providers always available");
-                        let id = comp.outcome().assignment[0].id();
-                        let registry = e.registry_snapshot();
-                        let name = registry
-                            .get(id)
-                            .expect("bound under this guard")
-                            .name()
-                            .to_owned();
-                        (e.epoch(), name)
-                    }));
+                    observed.push(s.with(|e| (e.epoch(), winner(e))));
                 }
                 observed
             })
@@ -110,6 +99,87 @@ fn concurrent_compositions_agree_with_their_epoch() {
             let expected = if burst_present { "burst" } else { "s0" };
             assert_eq!(name, expected, "selection at epoch {epoch}");
         }
+    }
+}
+
+/// Concepts `d#A` and `d#Fast`, with `Fast` below `A` or beside it.
+fn taxonomy(fast_below_a: bool) -> Ontology {
+    let mut b = OntologyBuilder::new("d");
+    let a = b.concept("A");
+    if fast_below_a {
+        b.subconcept("Fast", a);
+    } else {
+        b.concept("Fast");
+    }
+    b.build().unwrap()
+}
+
+/// Eight threads compose `d#A` (read lock) while the ontology is swapped
+/// 40 times (write lock) between a taxonomy where `d#Fast` specialises
+/// `d#A` and a flat one. Provider "fast" advertises `d#Fast` with the
+/// best response time, so it must win exactly when the ontology of the
+/// same read guard subsumes it: a match degree memoised under the other
+/// taxonomy and served across the swap pairs the wrong winner with it.
+///
+/// "fast" also exposes a plain `d#A` operation, slower than every `s{i}`.
+/// That keeps it in the capability index's posting for `d#A` under both
+/// taxonomies, so `(d#A, d#Fast)` is probed in the match cache under
+/// both — a profile-only "fast" drops out of the rebuilt index when the
+/// taxonomy goes flat and a stale degree would never be looked up.
+#[test]
+fn concurrent_compositions_agree_with_their_ontology() {
+    let shared = market(13);
+    shared.with_mut(|e| {
+        let rt = e.model().property("ResponseTime").unwrap();
+        let desc = ServiceDescription::new("fast", "d#Fast")
+            .with_qos(rt, 10.0)
+            .with_operation(Operation::new("plain", "d#A").with_qos(rt, 100.0));
+        let nominal = desc.qos().clone();
+        e.deploy(desc, SyntheticService::new(nominal));
+    });
+
+    // Sessions compose until the receiving end goes away.
+    let (observed, observations) = mpsc::channel();
+    let sessions: Vec<_> = (0..8)
+        .map(|_| {
+            let (s, observed) = (shared.clone(), observed.clone());
+            thread::spawn(move || {
+                let (a, fast) = (Iri::new("d", "A"), Iri::new("d", "Fast"));
+                let observe = |e: &Environment| {
+                    let onto = e.ontology();
+                    let subsumed = match (onto.concept(&fast), onto.concept(&a)) {
+                        (Some(fast), Some(a)) => onto.is_subconcept_of(fast, a),
+                        _ => false,
+                    };
+                    // Sent under the read guard: once a swap returns,
+                    // everything composed before it is in the queue.
+                    observed.send((winner(e), subsumed)).is_ok()
+                };
+                while s.with(observe) {}
+            })
+        })
+        .collect();
+    drop(observed);
+
+    let check = |(name, subsumed): (String, bool)| {
+        let expected = if subsumed { "fast" } else { "s0" };
+        assert_eq!(name, expected, "selection with Fast below A: {subsumed}");
+        subsumed
+    };
+    for round in 0..40 {
+        let fast_below_a = round % 2 == 0;
+        shared.reload_ontology(taxonomy(fast_below_a));
+        for earlier in observations.try_iter() {
+            check(earlier);
+        }
+        // The queue held every earlier composition, so this one ran
+        // under the taxonomy just installed.
+        let fresh = observations.recv().expect("sessions are composing");
+        assert_eq!(check(fresh), fast_below_a);
+    }
+    drop(observations);
+    for handle in sessions {
+        handle.join().unwrap();
     }
 }
 

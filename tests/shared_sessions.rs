@@ -6,11 +6,11 @@ use std::thread;
 use qasom::{
     Environment, RegistryDelta, ServeOutcome, SessionRequest, SharedEnvironment, UserRequest,
 };
+use qasom_bench::scenarios;
 use qasom_netsim::runtime::SyntheticService;
 use qasom_ontology::OntologyBuilder;
 use qasom_qos::QosModel;
 use qasom_registry::ServiceDescription;
-use qasom_task::{Activity, TaskNode, UserTask};
 
 fn shared_market(providers: usize) -> SharedEnvironment {
     let mut b = OntologyBuilder::new("d");
@@ -26,8 +26,7 @@ fn shared_market(providers: usize) -> SharedEnvironment {
 }
 
 fn request() -> UserRequest {
-    UserRequest::new(UserTask::new("t", TaskNode::activity(Activity::new("a", "d#A"))).unwrap())
-        .weight("Delay", 1.0)
+    scenarios::one_activity_request("t").unwrap()
 }
 
 #[test]
