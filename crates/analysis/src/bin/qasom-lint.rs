@@ -27,9 +27,9 @@ fn usage() -> ExitCode {
          Scans the workspace sources for determinism-wallclock,\n\
          determinism-unordered, panic-unwrap and daemon-with-mut\n\
          findings, plus the scope-aware QA1xx lock-discipline family\n\
-         (lock-order, write-under-read, guard-across-send,\n\
-         raw-lock-in-daemon), comparing panic-unwrap counts against\n\
-         the checked-in baseline (default: <root>/lint-baseline.txt).\n\
+         (write-under-read, guard-across-send, raw-lock-in-daemon),\n\
+         comparing panic-unwrap counts against the checked-in\n\
+         baseline (default: <root>/lint-baseline.txt).\n\
          All other rules fail outright."
     );
     ExitCode::from(2)

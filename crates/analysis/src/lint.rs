@@ -28,11 +28,10 @@
 //!   accounted and bounded; an arbitrary closure over the write lock
 //!   could starve every serving session.
 //!
-//! The QA1xx lock-discipline family ([`Rule::LockOrder`],
-//! [`Rule::WriteUnderRead`], [`Rule::GuardAcrossSend`],
-//! [`Rule::RawLockInDaemon`]) is scope-aware: it runs over the
-//! [`crate::lexer`] token stream with guard-lifetime tracking — see
-//! [`crate::locks`] for the rules and the lock-order manifest.
+//! The QA1xx lock-discipline family ([`Rule::WriteUnderRead`],
+//! [`Rule::GuardAcrossSend`], [`Rule::RawLockInDaemon`]) is scope-aware:
+//! it runs over the [`crate::lexer`] token stream with guard-lifetime
+//! tracking — see [`crate::locks`] for the rules and the lock manifest.
 //!
 //! Any rule can be suppressed with `// lint:allow(<rule-name>)` on the
 //! finding's line or on the line immediately above it.
@@ -54,8 +53,6 @@ pub enum Rule {
     PanicUnwrap,
     /// `with_mut` (the arbitrary write-lock closure) in daemon code.
     DaemonWithMut,
-    /// QA101: lock acquisition inverting the manifest order.
-    LockOrder,
     /// QA102: `.write()` while a read guard of the same lock is live.
     WriteUnderRead,
     /// QA103: lock guard held across a channel send / transport write.
@@ -73,7 +70,6 @@ impl Rule {
             Rule::Unordered => "determinism-unordered",
             Rule::PanicUnwrap => "panic-unwrap",
             Rule::DaemonWithMut => "daemon-with-mut",
-            Rule::LockOrder => "lock-order",
             Rule::WriteUnderRead => "write-under-read",
             Rule::GuardAcrossSend => "guard-across-send",
             Rule::RawLockInDaemon => "raw-lock-in-daemon",
@@ -83,7 +79,6 @@ impl Rule {
     /// The QA-code of the rule, for the lock-discipline family.
     pub fn code(self) -> Option<&'static str> {
         match self {
-            Rule::LockOrder => Some("QA101"),
             Rule::WriteUnderRead => Some("QA102"),
             Rule::GuardAcrossSend => Some("QA103"),
             Rule::RawLockInDaemon => Some("QA104"),
@@ -92,13 +87,12 @@ impl Rule {
     }
 
     /// All rules, in reporting order.
-    pub fn all() -> [Rule; 8] {
+    pub fn all() -> [Rule; 7] {
         [
             Rule::Wallclock,
             Rule::Unordered,
             Rule::PanicUnwrap,
             Rule::DaemonWithMut,
-            Rule::LockOrder,
             Rule::WriteUnderRead,
             Rule::GuardAcrossSend,
             Rule::RawLockInDaemon,
@@ -127,10 +121,7 @@ impl Rule {
             Rule::DaemonWithMut => &["with_mut"],
             // The QA1xx family is scope-aware (crate::locks), not
             // token-matched; it never participates in the line loop.
-            Rule::LockOrder
-            | Rule::WriteUnderRead
-            | Rule::GuardAcrossSend
-            | Rule::RawLockInDaemon => &[],
+            Rule::WriteUnderRead | Rule::GuardAcrossSend | Rule::RawLockInDaemon => &[],
         }
     }
 }
@@ -177,7 +168,6 @@ pub fn determinism_scope(rel: &str) -> bool {
     rel.starts_with("crates/netsim/src/")
         || rel.starts_with("crates/obs/src/")
         || rel.starts_with("crates/daemon/src/")
-        || rel.starts_with("crates/cluster/src/")
         || rel == "crates/selection/src/distributed.rs"
         || rel == "crates/bench/src/scenarios.rs"
 }
@@ -412,10 +402,7 @@ pub fn scan_file(rel: &str, source: &str) -> Vec<Finding> {
                 Rule::PanicUnwrap => panics && !in_test,
                 Rule::DaemonWithMut => daemon && !in_test,
                 // Scope-aware rules run below, over the token stream.
-                Rule::LockOrder
-                | Rule::WriteUnderRead
-                | Rule::GuardAcrossSend
-                | Rule::RawLockInDaemon => false,
+                Rule::WriteUnderRead | Rule::GuardAcrossSend | Rule::RawLockInDaemon => false,
             };
             if !in_scope || !rule.tokens().iter().any(|t| code.contains(t)) {
                 continue;

@@ -2,14 +2,10 @@
 //! the [`crate::lexer`] token stream.
 //!
 //! The workspace's concurrency story (PR 5/PR 6) rests on a small set of
-//! locks with a strict acquisition order. This module declares that
-//! order as a checked-in manifest ([`MANIFEST`]) and enforces four rules
-//! over every file that hosts one of the locks (plus everything under
-//! `crates/daemon/src/`):
+//! locks, one per file. This module declares them as a checked-in
+//! manifest ([`MANIFEST`]) and enforces three rules over every file that
+//! hosts one of the locks (plus everything under `crates/daemon/src/`):
 //!
-//! * **QA101 `lock-order`** — acquiring a lock of a lower rank while
-//!   holding a guard of a higher rank inverts the manifest order and is
-//!   a deadlock waiting for a second thread.
 //! * **QA102 `write-under-read`** — `.write()` on a lock class while a
 //!   `.read()` guard of the same class is live in scope self-deadlocks
 //!   on `std::sync::RwLock` (the write blocks behind our own read).
@@ -44,21 +40,18 @@
 //! **empty** parentheses — `io::Read::read(&mut buf)` and
 //! `io::Write::write(buf)` take arguments and never match. Receivers are
 //! classified against the manifest by walking the field chain
-//! (`self.inner`, `self.shards[i]`, a `shard` loop variable), scoped per
+//! (`self.inner`, `self.state`, a `self.read()` helper), scoped per
 //! file so `self.inner` can mean the environment lock in `shared.rs` and
 //! the metrics mutex in `recorder.rs` without ambiguity.
 
 use crate::lexer::{lex, Token, TokenKind};
 use crate::lint::{allow_on, Finding, Rule};
 
-/// One lock class in the declared acquisition order.
+/// One lock class of the manifest.
 #[derive(Debug, Clone, Copy)]
 pub struct LockClass {
     /// Human-readable class name (used in finding excerpts and docs).
     pub name: &'static str,
-    /// Acquisition rank: locks must be acquired in non-decreasing rank
-    /// order. Lower rank = acquired first (outermost).
-    pub rank: u32,
     /// Workspace-relative files whose acquisitions belong to this class.
     pub files: &'static [&'static str],
     /// Receiver identifiers that select this class within those files
@@ -66,37 +59,29 @@ pub struct LockClass {
     pub receivers: &'static [&'static str],
 }
 
-/// The lock-order manifest: the declared acquisition order of every
-/// lock in the workspace. Acquiring upward (environment → interner →
-/// shard → event buffer → recorder) is legal; any inversion is QA101.
+/// The lock manifest: every lock in the workspace, outermost first
+/// (a session takes the environment lock, then composes through the
+/// match cache, emitting events and metrics on the way). Each lives in
+/// its own file and none is acquired lexically under another, so the
+/// nesting itself is not something a per-file scan can check.
 pub const MANIFEST: &[LockClass] = &[
     LockClass {
         name: "environment",
-        rank: 0,
         files: &["crates/core/src/shared.rs"],
         receivers: &["inner", "self"],
     },
     LockClass {
-        name: "interner",
-        rank: 1,
+        name: "match-cache",
         files: &["crates/registry/src/discovery.rs"],
-        receivers: &["interner"],
-    },
-    LockClass {
-        name: "match-cache-shard",
-        rank: 2,
-        files: &["crates/registry/src/discovery.rs"],
-        receivers: &["shards", "shard"],
+        receivers: &["state", "self"],
     },
     LockClass {
         name: "event-buffer",
-        rank: 3,
         files: &["crates/core/src/events.rs"],
         receivers: &["events", "self"],
     },
     LockClass {
         name: "recorder",
-        rank: 4,
         files: &["crates/obs/src/recorder.rs"],
         receivers: &["inner", "self"],
     },
@@ -137,8 +122,8 @@ fn classify(rel: &str, chain: &[String]) -> Option<usize> {
 }
 
 /// Walks the receiver field chain left of the `.` at `dot`, skipping
-/// balanced `[...]` / `(...)` suffixes: `self.shards[shard_of(r)].read()`
-/// yields `["self", "shards"]`.
+/// balanced `[...]` / `(...)` suffixes: `self.slots[slot_of(r)].read()`
+/// yields `["self", "slots"]`.
 fn receiver_chain(toks: &[Token], dot: usize) -> Vec<String> {
     let mut chain = Vec::new();
     let mut j = dot;
@@ -287,19 +272,11 @@ pub(crate) fn scan_locks(rel: &str, stripped: &[String], raw: &[&str]) -> Vec<Fi
                             emit(Rule::RawLockInDaemon, line, &mut findings);
                         }
                         let class = classify(rel, &chain);
-                        if let Some(ci) = class {
-                            let rank = MANIFEST[ci].rank;
-                            if guards
-                                .iter()
-                                .any(|g| g.class.is_some_and(|gc| MANIFEST[gc].rank > rank))
-                            {
-                                emit(Rule::LockOrder, line, &mut findings);
-                            }
-                            if m == "write"
-                                && guards.iter().any(|g| g.class == Some(ci) && !g.exclusive)
-                            {
-                                emit(Rule::WriteUnderRead, line, &mut findings);
-                            }
+                        if m == "write"
+                            && class.is_some()
+                            && guards.iter().any(|g| g.class == class && !g.exclusive)
+                        {
+                            emit(Rule::WriteUnderRead, line, &mut findings);
                         }
                         let (temp, var) = match lets.last() {
                             Some((d, v)) if *d == depth => (false, v.clone()),
@@ -387,39 +364,11 @@ mod tests {
             .filter(|f| {
                 matches!(
                     f.rule,
-                    Rule::LockOrder
-                        | Rule::WriteUnderRead
-                        | Rule::GuardAcrossSend
-                        | Rule::RawLockInDaemon
+                    Rule::WriteUnderRead | Rule::GuardAcrossSend | Rule::RawLockInDaemon
                 )
             })
             .map(|f| (f.rule, f.line))
             .collect()
-    }
-
-    #[test]
-    fn lock_order_inversion_is_flagged() {
-        // Shard (rank 2) held while acquiring the interner (rank 1).
-        let src = "impl C {\n    fn bad(&self) {\n        let state = self.shards[0].read();\n        let interner = self.interner.read();\n        state.touch(interner.len());\n    }\n}\n";
-        let hits = lock_findings("crates/registry/src/discovery.rs", src);
-        assert_eq!(hits, vec![(Rule::LockOrder, 4)]);
-    }
-
-    #[test]
-    fn ascending_order_is_clean() {
-        let src = "impl C {\n    fn good(&self) {\n        let interner = self.interner.read();\n        let state = self.shards[0].read();\n        state.touch(interner.len());\n    }\n}\n";
-        assert!(lock_findings("crates/registry/src/discovery.rs", src).is_empty());
-    }
-
-    #[test]
-    fn block_scoped_guard_dies_before_next_acquisition() {
-        // The real `lookup()` shape: interner read in a block, then a
-        // shard read — and crucially no QA101 on the way back *down*
-        // because the interner guard is gone.
-        let src = "impl C {\n    fn lookup(&self) {\n        let key = {\n            let interner = self.interner.read();\n            interner.id()\n        };\n        let state = self.shards[0].read();\n        let again = self.interner.read();\n    }\n}\n";
-        // Line 8 *does* re-acquire the interner under the shard guard.
-        let hits = lock_findings("crates/registry/src/discovery.rs", src);
-        assert_eq!(hits, vec![(Rule::LockOrder, 8)]);
     }
 
     #[test]
@@ -430,13 +379,18 @@ mod tests {
 
         let good = "impl S {\n    fn good(&self) {\n        let env = self.inner.read();\n        drop(env);\n        let mut w = self.inner.write();\n    }\n}\n";
         assert!(lock_findings("crates/core/src/shared.rs", good).is_empty());
+
+        // The match cache's one lock, reached through its `read()` helper.
+        let cache = "impl C {\n    fn bad(&self) {\n        let state = self.read();\n        let mut w = self.state.write();\n    }\n}\n";
+        let hits = lock_findings("crates/registry/src/discovery.rs", cache);
+        assert_eq!(hits, vec![(Rule::WriteUnderRead, 4)]);
     }
 
     #[test]
     fn if_let_scrutinee_temp_does_not_trip_write_under_read() {
-        // The double-checked intern pattern: temp read guard in the
-        // `if let` scrutinee, then a write. Must be clean.
-        let src = "impl C {\n    fn intern(&self) -> u32 {\n        if let Some(id) = self.interner.read().get(iri) {\n            return id;\n        }\n        let mut w = self.interner.write();\n        w.insert(iri)\n    }\n}\n";
+        // The double-checked pattern: temp read guard in the `if let`
+        // scrutinee, then a write. Must be clean.
+        let src = "impl C {\n    fn intern(&self) -> u32 {\n        if let Some(id) = self.state.read().get(iri) {\n            return id;\n        }\n        let mut w = self.state.write();\n        w.insert(iri)\n    }\n}\n";
         assert!(lock_findings("crates/registry/src/discovery.rs", src).is_empty());
     }
 
@@ -471,7 +425,7 @@ mod tests {
 
     #[test]
     fn cfg_test_regions_are_skipped() {
-        let src = "#[cfg(test)]\nmod tests {\n    fn f(c: &C) {\n        let s = c.shards[0].read();\n        let i = c.interner.read();\n    }\n}\n";
+        let src = "#[cfg(test)]\nmod tests {\n    fn f(c: &C) {\n        let r = c.state.read();\n        let w = c.state.write();\n    }\n}\n";
         assert!(lock_findings("crates/registry/src/discovery.rs", src).is_empty());
     }
 

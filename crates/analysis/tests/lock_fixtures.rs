@@ -41,13 +41,6 @@ fn lint_exit(root: &Path) -> i32 {
 }
 
 #[test]
-fn lockorder_fixture_fails_only_qa101() {
-    let root = fixture("lockorder");
-    assert_eq!(violated_rules(&root), vec![Rule::LockOrder]);
-    assert_eq!(lint_exit(&root), 1);
-}
-
-#[test]
 fn writeread_fixture_fails_only_qa102() {
     let root = fixture("writeread");
     assert_eq!(violated_rules(&root), vec![Rule::WriteUnderRead]);
@@ -72,8 +65,8 @@ fn rawlock_fixture_fails_only_qa104() {
 fn qa1xx_rules_are_never_baselined() {
     // `--write-baseline` must not absorb lock-discipline findings: the
     // re-check against a freshly written baseline still fails.
-    let root = fixture("lockorder");
-    let tmp = std::env::temp_dir().join("qasom-lockorder-baseline.txt");
+    let root = fixture("writeread");
+    let tmp = std::env::temp_dir().join("qasom-writeread-baseline.txt");
     let status = Command::new(env!("CARGO_BIN_EXE_qasom-lint"))
         .arg("--root")
         .arg(&root)
@@ -102,10 +95,7 @@ fn real_workspace_is_free_of_qa1xx_findings() {
         .filter(|f| {
             matches!(
                 f.rule,
-                Rule::LockOrder
-                    | Rule::WriteUnderRead
-                    | Rule::GuardAcrossSend
-                    | Rule::RawLockInDaemon
+                Rule::WriteUnderRead | Rule::GuardAcrossSend | Rule::RawLockInDaemon
             )
         })
         .collect();

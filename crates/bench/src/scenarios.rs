@@ -26,7 +26,6 @@ use std::sync::Arc;
 use qasom::{
     demo, Environment, RegistryDelta, ServeOutcome, SessionRequest, SharedEnvironment, UserRequest,
 };
-use qasom_cluster::{ClusterConfig, ClusterSim};
 use qasom_daemon::{AdmissionConfig, BrokerConfig, LoopbackClient, LoopbackDaemon};
 use qasom_netsim::runtime::SyntheticService;
 use qasom_obs::{key_paths, JsonValue, MemoryRecorder};
@@ -168,32 +167,9 @@ impl Flags {
         let raw = self
             .get(name)
             .ok_or_else(|| format!("{name} requires a value"))?;
-        parse_num(raw)
+        raw.parse()
+            .map_err(|_| format!("could not parse {raw:?} as a number"))
     }
-
-    /// The value of `name` as a comma-separated list of numbers
-    /// (`10000,100000`).
-    ///
-    /// # Errors
-    ///
-    /// An element does not parse, or the list is empty.
-    pub fn list(&self, name: &str) -> Result<Vec<usize>, String> {
-        let raw = self.get(name).unwrap_or_default();
-        let list: Vec<usize> = raw
-            .split(',')
-            .filter(|s| !s.is_empty())
-            .map(|s| parse_num(s.trim()))
-            .collect::<Result<_, _>>()?;
-        if list.is_empty() {
-            return Err(format!("{name} needs at least one number"));
-        }
-        Ok(list)
-    }
-}
-
-fn parse_num<T: FromStr>(raw: &str) -> Result<T, String> {
-    raw.parse()
-        .map_err(|_| format!("could not parse {raw:?} as a number"))
 }
 
 /// One deterministic `qasom-cli` subcommand.
@@ -245,16 +221,6 @@ pub const SCENARIOS: &[Scenario] = &[
             OUT,
         ],
         run: hotpath_stress,
-    },
-    Scenario {
-        name: "cluster-stress",
-        flags: &[
-            SEED,
-            ("--services", Kind::Value("N,N...", "10000,100000")),
-            ("--shards", Kind::Value("N,N...", "1,2,4,8")),
-            OUT,
-        ],
-        run: cluster_stress,
     },
     Scenario {
         name: "persist-stress",
@@ -438,7 +404,7 @@ fn find_burst(shared: &SharedEnvironment) -> Option<ServiceId> {
 }
 
 /// One advertisement of the `{ns}#F{f}` / `{ns}#F{f}Sub` taxonomy the
-/// cluster and persistence scenarios churn over, drawn from `rng`.
+/// persistence scenario churns over, drawn from `rng`.
 fn random_description(
     rng: &mut StdRng,
     model: &QosModel,
@@ -463,16 +429,9 @@ fn random_description(
 // ---------------------------------------------------------------------
 
 /// `report`: the builtin deterministic end-to-end scenario
-/// ([`qasom::demo`]) as a `RunReport`. The demo serves one host; the
-/// cluster section comes from a companion clustered run at the same
-/// seed, so the report (and the schema fixture) covers the sharded
-/// registry too.
+/// ([`qasom::demo`]) as a `RunReport`.
 fn report(flags: &Flags) -> Result<JsonValue, String> {
-    let seed = flags.num("--seed")?;
-    let mut report = demo::demo_run_report(seed);
-    let cluster = ClusterSim::new(ClusterConfig::default()).run(seed);
-    report.cluster = Some(cluster.to_section());
-    Ok(report.to_json())
+    Ok(demo::demo_run_report(flags.num("--seed")?).to_json())
 }
 
 /// `stress`: a fixed, single-threaded interleaving of typed serving
@@ -623,59 +582,6 @@ fn hotpath_stress(flags: &Flags) -> Result<JsonValue, String> {
         }
     }
     Ok(env.run_report("hotpath-stress").to_json())
-}
-
-/// `cluster-stress`: sweeps the clustered registry (`qasom_cluster`)
-/// over `--shards` counts at each `--services` scale. Each cell runs the
-/// gossip replication plane over the network simulator and audits it
-/// against the single-registry oracle.
-///
-/// Discovery latency is the modelled scatter/gather figure from the
-/// simulated replication run (one fan-out round trip plus the widest
-/// shard's evaluation work).
-fn cluster_stress(flags: &Flags) -> Result<JsonValue, String> {
-    const FUNCTIONS: usize = 6;
-    let seed: u64 = flags.num("--seed")?;
-    let shard_counts = flags.list("--shards")?;
-    let mut figures: Vec<JsonValue> = Vec::new();
-    for services in flags.list("--services")? {
-        for &shards in &shard_counts {
-            let cfg = ClusterConfig {
-                shards,
-                services,
-                functions: FUNCTIONS,
-                churn_rounds: 4,
-                churn_per_round: 8,
-                ..ClusterConfig::default()
-            };
-            let report = ClusterSim::new(cfg).run(seed);
-            if !report.converged || !report.oracle_match {
-                return Err(format!(
-                    "cluster run diverged at {services} services / {shards} shards"
-                ));
-            }
-            figures.push(
-                JsonValue::object()
-                    .field("services", services)
-                    .field("shards", shards)
-                    .field("discovery_latency_us", report.scatter_latency_us)
-                    .field("gossip_rounds", report.gossip_rounds)
-                    .field("deltas_shipped", report.deltas_shipped)
-                    .field("events_replicated", report.events_replicated)
-                    .field("snapshot_fallbacks", report.snapshot_fallbacks)
-                    .field("retries", report.retries)
-                    .field("converged", report.converged)
-                    .field("oracle_match", report.oracle_match)
-                    .field("coverage_ratio", report.coverage_ratio())
-                    .field("max_staleness_events", report.max_staleness_events)
-                    .field("sim_time_us", report.net.sim_time_us),
-            );
-        }
-    }
-    Ok(JsonValue::object()
-        .field("bench", "cluster")
-        .field("seed", seed)
-        .field("figures", figures))
 }
 
 /// `persist-stress`: the kill-and-replay determinism harness for the

@@ -12,8 +12,8 @@ use qasom_ontology::Ontology;
 use qasom_qos::{EndToEnd, QosModel, QosVector};
 use qasom_registry::persist::{PersistStats, RegistryJournal};
 use qasom_registry::{
-    CacheStats, Discovery, DiscoveryQuery, MatchCache, RegistryEvent, RegistrySync,
-    ServiceDescription, ServiceId, ServiceRegistry, SyncResponse,
+    CacheStats, Discovery, DiscoveryQuery, MatchCache, RegistryEvent, ServiceDescription,
+    ServiceId, ServiceRegistry, SyncResponse,
 };
 use qasom_selection::{Qassa, QassaConfig, SelectionProblem, ServiceCandidate};
 use qasom_task::{Activity, TaskClass, TaskClassRepository};
@@ -391,9 +391,10 @@ impl Environment {
 
     /// Replaces the domain ontology: the registry is re-bound (the
     /// inverted capability index is rebuilt over the new concept
-    /// hierarchy) and the semantic `MatchCache` invalidates lazily —
-    /// every shard flushes on first use because the new ontology carries
-    /// a fresh [`Ontology::stamp`]. Returns the new stamp.
+    /// hierarchy) and the semantic `MatchCache` invalidates lazily — it
+    /// stops answering at once and flushes on its next write, because
+    /// the new ontology carries a fresh [`Ontology::stamp`]. Returns the
+    /// new stamp.
     ///
     /// This is the purpose-built mutator behind
     /// [`crate::SharedEnvironment::reload_ontology`]; daemon code uses

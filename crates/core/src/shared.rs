@@ -6,7 +6,7 @@ use qasom_analysis::Diagnostic;
 use qasom_netsim::runtime::SyntheticService;
 use qasom_obs::keys;
 use qasom_ontology::Ontology;
-use qasom_registry::{RegistrySync, ReplicaCursor, ServiceDescription, ServiceId};
+use qasom_registry::{ReplicaCursor, ServiceDescription, ServiceId};
 
 use crate::{
     ComposeError, Environment, ExecutableComposition, ExecutionError, ExecutionReport, UserRequest,
@@ -163,8 +163,8 @@ pub struct ChurnReceipt {
     /// Registry epoch after the delta was applied.
     pub epoch: u64,
     /// Event-log position after the delta was applied: the
-    /// [`RegistrySync`] cursor a replica (or a cluster peer) must reach
-    /// to have observed this churn.
+    /// [`ServiceRegistry::sync_from`](qasom_registry::ServiceRegistry::sync_from)
+    /// cursor a replica must reach to have observed this churn.
     pub cursor: ReplicaCursor,
     /// Ids of the services the delta deployed, in delta order.
     pub deployed: Vec<ServiceId>,

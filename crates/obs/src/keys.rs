@@ -118,21 +118,6 @@ pub const DAEMON_FRAMES_WRITTEN: &str = "daemon.frames_written";
 /// Broker scheduling rounds (ticks) executed.
 pub const DAEMON_TICKS: &str = "daemon.ticks";
 
-/// Gossip rounds the cluster origin completed.
-pub const CLUSTER_GOSSIP_ROUNDS: &str = "cluster.gossip_rounds";
-/// Incremental event deltas the origin shipped to shard peers.
-pub const CLUSTER_DELTAS_SHIPPED: &str = "cluster.deltas_shipped";
-/// Registry events replicated onto shard peers (bucket-filtered).
-pub const CLUSTER_EVENTS_REPLICATED: &str = "cluster.events_replicated";
-/// Pulls answered with a full snapshot after an event-log gap.
-pub const CLUSTER_SNAPSHOT_FALLBACKS: &str = "cluster.snapshot_fallbacks";
-/// Pull retransmissions shard peers issued.
-pub const CLUSTER_RETRIES: &str = "cluster.retries";
-/// Scatter/gather discovery queries fanned across the shards.
-pub const CLUSTER_SCATTER_QUERIES: &str = "cluster.scatter_queries";
-/// Shards unreachable during the run (degraded coverage).
-pub const CLUSTER_SHARDS_LOST: &str = "cluster.shards_lost";
-
 /// WAL records the registry journal appended.
 pub const PERSIST_WAL_APPENDS: &str = "persistence.wal.appends";
 /// WAL bytes written (frame headers included).

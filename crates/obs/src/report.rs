@@ -12,8 +12,8 @@
 //! `persistence`, `serving`, `daemon`, `hotpath`) are one generic
 //! [`CounterSection`] filled from the [`keys::SECTIONS`] table.
 //! Sections carrying structured outcomes (`compose`, `execution`,
-//! `distributed`, `cluster`) are plain structs with public fields that
-//! their producers construct directly.
+//! `distributed`) are plain structs with public fields that their
+//! producers construct directly.
 
 use crate::json::JsonValue;
 use crate::keys::{self, Source};
@@ -256,59 +256,6 @@ impl DistributedSection {
     }
 }
 
-/// Clustered-registry totals for one run: gossip replication traffic,
-/// scatter/gather coverage and the staleness bound.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct ClusterSection {
-    /// Shards the registry was partitioned into.
-    pub shards: u64,
-    /// Shards unreachable during the run.
-    pub shards_lost: u64,
-    /// Gossip rounds the origin completed.
-    pub gossip_rounds: u64,
-    /// Incremental event deltas shipped to peers.
-    pub deltas_shipped: u64,
-    /// Registry events replicated onto peers (bucket-filtered).
-    pub events_replicated: u64,
-    /// Pulls answered with a full snapshot (event-log gap fallback).
-    pub snapshot_fallbacks: u64,
-    /// Pull retransmissions peers issued.
-    pub retries: u64,
-    /// Scatter/gather queries fanned across the shards.
-    pub scatter_queries: u64,
-    /// Fraction of the oracle's candidates the gather produced (1.0 when
-    /// no shard was lost).
-    pub coverage_ratio: f64,
-    /// Whether any shard was unreachable (coverage below the oracle).
-    pub degraded: bool,
-    /// Whether every live shard reached the origin's head.
-    pub converged: bool,
-    /// Events the most-lagged live shard trails the head by.
-    pub max_staleness_events: u64,
-    /// Network totals for the replication plane.
-    pub net: NetsimSection,
-}
-
-impl ClusterSection {
-    /// Serialises with a stable field order.
-    pub fn to_json(&self) -> JsonValue {
-        JsonValue::object()
-            .field("shards", self.shards)
-            .field("shards_lost", self.shards_lost)
-            .field("gossip_rounds", self.gossip_rounds)
-            .field("deltas_shipped", self.deltas_shipped)
-            .field("events_replicated", self.events_replicated)
-            .field("snapshot_fallbacks", self.snapshot_fallbacks)
-            .field("retries", self.retries)
-            .field("scatter_queries", self.scatter_queries)
-            .field("coverage_ratio", self.coverage_ratio)
-            .field("degraded", self.degraded)
-            .field("converged", self.converged)
-            .field("max_staleness_events", self.max_staleness_events)
-            .field("net", self.net.to_json())
-    }
-}
-
 /// Outcome of the composition step of a run.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ComposeSection {
@@ -394,9 +341,6 @@ pub struct RunReport {
     pub selection: Option<CounterSection>,
     /// Distributed-protocol totals, when the run was distributed.
     pub distributed: Option<DistributedSection>,
-    /// Clustered-registry totals, when the run went through the sharded
-    /// registry.
-    pub cluster: Option<ClusterSection>,
     /// Registry-persistence totals, when the run journaled to a WAL.
     pub persistence: Option<CounterSection>,
     /// Serving-layer totals, when the run went through
@@ -422,7 +366,6 @@ impl RunReport {
             discovery: None,
             selection: None,
             distributed: None,
-            cluster: None,
             persistence: None,
             serving: None,
             daemon: None,
@@ -468,7 +411,6 @@ impl RunReport {
                 "distributed",
                 opt(&self.distributed, DistributedSection::to_json),
             )
-            .field("cluster", opt(&self.cluster, ClusterSection::to_json))
             .field(
                 "persistence",
                 opt(&self.persistence, CounterSection::to_json),
@@ -588,7 +530,6 @@ mod tests {
         full.compose = Some(ComposeSection::default());
         full.execution = Some(ExecutionSection::default());
         full.distributed = Some(DistributedSection::default());
-        full.cluster = Some(ClusterSection::default());
         full.fill_counter_sections(&MetricsSnapshot::default(), &[]);
         let top = |r: &RunReport| match r.to_json() {
             JsonValue::Object(fields) => fields.iter().map(|(k, _)| k.clone()).collect::<Vec<_>>(),

@@ -19,7 +19,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::RwLock;
+use std::sync::{RwLock, RwLockReadGuard};
 
 use qasom_obs::{keys, Recorder};
 use qasom_ontology::{Iri, MatchDegree, Ontology};
@@ -149,51 +149,24 @@ impl<'a> DiscoveryQuery<'a> {
 /// flushes when consulted under a different one, so stale degrees can
 /// never leak across an ontology swap.
 ///
-/// Internally the memo is split into [`CACHE_SHARDS`] lock-sharded maps
-/// keyed by an FNV-1a hash of the *required* IRI (stable across runs, so
-/// shard assignment is deterministic), which keeps concurrent sessions
-/// composing under the serving layer's read lock from serialising on a
-/// single cache lock.
+/// The stamp, the intern table and the memoised degrees sit behind one
+/// `RwLock`: a probe is one read guard, a `put` one write guard that
+/// interns, flushes on a stamp mismatch and inserts. One lock is enough
+/// because every probe must consult the one intern table anyway: finer
+/// locks behind it cannot spread that contention (EXPERIMENTS.md,
+/// "Mechanism ablations").
 ///
 /// IRIs are interned to dense `u32` ids at this boundary: the degree
-/// maps key on `(u32, u32)` pairs, so a memo probe hashes eight bytes
+/// map keys on `(u32, u32)` pairs, so a memo probe hashes eight bytes
 /// instead of two namespace+name strings, and repeated queries over the
 /// recurring vocabulary of a task stop re-hashing IRI text. The intern
 /// table survives ontology swaps (an IRI's identity is textual); only
 /// the memoised degrees flush.
 #[derive(Debug, Default)]
 pub struct MatchCache {
-    shards: [RwLock<MatchCacheState>; CACHE_SHARDS],
-    interner: RwLock<HashMap<Iri, u32>>,
+    state: RwLock<MatchCacheState>,
     hits: AtomicU64,
     misses: AtomicU64,
-    interned: AtomicU64,
-}
-
-/// Number of independent lock shards in a [`MatchCache`].
-pub const CACHE_SHARDS: usize = 8;
-
-/// Deterministic 64-bit FNV-1a over the IRI's rendered bytes
-/// (`namespace # local_name`) — the one hash behind [`MatchCache`] lock
-/// shards and the cluster plane's capability buckets. Deliberately not
-/// `std`'s `RandomState`, whose per-process random keys would make shard
-/// assignment (and any contention pattern) nondeterministic.
-pub fn fnv1a_iri(iri: &Iri) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    let bytes = iri
-        .namespace()
-        .bytes()
-        .chain([b'#'])
-        .chain(iri.local_name().bytes());
-    for byte in bytes {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0100_0000_01b3);
-    }
-    hash
-}
-
-fn shard_of(iri: &Iri) -> usize {
-    (fnv1a_iri(iri) % CACHE_SHARDS as u64) as usize
 }
 
 /// Lifetime hit/miss totals of a [`MatchCache`] (monotone; totals are
@@ -222,7 +195,26 @@ impl CacheStats {
 #[derive(Debug, Default)]
 struct MatchCacheState {
     stamp: u64,
+    interner: HashMap<Iri, u32>,
     degrees: HashMap<(u32, u32), MatchDegree>,
+}
+
+impl MatchCacheState {
+    /// The dense id of `iri`, allocating one on first sight.
+    fn intern(&mut self, iri: &Iri) -> u32 {
+        if let Some(&id) = self.interner.get(iri) {
+            return id;
+        }
+        // Ids are the insertion index; a vocabulary cannot realistically
+        // approach the id width, but keep the bound loud.
+        assert!(
+            u32::try_from(self.interner.len()).is_ok(),
+            "more than u32::MAX interned IRIs"
+        );
+        let id = self.interner.len() as u32;
+        self.interner.insert(iri.clone(), id);
+        id
+    }
 }
 
 impl MatchCache {
@@ -231,15 +223,13 @@ impl MatchCache {
         MatchCache::default()
     }
 
+    fn read(&self) -> RwLockReadGuard<'_, MatchCacheState> {
+        self.state.read().unwrap_or_else(|p| p.into_inner())
+    }
+
     /// Entries currently memoised (diagnostics).
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|shard| {
-                let state = shard.read().unwrap_or_else(|p| p.into_inner());
-                state.degrees.len()
-            })
-            .sum()
+        self.read().degrees.len()
     }
 
     /// Whether the cache holds no entry.
@@ -256,11 +246,10 @@ impl MatchCache {
         }
     }
 
-    /// Distinct IRIs interned since construction — an exact count (not
-    /// a racing snapshot): the id allocator bumps it under the intern
-    /// table's write lock, so the report can surface it verbatim.
+    /// Distinct IRIs interned since construction — the intern table's
+    /// length, so the report can surface it verbatim.
     pub fn interned_iris(&self) -> u64 {
-        self.interned.load(Ordering::Relaxed)
+        self.read().interner.len() as u64
     }
 
     fn get(&self, stamp: u64, required: &Iri, offered: &Iri) -> Option<MatchDegree> {
@@ -273,14 +262,12 @@ impl MatchCache {
     }
 
     fn lookup(&self, stamp: u64, required: &Iri, offered: &Iri) -> Option<MatchDegree> {
+        let state = self.read();
         // An IRI the interner has never seen cannot have a memo entry.
-        let key = {
-            let interner = self.interner.read().unwrap_or_else(|p| p.into_inner());
-            (*interner.get(required)?, *interner.get(offered)?)
-        };
-        let state = self.shards[shard_of(required)]
-            .read()
-            .unwrap_or_else(|p| p.into_inner());
+        let key = (
+            *state.interner.get(required)?,
+            *state.interner.get(offered)?,
+        );
         if state.stamp == stamp {
             state.degrees.get(&key).copied()
         } else {
@@ -289,45 +276,15 @@ impl MatchCache {
     }
 
     fn put(&self, stamp: u64, required: &Iri, offered: &Iri, degree: MatchDegree) {
-        let key = (self.intern(required), self.intern(offered));
-        let mut state = self.shards[shard_of(required)]
-            .write()
-            .unwrap_or_else(|p| p.into_inner());
+        let mut state = self.state.write().unwrap_or_else(|p| p.into_inner());
+        let key = (state.intern(required), state.intern(offered));
         if state.stamp != stamp {
             // Computed under a different ontology than the cached
-            // entries: flush this shard and adopt the new stamp (each
-            // shard tracks its own stamp, so the others flush lazily the
-            // next time they are written under the new ontology).
+            // entries: flush them all and adopt the new stamp.
             state.degrees.clear();
             state.stamp = stamp;
         }
         state.degrees.insert(key, degree);
-    }
-
-    /// The dense id of `iri`, allocating one on first sight.
-    fn intern(&self, iri: &Iri) -> u32 {
-        if let Some(&id) = self
-            .interner
-            .read()
-            .unwrap_or_else(|p| p.into_inner())
-            .get(iri)
-        {
-            return id;
-        }
-        let mut interner = self.interner.write().unwrap_or_else(|p| p.into_inner());
-        if let Some(&id) = interner.get(iri) {
-            return id; // raced: another thread interned it first
-        }
-        // Ids are the insertion index; a vocabulary cannot realistically
-        // approach the id width, but keep the bound loud.
-        assert!(
-            u32::try_from(interner.len()).is_ok(),
-            "more than u32::MAX interned IRIs"
-        );
-        let id = interner.len() as u32;
-        interner.insert(iri.clone(), id);
-        self.interned.fetch_add(1, Ordering::Relaxed);
-        id
     }
 }
 
@@ -909,6 +866,25 @@ mod tests {
         assert_eq!(d2.match_functions(&req, &off), MatchDegree::Fail);
         // And the flush means the first engine recomputes correctly too.
         assert_eq!(d.match_functions(&req, &off), MatchDegree::PlugIn);
+    }
+
+    #[test]
+    fn a_put_under_a_new_stamp_flushes_every_stale_entry() {
+        let cache = MatchCache::new();
+        let pay: Iri = "shop#Pay".parse().unwrap();
+        let browse: Iri = "shop#Browse".parse().unwrap();
+        let card: Iri = "shop#PayByCard".parse().unwrap();
+        cache.put(1, &pay, &card, MatchDegree::PlugIn);
+        cache.put(1, &browse, &card, MatchDegree::Fail);
+        assert_eq!(cache.len(), 2);
+        cache.put(2, &pay, &card, MatchDegree::Fail);
+        // The stamp-1 degree memoised for the other required IRI is
+        // dropped with the flush, not merely unreachable.
+        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.get(1, &pay, &card), None);
+        assert_eq!(cache.get(1, &browse, &card), None);
+        assert_eq!(cache.get(2, &pay, &card), Some(MatchDegree::Fail));
+        assert_eq!(cache.interned_iris(), 3);
     }
 
     #[test]

@@ -10,11 +10,12 @@
 //!   hosting node;
 //! * [`ServiceRegistry`] — the service directory, supporting dynamic
 //!   registration and departure;
-//! * [`RegistrySync`] — the typed replication surface: a replica
-//!   presents its [`ReplicaCursor`] and gets back a [`SyncResponse`] —
-//!   an incremental event delta, or a snapshot when the cursor fell
-//!   behind the retained event window (delta re-selection, daemon churn
-//!   receipts and the cluster gossip peers all sync through it);
+//! * [`ServiceRegistry::sync_from`] — the typed replication surface: a
+//!   replica presents its [`ReplicaCursor`] and gets back a
+//!   [`SyncResponse`] — an incremental event delta, or a snapshot when
+//!   the cursor fell behind the retained event window (delta
+//!   re-selection, daemon churn receipts and persistence all follow the
+//!   cursor);
 //! * [`Discovery`] — QoS-aware service discovery: semantic functional
 //!   matching (through a domain [`Ontology`]) combined with I/O
 //!   compatibility and QoS-requirement filtering. One entry point,
@@ -62,11 +63,11 @@ mod service;
 mod sync;
 
 pub use discovery::{
-    fnv1a_iri, CacheStats, DiscoveredCandidate, Discovery, DiscoveryQuery, MatchCache, MatchedVia,
+    CacheStats, DiscoveredCandidate, Discovery, DiscoveryQuery, MatchCache, MatchedVia,
 };
 pub use registry::{EventLogGap, RegistryEvent, RegistrySnapshot, ServiceId, ServiceRegistry};
 pub use service::{Operation, ServiceDescription};
-pub use sync::{RegistrySync, ReplicaCursor, SyncResponse};
+pub use sync::{ReplicaCursor, SyncResponse};
 
 pub use qasom_qos::QosVector;
 

@@ -15,8 +15,7 @@
 //!   ([`RegistryJournal::open`]). A torn tail — short header, short
 //!   payload or CRC mismatch — is detected, counted and discarded
 //!   whole; valid records before it are kept, bytes after it are never
-//!   replayed partially (the same discipline as the cluster layer's
-//!   stale-delta rejection).
+//!   replayed partially.
 //!
 //! Two backends ship: [`MemoryBackend`] (tests and the
 //! `persist-stress` kill-and-replay harness — [`MemoryBackend::fork`]

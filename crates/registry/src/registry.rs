@@ -155,8 +155,7 @@ pub enum RegistryEvent {
 /// An observer's cursor points before the oldest retained event: the
 /// intervening events were compacted away, so incremental catch-up is
 /// impossible and the observer must resync from a [`RegistrySnapshot`]
-/// (which [`RegistrySync::sync_from`](crate::RegistrySync::sync_from)
-/// hands out automatically).
+/// (which [`ServiceRegistry::sync_from`] hands out automatically).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EventLogGap {
     /// Sequence number of the oldest event still retained.
@@ -184,7 +183,7 @@ impl std::error::Error for EventLogGap {}
 pub struct RegistrySnapshot {
     /// Event cursor the snapshot corresponds to (continue incrementally
     /// from here via
-    /// [`RegistrySync::sync_from`](crate::RegistrySync::sync_from)).
+    /// [`ServiceRegistry::sync_from`]).
     pub cursor: usize,
     /// Ids of every live service, ascending.
     pub live: Vec<ServiceId>,
@@ -194,7 +193,7 @@ pub struct RegistrySnapshot {
 ///
 /// Supports dynamic registration/departure and keeps an event log so
 /// observers can catch up on churn through the typed
-/// [`RegistrySync`](crate::RegistrySync) surface. The log can be bounded
+/// [`sync_from`](ServiceRegistry::sync_from) surface. The log can be bounded
 /// (`set_event_retention`) or compacted explicitly (`compact_events`);
 /// cursors stay monotone across compaction, and an observer whose
 /// cursor fell behind the retained window transparently gets a
@@ -411,29 +410,14 @@ impl ServiceRegistry {
             .filter_map(|(i, s)| s.as_ref().map(|d| (ServiceId(i as u32), d)))
     }
 
-    /// Live services whose function IRI equals `function` exactly
-    /// (syntactic lookup; use [`Discovery`](crate::Discovery) for semantic
-    /// matching).
-    pub fn find_by_function<'a>(
-        &'a self,
-        function: &'a Iri,
-    ) -> impl Iterator<Item = (ServiceId, &'a ServiceDescription)> {
-        self.iter().filter(move |(_, d)| d.function() == function)
-    }
-
-    /// Live services hosted on `node`.
-    pub fn hosted_on(&self, node: u64) -> impl Iterator<Item = (ServiceId, &ServiceDescription)> {
-        self.iter().filter(move |(_, d)| d.host() == Some(node))
-    }
-
     /// Total number of events emitted so far — the head of the event
-    /// log, equal to [`RegistrySync::sync_cursor`](crate::RegistrySync::sync_cursor)'s
+    /// log, equal to [`ServiceRegistry::sync_cursor`]'s
     /// raw sequence number. Monotone: compaction never rewinds it.
     pub fn event_cursor(&self) -> usize {
         self.event_head()
     }
 
-    /// The raw head sequence number ([`crate::RegistrySync`] backing).
+    /// The raw head sequence number ([`ServiceRegistry::sync_from`] backing).
     pub(crate) fn event_head(&self) -> usize {
         self.events_base + self.events.len()
     }
@@ -463,7 +447,7 @@ impl ServiceRegistry {
         cut
     }
 
-    /// [`crate::RegistrySync`] backing: retained events from `cursor`,
+    /// [`ServiceRegistry::sync_from`] backing: retained events from `cursor`,
     /// or the gap when the cursor fell behind the retained window.
     pub(crate) fn retained_events_from(
         &self,
@@ -479,7 +463,7 @@ impl ServiceRegistry {
         Ok(&self.events[from..])
     }
 
-    /// [`crate::RegistrySync`] backing: the live services as of the
+    /// [`ServiceRegistry::sync_from`] backing: the live services as of the
     /// current event head.
     pub(crate) fn resync_point(&self) -> RegistrySnapshot {
         RegistrySnapshot {
@@ -540,25 +524,6 @@ mod tests {
         let b = r.register(svc("b", "d#F"));
         assert_ne!(a, b);
         assert!(r.get(a).is_none());
-    }
-
-    #[test]
-    fn find_by_function_is_syntactic() {
-        let mut r = ServiceRegistry::new();
-        r.register(svc("a", "d#F"));
-        r.register(svc("b", "d#F"));
-        r.register(svc("c", "d#G"));
-        let f: Iri = "d#F".parse().unwrap();
-        assert_eq!(r.find_by_function(&f).count(), 2);
-    }
-
-    #[test]
-    fn hosted_on_filters_by_node() {
-        let mut r = ServiceRegistry::new();
-        r.register(svc("a", "d#F").with_host(1));
-        r.register(svc("b", "d#F").with_host(2));
-        assert_eq!(r.hosted_on(1).count(), 1);
-        assert_eq!(r.hosted_on(3).count(), 0);
     }
 
     #[test]

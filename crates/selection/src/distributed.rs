@@ -120,9 +120,7 @@ impl RetryPolicy {
     }
 
     /// The capped exponential delay of round `round`, without jitter.
-    /// Public so other protocol layers (e.g. the cluster gossip peers)
-    /// reuse the same backoff shape.
-    pub fn backoff_ms(&self, round: u32) -> u64 {
+    fn backoff_ms(&self, round: u32) -> u64 {
         let cap = self.max_delay_ms.max(self.base_delay_ms);
         self.base_delay_ms
             .saturating_mul(1u64 << round.min(20))

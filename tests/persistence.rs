@@ -19,7 +19,7 @@ use qasom_registry::persist::wal::split_frames;
 use qasom_registry::persist::{
     encode_state, MemoryBackend, PersistConfig, Persistence, PersistentRegistry,
 };
-use qasom_registry::{RegistrySync, ReplicaCursor, ServiceDescription, SyncResponse};
+use qasom_registry::{ReplicaCursor, ServiceDescription, SyncResponse};
 
 fn ontology() -> Arc<Ontology> {
     let mut b = OntologyBuilder::new("p");

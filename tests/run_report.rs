@@ -13,7 +13,6 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use qasom::demo::demo_run_report;
 use qasom::{Environment, EnvironmentConfig, UserRequest};
-use qasom_cluster::{ClusterConfig, ClusterSim};
 use qasom_netsim::runtime::SyntheticService;
 use qasom_obs::{key_paths, MemoryRecorder, NoopRecorder, Recorder};
 use qasom_ontology::{Ontology, OntologyBuilder};
@@ -34,16 +33,9 @@ fn golden_same_seed_byte_identical() {
 
 #[test]
 fn schema_matches_checked_in_fixture() {
-    // Mirror `qasom-cli report`: the demo scenario plus the companion
-    // clustered-registry section at the same seed (the CLI is what
-    // regenerates the fixture).
-    let mut report = demo_run_report(42);
-    report.cluster = Some(
-        ClusterSim::new(ClusterConfig::default())
-            .run(42)
-            .to_section(),
-    );
-    let mut actual = key_paths(&report.to_json()).join("\n");
+    // What `qasom-cli report --schema` prints (the CLI regenerates the
+    // fixture).
+    let mut actual = key_paths(&demo_run_report(42).to_json()).join("\n");
     actual.push('\n');
     assert_eq!(
         actual, SCHEMA_FIXTURE,
