@@ -134,34 +134,6 @@ const FIGURES: &[FigureRow] = &[
         bench::fig_discovery,
     ),
     (
-        "serving",
-        "serving",
-        "Serving — concurrent sessions: serial-lock vs read-concurrent compose",
-        "threads",
-        |_| bench::fig_serving(),
-    ),
-    (
-        "daemon",
-        "daemon",
-        "Daemon — batched admission: throughput and discovery cost vs batch size",
-        "batch max",
-        |_| bench::fig_daemon(),
-    ),
-    (
-        "hotpath",
-        "hotpath",
-        "Hot path — compose p50/p99 and full-vs-delta re-selection (8 activities)",
-        "services",
-        |_| bench::fig_hotpath(),
-    ),
-    (
-        "persist",
-        "persist",
-        "Persistence — warm boot: snapshot load / WAL replay vs re-registration",
-        "services",
-        |_| bench::fig_persist(),
-    ),
-    (
         "scale",
         "scale",
         "Scalability — QASSA at large pools (serial vs parallel local phase)",

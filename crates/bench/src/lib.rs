@@ -64,26 +64,6 @@ pub fn time_ms(repeats: usize, mut f: impl FnMut()) -> f64 {
     samples[samples.len() / 2]
 }
 
-/// Times `f` over `repeats` runs after one warm-up and returns the
-/// `(p50, p99)` sample percentiles in milliseconds (nearest rank; at
-/// small sample counts p99 is effectively the maximum).
-pub fn percentile_ms(repeats: usize, mut f: impl FnMut()) -> (f64, f64) {
-    f(); // warm-up
-    let mut samples: Vec<f64> = (0..repeats.max(1))
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_secs_f64() * 1_000.0
-        })
-        .collect();
-    samples.sort_by(f64::total_cmp);
-    let rank = |q: f64| {
-        let idx = ((samples.len() as f64) * q).ceil() as usize;
-        samples[idx.clamp(1, samples.len()) - 1]
-    };
-    (rank(0.50), rank(0.99))
-}
-
 fn qassa_time_ms(model: &QosModel, w: &Workload, repeats: usize) -> f64 {
     let problem = w.problem();
     let qassa = Qassa::new(model);
@@ -444,10 +424,7 @@ pub fn ablate_kmeans_k(model: &QosModel) -> Vec<FigureSeries> {
     let mut opt_series = FigureSeries::new("optimality");
     for k in [2usize, 3, 4, 6, 8] {
         let config = QassaConfig {
-            local: LocalRank {
-                bands: k,
-                kmeans_iters: 50,
-            },
+            local: LocalRank { bands: k },
             ..QassaConfig::default()
         };
         let w = WorkloadSpec::evaluation_default().build(model, 42);
@@ -852,311 +829,6 @@ pub fn fig_discovery(model: &QosModel) -> Vec<FigureSeries> {
     vec![indexed_ms, linear_ms, speedup]
 }
 
-/// Builds the serving-throughput market: three concepts, `per_concept`
-/// providers each, a three-activity sequence task touching all of them.
-fn serving_market(per_concept: usize) -> Option<(qasom::SharedEnvironment, qasom::UserRequest)> {
-    use qasom_registry::ServiceDescription;
-
-    let concepts = ["A", "B", "C"];
-    let rt = QosModel::standard().property("ResponseTime")?;
-    let env = scenarios::market("d", &concepts, per_concept, 17, |ci, i| {
-        let c = concepts[ci];
-        ServiceDescription::new(format!("{c}{i}"), &format!("d#{c}"))
-            .with_qos(rt, 40.0 + (ci * per_concept + i) as f64)
-    })
-    .ok()?;
-    let task = UserTask::new(
-        "serving",
-        TaskNode::sequence([
-            TaskNode::activity(Activity::new("a", "d#A")),
-            TaskNode::activity(Activity::new("b", "d#B")),
-            TaskNode::activity(Activity::new("c", "d#C")),
-        ]),
-    )
-    .ok()?;
-    Some((
-        qasom::SharedEnvironment::new(env),
-        qasom::UserRequest::new(task).weight("Delay", 1.0),
-    ))
-}
-
-/// Runs `threads × sessions_per_thread` compositions against one shared
-/// environment and returns `(sessions/sec, ms/session)`. `serial` routes
-/// every compose through the write lock (the pre-split discipline);
-/// otherwise composes share the read lock and overlap.
-fn serving_throughput(threads: usize, sessions_per_thread: usize, serial: bool) -> (f64, f64) {
-    let Some((shared, request)) = serving_market(40) else {
-        return (0.0, 0.0);
-    };
-    // Warm the match cache so every measured session takes the hit path.
-    let warmed = shared.compose(&request).is_ok();
-    assert!(warmed, "the serving market must compose");
-
-    let start = Instant::now();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let shared = &shared;
-            let request = &request;
-            scope.spawn(move || {
-                for _ in 0..sessions_per_thread {
-                    let ok = if serial {
-                        shared.with_mut(|e| e.compose(request).is_ok())
-                    } else {
-                        shared.compose(request).is_ok()
-                    };
-                    assert!(ok, "every session must compose");
-                }
-            });
-        }
-    });
-    let elapsed = start.elapsed().as_secs_f64().max(f64::MIN_POSITIVE);
-    let sessions = (threads * sessions_per_thread) as f64;
-    (sessions / elapsed, elapsed * 1000.0 / sessions)
-}
-
-/// Serving throughput at 1/2/4/8 session threads: the full composition
-/// pipeline (discovery + QASSA selection) per session, serial-lock
-/// (every compose exclusive, the discipline before the read/write
-/// split) vs read-concurrent (composes share the read lock). Single
-/// shared environment, 3 activities × 40 providers. On a multi-core
-/// host the read-concurrent sessions/s curve scales with threads while
-/// serial-lock stays flat; single-threaded the two must coincide (the
-/// split costs nothing when uncontended).
-pub fn fig_serving() -> Vec<FigureSeries> {
-    let mut serial = FigureSeries::new("serial-lock sessions/s");
-    let mut concurrent = FigureSeries::new("read-concurrent sessions/s");
-    let mut serial_latency = FigureSeries::new("serial-lock ms/session");
-    let mut concurrent_latency = FigureSeries::new("read-concurrent ms/session");
-    for threads in [1usize, 2, 4, 8] {
-        let x = threads as f64;
-        let (rate, latency) = serving_throughput(threads, 25, true);
-        serial.points.push((x, rate));
-        serial_latency.points.push((x, latency));
-        let (rate, latency) = serving_throughput(threads, 25, false);
-        concurrent.points.push((x, rate));
-        concurrent_latency.points.push((x, latency));
-    }
-    vec![serial, concurrent, serial_latency, concurrent_latency]
-}
-
-/// Hot-path figure: full-pipeline compose latency (p50/p99) plus the
-/// full-vs-delta re-selection split after churn touching one of the
-/// eight activities, at 10k and 100k registered services. The speed-up
-/// series is what the delta path buys: full recompose re-discovers and
-/// re-clusters all eight activities, the delta re-ranks exactly one.
-pub fn fig_hotpath() -> Vec<FigureSeries> {
-    let mut compose_p50 = FigureSeries::new("compose p50 [ms]");
-    let mut compose_p99 = FigureSeries::new("compose p99 [ms]");
-    let mut full = FigureSeries::new("full recompose [ms]");
-    let mut delta = FigureSeries::new("delta recompose [ms]");
-    let mut speedup = FigureSeries::new("full/delta speed-up");
-    for total in [10_000usize, 100_000] {
-        let Ok((mut env, request)) = scenarios::hotpath_market(total, 23) else {
-            continue;
-        };
-        let Ok(comp) = env.compose(&request) else {
-            continue;
-        };
-        // Churn touching exactly one activity (concept A0): every delta
-        // re-selection below replays this one event and re-ranks one of
-        // the eight activities.
-        let Some(rt) = env.model().property("ResponseTime") else {
-            continue;
-        };
-        let desc = qasom_registry::ServiceDescription::new("late", "hp#A0").with_qos(rt, 35.0);
-        let nominal = desc.qos().clone();
-        env.deploy(desc, qasom_netsim::runtime::SyntheticService::new(nominal));
-
-        // The fallibility of compose/recompose was settled by the first
-        // compose above; the timed closures discard the (identical)
-        // results.
-        let x = total as f64;
-        let (p50, p99) = percentile_ms(9, || {
-            let _ = env.compose(&request);
-        });
-        compose_p50.points.push((x, p50));
-        compose_p99.points.push((x, p99));
-        let f = time_ms(5, || {
-            let _ = env.recompose_full(&comp);
-        });
-        let d = time_ms(5, || {
-            let _ = env.recompose(&comp);
-        });
-        full.points.push((x, f));
-        delta.points.push((x, d));
-        speedup.points.push((x, f / d.max(f64::MIN_POSITIVE)));
-    }
-    vec![compose_p50, compose_p99, full, delta, speedup]
-}
-
-/// Persistence figure: warm-boot cost at 10k and 100k registered
-/// services (DESIGN.md §14). Three ways to repopulate a registry after
-/// a restart:
-///
-/// * **re-registration** — the no-persistence baseline: every provider
-///   re-registers from scratch (what `qasomd` without `--data-dir`
-///   does on every boot);
-/// * **WAL replay** — recovery from an un-checkpointed write-ahead log
-///   (one CRC-framed record per historical registration);
-/// * **snapshot load** — recovery from a checkpointed snapshot with an
-///   empty WAL (the state after a clean shutdown).
-pub fn fig_persist() -> Vec<FigureSeries> {
-    use qasom_registry::persist::{MemoryBackend, PersistConfig, PersistentRegistry};
-    use qasom_registry::{ServiceDescription, ServiceRegistry};
-
-    const CONCEPTS: usize = 8;
-    let mut rereg = FigureSeries::new("re-registration [ms]");
-    let mut replay = FigureSeries::new("WAL replay [ms]");
-    let mut snapshot = FigureSeries::new("snapshot load [ms]");
-    let mut b = OntologyBuilder::new("ps");
-    for c in 0..CONCEPTS {
-        b.concept(&format!("A{c}"));
-    }
-    let Ok(ontology) = b.build() else {
-        return vec![rereg, replay, snapshot];
-    };
-    let ontology = std::sync::Arc::new(ontology);
-    let model = QosModel::standard();
-    let Some(rt) = model.property("ResponseTime") else {
-        return vec![rereg, replay, snapshot];
-    };
-
-    for total in [10_000usize, 100_000] {
-        let descriptions: Vec<ServiceDescription> = (0..total)
-            .map(|i| {
-                ServiceDescription::new(format!("s{i}"), format!("ps#A{}", i % CONCEPTS).as_str())
-                    .with_qos(rt, 40.0 + ((i * 7_919) % 1_000) as f64)
-            })
-            .collect();
-        let x = total as f64;
-
-        rereg.points.push((
-            x,
-            time_ms(3, || {
-                let mut registry = ServiceRegistry::with_ontology(std::sync::Arc::clone(&ontology));
-                for desc in &descriptions {
-                    registry.register(desc.clone());
-                }
-                std::hint::black_box(registry.len());
-            }),
-        ));
-
-        let backend = MemoryBackend::new();
-        let Ok((mut journaled, _)) = PersistentRegistry::open(
-            backend.clone(),
-            PersistConfig {
-                checkpoint_every: 0,
-            },
-            Some(std::sync::Arc::clone(&ontology)),
-        ) else {
-            continue;
-        };
-        if descriptions
-            .iter()
-            .any(|desc| journaled.register(desc.clone()).is_err())
-        {
-            continue;
-        }
-        replay.points.push((
-            x,
-            time_ms(3, || {
-                let recovered = PersistentRegistry::open(
-                    backend.fork(),
-                    PersistConfig::default(),
-                    Some(std::sync::Arc::clone(&ontology)),
-                );
-                std::hint::black_box(recovered.is_ok());
-            }),
-        ));
-
-        if journaled.checkpoint().is_err() {
-            continue;
-        }
-        snapshot.points.push((
-            x,
-            time_ms(3, || {
-                let recovered = PersistentRegistry::open(
-                    backend.fork(),
-                    PersistConfig::default(),
-                    Some(std::sync::Arc::clone(&ontology)),
-                );
-                std::hint::black_box(recovered.is_ok());
-            }),
-        ));
-    }
-    vec![rereg, replay, snapshot]
-}
-
-/// Drives `clients × rounds` same-signature sessions through a loopback
-/// daemon over a 40-provider [`scenarios::one_concept_market`] at the
-/// given `batch_max` and returns `(sessions completed, discovery
-/// queries)` from the recorder — both deterministic.
-fn daemon_run(batch_max: usize, clients: usize, rounds: usize) -> Option<(u64, u64)> {
-    use qasom_daemon::{AdmissionConfig, BrokerConfig, LoopbackDaemon};
-
-    let mut env = scenarios::one_concept_market(40, 7).ok()?;
-    env.set_recorder(std::sync::Arc::new(qasom_obs::MemoryRecorder::new()));
-    let shared = qasom::SharedEnvironment::new(env);
-    let request = scenarios::one_activity_request("t").ok()?;
-    let mut daemon = LoopbackDaemon::new(
-        shared.clone(),
-        BrokerConfig {
-            admission: AdmissionConfig {
-                queue_capacity: clients * rounds + 1,
-                client_quota: rounds + 1,
-                batch_max,
-            },
-        },
-    );
-    let handles = scenarios::connect_clients(&mut daemon, clients, "c").ok()?;
-    let mut corr = 0u64;
-    for _ in 0..rounds {
-        for c in &handles {
-            corr += 1;
-            daemon.send_compose(*c, corr, &request).ok()?;
-        }
-        daemon.pump();
-        for c in &handles {
-            daemon.drain_events(*c).ok()?;
-        }
-    }
-    let snap = shared.with(|e| e.recorder().and_then(|r| r.snapshot()))?;
-    Some((
-        snap.counter(qasom_obs::keys::DAEMON_COMPLETED),
-        snap.counter(qasom_obs::keys::DISCOVERY_INDEXED)
-            + snap.counter(qasom_obs::keys::DISCOVERY_LINEAR),
-    ))
-}
-
-/// Daemon serving — batched admission: sessions/s and discovery queries
-/// per session vs `batch_max`, 8 clients submitting the same request
-/// over the loopback transport. The queries/session series is exact and
-/// deterministic (1 at `batch_max ≥ clients`, approaching 1/`batch_max`
-/// of the unbatched cost); the sessions/s series is machine-local.
-pub fn fig_daemon() -> Vec<FigureSeries> {
-    const CLIENTS: usize = 8;
-    const ROUNDS: usize = 12;
-    let mut rate = FigureSeries::new("sessions/s");
-    let mut queries = FigureSeries::new("discovery queries/session");
-    for batch_max in [1usize, 2, 4, 8] {
-        let Some((sessions, discovery_queries)) = daemon_run(batch_max, CLIENTS, ROUNDS) else {
-            continue;
-        };
-        queries.points.push((
-            batch_max as f64,
-            discovery_queries as f64 / sessions.max(1) as f64,
-        ));
-        let ms = time_ms(3, || {
-            let _ = daemon_run(batch_max, CLIENTS, ROUNDS);
-        });
-        rate.points.push((
-            batch_max as f64,
-            sessions as f64 / (ms / 1000.0).max(f64::MIN_POSITIVE),
-        ));
-    }
-    vec![rate, queries]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1192,57 +864,6 @@ mod tests {
             std::hint::black_box((0..1000).sum::<u64>());
         });
         assert!(ms >= 0.0);
-    }
-
-    #[test]
-    fn fig_serving_produces_all_series() {
-        // Smoke at tiny scale: both lock disciplines produce finite,
-        // positive rates at 1 and 2 threads (no timing assertion — the
-        // ≥1.5× speed-up claim belongs to multi-core CI runners).
-        let mut serial = FigureSeries::new("serial-lock sessions/s");
-        let mut concurrent = FigureSeries::new("read-concurrent sessions/s");
-        for threads in [1usize, 2] {
-            let (rate, _) = serving_throughput(threads, 3, true);
-            serial.points.push((threads as f64, rate));
-            let (rate, _) = serving_throughput(threads, 3, false);
-            concurrent.points.push((threads as f64, rate));
-        }
-        for series in [&serial, &concurrent] {
-            for (_, rate) in &series.points {
-                assert!(rate.is_finite() && *rate > 0.0);
-            }
-        }
-    }
-
-    #[test]
-    fn daemon_batching_reduces_discovery_queries() {
-        let (sessions_unbatched, queries_unbatched) =
-            daemon_run(1, 4, 3).expect("loopback run completes");
-        let (sessions_batched, queries_batched) =
-            daemon_run(8, 4, 3).expect("loopback run completes");
-        assert_eq!(sessions_unbatched, 12);
-        assert_eq!(sessions_batched, 12);
-        // One compose pass per batch: batching 4 clients' identical
-        // requests must cut discovery traffic.
-        assert!(queries_batched < queries_unbatched);
-    }
-
-    #[test]
-    fn hotpath_market_composes_and_delta_matches_full() {
-        // Tiny scale: the market composes, churn routes the next
-        // recompose through the delta path, and the result matches the
-        // full oracle.
-        let (mut env, request) = scenarios::hotpath_market(160, 23).expect("market builds");
-        let comp = env.compose(&request).expect("composes");
-        let rt = env.model().property("ResponseTime").unwrap();
-        let desc = qasom_registry::ServiceDescription::new("late", "hp#A0").with_qos(rt, 35.0);
-        let nominal = desc.qos().clone();
-        env.deploy(desc, qasom_netsim::runtime::SyntheticService::new(nominal));
-        let delta = env.recompose(&comp).expect("delta recomposes");
-        let full = env.recompose_full(&comp).expect("full recomposes");
-        assert_eq!(delta.outcome().assignment, full.outcome().assignment);
-        assert_eq!(delta.outcome().ranked, full.outcome().ranked);
-        assert_eq!(delta.outcome().utility, full.outcome().utility);
     }
 
     #[test]

@@ -14,11 +14,9 @@
 //! `qasom-lint`'s determinism scope (no wall clock, no unordered
 //! collections) even though the rest of this crate times things.
 //!
-//! The synthetic provider markets the scenarios run on (`market`,
-//! `one_concept_market`, `hotpath_market`) are shared with the `fig_*`
-//! functions of the crate root; `one_concept_market` and
-//! `one_activity_request` are `pub` for the integration tests under
-//! `tests/` that serve the same market.
+//! Of the synthetic provider markets the scenarios run on,
+//! `one_concept_market` and `one_activity_request` are `pub` for the
+//! integration tests under `tests/` that serve the same market.
 
 use std::str::FromStr;
 use std::sync::Arc;
@@ -286,7 +284,7 @@ fn standard_property(name: &str) -> Result<qasom_qos::PropertyId, String> {
 /// `per_concept` faithful providers of each — `describe(concept index,
 /// provider index)` advertises one. No recorder is attached. Fails only
 /// if the concept names do not form a valid ontology.
-pub(crate) fn market(
+fn market(
     ns: &str,
     concepts: &[impl AsRef<str>],
     per_concept: usize,
@@ -338,10 +336,7 @@ pub fn one_activity_request(task: &str) -> Result<UserRequest, String> {
 /// providers each with varied QoS, and a request for the eight-activity
 /// sequence over all of them that constrains and weights two properties
 /// (so the flat rank columns are actually exercised).
-pub(crate) fn hotpath_market(
-    total: usize,
-    seed: u64,
-) -> Result<(Environment, UserRequest), String> {
+fn hotpath_market(total: usize, seed: u64) -> Result<(Environment, UserRequest), String> {
     const ACTIVITIES: usize = 8;
     let rt = standard_property("ResponseTime")?;
     let av = standard_property("Availability")?;
@@ -369,7 +364,7 @@ pub(crate) fn hotpath_market(
 
 /// Connects `count` loopback clients named `{prefix}{i}` and completes
 /// their handshakes; fails only on an internal codec error.
-pub(crate) fn connect_clients(
+fn connect_clients(
     daemon: &mut LoopbackDaemon,
     count: usize,
     prefix: &str,

@@ -23,7 +23,7 @@ use crate::{
 };
 
 /// Tunables of a middleware instance.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct EnvironmentConfig {
     /// Seed of the synthetic service runtime (and the stamp carried by
     /// exported [`RunReport`]s).
@@ -32,27 +32,6 @@ pub struct EnvironmentConfig {
     pub qassa: QassaConfig,
     /// Monitoring parameters.
     pub monitor: MonitorConfig,
-    /// Invocation attempts per activity (across substitutions) before
-    /// escalating to behavioural adaptation.
-    pub max_attempts_per_activity: usize,
-    /// Behavioural-adaptation budget per execution.
-    pub max_behavioural_adaptations: usize,
-    /// SLA tolerance: how much worse than advertised a delivery may be
-    /// before it counts as a contract breach (fraction, `0.2` = 20 %).
-    pub sla_tolerance: f64,
-}
-
-impl Default for EnvironmentConfig {
-    fn default() -> Self {
-        EnvironmentConfig {
-            seed: 0,
-            qassa: QassaConfig::default(),
-            monitor: MonitorConfig::default(),
-            max_attempts_per_activity: 5,
-            max_behavioural_adaptations: 2,
-            sla_tolerance: 0.2,
-        }
-    }
 }
 
 impl EnvironmentConfig {
@@ -75,9 +54,10 @@ impl EnvironmentConfig {
     }
 }
 
-/// Builder for [`Environment`]: every [`EnvironmentConfig`] field plus
-/// the observability attachments ([`Recorder`], [`EventSink`]s) that a
-/// `Copy` config cannot carry. Created by [`EnvironmentConfig::builder`].
+/// Builder for [`Environment`]: the seed plus the observability
+/// attachments ([`Recorder`], [`EventSink`]s) that a `Copy` config cannot
+/// carry; QASSA and monitoring run on their defaults. Created by
+/// [`EnvironmentConfig::builder`].
 #[derive(Debug, Default)]
 pub struct EnvironmentBuilder {
     config: EnvironmentConfig,
@@ -102,41 +82,6 @@ impl EnvironmentBuilder {
         self
     }
 
-    /// QASSA parameters.
-    #[must_use]
-    pub fn qassa(mut self, qassa: QassaConfig) -> Self {
-        self.config.qassa = qassa;
-        self
-    }
-
-    /// Monitoring parameters.
-    #[must_use]
-    pub fn monitor(mut self, monitor: MonitorConfig) -> Self {
-        self.config.monitor = monitor;
-        self
-    }
-
-    /// Invocation attempts per activity before behavioural adaptation.
-    #[must_use]
-    pub fn max_attempts_per_activity(mut self, attempts: usize) -> Self {
-        self.config.max_attempts_per_activity = attempts;
-        self
-    }
-
-    /// Behavioural-adaptation budget per execution.
-    #[must_use]
-    pub fn max_behavioural_adaptations(mut self, budget: usize) -> Self {
-        self.config.max_behavioural_adaptations = budget;
-        self
-    }
-
-    /// SLA tolerance (fraction; `0.2` = 20 %).
-    #[must_use]
-    pub fn sla_tolerance(mut self, tolerance: f64) -> Self {
-        self.config.sla_tolerance = tolerance;
-        self
-    }
-
     /// Attaches a [`Recorder`]: discovery, selection and event counters
     /// flow into it (see [`Environment::run_report`]).
     #[must_use]
@@ -155,7 +100,7 @@ impl EnvironmentBuilder {
 
     /// Builds the environment over a QoS model and a domain ontology.
     pub fn build(self, model: QosModel, ontology: Ontology) -> Environment {
-        let mut env = Environment::with_config(model, ontology, self.config.seed, self.config);
+        let mut env = Environment::with_config(model, ontology, self.config);
         env.recorder = self.recorder;
         env.sinks = self.sinks;
         env
@@ -201,21 +146,19 @@ impl Environment {
     /// Creates an environment over a QoS model and a domain ontology;
     /// `seed` drives the synthetic service runtime.
     pub fn new(model: QosModel, ontology: Ontology, seed: u64) -> Self {
-        Environment::with_config(model, ontology, seed, EnvironmentConfig::default())
+        Environment::with_config(
+            model,
+            ontology,
+            EnvironmentConfig {
+                seed,
+                ..EnvironmentConfig::default()
+            },
+        )
     }
 
-    /// Creates an environment with explicit tunables.
-    pub fn with_config(
-        model: QosModel,
-        ontology: Ontology,
-        seed: u64,
-        config: EnvironmentConfig,
-    ) -> Self {
+    fn with_config(model: QosModel, ontology: Ontology, config: EnvironmentConfig) -> Self {
         let end_to_end = EndToEnd::standard(&model);
         let ontology = Arc::new(ontology);
-        // The explicit seed argument wins over the one carried by the
-        // config, so pre-builder call sites keep their exact behaviour.
-        let config = EnvironmentConfig { seed, ..config };
         Environment {
             model,
             // The registry is bound to the domain ontology so it maintains
@@ -224,7 +167,7 @@ impl Environment {
             journal: None,
             ontology,
             match_cache: MatchCache::new(),
-            runtime: ServiceRuntime::new(seed),
+            runtime: ServiceRuntime::new(config.seed),
             tasks: TaskClassRepository::new(),
             infra: HashMap::new(),
             end_to_end,
@@ -652,9 +595,11 @@ impl Environment {
     }
 
     /// Records a delivery (or failure) against the service's SLA, which
-    /// is derived from its advertised QoS with the configured tolerance
-    /// on first use.
+    /// is derived from its advertised QoS on first use.
     pub(crate) fn record_delivery(&mut self, id: ServiceId, delivered: Option<&QosVector>) {
+        /// How much worse than advertised a delivery may be before it
+        /// counts as a contract breach (fraction, `0.2` = 20 %).
+        const SLA_TOLERANCE: f64 = 0.2;
         let Some(desc) = self.registry.get(id) else {
             return;
         };
@@ -667,7 +612,7 @@ impl Environment {
                 .iter()
                 .filter(|&(p, _)| self.model.def(p).category() != qasom_qos::Category::Reputation)
                 .collect();
-            qasom_qos::Sla::from_agreed(&self.model, &agreed, self.config.sla_tolerance)
+            qasom_qos::Sla::from_agreed(&self.model, &agreed, SLA_TOLERANCE)
         });
         match delivered {
             Some(qos) => {
@@ -860,9 +805,8 @@ impl Environment {
     ) -> Option<Result<ExecutableComposition, ComposeError>> {
         let task = composition.task();
         let levels = &composition.outcome().levels;
-        // Guard 1: the composition carries no reusable levels (produced by
-        // a baseline or a borrowed-levels run) or they do not line up with
-        // the task.
+        // Guard 1: the composition carries no levels (produced by a
+        // baseline) or they do not line up with the task.
         if levels.len() != task.activity_count() {
             return None;
         }
@@ -890,7 +834,8 @@ impl Environment {
         if !observed.is_empty() {
             for (i, level) in levels.iter().enumerate() {
                 if level
-                    .iter_best_first()
+                    .best_first()
+                    .iter()
                     .any(|r| observed.binary_search(&r.candidate().id()).is_ok())
                 {
                     affected[i] = true;
@@ -908,7 +853,8 @@ impl Environment {
             match *event {
                 RegistryEvent::Deregistered(id) => {
                     for (i, level) in levels.iter().enumerate() {
-                        if !affected[i] && level.iter_best_first().any(|r| r.candidate().id() == id)
+                        if !affected[i]
+                            && level.best_first().iter().any(|r| r.candidate().id() == id)
                         {
                             affected[i] = true;
                         }
@@ -1379,7 +1325,7 @@ mod tests {
         // …and agrees with the full oracle.
         let full = e.recompose_full(&comp).unwrap();
         assert_eq!(recomposed.outcome().assignment, full.outcome().assignment);
-        assert_eq!(recomposed.outcome().ranked, full.outcome().ranked);
+        assert_eq!(recomposed.outcome().levels, full.outcome().levels);
 
         // A non-churn perturbation (infrastructure QoS) disqualifies the
         // cached levels: the next recompose is a full one.

@@ -94,6 +94,13 @@ impl From<ComposeError> for ExecutionError {
     }
 }
 
+/// Invocation attempts per activity (across substitutions) before
+/// escalating to behavioural adaptation.
+const MAX_ATTEMPTS_PER_ACTIVITY: usize = 5;
+
+/// Behavioural-adaptation budget per execution.
+const MAX_BEHAVIOURAL_ADAPTATIONS: usize = 2;
+
 /// A relative schedule: entries `(activity index, start, end)` plus the
 /// total makespan, all in milliseconds from the schedule's own origin.
 struct Schedule {
@@ -218,9 +225,7 @@ fn execution_order(task: &UserTask) -> Vec<usize> {
             TaskNode::Loop { body, bound } => {
                 let rounds = (bound.expected().round() as u32).clamp(1, bound.max());
                 let mut body_plan = Vec::new();
-                let start_idx = *idx;
                 walk(body, emit, idx, &mut body_plan);
-                let _ = start_idx;
                 if emit {
                     for _ in 1..rounds {
                         out.extend(body_plan.iter().copied());
@@ -297,14 +302,13 @@ impl Environment {
                 let mut tried: HashSet<ServiceId> = HashSet::new();
                 let mut attempts = 0usize;
                 loop {
-                    if attempts >= self.config.max_attempts_per_activity {
+                    if attempts >= MAX_ATTEMPTS_PER_ACTIVITY {
                         match self.adapt_behaviour(
                             &mut comp,
                             &task,
                             &mut executed,
                             &mut carried_over,
                             &mut adaptations,
-                            &name,
                         )? {
                             true => continue 'behaviour,
                             false => return Err(ExecutionError::Abandoned { activity: name }),
@@ -320,7 +324,6 @@ impl Environment {
                             &mut executed,
                             &mut carried_over,
                             &mut adaptations,
-                            &name,
                         )? {
                             true => continue 'behaviour,
                             false => return Err(ExecutionError::Abandoned { activity: name }),
@@ -328,8 +331,9 @@ impl Environment {
                     };
                     if service != cm.bindings()[idx] {
                         let from = cm.bindings()[idx];
-                        let advertised_qos = comp.outcome.ranked[idx]
-                            .iter()
+                        let advertised_qos = comp
+                            .outcome
+                            .alternates(idx)
                             .find(|c| c.id() == service)
                             .map(|c| c.qos().clone())
                             .unwrap_or_default();
@@ -442,8 +446,8 @@ impl Environment {
         if alive(current) && !tried.contains(&current) {
             return Some(current);
         }
-        comp.outcome.ranked[idx]
-            .iter()
+        comp.outcome
+            .alternates(idx)
             .map(|c| c.id())
             .find(|&id| alive(id) && !tried.contains(&id))
     }
@@ -472,14 +476,10 @@ impl Environment {
         let planner = Substitution::new(&model);
         // Activities with no upcoming invocation cannot be rebound: strip
         // their alternates so the planner only proposes viable plans.
-        let masked: Vec<Vec<qasom_selection::ServiceCandidate>> = comp
-            .outcome
-            .ranked
-            .iter()
-            .enumerate()
-            .map(|(i, alts)| {
+        let masked: Vec<Vec<qasom_selection::ServiceCandidate>> = (0..comp.outcome.levels.len())
+            .map(|i| {
                 if upcoming.contains(&i) {
-                    alts.clone()
+                    comp.outcome.alternates(i).cloned().collect()
                 } else {
                     Vec::new()
                 }
@@ -508,9 +508,8 @@ impl Environment {
         executed: &mut HashMap<String, QosVector>,
         carried_over: &mut HashSet<String>,
         adaptations: &mut usize,
-        _failing_activity: &str,
     ) -> Result<bool, ExecutionError> {
-        if *adaptations >= self.config.max_behavioural_adaptations {
+        if *adaptations >= MAX_BEHAVIOURAL_ADAPTATIONS {
             return Ok(false);
         }
         let executed_names: Vec<&str> = task

@@ -704,8 +704,9 @@ mod tests {
         );
         let recomposed = shared.recompose(&comp).unwrap();
         // The newcomer entered the re-ranked candidate hierarchy…
-        assert!(recomposed.outcome().ranked[0]
-            .iter()
+        assert!(recomposed
+            .outcome()
+            .alternates(0)
             .any(|c| c.id() == receipt.deployed[0]));
         // …and the incremental path agrees with the full oracle.
         let full = shared.with(|e| e.recompose_full(&comp).unwrap());

@@ -254,21 +254,12 @@ impl MetricsSnapshot {
 #[derive(Debug, Default)]
 pub struct MemoryRecorder {
     inner: Mutex<MetricsSnapshot>,
-    bucket_bounds: Option<Vec<f64>>,
 }
 
 impl MemoryRecorder {
     /// A recorder using [`DEFAULT_BUCKETS_MS`] for new histograms.
     pub fn new() -> Self {
         MemoryRecorder::default()
-    }
-
-    /// A recorder whose histograms use the given upper bounds instead.
-    pub fn with_buckets(bounds: &[f64]) -> Self {
-        MemoryRecorder {
-            inner: Mutex::new(MetricsSnapshot::default()),
-            bucket_bounds: Some(bounds.to_vec()),
-        }
     }
 
     fn lock(&self) -> MutexGuard<'_, MetricsSnapshot> {
@@ -291,15 +282,11 @@ impl Recorder for MemoryRecorder {
     }
 
     fn observe(&self, name: &str, value: f64) {
-        let bounds = self
-            .bucket_bounds
-            .clone()
-            .unwrap_or_else(|| DEFAULT_BUCKETS_MS.to_vec());
         let mut inner = self.lock();
         inner
             .histograms
             .entry(name.to_owned())
-            .or_insert_with(|| Histogram::new(&bounds))
+            .or_insert_with(|| Histogram::new(&DEFAULT_BUCKETS_MS))
             .record(value);
     }
 

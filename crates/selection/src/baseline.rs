@@ -197,7 +197,6 @@ impl<'a> Baselines<'a> {
             utility: u,
             feasible,
             levels_explored: 0,
-            ranked: Vec::new(),
             levels: Vec::new(),
         }
     }
@@ -456,7 +455,6 @@ impl<'a> Baselines<'a> {
             utility: u,
             feasible,
             levels_explored: 0,
-            ranked: Vec::new(),
             levels: Vec::new(),
         }
     }

@@ -84,20 +84,6 @@ impl<'a> SelectionProblem<'a> {
         self
     }
 
-    /// Sets the candidate set of one activity.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `activity` is out of range.
-    pub fn with_activity_candidates(
-        mut self,
-        activity: usize,
-        candidates: Vec<ServiceCandidate>,
-    ) -> Self {
-        self.candidates[activity] = candidates;
-        self
-    }
-
     /// Sets the global QoS constraints.
     pub fn with_constraints(mut self, constraints: ConstraintSet) -> Self {
         self.constraints = constraints;

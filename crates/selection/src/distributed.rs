@@ -507,7 +507,13 @@ impl CoordinatorState {
             .with_preferences(self.preferences.clone())
             .with_approach(self.approach);
         let qassa = Qassa::with_config(&self.model, self.config);
-        let result = qassa.select_with_levels(&problem, &self.merged);
+        // Digests arriving after this point are dropped (`outcome` is
+        // set), so the merged hierarchies can move into the outcome.
+        let merged: Vec<Arc<QosLevels>> = std::mem::take(&mut self.merged)
+            .into_iter()
+            .map(Arc::new)
+            .collect();
+        let result = qassa.select_with_shared_levels(&problem, &merged);
         self.global_done_at = Some(ctx.now() + ctx.compute_debt());
         self.outcome = Some(result);
     }
@@ -911,7 +917,7 @@ mod tests {
         let report = DistributedQassa::new(&m)
             .run(&w, &DistributedSetup::default(), 2)
             .unwrap();
-        let total: usize = report.outcome.ranked.iter().map(Vec::len).sum();
+        let total: usize = report.outcome.levels.iter().map(|l| l.total()).sum();
         assert_eq!(total, 3 * 30);
         assert!(report.fault.full_coverage());
         assert_eq!(report.fault.coverage_ratio(), 1.0);

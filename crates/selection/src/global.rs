@@ -94,15 +94,26 @@ pub struct SelectionOutcome {
     pub feasible: bool,
     /// Number of QoS levels the search had to open.
     pub levels_explored: usize,
-    /// Per-activity candidates ranked best-first — the alternates kept for
-    /// dynamic binding and service substitution.
-    pub ranked: Vec<Vec<ServiceCandidate>>,
     /// The local-phase hierarchies the global phase ran over, one per
-    /// activity, shared so delta re-selection can reuse unaffected
-    /// activities without re-ranking (or even re-discovering) them.
-    /// Empty when the caller supplied plain borrowed levels
-    /// ([`Qassa::select_with_levels`]) or no levels exist (baselines).
+    /// activity: the ranked alternates dynamic binding and substitution
+    /// read ([`SelectionOutcome::alternates`]), shared so delta
+    /// re-selection reuses unaffected activities without re-ranking (or
+    /// even re-discovering) them. Every QASSA outcome carries them; only
+    /// the baselines, which rank nothing, leave this empty.
     pub levels: Vec<Arc<QosLevels>>,
+}
+
+impl SelectionOutcome {
+    /// The candidates of one activity, best-first — the alternates kept
+    /// for dynamic binding and service substitution. Nothing for an
+    /// activity the outcome has no hierarchy for.
+    pub fn alternates(&self, activity: usize) -> impl Iterator<Item = &ServiceCandidate> {
+        self.levels
+            .get(activity)
+            .into_iter()
+            .flat_map(|l| l.best_first())
+            .map(RankedCandidate::candidate)
+    }
 }
 
 /// The QASSA selector: clustering-based local selection + level-wise
@@ -303,30 +314,15 @@ impl<'a> Qassa<'a> {
         }
     }
 
-    /// Runs the global phase over precomputed local hierarchies
-    /// (distributed QASSA merges provider-side hierarchies first).
+    /// Runs the global phase over precomputed local hierarchies (delta
+    /// re-selection mixes cached and re-ranked ones; distributed QASSA
+    /// merges provider-side hierarchies first).
     ///
     /// The global phase is driven entirely by `levels` — the problem
     /// contributes task, constraints, preferences and approach, so the
-    /// candidate matrix may be left empty. The outcome's `levels` field
-    /// stays empty here; use [`Qassa::select_with_shared_levels`] to
-    /// carry the hierarchies forward for delta re-selection.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the hierarchies do not line up with the task.
-    pub fn select_with_levels(
-        &self,
-        problem: &SelectionProblem<'_>,
-        levels: &[QosLevels],
-    ) -> Result<SelectionOutcome, SelectionError> {
-        let refs: Vec<&QosLevels> = levels.iter().collect();
-        self.select_with_level_refs(problem, &refs)
-    }
-
-    /// [`Qassa::select_with_levels`] over shared hierarchies: the
-    /// returned outcome holds clones of the `Arc`s, so a later delta
-    /// re-selection reuses unaffected activities at pointer cost.
+    /// candidate matrix may be left empty. The returned outcome holds
+    /// clones of the `Arc`s, so a later delta re-selection reuses
+    /// unaffected activities at pointer cost.
     ///
     /// # Errors
     ///
@@ -335,17 +331,6 @@ impl<'a> Qassa<'a> {
         &self,
         problem: &SelectionProblem<'_>,
         levels: &[Arc<QosLevels>],
-    ) -> Result<SelectionOutcome, SelectionError> {
-        let refs: Vec<&QosLevels> = levels.iter().map(Arc::as_ref).collect();
-        let mut outcome = self.select_with_level_refs(problem, &refs)?;
-        outcome.levels = levels.to_vec();
-        Ok(outcome)
-    }
-
-    fn select_with_level_refs(
-        &self,
-        problem: &SelectionProblem<'_>,
-        levels: &[&QosLevels],
     ) -> Result<SelectionOutcome, SelectionError> {
         let mut tally = GlobalTally::default();
         let result = self.global_phase(problem, levels, &mut tally);
@@ -370,7 +355,7 @@ impl<'a> Qassa<'a> {
     fn global_phase(
         &self,
         problem: &SelectionProblem<'_>,
-        levels: &[&QosLevels],
+        levels: &[Arc<QosLevels>],
         tally: &mut GlobalTally,
     ) -> Result<SelectionOutcome, SelectionError> {
         self.validate_levels(problem, levels)?;
@@ -383,19 +368,14 @@ impl<'a> Qassa<'a> {
             levels,
         );
 
-        // Per-activity candidates, best-first (levels flattened).
-        let all: Vec<Vec<&RankedCandidate>> = levels
-            .iter()
-            .map(|l| l.iter_best_first().collect())
-            .collect();
         let max_levels = levels.iter().map(|l| l.level_count()).max().unwrap_or(0);
 
         let mut best_infeasible: Option<(usize, f64, Vec<usize>, QosVector)> = None;
 
-        // Prefix length of each activity's list at the current level,
-        // grown incrementally from the hierarchies' per-level sizes (the
-        // flattened lists are level-grouped, so the prefix of candidates
-        // with `level <= r` is exactly the cumulative level size).
+        // Prefix length of each activity's best-first table at the current
+        // level, grown incrementally from the per-level sizes (the table
+        // is level-grouped, so the prefix of candidates with `level <= r`
+        // is exactly the cumulative level size).
         let mut pools: Vec<usize> = vec![0; levels.len()];
         for r in 0..max_levels {
             for (pool, l) in pools.iter_mut().zip(levels) {
@@ -405,10 +385,10 @@ impl<'a> Qassa<'a> {
                 continue;
             }
 
-            let mut current: Vec<usize> = vec![0; all.len()];
+            let mut current: Vec<usize> = vec![0; levels.len()];
             for _ in 0..=self.config.max_repairs_per_level {
                 let aggregated =
-                    self.aggregate_assignment(problem, &aggregator, &all, &current, &properties);
+                    self.aggregate_assignment(problem, &aggregator, levels, &current, &properties);
                 tally.utility_evals += 1;
                 let violations: Vec<_> = problem
                     .constraints()
@@ -418,14 +398,14 @@ impl<'a> Qassa<'a> {
                 if violations.is_empty() {
                     // Candidates outside every admitted prefix were
                     // pruned: the search never had to look at them.
-                    tally.pruned = all
+                    tally.pruned = levels
                         .iter()
                         .zip(&pools)
-                        .map(|(cands, &used)| (cands.len() - used) as u64)
+                        .map(|(l, &used)| (l.total() - used) as u64)
                         .sum();
                     return Ok(self.outcome(
                         problem,
-                        &all,
+                        levels,
                         &current,
                         aggregated,
                         &normalizer,
@@ -449,7 +429,7 @@ impl<'a> Qassa<'a> {
                 }) else {
                     break; // violations is non-empty, but widen over panicking
                 };
-                match self.best_swap(&all, &pools, &current, worst.property(), worst.tendency()) {
+                match self.best_swap(levels, &pools, &current, worst.property(), worst.tendency()) {
                     Some((activity, j)) => {
                         tally.repair_swaps += 1;
                         current[activity] = j;
@@ -461,18 +441,18 @@ impl<'a> Qassa<'a> {
 
         // The level-wise heuristic found nothing feasible. On small
         // problems, scan the whole space exactly before giving up.
-        let combinations: u128 = all.iter().map(|c| c.len() as u128).product();
+        let combinations: u128 = levels.iter().map(|l| l.total() as u128).product();
         if combinations <= self.config.exact_fallback_cap {
             tally.exact_fallback = true;
             tally.utility_evals += u64::try_from(combinations).unwrap_or(u64::MAX);
             if let Some(current) =
-                self.exact_scan(problem, &aggregator, &all, &properties, &normalizer)
+                self.exact_scan(problem, &aggregator, levels, &properties, &normalizer)
             {
                 let aggregated =
-                    self.aggregate_assignment(problem, &aggregator, &all, &current, &properties);
+                    self.aggregate_assignment(problem, &aggregator, levels, &current, &properties);
                 return Ok(self.outcome(
                     problem,
-                    &all,
+                    levels,
                     &current,
                     aggregated,
                     &normalizer,
@@ -487,7 +467,7 @@ impl<'a> Qassa<'a> {
             best_infeasible.ok_or(SelectionError::NoCandidates { activity: 0 })?;
         Ok(self.outcome(
             problem,
-            &all,
+            levels,
             &current,
             aggregated,
             &normalizer,
@@ -541,7 +521,7 @@ impl<'a> Qassa<'a> {
     fn validate_levels(
         &self,
         problem: &SelectionProblem<'_>,
-        levels: &[&QosLevels],
+        levels: &[Arc<QosLevels>],
     ) -> Result<(), SelectionError> {
         let expected = problem.task().activity_count();
         let found = levels.len();
@@ -578,7 +558,7 @@ impl<'a> Qassa<'a> {
         task: &UserTask,
         properties: &[PropertyId],
         aggregator: &Aggregator<'_>,
-        levels: &[&QosLevels],
+        levels: &[Arc<QosLevels>],
     ) -> Normalizer {
         let mut best = Vec::with_capacity(levels.len());
         let mut worst = Vec::with_capacity(levels.len());
@@ -663,17 +643,17 @@ impl<'a> Qassa<'a> {
         &self,
         problem: &SelectionProblem<'_>,
         aggregator: &Aggregator<'_>,
-        all: &[Vec<&RankedCandidate>],
+        levels: &[Arc<QosLevels>],
         properties: &[PropertyId],
         normalizer: &Normalizer,
     ) -> Option<Vec<usize>> {
-        let n = all.len();
+        let n = levels.len();
         let prefs = self.effective_preferences(problem, properties);
         let mut indices = vec![0usize; n];
         let mut best: Option<(f64, Vec<usize>)> = None;
         loop {
             let aggregated =
-                self.aggregate_assignment(problem, aggregator, all, &indices, properties);
+                self.aggregate_assignment(problem, aggregator, levels, &indices, properties);
             if problem.constraints().satisfied_by(&aggregated) {
                 let u = utility(&aggregated, normalizer, &prefs);
                 if best.as_ref().is_none_or(|(bu, _)| u > *bu) {
@@ -688,7 +668,7 @@ impl<'a> Qassa<'a> {
                 }
                 k -= 1;
                 indices[k] += 1;
-                if indices[k] < all[k].len() {
+                if indices[k] < levels[k].total() {
                     break;
                 }
                 indices[k] = 0;
@@ -703,14 +683,14 @@ impl<'a> Qassa<'a> {
         &self,
         problem: &SelectionProblem<'_>,
         aggregator: &Aggregator<'_>,
-        all: &[Vec<&RankedCandidate>],
+        levels: &[Arc<QosLevels>],
         current: &[usize],
         properties: &[PropertyId],
     ) -> QosVector {
-        let vectors: Vec<&QosVector> = current
+        let vectors: Vec<&QosVector> = levels
             .iter()
-            .enumerate()
-            .map(|(i, &j)| all[i][j].candidate().qos())
+            .zip(current)
+            .map(|(l, &j)| l.best_first()[j].candidate().qos())
             .collect();
         aggregator.aggregate_refs(problem.task(), &vectors, properties)
     }
@@ -721,15 +701,16 @@ impl<'a> Qassa<'a> {
     /// smallest utility loss).
     fn best_swap(
         &self,
-        all: &[Vec<&RankedCandidate>],
+        levels: &[Arc<QosLevels>],
         pools: &[usize],
         current: &[usize],
         property: PropertyId,
         tendency: Tendency,
     ) -> Option<(usize, usize)> {
         let mut best: Option<(usize, usize, f64, f64)> = None; // (i, j, gain, util_delta)
-        for (i, cands) in all.iter().enumerate() {
-            let cur = cands[current[i]];
+        for (i, l) in levels.iter().enumerate() {
+            let cands = l.best_first();
+            let cur = &cands[current[i]];
             let cur_val = cur.candidate().qos().get(property);
             for (j, cand) in cands.iter().enumerate().take(pools[i]) {
                 if j == current[i] {
@@ -763,7 +744,7 @@ impl<'a> Qassa<'a> {
     fn outcome(
         &self,
         problem: &SelectionProblem<'_>,
-        all: &[Vec<&RankedCandidate>],
+        levels: &[Arc<QosLevels>],
         current: &[usize],
         aggregated: QosVector,
         normalizer: &Normalizer,
@@ -771,14 +752,10 @@ impl<'a> Qassa<'a> {
         levels_explored: usize,
     ) -> SelectionOutcome {
         let properties = problem.properties();
-        let assignment: Vec<ServiceCandidate> = current
+        let assignment: Vec<ServiceCandidate> = levels
             .iter()
-            .enumerate()
-            .map(|(i, &j)| all[i][j].candidate().clone())
-            .collect();
-        let ranked: Vec<Vec<ServiceCandidate>> = all
-            .iter()
-            .map(|cands| cands.iter().map(|c| c.candidate().clone()).collect())
+            .zip(current)
+            .map(|(l, &j)| l.best_first()[j].candidate().clone())
             .collect();
         let u = utility(
             &aggregated,
@@ -791,8 +768,7 @@ impl<'a> Qassa<'a> {
             utility: u,
             feasible,
             levels_explored,
-            ranked,
-            levels: Vec::new(),
+            levels: levels.to_vec(),
         }
     }
 }
@@ -1013,11 +989,12 @@ mod tests {
             .with_candidates(cands)
             .with_constraints(constraints(&f, 10_000.0, 0.0));
         let out = Qassa::new(&f.model).select(&problem).unwrap();
-        assert_eq!(out.ranked[0].len(), 3);
-        assert_eq!(out.ranked[1].len(), 2);
+        assert_eq!(out.alternates(0).count(), 3);
+        assert_eq!(out.alternates(1).count(), 2);
+        assert_eq!(out.alternates(2).count(), 0);
         // The chosen service per activity is among its ranked list.
         for (i, chosen) in out.assignment.iter().enumerate() {
-            assert!(out.ranked[i].iter().any(|c| c.id() == chosen.id()));
+            assert!(out.alternates(i).any(|c| c.id() == chosen.id()));
         }
     }
 

@@ -53,22 +53,20 @@ impl RankedCandidate {
     }
 }
 
+/// Lloyd-iteration cap of the per-property K-means.
+const KMEANS_ITERS: usize = 50;
+
 /// Configuration of the local selection phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LocalRank {
     /// Number of K-means bands per property (the `k` of QASSA).
     pub bands: usize,
-    /// Lloyd-iteration cap.
-    pub kmeans_iters: usize,
 }
 
 impl Default for LocalRank {
     /// Four bands, as in the original evaluation set-up.
     fn default() -> Self {
-        LocalRank {
-            bands: 4,
-            kmeans_iters: 50,
-        }
+        LocalRank { bands: 4 }
     }
 }
 
@@ -126,10 +124,7 @@ impl LocalRank {
         scratch: &mut LocalScratch,
     ) -> QosLevels {
         if candidates.is_empty() {
-            return QosLevels {
-                levels: Vec::new(),
-                bounds: Vec::new(),
-            };
+            return QosLevels::default();
         }
         let n = candidates.len();
 
@@ -176,7 +171,7 @@ impl LocalRank {
             ) {
                 bounds.push((p, lo, hi));
             }
-            let k = kmeans_1d_with(values, self.bands, self.kmeans_iters, kmeans);
+            let k = kmeans_1d_with(values, self.bands, KMEANS_ITERS, kmeans);
             let column = &mut ranks[pi * n..(pi + 1) * n];
             for (j, &i) in present.iter().enumerate() {
                 let label = kmeans.assignments()[j];
@@ -207,7 +202,7 @@ impl LocalRank {
             preferences
         };
 
-        let mut ranked: Vec<RankedCandidate> = candidates
+        let ranked: Vec<RankedCandidate> = candidates
             .iter()
             .enumerate()
             .map(|(i, c)| {
@@ -238,30 +233,29 @@ impl LocalRank {
             })
             .collect();
 
-        ranked.sort_by(|a, b| {
-            a.level
-                .cmp(&b.level)
-                .then(a.class.cmp(&b.class))
-                .then(b.utility.total_cmp(&a.utility))
-                .then(a.candidate.id().cmp(&b.candidate.id()))
-        });
-
-        let level_count = ranked.iter().map(|r| r.level + 1).max().unwrap_or(0);
-        let mut levels: Vec<Vec<RankedCandidate>> = vec![Vec::new(); level_count];
-        for r in ranked {
-            levels[r.level].push(r);
-        }
         bounds.sort_by_key(|&(p, ..)| p);
-        QosLevels { levels, bounds }
+        let mut levels = QosLevels {
+            ranked,
+            ends: Vec::new(),
+            bounds,
+        };
+        levels.sort_best_first();
+        levels
     }
 }
 
-/// The ranked candidate hierarchy of one activity: candidates grouped by
-/// QoS level, best level first, each level internally sorted by class then
-/// utility.
+/// The ranked candidate hierarchy of one activity — the one list the
+/// global phase descends, dynamic binding walks and substitution picks
+/// alternates from. Stored once: every candidate in a single best-first
+/// table (level, then class, then utility), with each level a sub-slice
+/// of it.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct QosLevels {
-    levels: Vec<Vec<RankedCandidate>>,
+    ranked: Vec<RankedCandidate>,
+    /// `ends[r]` is where level `r` ends in `ranked` (it starts where
+    /// level `r - 1` ends); an empty intermediate level repeats its
+    /// predecessor's offset.
+    ends: Vec<usize>,
     /// Raw `(property, min, max)` value bounds over the finite values the
     /// ranking saw, sorted by property — cached so composition-level
     /// normalisation never re-scans the candidate pool.
@@ -269,39 +263,50 @@ pub struct QosLevels {
 }
 
 impl QosLevels {
+    /// Puts the table in best-first order — the one comparator ranking
+    /// and merging share — and re-derives the level offsets from it.
+    fn sort_best_first(&mut self) {
+        self.ranked.sort_by(|a, b| {
+            a.level
+                .cmp(&b.level)
+                .then(a.class.cmp(&b.class))
+                .then(b.utility.total_cmp(&a.utility))
+                .then(a.candidate.id().cmp(&b.candidate.id()))
+        });
+        let level_count = self.ranked.last().map_or(0, |r| r.level + 1);
+        self.ends = (0..level_count)
+            .map(|r| self.ranked.partition_point(|c| c.level <= r))
+            .collect();
+    }
+
     /// Number of levels (including empty intermediate ones).
     pub fn level_count(&self) -> usize {
-        self.levels.len()
+        self.ends.len()
     }
 
-    /// Candidates of one level (best-first within the level).
+    /// Candidates of one level (best-first within the level); empty for
+    /// an empty or out-of-range level.
     pub fn level(&self, r: usize) -> &[RankedCandidate] {
-        self.levels.get(r).map_or(&[], Vec::as_slice)
-    }
-
-    /// Candidates of levels `0..=r`, best-first.
-    pub fn up_to_level(&self, r: usize) -> impl Iterator<Item = &RankedCandidate> {
-        self.levels.iter().take(r + 1).flatten()
+        let Some(&end) = self.ends.get(r) else {
+            return &[];
+        };
+        let start = r.checked_sub(1).map_or(0, |prev| self.ends[prev]);
+        &self.ranked[start..end]
     }
 
     /// All candidates, best-first across levels.
-    pub fn iter_best_first(&self) -> impl Iterator<Item = &RankedCandidate> {
-        self.levels.iter().flatten()
-    }
-
-    /// The single best-ranked candidate.
-    pub fn best(&self) -> Option<&RankedCandidate> {
-        self.iter_best_first().next()
+    pub fn best_first(&self) -> &[RankedCandidate] {
+        &self.ranked
     }
 
     /// Total number of candidates.
     pub fn total(&self) -> usize {
-        self.levels.iter().map(Vec::len).sum()
+        self.ranked.len()
     }
 
     /// Whether there is no candidate at all.
     pub fn is_empty(&self) -> bool {
-        self.total() == 0
+        self.ranked.is_empty()
     }
 
     /// The cached raw `(min, max)` of the finite values the ranking saw
@@ -314,22 +319,12 @@ impl QosLevels {
     }
 
     /// Merges another hierarchy into this one (distributed QASSA: the
-    /// coordinator unions provider-side digests). Levels are concatenated
-    /// pairwise and re-sorted by (class, utility); value bounds widen to
-    /// cover both sides.
-    pub fn merge(&mut self, other: QosLevels) {
-        if other.levels.len() > self.levels.len() {
-            self.levels.resize(other.levels.len(), Vec::new());
-        }
-        for (r, mut level) in other.levels.into_iter().enumerate() {
-            self.levels[r].append(&mut level);
-            self.levels[r].sort_by(|a, b| {
-                a.class
-                    .cmp(&b.class)
-                    .then(b.utility.total_cmp(&a.utility))
-                    .then(a.candidate.id().cmp(&b.candidate.id()))
-            });
-        }
+    /// coordinator unions provider-side digests): the tables are
+    /// concatenated and put back in best-first order; value bounds widen
+    /// to cover both sides.
+    pub fn merge(&mut self, mut other: QosLevels) {
+        self.ranked.append(&mut other.ranked);
+        self.sort_best_first();
         for (p, lo, hi) in other.bounds {
             match self.bounds.binary_search_by_key(&p, |&(q, ..)| q) {
                 Ok(i) => {
@@ -384,12 +379,13 @@ mod tests {
             ],
         );
         let levels = LocalRank::default().rank(&m, &cands, &props(&m), &Preferences::default());
-        let best = levels.best().unwrap();
+        let best = &levels.best_first()[0];
         assert_eq!(best.candidate().id(), cands[0].id());
         assert_eq!(best.level(), 0);
         // The uniformly terrible one sits in a deeper level.
         let worst_level = levels
-            .iter_best_first()
+            .best_first()
+            .iter()
             .find(|r| r.candidate().id() == cands[1].id())
             .unwrap()
             .level();
@@ -410,7 +406,8 @@ mod tests {
         let levels = LocalRank::default().rank(&m, &cands, &props(&m), &Preferences::default());
         let by_id = |id| {
             levels
-                .iter_best_first()
+                .best_first()
+                .iter()
                 .find(|r| r.candidate().id() == id)
                 .unwrap()
         };
@@ -448,28 +445,38 @@ mod tests {
             &Preferences::default(),
         );
         let empty_rank = levels
-            .iter_best_first()
+            .best_first()
+            .iter()
             .find(|r| r.candidate().id() == empty.id())
             .unwrap();
         assert_eq!(empty_rank.level(), cfg.bands);
-        assert_eq!(levels.best().unwrap().candidate().id(), full.id());
+        assert_eq!(levels.best_first()[0].candidate().id(), full.id());
+        // The levels between the two are empty but counted, and asking
+        // past the last one is as empty as asking for one of them.
+        assert_eq!(levels.level_count(), cfg.bands + 1);
+        assert_eq!(levels.level(0).len(), 1);
+        for r in 1..cfg.bands {
+            assert_eq!(levels.level(r), &[]);
+        }
+        assert_eq!(levels.level(cfg.bands), std::slice::from_ref(empty_rank));
+        assert_eq!(levels.level(cfg.bands + 1), &[]);
     }
 
     #[test]
-    fn up_to_level_grows_monotonically() {
+    fn levels_are_consecutive_slices_of_the_best_first_table() {
         let m = QosModel::standard();
         let specs: Vec<(f64, f64)> = (0..40)
             .map(|i| (10.0 + f64::from(i) * 20.0, 0.99 - f64::from(i) * 0.01))
             .collect();
         let cands = candidates(&m, &specs);
         let levels = LocalRank::default().rank(&m, &cands, &props(&m), &Preferences::default());
-        let mut prev = 0;
+        let mut seen = 0;
         for r in 0..levels.level_count() {
-            let n = levels.up_to_level(r).count();
-            assert!(n >= prev);
-            prev = n;
+            let level = levels.level(r);
+            assert_eq!(level, &levels.best_first()[seen..seen + level.len()]);
+            seen += level.len();
         }
-        assert_eq!(prev, 40);
+        assert_eq!(seen, 40);
     }
 
     #[test]
@@ -477,7 +484,8 @@ mod tests {
         let m = QosModel::standard();
         let levels = LocalRank::default().rank(&m, &[], &props(&m), &Preferences::default());
         assert!(levels.is_empty());
-        assert!(levels.best().is_none());
+        assert!(levels.best_first().is_empty());
+        assert_eq!(levels.level_count(), 0);
     }
 
     #[test]
@@ -506,7 +514,7 @@ mod tests {
             .collect();
         let cands = candidates(&m, &specs);
         let levels = LocalRank::default().rank(&m, &cands, &props(&m), &Preferences::default());
-        for r in levels.iter_best_first() {
+        for r in levels.best_first() {
             assert!((0.0..=1.0).contains(&r.utility()), "{}", r.utility());
         }
     }

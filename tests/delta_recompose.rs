@@ -146,7 +146,8 @@ impl Scenario {
 /// The acceptance property of the delta path: for 256 seeded
 /// churn/violation sequences, `recompose` (delta-first) and
 /// `recompose_full` (from scratch) agree exactly — same assignment,
-/// same ranked alternates, same utility and feasibility, or the same
+/// same ranked hierarchies (level, class and utility of every
+/// candidate), same utility and feasibility, or the same
 /// error.
 #[test]
 fn delta_recompose_matches_full_oracle_over_256_seeded_scenarios() {
@@ -170,9 +171,9 @@ fn delta_recompose_matches_full_oracle_over_256_seeded_scenarios() {
                     "seed {seed}: assignments diverge"
                 );
                 assert_eq!(
-                    d.outcome().ranked,
-                    f.outcome().ranked,
-                    "seed {seed}: ranked alternates diverge"
+                    d.outcome().levels,
+                    f.outcome().levels,
+                    "seed {seed}: ranked hierarchies diverge"
                 );
                 assert_eq!(
                     d.outcome().utility,

@@ -76,12 +76,14 @@ proptest! {
         let setup = lossy_setup(5, loss, retries);
         if let Ok(report) = DistributedQassa::new(&m).run(&w, &setup, seed) {
             let full = w.candidates();
-            prop_assert_eq!(report.outcome.ranked.len(), full.len());
-            for (a, ranked) in report.outcome.ranked.iter().enumerate() {
-                prop_assert!(ranked.len() <= full[a].len());
-                for c in ranked {
+            // Like every QASSA outcome, a distributed one carries the
+            // hierarchies it was selected over, one per activity.
+            prop_assert_eq!(report.outcome.levels.len(), full.len());
+            for (a, pool) in full.iter().enumerate() {
+                prop_assert!(report.outcome.levels[a].total() <= pool.len());
+                for c in report.outcome.alternates(a) {
                     prop_assert!(
-                        full[a].contains(c),
+                        pool.contains(c),
                         "activity {a}: ranked candidate not in the workload pool"
                     );
                 }

@@ -6,7 +6,8 @@ use qasom_qos::QosModel;
 use qasom_selection::baseline::Baselines;
 use qasom_selection::workload::{TaskShape, Tightness, WorkloadSpec};
 use qasom_selection::{
-    kmeans_1d, AggregationApproach, Aggregator, Qassa, SelectionProblem, ServiceCandidate,
+    kmeans_1d, AggregationApproach, Aggregator, LocalRank, Qassa, QosLevels, SelectionProblem,
+    ServiceCandidate,
 };
 
 fn model() -> QosModel {
@@ -41,6 +42,36 @@ fn arb_spec() -> impl Strategy<Value = (WorkloadSpec, u64)> {
                 seed,
             )
         })
+}
+
+/// The layout every hierarchy must have: one table in best-first order
+/// (level, class, utility descending, id), cut into consecutive level
+/// slices whose entries carry that level.
+fn check_best_first_table(levels: &QosLevels) -> TestCaseResult {
+    for pair in levels.best_first().windows(2) {
+        let key = |r: &qasom_selection::RankedCandidate| (r.level(), r.class());
+        let (a, b) = (&pair[0], &pair[1]);
+        prop_assert!(
+            key(a) < key(b)
+                || (key(a) == key(b)
+                    && (a.utility() > b.utility()
+                        || (a.utility() == b.utility()
+                            && a.candidate().id() < b.candidate().id()))),
+            "out of order: {a:?} before {b:?}"
+        );
+    }
+    let mut seen = 0;
+    for r in 0..levels.level_count() {
+        let level = levels.level(r);
+        prop_assert!(
+            level.iter().all(|c| c.level() == r),
+            "level {r} holds a stranger"
+        );
+        prop_assert_eq!(level, &levels.best_first()[seen..seen + level.len()]);
+        seen += level.len();
+    }
+    prop_assert_eq!(seen, levels.total());
+    Ok(())
 }
 
 proptest! {
@@ -87,15 +118,47 @@ proptest! {
         }
     }
 
-    /// The ranked alternates cover exactly the candidate sets.
+    /// The ranked alternates cover exactly the candidate sets, and they
+    /// are the outcome's hierarchies read in order — one list, laid out
+    /// as a best-first table of level slices.
     #[test]
     fn ranked_lists_are_complete((spec, seed) in arb_spec()) {
         let m = model();
         let w = spec.build(&m, seed);
         let problem = w.problem();
         let out = Qassa::new(&m).select(&problem).expect("well-formed");
-        for (i, ranked) in out.ranked.iter().enumerate() {
-            prop_assert_eq!(ranked.len(), problem.candidates()[i].len());
+        prop_assert_eq!(out.levels.len(), problem.candidates().len());
+        for (i, levels) in out.levels.iter().enumerate() {
+            prop_assert_eq!(levels.total(), problem.candidates()[i].len());
+            check_best_first_table(levels)?;
+            let alternates: Vec<&ServiceCandidate> = out.alternates(i).collect();
+            let table: Vec<&ServiceCandidate> =
+                levels.best_first().iter().map(|r| r.candidate()).collect();
+            prop_assert_eq!(alternates, table);
+        }
+        prop_assert_eq!(out.alternates(out.levels.len()).count(), 0);
+    }
+
+    /// Merging two hierarchies (distributed QASSA's coordinator step)
+    /// keeps the layout: every candidate of both sides, in the order
+    /// ranking itself produces, with the level slices re-derived.
+    #[test]
+    fn merged_hierarchies_stay_best_first((spec, seed) in arb_spec(), cut in 0usize..30) {
+        let m = model();
+        let w = spec.build(&m, seed);
+        let problem = w.problem();
+        let properties = problem.properties();
+        let rank = |cands: &[ServiceCandidate]| {
+            LocalRank::default().rank(&m, cands, &properties, problem.preferences())
+        };
+        for cands in problem.candidates() {
+            let (left, right) = cands.split_at(cut.min(cands.len()));
+            let (mut a, b) = (rank(left), rank(right));
+            let (size, deepest) = (a.total() + b.total(), a.level_count().max(b.level_count()));
+            a.merge(b);
+            prop_assert_eq!(a.total(), size);
+            prop_assert_eq!(a.level_count(), deepest);
+            check_best_first_table(&a)?;
         }
     }
 
