@@ -141,16 +141,6 @@ impl QosMonitor {
         (!v.is_empty()).then_some(v)
     }
 
-    /// Every service with at least one recorded observation, sorted for
-    /// deterministic iteration. Delta re-selection uses this to decide
-    /// which activities a monitored-QoS overlay may have perturbed; an
-    /// empty monitor lets it skip the scan entirely.
-    pub fn observed_services(&self) -> Vec<ServiceId> {
-        let mut ids: Vec<ServiceId> = self.windows.keys().copied().collect();
-        ids.sort_unstable();
-        ids
-    }
-
     /// Number of observations recorded for a service/property.
     pub fn sample_count(&self, service: ServiceId, property: PropertyId) -> usize {
         self.windows

@@ -14,9 +14,9 @@
 //! `qasom-lint`'s determinism scope (no wall clock, no unordered
 //! collections) even though the rest of this crate times things.
 //!
-//! Of the synthetic provider markets the scenarios run on,
-//! `one_concept_market` and `one_activity_request` are `pub` for the
-//! integration tests under `tests/` that serve the same market.
+//! The synthetic provider market the serving scenarios run on,
+//! `one_concept_market`, and its `one_activity_request` are `pub` for
+//! the integration tests under `tests/` that serve the same market.
 
 use std::str::FromStr;
 use std::sync::Arc;
@@ -28,7 +28,7 @@ use qasom_daemon::{AdmissionConfig, BrokerConfig, LoopbackClient, LoopbackDaemon
 use qasom_netsim::runtime::SyntheticService;
 use qasom_obs::{key_paths, JsonValue, MemoryRecorder};
 use qasom_ontology::OntologyBuilder;
-use qasom_qos::{QosModel, QosVector, Unit};
+use qasom_qos::{QosModel, Unit};
 use qasom_registry::persist::{
     encode_state, MemoryBackend, PersistConfig, Persistence, PersistentRegistry,
 };
@@ -211,16 +211,6 @@ pub const SCENARIOS: &[Scenario] = &[
         run: daemon_stress,
     },
     Scenario {
-        name: "hotpath-stress",
-        flags: &[
-            SEED,
-            count("--services", "64"),
-            count("--rounds", "12"),
-            OUT,
-        ],
-        run: hotpath_stress,
-    },
-    Scenario {
         name: "persist-stress",
         flags: &[
             SEED,
@@ -279,34 +269,6 @@ fn standard_property(name: &str) -> Result<qasom_qos::PropertyId, String> {
         .ok_or_else(|| format!("the standard model defines {name}"))
 }
 
-/// A synthetic provider market: an environment over the standard QoS
-/// model whose ontology has the flat concepts `ns#concept`, with
-/// `per_concept` faithful providers of each — `describe(concept index,
-/// provider index)` advertises one. No recorder is attached. Fails only
-/// if the concept names do not form a valid ontology.
-fn market(
-    ns: &str,
-    concepts: &[impl AsRef<str>],
-    per_concept: usize,
-    seed: u64,
-    describe: impl Fn(usize, usize) -> ServiceDescription,
-) -> Result<Environment, String> {
-    let mut builder = OntologyBuilder::new(ns);
-    for concept in concepts {
-        builder.concept(concept.as_ref());
-    }
-    let ontology = builder.build().map_err(|e| e.to_string())?;
-    let mut env = Environment::new(QosModel::standard(), ontology, seed);
-    for ci in 0..concepts.len() {
-        for i in 0..per_concept {
-            let desc = describe(ci, i);
-            let nominal = desc.qos().clone();
-            env.deploy(desc, SyntheticService::new(nominal));
-        }
-    }
-    Ok(env)
-}
-
 /// The smallest market: `providers` services `s{i}` of the one concept
 /// `d#A`, response time `40 + i` ms, faithful behaviour, no recorder.
 ///
@@ -315,9 +277,16 @@ fn market(
 /// Only if the standard QoS model stops defining `ResponseTime`.
 pub fn one_concept_market(providers: usize, seed: u64) -> Result<Environment, String> {
     let rt = standard_property("ResponseTime")?;
-    market("d", &["A"], providers, seed, |_, i| {
-        ServiceDescription::new(format!("s{i}"), "d#A").with_qos(rt, 40.0 + i as f64)
-    })
+    let mut builder = OntologyBuilder::new("d");
+    builder.concept("A");
+    let ontology = builder.build().map_err(|e| e.to_string())?;
+    let mut env = Environment::new(QosModel::standard(), ontology, seed);
+    for i in 0..providers {
+        let desc = ServiceDescription::new(format!("s{i}"), "d#A").with_qos(rt, 40.0 + i as f64);
+        let nominal = desc.qos().clone();
+        env.deploy(desc, SyntheticService::new(nominal));
+    }
+    Ok(env)
 }
 
 /// The request every [`one_concept_market`] session makes: a task
@@ -330,36 +299,6 @@ pub fn one_activity_request(task: &str) -> Result<UserRequest, String> {
     let task = UserTask::new(task, TaskNode::activity(Activity::new("a", "d#A")))
         .map_err(|e| e.to_string())?;
     Ok(UserRequest::new(task).weight("Delay", 1.0))
-}
-
-/// The hot-path market: eight concepts `hp#A0..7`, `total / 8`
-/// providers each with varied QoS, and a request for the eight-activity
-/// sequence over all of them that constrains and weights two properties
-/// (so the flat rank columns are actually exercised).
-fn hotpath_market(total: usize, seed: u64) -> Result<(Environment, UserRequest), String> {
-    const ACTIVITIES: usize = 8;
-    let rt = standard_property("ResponseTime")?;
-    let av = standard_property("Availability")?;
-    let concepts: Vec<String> = (0..ACTIVITIES).map(|i| format!("A{i}")).collect();
-    let per = (total / ACTIVITIES).max(1);
-    let env = market("hp", &concepts, per, seed, |ci, i| {
-        ServiceDescription::new(format!("s{ci}-{i}"), format!("hp#A{ci}").as_str())
-            .with_qos(rt, 40.0 + ((i * 7_919 + ci * 13) % 1_000) as f64)
-            .with_qos(av, 0.90 + ((i * 104_729 + ci) % 100) as f64 / 1_000.0)
-    })?;
-    let task = UserTask::new(
-        "hotpath",
-        TaskNode::sequence((0..ACTIVITIES).map(|i| {
-            TaskNode::activity(Activity::new(format!("a{i}"), format!("hp#A{i}").as_str()))
-        })),
-    )
-    .map_err(|e| e.to_string())?;
-    let request = UserRequest::new(task)
-        .constraint("ResponseTime", 10.0, Unit::Seconds)
-        .map_err(|e| e.to_string())?
-        .weight("ResponseTime", 0.7)
-        .weight("Availability", 0.3);
-    Ok((env, request))
 }
 
 /// Connects `count` loopback clients named `{prefix}{i}` and completes
@@ -536,47 +475,6 @@ fn daemon_stress(flags: &Flags) -> Result<JsonValue, String> {
     }
     daemon.pump();
     Ok(shared.with(|e| e.run_report("daemon-stress")).to_json())
-}
-
-/// `hotpath-stress`: one compose over the [`hotpath_market`], then
-/// `--rounds` rounds that each deploy a fast newcomer and `recompose` —
-/// with periodic departures (delta handles the chosen service leaving)
-/// and periodic infrastructure perturbations (which disqualify cached
-/// levels and force the full-recompose fallback, so both
-/// `selection.delta.incremental` and `selection.delta.full_recomposes`
-/// come out non-zero). The `RunReport` carries the `hotpath` section.
-fn hotpath_stress(flags: &Flags) -> Result<JsonValue, String> {
-    let rounds: usize = flags.num("--rounds")?;
-    let (env, request) = hotpath_market(flags.num("--services")?, flags.num("--seed")?)?;
-    let mut env = recorded(env);
-    let rt = standard_property("ResponseTime")?;
-    let av = standard_property("Availability")?;
-    let mut composition = env.compose(&request).map_err(|e| e.to_string())?;
-    for round in 0..rounds {
-        let desc = ServiceDescription::new(
-            format!("late{round}"),
-            format!("hp#A{}", round % 8).as_str(),
-        )
-        .with_qos(rt, 35.0 - (round % 7) as f64)
-        .with_qos(av, 0.999);
-        let nominal = desc.qos().clone();
-        let id = env.deploy(desc, SyntheticService::new(nominal));
-        composition = env.recompose(&composition).map_err(|e| e.to_string())?;
-        if round % 3 == 2 {
-            // The newcomer just won its activity; its departure makes the
-            // chosen service vanish mid-composition.
-            env.undeploy(id);
-            composition = env.recompose(&composition).map_err(|e| e.to_string())?;
-        }
-        if round % 5 == 4 {
-            // A perceived-QoS perturbation outside the registry event log:
-            // the cached levels are stale and delta must fall back to a
-            // full recompose.
-            env.set_infrastructure(round as u64, QosVector::new());
-            composition = env.recompose(&composition).map_err(|e| e.to_string())?;
-        }
-    }
-    Ok(env.run_report("hotpath-stress").to_json())
 }
 
 /// `persist-stress`: the kill-and-replay determinism harness for the

@@ -71,13 +71,6 @@ pub struct ExecutableComposition {
     pub(crate) preferences: Preferences,
     pub(crate) approach: AggregationApproach,
     pub(crate) warnings: Vec<Diagnostic>,
-    /// Registry event-log cursor at compose time: delta re-selection
-    /// syncs only the churn after this point.
-    pub(crate) registry_cursor: qasom_registry::ReplicaCursor,
-    /// The environment's perturbation stamp at compose time; a mismatch
-    /// means non-churn state (infrastructure QoS, reputation, ontology)
-    /// moved and cached levels cannot be trusted.
-    pub(crate) perturbations: u64,
 }
 
 impl ExecutableComposition {

@@ -12,8 +12,8 @@ use qasom_ontology::Ontology;
 use qasom_qos::{EndToEnd, QosModel, QosVector};
 use qasom_registry::persist::{PersistStats, RegistryJournal};
 use qasom_registry::{
-    CacheStats, Discovery, DiscoveryQuery, MatchCache, RegistryEvent, ServiceDescription,
-    ServiceId, ServiceRegistry, SyncResponse,
+    CacheStats, Discovery, DiscoveryQuery, MatchCache, ServiceDescription, ServiceId,
+    ServiceRegistry,
 };
 use qasom_selection::{Qassa, QassaConfig, SelectionProblem, ServiceCandidate};
 use qasom_task::{Activity, TaskClass, TaskClassRepository};
@@ -129,12 +129,6 @@ pub struct Environment {
     tasks: TaskClassRepository,
     infra: HashMap<u64, QosVector>,
     end_to_end: EndToEnd,
-    // Counts every mutation that changes how candidates are *perceived*
-    // without going through the registry event log (infrastructure QoS,
-    // end-to-end rules, reputation re-advertisement, ontology reloads).
-    // Compositions carry the stamp they were computed under; a mismatch
-    // disqualifies their cached levels from delta re-selection.
-    perturbations: u64,
     slas: HashMap<ServiceId, qasom_qos::Sla>,
     pub(crate) monitor: QosMonitor,
     pub(crate) config: EnvironmentConfig,
@@ -171,7 +165,6 @@ impl Environment {
             tasks: TaskClassRepository::new(),
             infra: HashMap::new(),
             end_to_end,
-            perturbations: 0,
             slas: HashMap::new(),
             monitor: QosMonitor::with_config(config.monitor),
             config,
@@ -343,7 +336,6 @@ impl Environment {
     /// [`crate::SharedEnvironment::reload_ontology`]; daemon code uses
     /// it instead of reaching for a raw `with_mut` closure.
     pub fn reload_ontology(&mut self, ontology: Ontology) -> u64 {
-        self.perturbations += 1;
         let ontology = Arc::new(ontology);
         let stamp = ontology.stamp();
         Arc::make_mut(&mut self.registry).bind_ontology(Arc::clone(&ontology));
@@ -435,10 +427,8 @@ impl Environment {
     /// environment's own ontology `Arc` — ontology stamps are
     /// per-instance, so keeping the stamp the recovery path bound would
     /// silently disqualify the capability index and the match cache.
-    /// Counts as a perturbation: cached composition levels are stale.
     pub fn adopt_registry(&mut self, mut registry: ServiceRegistry) {
         registry.bind_ontology(Arc::clone(&self.ontology));
-        self.perturbations += 1;
         self.registry = Arc::new(registry);
     }
 
@@ -462,16 +452,15 @@ impl Environment {
     }
 
     /// Takes an explicit persistence checkpoint (snapshot + WAL
-    /// truncation + event-log compaction); returns whether a journal
-    /// was attached to checkpoint through.
+    /// truncation); returns whether a journal was attached to
+    /// checkpoint through.
     pub fn checkpoint_registry(&mut self) -> bool {
-        let Some(mut journal) = self.journal.take() else {
+        let Some(journal) = &mut self.journal else {
             return false;
         };
         let before = journal.stats();
-        let outcome = journal.checkpoint(Arc::make_mut(&mut self.registry));
+        let outcome = journal.checkpoint(&self.registry);
         let after = journal.stats();
-        self.journal = Some(journal);
         self.settle_journal(before, after, outcome);
         true
     }
@@ -565,7 +554,6 @@ impl Environment {
     /// rules, so degraded paths degrade candidates before selection even
     /// runs.
     pub fn set_infrastructure(&mut self, host: u64, qos: QosVector) {
-        self.perturbations += 1;
         self.infra.insert(host, qos);
     }
 
@@ -576,16 +564,12 @@ impl Environment {
 
     /// Removes the infrastructure information of a host.
     pub fn clear_infrastructure(&mut self, host: u64) {
-        self.perturbations += 1;
         self.infra.remove(&host);
     }
 
     /// The end-to-end rule system used to perceive service QoS through
     /// infrastructure QoS.
     pub fn end_to_end_mut(&mut self) -> &mut EndToEnd {
-        // Handing out `&mut` counts as a perturbation unconditionally: the
-        // borrow checker cannot see whether the caller actually mutates.
-        self.perturbations += 1;
         &mut self.end_to_end
     }
 
@@ -639,11 +623,6 @@ impl Environment {
                 desc.qos_mut().set(reputation, 5.0 * sla.compliance());
                 updated += 1;
             }
-        }
-        if updated > 0 {
-            // Re-advertisement mutates descriptions in place, invisible to
-            // the registry event log.
-            self.perturbations += 1;
         }
         updated
     }
@@ -746,40 +725,8 @@ impl Environment {
     /// Re-runs discovery and selection for an existing composition's task
     /// and QoS context, but reasons on *monitored* QoS where delivery
     /// history exists instead of trusting advertisements — the
-    /// re-selection step of QoS-driven adaptation.
-    ///
-    /// Delta-first: when the composition's cached local-phase levels are
-    /// still trustworthy (same perturbation stamp, registry churn fully
-    /// replayable from the composition's event cursor), only the
-    /// activities actually touched by churn or delivery history are
-    /// re-discovered and re-ranked; the rest reuse their cached level
-    /// hierarchies and the global phase re-runs over the mix. The result
-    /// is identical to [`Environment::recompose_full`] — the local phase
-    /// is a pure function of each activity's candidate set — but skips
-    /// the discovery and clustering work of untouched activities.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Environment::compose`].
-    pub fn recompose(
-        &self,
-        composition: &ExecutableComposition,
-    ) -> Result<ExecutableComposition, ComposeError> {
-        if let Some(rec) = &self.recorder {
-            rec.incr(keys::SELECTION_DELTA_ATTEMPTS, 1);
-        }
-        if let Some(result) = self.recompose_delta(composition) {
-            return result;
-        }
-        if let Some(rec) = &self.recorder {
-            rec.incr(keys::SELECTION_DELTA_FULL, 1);
-        }
-        self.recompose_full(composition)
-    }
-
-    /// Full re-selection: discovery and local ranking re-run for every
-    /// activity. This is the oracle [`Environment::recompose`] must agree
-    /// with (and its fallback whenever delta guards trip).
+    /// re-selection step of QoS-driven adaptation. Discovery and local
+    /// ranking re-run for every activity.
     ///
     /// # Errors
     ///
@@ -797,165 +744,9 @@ impl Environment {
         )
     }
 
-    /// The delta path of [`Environment::recompose`]: `None` means a guard
-    /// tripped and the caller must fall back to the full oracle.
-    fn recompose_delta(
-        &self,
-        composition: &ExecutableComposition,
-    ) -> Option<Result<ExecutableComposition, ComposeError>> {
-        let task = composition.task();
-        let levels = &composition.outcome().levels;
-        // Guard 1: the composition carries no levels (produced by a
-        // baseline) or they do not line up with the task.
-        if levels.len() != task.activity_count() {
-            return None;
-        }
-        // Guard 2: non-churn state moved (infrastructure QoS, end-to-end
-        // rules, reputation, ontology) — cached levels reflect a perception
-        // of the environment that no longer holds.
-        if composition.perturbations != self.perturbations {
-            return None;
-        }
-        // Guard 3: the registry compacted churn away before we replayed
-        // it — a snapshot response means incremental replay is
-        // impossible, so fall back to the full oracle.
-        let events = match self.registry.sync_from(composition.registry_cursor) {
-            SyncResponse::Delta(events) => events,
-            SyncResponse::Snapshot(_) => return None,
-        };
-
-        let activities: Vec<&Activity> = task.activities().map(|a| a.activity()).collect();
-        let mut affected = vec![false; activities.len()];
-
-        // Delivery history: full recompose overlays monitored QoS onto
-        // every candidate, so any activity holding an observed service must
-        // re-rank. (For the rest the overlay is the identity.)
-        let observed = self.monitor.observed_services();
-        if !observed.is_empty() {
-            for (i, level) in levels.iter().enumerate() {
-                if level
-                    .best_first()
-                    .iter()
-                    .any(|r| observed.binary_search(&r.candidate().id()).is_ok())
-                {
-                    affected[i] = true;
-                }
-            }
-        }
-
-        // Churn since compose time. Departures matter where the service was
-        // actually a candidate (levels are complete: the local phase ranks
-        // every discovered candidate). Arrivals are mapped conservatively —
-        // a semantic profile/operation match without the I/O-compatibility
-        // filter — so the affected set is a superset of the true one;
-        // over-marking costs a redundant re-rank, never a wrong result.
-        for event in events {
-            match *event {
-                RegistryEvent::Deregistered(id) => {
-                    for (i, level) in levels.iter().enumerate() {
-                        if !affected[i]
-                            && level.best_first().iter().any(|r| r.candidate().id() == id)
-                        {
-                            affected[i] = true;
-                        }
-                    }
-                }
-                RegistryEvent::Registered(id) => {
-                    // A service registered and already gone again never
-                    // changes the current candidate sets.
-                    let Some(desc) = self.registry.get(id) else {
-                        continue;
-                    };
-                    for (i, activity) in activities.iter().enumerate() {
-                        if !affected[i] && self.could_serve(activity, desc) {
-                            affected[i] = true;
-                        }
-                    }
-                }
-            }
-        }
-
-        let reranked = affected.iter().filter(|&&a| a).count() as u64;
-        let task = task.clone();
-        // Candidates stay empty: the global phase is levels-driven, so
-        // unaffected activities cost neither a discovery pass nor a pool
-        // clone.
-        let problem = SelectionProblem::new(&task)
-            .with_constraints(composition.constraints().clone())
-            .with_preferences(composition.preferences().clone())
-            .with_approach(composition.approach());
-        let properties = problem.properties();
-
-        let mut mixed: Vec<Arc<qasom_selection::QosLevels>> = Vec::with_capacity(activities.len());
-        for (i, activity) in activities.iter().enumerate() {
-            if affected[i] {
-                let cands = match self.discover_for_selection(activity, true) {
-                    Ok(c) => c,
-                    Err(e) => return Some(Err(e)),
-                };
-                mixed.push(Arc::new(self.config.qassa.local.rank(
-                    &self.model,
-                    &cands,
-                    &properties,
-                    problem.preferences(),
-                )));
-            } else {
-                mixed.push(Arc::clone(&levels[i]));
-            }
-        }
-
-        let mut qassa = Qassa::with_config(&self.model, self.config.qassa);
-        if let Some(rec) = &self.recorder {
-            qassa = qassa.with_recorder(rec.as_ref());
-        }
-        let outcome = match qassa.select_with_shared_levels(&problem, &mixed) {
-            Ok(outcome) => outcome,
-            Err(e) => return Some(Err(e.into())),
-        };
-        drop(problem);
-
-        if let Some(rec) = &self.recorder {
-            rec.incr(keys::SELECTION_DELTA_INCREMENTAL, 1);
-            rec.incr(keys::SELECTION_DELTA_RERANKED, reranked);
-        }
-        self.emit(MiddlewareEvent::Composed {
-            task: task.name().to_owned(),
-            feasible: outcome.feasible,
-            levels_explored: outcome.levels_explored,
-        });
-
-        Some(Ok(ExecutableComposition {
-            registry_cursor: self.registry.sync_cursor(),
-            perturbations: self.perturbations,
-            task,
-            outcome,
-            constraints: composition.constraints().clone(),
-            preferences: composition.preferences().clone(),
-            approach: composition.approach(),
-            warnings: Vec::new(),
-        }))
-    }
-
-    /// Conservative reachability of a (newly registered) service for an
-    /// activity: a semantic profile or operation match, skipping the
-    /// I/O-compatibility filter real discovery applies. A superset of
-    /// discovery's verdict by construction.
-    fn could_serve(&self, activity: &Activity, desc: &ServiceDescription) -> bool {
-        let discovery = Discovery::with_cache(&self.ontology, &self.model, &self.match_cache);
-        discovery
-            .match_functions(activity.function(), desc.function())
-            .is_usable()
-            || desc.operations().iter().any(|op| {
-                discovery
-                    .match_functions(activity.function(), op.function())
-                    .is_usable()
-            })
-    }
-
     /// Discovery for one activity as selection will see it: monitored QoS
     /// overlaid where delivery history exists (when `use_monitor`), and a
-    /// [`ComposeError::NoServiceFor`] when nothing qualifies. The shared
-    /// per-activity step of full composition and delta re-selection.
+    /// [`ComposeError::NoServiceFor`] when nothing qualifies.
     fn discover_for_selection(
         &self,
         activity: &Activity,
@@ -996,10 +787,6 @@ impl Environment {
         approach: qasom_selection::AggregationApproach,
         use_monitor: bool,
     ) -> Result<ExecutableComposition, ComposeError> {
-        // Stamp the registry cursor before discovery: churn between the
-        // stamp and discovery is replayed (redundantly but soundly) by a
-        // later delta re-selection instead of being missed.
-        let registry_cursor = self.registry.sync_cursor();
         let activities: Vec<&Activity> = task.activities().map(|a| a.activity()).collect();
 
         // Per-activity discovery is independent, so fan it out; errors are
@@ -1042,8 +829,6 @@ impl Environment {
             preferences,
             approach,
             warnings: Vec::new(),
-            registry_cursor,
-            perturbations: self.perturbations,
         })
     }
 }
@@ -1299,46 +1084,12 @@ mod tests {
             q.set(rt, 500.0);
             e.monitor.observe(liar, &q);
         }
-        let recomposed = e.recompose(&comp).unwrap();
+        let recomposed = e.recompose_full(&comp).unwrap();
         assert_eq!(recomposed.outcome().assignment[0].id(), honest);
     }
 
     #[test]
-    fn recompose_takes_the_delta_path_and_falls_back_on_perturbation() {
-        use qasom_obs::MemoryRecorder;
-        let mut e = env();
-        let recorder = Arc::new(MemoryRecorder::new());
-        e.set_recorder(Arc::clone(&recorder) as Arc<dyn qasom_obs::Recorder>);
-        deploy(&mut e, "a1", "d#A", 50.0);
-        deploy(&mut e, "b1", "d#B", 60.0);
-        let comp = e.compose(&UserRequest::new(two_step_task())).unwrap();
-
-        // Churn touching only "first" (d#A): delta re-ranks one activity
-        // and reuses the cached levels of the other.
-        deploy(&mut e, "a2", "d#A", 40.0);
-        let recomposed = e.recompose(&comp).unwrap();
-        let snap = recorder.snapshot().unwrap();
-        assert_eq!(snap.counter(keys::SELECTION_DELTA_ATTEMPTS), 1);
-        assert_eq!(snap.counter(keys::SELECTION_DELTA_INCREMENTAL), 1);
-        assert_eq!(snap.counter(keys::SELECTION_DELTA_FULL), 0);
-        assert_eq!(snap.counter(keys::SELECTION_DELTA_RERANKED), 1);
-        // …and agrees with the full oracle.
-        let full = e.recompose_full(&comp).unwrap();
-        assert_eq!(recomposed.outcome().assignment, full.outcome().assignment);
-        assert_eq!(recomposed.outcome().levels, full.outcome().levels);
-
-        // A non-churn perturbation (infrastructure QoS) disqualifies the
-        // cached levels: the next recompose is a full one.
-        e.set_infrastructure(9, qasom_qos::QosVector::new());
-        e.recompose(&comp).unwrap();
-        let snap = recorder.snapshot().unwrap();
-        assert_eq!(snap.counter(keys::SELECTION_DELTA_ATTEMPTS), 2);
-        assert_eq!(snap.counter(keys::SELECTION_DELTA_INCREMENTAL), 1);
-        assert_eq!(snap.counter(keys::SELECTION_DELTA_FULL), 1);
-    }
-
-    #[test]
-    fn delta_recompose_survives_departure_of_the_chosen_service() {
+    fn recompose_survives_departure_of_the_chosen_service() {
         let mut e = env();
         let a1 = deploy(&mut e, "a1", "d#A", 50.0);
         deploy(&mut e, "a2", "d#A", 500.0);
@@ -1350,10 +1101,8 @@ mod tests {
         assert_eq!(comp.outcome().assignment[0].id(), a1);
 
         e.undeploy(a1);
-        let recomposed = e.recompose(&comp).unwrap();
+        let recomposed = e.recompose_full(&comp).unwrap();
         assert_ne!(recomposed.outcome().assignment[0].id(), a1);
-        let full = e.recompose_full(&comp).unwrap();
-        assert_eq!(recomposed.outcome().assignment, full.outcome().assignment);
     }
 
     #[test]

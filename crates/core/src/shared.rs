@@ -6,7 +6,7 @@ use qasom_analysis::Diagnostic;
 use qasom_netsim::runtime::SyntheticService;
 use qasom_obs::keys;
 use qasom_ontology::Ontology;
-use qasom_registry::{ReplicaCursor, ServiceDescription, ServiceId};
+use qasom_registry::{ServiceDescription, ServiceId};
 
 use crate::{
     ComposeError, Environment, ExecutableComposition, ExecutionError, ExecutionReport, UserRequest,
@@ -162,10 +162,6 @@ impl RegistryDelta {
 pub struct ChurnReceipt {
     /// Registry epoch after the delta was applied.
     pub epoch: u64,
-    /// Event-log position after the delta was applied: the
-    /// [`ServiceRegistry::sync_from`](qasom_registry::ServiceRegistry::sync_from)
-    /// cursor a replica must reach to have observed this churn.
-    pub cursor: ReplicaCursor,
     /// Ids of the services the delta deployed, in delta order.
     pub deployed: Vec<ServiceId>,
     /// Departures actually performed (named departures that matched no
@@ -288,7 +284,6 @@ impl SharedEnvironment {
             }
         }
         receipt.epoch = env.epoch();
-        receipt.cursor = env.registry().sync_cursor();
         receipt
     }
 
@@ -365,10 +360,9 @@ impl SharedEnvironment {
         Ok((env.epoch(), composition))
     }
 
-    /// Re-selects an existing composition under the **read** lock:
-    /// delta-first ([`Environment::recompose`]), so adaptation re-ranks
-    /// only the activities touched by churn or delivery history while
-    /// other sessions keep composing concurrently.
+    /// Re-selects an existing composition under the **read** lock
+    /// ([`Environment::recompose_full`]), so other sessions keep
+    /// composing concurrently.
     ///
     /// # Errors
     ///
@@ -377,7 +371,7 @@ impl SharedEnvironment {
         &self,
         composition: &ExecutableComposition,
     ) -> Result<ExecutableComposition, ComposeError> {
-        self.read().recompose(composition)
+        self.read().recompose_full(composition)
     }
 
     /// Executes a composition as one transaction over the environment
@@ -617,9 +611,6 @@ mod tests {
         assert_eq!(receipt.undeployed, 1);
         // One deploy + one departure = two registry events.
         assert_eq!(receipt.epoch, before + 2);
-        // The receipt's sync cursor names the same log position, typed.
-        assert_eq!(receipt.cursor.seq() as u64, receipt.epoch);
-        assert_eq!(shared.with(|e| e.registry().sync_cursor()), receipt.cursor);
         shared.with(|e| {
             assert!(e.registry().iter().any(|(_, d)| d.name() == "burst"));
             assert!(e.registry().iter().all(|(_, d)| d.name() != "s0"));
@@ -689,7 +680,7 @@ mod tests {
     }
 
     #[test]
-    fn recompose_runs_under_the_read_lock_and_takes_the_delta_path() {
+    fn recompose_runs_under_the_read_lock_and_sees_the_churn() {
         use qasom_obs::{MemoryRecorder, Recorder};
         let shared = shared();
         let recorder = std::sync::Arc::new(MemoryRecorder::new());
@@ -703,19 +694,14 @@ mod tests {
                 .deploy_faithful(ServiceDescription::new("fresh", "d#A").with_qos(rt, 1.0)),
         );
         let recomposed = shared.recompose(&comp).unwrap();
-        // The newcomer entered the re-ranked candidate hierarchy…
+        // The newcomer entered the re-ranked candidate hierarchy.
         assert!(recomposed
             .outcome()
             .alternates(0)
             .any(|c| c.id() == receipt.deployed[0]));
-        // …and the incremental path agrees with the full oracle.
-        let full = shared.with(|e| e.recompose_full(&comp).unwrap());
-        assert_eq!(recomposed.outcome().assignment, full.outcome().assignment);
         let snap = recorder.snapshot().unwrap();
-        assert_eq!(snap.counter(keys::SELECTION_DELTA_ATTEMPTS), 1);
-        assert_eq!(snap.counter(keys::SELECTION_DELTA_INCREMENTAL), 1);
-        // compose + the rt lookup + recompose + the oracle `with` = 4.
-        assert_eq!(snap.counter(keys::SERVING_READ_LOCKS), 4);
+        // compose + the rt lookup + recompose = 3.
+        assert_eq!(snap.counter(keys::SERVING_READ_LOCKS), 3);
         assert_eq!(snap.counter(keys::SERVING_WRITE_LOCKS), 1);
     }
 

@@ -43,14 +43,12 @@ pub const SELECTION_HOTPATH_COLUMNS: &str = "selection.hotpath.columns_built";
 /// allocation).
 pub const SELECTION_HOTPATH_SCRATCH_REUSES: &str = "selection.hotpath.scratch_reuses";
 
-/// Delta re-selections attempted (`Environment::recompose` calls).
+/// Nothing increments this since delta re-selection was deleted; the
+/// name stays because `perf/src/trace.rs` reads it (always 0) and
+/// `perf/` changes only in `[benchmark]` PRs.
 pub const SELECTION_DELTA_ATTEMPTS: &str = "selection.delta.attempts";
-/// Re-selections answered incrementally from cached QoS levels.
+/// As [`SELECTION_DELTA_ATTEMPTS`]: read by `perf/`, never incremented.
 pub const SELECTION_DELTA_INCREMENTAL: &str = "selection.delta.incremental";
-/// Re-selections that fell back to a full recompose (guard tripped).
-pub const SELECTION_DELTA_FULL: &str = "selection.delta.full_recomposes";
-/// Activities actually re-ranked on the incremental path.
-pub const SELECTION_DELTA_RERANKED: &str = "selection.delta.activities_reranked";
 
 /// Protocol messages sent during a distributed run.
 pub const DISTRIBUTED_MESSAGES: &str = "distributed.messages";
@@ -242,13 +240,6 @@ pub const SECTIONS: &[(&str, &[(&str, Source)])] = &[
             ("scratch_reuses", Counter(SELECTION_HOTPATH_SCRATCH_REUSES)),
             // Distinct IRIs interned by the semantic match cache.
             ("interned_iris", Supplied),
-            ("delta_attempts", Counter(SELECTION_DELTA_ATTEMPTS)),
-            ("delta_incremental", Counter(SELECTION_DELTA_INCREMENTAL)),
-            ("delta_full_recomposes", Counter(SELECTION_DELTA_FULL)),
-            (
-                "delta_activities_reranked",
-                Counter(SELECTION_DELTA_RERANKED),
-            ),
         ],
     ),
 ];

@@ -348,7 +348,7 @@ pub struct RunReport {
     pub serving: Option<CounterSection>,
     /// Daemon-layer totals, when the run went through `qasomd`.
     pub daemon: Option<CounterSection>,
-    /// Hot-path totals (flat columns, interning, delta re-selection).
+    /// Hot-path totals (flat columns, interning).
     pub hotpath: Option<CounterSection>,
     /// Raw metric snapshot (counters / histograms / spans).
     pub metrics: MetricsSnapshot,

@@ -345,7 +345,7 @@ impl<'a> Discovery<'a> {
     /// Semantic match degree between a required and an offered function
     /// IRI. Unknown IRIs match syntactically (equal → exact). Memoised
     /// when the engine was built [with a cache](Discovery::with_cache).
-    pub fn match_functions(&self, required: &Iri, offered: &Iri) -> MatchDegree {
+    fn match_functions(&self, required: &Iri, offered: &Iri) -> MatchDegree {
         if let Some(cache) = self.cache {
             let stamp = self.ontology.stamp();
             if let Some(hit) = cache.get(stamp, required, offered) {

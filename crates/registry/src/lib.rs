@@ -9,13 +9,9 @@
 //!   ([`QosVector`]), optional per-operation (*white-box*) QoS, and the
 //!   hosting node;
 //! * [`ServiceRegistry`] — the service directory, supporting dynamic
-//!   registration and departure;
-//! * [`ServiceRegistry::sync_from`] — the typed replication surface: a
-//!   replica presents its [`ReplicaCursor`] and gets back a
-//!   [`SyncResponse`] — an incremental event delta, or a snapshot when
-//!   the cursor fell behind the retained event window (delta
-//!   re-selection, daemon churn receipts and persistence all follow the
-//!   cursor);
+//!   registration and departure, each counted by the monotone
+//!   [`ServiceRegistry::event_cursor`] (the environment's epoch and the
+//!   WAL's sequence numbers);
 //! * [`Discovery`] — QoS-aware service discovery: semantic functional
 //!   matching (through a domain [`Ontology`]) combined with I/O
 //!   compatibility and QoS-requirement filtering. One entry point,
@@ -60,14 +56,12 @@ pub mod persist;
 pub mod qsd;
 mod registry;
 mod service;
-mod sync;
 
 pub use discovery::{
     CacheStats, DiscoveredCandidate, Discovery, DiscoveryQuery, MatchCache, MatchedVia,
 };
-pub use registry::{EventLogGap, RegistryEvent, RegistrySnapshot, ServiceId, ServiceRegistry};
+pub use registry::{ServiceId, ServiceRegistry};
 pub use service::{Operation, ServiceDescription};
-pub use sync::{ReplicaCursor, SyncResponse};
 
 pub use qasom_qos::QosVector;
 

@@ -11,7 +11,7 @@
 //!                 ▼                              ▼
 //!          ┌──────────────────────────────────────────┐
 //!          │ split WAL frames; torn tail? discard it, │
-//!          │ rewrite WAL to the valid prefix          │
+//!          │ truncate WAL to the valid prefix         │
 //!          └──────┬───────────────────────────────────┘
 //!                 ▼
 //!          ┌──────────────────────────────────────────┐
@@ -38,8 +38,8 @@ use super::{PersistError, Persistence};
 /// Journal tuning knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PersistConfig {
-    /// Checkpoint (snapshot + WAL truncate + event-log compaction)
-    /// automatically after this many journaled events; `0` disables
+    /// Checkpoint (snapshot + WAL truncate) automatically after this
+    /// many journaled events; `0` disables
     /// automatic checkpoints (callers checkpoint explicitly).
     pub checkpoint_every: usize,
 }
@@ -108,8 +108,7 @@ pub struct RegistryJournal {
     config: PersistConfig,
     stats: PersistStats,
     /// Sequence number the next journaled event must carry — equals the
-    /// paired registry's event cursor, and is the natural
-    /// `ReplicaCursor` position of the WAL.
+    /// paired registry's event cursor.
     next_seq: u64,
     since_checkpoint: usize,
 }
@@ -172,8 +171,7 @@ impl RegistryJournal {
             report.torn_tail_bytes = (wal_bytes.len() - tear.offset) as u64;
             // Trim the stored WAL to the valid prefix so later appends
             // continue on a clean frame boundary.
-            backend.truncate_wal()?;
-            backend.append_wal(&wal_bytes[..tear.offset])?;
+            backend.truncate_wal(tear.offset as u64)?;
         }
 
         let mut expected = registry.event_cursor() as u64;
@@ -282,21 +280,18 @@ impl RegistryJournal {
     }
 
     /// Takes a checkpoint: snapshots the registry at its current event
-    /// head, truncates the WAL, and compacts the in-memory event log to
-    /// the same boundary (so the retained log after recovery matches a
-    /// never-crashed registry that compacted here).
+    /// cursor and truncates the WAL.
     ///
     /// # Errors
     ///
     /// [`PersistError::Io`] from the backend; the previous snapshot
     /// stays in place when writing the new one fails.
-    pub fn checkpoint(&mut self, registry: &mut ServiceRegistry) -> Result<(), PersistError> {
+    pub fn checkpoint(&mut self, registry: &ServiceRegistry) -> Result<(), PersistError> {
         let head = registry.event_cursor();
         debug_assert_eq!(head as u64, self.next_seq, "unjournaled registry mutation");
         let blob = wal::encode_snapshot(head as u64, registry.slots());
         self.backend.write_snapshot(&blob)?;
-        self.backend.truncate_wal()?;
-        registry.compact_events(head);
+        self.backend.truncate_wal(0)?;
         self.stats.checkpoints += 1;
         self.since_checkpoint = 0;
         Ok(())
@@ -309,10 +304,7 @@ impl RegistryJournal {
     /// # Errors
     ///
     /// As for [`RegistryJournal::checkpoint`].
-    pub fn maybe_checkpoint(
-        &mut self,
-        registry: &mut ServiceRegistry,
-    ) -> Result<bool, PersistError> {
+    pub fn maybe_checkpoint(&mut self, registry: &ServiceRegistry) -> Result<bool, PersistError> {
         if self.should_checkpoint() {
             self.checkpoint(registry)?;
             Ok(true)
@@ -321,8 +313,7 @@ impl RegistryJournal {
         }
     }
 
-    /// The sequence number the next journaled event will carry — the
-    /// WAL's natural `ReplicaCursor` position.
+    /// The sequence number the next journaled event will carry.
     pub fn wal_cursor(&self) -> u64 {
         self.next_seq
     }
@@ -376,7 +367,7 @@ impl PersistentRegistry {
         if let Some(desc) = self.registry.get(id) {
             self.journal.record_registered(id, desc)?;
         }
-        self.journal.maybe_checkpoint(&mut self.registry)?;
+        self.journal.maybe_checkpoint(&self.registry)?;
         Ok(id)
     }
 
@@ -392,7 +383,7 @@ impl PersistentRegistry {
         let removed = self.registry.deregister(id);
         if removed.is_some() {
             self.journal.record_deregistered(id)?;
-            self.journal.maybe_checkpoint(&mut self.registry)?;
+            self.journal.maybe_checkpoint(&self.registry)?;
         }
         Ok(removed)
     }
@@ -403,7 +394,7 @@ impl PersistentRegistry {
     ///
     /// As for [`RegistryJournal::checkpoint`].
     pub fn checkpoint(&mut self) -> Result<(), PersistError> {
-        self.journal.checkpoint(&mut self.registry)
+        self.journal.checkpoint(&self.registry)
     }
 
     /// The underlying registry.
@@ -473,7 +464,7 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_truncates_wal_and_compacts_log() {
+    fn checkpoint_truncates_wal() {
         let backend = MemoryBackend::new();
         let (mut pr, _) = open_mem(&backend, 2);
         pr.register(desc(0)).unwrap();
@@ -481,7 +472,6 @@ mod tests {
         pr.register(desc(1)).unwrap(); // auto checkpoint at 2 events
         assert_eq!(backend.wal_len(), 0);
         assert_eq!(pr.journal().stats().checkpoints, 1);
-        assert_eq!(pr.registry().oldest_retained_event(), 2);
 
         pr.register(desc(2)).unwrap();
         let oracle = encode_state(pr.registry());
@@ -491,11 +481,6 @@ mod tests {
         assert_eq!(report.wal_events_applied, 1);
         assert_eq!(encode_state(recovered.registry()), oracle);
         assert!(recovered.registry().index_eq(pr.registry()));
-        // Retained logs agree too: both start at the checkpoint.
-        assert_eq!(
-            recovered.registry().oldest_retained_event(),
-            pr.registry().oldest_retained_event()
-        );
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! * every registration/departure is journaled as a [`WalRecord`]
 //!   (`crate::persist::wal`) framed `[len][crc32][payload]` and appended
 //!   to a write-ahead log through a [`Persistence`] backend;
-//! * at the existing compaction-cursor boundary a full
+//! * every [`PersistConfig::checkpoint_every`] events a full
 //!   [snapshot](wal::encode_snapshot) of the slot vector is checkpointed
 //!   and the WAL truncated ([`RegistryJournal::checkpoint`]);
 //! * on boot, replay = latest valid snapshot + WAL tail
@@ -82,8 +82,10 @@ pub trait Persistence {
     /// Reads the entire WAL back, including any torn tail.
     fn wal_bytes(&self) -> Result<Vec<u8>, PersistError>;
 
-    /// Empties the WAL (after a durable snapshot).
-    fn truncate_wal(&mut self) -> Result<(), PersistError>;
+    /// Durably cuts the WAL down to its first `len` bytes in one step:
+    /// `0` after a durable snapshot, the valid prefix when recovery
+    /// trims a torn tail. Later appends continue at the new end.
+    fn truncate_wal(&mut self, len: u64) -> Result<(), PersistError>;
 
     /// Atomically replaces the snapshot.
     fn write_snapshot(&mut self, blob: &[u8]) -> Result<(), PersistError>;
@@ -155,8 +157,9 @@ impl Persistence for MemoryBackend {
         Ok(self.lock().wal.clone())
     }
 
-    fn truncate_wal(&mut self) -> Result<(), PersistError> {
-        self.lock().wal.clear();
+    fn truncate_wal(&mut self, len: u64) -> Result<(), PersistError> {
+        let len = usize::try_from(len).unwrap_or(usize::MAX);
+        self.lock().wal.truncate(len);
         Ok(())
     }
 
@@ -222,10 +225,10 @@ impl Persistence for FileBackend {
         fs::read(self.dir.join("registry.wal")).map_err(PersistError::io)
     }
 
-    fn truncate_wal(&mut self) -> Result<(), PersistError> {
-        // The handle is in append mode, so later writes land back at
-        // offset zero after the truncation.
-        self.wal.set_len(0).map_err(PersistError::io)?;
+    fn truncate_wal(&mut self, len: u64) -> Result<(), PersistError> {
+        // The handle is in append mode, so later writes land at the new
+        // end after the truncation.
+        self.wal.set_len(len).map_err(PersistError::io)?;
         self.wal.sync_all().map_err(PersistError::io)
     }
 
@@ -260,9 +263,9 @@ mod tests {
         assert_eq!(a.wal_bytes().unwrap(), b"abcdef");
 
         let crash = a.fork();
-        a.truncate_wal().unwrap();
+        a.truncate_wal(2).unwrap();
         assert_eq!(crash.wal_bytes().unwrap(), b"abcdef");
-        assert!(a.wal_bytes().unwrap().is_empty());
+        assert_eq!(a.wal_bytes().unwrap(), b"ab");
     }
 
     #[test]
@@ -276,7 +279,11 @@ mod tests {
         assert_eq!(b.wal_bytes().unwrap(), b"onetwo");
         b.write_snapshot(b"snap").unwrap();
         assert_eq!(b.snapshot_bytes().unwrap().as_deref(), Some(&b"snap"[..]));
-        b.truncate_wal().unwrap();
+        // A partial truncation keeps the prefix; appends continue after it.
+        b.truncate_wal(4).unwrap();
+        b.append_wal(b"+").unwrap();
+        assert_eq!(b.wal_bytes().unwrap(), b"onet+");
+        b.truncate_wal(0).unwrap();
         assert!(b.wal_bytes().unwrap().is_empty());
         b.append_wal(b"three").unwrap();
         // Reopen: appends continue where the file left off.

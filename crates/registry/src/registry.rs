@@ -142,62 +142,11 @@ impl fmt::Display for ServiceId {
     }
 }
 
-/// A change notification produced by the registry, consumed by components
-/// that track environment dynamics (monitoring, adaptation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RegistryEvent {
-    /// A provider published a service.
-    Registered(ServiceId),
-    /// A provider (or churn) removed a service.
-    Deregistered(ServiceId),
-}
-
-/// An observer's cursor points before the oldest retained event: the
-/// intervening events were compacted away, so incremental catch-up is
-/// impossible and the observer must resync from a [`RegistrySnapshot`]
-/// (which [`ServiceRegistry::sync_from`] hands out automatically).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EventLogGap {
-    /// Sequence number of the oldest event still retained.
-    pub oldest_retained: usize,
-    /// Events lost between the observer's cursor and the retained log.
-    pub missed: usize,
-}
-
-impl fmt::Display for EventLogGap {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "event log gap: {} events compacted away (oldest retained seq {})",
-            self.missed, self.oldest_retained
-        )
-    }
-}
-
-impl std::error::Error for EventLogGap {}
-
-/// A consistent view for observers resyncing across an [`EventLogGap`]:
-/// the live services at `cursor`. Replaying events from `cursor` on top
-/// of `live` reconstructs every later registry state.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RegistrySnapshot {
-    /// Event cursor the snapshot corresponds to (continue incrementally
-    /// from here via
-    /// [`ServiceRegistry::sync_from`]).
-    pub cursor: usize,
-    /// Ids of every live service, ascending.
-    pub live: Vec<ServiceId>,
-}
-
 /// The service directory of a pervasive environment.
 ///
-/// Supports dynamic registration/departure and keeps an event log so
-/// observers can catch up on churn through the typed
-/// [`sync_from`](ServiceRegistry::sync_from) surface. The log can be bounded
-/// (`set_event_retention`) or compacted explicitly (`compact_events`);
-/// cursors stay monotone across compaction, and an observer whose
-/// cursor fell behind the retained window transparently gets a
-/// [`RegistrySnapshot`] to resync from.
+/// Supports dynamic registration/departure; every one advances the
+/// monotone [`event_cursor`](ServiceRegistry::event_cursor), which is what
+/// the environment's epoch and the WAL's sequence numbers count.
 ///
 /// # Examples
 ///
@@ -213,14 +162,8 @@ pub struct RegistrySnapshot {
 #[derive(Debug, Clone, Default)]
 pub struct ServiceRegistry {
     services: Vec<Option<ServiceDescription>>,
-    /// Retained suffix of the event log; `events[0]` has sequence number
-    /// `events_base`. Sequence numbers are monotone and never reused, so
-    /// compaction moves `events_base` forward without disturbing cursors.
-    events: Vec<RegistryEvent>,
-    events_base: usize,
-    /// Retention bound: compaction keeps at most this many recent events
-    /// (`None` = unbounded, the historical behaviour).
-    event_retention: Option<usize>,
+    /// Registrations and departures so far.
+    event_cursor: usize,
     alive: usize,
     /// Bound taxonomy: enables the inverted capability index. `None`
     /// keeps the registry purely syntactic (discovery falls back to
@@ -245,20 +188,18 @@ impl ServiceRegistry {
 
     /// Rebuilds a registry from persisted state: the full service table
     /// (tombstones included, so replayed registrations allocate the
-    /// exact ids the original run did) positioned at event sequence
-    /// `events_base` with an empty retained log. The capability index is
-    /// rebuilt from the live slots when an ontology is supplied.
+    /// exact ids the original run did) positioned at `event_cursor`.
+    /// The capability index is rebuilt from the live slots when an
+    /// ontology is supplied.
     pub(crate) fn restore(
         slots: Vec<Option<ServiceDescription>>,
-        events_base: usize,
+        event_cursor: usize,
         ontology: Option<Arc<Ontology>>,
     ) -> Self {
         let alive = slots.iter().flatten().count();
         let mut registry = ServiceRegistry {
             services: slots,
-            events: Vec::new(),
-            events_base,
-            event_retention: None,
+            event_cursor,
             alive,
             ontology,
             index: CapabilityIndex::default(),
@@ -364,7 +305,7 @@ impl ServiceRegistry {
         }
         self.services.push(Some(description));
         self.alive += 1;
-        self.record(RegistryEvent::Registered(id));
+        self.event_cursor += 1;
         id
     }
 
@@ -374,7 +315,7 @@ impl ServiceRegistry {
         let desc = slot.take();
         if let Some(desc) = &desc {
             self.alive -= 1;
-            self.record(RegistryEvent::Deregistered(id));
+            self.event_cursor += 1;
             if let Some(ontology) = &self.ontology {
                 self.index.remove(ontology, id, desc);
             }
@@ -410,81 +351,10 @@ impl ServiceRegistry {
             .filter_map(|(i, s)| s.as_ref().map(|d| (ServiceId(i as u32), d)))
     }
 
-    /// Total number of events emitted so far — the head of the event
-    /// log, equal to [`ServiceRegistry::sync_cursor`]'s
-    /// raw sequence number. Monotone: compaction never rewinds it.
+    /// Registrations and departures so far. Monotone and never reused:
+    /// two reads of the same value saw the same provider population.
     pub fn event_cursor(&self) -> usize {
-        self.event_head()
-    }
-
-    /// The raw head sequence number ([`ServiceRegistry::sync_from`] backing).
-    pub(crate) fn event_head(&self) -> usize {
-        self.events_base + self.events.len()
-    }
-
-    /// Sequence number of the oldest event still retained. Cursors below
-    /// this fall into a gap.
-    pub fn oldest_retained_event(&self) -> usize {
-        self.events_base
-    }
-
-    /// Bounds the event log: at most `keep` recent events are retained
-    /// from now on (older ones are compacted away immediately and on
-    /// every future emission). Production registries run with a bound so
-    /// sustained churn cannot grow memory without limit.
-    pub fn set_event_retention(&mut self, keep: usize) {
-        self.event_retention = Some(keep);
-        self.enforce_retention();
-    }
-
-    /// Drops retained events with sequence numbers below `cursor`
-    /// (clamped to the emitted range), e.g. once every observer has
-    /// consumed them. Returns how many events were dropped.
-    pub fn compact_events(&mut self, cursor: usize) -> usize {
-        let cut = cursor.clamp(self.events_base, self.event_cursor()) - self.events_base;
-        self.events.drain(..cut);
-        self.events_base += cut;
-        cut
-    }
-
-    /// [`ServiceRegistry::sync_from`] backing: retained events from `cursor`,
-    /// or the gap when the cursor fell behind the retained window.
-    pub(crate) fn retained_events_from(
-        &self,
-        cursor: usize,
-    ) -> Result<&[RegistryEvent], EventLogGap> {
-        if cursor < self.events_base {
-            return Err(EventLogGap {
-                oldest_retained: self.events_base,
-                missed: self.events_base - cursor,
-            });
-        }
-        let from = (cursor - self.events_base).min(self.events.len());
-        Ok(&self.events[from..])
-    }
-
-    /// [`ServiceRegistry::sync_from`] backing: the live services as of the
-    /// current event head.
-    pub(crate) fn resync_point(&self) -> RegistrySnapshot {
-        RegistrySnapshot {
-            cursor: self.event_head(),
-            live: self.iter().map(|(id, _)| id).collect(),
-        }
-    }
-
-    fn record(&mut self, event: RegistryEvent) {
-        self.events.push(event);
-        self.enforce_retention();
-    }
-
-    fn enforce_retention(&mut self) {
-        if let Some(keep) = self.event_retention {
-            if self.events.len() > keep {
-                let cut = self.events.len() - keep;
-                self.events.drain(..cut);
-                self.events_base += cut;
-            }
-        }
+        self.event_cursor
     }
 }
 
@@ -527,159 +397,19 @@ mod tests {
     }
 
     #[test]
-    fn event_log_records_churn() {
+    fn every_registration_and_departure_advances_the_cursor() {
         let mut r = ServiceRegistry::new();
-        let cursor = r.event_cursor();
+        assert_eq!(r.event_cursor(), 0);
         let a = r.register(svc("a", "d#F"));
+        assert_eq!(r.event_cursor(), 1);
         r.deregister(a);
-        assert_eq!(
-            r.retained_events_from(cursor).unwrap(),
-            &[RegistryEvent::Registered(a), RegistryEvent::Deregistered(a)]
-        );
-        assert!(r.retained_events_from(r.event_cursor()).unwrap().is_empty());
-    }
-
-    #[test]
-    fn retention_bounds_the_log_and_keeps_the_cursor_monotone() {
-        let mut r = ServiceRegistry::new();
-        r.set_event_retention(4);
-        for i in 0..10 {
-            r.register(svc(&format!("s{i}"), "d#F"));
-        }
-        // 10 events emitted, only the last 4 retained.
-        assert_eq!(r.event_cursor(), 10);
-        assert_eq!(r.oldest_retained_event(), 6);
-        assert_eq!(r.retained_events_from(6).unwrap().len(), 4);
-        // The cursor keeps counting past compaction.
-        r.register(svc("late", "d#F"));
-        assert_eq!(r.event_cursor(), 11);
-        assert_eq!(r.oldest_retained_event(), 7);
-    }
-
-    #[test]
-    fn stale_cursor_detects_the_gap_and_resyncs_via_snapshot() {
-        let mut r = ServiceRegistry::new();
-        let stale = r.event_cursor();
-        let a = r.register(svc("a", "d#F"));
-        let b = r.register(svc("b", "d#F"));
+        assert_eq!(r.event_cursor(), 2);
+        // A departure that removes nothing is not an event.
         r.deregister(a);
-        r.set_event_retention(1);
-        // The observer's cursor fell behind the retained window…
-        let gap = r
-            .retained_events_from(stale)
-            .expect_err("events were compacted");
-        assert_eq!(gap.oldest_retained, 2);
-        assert_eq!(gap.missed, 2);
-        assert!(!gap.to_string().is_empty());
-        // …so it resyncs: the snapshot's live set is the current world,
-        // and its cursor continues incrementally without another gap.
-        let snap = r.resync_point();
-        assert_eq!(snap.live, vec![b]);
-        assert_eq!(snap.cursor, r.event_cursor());
-        let c = r.register(svc("c", "d#F"));
-        assert_eq!(
-            r.retained_events_from(snap.cursor).unwrap(),
-            &[RegistryEvent::Registered(c)]
-        );
-    }
-
-    #[test]
-    fn explicit_compaction_drops_consumed_events() {
-        let mut r = ServiceRegistry::new();
-        for i in 0..6 {
-            r.register(svc(&format!("s{i}"), "d#F"));
-        }
-        let consumed = 4;
-        assert_eq!(r.compact_events(consumed), 4);
-        assert_eq!(r.oldest_retained_event(), 4);
-        assert_eq!(r.retained_events_from(4).unwrap().len(), 2);
-        // Compacting behind the current base or past the head is safe.
-        assert_eq!(r.compact_events(0), 0);
-        assert_eq!(r.compact_events(usize::MAX), 2);
-        assert!(r.retained_events_from(r.event_cursor()).unwrap().is_empty());
-        assert_eq!(r.event_cursor(), 6);
-    }
-
-    #[test]
-    fn unbounded_log_never_gaps() {
-        let mut r = ServiceRegistry::new();
-        for i in 0..100 {
-            let id = r.register(svc(&format!("s{i}"), "d#F"));
-            r.deregister(id);
-        }
-        assert_eq!(r.retained_events_from(0).unwrap().len(), 200);
-    }
-
-    // ---- compaction boundary audit ---------------------------------
-    // The off-by-one class that bit `retry_after_ticks` in PR 7 lives
-    // exactly at these edges: compaction *at* the live cursor, a
-    // retention bound of zero, and reads one event either side of the
-    // compaction edge.
-
-    #[test]
-    fn compaction_exactly_at_the_live_cursor_keeps_the_head_readable() {
-        let mut r = ServiceRegistry::new();
-        for i in 0..5 {
-            r.register(svc(&format!("s{i}"), "d#F"));
-        }
-        let head = r.event_cursor();
-        // Compacting at the head drops everything retained…
-        assert_eq!(r.compact_events(head), 5);
-        assert_eq!(r.oldest_retained_event(), head);
-        assert_eq!(r.event_cursor(), head);
-        // …a cursor at the head still reads an empty delta (no gap)…
-        assert_eq!(r.retained_events_from(head).unwrap(), &[]);
-        // …and the very next event is readable from that same cursor.
-        let a = r.register(svc("late", "d#F"));
-        assert_eq!(
-            r.retained_events_from(head).unwrap(),
-            &[RegistryEvent::Registered(a)]
-        );
-        // Compacting at the head twice is idempotent.
-        let head = r.event_cursor();
-        assert_eq!(r.compact_events(head), 1);
-        assert_eq!(r.compact_events(head), 0);
-    }
-
-    #[test]
-    fn zero_retention_compacts_every_event_immediately() {
-        let mut r = ServiceRegistry::new();
-        r.set_event_retention(0);
-        let before = r.event_cursor();
-        let a = r.register(svc("a", "d#F"));
-        r.deregister(a);
-        // The cursor still advances event by event…
-        assert_eq!(r.event_cursor(), before + 2);
-        assert_eq!(r.oldest_retained_event(), r.event_cursor());
-        // …a head cursor reads empty, anything older is a gap of the
-        // exact missed count.
-        assert_eq!(r.retained_events_from(r.event_cursor()).unwrap(), &[]);
-        let gap = r.retained_events_from(before).expect_err("all compacted");
-        assert_eq!(gap.oldest_retained, r.event_cursor());
-        assert_eq!(gap.missed, 2);
-        // Setting zero retention on a populated log empties it too.
-        let mut r2 = ServiceRegistry::new();
-        r2.register(svc("x", "d#F"));
-        r2.set_event_retention(0);
-        assert_eq!(r2.oldest_retained_event(), r2.event_cursor());
-    }
-
-    #[test]
-    fn events_at_the_compaction_edge_are_off_by_one_exact() {
-        let mut r = ServiceRegistry::new();
-        for i in 0..6 {
-            r.register(svc(&format!("s{i}"), "d#F"));
-        }
-        r.compact_events(3);
-        let edge = r.oldest_retained_event();
-        assert_eq!(edge, 3);
-        // At the edge: the full retained window, no gap.
-        assert_eq!(r.retained_events_from(edge).unwrap().len(), 3);
-        // One before the edge: a gap missing exactly one event.
-        let gap = r.retained_events_from(edge - 1).expect_err("one short");
-        assert_eq!(gap.oldest_retained, edge);
-        assert_eq!(gap.missed, 1);
-        // One after the edge: one fewer event, still no gap.
-        assert_eq!(r.retained_events_from(edge + 1).unwrap().len(), 2);
+        assert_eq!(r.event_cursor(), 2);
+        // A copy-on-write clone continues from the same position.
+        let mut clone = r.clone();
+        clone.register(svc("b", "d#F"));
+        assert_eq!((r.event_cursor(), clone.event_cursor()), (2, 3));
     }
 }

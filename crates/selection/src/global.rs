@@ -96,10 +96,10 @@ pub struct SelectionOutcome {
     pub levels_explored: usize,
     /// The local-phase hierarchies the global phase ran over, one per
     /// activity: the ranked alternates dynamic binding and substitution
-    /// read ([`SelectionOutcome::alternates`]), shared so delta
-    /// re-selection reuses unaffected activities without re-ranking (or
-    /// even re-discovering) them. Every QASSA outcome carries them; only
-    /// the baselines, which rank nothing, leave this empty.
+    /// read ([`SelectionOutcome::alternates`]), behind `Arc`s so a
+    /// composition clones them at pointer cost. Every QASSA outcome
+    /// carries them; only the baselines, which rank nothing, leave this
+    /// empty.
     pub levels: Vec<Arc<QosLevels>>,
 }
 
@@ -314,15 +314,13 @@ impl<'a> Qassa<'a> {
         }
     }
 
-    /// Runs the global phase over precomputed local hierarchies (delta
-    /// re-selection mixes cached and re-ranked ones; distributed QASSA
-    /// merges provider-side hierarchies first).
+    /// Runs the global phase over precomputed local hierarchies
+    /// (distributed QASSA merges provider-side hierarchies first).
     ///
     /// The global phase is driven entirely by `levels` — the problem
     /// contributes task, constraints, preferences and approach, so the
     /// candidate matrix may be left empty. The returned outcome holds
-    /// clones of the `Arc`s, so a later delta re-selection reuses
-    /// unaffected activities at pointer cost.
+    /// clones of the `Arc`s.
     ///
     /// # Errors
     ///
@@ -516,8 +514,8 @@ impl<'a> Qassa<'a> {
     }
 
     /// The global phase's own validation: hierarchies, not the problem's
-    /// candidate matrix, must line up with the task — a delta re-selection
-    /// hands over cached hierarchies with an intentionally empty matrix.
+    /// candidate matrix, must line up with the task — the matrix may be
+    /// left empty.
     fn validate_levels(
         &self,
         problem: &SelectionProblem<'_>,

@@ -19,7 +19,7 @@
 //!   run to `FILE` (`-` for stdout).
 //!
 //! The scenario subcommands (`report`, `stress`, `daemon-stress`,
-//! `hotpath-stress`, `persist-stress`) are the rows of
+//! `persist-stress`) are the rows of
 //! [`qasom_bench::scenarios::SCENARIOS`]: each is documented, flagged and
 //! implemented there, prints a JSON document that is byte-identical for
 //! identical arguments, and `qasom-cli --help` lists them all.

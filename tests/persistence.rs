@@ -6,27 +6,37 @@
 //!   capability index, epoch, WAL cursor);
 //! * **torn tails** — a WAL whose last record is bit-flipped or
 //!   truncated at *every possible byte* recovers cleanly to the last
-//!   durable point, never panics, never replays a partial record;
-//! * **checkpoint boundary** — a checkpoint compacts the in-memory
-//!   event log exactly like a never-crashed registry that called
-//!   `compact_events`, so replicas synced before the crash observe the
-//!   same `EventLogGap` fallback after recovery.
+//!   durable point, never panics, never replays a partial record —
+//!   and trimming the tear never endangers the records before it;
+//! * **the journaled `Environment`** — the path `qasomd --data-dir`
+//!   runs (`attach_journal`, `adopt_registry`, journaled `deploy` /
+//!   `undeploy` / `checkpoint_registry`) meets the same oracle, and a
+//!   failing store detaches the journal instead of stopping service.
 
 use std::sync::Arc;
 
+use qasom::Environment;
+use qasom_netsim::runtime::SyntheticService;
+use qasom_obs::{keys, MemoryRecorder, Recorder};
 use qasom_ontology::{Ontology, OntologyBuilder};
+use qasom_qos::QosModel;
 use qasom_registry::persist::wal::split_frames;
 use qasom_registry::persist::{
-    encode_state, MemoryBackend, PersistConfig, Persistence, PersistentRegistry,
+    encode_state, MemoryBackend, PersistConfig, PersistError, Persistence, PersistentRegistry,
+    RegistryJournal,
 };
-use qasom_registry::{ReplicaCursor, ServiceDescription, SyncResponse};
+use qasom_registry::{ServiceDescription, ServiceId};
 
-fn ontology() -> Arc<Ontology> {
+fn taxonomy() -> Ontology {
     let mut b = OntologyBuilder::new("p");
     let pay = b.concept("Pay");
     b.subconcept("PayByCard", pay);
     b.concept("Locate");
-    Arc::new(b.build().unwrap())
+    b.build().unwrap()
+}
+
+fn ontology() -> Arc<Ontology> {
+    Arc::new(taxonomy())
 }
 
 fn open(
@@ -200,33 +210,167 @@ fn recovery_trims_the_torn_tail_so_the_store_reopens_clean() {
     assert_equivalent(&second, &first);
 }
 
+/// A store whose WAL appends fail once `appends_left` of them have
+/// succeeded: a full disk, or — with none left — a crash before the
+/// next write. Everything else goes through to `inner`.
+struct FailingAppends {
+    inner: MemoryBackend,
+    appends_left: usize,
+}
+
+impl Persistence for FailingAppends {
+    fn append_wal(&mut self, bytes: &[u8]) -> Result<(), PersistError> {
+        if self.appends_left == 0 {
+            return Err(PersistError::Io("injected append failure".into()));
+        }
+        self.appends_left -= 1;
+        self.inner.append_wal(bytes)
+    }
+
+    fn wal_bytes(&self) -> Result<Vec<u8>, PersistError> {
+        self.inner.wal_bytes()
+    }
+
+    fn truncate_wal(&mut self, len: u64) -> Result<(), PersistError> {
+        self.inner.truncate_wal(len)
+    }
+
+    fn write_snapshot(&mut self, blob: &[u8]) -> Result<(), PersistError> {
+        self.inner.write_snapshot(blob)
+    }
+
+    fn snapshot_bytes(&self) -> Result<Option<Vec<u8>>, PersistError> {
+        self.inner.snapshot_bytes()
+    }
+}
+
 #[test]
-fn checkpoint_compacts_the_event_log_like_a_never_crashed_registry() {
+fn trimming_a_torn_tail_never_loses_the_durable_prefix() {
     let backend = MemoryBackend::new();
-    let (mut persistent, _) = open(backend.clone(), 0);
-    churn(&mut persistent, 9);
-    let head = persistent.registry().event_cursor();
-    persistent.checkpoint().unwrap();
-    assert_eq!(
-        persistent.registry().oldest_retained_event(),
-        head,
-        "checkpoint compacts up to the snapshot boundary"
-    );
-
-    let (recovered, _) = open(backend.fork(), 0);
-    assert_eq!(recovered.registry().oldest_retained_event(), head);
-
-    // A replica whose cursor predates the compaction boundary gets the
-    // EventLogGap snapshot fallback from the recovered registry...
-    match recovered.registry().sync_from(ReplicaCursor::ORIGIN) {
-        SyncResponse::Snapshot(snap) => assert_eq!(snap.cursor, head),
-        SyncResponse::Delta(d) => panic!("expected snapshot fallback, got delta of {}", d.len()),
+    let (mut oracle, _) = open(backend.clone(), 0);
+    for i in 0..5 {
+        oracle
+            .register(ServiceDescription::new(format!("s{i}"), "p#Pay"))
+            .unwrap();
     }
-    // ...while one at the boundary keeps the incremental path.
-    match recovered.registry().sync_from(ReplicaCursor::new(head)) {
-        SyncResponse::Delta(events) => assert!(events.is_empty()),
-        SyncResponse::Snapshot(_) => panic!("a caught-up replica needs no snapshot"),
+    let crash = backend.fork();
+    let mut wal = crash.wal_bytes().unwrap();
+    let last = wal.len() - 1;
+    wal[last] ^= 0xFF;
+    crash.set_wal(wal);
+
+    // Recovery runs over a store that dies at its next write: whatever
+    // this attempt returns, it must not have cut away the four records
+    // that were durable before it started.
+    let dying = FailingAppends {
+        inner: crash.clone(),
+        appends_left: 0,
+    };
+    let _ = PersistentRegistry::open(dying, PersistConfig::default(), Some(ontology()));
+    let (recovered, _) = open(crash, 0);
+    assert_eq!(recovered.registry().len(), 4);
+}
+
+fn environment() -> Environment {
+    Environment::new(QosModel::standard(), taxonomy(), 7)
+}
+
+fn deploy(env: &mut Environment, name: String, function: &str) -> ServiceId {
+    let desc = ServiceDescription::new(name, function);
+    let nominal = desc.qos().clone();
+    env.deploy(desc, SyntheticService::new(nominal))
+}
+
+/// Recovers `image` the way `qasomd --data-dir` boots: unbound, to be
+/// re-bound by `adopt_registry`.
+fn recover(
+    image: MemoryBackend,
+    config: PersistConfig,
+) -> (qasom_registry::ServiceRegistry, RegistryJournal) {
+    let (registry, journal, _) = RegistryJournal::open(image, config, None).unwrap();
+    (registry, journal)
+}
+
+#[test]
+fn a_journaled_environment_recovers_byte_identically_after_every_op() {
+    let config = PersistConfig {
+        checkpoint_every: 4,
+    };
+    let backend = MemoryBackend::new();
+    let assert_recoverable = |env: &Environment| {
+        let (recovered, journal) = recover(backend.fork(), config);
+        assert_eq!(encode_state(&recovered), encode_state(env.registry()));
+        assert_eq!(recovered.event_cursor() as u64, env.epoch());
+        assert_eq!(journal.wal_cursor(), env.epoch());
+    };
+
+    // Cold boot: the journal is attached before the first registration.
+    let mut env = environment();
+    env.attach_journal(recover(backend.clone(), config).1);
+    assert!(env.journaling());
+    let functions = ["p#Pay", "p#PayByCard", "p#Locate"];
+    for i in 0..14 {
+        deploy(&mut env, format!("s{i}"), functions[i % functions.len()]);
+        assert_recoverable(&env);
+        if i % 3 == 2 {
+            let victim = env.registry().iter().next().map(|(id, _)| id).unwrap();
+            env.undeploy(victim);
+            assert_recoverable(&env);
+        }
+        if i == 9 {
+            assert!(env.checkpoint_registry());
+            assert_eq!(backend.wal_len(), 0, "checkpoint truncates the WAL");
+            assert_recoverable(&env);
+        }
     }
+    let stats = env.journal_stats().unwrap();
+    assert!(stats.checkpoints > 1, "automatic checkpoints fired too");
+
+    // Warm boot on the same store: adopt what was recovered, continue
+    // the same WAL.
+    let epoch = env.epoch();
+    drop(env);
+    let mut env = environment();
+    let (registry, journal) = recover(backend.clone(), config);
+    env.adopt_registry(registry);
+    env.attach_journal(journal);
+    assert_eq!(env.epoch(), epoch);
+    assert!(env.registry().index_matches_rebuild());
+    for i in 14..20 {
+        deploy(&mut env, format!("s{i}"), functions[i % functions.len()]);
+        assert_recoverable(&env);
+    }
+}
+
+#[test]
+fn a_failing_store_detaches_the_journal_and_service_continues() {
+    let backend = MemoryBackend::new();
+    let store = FailingAppends {
+        inner: backend.clone(),
+        appends_left: 2,
+    };
+    let (_, journal, _) = RegistryJournal::open(store, PersistConfig::default(), None).unwrap();
+    let recorder = Arc::new(MemoryRecorder::new());
+    let mut env = environment();
+    env.set_recorder(Arc::clone(&recorder) as Arc<dyn Recorder>);
+    env.attach_journal(journal);
+
+    for i in 0..2 {
+        deploy(&mut env, format!("s{i}"), "p#Pay");
+    }
+    assert!(env.journaling());
+    // The third append fails: counted once, journal detached, the
+    // registration itself stands.
+    deploy(&mut env, "s2".into(), "p#Pay");
+    assert!(!env.journaling());
+    deploy(&mut env, "s3".into(), "p#Pay");
+    assert!(!env.checkpoint_registry());
+    assert_eq!(env.registry().len(), 4);
+    let errors = recorder.snapshot().unwrap().counter(keys::PERSIST_ERRORS);
+    assert_eq!(errors, 1);
+    // The store keeps exactly what was journaled before the failure.
+    let (durable, _) = recover(backend.fork(), PersistConfig::default());
+    assert_eq!(durable.len(), 2);
 }
 
 #[test]
