@@ -33,7 +33,7 @@
 //!   ends its statement, or at the `}` that returns to its acquisition
 //!   depth — this models Rust's scrutinee-temporary rule, so the
 //!   double-checked `if let ... .read() ... { return } ... .write()`
-//!   intern pattern does not trip QA102;
+//!   pattern does not trip QA102;
 //! * `#[cfg(test)]` regions are skipped entirely.
 //!
 //! An acquisition is a `.read()` / `.write()` / `.lock()` call with
@@ -60,8 +60,8 @@ pub struct LockClass {
 }
 
 /// The lock manifest: every lock in the workspace, outermost first
-/// (a session takes the environment lock, then composes through the
-/// match cache, emitting events and metrics on the way). Each lives in
+/// (a session takes the environment lock, then composes, emitting
+/// events and metrics on the way). Each lives in
 /// its own file and none is acquired lexically under another, so the
 /// nesting itself is not something a per-file scan can check.
 pub const MANIFEST: &[LockClass] = &[
@@ -69,11 +69,6 @@ pub const MANIFEST: &[LockClass] = &[
         name: "environment",
         files: &["crates/core/src/shared.rs"],
         receivers: &["inner", "self"],
-    },
-    LockClass {
-        name: "match-cache",
-        files: &["crates/registry/src/discovery.rs"],
-        receivers: &["state", "self"],
     },
     LockClass {
         name: "event-buffer",
@@ -380,9 +375,9 @@ mod tests {
         let good = "impl S {\n    fn good(&self) {\n        let env = self.inner.read();\n        drop(env);\n        let mut w = self.inner.write();\n    }\n}\n";
         assert!(lock_findings("crates/core/src/shared.rs", good).is_empty());
 
-        // The match cache's one lock, reached through its `read()` helper.
-        let cache = "impl C {\n    fn bad(&self) {\n        let state = self.read();\n        let mut w = self.state.write();\n    }\n}\n";
-        let hits = lock_findings("crates/registry/src/discovery.rs", cache);
+        // The same lock reached through the `read()` helper.
+        let helper = "impl S {\n    fn bad(&self) {\n        let env = self.read();\n        let mut w = self.inner.write();\n    }\n}\n";
+        let hits = lock_findings("crates/core/src/shared.rs", helper);
         assert_eq!(hits, vec![(Rule::WriteUnderRead, 4)]);
     }
 
@@ -390,8 +385,8 @@ mod tests {
     fn if_let_scrutinee_temp_does_not_trip_write_under_read() {
         // The double-checked pattern: temp read guard in the `if let`
         // scrutinee, then a write. Must be clean.
-        let src = "impl C {\n    fn intern(&self) -> u32 {\n        if let Some(id) = self.state.read().get(iri) {\n            return id;\n        }\n        let mut w = self.state.write();\n        w.insert(iri)\n    }\n}\n";
-        assert!(lock_findings("crates/registry/src/discovery.rs", src).is_empty());
+        let src = "impl S {\n    fn intern(&self) -> u32 {\n        if let Some(id) = self.inner.read().get(iri) {\n            return id;\n        }\n        let mut w = self.inner.write();\n        w.insert(iri)\n    }\n}\n";
+        assert!(lock_findings("crates/core/src/shared.rs", src).is_empty());
     }
 
     #[test]
@@ -425,8 +420,8 @@ mod tests {
 
     #[test]
     fn cfg_test_regions_are_skipped() {
-        let src = "#[cfg(test)]\nmod tests {\n    fn f(c: &C) {\n        let r = c.state.read();\n        let w = c.state.write();\n    }\n}\n";
-        assert!(lock_findings("crates/registry/src/discovery.rs", src).is_empty());
+        let src = "#[cfg(test)]\nmod tests {\n    fn f(s: &S) {\n        let r = s.inner.read();\n        let w = s.inner.write();\n    }\n}\n";
+        assert!(lock_findings("crates/core/src/shared.rs", src).is_empty());
     }
 
     #[test]

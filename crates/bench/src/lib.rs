@@ -766,16 +766,13 @@ pub fn ablate_semantics(model: &QosModel) -> Vec<FigureSeries> {
     vec![semantic, syntactic]
 }
 
-/// Discovery latency at registry scale (DESIGN.md §5c): the indexed
-/// pipeline (capability index + memoised match degrees) against the
-/// linear full-scan oracle over 1k/5k/20k advertisements of a
+/// Discovery latency at registry scale (DESIGN.md §5c): the capability
+/// index against the linear full-scan oracle over 1k/5k/20k advertisements of a
 /// 32-category × 4-leaf taxonomy. A category-level request plugs in 4
 /// leaves × n/128 services; both paths must return identical candidate
 /// vectors before either is timed — only the work differs.
 pub fn fig_discovery(model: &QosModel) -> Vec<FigureSeries> {
-    use qasom_registry::{
-        Discovery, DiscoveryQuery, MatchCache, ServiceDescription, ServiceRegistry,
-    };
+    use qasom_registry::{Discovery, DiscoveryQuery, ServiceDescription, ServiceRegistry};
     use std::sync::Arc;
 
     let mut b = OntologyBuilder::new("d");
@@ -804,23 +801,21 @@ pub fn fig_discovery(model: &QosModel) -> Vec<FigureSeries> {
                 &format!("d#Cat{}Leaf{}", s % 32, s % 4),
             ));
         }
-        let cache = MatchCache::new();
-        let indexed = Discovery::with_cache(&onto, model, &cache);
-        let linear = Discovery::new(&onto, model);
-        let expected = indexed.discover(&registry, &indexed_query);
+        let discovery = Discovery::new(&onto, model);
+        let expected = discovery.discover(&registry, &indexed_query);
         assert!(!expected.is_empty());
         assert_eq!(
             expected,
-            linear.discover(&registry, &linear_query),
+            discovery.discover(&registry, &linear_query),
             "indexed and linear paths must agree before timing them"
         );
 
         let x = n as f64;
         let i = time_ms(20, || {
-            std::hint::black_box(indexed.discover(&registry, &indexed_query));
+            std::hint::black_box(discovery.discover(&registry, &indexed_query));
         });
         let l = time_ms(20, || {
-            std::hint::black_box(linear.discover(&registry, &linear_query));
+            std::hint::black_box(discovery.discover(&registry, &linear_query));
         });
         indexed_ms.points.push((x, i));
         linear_ms.points.push((x, l));

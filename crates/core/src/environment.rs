@@ -11,10 +11,7 @@ use qasom_obs::{keys, Recorder};
 use qasom_ontology::Ontology;
 use qasom_qos::{EndToEnd, QosModel, QosVector};
 use qasom_registry::persist::{PersistStats, RegistryJournal};
-use qasom_registry::{
-    CacheStats, Discovery, DiscoveryQuery, MatchCache, ServiceDescription, ServiceId,
-    ServiceRegistry,
-};
+use qasom_registry::{Discovery, DiscoveryQuery, ServiceDescription, ServiceId, ServiceRegistry};
 use qasom_selection::{Qassa, QassaConfig, SelectionProblem, ServiceCandidate};
 use qasom_task::{Activity, TaskClass, TaskClassRepository};
 
@@ -107,6 +104,19 @@ impl EnvironmentBuilder {
     }
 }
 
+// Return type of the `Environment::cache_stats` stub; see there.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy)]
+pub struct CacheStats {
+    pub misses: u64,
+}
+
+impl CacheStats {
+    pub fn hit_ratio(&self) -> f64 {
+        0.0
+    }
+}
+
 /// A QASOM middleware instance bound to one pervasive environment: the
 /// service registry and synthetic runtime (the environment side), the
 /// task-class repository, the QoS monitor and the event trace (the
@@ -124,7 +134,6 @@ pub struct Environment {
     // is counted and detaches the journal (the instance degrades to
     // in-memory rather than diverging from its own store).
     journal: Option<RegistryJournal>,
-    match_cache: MatchCache,
     runtime: ServiceRuntime<ServiceId>,
     tasks: TaskClassRepository,
     infra: HashMap<u64, QosVector>,
@@ -160,7 +169,6 @@ impl Environment {
             registry: Arc::new(ServiceRegistry::with_ontology(Arc::clone(&ontology))),
             journal: None,
             ontology,
-            match_cache: MatchCache::new(),
             runtime: ServiceRuntime::new(config.seed),
             tasks: TaskClassRepository::new(),
             infra: HashMap::new(),
@@ -259,15 +267,18 @@ impl Environment {
         }
     }
 
-    /// Hit/miss statistics of the semantic match cache.
+    // Discovery memoises nothing, so there is nothing to count. The stub
+    // stays because `perf/src/trace.rs:550` calls `cache_stats()` and reads
+    // `.hit_ratio()` and `.misses` off the result, and `perf/` changes
+    // only in `[benchmark]` PRs (ROADMAP item 1.1 drops both).
+    #[doc(hidden)]
     pub fn cache_stats(&self) -> CacheStats {
-        self.match_cache.stats()
+        CacheStats { misses: 0 }
     }
 
     /// Assembles a [`RunReport`] from the recorder's current snapshot:
     /// every counter-backed section is derived from the pipeline
-    /// counters (per `qasom_obs::keys::SECTIONS`), the match-cache
-    /// statistics are folded in, and the full
+    /// counters (per `qasom_obs::keys::SECTIONS`) and the full
     /// [`qasom_obs::MetricsSnapshot`] rides along. Compose/execution/
     /// distributed sections are left for the caller to fill from the
     /// corresponding reports. Without a recorder the report carries an
@@ -277,17 +288,7 @@ impl Environment {
         let Some(snapshot) = self.recorder.as_ref().and_then(|r| r.snapshot()) else {
             return report;
         };
-        // The match cache keeps its totals in its own atomics, not in
-        // the recorder.
-        let cache = self.match_cache.stats();
-        report.fill_counter_sections(
-            &snapshot,
-            &[
-                ("discovery.cache_hits", cache.hits),
-                ("discovery.cache_misses", cache.misses),
-                ("hotpath.interned_iris", self.match_cache.interned_iris()),
-            ],
-        );
+        report.fill_counter_sections(&snapshot);
         report.metrics = snapshot;
         report
     }
@@ -325,12 +326,11 @@ impl Environment {
         }
     }
 
-    /// Replaces the domain ontology: the registry is re-bound (the
+    /// Replaces the domain ontology and re-binds the registry to it (the
     /// inverted capability index is rebuilt over the new concept
-    /// hierarchy) and the semantic `MatchCache` invalidates lazily — it
-    /// stops answering at once and flushes on its next write, because
-    /// the new ontology carries a fresh [`Ontology::stamp`]. Returns the
-    /// new stamp.
+    /// hierarchy). Both happen under the caller's one `&mut self`, so no
+    /// reader sees the new ontology beside the old index. Returns the
+    /// new [`Ontology::stamp`].
     ///
     /// This is the purpose-built mutator behind
     /// [`crate::SharedEnvironment::reload_ontology`]; daemon code uses
@@ -634,7 +634,7 @@ impl Environment {
     /// node's infrastructure QoS is known, the candidate's QoS is the
     /// user-perceived one (service QoS degraded by the path).
     pub fn discover(&self, activity: &Activity) -> Vec<ServiceCandidate> {
-        let mut discovery = Discovery::with_cache(&self.ontology, &self.model, &self.match_cache);
+        let mut discovery = Discovery::new(&self.ontology, &self.model);
         if let Some(rec) = &self.recorder {
             discovery = discovery.with_recorder(rec.as_ref());
         }

@@ -185,7 +185,7 @@ pub struct ChurnReceipt {
 ///   and the full composition pipeline — analysis, discovery and QASSA
 ///   selection ([`SharedEnvironment::compose`]) — which only read the
 ///   registry/ontology/QoS model and use interior-mutable, concurrency-
-///   safe structures (`MatchCache`, event buffer, recorder) for their
+///   safe structures (event buffer, recorder) for their
 ///   side channels. Any number of sessions compose simultaneously.
 /// * **write lock (exclusive):** provider churn and execution
 ///   ([`SharedEnvironment::apply_churn`], [`SharedEnvironment::execute`])
@@ -287,9 +287,9 @@ impl SharedEnvironment {
         receipt
     }
 
-    /// Swaps the domain ontology under the write lock (capability index
-    /// rebuilt, match cache stamp-invalidated). Returns the new
-    /// ontology's stamp.
+    /// Swaps the domain ontology and rebuilds the capability index over
+    /// it as one write-lock transaction. Returns the new ontology's
+    /// stamp.
     pub fn reload_ontology(&self, ontology: Ontology) -> u64 {
         self.write().reload_ontology(ontology)
     }

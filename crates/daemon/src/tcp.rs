@@ -134,6 +134,9 @@ fn spawn_connection(
     stream: TcpStream,
     router_tx: &Sender<RouterMsg>,
 ) -> std::io::Result<()> {
+    // Replies are small frames written one per session: left to Nagle,
+    // the second reply of a burst waits out the peer's delayed ACK.
+    stream.set_nodelay(true)?;
     let reader_stream = stream.try_clone()?;
     let (writer_tx, writer_rx) = mpsc::channel::<Frame>();
     if router_tx

@@ -37,12 +37,6 @@ pub const SELECTION_PRUNED: &str = "selection.global.pruned_candidates";
 /// Exhaustive-scan fallbacks taken after the level-wise search failed.
 pub const SELECTION_EXACT_FALLBACKS: &str = "selection.global.exact_fallbacks";
 
-/// Flat per-property value columns materialised by the local phase.
-pub const SELECTION_HOTPATH_COLUMNS: &str = "selection.hotpath.columns_built";
-/// Activities ranked into an already-warm scratch arena (no fresh
-/// allocation).
-pub const SELECTION_HOTPATH_SCRATCH_REUSES: &str = "selection.hotpath.scratch_reuses";
-
 /// Nothing increments this since delta re-selection was deleted; the
 /// name stays because `perf/src/trace.rs` reads it (always 0) and
 /// `perf/` changes only in `[benchmark]` PRs.
@@ -150,12 +144,9 @@ pub enum Source {
     /// The first count field divided by the sum of the listed count
     /// fields of the same section; 0 when that sum is 0.
     Ratio(&'static str, &'static [&'static str]),
-    /// A count that lives outside the recorder; whoever assembles the
-    /// report supplies it under the key `section.field`.
-    Supplied,
 }
 
-use Source::{Counter, Ratio, Supplied};
+use Source::{Counter, Ratio};
 
 /// The counter-backed sections of a
 /// [`RunReport`](crate::report::RunReport): section name → its JSON
@@ -170,14 +161,6 @@ pub const SECTIONS: &[(&str, &[(&str, Source)])] = &[
             ("linear_queries", Counter(DISCOVERY_LINEAR)),
             ("services_evaluated", Counter(DISCOVERY_EVALUATED)),
             ("candidates", Counter(DISCOVERY_CANDIDATES)),
-            // `MatchCache` lookups that hit / that missed (and were
-            // computed + stored): the cache keeps its own atomics.
-            ("cache_hits", Supplied),
-            ("cache_misses", Supplied),
-            (
-                "cache_hit_ratio",
-                Ratio("cache_hits", &["cache_hits", "cache_misses"]),
-            ),
         ],
     ),
     (
@@ -231,15 +214,6 @@ pub const SECTIONS: &[(&str, &[(&str, Source)])] = &[
             ("frames_read", Counter(DAEMON_FRAMES_READ)),
             ("frames_written", Counter(DAEMON_FRAMES_WRITTEN)),
             ("ticks", Counter(DAEMON_TICKS)),
-        ],
-    ),
-    (
-        "hotpath",
-        &[
-            ("columns_built", Counter(SELECTION_HOTPATH_COLUMNS)),
-            ("scratch_reuses", Counter(SELECTION_HOTPATH_SCRATCH_REUSES)),
-            // Distinct IRIs interned by the semantic match cache.
-            ("interned_iris", Supplied),
         ],
     ),
 ];

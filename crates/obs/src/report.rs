@@ -9,7 +9,7 @@
 //! byte-identical JSON.
 //!
 //! Sections that are plain counts (`discovery`, `selection`,
-//! `persistence`, `serving`, `daemon`, `hotpath`) are one generic
+//! `persistence`, `serving`, `daemon`) are one generic
 //! [`CounterSection`] filled from the [`keys::SECTIONS`] table.
 //! Sections carrying structured outcomes (`compose`, `execution`,
 //! `distributed`) are plain structs with public fields that their
@@ -42,15 +42,14 @@ pub struct CounterSection {
 }
 
 impl CounterSection {
-    /// Fills section `name` of [`keys::SECTIONS`]: `Counter` fields
-    /// from `snapshot`, `Supplied` fields from the `section.field`
-    /// entries of `supplied` (absent ones read 0, like absent counters).
+    /// Fills section `name` of [`keys::SECTIONS`] from `snapshot`
+    /// (absent counters read 0).
     ///
     /// # Panics
     ///
     /// Panics when the table has no section `name` — a typo in the
     /// calling code, not a runtime condition.
-    pub fn from_snapshot(name: &str, snapshot: &MetricsSnapshot, supplied: &[(&str, u64)]) -> Self {
+    pub fn from_snapshot(name: &str, snapshot: &MetricsSnapshot) -> Self {
         let fields = keys::SECTIONS
             .iter()
             .find(|(section, _)| *section == name)
@@ -58,14 +57,8 @@ impl CounterSection {
             .unwrap_or_else(|| panic!("keys::SECTIONS has no section {name:?}"));
         let counts = fields
             .iter()
-            .map(|&(field, source)| match source {
+            .map(|&(_, source)| match source {
                 Source::Counter(key) => snapshot.counter(key),
-                Source::Supplied => supplied
-                    .iter()
-                    .find(|(path, _)| {
-                        path.strip_prefix(name).and_then(|f| f.strip_prefix('.')) == Some(field)
-                    })
-                    .map_or(0, |&(_, count)| count),
                 Source::Ratio(..) => 0,
             })
             .collect();
@@ -102,7 +95,7 @@ impl CounterSection {
         for (&(field, source), &count) in self.fields.iter().zip(&self.counts) {
             json = match source {
                 Source::Ratio(..) => json.field(field, self.ratio(field)),
-                Source::Counter(_) | Source::Supplied => json.field(field, count),
+                Source::Counter(_) => json.field(field, count),
             };
         }
         json
@@ -348,8 +341,6 @@ pub struct RunReport {
     pub serving: Option<CounterSection>,
     /// Daemon-layer totals, when the run went through `qasomd`.
     pub daemon: Option<CounterSection>,
-    /// Hot-path totals (flat columns, interning).
-    pub hotpath: Option<CounterSection>,
     /// Raw metric snapshot (counters / histograms / spans).
     pub metrics: MetricsSnapshot,
 }
@@ -369,24 +360,21 @@ impl RunReport {
             persistence: None,
             serving: None,
             daemon: None,
-            hotpath: None,
             metrics: MetricsSnapshot::default(),
         }
     }
 
     /// Fills every counter-backed section from `snapshot` by walking
-    /// [`keys::SECTIONS`]; `supplied` carries the counts that live
-    /// outside the recorder (see [`CounterSection::from_snapshot`]).
-    pub fn fill_counter_sections(&mut self, snapshot: &MetricsSnapshot, supplied: &[(&str, u64)]) {
+    /// [`keys::SECTIONS`].
+    pub fn fill_counter_sections(&mut self, snapshot: &MetricsSnapshot) {
         for &(name, _) in keys::SECTIONS {
-            let section = Some(CounterSection::from_snapshot(name, snapshot, supplied));
+            let section = Some(CounterSection::from_snapshot(name, snapshot));
             match name {
                 "discovery" => self.discovery = section,
                 "selection" => self.selection = section,
                 "persistence" => self.persistence = section,
                 "serving" => self.serving = section,
                 "daemon" => self.daemon = section,
-                "hotpath" => self.hotpath = section,
                 other => unreachable!("keys::SECTIONS names {other:?}, which RunReport lacks"),
             }
         }
@@ -417,7 +405,6 @@ impl RunReport {
             )
             .field("serving", opt(&self.serving, CounterSection::to_json))
             .field("daemon", opt(&self.daemon, CounterSection::to_json))
-            .field("hotpath", opt(&self.hotpath, CounterSection::to_json))
             .field("metrics", self.metrics.to_json())
     }
 
@@ -530,7 +517,7 @@ mod tests {
         full.compose = Some(ComposeSection::default());
         full.execution = Some(ExecutionSection::default());
         full.distributed = Some(DistributedSection::default());
-        full.fill_counter_sections(&MetricsSnapshot::default(), &[]);
+        full.fill_counter_sections(&MetricsSnapshot::default());
         let top = |r: &RunReport| match r.to_json() {
             JsonValue::Object(fields) => fields.iter().map(|(k, _)| k.clone()).collect::<Vec<_>>(),
             _ => Vec::new(),
@@ -551,20 +538,20 @@ mod tests {
         crate::Recorder::incr(&recorder, keys::DAEMON_BATCHES, 2);
         crate::Recorder::incr(&recorder, keys::DAEMON_BATCHED_SESSIONS, 5);
         let snapshot = crate::Recorder::snapshot(&recorder).expect("memory recorder snapshots");
-        let supplied = [("discovery.cache_hits", 5), ("discovery.cache_misses", 5)];
 
-        let discovery = CounterSection::from_snapshot("discovery", &snapshot, &supplied);
+        let discovery = CounterSection::from_snapshot("discovery", &snapshot);
         assert_eq!(discovery["indexed_queries"], 3);
-        assert_eq!(discovery["cache_hits"], 5);
-        assert_eq!(discovery.ratio("cache_hit_ratio"), 0.5);
         let json = discovery.to_json().to_compact();
         assert!(json.starts_with("{\"indexed_queries\":3,\"linear_queries\":0,"));
-        assert!(json.ends_with("\"cache_misses\":5,\"cache_hit_ratio\":0.5}"));
 
-        let daemon = CounterSection::from_snapshot("daemon", &snapshot, &supplied);
+        let daemon = CounterSection::from_snapshot("daemon", &snapshot);
         assert_eq!(daemon.ratio("batch_occupancy"), 2.5);
+        assert!(daemon
+            .to_json()
+            .to_compact()
+            .contains("\"batched_sessions\":5,\"batch_occupancy\":2.5,"));
         // An idle section divides nothing by nothing.
-        let idle = CounterSection::from_snapshot("daemon", &MetricsSnapshot::default(), &[]);
+        let idle = CounterSection::from_snapshot("daemon", &MetricsSnapshot::default());
         assert_eq!(idle.ratio("batch_occupancy"), 0.0);
     }
 

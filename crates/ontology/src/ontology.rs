@@ -361,9 +361,9 @@ impl Ontology {
     /// A process-unique stamp identifying this built taxonomy.
     ///
     /// Each [`OntologyBuilder::build`] call allocates a fresh stamp;
-    /// clones share it (they answer queries identically). Caches keyed
-    /// on match results use the stamp to detect that they are being
-    /// consulted under a different ontology and must invalidate.
+    /// clones share it (they answer queries identically). Discovery
+    /// compares it with the stamp of the ontology a registry's capability
+    /// index was built over to decide whether the index answers for it.
     pub fn stamp(&self) -> u64 {
         self.stamp
     }

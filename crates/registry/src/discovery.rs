@@ -17,16 +17,11 @@
 //!   [`MatchDegree::PlugIn`], and the oracle the parity tests compare
 //!   against ([`DiscoveryQuery::linear_scan`]).
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{RwLock, RwLockReadGuard};
-
 use qasom_obs::{keys, Recorder};
 use qasom_ontology::{Iri, MatchDegree, Ontology};
 use qasom_qos::{ConstraintSet, QosModel, QosVector};
 use qasom_task::Activity;
 
-use crate::registry::VIA_PROFILE;
 use crate::{ServiceDescription, ServiceId, ServiceRegistry};
 
 /// How a discovered service qualified for the requested function.
@@ -140,156 +135,9 @@ impl<'a> DiscoveryQuery<'a> {
     }
 }
 
-/// A concurrent memo of semantic match-degree lookups keyed by
-/// `(required, offered)` IRI pair.
-///
-/// Built once and shared across [`Discovery`] instances (the environment
-/// owns one per middleware instance). The cache remembers which ontology
-/// ([`Ontology::stamp`]) its entries were computed under and silently
-/// flushes when consulted under a different one, so stale degrees can
-/// never leak across an ontology swap.
-///
-/// The stamp, the intern table and the memoised degrees sit behind one
-/// `RwLock`: a probe is one read guard, a `put` one write guard that
-/// interns, flushes on a stamp mismatch and inserts. One lock is enough
-/// because every probe must consult the one intern table anyway: finer
-/// locks behind it cannot spread that contention (EXPERIMENTS.md,
-/// "Mechanism ablations").
-///
-/// IRIs are interned to dense `u32` ids at this boundary: the degree
-/// map keys on `(u32, u32)` pairs, so a memo probe hashes eight bytes
-/// instead of two namespace+name strings, and repeated queries over the
-/// recurring vocabulary of a task stop re-hashing IRI text. The intern
-/// table survives ontology swaps (an IRI's identity is textual); only
-/// the memoised degrees flush.
-#[derive(Debug, Default)]
-pub struct MatchCache {
-    state: RwLock<MatchCacheState>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-/// Lifetime hit/miss totals of a [`MatchCache`] (monotone; totals are
-/// order-independent, so they stay deterministic under the parallel
-/// discovery fan-out).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Lookups answered from the memo.
-    pub hits: u64,
-    /// Lookups that had to compute (including stamp-mismatch flushes).
-    pub misses: u64,
-}
-
-impl CacheStats {
-    /// Fraction of lookups that hit, 0 when the cache was never asked.
-    pub fn hit_ratio(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
-#[derive(Debug, Default)]
-struct MatchCacheState {
-    stamp: u64,
-    interner: HashMap<Iri, u32>,
-    degrees: HashMap<(u32, u32), MatchDegree>,
-}
-
-impl MatchCacheState {
-    /// The dense id of `iri`, allocating one on first sight.
-    fn intern(&mut self, iri: &Iri) -> u32 {
-        if let Some(&id) = self.interner.get(iri) {
-            return id;
-        }
-        // Ids are the insertion index; a vocabulary cannot realistically
-        // approach the id width, but keep the bound loud.
-        assert!(
-            u32::try_from(self.interner.len()).is_ok(),
-            "more than u32::MAX interned IRIs"
-        );
-        let id = self.interner.len() as u32;
-        self.interner.insert(iri.clone(), id);
-        id
-    }
-}
-
-impl MatchCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        MatchCache::default()
-    }
-
-    fn read(&self) -> RwLockReadGuard<'_, MatchCacheState> {
-        self.state.read().unwrap_or_else(|p| p.into_inner())
-    }
-
-    /// Entries currently memoised (diagnostics).
-    pub fn len(&self) -> usize {
-        self.read().degrees.len()
-    }
-
-    /// Whether the cache holds no entry.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Lifetime hit/miss totals (the basis of the report's
-    /// `cache_hit_ratio`).
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Distinct IRIs interned since construction — the intern table's
-    /// length, so the report can surface it verbatim.
-    pub fn interned_iris(&self) -> u64 {
-        self.read().interner.len() as u64
-    }
-
-    fn get(&self, stamp: u64, required: &Iri, offered: &Iri) -> Option<MatchDegree> {
-        let found = self.lookup(stamp, required, offered);
-        match found {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        found
-    }
-
-    fn lookup(&self, stamp: u64, required: &Iri, offered: &Iri) -> Option<MatchDegree> {
-        let state = self.read();
-        // An IRI the interner has never seen cannot have a memo entry.
-        let key = (
-            *state.interner.get(required)?,
-            *state.interner.get(offered)?,
-        );
-        if state.stamp == stamp {
-            state.degrees.get(&key).copied()
-        } else {
-            None
-        }
-    }
-
-    fn put(&self, stamp: u64, required: &Iri, offered: &Iri, degree: MatchDegree) {
-        let mut state = self.state.write().unwrap_or_else(|p| p.into_inner());
-        let key = (state.intern(required), state.intern(offered));
-        if state.stamp != stamp {
-            // Computed under a different ontology than the cached
-            // entries: flush them all and adopt the new stamp.
-            state.degrees.clear();
-            state.stamp = stamp;
-        }
-        state.degrees.insert(key, degree);
-    }
-}
-
-/// QoS-aware service discovery over a domain [`Ontology`] and a
-/// [`QosModel`].
+/// QoS-aware service discovery over a domain [`Ontology`]: a pure
+/// function of (registry, ontology, query) that remembers nothing between
+/// calls.
 ///
 /// Discovery is *semantic*: a service matches an activity when its
 /// capability concept matches the required function with at least the
@@ -300,30 +148,19 @@ impl MatchCache {
 #[derive(Debug, Clone, Copy)]
 pub struct Discovery<'a> {
     ontology: &'a Ontology,
-    model: &'a QosModel,
-    cache: Option<&'a MatchCache>,
     recorder: Option<&'a dyn Recorder>,
 }
 
 impl<'a> Discovery<'a> {
-    /// Creates a discovery engine over a domain ontology and QoS model.
-    pub fn new(ontology: &'a Ontology, model: &'a QosModel) -> Self {
+    /// Creates a discovery engine over a domain ontology.
+    ///
+    /// `_model` is not read: constraints reach discovery already resolved
+    /// to property ids. `perf/src/trace.rs:593` pins the two-argument
+    /// form, so the parameter goes with the next `[benchmark]` PR
+    /// (ROADMAP item 1.1).
+    pub fn new(ontology: &'a Ontology, _model: &'a QosModel) -> Self {
         Discovery {
             ontology,
-            model,
-            cache: None,
-            recorder: None,
-        }
-    }
-
-    /// Like [`Discovery::new`], memoising match-degree lookups in
-    /// `cache`. Worth it when the same engine (or several engines over
-    /// the same ontology) serves many queries against recurring IRIs.
-    pub fn with_cache(ontology: &'a Ontology, model: &'a QosModel, cache: &'a MatchCache) -> Self {
-        Discovery {
-            ontology,
-            model,
-            cache: Some(cache),
             recorder: None,
         }
     }
@@ -337,27 +174,8 @@ impl<'a> Discovery<'a> {
         self
     }
 
-    /// The QoS model used to interpret constraints.
-    pub fn model(&self) -> &QosModel {
-        self.model
-    }
-
     /// Semantic match degree between a required and an offered function
-    /// IRI. Unknown IRIs match syntactically (equal → exact). Memoised
-    /// when the engine was built [with a cache](Discovery::with_cache).
-    fn match_functions(&self, required: &Iri, offered: &Iri) -> MatchDegree {
-        if let Some(cache) = self.cache {
-            let stamp = self.ontology.stamp();
-            if let Some(hit) = cache.get(stamp, required, offered) {
-                return hit;
-            }
-            let degree = self.compute_match(required, offered);
-            cache.put(stamp, required, offered, degree);
-            return degree;
-        }
-        self.compute_match(required, offered)
-    }
-
+    /// IRI. Unknown IRIs match syntactically (equal → exact).
     fn compute_match(&self, required: &Iri, offered: &Iri) -> MatchDegree {
         match (
             self.ontology.concept(required),
@@ -376,7 +194,7 @@ impl<'a> Discovery<'a> {
 
     /// Whether `required` is satisfied by `offered` (exact or plug-in).
     fn satisfies(&self, required: &Iri, offered: &Iri) -> bool {
-        self.match_functions(required, offered).is_usable()
+        self.compute_match(required, offered).is_usable()
     }
 
     /// I/O compatibility of a service with an activity:
@@ -388,7 +206,7 @@ impl<'a> Discovery<'a> {
     ///
     /// Activities or services declaring no I/O impose no I/O constraint on
     /// that side.
-    pub fn io_compatible(&self, activity: &Activity, service: &crate::ServiceDescription) -> bool {
+    fn io_compatible(&self, activity: &Activity, service: &ServiceDescription) -> bool {
         let outputs_ok = activity
             .outputs()
             .iter()
@@ -400,40 +218,6 @@ impl<'a> Discovery<'a> {
                 .any(|have| self.satisfies(need, have))
         });
         outputs_ok && inputs_ok
-    }
-
-    /// Functional matches for a required capability (profile matching
-    /// only, no I/O or QoS filtering), best degrees first. Uses the
-    /// capability index for usable degrees when available, scanning
-    /// linearly otherwise.
-    pub fn functional_matches(
-        &self,
-        registry: &ServiceRegistry,
-        required: &Iri,
-        min_degree: MatchDegree,
-    ) -> Vec<(ServiceId, MatchDegree)> {
-        let mut out: Vec<(ServiceId, MatchDegree)> = if min_degree >= MatchDegree::PlugIn
-            && self.index_usable(registry)
-        {
-            self.profile_posting(registry, required)
-                .into_iter()
-                .filter_map(|id| {
-                    let desc = registry.get(id)?;
-                    let degree = self.match_functions(required, desc.function());
-                    (degree >= min_degree && degree != MatchDegree::Fail).then_some((id, degree))
-                })
-                .collect()
-        } else {
-            registry
-                .iter()
-                .filter_map(|(id, desc)| {
-                    let degree = self.match_functions(required, desc.function());
-                    (degree >= min_degree && degree != MatchDegree::Fail).then_some((id, degree))
-                })
-                .collect()
-        };
-        out.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        out
     }
 
     /// QoS-aware discovery: the candidate set `S_i` for an abstract
@@ -480,24 +264,6 @@ impl<'a> Discovery<'a> {
             .is_some_and(|bound| bound.stamp() == self.ontology.stamp())
     }
 
-    /// Index probe for profile-only matching: ids (ascending) whose
-    /// profile plausibly matches `required` with usable strength.
-    fn profile_posting(&self, registry: &ServiceRegistry, required: &Iri) -> Vec<ServiceId> {
-        let posting = match self.ontology.concept(required) {
-            Some(concept) => registry.usable_for_concept(self.ontology.canon(concept)),
-            None => registry.usable_for_unknown_iri(required),
-        };
-        posting
-            .map(|bucket| {
-                bucket
-                    .iter()
-                    .filter(|&(_, bits)| bits & VIA_PROFILE != 0)
-                    .map(|(&id, _)| id)
-                    .collect()
-            })
-            .unwrap_or_default()
-    }
-
     /// Index probe for full discovery: ids (ascending) that can qualify
     /// for `required` through their profile or, for white-box queries,
     /// any operation. Completeness: a service accepted by the linear
@@ -512,7 +278,7 @@ impl<'a> Discovery<'a> {
             None => registry.usable_for_unknown_iri(required),
         };
         posting
-            .map(|bucket| bucket.keys().copied().collect())
+            .map(|bucket| bucket.iter().copied().collect())
             .unwrap_or_default()
     }
 
@@ -547,7 +313,7 @@ impl<'a> Discovery<'a> {
         let accepts =
             |degree: MatchDegree| degree >= query.min_degree && degree != MatchDegree::Fail;
 
-        let profile_degree = self.match_functions(activity.function(), desc.function());
+        let profile_degree = self.compute_match(activity.function(), desc.function());
         let candidate = if accepts(profile_degree) {
             DiscoveredCandidate {
                 service: id,
@@ -567,7 +333,7 @@ impl<'a> Discovery<'a> {
                     (
                         i,
                         op,
-                        self.match_functions(activity.function(), op.function()),
+                        self.compute_match(activity.function(), op.function()),
                     )
                 })
                 .filter(|&(_, _, d)| accepts(d))
@@ -634,10 +400,22 @@ mod tests {
         let mut r = ServiceRegistry::new();
         let card = r.register(ServiceDescription::new("visa", "shop#PayByCard"));
         let generic = r.register(ServiceDescription::new("till", "shop#Pay"));
-        let req: Iri = "shop#Pay".parse().unwrap();
-        let matches = d.functional_matches(&r, &req, MatchDegree::PlugIn);
-        assert_eq!(matches[0], (generic, MatchDegree::Exact));
-        assert_eq!(matches[1], (card, MatchDegree::PlugIn));
+        let cash = r.register(ServiceDescription::new("cash", "shop#PayCash"));
+        let a = Activity::new("pay", "shop#Pay");
+        let order: Vec<_> = d
+            .discover(&r, &DiscoveryQuery::new(&a))
+            .iter()
+            .map(|c| (c.service, c.degree))
+            .collect();
+        // Degree first (best first), ascending id within a degree.
+        assert_eq!(
+            order,
+            [
+                (generic, MatchDegree::Exact),
+                (card, MatchDegree::PlugIn),
+                (cash, MatchDegree::PlugIn),
+            ]
+        );
     }
 
     #[test]
@@ -842,65 +620,6 @@ mod tests {
                 assert_eq!(constrained, constrained_linear);
             }
         }
-    }
-
-    #[test]
-    fn match_cache_hits_and_invalidates() {
-        let (o, m) = setup();
-        let cache = MatchCache::new();
-        let d = Discovery::with_cache(&o, &m, &cache);
-        let req: Iri = "shop#Pay".parse().unwrap();
-        let off: Iri = "shop#PayByCard".parse().unwrap();
-        assert_eq!(d.match_functions(&req, &off), MatchDegree::PlugIn);
-        assert_eq!(cache.len(), 1);
-        assert_eq!(d.match_functions(&req, &off), MatchDegree::PlugIn);
-        assert_eq!(cache.len(), 1);
-
-        // A *different* ontology (fresh stamp) under the same cache: the
-        // stale entry must not answer, even though the IRIs collide.
-        let mut b = OntologyBuilder::new("shop");
-        b.concept("Pay");
-        b.concept("PayByCard"); // siblings now: no subsumption
-        let other = b.build().unwrap();
-        let d2 = Discovery::with_cache(&other, &m, &cache);
-        assert_eq!(d2.match_functions(&req, &off), MatchDegree::Fail);
-        // And the flush means the first engine recomputes correctly too.
-        assert_eq!(d.match_functions(&req, &off), MatchDegree::PlugIn);
-    }
-
-    #[test]
-    fn a_put_under_a_new_stamp_flushes_every_stale_entry() {
-        let cache = MatchCache::new();
-        let pay: Iri = "shop#Pay".parse().unwrap();
-        let browse: Iri = "shop#Browse".parse().unwrap();
-        let card: Iri = "shop#PayByCard".parse().unwrap();
-        cache.put(1, &pay, &card, MatchDegree::PlugIn);
-        cache.put(1, &browse, &card, MatchDegree::Fail);
-        assert_eq!(cache.len(), 2);
-        cache.put(2, &pay, &card, MatchDegree::Fail);
-        // The stamp-1 degree memoised for the other required IRI is
-        // dropped with the flush, not merely unreachable.
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.get(1, &pay, &card), None);
-        assert_eq!(cache.get(1, &browse, &card), None);
-        assert_eq!(cache.get(2, &pay, &card), Some(MatchDegree::Fail));
-        assert_eq!(cache.interned_iris(), 3);
-    }
-
-    #[test]
-    fn match_cache_tracks_hits_and_misses() {
-        let (o, m) = setup();
-        let cache = MatchCache::new();
-        let d = Discovery::with_cache(&o, &m, &cache);
-        let req: Iri = "shop#Pay".parse().unwrap();
-        let off: Iri = "shop#PayByCard".parse().unwrap();
-        assert_eq!(cache.stats(), CacheStats::default());
-        d.match_functions(&req, &off); // cold: miss + compute + put
-        d.match_functions(&req, &off); // warm: hit
-        d.match_functions(&req, &off); // warm: hit
-        let stats = cache.stats();
-        assert_eq!(stats, CacheStats { hits: 2, misses: 1 });
-        assert!((stats.hit_ratio() - 2.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

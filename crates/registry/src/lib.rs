@@ -57,9 +57,7 @@ pub mod qsd;
 mod registry;
 mod service;
 
-pub use discovery::{
-    CacheStats, DiscoveredCandidate, Discovery, DiscoveryQuery, MatchCache, MatchedVia,
-};
+pub use discovery::{DiscoveredCandidate, Discovery, DiscoveryQuery, MatchedVia};
 pub use registry::{ServiceId, ServiceRegistry};
 pub use service::{Operation, ServiceDescription};
 

@@ -1,113 +1,86 @@
 //! The service directory.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
+use std::hash::Hash;
 use std::sync::Arc;
 
 use qasom_ontology::{ConceptId, Iri, Ontology};
 
 use crate::ServiceDescription;
 
-/// Capability-index tag: the service's *profile* matches the probed
-/// concept.
-pub(crate) const VIA_PROFILE: u8 = 0b01;
-/// Capability-index tag: one of the service's *operations* matches the
-/// probed concept.
-pub(crate) const VIA_OPERATION: u8 = 0b10;
-
 /// The inverted capability index: for every (canonical) ontology concept,
 /// the live services that can serve a request for it with a usable degree
 /// (`Exact` or `PlugIn`), plus syntactic buckets for function IRIs the
 /// ontology does not know.
 ///
-/// `BTreeMap<ServiceId, u8>` keeps each posting list id-sorted, so index
+/// `BTreeSet<ServiceId>` keeps each posting list id-sorted, so index
 /// probes enumerate candidates in the same order a linear registry scan
 /// would — a prerequisite for byte-identical discovery results.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct CapabilityIndex {
     /// canonical concept → services offering a sub-concept (or the
-    /// concept itself), tagged with *how* (profile and/or operation).
-    by_concept: HashMap<ConceptId, BTreeMap<ServiceId, u8>>,
+    /// concept itself) through their profile or an operation.
+    by_concept: HashMap<ConceptId, BTreeSet<ServiceId>>,
     /// function IRIs unknown to the ontology → services advertising them
-    /// verbatim (syntactic `Exact` fallback), with the same tags.
-    by_unknown_iri: HashMap<Iri, BTreeMap<ServiceId, u8>>,
+    /// verbatim (syntactic `Exact` fallback).
+    by_unknown_iri: HashMap<Iri, BTreeSet<ServiceId>>,
 }
 
 impl CapabilityIndex {
+    /// Every function IRI `desc` offers: its profile, then its operations.
+    fn offered(desc: &ServiceDescription) -> impl Iterator<Item = &Iri> {
+        std::iter::once(desc.function()).chain(desc.operations().iter().map(|op| op.function()))
+    }
+
     fn insert(&mut self, ontology: &Ontology, id: ServiceId, desc: &ServiceDescription) {
-        self.tag(ontology, id, desc.function(), VIA_PROFILE);
-        for op in desc.operations() {
-            self.tag(ontology, id, op.function(), VIA_OPERATION);
-        }
-    }
-
-    fn remove(&mut self, ontology: &Ontology, id: ServiceId, desc: &ServiceDescription) {
-        self.untag(ontology, id, desc.function(), VIA_PROFILE);
-        for op in desc.operations() {
-            self.untag(ontology, id, op.function(), VIA_OPERATION);
-        }
-    }
-
-    fn tag(&mut self, ontology: &Ontology, id: ServiceId, offered: &Iri, via: u8) {
-        match ontology.concept(offered) {
-            Some(concept) => {
+        for offered in Self::offered(desc) {
+            match ontology.concept(offered) {
                 // A request for any ancestor of the offered concept is
                 // served with Exact or PlugIn strength, so the service
                 // joins every ancestor's posting list. `ancestors`
                 // yields canonical ids, which is also what probes use.
-                for ancestor in ontology.ancestors(concept) {
-                    *self
-                        .by_concept
-                        .entry(ancestor)
-                        .or_default()
-                        .entry(id)
-                        .or_insert(0) |= via;
-                }
-            }
-            None => {
-                *self
-                    .by_unknown_iri
-                    .entry(offered.clone())
-                    .or_default()
-                    .entry(id)
-                    .or_insert(0) |= via;
-            }
-        }
-    }
-
-    fn untag(&mut self, ontology: &Ontology, id: ServiceId, offered: &Iri, via: u8) {
-        match ontology.concept(offered) {
-            Some(concept) => {
-                for ancestor in ontology.ancestors(concept) {
-                    Self::clear_bit(self.by_concept.get_mut(&ancestor), id, via);
-                    if self
-                        .by_concept
-                        .get(&ancestor)
-                        .is_some_and(BTreeMap::is_empty)
-                    {
-                        self.by_concept.remove(&ancestor);
+                Some(concept) => {
+                    for ancestor in ontology.ancestors(concept) {
+                        self.by_concept.entry(ancestor).or_default().insert(id);
                     }
                 }
-            }
-            None => {
-                Self::clear_bit(self.by_unknown_iri.get_mut(offered), id, via);
-                if self
-                    .by_unknown_iri
-                    .get(offered)
-                    .is_some_and(BTreeMap::is_empty)
-                {
-                    self.by_unknown_iri.remove(offered);
+                None => {
+                    self.by_unknown_iri
+                        .entry(offered.clone())
+                        .or_default()
+                        .insert(id);
                 }
             }
         }
     }
 
-    fn clear_bit(bucket: Option<&mut BTreeMap<ServiceId, u8>>, id: ServiceId, via: u8) {
-        let Some(bucket) = bucket else { return };
-        if let Some(bits) = bucket.get_mut(&id) {
-            *bits &= !via;
-            if *bits == 0 {
-                bucket.remove(&id);
+    /// Services enter and leave the index whole, so removing `id` from
+    /// every posting `insert` put it in needs no per-IRI bookkeeping.
+    fn remove(&mut self, ontology: &Ontology, id: ServiceId, desc: &ServiceDescription) {
+        for offered in Self::offered(desc) {
+            match ontology.concept(offered) {
+                Some(concept) => {
+                    for ancestor in ontology.ancestors(concept) {
+                        Self::unpost(&mut self.by_concept, &ancestor, id);
+                    }
+                }
+                None => Self::unpost(&mut self.by_unknown_iri, offered, id),
+            }
+        }
+    }
+
+    /// Removes `id` from the posting under `key`, dropping a posting it
+    /// empties so the index stays equal to a rebuild.
+    fn unpost<K: Eq + Hash>(
+        postings: &mut HashMap<K, BTreeSet<ServiceId>>,
+        key: &K,
+        id: ServiceId,
+    ) {
+        if let Some(posting) = postings.get_mut(key) {
+            posting.remove(&id);
+            if posting.is_empty() {
+                postings.remove(key);
             }
         }
     }
@@ -275,22 +248,15 @@ impl ServiceRegistry {
     }
 
     /// Index probe: live services able to serve a request for `concept`
-    /// with usable strength (`Exact`/`PlugIn`), id-ascending, tagged with
-    /// how they qualified. `concept` is canonicalised by the caller
-    /// ([`Ontology::canon`]).
-    pub(crate) fn usable_for_concept(
-        &self,
-        concept: ConceptId,
-    ) -> Option<&BTreeMap<ServiceId, u8>> {
+    /// with usable strength (`Exact`/`PlugIn`), id-ascending. `concept`
+    /// is canonicalised by the caller ([`Ontology::canon`]).
+    pub(crate) fn usable_for_concept(&self, concept: ConceptId) -> Option<&BTreeSet<ServiceId>> {
         self.index.by_concept.get(&concept)
     }
 
     /// Index probe: live services advertising the ontology-unknown IRI
     /// `function` verbatim (syntactic `Exact` fallback).
-    pub(crate) fn usable_for_unknown_iri(
-        &self,
-        function: &Iri,
-    ) -> Option<&BTreeMap<ServiceId, u8>> {
+    pub(crate) fn usable_for_unknown_iri(&self, function: &Iri) -> Option<&BTreeSet<ServiceId>> {
         self.index.by_unknown_iri.get(function)
     }
 

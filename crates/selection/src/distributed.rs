@@ -11,8 +11,7 @@
 //!    the digest leg;
 //! 2. every provider node runs the *local selection* phase over the
 //!    candidates it hosts — looked up per activity through its own
-//!    capability-indexed shard registry with a memoised
-//!    [`MatchCache`](qasom_registry::MatchCache), not a linear scan —
+//!    capability-indexed shard registry, not a linear scan —
 //!    (cost modelled as `candidates × properties × per_candidate_cost`,
 //!    scaled by the node's CPU factor) and replies with per-activity
 //!    ranked digests; retransmitted requests are answered from the
@@ -43,9 +42,7 @@ use qasom_obs::report::{CoverageEntry, DistributedSection, NetsimSection, Provid
 use qasom_obs::{keys, Recorder};
 use qasom_ontology::Ontology;
 use qasom_qos::{ConstraintSet, Preferences, PropertyId, QosModel};
-use qasom_registry::{
-    Discovery, DiscoveryQuery, MatchCache, ServiceDescription, ServiceId, ServiceRegistry,
-};
+use qasom_registry::{Discovery, DiscoveryQuery, ServiceDescription, ServiceId, ServiceRegistry};
 use qasom_task::{Activity, UserTask};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -369,8 +366,6 @@ struct ProviderState {
     /// Shard-local [`ServiceId`] (dense, registration order) → the
     /// workload-global id the coordinator knows the candidate by.
     global_ids: Vec<ServiceId>,
-    /// Match-degree memo shared across this provider's queries.
-    cache: MatchCache,
     per_candidate_cost_us: u64,
     /// Ranking computed on the first request; retransmissions are
     /// answered from this cache (the work is not redone, only the reply
@@ -380,15 +375,15 @@ struct ProviderState {
 
 impl ProviderState {
     /// Local-selection phase: discover this provider's candidates for
-    /// every hosted activity through the capability index (with memoised
-    /// match degrees), then rank each activity's pool. Returns the
+    /// every hosted activity through the capability index, then rank
+    /// each activity's pool. Returns the
     /// digests plus the modelled work in candidate×property units.
     fn rank_shard(
         &self,
         properties: &[PropertyId],
         preferences: &Preferences,
     ) -> (Vec<(usize, QosLevels, Vec<ServiceCandidate>)>, u64) {
-        let discovery = Discovery::with_cache(&self.ontology, &self.model, &self.cache);
+        let discovery = Discovery::new(&self.ontology, &self.model);
         let mut digests = Vec::with_capacity(self.hosted.len());
         let mut work_units = 0u64;
         for (activity_index, activity) in &self.hosted {
@@ -791,7 +786,6 @@ impl<'a> DistributedQassa<'a> {
                     ontology: Arc::clone(&ontology),
                     registry,
                     global_ids,
-                    cache: MatchCache::new(),
                     per_candidate_cost_us: setup.per_candidate_cost_us,
                     digests: None,
                 })),

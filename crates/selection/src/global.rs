@@ -211,7 +211,6 @@ impl<'a> Qassa<'a> {
                 )
             })
             .collect();
-        self.record_hotpath(levels.len(), properties.len());
         Ok(levels)
     }
 
@@ -243,25 +242,7 @@ impl<'a> Qassa<'a> {
                     .rank(self.model, cands, &properties, problem.preferences())
             })
             .collect();
-        // Same counter values as the serial phase: each worker owns a
-        // scratch, so the reuse opportunities are identical.
-        self.record_hotpath(levels.len(), properties.len());
         Ok(levels)
-    }
-
-    /// Flushes hot-path totals of one local phase: flat value columns
-    /// materialised and rankings that hit a warm scratch arena.
-    fn record_hotpath(&self, activities: usize, properties: usize) {
-        if let Some(rec) = self.recorder {
-            rec.incr(
-                keys::SELECTION_HOTPATH_COLUMNS,
-                (activities * properties) as u64,
-            );
-            rec.incr(
-                keys::SELECTION_HOTPATH_SCRATCH_REUSES,
-                activities.saturating_sub(1) as u64,
-            );
-        }
     }
 
     /// Runs the full algorithm.

@@ -1,6 +1,7 @@
 //! Property tests of the registry's inverted capability index.
 //!
-//! Two invariants under arbitrary register/depart/re-register churn:
+//! Two invariants under arbitrary register/depart/re-register churn,
+//! including re-binding the registry to a different taxonomy mid-script:
 //!
 //! * the incrementally-maintained index equals a from-scratch rebuild
 //!   over the surviving services;
@@ -34,25 +35,44 @@ const FUNCTIONS: &[&str] = &[
     "x#Unknown1",
 ];
 
-fn domain() -> Ontology {
+/// `Cap` over `Cat0..=2`, each over two leaves. `moved` hangs `Cat0Leaf0`
+/// under `Cat1` instead of `Cat0`; `flat` makes every concept a root
+/// (nothing plugs into anything).
+fn taxonomy(flat: bool, moved: bool) -> Ontology {
     let mut b = OntologyBuilder::new("d");
     let root = b.concept("Cap");
+    let mut child = |name: String, parent| {
+        if flat {
+            b.concept(&name)
+        } else {
+            b.subconcept(&name, parent)
+        }
+    };
+    let mids: Vec<_> = (0..3).map(|i| child(format!("Cat{i}"), root)).collect();
     for i in 0..3 {
-        let mid = b.subconcept(&format!("Cat{i}"), root);
         for j in 0..2 {
-            b.subconcept(&format!("Cat{i}Leaf{j}"), mid);
+            let parent = mids[if moved && (i, j) == (0, 0) { 1 } else { i }];
+            child(format!("Cat{i}Leaf{j}"), parent);
         }
     }
     b.build().expect("tree taxonomy is acyclic")
 }
 
+/// The taxonomy every script starts bound to.
+fn domain() -> Ontology {
+    taxonomy(false, false)
+}
+
 /// One churn step. `operation == FUNCTIONS.len()` means "no operation";
 /// departures pick among the currently live services by modulus (and are
-/// no-ops on an empty registry).
+/// no-ops on an empty registry). `Rebind(flat)` binds the registry to a
+/// fresh taxonomy — flat, or with the moved leaf — and later steps
+/// maintain the index under it.
 #[derive(Debug, Clone, Copy)]
 enum Op {
     Register { function: usize, operation: usize },
     Depart(usize),
+    Rebind(bool),
 }
 
 fn arb_script() -> impl Strategy<Value = Vec<Op>> {
@@ -62,11 +82,15 @@ fn arb_script() -> impl Strategy<Value = Vec<Op>> {
             operation,
         });
     let depart = (0usize..64).prop_map(Op::Depart);
-    // Registrations twice as likely as departures, so registries grow.
-    prop::collection::vec(prop_oneof![2 => register, 1 => depart], 1..60)
+    let rebind = any::<bool>().prop_map(Op::Rebind);
+    // Registrations twice as likely as departures, so registries grow;
+    // a 60-step script rebinds about four times.
+    prop::collection::vec(prop_oneof![8 => register, 4 => depart, 1 => rebind], 1..60)
 }
 
-fn apply(script: &[Op], registry: &mut ServiceRegistry) {
+/// Runs `script` against a registry bound to [`domain`].
+fn churned(script: &[Op]) -> ServiceRegistry {
+    let mut registry = ServiceRegistry::with_ontology(Arc::new(domain()));
     let mut live: Vec<ServiceId> = Vec::new();
     for (n, op) in script.iter().enumerate() {
         match *op {
@@ -86,8 +110,10 @@ fn apply(script: &[Op], registry: &mut ServiceRegistry) {
                     registry.deregister(id);
                 }
             }
+            Op::Rebind(flat) => registry.bind_ontology(Arc::new(taxonomy(flat, true))),
         }
     }
+    registry
 }
 
 proptest! {
@@ -96,9 +122,7 @@ proptest! {
     /// After any churn script the incremental index equals a rebuild.
     #[test]
     fn churned_index_equals_rebuild(script in arb_script()) {
-        let onto = Arc::new(domain());
-        let mut registry = ServiceRegistry::with_ontology(Arc::clone(&onto));
-        apply(&script, &mut registry);
+        let registry = churned(&script);
         prop_assert!(registry.index_matches_rebuild());
     }
 
@@ -106,12 +130,11 @@ proptest! {
     /// every function in the pool, black-box and white-box.
     #[test]
     fn indexed_discovery_matches_linear_oracle(script in arb_script()) {
-        let onto = Arc::new(domain());
         let model = QosModel::standard();
-        let mut registry = ServiceRegistry::with_ontology(Arc::clone(&onto));
-        apply(&script, &mut registry);
+        let registry = churned(&script);
+        let onto = registry.ontology().expect("scripts never unbind");
 
-        let discovery = Discovery::new(&onto, &model);
+        let discovery = Discovery::new(onto, &model);
         for function in FUNCTIONS {
             let activity = Activity::new("a", function);
             for white_box in [false, true] {

@@ -75,7 +75,7 @@ fn assert_equivalent(recovered: &PersistentRegistry, oracle: &PersistentRegistry
     );
     assert!(
         recovered.registry().index_eq(oracle.registry()),
-        "capability index (and interned ids) must match"
+        "capability index must match"
     );
     assert!(recovered.registry().index_matches_rebuild());
     assert_eq!(

@@ -118,14 +118,14 @@ fn taxonomy(fast_below_a: bool) -> Ontology {
 /// 40 times (write lock) between a taxonomy where `d#Fast` specialises
 /// `d#A` and a flat one. Provider "fast" advertises `d#Fast` with the
 /// best response time, so it must win exactly when the ontology of the
-/// same read guard subsumes it: a match degree memoised under the other
-/// taxonomy and served across the swap pairs the wrong winner with it.
+/// same read guard subsumes it. What this pins: the ontology swap and the
+/// capability-index rebind are one write-lock transaction, and discovery
+/// derives every match degree from the ontology it is handed, so no
+/// composition pairs one taxonomy's winner with the other.
 ///
-/// "fast" also exposes a plain `d#A` operation, slower than every `s{i}`.
-/// That keeps it in the capability index's posting for `d#A` under both
-/// taxonomies, so `(d#A, d#Fast)` is probed in the match cache under
-/// both — a profile-only "fast" drops out of the rebuilt index when the
-/// taxonomy goes flat and a stale degree would never be looked up.
+/// "fast" also exposes a plain `d#A` operation, slower than every `s{i}`,
+/// so under the flat taxonomy it stays a (white-box) candidate for `d#A`
+/// and loses on QoS rather than by dropping out of the index.
 #[test]
 fn concurrent_compositions_agree_with_their_ontology() {
     let shared = market(13);
