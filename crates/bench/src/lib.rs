@@ -9,6 +9,7 @@
 //! here; see `EXPERIMENTS.md` for the side-by-side reading.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod scenarios;
 
@@ -51,6 +52,10 @@ pub fn print_figure(title: &str, x_name: &str, series: &[FigureSeries]) {
 }
 
 /// Times `f` (milliseconds), median of `repeats` runs after one warm-up.
+#[allow(
+    clippy::disallowed_methods,
+    reason = "the repro figures time wall-clock on purpose"
+)]
 pub fn time_ms(repeats: usize, mut f: impl FnMut()) -> f64 {
     f(); // warm-up
     let mut samples: Vec<f64> = (0..repeats.max(1))
@@ -64,6 +69,7 @@ pub fn time_ms(repeats: usize, mut f: impl FnMut()) -> f64 {
     samples[samples.len() / 2]
 }
 
+#[expect(clippy::expect_used, reason = "generated workloads are well-formed")]
 fn qassa_time_ms(model: &QosModel, w: &Workload, repeats: usize) -> f64 {
     let problem = w.problem();
     let qassa = Qassa::new(model);
@@ -75,6 +81,7 @@ fn qassa_time_ms(model: &QosModel, w: &Workload, repeats: usize) -> f64 {
 /// Mean QASSA/exhaustive utility ratio over `seeds` feasible instances
 /// (infeasible-for-both instances are skipped; QASSA missing a feasible
 /// solution scores 0, so misses show up as optimality loss).
+#[expect(clippy::expect_used, reason = "generated workloads are well-formed")]
 fn optimality(model: &QosModel, spec: &WorkloadSpec, seeds: u64) -> f64 {
     let baselines = Baselines::new(model).with_max_combinations(20_000_000);
     let qassa = Qassa::new(model);
@@ -105,6 +112,7 @@ fn optimality(model: &QosModel, spec: &WorkloadSpec, seeds: u64) -> f64 {
 
 /// Fig. VI.5a — QASSA execution time vs. services per activity
 /// (5 activities, 4 global constraints).
+#[expect(clippy::expect_used, reason = "generated workloads are well-formed")]
 pub fn fig_vi5a(model: &QosModel) -> Vec<FigureSeries> {
     let mut qassa = FigureSeries::new("QASSA [ms]");
     let mut greedy = FigureSeries::new("greedy [ms]");
@@ -281,6 +289,10 @@ pub fn fig_vi11(model: &QosModel) -> Vec<FigureSeries> {
 
 /// Fig. VI.12 — distributed QASSA: simulated local- and global-selection
 /// time vs. number of provider nodes.
+#[expect(
+    clippy::expect_used,
+    reason = "a lossless link always completes the protocol"
+)]
 pub fn fig_vi12(model: &QosModel) -> Vec<FigureSeries> {
     let w = WorkloadSpec::evaluation_default().build(model, 42);
     let mut local = FigureSeries::new("local phase [ms]");
@@ -358,6 +370,7 @@ pub fn synthetic_bpel(n: usize) -> String {
 
 /// Fig. VI.13 — time to transform abstract-BPEL specifications into
 /// behavioural graphs (parse + graph construction).
+#[expect(clippy::expect_used, reason = "synthetic_bpel emits valid BPEL")]
 pub fn fig_vi13() -> Vec<FigureSeries> {
     let mut s = FigureSeries::new("transform [ms]");
     for n in [5, 10, 20, 40, 60, 80, 100] {
@@ -374,6 +387,10 @@ pub fn fig_vi13() -> Vec<FigureSeries> {
 /// Builds the pair (current behaviour, reordered alternative) used by the
 /// behavioural-adaptation benchmark: `n` sequential activities, the
 /// alternative swapping the tail order.
+#[expect(
+    clippy::expect_used,
+    reason = "uniquely named sequential tasks are valid"
+)]
 pub fn adaptation_pair(n: usize) -> (UserTask, UserTask) {
     let act = |i: usize, prefix: &str| {
         TaskNode::activity(Activity::new(
@@ -396,6 +413,10 @@ pub fn adaptation_pair(n: usize) -> (UserTask, UserTask) {
 
 /// Ch. V evaluation — behavioural-adaptation (subgraph homeomorphism)
 /// time vs. task size; the executed prefix is the first half.
+#[expect(
+    clippy::expect_used,
+    reason = "a flat ontology of fresh concepts is valid"
+)]
 pub fn fig_v_adapt() -> Vec<FigureSeries> {
     let mut onto = OntologyBuilder::new("ad");
     for i in 0..64 {
@@ -419,6 +440,7 @@ pub fn fig_v_adapt() -> Vec<FigureSeries> {
 }
 
 /// Ablation — K-means band count `k`: selection time and optimality.
+#[expect(clippy::expect_used, reason = "generated workloads are well-formed")]
 pub fn ablate_kmeans_k(model: &QosModel) -> Vec<FigureSeries> {
     let mut time_series = FigureSeries::new("time [ms]");
     let mut opt_series = FigureSeries::new("optimality");
@@ -467,6 +489,7 @@ pub fn ablate_kmeans_k(model: &QosModel) -> Vec<FigureSeries> {
 
 /// Ablation — repair budget of the global phase: 0 (pure level descent)
 /// vs. the default utility-aware repair.
+#[expect(clippy::expect_used, reason = "generated workloads are well-formed")]
 pub fn ablate_global_strategy(model: &QosModel) -> Vec<FigureSeries> {
     [(0usize, "no repairs"), (64, "repairs (default)")]
         .into_iter()
@@ -566,6 +589,7 @@ pub fn fig_activities(model: &QosModel) -> Vec<FigureSeries> {
 /// Scalability beyond the paper's axis: QASSA at very large candidate
 /// pools, with the serial and the multi-core (parallel local phase)
 /// variants — the timeliness claim stretched an order of magnitude.
+#[expect(clippy::expect_used, reason = "generated workloads are well-formed")]
 pub fn scalability(model: &QosModel) -> Vec<FigureSeries> {
     let mut serial = FigureSeries::new("serial [ms]");
     let mut parallel = FigureSeries::new("parallel local [ms]");
@@ -615,6 +639,7 @@ pub fn compare_selectors(model: &QosModel) {
     }
 }
 
+#[expect(clippy::expect_used, reason = "generated workloads are well-formed")]
 fn compare_selectors_on(model: &QosModel, spec: &WorkloadSpec, seeds: u64) {
     use qasom_selection::baseline::GeneticConfig;
 
@@ -680,6 +705,11 @@ fn compare_selectors_on(model: &QosModel, spec: &WorkloadSpec, seeds: u64) {
 /// invocations earlier does the proactive monitor flag the (future)
 /// violation? Larger lead = more time to substitute before the user
 /// feels it.
+#[expect(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "the standard model has ResponseTime and every step observes it"
+)]
 pub fn ablate_monitoring(model: &QosModel) -> Vec<FigureSeries> {
     use qasom_adaptation::{MonitorConfig, QosMonitor};
     use qasom_registry::{ServiceDescription, ServiceRegistry};
@@ -723,6 +753,10 @@ pub fn ablate_monitoring(model: &QosModel) -> Vec<FigureSeries> {
 /// Ablation — semantic vs syntactic discovery recall: providers advertise
 /// *specialised* capabilities (subconcepts of what the user asks for);
 /// semantic matching finds them all, exact-syntax matching finds none.
+#[expect(
+    clippy::expect_used,
+    reason = "a one-level taxonomy of fresh concepts is valid"
+)]
 pub fn ablate_semantics(model: &QosModel) -> Vec<FigureSeries> {
     use qasom_ontology::Ontology;
     use qasom_registry::{Discovery, DiscoveryQuery, ServiceDescription, ServiceRegistry};

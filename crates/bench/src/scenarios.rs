@@ -10,9 +10,9 @@
 //! function plus one row here — nothing in the CLI changes.
 //!
 //! Every document is a pure function of the flags: identical arguments
-//! produce byte-identical output. This file is therefore inside
-//! `qasom-lint`'s determinism scope (no wall clock, no unordered
-//! collections) even though the rest of this crate times things.
+//! produce byte-identical output. The crate's `clippy.toml` therefore
+//! bans the wall clock and unordered collections; the figure timer
+//! `time_ms` is the one function allowed to read the clock.
 //!
 //! The synthetic provider market the serving scenarios run on,
 //! `one_concept_market`, and its `one_activity_request` are `pub` for

@@ -2,9 +2,9 @@
 //! the golden report tests and the CI observability job.
 //!
 //! One deterministic run exercises every pipeline stage the
-//! [`RunReport`] covers: QoS-aware discovery (indexed queries, match
-//! cache), QASSA selection, execution with a forced substitution, and a
-//! distributed QASSA run over the network simulator. The report is a
+//! [`RunReport`] covers: QoS-aware discovery (indexed queries), QASSA
+//! selection, execution with a forced substitution, and a distributed
+//! QASSA run over the network simulator. The report is a
 //! pure function of the seed — identical seeds must produce
 //! byte-identical JSON.
 
@@ -29,6 +29,10 @@ pub const DEMO_SCENARIO: &str = "builtin-demo";
 /// services with spread QoS (the best `Pay` provider crashes on first
 /// invocation, forcing one substitution), an attached
 /// [`MemoryRecorder`] and [`EventLog`].
+#[expect(
+    clippy::expect_used,
+    reason = "the builtin scenario is fixed at compile time"
+)]
 fn demo_environment(seed: u64, recorder: Arc<MemoryRecorder>, log: &EventLog) -> Environment {
     let mut onto = OntologyBuilder::new("shop");
     onto.concept("Locate");
@@ -79,6 +83,10 @@ fn demo_environment(seed: u64, recorder: Arc<MemoryRecorder>, log: &EventLog) ->
     env
 }
 
+#[expect(
+    clippy::expect_used,
+    reason = "the builtin scenario is fixed at compile time"
+)]
 fn demo_task() -> UserTask {
     UserTask::new(
         "shopping-trip",
@@ -102,6 +110,10 @@ fn demo_task() -> UserTask {
 ///
 /// Panics only if the builtin scenario itself is broken (it is fixed at
 /// compile time and covered by tests).
+#[expect(
+    clippy::expect_used,
+    reason = "the builtin scenario is fixed at compile time"
+)]
 pub fn demo_run_report(seed: u64) -> RunReport {
     let recorder = Arc::new(MemoryRecorder::new());
     let log = EventLog::new();

@@ -426,7 +426,7 @@ impl Environment {
     /// persistence backend. The recovered instance is re-bound to this
     /// environment's own ontology `Arc` — ontology stamps are
     /// per-instance, so keeping the stamp the recovery path bound would
-    /// silently disqualify the capability index and the match cache.
+    /// silently disqualify the capability index.
     pub fn adopt_registry(&mut self, mut registry: ServiceRegistry) {
         registry.bind_ontology(Arc::clone(&self.ontology));
         self.registry = Arc::new(registry);

@@ -243,8 +243,8 @@ impl SharedEnvironment {
     /// the purpose-built [`SharedEnvironment::apply_churn`] and ontology
     /// swaps [`SharedEnvironment::reload_ontology`], both of which apply
     /// a *value* under the lock instead of holding a caller-supplied
-    /// closure over it (`qasom-lint` forbids `with_mut` in
-    /// `crates/daemon`).
+    /// closure over it (`crates/daemon/clippy.toml` disallows
+    /// `with_mut`).
     pub fn with_mut<R>(&self, f: impl FnOnce(&mut Environment) -> R) -> R {
         f(&mut self.write())
     }
@@ -300,8 +300,8 @@ impl SharedEnvironment {
     ///
     /// This is the typed shutdown/flush entry point for serving
     /// front-ends — the daemon is not allowed arbitrary `with_mut`
-    /// closures (lint `daemon-with-mut`), and a checkpoint is a bounded,
-    /// accounted write like churn or an ontology reload.
+    /// closures (`crates/daemon/clippy.toml`), and a checkpoint is a
+    /// bounded, accounted write like churn or an ontology reload.
     pub fn checkpoint_registry(&self) -> bool {
         self.write().checkpoint_registry()
     }
@@ -724,5 +724,48 @@ mod tests {
         // 3 sessions (write each); the set_recorder with_mut predates
         // the recorder, so it is not counted.
         assert_eq!(snap.counter(keys::SERVING_WRITE_LOCKS), 3);
+    }
+
+    /// The daemon's shutdown flush: one counted write lock per call,
+    /// journal or not. A read guard held across its `write()` would
+    /// self-deadlock here, so this test hangs instead of passing.
+    #[test]
+    fn checkpoint_registry_takes_one_write_lock_and_truncates_the_wal() {
+        use qasom_obs::{MemoryRecorder, Recorder};
+        use qasom_registry::persist::{MemoryBackend, PersistConfig, RegistryJournal};
+
+        // Empty registry: the journal must see every registration.
+        let mut b = OntologyBuilder::new("d");
+        b.concept("A");
+        let env = Environment::new(QosModel::standard(), b.build().unwrap(), 5);
+        let shared = SharedEnvironment::new(env);
+        let recorder = Arc::new(MemoryRecorder::new());
+        shared.with_mut(|e| e.set_recorder(Arc::clone(&recorder) as Arc<dyn Recorder>));
+        let writes = || {
+            recorder
+                .snapshot()
+                .unwrap()
+                .counter(keys::SERVING_WRITE_LOCKS)
+        };
+
+        assert!(!shared.checkpoint_registry(), "no journal to checkpoint");
+        assert_eq!(writes(), 1);
+
+        let backend = MemoryBackend::new();
+        let (_, journal, _) =
+            RegistryJournal::open(backend.clone(), PersistConfig::default(), None).unwrap();
+        shared.with_mut(|e| e.attach_journal(journal));
+        let rt = shared.with(|e| e.model().property("ResponseTime").unwrap());
+        shared.apply_churn(
+            RegistryDelta::new()
+                .deploy_faithful(ServiceDescription::new("late", "d#A").with_qos(rt, 5.0)),
+        );
+        assert!(backend.wal_len() > 0);
+        let before = writes();
+        assert!(shared.checkpoint_registry());
+        assert_eq!(backend.wal_len(), 0);
+        assert_eq!(writes(), before + 1);
+        assert!(shared.checkpoint_registry());
+        assert_eq!(writes(), before + 2);
     }
 }

@@ -361,6 +361,7 @@ impl<M, B: NodeBehaviour<M>> Simulation<M, B> {
 
     /// Adds a node; its [`NodeBehaviour::on_start`] runs at the current
     /// simulated time.
+    #[expect(clippy::expect_used, reason = "2^32 nodes cannot fit in memory")]
     pub fn add_node(&mut self, profile: DeviceProfile, behaviour: B) -> NodeId {
         let id = NodeId(u32::try_from(self.nodes.len()).expect("too many nodes"));
         self.nodes.push(NodeSlot {
@@ -395,6 +396,10 @@ impl<M, B: NodeBehaviour<M>> Simulation<M, B> {
 
     /// Immutable access to a node's behaviour (absent while the node is
     /// handling an event, which cannot be observed from outside `run`).
+    #[expect(
+        clippy::expect_used,
+        reason = "a behaviour is only detached inside dispatch"
+    )]
     pub fn node(&self, id: NodeId) -> &B {
         self.nodes[id.index()]
             .behaviour
@@ -403,6 +408,10 @@ impl<M, B: NodeBehaviour<M>> Simulation<M, B> {
     }
 
     /// Mutable access to a node's behaviour.
+    #[expect(
+        clippy::expect_used,
+        reason = "a behaviour is only detached inside dispatch"
+    )]
     pub fn node_mut(&mut self, id: NodeId) -> &mut B {
         self.nodes[id.index()]
             .behaviour
@@ -485,6 +494,7 @@ impl<M, B: NodeBehaviour<M>> Simulation<M, B> {
     }
 
     /// Runs until the queue drains or simulated time would pass `deadline`.
+    #[expect(clippy::expect_used, reason = "the pop follows a successful peek")]
     pub fn run_until(&mut self, deadline: SimTime) -> u64 {
         self.cap_exhausted = false;
         let mut processed = 0;
@@ -574,6 +584,7 @@ impl<M, B: NodeBehaviour<M>> Simulation<M, B> {
         }
     }
 
+    #[expect(clippy::expect_used, reason = "dispatch never reenters a node")]
     fn with_behaviour(&mut self, node: NodeId, f: impl FnOnce(&mut B, &mut NodeContext<'_, M>)) {
         let Some(slot) = self.nodes.get_mut(node.index()) else {
             return;

@@ -5,8 +5,8 @@
 //! coverage figures). This crate is the instrumentation seam that makes
 //! those quantities visible in the reproduction without ever touching a
 //! wall clock: every span is keyed on *logical or simulated* time
-//! supplied by the caller, so the `qasom-lint` determinism rules apply
-//! to this crate unchanged.
+//! supplied by the caller, so `clippy.toml` bans the wall clock and
+//! unordered collections in this crate outright.
 //!
 //! Three layers:
 //!
@@ -29,6 +29,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
 mod json;
 pub mod keys;

@@ -9,7 +9,7 @@
 //! * [`Recorder::span`] — record a named interval keyed on **logical or
 //!   simulated time supplied by the caller** (activity counts, netsim
 //!   microseconds). Wall-clock time never enters this crate, which is
-//!   what lets `qasom-lint`'s determinism rules cover it.
+//!   what lets its `clippy.toml` ban the wall clock.
 //!
 //! Producers carry `Option<&dyn Recorder>`: the `None` path is a single
 //! predictable branch, performs no allocation and no locking — that is

@@ -5,6 +5,8 @@
 //! the [`qasom`] crate and its substrates; this facade re-exports them so
 //! examples and tests can use a single import root.
 
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+
 pub use qasom;
 pub use qasom_adaptation as adaptation;
 pub use qasom_netsim as netsim;
