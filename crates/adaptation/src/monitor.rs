@@ -80,7 +80,6 @@ impl PropertyWindow {
 pub struct QosMonitor {
     config: MonitorConfig,
     windows: HashMap<ServiceId, HashMap<PropertyId, PropertyWindow>>,
-    failures: HashMap<ServiceId, u64>,
 }
 
 impl QosMonitor {
@@ -103,21 +102,6 @@ impl QosMonitor {
         for (p, v) in delivered.iter() {
             per_service.entry(p).or_default().push(v, &self.config);
         }
-    }
-
-    /// Records a failed invocation.
-    pub fn observe_failure(&mut self, service: ServiceId) {
-        *self.failures.entry(service).or_insert(0) += 1;
-    }
-
-    /// Consecutive-failure count since the last reset.
-    pub fn failures(&self, service: ServiceId) -> u64 {
-        self.failures.get(&service).copied().unwrap_or(0)
-    }
-
-    /// Clears the failure counter (after a successful substitution).
-    pub fn reset_failures(&mut self, service: ServiceId) {
-        self.failures.remove(&service);
     }
 
     /// Window-mean estimate of a service's delivered QoS (`None` when the
@@ -385,17 +369,6 @@ mod tests {
         let m = QosMonitor::new();
         assert!(m.estimate(f.ids[0]).is_none());
         assert!(m.predict(f.ids[0]).is_none());
-    }
-
-    #[test]
-    fn failure_counting_and_reset() {
-        let f = fx(1);
-        let mut m = QosMonitor::new();
-        m.observe_failure(f.ids[0]);
-        m.observe_failure(f.ids[0]);
-        assert_eq!(m.failures(f.ids[0]), 2);
-        m.reset_failures(f.ids[0]);
-        assert_eq!(m.failures(f.ids[0]), 0);
     }
 
     fn composition(f: &Fx, bound: f64) -> CompositionMonitor {

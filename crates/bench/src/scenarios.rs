@@ -21,9 +21,7 @@
 use std::str::FromStr;
 use std::sync::Arc;
 
-use qasom::{
-    demo, Environment, RegistryDelta, ServeOutcome, SessionRequest, SharedEnvironment, UserRequest,
-};
+use qasom::{demo, Environment, RegistryDelta, SharedEnvironment, UserRequest};
 use qasom_daemon::{AdmissionConfig, BrokerConfig, LoopbackClient, LoopbackDaemon};
 use qasom_netsim::runtime::SyntheticService;
 use qasom_obs::{key_paths, JsonValue, MemoryRecorder};
@@ -193,11 +191,6 @@ pub const SCENARIOS: &[Scenario] = &[
         run: report,
     },
     Scenario {
-        name: "stress",
-        flags: &[SEED, count("--sessions", "12"), OUT],
-        run: stress,
-    },
-    Scenario {
         name: "daemon-stress",
         flags: &[
             SEED,
@@ -365,33 +358,7 @@ fn random_description(
 /// `report`: the builtin deterministic end-to-end scenario
 /// ([`qasom::demo`]) as a `RunReport`.
 fn report(flags: &Flags) -> Result<JsonValue, String> {
-    Ok(demo::demo_run_report(flags.num("--seed")?).to_json())
-}
-
-/// `stress`: a fixed, single-threaded interleaving of typed serving
-/// sessions and `RegistryDelta` churn over a `SharedEnvironment` — six
-/// stable providers, a `burst` provider toggled every third round, one
-/// session per round — as a `RunReport`, serving counters included.
-fn stress(flags: &Flags) -> Result<JsonValue, String> {
-    let sessions: usize = flags.num("--sessions")?;
-    let rt = standard_property("ResponseTime")?;
-    let shared = SharedEnvironment::new(recorded(one_concept_market(6, flags.num("--seed")?)?));
-    let request = one_activity_request("t")?;
-    for round in 0..sessions {
-        if round % 3 == 0 {
-            shared.apply_churn(match find_burst(&shared) {
-                Some(id) => RegistryDelta::new().undeploy(id),
-                None => RegistryDelta::new()
-                    .deploy_faithful(ServiceDescription::new("burst", "d#A").with_qos(rt, 10.0)),
-            });
-        }
-        let session = SessionRequest::new(request.clone()).for_client("stress");
-        match shared.serve_session(&session).map_err(|e| e.to_string())? {
-            ServeOutcome::Completed(_) => {}
-            other => return Err(format!("session {round} did not complete: {other:?}")),
-        }
-    }
-    Ok(shared.with(|e| e.run_report("stress")).to_json())
+    Ok(demo::demo_run_report(flags.num("--seed")?)?.to_json())
 }
 
 /// `daemon-stress`: the `qasomd` broker over the in-process loopback
@@ -652,10 +619,11 @@ mod tests {
 
     #[test]
     fn usage_is_generated_from_the_table() {
-        let stress = find("stress").unwrap();
+        let persist = find("persist-stress").unwrap();
         assert_eq!(
-            usage(stress.name, stress.flags),
-            "qasom-cli stress [--seed N] [--sessions N] [--out FILE]"
+            usage(persist.name, persist.flags),
+            "qasom-cli persist-stress [--seed N] [--services N] [--rounds N]\n          \
+             [--checkpoint-every N] [--out FILE]"
         );
         let daemon = find("daemon-stress").unwrap();
         assert!(usage(daemon.name, daemon.flags)

@@ -29,11 +29,11 @@ pub const DEMO_SCENARIO: &str = "builtin-demo";
 /// services with spread QoS (the best `Pay` provider crashes on first
 /// invocation, forcing one substitution), an attached
 /// [`MemoryRecorder`] and [`EventLog`].
-#[expect(
-    clippy::expect_used,
-    reason = "the builtin scenario is fixed at compile time"
-)]
-fn demo_environment(seed: u64, recorder: Arc<MemoryRecorder>, log: &EventLog) -> Environment {
+fn demo_environment(
+    seed: u64,
+    recorder: Arc<MemoryRecorder>,
+    log: &EventLog,
+) -> Result<Environment, String> {
     let mut onto = OntologyBuilder::new("shop");
     onto.concept("Locate");
     onto.concept("Guide");
@@ -44,17 +44,17 @@ fn demo_environment(seed: u64, recorder: Arc<MemoryRecorder>, log: &EventLog) ->
         .sink(Arc::new(log.clone()))
         .build(
             QosModel::standard(),
-            onto.build().expect("demo ontology is well-formed"),
+            onto.build().map_err(|e| e.to_string())?,
         );
 
     let rt = env
         .model()
         .property("ResponseTime")
-        .expect("standard model has ResponseTime");
+        .ok_or("the standard model defines ResponseTime")?;
     let av = env
         .model()
         .property("Availability")
-        .expect("standard model has Availability");
+        .ok_or("the standard model defines Availability")?;
     let services: &[(&str, &str, f64)] = &[
         ("locate-kiosk", "shop#Locate", 40.0),
         ("locate-phone", "shop#Locate", 90.0),
@@ -80,14 +80,10 @@ fn demo_environment(seed: u64, recorder: Arc<MemoryRecorder>, log: &EventLog) ->
         };
         env.deploy(desc, behaviour);
     }
-    env
+    Ok(env)
 }
 
-#[expect(
-    clippy::expect_used,
-    reason = "the builtin scenario is fixed at compile time"
-)]
-fn demo_task() -> UserTask {
+fn demo_task() -> Result<UserTask, String> {
     UserTask::new(
         "shopping-trip",
         TaskNode::sequence([
@@ -96,7 +92,7 @@ fn demo_task() -> UserTask {
             TaskNode::activity(Activity::new("pay", "shop#Pay")),
         ]),
     )
-    .expect("demo task is well-formed")
+    .map_err(|e| e.to_string())
 }
 
 /// Runs the builtin scenario and assembles the full [`RunReport`].
@@ -106,27 +102,23 @@ fn demo_task() -> UserTask {
 /// recorder, and a distributed QASSA run (same seed) over the network
 /// simulator.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics only if the builtin scenario itself is broken (it is fixed at
-/// compile time and covered by tests).
-#[expect(
-    clippy::expect_used,
-    reason = "the builtin scenario is fixed at compile time"
-)]
-pub fn demo_run_report(seed: u64) -> RunReport {
+/// Only if the builtin scenario itself is broken (it is fixed at
+/// compile time and covered by tests): the failing stage, rendered.
+pub fn demo_run_report(seed: u64) -> Result<RunReport, String> {
     let recorder = Arc::new(MemoryRecorder::new());
     let log = EventLog::new();
-    let mut env = demo_environment(seed, Arc::clone(&recorder), &log);
+    let mut env = demo_environment(seed, Arc::clone(&recorder), &log)?;
 
-    let request = UserRequest::new(demo_task())
+    let request = UserRequest::new(demo_task()?)
         .constraint("ResponseTime", 1.0, Unit::Seconds)
-        .expect("ResponseTime is a standard property")
+        .map_err(|e| e.to_string())?
         .weight("ResponseTime", 0.7)
         .weight("Availability", 0.3);
-    let composition = env.compose(&request).expect("demo composition succeeds");
+    let composition = env.compose(&request).map_err(|e| e.to_string())?;
     let compose = Environment::compose_section(&composition);
-    let executed = env.execute(composition).expect("demo execution succeeds");
+    let executed = env.execute(composition).map_err(|e| e.to_string())?;
     let execution = env.execution_section(&executed);
 
     // The distributed leg: the same seed drives a synthetic workload
@@ -143,13 +135,13 @@ pub fn demo_run_report(seed: u64) -> RunReport {
     };
     let distributed = DistributedQassa::new(&model)
         .run_recorded(&workload, &setup, seed, Some(recorder.as_ref()))
-        .expect("demo distributed run succeeds");
+        .map_err(|e| e.to_string())?;
 
     let mut report = env.run_report(DEMO_SCENARIO);
     report.compose = Some(compose);
     report.execution = Some(execution);
     report.distributed = Some(distributed.to_section());
-    report
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -158,7 +150,7 @@ mod tests {
 
     #[test]
     fn demo_report_covers_every_section() {
-        let report = demo_run_report(42);
+        let report = demo_run_report(42).unwrap();
         assert_eq!(report.seed, 42);
         assert_eq!(report.scenario, DEMO_SCENARIO);
         let compose = report.compose.as_ref().expect("compose section");
@@ -179,15 +171,15 @@ mod tests {
 
     #[test]
     fn same_seed_is_byte_identical() {
-        let a = demo_run_report(7).to_compact_string();
-        let b = demo_run_report(7).to_compact_string();
+        let a = demo_run_report(7).unwrap().to_compact_string();
+        let b = demo_run_report(7).unwrap().to_compact_string();
         assert_eq!(a, b);
     }
 
     #[test]
     fn different_seeds_differ() {
-        let a = demo_run_report(7).to_compact_string();
-        let b = demo_run_report(8).to_compact_string();
+        let a = demo_run_report(7).unwrap().to_compact_string();
+        let b = demo_run_report(8).unwrap().to_compact_string();
         assert_ne!(a, b);
     }
 }

@@ -353,7 +353,6 @@ impl Environment {
                     match self.invoke(service).and_then(|o| o.qos().cloned()) {
                         Some(qos) => {
                             self.monitor.observe(service, &qos);
-                            self.monitor.reset_failures(service);
                             self.record_delivery(service, Some(&qos));
                             self.emit(MiddlewareEvent::Invoked {
                                 activity: name.clone(),
@@ -378,7 +377,6 @@ impl Environment {
                             break;
                         }
                         None => {
-                            self.monitor.observe_failure(service);
                             self.record_delivery(service, None);
                             self.emit(MiddlewareEvent::InvocationFailed {
                                 activity: name.clone(),

@@ -66,6 +66,4 @@ pub use environment::{Environment, EnvironmentBuilder, EnvironmentConfig};
 pub use events::{EventLog, EventSink, MiddlewareEvent};
 pub use execution::{ExecutionError, ExecutionReport, InvocationRecord, TimelineEntry};
 pub use request::UserRequest;
-pub use shared::{
-    ChurnReceipt, RegistryDelta, ServeError, ServeOutcome, SessionRequest, SharedEnvironment,
-};
+pub use shared::{ChurnReceipt, RegistryDelta, SharedEnvironment};

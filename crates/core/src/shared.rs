@@ -2,7 +2,6 @@
 
 use std::sync::{Arc, RwLock};
 
-use qasom_analysis::Diagnostic;
 use qasom_netsim::runtime::SyntheticService;
 use qasom_obs::keys;
 use qasom_ontology::Ontology;
@@ -11,85 +10,6 @@ use qasom_registry::{ServiceDescription, ServiceId};
 use crate::{
     ComposeError, Environment, ExecutableComposition, ExecutionError, ExecutionReport, UserRequest,
 };
-
-/// A composition session as submitted to the serving layer: the user's
-/// request plus the client identity admission control keys quotas on.
-///
-/// `SessionRequest` is the one request type both serving front-ends
-/// accept — [`SharedEnvironment::serve_session`] for the library path
-/// and the `qasomd` daemon for the wire path — so outcome semantics
-/// ([`ServeOutcome`]) are identical regardless of how a session arrived.
-#[derive(Debug, Clone)]
-pub struct SessionRequest {
-    client: Option<String>,
-    request: UserRequest,
-}
-
-impl SessionRequest {
-    /// A session with no client identity (library calls, tests).
-    pub fn new(request: UserRequest) -> Self {
-        SessionRequest {
-            client: None,
-            request,
-        }
-    }
-
-    /// Tags the session with the submitting client's identity; the
-    /// daemon's per-client quotas are keyed on it.
-    #[must_use]
-    pub fn for_client(mut self, client: impl Into<String>) -> Self {
-        self.client = Some(client.into());
-        self
-    }
-
-    /// The client identity, if any.
-    pub fn client(&self) -> Option<&str> {
-        self.client.as_deref()
-    }
-
-    /// The underlying user request.
-    pub fn request(&self) -> &UserRequest {
-        &self.request
-    }
-}
-
-impl From<UserRequest> for SessionRequest {
-    fn from(request: UserRequest) -> Self {
-        SessionRequest::new(request)
-    }
-}
-
-/// The typed outcome of one serving session.
-///
-/// Every way a session can end that is *not* an internal failure is a
-/// variant here, so callers match on outcomes instead of decoding
-/// stringly errors: the daemon turns each variant into its own wire
-/// frame, and load-shedding is a first-class `Busy` value rather than a
-/// collapsed connection.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ServeOutcome {
-    /// The session composed and executed; the report carries delivered
-    /// QoS, substitutions and adaptations.
-    Completed(ExecutionReport),
-    /// Admission control shed the session (queue at capacity or client
-    /// over quota). Retry after the given number of broker ticks.
-    ///
-    /// Produced only by serving front-ends with an admission queue
-    /// (`qasomd`); the direct library path never sheds.
-    Busy {
-        /// Deterministic back-off hint, in broker scheduling rounds.
-        retry_after_ticks: u32,
-    },
-    /// The static analyzer rejected the request before discovery ran.
-    Rejected(Vec<Diagnostic>),
-}
-
-impl ServeOutcome {
-    /// Whether the session completed successfully end to end.
-    pub fn is_completed(&self) -> bool {
-        matches!(self, ServeOutcome::Completed(_))
-    }
-}
 
 /// A batch of registry mutations applied as one transaction under the
 /// write lock ([`SharedEnvironment::apply_churn`]).
@@ -105,7 +25,6 @@ pub struct RegistryDelta {
 enum ChurnOp {
     Deploy(Box<(ServiceDescription, SyntheticService)>),
     Undeploy(ServiceId),
-    UndeployNamed(String),
 }
 
 impl RegistryDelta {
@@ -137,14 +56,6 @@ impl RegistryDelta {
         self
     }
 
-    /// Queues a departure by service name (ignored when no live service
-    /// carries the name at apply time).
-    #[must_use]
-    pub fn undeploy_named(mut self, name: impl Into<String>) -> Self {
-        self.ops.push(ChurnOp::UndeployNamed(name.into()));
-        self
-    }
-
     /// Number of queued operations.
     pub fn len(&self) -> usize {
         self.ops.len()
@@ -164,8 +75,8 @@ pub struct ChurnReceipt {
     pub epoch: u64,
     /// Ids of the services the delta deployed, in delta order.
     pub deployed: Vec<ServiceId>,
-    /// Departures actually performed (named departures that matched no
-    /// live service are not counted).
+    /// Departures actually performed (an id no longer live at apply
+    /// time is skipped, not counted).
     pub undeployed: usize,
 }
 
@@ -192,11 +103,13 @@ pub struct ChurnReceipt {
 ///   — executions mutate the QoS monitor, SLA records and the synthetic
 ///   runtime, so they are transactions over the environment's state.
 ///
-/// [`SharedEnvironment::serve_session`] composes under the read lock,
-/// then executes under the write lock. Churn may slip between the two
-/// phases; that is safe because execution re-validates liveness at
-/// binding time (dynamic binding substitutes departed services), exactly
-/// as it already must for services failing mid-execution.
+/// A session is those two calls in sequence, as the `qasomd` broker runs
+/// it: [`SharedEnvironment::compose_with_epoch`] under the read lock,
+/// then [`SharedEnvironment::execute`] under the write lock. Churn may
+/// slip between the two phases; that is safe because execution
+/// re-validates liveness at binding time (dynamic binding substitutes
+/// departed services), exactly as it already must for services failing
+/// mid-execution.
 ///
 /// # Examples
 ///
@@ -266,17 +179,6 @@ impl SharedEnvironment {
                 }
                 ChurnOp::Undeploy(id) => {
                     if env.registry().get(id).is_some() {
-                        env.undeploy(id);
-                        receipt.undeployed += 1;
-                    }
-                }
-                ChurnOp::UndeployNamed(name) => {
-                    let found = env
-                        .registry()
-                        .iter()
-                        .find(|(_, d)| d.name() == name)
-                        .map(|(id, _)| id);
-                    if let Some(id) = found {
                         env.undeploy(id);
                         receipt.undeployed += 1;
                     }
@@ -386,105 +288,7 @@ impl SharedEnvironment {
     ) -> Result<ExecutionReport, ExecutionError> {
         self.write().execute(composition)
     }
-
-    /// One full session with a typed outcome: composes under the read
-    /// lock (concurrently with other sessions), then executes under the
-    /// write lock.
-    ///
-    /// Analyzer rejections come back as [`ServeOutcome::Rejected`] — an
-    /// expected, typed end of the session — while infrastructure
-    /// failures (no candidate, selection, execution) are [`ServeError`]s
-    /// carrying the registry epoch at failure time so a retrying caller
-    /// can tell whether the environment has changed since.
-    ///
-    /// The direct library path never produces [`ServeOutcome::Busy`]:
-    /// there is no admission queue here. The `qasomd` daemon layers
-    /// admission control on top and sheds with `Busy` before a session
-    /// ever reaches this method.
-    ///
-    /// A provider may depart between the two phases; execution handles
-    /// that exactly like a mid-execution departure — dynamic binding
-    /// re-checks liveness and substitutes from the ranked alternates —
-    /// so the relaxation never returns a binding to a dead service.
-    ///
-    /// # Errors
-    ///
-    /// Non-analyzer composition failures and execution failures, each
-    /// tagged with the epoch they occurred at.
-    pub fn serve_session(&self, session: &SessionRequest) -> Result<ServeOutcome, ServeError> {
-        let composition = {
-            let env = self.read();
-            if let Some(rec) = env.recorder() {
-                rec.incr(keys::SERVING_SESSIONS, 1);
-            }
-            match env.compose(session.request()) {
-                Ok(composition) => composition,
-                Err(ComposeError::Rejected(diags)) => return Ok(ServeOutcome::Rejected(diags)),
-                Err(error) => {
-                    return Err(ServeError::Compose {
-                        epoch: env.epoch(),
-                        error,
-                    })
-                }
-            }
-        };
-        let mut env = self.write();
-        match env.execute(composition) {
-            Ok(report) => Ok(ServeOutcome::Completed(report)),
-            Err(error) => Err(ServeError::Execute {
-                epoch: env.epoch(),
-                error,
-            }),
-        }
-    }
 }
-
-/// Errors of [`SharedEnvironment::serve_session`]: infrastructure
-/// failures of the two pipeline phases, each carrying the registry epoch
-/// at failure time so retry logic can distinguish "environment unchanged,
-/// retrying is futile" from "providers churned since, retry may succeed".
-///
-/// Marked `#[non_exhaustive]`: serving front-ends grow failure classes
-/// (transport, protocol) without breaking downstream matches.
-#[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
-pub enum ServeError {
-    /// The composition pipeline failed (discovery/selection — analyzer
-    /// rejections are a typed [`ServeOutcome::Rejected`], not an error).
-    Compose {
-        /// Registry epoch when composition failed.
-        epoch: u64,
-        /// The underlying composition error.
-        error: ComposeError,
-    },
-    /// The execution engine failed.
-    Execute {
-        /// Registry epoch when execution failed.
-        epoch: u64,
-        /// The underlying execution error.
-        error: ExecutionError,
-    },
-}
-
-impl ServeError {
-    /// The registry epoch at failure time.
-    pub fn epoch(&self) -> u64 {
-        match self {
-            ServeError::Compose { epoch, .. } | ServeError::Execute { epoch, .. } => *epoch,
-        }
-    }
-}
-
-impl std::fmt::Display for ServeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ServeError::Compose { error, epoch } => write!(f, "{error} (registry epoch {epoch})"),
-            ServeError::Execute { error, epoch } => write!(f, "{error} (registry epoch {epoch})"),
-        }
-    }
-}
-
-impl std::error::Error for ServeError {}
 
 #[cfg(test)]
 mod tests {
@@ -511,55 +315,11 @@ mod tests {
         UserRequest::new(UserTask::new("t", TaskNode::activity(Activity::new("a", "d#A"))).unwrap())
     }
 
-    fn session() -> SessionRequest {
-        SessionRequest::new(request()).for_client("tester")
-    }
-
-    #[test]
-    fn serve_session_composes_and_executes() {
-        let shared = shared();
-        match shared.serve_session(&session()).unwrap() {
-            ServeOutcome::Completed(report) => assert!(report.success),
-            other => panic!("expected Completed, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn serve_session_types_analyzer_rejections() {
-        let shared = shared();
-        let bad = SessionRequest::new(
-            request()
-                .constraint("Bogus", 1.0, qasom_qos::Unit::Dimensionless)
-                .unwrap(),
-        );
-        match shared.serve_session(&bad).unwrap() {
-            ServeOutcome::Rejected(diags) => {
-                assert!(diags.iter().any(|d| d.code.code() == "QA010"), "{diags:?}");
-            }
-            other => panic!("expected Rejected, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn serve_errors_carry_the_failure_epoch() {
-        let shared = shared();
-        // Remove every provider: composition fails with NoServiceFor at
-        // the post-churn epoch.
-        let ids = shared.with(|e| e.registry().iter().map(|(id, _)| id).collect::<Vec<_>>());
-        let mut delta = RegistryDelta::new();
-        for id in ids {
-            delta = delta.undeploy(id);
-        }
-        let receipt = shared.apply_churn(delta);
-        let err = shared.serve_session(&session()).unwrap_err();
-        match err {
-            ServeError::Compose { epoch, ref error } => {
-                assert_eq!(epoch, receipt.epoch);
-                assert!(matches!(error, ComposeError::NoServiceFor { .. }));
-            }
-            other => panic!("expected Compose error, got {other:?}"),
-        }
-        assert_eq!(err.epoch(), receipt.epoch);
+    /// One session as the daemon's broker runs it: compose under the
+    /// read lock, then execute under the write lock.
+    fn serve(shared: &SharedEnvironment) -> ExecutionReport {
+        let (_, composition) = shared.compose_with_epoch(&request()).unwrap();
+        shared.execute(composition).unwrap()
     }
 
     #[test]
@@ -570,7 +330,7 @@ mod tests {
         let handles: Vec<_> = (0..8)
             .map(|_| {
                 let s = shared.clone();
-                std::thread::spawn(move || s.serve_session(&session()).unwrap().is_completed())
+                std::thread::spawn(move || serve(&s).success)
             })
             .collect();
         for h in handles {
@@ -601,11 +361,13 @@ mod tests {
         let shared = shared();
         let rt = shared.with(|e| e.model().property("ResponseTime").unwrap());
         let before = shared.with(|e| e.epoch());
+        let s0 = shared.with(|e| e.registry().iter().next().unwrap().0);
         let receipt = shared.apply_churn(
             RegistryDelta::new()
                 .deploy_faithful(ServiceDescription::new("burst", "d#A").with_qos(rt, 10.0))
-                .undeploy_named("s0")
-                .undeploy_named("no-such-service"),
+                .undeploy(s0)
+                // Already gone by the time this op applies: skipped.
+                .undeploy(s0),
         );
         assert_eq!(receipt.deployed.len(), 1);
         assert_eq!(receipt.undeployed, 1);
@@ -613,7 +375,7 @@ mod tests {
         assert_eq!(receipt.epoch, before + 2);
         shared.with(|e| {
             assert!(e.registry().iter().any(|(_, d)| d.name() == "burst"));
-            assert!(e.registry().iter().all(|(_, d)| d.name() != "s0"));
+            assert!(e.registry().get(s0).is_none());
         });
     }
 
@@ -714,11 +476,10 @@ mod tests {
             e.set_recorder(std::sync::Arc::clone(&recorder) as std::sync::Arc<dyn Recorder>)
         });
         for _ in 0..3 {
-            shared.serve_session(&session()).unwrap();
+            serve(&shared);
         }
         let _ = shared.compose(&request()).unwrap();
         let snap = recorder.snapshot().unwrap();
-        assert_eq!(snap.counter(keys::SERVING_SESSIONS), 3);
         // 3 sessions (read each) + 1 compose.
         assert_eq!(snap.counter(keys::SERVING_READ_LOCKS), 4);
         // 3 sessions (write each); the set_recorder with_mut predates

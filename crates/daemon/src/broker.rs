@@ -5,15 +5,17 @@
 //! queue batch by batch. A batch is a run of queued sessions whose wire
 //! signatures are byte-equal — they ask for the *same* composition, so
 //! the broker pays analysis, discovery and QASSA selection **once** per
-//! batch (one `compose_with_epoch` under one read-lock acquisition) and
-//! executes the shared composition once per session. Every decision is
+//! batch (one compose, and the epoch it saw, under one read-lock
+//! acquisition) and executes the shared composition once per session
+//! under the write lock. Every decision is
 //! counted through the environment's recorder (`daemon.*` keys), so a
 //! `RunReport` shows admission behaviour next to discovery and serving
 //! counters.
 
 use std::sync::Arc;
 
-use qasom::{ComposeError, ServeOutcome, SharedEnvironment};
+use qasom::{ComposeError, ExecutionReport, SharedEnvironment};
+use qasom_analysis::Diagnostic;
 use qasom_obs::{keys, Recorder};
 
 use crate::admission::{AdmissionConfig, AdmissionDecision, AdmissionQueue, QueuedSession};
@@ -42,14 +44,25 @@ pub enum Submission {
     },
 }
 
-/// How one served session ended, ready for response encoding.
+/// How one session ended, ready for response encoding: one variant per
+/// reply frame, matching the client's
+/// [`ClientOutcome`](crate::session::ClientOutcome) one to one.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SessionReply {
-    /// A typed outcome (completed / busy / rejected).
-    Outcome(ServeOutcome),
-    /// An infrastructure failure, with the registry epoch at failure.
+    /// The session composed and executed (`COMPLETED`).
+    Completed(ExecutionReport),
+    /// Admission shed the session: queue at capacity or client over
+    /// quota (`BUSY`).
+    Busy {
+        /// Deterministic back-off hint, in broker ticks.
+        retry_after_ticks: u32,
+    },
+    /// The static analyzer rejected the request before discovery ran
+    /// (`REJECTED`).
+    Rejected(Vec<Diagnostic>),
+    /// Composition or execution failed (`ERROR`).
     Failed {
-        /// Registry epoch when the session failed.
+        /// Registry epoch the session's compose ran against.
         epoch: u64,
         /// Rendered error.
         message: String,
@@ -168,61 +181,33 @@ impl Broker {
         let n = batch.len() as u64;
         self.count(keys::DAEMON_BATCHES, 1);
         self.count(keys::DAEMON_BATCHED_SESSIONS, n);
-        // Same accounting as `SharedEnvironment::serve_session`: each
-        // batched session is a serving session; the read lock below is
-        // taken once for all of them.
-        self.count(keys::SERVING_SESSIONS, n);
-        match self.shared.compose_with_epoch(&batch[0].request) {
-            Ok((epoch, composition)) => {
-                for session in batch {
-                    let reply = match self.shared.execute(composition.clone()) {
-                        Ok(report) => {
-                            self.count(keys::DAEMON_COMPLETED, 1);
-                            SessionReply::Outcome(ServeOutcome::Completed(report))
-                        }
-                        Err(error) => {
-                            self.count(keys::DAEMON_FAILED, 1);
-                            SessionReply::Failed {
-                                epoch,
-                                message: error.to_string(),
-                            }
-                        }
-                    };
-                    responses.push(BrokerResponse {
-                        conn_id: session.conn_id,
-                        corr_id: session.corr_id,
-                        session_id: session.session_id,
-                        reply,
-                    });
+        // The epoch is read under the compose's own guard, so a failed
+        // compose is stamped with the registry it saw, not a later one.
+        let (epoch, composed) = self
+            .shared
+            .with(|e| (e.epoch(), e.compose(&batch[0].request)));
+        let failed = |error: &dyn std::fmt::Display| {
+            let message = error.to_string();
+            (keys::DAEMON_FAILED, SessionReply::Failed { epoch, message })
+        };
+        for session in batch {
+            let (key, reply) = match &composed {
+                Ok(composition) => match self.shared.execute(composition.clone()) {
+                    Ok(report) => (keys::DAEMON_COMPLETED, SessionReply::Completed(report)),
+                    Err(error) => failed(&error),
+                },
+                Err(ComposeError::Rejected(diags)) => {
+                    (keys::DAEMON_REJECTED, SessionReply::Rejected(diags.clone()))
                 }
-            }
-            Err(ComposeError::Rejected(diags)) => {
-                for session in batch {
-                    self.count(keys::DAEMON_REJECTED, 1);
-                    responses.push(BrokerResponse {
-                        conn_id: session.conn_id,
-                        corr_id: session.corr_id,
-                        session_id: session.session_id,
-                        reply: SessionReply::Outcome(ServeOutcome::Rejected(diags.clone())),
-                    });
-                }
-            }
-            Err(error) => {
-                let epoch = self.shared.with(|e| e.epoch());
-                let message = error.to_string();
-                for session in batch {
-                    self.count(keys::DAEMON_FAILED, 1);
-                    responses.push(BrokerResponse {
-                        conn_id: session.conn_id,
-                        corr_id: session.corr_id,
-                        session_id: session.session_id,
-                        reply: SessionReply::Failed {
-                            epoch,
-                            message: message.clone(),
-                        },
-                    });
-                }
-            }
+                Err(error) => failed(error),
+            };
+            self.count(key, 1);
+            responses.push(BrokerResponse {
+                conn_id: session.conn_id,
+                corr_id: session.corr_id,
+                session_id: session.session_id,
+                reply,
+            });
         }
     }
 }
@@ -234,15 +219,15 @@ impl Broker {
 /// Fails when a diagnostic exceeds the wire's string width.
 pub fn reply_frame(corr_id: u64, reply: &SessionReply) -> Result<Frame, ProtocolError> {
     match reply {
-        SessionReply::Outcome(ServeOutcome::Completed(report)) => Ok(Frame {
+        SessionReply::Completed(report) => Ok(Frame {
             frame_type: FrameType::Completed,
             payload: wire::encode_completed(corr_id, ExecutionSummary::from_report(report)),
         }),
-        SessionReply::Outcome(ServeOutcome::Busy { retry_after_ticks }) => Ok(Frame {
+        SessionReply::Busy { retry_after_ticks } => Ok(Frame {
             frame_type: FrameType::Busy,
             payload: wire::encode_busy(corr_id, *retry_after_ticks),
         }),
-        SessionReply::Outcome(ServeOutcome::Rejected(diags)) => Ok(Frame {
+        SessionReply::Rejected(diags) => Ok(Frame {
             frame_type: FrameType::Rejected,
             payload: wire::encode_rejected(corr_id, diags)?,
         }),
@@ -256,9 +241,7 @@ pub fn reply_frame(corr_id: u64, reply: &SessionReply) -> Result<Frame, Protocol
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testkit::{request, shared_with_recorder};
-    use qasom::{SessionRequest, UserRequest};
-    use qasom_task::{Activity, TaskNode, UserTask};
+    use crate::testkit::{request, shared_with_recorder, unserved};
 
     fn submit(broker: &mut Broker, conn: u64, corr: u64, client: &str, task: &str) -> Submission {
         let req = request(task);
@@ -280,7 +263,7 @@ mod tests {
         assert_eq!(responses.len(), 4);
         assert!(responses
             .iter()
-            .all(|r| matches!(&r.reply, SessionReply::Outcome(ServeOutcome::Completed(_)))));
+            .all(|r| matches!(&r.reply, SessionReply::Completed(_))));
         let snap = recorder.snapshot().unwrap();
         assert_eq!(snap.counter(keys::DAEMON_BATCHES), 1);
         assert_eq!(snap.counter(keys::DAEMON_BATCHED_SESSIONS), 4);
@@ -290,23 +273,19 @@ mod tests {
     }
 
     #[test]
-    fn batched_serving_matches_the_library_path_outcome() {
+    fn batched_serving_matches_compose_then_execute() {
         let (shared, _recorder) = shared_with_recorder();
-        let direct = shared
-            .serve_session(&SessionRequest::new(request("hot")))
-            .unwrap();
+        let (_, composition) = shared.compose_with_epoch(&request("hot")).unwrap();
+        let direct = shared.execute(composition).unwrap();
         let mut broker = Broker::new(shared, BrokerConfig::default());
         submit(&mut broker, 0, 0, "c", "hot");
         let responses = broker.tick();
-        match (&responses[0].reply, direct) {
-            (
-                SessionReply::Outcome(ServeOutcome::Completed(batched)),
-                ServeOutcome::Completed(direct),
-            ) => {
+        match &responses[0].reply {
+            SessionReply::Completed(batched) => {
                 assert_eq!(batched.success, direct.success);
                 assert_eq!(batched.invocations.len(), direct.invocations.len());
             }
-            other => panic!("expected two completions, got {other:?}"),
+            other => panic!("expected a completion, got {other:?}"),
         }
     }
 
@@ -351,21 +330,30 @@ mod tests {
     fn compose_failures_fail_every_session_in_the_batch() {
         let (shared, recorder) = shared_with_recorder();
         let mut broker = Broker::new(shared, BrokerConfig::default());
-        // No provider serves d#Nothing.
         submit(&mut broker, 0, 0, "a", "hot");
-        let req = UserRequest::new(
-            UserTask::new("t", TaskNode::activity(Activity::new("x", "d#Nothing"))).unwrap(),
-        );
+        let req = unserved();
         let sig = wire::encode_request_body(&req).unwrap();
         broker.submit(1, 1, "b", req.clone(), sig.clone());
         broker.submit(2, 2, "c", req, sig);
+        let reads = || {
+            recorder
+                .snapshot()
+                .unwrap()
+                .counter(keys::SERVING_READ_LOCKS)
+        };
+        let reads_before = reads();
         let responses = broker.tick();
+        // One read guard per batch: the failed compose's epoch is read
+        // under its own guard, not a second one.
+        assert_eq!(reads() - reads_before, 2);
         assert_eq!(responses.len(), 3);
-        let failed: Vec<_> = responses
+        // No churn ran, so both failures carry the current epoch.
+        let epoch = broker.epoch();
+        let failed = responses
             .iter()
-            .filter(|r| matches!(r.reply, SessionReply::Failed { .. }))
-            .collect();
-        assert_eq!(failed.len(), 2);
+            .filter(|r| matches!(r.reply, SessionReply::Failed { epoch: e, .. } if e == epoch))
+            .count();
+        assert_eq!(failed, 2);
         let snap = recorder.snapshot().unwrap();
         assert_eq!(snap.counter(keys::DAEMON_FAILED), 2);
         assert_eq!(snap.counter(keys::DAEMON_COMPLETED), 1);

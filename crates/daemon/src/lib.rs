@@ -102,6 +102,22 @@ mod testkit {
             .unwrap()
     }
 
+    /// A request the analyzer rejects (QA010): a constraint on a
+    /// property the QoS model does not define.
+    pub(crate) fn unknown_property() -> UserRequest {
+        request("bogus")
+            .constraint("Bogus", 1.0, Unit::Dimensionless)
+            .unwrap()
+    }
+
+    /// A request that passes analysis but fails to compose: no provider
+    /// serves `d#Nothing`.
+    pub(crate) fn unserved() -> UserRequest {
+        UserRequest::new(
+            UserTask::new("t", TaskNode::activity(Activity::new("x", "d#Nothing"))).unwrap(),
+        )
+    }
+
     /// A one-activity request for `d#A`; the task name sets the signature.
     pub(crate) fn request(task: &str) -> UserRequest {
         UserRequest::new(

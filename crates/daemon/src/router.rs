@@ -22,7 +22,7 @@
 
 use std::collections::BTreeMap;
 
-use qasom::{ServeOutcome, SharedEnvironment};
+use qasom::SharedEnvironment;
 use qasom_obs::keys;
 
 use crate::broker::{reply_frame, Broker, BrokerConfig, SessionReply, Submission};
@@ -113,7 +113,7 @@ impl Router {
                     .submit(conn_id, corr_id, client, *request, signature);
                 // Shed now, in arrival order, not at the next tick.
                 if let Submission::Shed { retry_after_ticks } = submission {
-                    let busy = SessionReply::Outcome(ServeOutcome::Busy { retry_after_ticks });
+                    let busy = SessionReply::Busy { retry_after_ticks };
                     self.reply(conn_id, corr_id, &busy, sink);
                 }
             }
@@ -182,7 +182,9 @@ mod tests {
     use super::*;
     use crate::admission::AdmissionConfig;
     use crate::session::{decode_client_event, ClientEvent, ClientOutcome};
-    use crate::testkit::{request, shared_with_recorder, too_wide_to_reject};
+    use crate::testkit::{
+        request, shared_with_recorder, too_wide_to_reject, unknown_property, unserved,
+    };
     use qasom::UserRequest;
     use qasom_obs::Recorder;
 
@@ -298,6 +300,22 @@ mod tests {
                 answered: (&["ack", "error#0"], &[]),
                 closes: true,
                 frames_read: 1,
+            },
+            Case {
+                name: "an analyzer rejection is answered at the tick",
+                queue_capacity: 64,
+                inbound: vec![hello(), compose(3, &unknown_property())],
+                answered: (&["ack"], &["rejected#3"]),
+                closes: false,
+                frames_read: 2,
+            },
+            Case {
+                name: "a compose failure is answered with an error at the tick",
+                queue_capacity: 64,
+                inbound: vec![hello(), compose(4, &unserved())],
+                answered: (&["ack"], &["error#4"]),
+                closes: false,
+                frames_read: 2,
             },
             Case {
                 name: "a reply too wide for the wire becomes a short error",

@@ -77,11 +77,10 @@ pub const EVENT_ANALYSIS_WARNING: &str = "events.analysis_warning";
 /// Completed executions (successful or not).
 pub const EVENT_COMPLETED: &str = "events.completed";
 
-/// Sessions served through `SharedEnvironment::serve_session`.
-pub const SERVING_SESSIONS: &str = "serving.sessions";
-/// Read-lock acquisitions by the serving layer (compose/query phase).
+/// `SharedEnvironment` read-lock acquisitions (compose and queries).
 pub const SERVING_READ_LOCKS: &str = "serving.read_locks";
-/// Write-lock acquisitions by the serving layer (execute/churn phase).
+/// `SharedEnvironment` write-lock acquisitions (execute, churn,
+/// checkpoints, ontology reloads).
 pub const SERVING_WRITE_LOCKS: &str = "serving.write_locks";
 /// Registry snapshots handed out (`Environment::registry_snapshot`).
 pub const SERVING_SNAPSHOTS: &str = "serving.snapshot_refreshes";
@@ -97,7 +96,7 @@ pub const DAEMON_QUOTA_DENIALS: &str = "daemon.quota_denials";
 pub const DAEMON_COMPLETED: &str = "daemon.sessions_completed";
 /// Sessions rejected by static analysis (typed `Rejected` outcome).
 pub const DAEMON_REJECTED: &str = "daemon.sessions_rejected";
-/// Sessions that failed with a serve error (non-typed failure frame).
+/// Sessions whose compose or execute failed (`ERROR` reply).
 pub const DAEMON_FAILED: &str = "daemon.sessions_failed";
 /// Compose batches formed by the batcher (one compose pass each).
 pub const DAEMON_BATCHES: &str = "daemon.batches";
@@ -192,7 +191,6 @@ pub const SECTIONS: &[(&str, &[(&str, Source)])] = &[
     (
         "serving",
         &[
-            ("sessions", Counter(SERVING_SESSIONS)),
             ("read_locks", Counter(SERVING_READ_LOCKS)),
             ("write_locks", Counter(SERVING_WRITE_LOCKS)),
             ("snapshot_refreshes", Counter(SERVING_SNAPSHOTS)),

@@ -18,7 +18,7 @@
 //! * `--report FILE` write the seed-stamped [`RunReport`] JSON of this
 //!   run to `FILE` (`-` for stdout).
 //!
-//! The scenario subcommands (`report`, `stress`, `daemon-stress`,
+//! The scenario subcommands (`report`, `daemon-stress`,
 //! `persist-stress`) are the rows of
 //! [`qasom_bench::scenarios::SCENARIOS`]: each is documented, flagged and
 //! implemented there, prints a JSON document that is byte-identical for

@@ -26,8 +26,8 @@ const SCHEMA_FIXTURE: &str = include_str!("fixtures/run_report_schema.txt");
 
 #[test]
 fn golden_same_seed_byte_identical() {
-    let a = demo_run_report(1234).to_pretty_string();
-    let b = demo_run_report(1234).to_pretty_string();
+    let a = demo_run_report(1234).unwrap().to_pretty_string();
+    let b = demo_run_report(1234).unwrap().to_pretty_string();
     assert_eq!(a, b, "RunReport must be a pure function of the seed");
 }
 
@@ -35,7 +35,7 @@ fn golden_same_seed_byte_identical() {
 fn schema_matches_checked_in_fixture() {
     // What `qasom-cli report --schema` prints (the CLI regenerates the
     // fixture).
-    let mut actual = key_paths(&demo_run_report(42).to_json()).join("\n");
+    let mut actual = key_paths(&demo_run_report(42).unwrap().to_json()).join("\n");
     actual.push('\n');
     assert_eq!(
         actual, SCHEMA_FIXTURE,
@@ -46,7 +46,7 @@ fn schema_matches_checked_in_fixture() {
 
 #[test]
 fn demo_report_sections_are_all_populated() {
-    let report = demo_run_report(42);
+    let report = demo_run_report(42).unwrap();
     assert!(report.compose.is_some());
     assert!(report.execution.is_some());
     assert!(report.discovery.is_some());

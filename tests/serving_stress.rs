@@ -5,7 +5,7 @@
 use std::sync::{mpsc, Arc};
 use std::thread;
 
-use qasom::{Environment, ServeOutcome, SessionRequest, SharedEnvironment, UserRequest};
+use qasom::{Environment, SharedEnvironment, UserRequest};
 use qasom_bench::scenarios;
 use qasom_netsim::runtime::SyntheticService;
 use qasom_obs::{MemoryRecorder, Recorder};
@@ -22,6 +22,14 @@ fn market(seed: u64) -> SharedEnvironment {
 
 fn request() -> UserRequest {
     scenarios::one_activity_request("t").unwrap()
+}
+
+/// One session as the daemon's broker runs it: compose under the read
+/// lock, then execute under the write lock.
+fn serve(shared: &SharedEnvironment) {
+    let (_, composition) = shared.compose_with_epoch(&request()).expect("composes");
+    let report = shared.execute(composition).expect("executes");
+    assert!(report.success);
 }
 
 /// The name of the service a composition of [`request`] bound, resolved
@@ -185,8 +193,7 @@ fn concurrent_compositions_agree_with_their_ontology() {
 
 /// A fixed, single-threaded interleaving of sessions and churn: the
 /// full run report (serving counters included) must be byte-identical
-/// across repeats of the same seed — the determinism contract CI's
-/// `cmp` check relies on.
+/// across repeats of the same seed.
 fn scripted_run(seed: u64) -> String {
     let shared = market(seed);
     let recorder = Arc::new(MemoryRecorder::new());
@@ -195,9 +202,7 @@ fn scripted_run(seed: u64) -> String {
         if round % 3 == 0 {
             shared.with_mut(toggle_burst);
         }
-        let session = SessionRequest::new(request()).for_client("stress");
-        let outcome = shared.serve_session(&session).expect("session serves");
-        assert!(matches!(outcome, ServeOutcome::Completed(_)));
+        serve(&shared);
     }
     shared.with(|e| e.run_report("stress").to_compact_string())
 }
@@ -218,17 +223,13 @@ fn serving_section_reports_the_lock_split() {
     let recorder = Arc::new(MemoryRecorder::new());
     shared.with_mut(|e| e.set_recorder(Arc::clone(&recorder) as Arc<dyn Recorder>));
     for _ in 0..5 {
-        let outcome = shared
-            .serve_session(&SessionRequest::new(request()))
-            .expect("session serves");
-        assert!(matches!(outcome, ServeOutcome::Completed(_)));
+        serve(&shared);
     }
     let registry = shared.with(|e| e.registry_snapshot());
     assert_eq!(registry.len(), BASE_PROVIDERS);
 
     let report = shared.with(|e| e.run_report("stress"));
     let serving = report.serving.expect("recorder configured");
-    assert_eq!(serving["sessions"], 5);
     // 5 serve compose-phases + the snapshot `with` + the report `with`.
     assert_eq!(serving["read_locks"], 7);
     // 5 serve execute-phases; `set_recorder` ran before the recorder

@@ -3,9 +3,7 @@
 
 use std::thread;
 
-use qasom::{
-    Environment, RegistryDelta, ServeOutcome, SessionRequest, SharedEnvironment, UserRequest,
-};
+use qasom::{Environment, RegistryDelta, SharedEnvironment, UserRequest};
 use qasom_bench::scenarios;
 use qasom_netsim::runtime::SyntheticService;
 use qasom_ontology::OntologyBuilder;
@@ -65,14 +63,11 @@ fn many_sessions_with_concurrent_churn() {
             thread::spawn(move || {
                 let mut successes = 0;
                 for _ in 0..10 {
-                    let session = SessionRequest::new(request()).for_client("shared-test");
-                    match s.serve_session(&session) {
-                        Ok(ServeOutcome::Completed(report)) => {
-                            assert!(report.success);
-                            successes += 1;
-                        }
-                        other => panic!("session did not complete: {other:?}"),
-                    }
+                    // The broker's sequence: compose, then execute.
+                    let (_, composition) = s.compose_with_epoch(&request()).expect("composes");
+                    let report = s.execute(composition).expect("executes");
+                    assert!(report.success);
+                    successes += 1;
                 }
                 successes
             })
@@ -81,8 +76,8 @@ fn many_sessions_with_concurrent_churn() {
 
     churner.join().unwrap();
     let total: usize = sessions.into_iter().map(|h| h.join().unwrap()).sum();
-    // serve_session() composes under the read lock and executes under
-    // the write lock; churn slipping between the phases is absorbed by
+    // A session composes under the read lock and executes under the
+    // write lock; churn slipping between the phases is absorbed by
     // dynamic binding, so every session request must still complete.
     assert_eq!(total, 80);
 
