@@ -54,5 +54,5 @@ mod substitute;
 
 pub use behavioural::{AdaptationPlan, BehaviouralAdapter};
 pub use homeo::{find_homeomorphism, find_order_embedding, Homeomorphism};
-pub use monitor::{CompositionMonitor, MonitorConfig, QosMonitor, Violation};
+pub use monitor::{overlay, CompositionMonitor, MonitorConfig, QosMonitor, Violation};
 pub use substitute::{Substitution, SubstitutionPlan};

@@ -277,23 +277,24 @@ impl CompositionMonitor {
         self.bindings
             .iter()
             .zip(&self.advertised)
-            .map(|(&svc, advertised)| {
-                match read(monitor, svc) {
-                    Some(mut observed) => {
-                        // Properties never observed fall back to the
-                        // advertisement.
-                        for (p, v) in advertised.iter() {
-                            if !observed.contains(p) {
-                                observed.set(p, v);
-                            }
-                        }
-                        observed
-                    }
-                    None => advertised.clone(),
-                }
-            })
+            .map(|(&svc, advertised)| overlay(read(monitor, svc), advertised))
             .collect()
     }
+}
+
+/// What is believed of one service: every property in `observed` (a
+/// monitor estimate or prediction), and its advertised value for every
+/// property the monitor never saw delivered.
+pub fn overlay(observed: Option<QosVector>, advertised: &QosVector) -> QosVector {
+    let Some(mut observed) = observed else {
+        return advertised.clone();
+    };
+    for (p, v) in advertised.iter() {
+        if !observed.contains(p) {
+            observed.set(p, v);
+        }
+    }
+    observed
 }
 
 #[cfg(test)]

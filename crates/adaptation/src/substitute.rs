@@ -4,7 +4,7 @@ use qasom_qos::{PropertyId, QosModel, QosVector};
 use qasom_registry::ServiceId;
 use qasom_selection::{Aggregator, ServiceCandidate};
 
-use crate::{CompositionMonitor, QosMonitor};
+use crate::{overlay, CompositionMonitor, QosMonitor};
 
 /// A planned substitution: replace the service bound to `activity`.
 #[derive(Debug, Clone, PartialEq)]
@@ -99,11 +99,9 @@ impl<'a> Substitution<'a> {
                 if alternate.id() == bound {
                     continue;
                 }
-                // Believe the monitor about the alternate too, if it has
-                // history; otherwise trust its advertisement.
-                let alternate_qos = monitor
-                    .estimate(alternate.id())
-                    .unwrap_or_else(|| alternate.qos().clone());
+                // Believe the monitor about the alternate too where it has
+                // history; trust its advertisement for the rest.
+                let alternate_qos = overlay(monitor.estimate(alternate.id()), alternate.qos());
                 let mut trial = believed.clone();
                 trial[activity] = alternate_qos;
                 let expected = aggregator.aggregate(composition.task(), &trial, &properties);
@@ -261,6 +259,49 @@ mod tests {
         if let Some(p) = plan {
             assert!(f.ids.contains(&p.to.id()));
         }
+    }
+
+    #[test]
+    fn an_observed_alternate_keeps_its_unobserved_advertised_properties() {
+        // One activity. The bound service is observed slow; the
+        // alternate is observed fast on ResponseTime only, so its
+        // advertised Availability is all there is to judge it by.
+        let model = QosModel::standard();
+        let rt = model.property("ResponseTime").unwrap();
+        let av = model.property("Availability").unwrap();
+        let mut reg = ServiceRegistry::new();
+        let bound = reg.register(ServiceDescription::new("bound", "d#F"));
+        let alt = reg.register(ServiceDescription::new("alt", "d#F"));
+        let advertised =
+            |ms: f64, a: f64| -> QosVector { [(rt, ms), (av, a)].into_iter().collect() };
+        let alternates = vec![vec![
+            ServiceCandidate::new(bound, advertised(100.0, 0.99)),
+            ServiceCandidate::new(alt, advertised(90.0, 0.95)),
+        ]];
+        let task = UserTask::new("t", TaskNode::activity(Activity::new("a", "x#A"))).unwrap();
+        let constraints: ConstraintSet = [
+            Constraint::new(rt, Tendency::LowerBetter, 250.0),
+            Constraint::new(av, Tendency::HigherBetter, 0.9),
+        ]
+        .into_iter()
+        .collect();
+        let comp = CompositionMonitor::new(
+            task,
+            vec![bound],
+            vec![advertised(100.0, 0.99)],
+            constraints,
+            AggregationApproach::MeanValue,
+        );
+        let mut m = QosMonitor::new();
+        for _ in 0..3 {
+            m.observe(bound, &qv(rt, 300.0));
+            m.observe(alt, &qv(rt, 90.0));
+        }
+        let plan = Substitution::new(&model)
+            .plan(&comp, &m, &alternates)
+            .expect("the alternate meets both constraints");
+        assert_eq!(plan.to.id(), alt);
+        assert_eq!(plan.expected.get(av), Some(0.95));
     }
 
     #[test]

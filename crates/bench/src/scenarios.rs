@@ -578,6 +578,7 @@ fn persist_stress(flags: &Flags) -> Result<JsonValue, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qasom_obs::keys;
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|&a| a.to_owned()).collect()
@@ -635,28 +636,37 @@ mod tests {
     fn the_daemon_script_exercises_batching_and_quotas() {
         let daemon = find("daemon-stress").unwrap();
         let flags = Flags::parse(daemon.name, daemon.flags, Vec::new()).unwrap();
-        let JsonValue::Object(sections) = (daemon.run)(&flags).unwrap() else {
-            panic!("a report is an object");
+        let report = (daemon.run)(&flags).unwrap();
+        let object = |value: &JsonValue, key: &str| match value {
+            JsonValue::Object(fields) => fields
+                .iter()
+                .find(|(k, _)| k == key)
+                .map(|(_, v)| v.clone()),
+            _ => None,
         };
-        let Some((_, JsonValue::Object(section))) = sections.iter().find(|(k, _)| k == "daemon")
-        else {
-            panic!("daemon section present");
+        let counters = object(&report, "metrics")
+            .and_then(|metrics| object(&metrics, "counters"))
+            .expect("metrics.counters present");
+        // A counter that never moved is absent and reads 0.
+        let count = |key: &str| match object(&counters, key) {
+            Some(JsonValue::U64(n)) => n,
+            None => 0,
+            other => panic!("{key}: {other:?}"),
         };
-        let count = |field: &str| match section.iter().find(|(k, _)| k == field) {
-            Some((_, JsonValue::U64(n))) => *n,
-            other => panic!("{field}: {other:?}"),
-        };
-        let admitted = count("sessions_admitted");
+        let admitted = count(keys::DAEMON_ADMITTED);
         assert!(admitted > 0);
         // The batcher actually groups: fewer compose passes than
         // sessions.
-        assert!(count("batches") > 0 && count("batches") < admitted);
+        let batches = count(keys::DAEMON_BATCHES);
+        assert!(batches > 0 && batches < admitted);
         // The bursty client trips its quota; the script is sized so the
         // queue itself never saturates before quotas do.
-        assert!(count("quota_denials") > 0);
+        assert!(count(keys::DAEMON_QUOTA_DENIALS) > 0);
         assert_eq!(
             admitted,
-            count("sessions_completed") + count("sessions_rejected") + count("sessions_failed")
+            count(keys::DAEMON_COMPLETED)
+                + count(keys::DAEMON_REJECTED)
+                + count(keys::DAEMON_FAILED)
         );
     }
 }

@@ -98,9 +98,9 @@ fn demo_task() -> Result<UserTask, String> {
 /// Runs the builtin scenario and assembles the full [`RunReport`].
 ///
 /// The report covers every section: compose + execution from the
-/// centralized pipeline, discovery/selection/metrics from the attached
-/// recorder, and a distributed QASSA run (same seed) over the network
-/// simulator.
+/// centralized pipeline, the discovery/selection/event counters of the
+/// attached recorder under `metrics`, and a distributed QASSA run (same
+/// seed) over the network simulator.
 ///
 /// # Errors
 ///
@@ -123,7 +123,7 @@ pub fn demo_run_report(seed: u64) -> Result<RunReport, String> {
 
     // The distributed leg: the same seed drives a synthetic workload
     // sharded over seven simulated providers, flushing protocol counts
-    // and RTTs into the same recorder.
+    // into the same recorder; phase times and RTTs land in its section.
     let model = env.model().clone();
     let workload = WorkloadSpec::evaluation_default()
         .activities(3)
@@ -147,6 +147,7 @@ pub fn demo_run_report(seed: u64) -> Result<RunReport, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qasom_obs::keys;
 
     #[test]
     fn demo_report_covers_every_section() {
@@ -160,10 +161,8 @@ mod tests {
         // pay-nfc crashes once: at least one failure and a substitution.
         assert!(execution.failures >= 1);
         assert!(execution.substitutions >= 1);
-        let discovery = report.discovery.as_ref().expect("discovery section");
-        assert!(discovery["indexed_queries"] >= 3);
-        let selection = report.selection.as_ref().expect("selection section");
-        assert!(selection["runs"] >= 1);
+        assert!(report.metrics.counter(keys::DISCOVERY_INDEXED) >= 3);
+        assert!(report.metrics.counter(keys::SELECTION_RUNS) >= 1);
         let distributed = report.distributed.as_ref().expect("distributed section");
         assert_eq!(distributed.providers, 7);
         assert!(distributed.net.sent > 0);

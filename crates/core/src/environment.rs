@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use qasom_adaptation::{MonitorConfig, QosMonitor};
+use qasom_adaptation::{overlay, MonitorConfig, QosMonitor};
 use qasom_analysis::{Analyzer, ApproachKind, RequestSpec};
 use qasom_netsim::runtime::{ServiceRuntime, SyntheticService};
 use qasom_obs::report::{ComposeSection, ExecutionSection, RunReport};
@@ -276,20 +276,16 @@ impl Environment {
         CacheStats { misses: 0 }
     }
 
-    /// Assembles a [`RunReport`] from the recorder's current snapshot:
-    /// every counter-backed section is derived from the pipeline
-    /// counters (per `qasom_obs::keys::SECTIONS`) and the full
-    /// [`qasom_obs::MetricsSnapshot`] rides along. Compose/execution/
+    /// Assembles a [`RunReport`] whose `metrics` is the recorder's
+    /// current [`qasom_obs::MetricsSnapshot`]. Compose/execution/
     /// distributed sections are left for the caller to fill from the
     /// corresponding reports. Without a recorder the report carries an
-    /// empty snapshot and no derived sections.
+    /// empty snapshot.
     pub fn run_report(&self, scenario: &str) -> RunReport {
         let mut report = RunReport::new(self.config.seed, scenario);
-        let Some(snapshot) = self.recorder.as_ref().and_then(|r| r.snapshot()) else {
-            return report;
-        };
-        report.fill_counter_sections(&snapshot);
-        report.metrics = snapshot;
+        if let Some(snapshot) = self.recorder.as_ref().and_then(|r| r.snapshot()) {
+            report.metrics = snapshot;
+        }
         report
     }
 
@@ -757,15 +753,8 @@ impl Environment {
             found = found
                 .into_iter()
                 .map(|c| match self.monitor.estimate(c.id()) {
-                    Some(mut observed) => {
-                        // Properties never observed keep their
-                        // (perceived) advertisement.
-                        for (p, v) in c.qos().iter() {
-                            if !observed.contains(p) {
-                                observed.set(p, v);
-                            }
-                        }
-                        ServiceCandidate::new(c.id(), observed)
+                    Some(observed) => {
+                        ServiceCandidate::new(c.id(), overlay(Some(observed), c.qos()))
                     }
                     None => c,
                 })
@@ -927,13 +916,10 @@ mod tests {
         assert_eq!(snap.counter(qasom_obs::keys::SELECTION_RUNS), 1);
         assert!(snap.counter(qasom_obs::keys::DISCOVERY_INDEXED) >= 2);
 
-        // And the derived report sections reflect those counters.
+        // And the report carries exactly those counters.
         let rr = e.run_report("unit");
         assert_eq!(rr.seed, 7);
-        let selection = rr.selection.expect("selection section");
-        assert_eq!(selection["runs"], 1);
-        let discovery = rr.discovery.expect("discovery section");
-        assert!(discovery["indexed_queries"] >= 2);
+        assert_eq!(rr.metrics, snap);
     }
 
     #[test]

@@ -1,13 +1,10 @@
-//! Canonical metric names, and the table that turns them into report
-//! sections.
+//! Canonical counter names.
 //!
-//! Producers (`qasom-registry`, `qasom-selection`, `qasom`) and the
-//! report assembly agree on these constants so a renamed counter is a
-//! compile error, not a silently empty report field. [`SECTIONS`] is the
-//! single place that says which counter appears under which field of
-//! which [`RunReport`](crate::report::RunReport) section: a new counter
-//! is one constant plus one row there, and `qasom-cli report --schema`
-//! regenerates the schema fixture from it.
+//! Producers (`qasom-registry`, `qasom-selection`, `qasom`) and readers
+//! (`report.metrics.counter(keys::X)`) agree on these constants, so a
+//! renamed counter is a compile error, not a silent 0. A new counter is
+//! one constant here; `qasom-cli report --schema` picks it up from
+//! `metrics.counters` once a scenario bumps it.
 
 /// Discovery queries answered via the inverted capability index.
 pub const DISCOVERY_INDEXED: &str = "discovery.indexed_queries";
@@ -50,8 +47,6 @@ pub const DISTRIBUTED_MESSAGES: &str = "distributed.messages";
 pub const DISTRIBUTED_RETRIES: &str = "distributed.retries";
 /// Providers whose digest reached the coordinator.
 pub const DISTRIBUTED_PROVIDERS_HEARD: &str = "distributed.providers_heard";
-/// Histogram of provider round-trip times in simulated milliseconds.
-pub const DISTRIBUTED_RTT_MS: &str = "distributed.rtt_ms";
 
 /// Messages dropped by simulated links.
 pub const NETSIM_DROPPED: &str = "netsim.dropped";
@@ -123,95 +118,3 @@ pub const PERSIST_TORN_TAIL: &str = "persistence.wal.torn_tail";
 pub const PERSIST_SNAPSHOT_LOADS: &str = "persistence.snapshot.loads";
 /// Journal I/O failures (journaling stops at the first one).
 pub const PERSIST_ERRORS: &str = "persistence.errors";
-
-/// Spans a `MemoryRecorder` evicted to stay within its retention cap;
-/// the key appears only once an eviction has happened.
-pub const OBS_SPANS_DROPPED: &str = "obs.spans_dropped";
-
-/// Span covering one QASSA selection (logical clock: activities done).
-pub const SPAN_SELECT: &str = "qassa.select";
-/// Span covering a distributed run's local phase (simulated µs).
-pub const SPAN_DISTRIBUTED_LOCAL: &str = "distributed.local_phase";
-/// Span covering a distributed run's global phase (simulated µs).
-pub const SPAN_DISTRIBUTED_GLOBAL: &str = "distributed.global_phase";
-
-/// Where one field of a counter-backed report section takes its value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Source {
-    /// The recorder counter with this key.
-    Counter(&'static str),
-    /// The first count field divided by the sum of the listed count
-    /// fields of the same section; 0 when that sum is 0.
-    Ratio(&'static str, &'static [&'static str]),
-}
-
-use Source::{Counter, Ratio};
-
-/// The counter-backed sections of a
-/// [`RunReport`](crate::report::RunReport): section name → its JSON
-/// fields in serialisation order, each with the [`Source`] of its
-/// value. [`CounterSection`](crate::report::CounterSection) is filled
-/// from, read through and serialised by this table and nothing else.
-pub const SECTIONS: &[(&str, &[(&str, Source)])] = &[
-    (
-        "discovery",
-        &[
-            ("indexed_queries", Counter(DISCOVERY_INDEXED)),
-            ("linear_queries", Counter(DISCOVERY_LINEAR)),
-            ("services_evaluated", Counter(DISCOVERY_EVALUATED)),
-            ("candidates", Counter(DISCOVERY_CANDIDATES)),
-        ],
-    ),
-    (
-        "selection",
-        &[
-            ("runs", Counter(SELECTION_RUNS)),
-            ("local_ranks", Counter(SELECTION_LOCAL_RANKS)),
-            ("local_levels", Counter(SELECTION_LOCAL_LEVELS)),
-            ("local_candidates", Counter(SELECTION_LOCAL_CANDIDATES)),
-            ("levels_explored", Counter(SELECTION_LEVELS_EXPLORED)),
-            ("utility_evaluations", Counter(SELECTION_UTILITY_EVALS)),
-            ("repair_swaps", Counter(SELECTION_REPAIR_SWAPS)),
-            ("pruned_candidates", Counter(SELECTION_PRUNED)),
-            ("exact_fallbacks", Counter(SELECTION_EXACT_FALLBACKS)),
-        ],
-    ),
-    (
-        "persistence",
-        &[
-            ("wal_appends", Counter(PERSIST_WAL_APPENDS)),
-            ("wal_bytes", Counter(PERSIST_WAL_BYTES)),
-            ("checkpoints", Counter(PERSIST_CHECKPOINTS)),
-            ("replayed_events", Counter(PERSIST_REPLAY_EVENTS)),
-            ("torn_tails", Counter(PERSIST_TORN_TAIL)),
-            ("snapshot_loads", Counter(PERSIST_SNAPSHOT_LOADS)),
-            ("errors", Counter(PERSIST_ERRORS)),
-        ],
-    ),
-    (
-        "serving",
-        &[
-            ("read_locks", Counter(SERVING_READ_LOCKS)),
-            ("write_locks", Counter(SERVING_WRITE_LOCKS)),
-            ("snapshot_refreshes", Counter(SERVING_SNAPSHOTS)),
-        ],
-    ),
-    (
-        "daemon",
-        &[
-            ("sessions_admitted", Counter(DAEMON_ADMITTED)),
-            ("sessions_shed", Counter(DAEMON_SHED)),
-            ("quota_denials", Counter(DAEMON_QUOTA_DENIALS)),
-            ("sessions_completed", Counter(DAEMON_COMPLETED)),
-            ("sessions_rejected", Counter(DAEMON_REJECTED)),
-            ("sessions_failed", Counter(DAEMON_FAILED)),
-            ("batches", Counter(DAEMON_BATCHES)),
-            ("batched_sessions", Counter(DAEMON_BATCHED_SESSIONS)),
-            // Mean sessions per compose batch.
-            ("batch_occupancy", Ratio("batched_sessions", &["batches"])),
-            ("frames_read", Counter(DAEMON_FRAMES_READ)),
-            ("frames_written", Counter(DAEMON_FRAMES_WRITTEN)),
-            ("ticks", Counter(DAEMON_TICKS)),
-        ],
-    ),
-];

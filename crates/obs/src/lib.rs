@@ -4,19 +4,21 @@
 //! protocol-level counts (selection latency, distributed message and
 //! coverage figures). This crate is the instrumentation seam that makes
 //! those quantities visible in the reproduction without ever touching a
-//! wall clock: every span is keyed on *logical or simulated* time
-//! supplied by the caller, so `clippy.toml` bans the wall clock and
-//! unordered collections in this crate outright.
+//! wall clock: it keeps counters, and the simulated phase times and RTTs
+//! stay in the producers' own report sections, so `clippy.toml` bans the
+//! wall clock and unordered collections in this crate outright.
 //!
 //! Three layers:
 //!
-//! * [`Recorder`] — the trait the pipeline is instrumented against.
-//!   Producers hold an `Option<&dyn Recorder>`; the disabled path is a
-//!   single branch on `None` and allocates nothing. [`NoopRecorder`]
-//!   exists for callers that want a value rather than an option.
-//! * [`MemoryRecorder`] — an in-memory implementation backed by ordered
-//!   maps (`BTreeMap`), so a [`MetricsSnapshot`] always serialises with
-//!   a stable field order regardless of emission interleaving.
+//! * [`Recorder`] — the trait the pipeline is instrumented against:
+//!   `incr` a named counter, `snapshot` them all. Producers hold an
+//!   `Option<&dyn Recorder>`; the disabled path is a single branch on
+//!   `None` and allocates nothing. [`NoopRecorder`] exists for callers
+//!   that want a value rather than an option.
+//! * [`MemoryRecorder`] — an in-memory implementation backed by one
+//!   ordered map (`BTreeMap`), so a [`MetricsSnapshot`] always
+//!   serialises with a stable field order regardless of emission
+//!   interleaving.
 //! * [`report`] — the one serialisable schema every consumer parses:
 //!   [`report::RunReport`] unifies the composition pipeline metrics,
 //!   the distributed protocol counters (previously only in
@@ -37,7 +39,4 @@ mod recorder;
 pub mod report;
 
 pub use json::{key_paths, JsonValue};
-pub use recorder::{
-    Histogram, MemoryRecorder, MetricsSnapshot, NoopRecorder, Recorder, SpanRecord,
-    DEFAULT_BUCKETS_MS, MAX_RETAINED_SPANS,
-};
+pub use recorder::{MemoryRecorder, MetricsSnapshot, NoopRecorder, Recorder};

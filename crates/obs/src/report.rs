@@ -8,15 +8,13 @@
 //! serialises with a stable field order so identical seeds yield
 //! byte-identical JSON.
 //!
-//! Sections that are plain counts (`discovery`, `selection`,
-//! `persistence`, `serving`, `daemon`) are one generic
-//! [`CounterSection`] filled from the [`keys::SECTIONS`] table.
-//! Sections carrying structured outcomes (`compose`, `execution`,
-//! `distributed`) are plain structs with public fields that their
-//! producers construct directly.
+//! Plain counts live once, in `metrics.counters`, under their
+//! [`keys`](crate::keys) names; a reader calls
+//! `report.metrics.counter(keys::X)`. Sections carrying structured
+//! outcomes (`compose`, `execution`, `distributed`) are plain structs
+//! with public fields that their producers construct directly.
 
 use crate::json::JsonValue;
-use crate::keys::{self, Source};
 use crate::recorder::MetricsSnapshot;
 
 /// Schema identifier stamped into every report; bump on breaking shape
@@ -25,95 +23,6 @@ pub const RUN_REPORT_SCHEMA: &str = "qasom.run-report.v1";
 
 /// Schema identifier for bench trajectory files (`BENCH_*.json`).
 pub const BENCH_REPORT_SCHEMA: &str = "qasom.bench-report.v1";
-
-/// One counter-backed report section: the ordered fields
-/// [`keys::SECTIONS`] declares for it, each holding a count. This one
-/// type stands in for a hand-written struct per section — the table
-/// decides which counter lands under which JSON field, so a new counter
-/// is one row there.
-///
-/// Count fields are read by name (`section["read_locks"]`), derived
-/// fields through [`CounterSection::ratio`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CounterSection {
-    fields: &'static [(&'static str, Source)],
-    // One slot per table row; `Ratio` rows stay 0 and are derived on read.
-    counts: Vec<u64>,
-}
-
-impl CounterSection {
-    /// Fills section `name` of [`keys::SECTIONS`] from `snapshot`
-    /// (absent counters read 0).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the table has no section `name` — a typo in the
-    /// calling code, not a runtime condition.
-    pub fn from_snapshot(name: &str, snapshot: &MetricsSnapshot) -> Self {
-        let fields = keys::SECTIONS
-            .iter()
-            .find(|(section, _)| *section == name)
-            .map(|(_, fields)| *fields)
-            .unwrap_or_else(|| panic!("keys::SECTIONS has no section {name:?}"));
-        let counts = fields
-            .iter()
-            .map(|&(_, source)| match source {
-                Source::Counter(key) => snapshot.counter(key),
-                Source::Ratio(..) => 0,
-            })
-            .collect();
-        CounterSection { fields, counts }
-    }
-
-    fn position(&self, field: &str) -> usize {
-        self.fields
-            .iter()
-            .position(|(name, _)| *name == field)
-            .unwrap_or_else(|| panic!("no field {field:?} in this report section"))
-    }
-
-    /// The value of derived field `field` (a [`Source::Ratio`] row).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the section has no ratio field of that name.
-    pub fn ratio(&self, field: &str) -> f64 {
-        let Source::Ratio(num, den) = self.fields[self.position(field)].1 else {
-            panic!("report field {field:?} is a count, not a ratio");
-        };
-        let total: u64 = den.iter().map(|&d| self[d]).sum();
-        if total == 0 {
-            0.0
-        } else {
-            self[num] as f64 / total as f64
-        }
-    }
-
-    /// Serialises in table order.
-    pub fn to_json(&self) -> JsonValue {
-        let mut json = JsonValue::object();
-        for (&(field, source), &count) in self.fields.iter().zip(&self.counts) {
-            json = match source {
-                Source::Ratio(..) => json.field(field, self.ratio(field)),
-                Source::Counter(_) => json.field(field, count),
-            };
-        }
-        json
-    }
-}
-
-/// Count fields by name.
-///
-/// # Panics
-///
-/// Indexing panics when the section has no field of that name.
-impl std::ops::Index<&str> for CounterSection {
-    type Output = u64;
-
-    fn index(&self, field: &str) -> &u64 {
-        &self.counts[self.position(field)]
-    }
-}
 
 /// Simulated-network totals for one run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -328,20 +237,9 @@ pub struct RunReport {
     pub compose: Option<ComposeSection>,
     /// Execution outcome, when the run executed the composition.
     pub execution: Option<ExecutionSection>,
-    /// Discovery totals.
-    pub discovery: Option<CounterSection>,
-    /// Selection totals.
-    pub selection: Option<CounterSection>,
     /// Distributed-protocol totals, when the run was distributed.
     pub distributed: Option<DistributedSection>,
-    /// Registry-persistence totals, when the run journaled to a WAL.
-    pub persistence: Option<CounterSection>,
-    /// Serving-layer totals, when the run went through
-    /// `SharedEnvironment`.
-    pub serving: Option<CounterSection>,
-    /// Daemon-layer totals, when the run went through `qasomd`.
-    pub daemon: Option<CounterSection>,
-    /// Raw metric snapshot (counters / histograms / spans).
+    /// Every pipeline counter the run's recorder kept.
     pub metrics: MetricsSnapshot,
 }
 
@@ -354,29 +252,8 @@ impl RunReport {
             scenario: scenario.to_owned(),
             compose: None,
             execution: None,
-            discovery: None,
-            selection: None,
             distributed: None,
-            persistence: None,
-            serving: None,
-            daemon: None,
             metrics: MetricsSnapshot::default(),
-        }
-    }
-
-    /// Fills every counter-backed section from `snapshot` by walking
-    /// [`keys::SECTIONS`].
-    pub fn fill_counter_sections(&mut self, snapshot: &MetricsSnapshot) {
-        for &(name, _) in keys::SECTIONS {
-            let section = Some(CounterSection::from_snapshot(name, snapshot));
-            match name {
-                "discovery" => self.discovery = section,
-                "selection" => self.selection = section,
-                "persistence" => self.persistence = section,
-                "serving" => self.serving = section,
-                "daemon" => self.daemon = section,
-                other => unreachable!("keys::SECTIONS names {other:?}, which RunReport lacks"),
-            }
         }
     }
 
@@ -393,18 +270,10 @@ impl RunReport {
             .field("scenario", self.scenario.as_str())
             .field("compose", opt(&self.compose, ComposeSection::to_json))
             .field("execution", opt(&self.execution, ExecutionSection::to_json))
-            .field("discovery", opt(&self.discovery, CounterSection::to_json))
-            .field("selection", opt(&self.selection, CounterSection::to_json))
             .field(
                 "distributed",
                 opt(&self.distributed, DistributedSection::to_json),
             )
-            .field(
-                "persistence",
-                opt(&self.persistence, CounterSection::to_json),
-            )
-            .field("serving", opt(&self.serving, CounterSection::to_json))
-            .field("daemon", opt(&self.daemon, CounterSection::to_json))
             .field("metrics", self.metrics.to_json())
     }
 
@@ -517,42 +386,27 @@ mod tests {
         full.compose = Some(ComposeSection::default());
         full.execution = Some(ExecutionSection::default());
         full.distributed = Some(DistributedSection::default());
-        full.fill_counter_sections(&MetricsSnapshot::default());
         let top = |r: &RunReport| match r.to_json() {
             JsonValue::Object(fields) => fields.iter().map(|(k, _)| k.clone()).collect::<Vec<_>>(),
             _ => Vec::new(),
         };
         assert_eq!(top(&empty), top(&full));
-        // Every table section landed in its slot and serialises (a
-        // `Ratio` row naming a missing field would panic here).
+        assert_eq!(
+            top(&full),
+            [
+                "schema",
+                "seed",
+                "scenario",
+                "compose",
+                "execution",
+                "distributed",
+                "metrics"
+            ]
+        );
         let JsonValue::Object(fields) = full.to_json() else {
             panic!("a report is an object");
         };
         assert!(fields.iter().all(|(_, v)| *v != JsonValue::Null));
-    }
-
-    #[test]
-    fn counter_sections_follow_the_table() {
-        let recorder = crate::MemoryRecorder::new();
-        crate::Recorder::incr(&recorder, keys::DISCOVERY_INDEXED, 3);
-        crate::Recorder::incr(&recorder, keys::DAEMON_BATCHES, 2);
-        crate::Recorder::incr(&recorder, keys::DAEMON_BATCHED_SESSIONS, 5);
-        let snapshot = crate::Recorder::snapshot(&recorder).expect("memory recorder snapshots");
-
-        let discovery = CounterSection::from_snapshot("discovery", &snapshot);
-        assert_eq!(discovery["indexed_queries"], 3);
-        let json = discovery.to_json().to_compact();
-        assert!(json.starts_with("{\"indexed_queries\":3,\"linear_queries\":0,"));
-
-        let daemon = CounterSection::from_snapshot("daemon", &snapshot);
-        assert_eq!(daemon.ratio("batch_occupancy"), 2.5);
-        assert!(daemon
-            .to_json()
-            .to_compact()
-            .contains("\"batched_sessions\":5,\"batch_occupancy\":2.5,"));
-        // An idle section divides nothing by nothing.
-        let idle = CounterSection::from_snapshot("daemon", &MetricsSnapshot::default());
-        assert_eq!(idle.ratio("batch_occupancy"), 0.0);
     }
 
     #[test]

@@ -324,9 +324,6 @@ impl<'a> Qassa<'a> {
             if let Ok(out) = &result {
                 rec.incr(keys::SELECTION_LEVELS_EXPLORED, out.levels_explored as u64);
             }
-            // A span on the run's own logical clock: one tick per full
-            // assignment evaluated.
-            rec.span(keys::SPAN_SELECT, 0, tally.utility_evals);
         }
         result
     }
@@ -1100,8 +1097,10 @@ mod tests {
         // This fixture needs repair swaps to mix fast and available
         // services (see repairs_find_constraint_compatible_mix).
         assert!(snap.counter(keys::SELECTION_REPAIR_SWAPS) >= 1);
-        assert_eq!(snap.spans.len(), 1);
-        assert_eq!(snap.spans[0].name, keys::SPAN_SELECT);
+        assert_eq!(
+            snap.counter(keys::SELECTION_LEVELS_EXPLORED),
+            observed.levels_explored as u64
+        );
     }
 
     #[test]

@@ -16,8 +16,8 @@ use qasom_selection::workload::{Tightness, WorkloadSpec};
 
 fn main() {
     let model = QosModel::standard();
-    // Protocol telemetry (messages, retries, per-provider RTTs) flows
-    // into a recorder; recording never changes the protocol itself.
+    // Protocol counters (messages, retries, digests heard) flow into a
+    // recorder; recording never changes the protocol itself.
     let recorder = MemoryRecorder::new();
 
     // Bob wants 4 kinds of items; each market stall (provider node)
@@ -67,13 +67,10 @@ fn main() {
 
     let snapshot = recorder.snapshot().expect("memory recorder retains data");
     println!(
-        "\ntelemetry across all runs: {} message(s), {} retransmission(s); \
-         median-free RTT histogram has {} sample(s)",
+        "\ntelemetry across all runs: {} message(s), {} retransmission(s), \
+         {} provider digest(s) heard",
         snapshot.counter(keys::DISTRIBUTED_MESSAGES),
         snapshot.counter(keys::DISTRIBUTED_RETRIES),
-        snapshot
-            .histograms
-            .get(keys::DISTRIBUTED_RTT_MS)
-            .map_or(0, |h| h.count()),
+        snapshot.counter(keys::DISTRIBUTED_PROVIDERS_HEARD),
     );
 }

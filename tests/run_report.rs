@@ -14,7 +14,7 @@ use proptest::prelude::*;
 use qasom::demo::demo_run_report;
 use qasom::{Environment, EnvironmentConfig, UserRequest};
 use qasom_netsim::runtime::SyntheticService;
-use qasom_obs::{key_paths, MemoryRecorder, NoopRecorder, Recorder};
+use qasom_obs::{key_paths, keys, JsonValue, MemoryRecorder, NoopRecorder, Recorder};
 use qasom_ontology::{Ontology, OntologyBuilder};
 use qasom_qos::{QosModel, Unit};
 use qasom_registry::ServiceDescription;
@@ -49,11 +49,15 @@ fn demo_report_sections_are_all_populated() {
     let report = demo_run_report(42).unwrap();
     assert!(report.compose.is_some());
     assert!(report.execution.is_some());
-    assert!(report.discovery.is_some());
-    assert!(report.selection.is_some());
     assert!(report.distributed.is_some());
-    assert!(!report.metrics.counters.is_empty());
-    assert!(!report.metrics.spans.is_empty());
+    assert!(report.metrics.counter(keys::DISCOVERY_INDEXED) >= 3);
+    assert!(report.metrics.counter(keys::SELECTION_RUNS) >= 1);
+    // Counters are the one metrics plane.
+    let JsonValue::Object(metrics) = report.metrics.to_json() else {
+        panic!("metrics is an object");
+    };
+    let names: Vec<&str> = metrics.iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(names, ["counters"]);
 }
 
 fn tiny_ontology() -> Ontology {

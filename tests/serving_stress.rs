@@ -8,7 +8,7 @@ use std::thread;
 use qasom::{Environment, SharedEnvironment, UserRequest};
 use qasom_bench::scenarios;
 use qasom_netsim::runtime::SyntheticService;
-use qasom_obs::{MemoryRecorder, Recorder};
+use qasom_obs::{keys, MemoryRecorder, Recorder};
 use qasom_ontology::{Iri, Ontology, OntologyBuilder};
 use qasom_registry::{Operation, ServiceDescription};
 
@@ -211,10 +211,13 @@ fn scripted_run(seed: u64) -> String {
 fn scripted_stress_report_is_deterministic_per_seed() {
     let first = scripted_run(42);
     assert_eq!(first, scripted_run(42));
-    assert!(first.contains("\"serving\":{"), "report: {first}");
+    assert!(
+        first.contains(&format!("\"{}\":", keys::SERVING_WRITE_LOCKS)),
+        "report: {first}"
+    );
 }
 
-/// The serving section accounts for the lock split exactly: one read
+/// The serving counters account for the lock split exactly: one read
 /// acquisition per compose-phase, one write per execute/churn, one
 /// snapshot per registry hand-out.
 #[test]
@@ -228,12 +231,11 @@ fn serving_section_reports_the_lock_split() {
     let registry = shared.with(|e| e.registry_snapshot());
     assert_eq!(registry.len(), BASE_PROVIDERS);
 
-    let report = shared.with(|e| e.run_report("stress"));
-    let serving = report.serving.expect("recorder configured");
+    let metrics = shared.with(|e| e.run_report("stress")).metrics;
     // 5 serve compose-phases + the snapshot `with` + the report `with`.
-    assert_eq!(serving["read_locks"], 7);
+    assert_eq!(metrics.counter(keys::SERVING_READ_LOCKS), 7);
     // 5 serve execute-phases; `set_recorder` ran before the recorder
     // was installed, so it is not observed.
-    assert_eq!(serving["write_locks"], 5);
-    assert_eq!(serving["snapshot_refreshes"], 1);
+    assert_eq!(metrics.counter(keys::SERVING_WRITE_LOCKS), 5);
+    assert_eq!(metrics.counter(keys::SERVING_SNAPSHOTS), 1);
 }
