@@ -43,15 +43,19 @@ impl<'a> Substitution<'a> {
     ///
     /// Activities are tried most-blamed-first (worst believed value on
     /// the most violated property); within an activity, alternates are
-    /// tried in their selection-time rank order. Returns `None` when no
-    /// single substitution suffices — the caller then escalates to
-    /// behavioural adaptation.
-    pub fn plan(
+    /// tried in their selection-time rank order, as `alternates(activity)`
+    /// yields them — an activity that must not be rebound yields none.
+    /// Returns `None` when no single substitution suffices — the caller
+    /// then escalates to behavioural adaptation.
+    pub fn plan<'c, I>(
         &self,
         composition: &CompositionMonitor,
         monitor: &QosMonitor,
-        alternates: &[Vec<ServiceCandidate>],
-    ) -> Option<SubstitutionPlan> {
+        alternates: impl Fn(usize) -> I,
+    ) -> Option<SubstitutionPlan>
+    where
+        I: IntoIterator<Item = &'c ServiceCandidate>,
+    {
         let believed = composition.believed_qos(monitor);
         let properties: Vec<PropertyId> = composition.constraints().properties().collect();
         let aggregator = Aggregator::new(self.model, composition.approach());
@@ -95,7 +99,7 @@ impl<'a> Substitution<'a> {
 
         for activity in activity_order {
             let bound = composition.bindings()[activity];
-            for alternate in alternates.get(activity).map_or(&[][..], Vec::as_slice) {
+            for alternate in alternates(activity) {
                 if alternate.id() == bound {
                     continue;
                 }
@@ -202,7 +206,7 @@ mod tests {
             m.observe(f.ids[0], &qv(f.rt, 300.0));
         }
         let plan = Substitution::new(&f.model)
-            .plan(&comp, &m, &f.alternates)
+            .plan(&comp, &m, |i| f.alternates.get(i).into_iter().flatten())
             .expect("a substitute exists");
         assert_eq!(plan.activity, 0);
         assert_eq!(plan.from, f.ids[0]);
@@ -218,7 +222,7 @@ mod tests {
             m.observe(f.ids[0], &qv(f.rt, 300.0));
         }
         assert!(Substitution::new(&f.model)
-            .plan(&comp, &m, &f.alternates)
+            .plan(&comp, &m, |i| f.alternates.get(i).into_iter().flatten())
             .is_none());
     }
 
@@ -235,7 +239,7 @@ mod tests {
         // the violation elsewhere (activity 1's alternate at 90 keeps the
         // total at 300 + 90 = 390 > 250, so no plan at all).
         assert!(Substitution::new(&f.model)
-            .plan(&comp, &m, &f.alternates)
+            .plan(&comp, &m, |i| f.alternates.get(i).into_iter().flatten())
             .is_none());
     }
 
@@ -253,7 +257,8 @@ mod tests {
             // The violated composition believes a NaN value too.
             m.observe(f.ids[1], &qv(f.rt, f64::NAN));
         }
-        let plan = Substitution::new(&f.model).plan(&comp, &m, &f.alternates);
+        let plan = Substitution::new(&f.model)
+            .plan(&comp, &m, |i| f.alternates.get(i).into_iter().flatten());
         // No particular plan is promised for poisoned inputs — only that
         // the adaptation loop survives to report one or none.
         if let Some(p) = plan {
@@ -274,7 +279,7 @@ mod tests {
         let alt = reg.register(ServiceDescription::new("alt", "d#F"));
         let advertised =
             |ms: f64, a: f64| -> QosVector { [(rt, ms), (av, a)].into_iter().collect() };
-        let alternates = vec![vec![
+        let alternates = [vec![
             ServiceCandidate::new(bound, advertised(100.0, 0.99)),
             ServiceCandidate::new(alt, advertised(90.0, 0.95)),
         ]];
@@ -298,7 +303,7 @@ mod tests {
             m.observe(alt, &qv(rt, 90.0));
         }
         let plan = Substitution::new(&model)
-            .plan(&comp, &m, &alternates)
+            .plan(&comp, &m, |i| alternates.get(i).into_iter().flatten())
             .expect("the alternate meets both constraints");
         assert_eq!(plan.to.id(), alt);
         assert_eq!(plan.expected.get(av), Some(0.95));
@@ -309,7 +314,8 @@ mod tests {
         let (f, comp) = fx([90.0, 90.0]);
         let m = QosMonitor::new();
         // No violation: the planner must not churn healthy bindings.
-        let plan = Substitution::new(&f.model).plan(&comp, &m, &f.alternates);
+        let plan = Substitution::new(&f.model)
+            .plan(&comp, &m, |i| f.alternates.get(i).into_iter().flatten());
         assert!(plan.is_none());
     }
 }

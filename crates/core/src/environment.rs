@@ -12,7 +12,7 @@ use qasom_ontology::Ontology;
 use qasom_qos::{EndToEnd, QosModel, QosVector};
 use qasom_registry::persist::{PersistStats, RegistryJournal};
 use qasom_registry::{Discovery, DiscoveryQuery, ServiceDescription, ServiceId, ServiceRegistry};
-use qasom_selection::{Qassa, QassaConfig, SelectionProblem, ServiceCandidate};
+use qasom_selection::{Qassa, QassaConfig, QosLevels, SelectionProblem, ServiceCandidate};
 use qasom_task::{Activity, TaskClass, TaskClassRepository};
 
 use crate::{
@@ -634,21 +634,22 @@ impl Environment {
         if let Some(rec) = &self.recorder {
             discovery = discovery.with_recorder(rec.as_ref());
         }
-        discovery
-            .discover(
-                &self.registry,
-                &DiscoveryQuery::new(activity).white_box(true),
-            )
-            .into_iter()
-            .filter_map(|c| {
-                let desc = self.registry.get(c.service)?;
-                let qos = match desc.host().and_then(|h| self.infra.get(&h)) {
-                    Some(infra) => self.end_to_end.perceive(&c.effective_qos, infra),
-                    None => c.effective_qos,
-                };
-                Some(ServiceCandidate::new(c.service, qos))
-            })
-            .collect()
+        let found = discovery.discover(
+            &self.registry,
+            &DiscoveryQuery::new(activity).white_box(true),
+        );
+        let mut candidates = Vec::with_capacity(found.len());
+        for c in found {
+            let Some(desc) = self.registry.get(c.service) else {
+                continue;
+            };
+            let qos = match desc.host().and_then(|h| self.infra.get(&h)) {
+                Some(infra) => self.end_to_end.perceive(&c.effective_qos, infra),
+                None => c.effective_qos,
+            };
+            candidates.push(ServiceCandidate::new(c.service, qos));
+        }
+        candidates
     }
 
     /// Whether at least one discoverable, deployed service can serve the
@@ -778,32 +779,40 @@ impl Environment {
     ) -> Result<ExecutableComposition, ComposeError> {
         let activities: Vec<&Activity> = task.activities().map(|a| a.activity()).collect();
 
-        // Per-activity discovery is independent, so fan it out; errors are
-        // still surfaced in activity order so the first missing activity
-        // wins deterministically.
-        let gathered: Vec<Result<Vec<ServiceCandidate>, ComposeError>> = {
-            use rayon::prelude::*;
-            activities
-                .par_iter()
-                .map(|a| self.discover_for_selection(a, use_monitor))
-                .collect()
-        };
-
-        let mut candidates = Vec::with_capacity(gathered.len());
-        for found in gathered {
-            candidates.push(found?);
-        }
-
+        // Discovering and locally ranking one activity reads nothing of the
+        // others, so each activity is discovered and ranked by the same
+        // worker: one fan-out per compose, and an activity's candidate list
+        // is freed on its worker once ranked. The global phase needs only
+        // the rankings, so the problem carries no candidate matrix. Errors
+        // are still surfaced in activity order so the first missing
+        // activity wins deterministically.
         let problem = SelectionProblem::new(&task)
-            .with_candidates(candidates)
             .with_constraints(constraints.clone())
             .with_preferences(preferences.clone())
             .with_approach(approach);
+        let properties = problem.properties();
+        let local = self.config.qassa.local;
+        let ranked: Vec<Result<QosLevels, ComposeError>> = {
+            use rayon::prelude::*;
+            activities
+                .par_iter()
+                .map(|a| {
+                    let found = self.discover_for_selection(a, use_monitor)?;
+                    Ok(local.rank(&self.model, &found, &properties, problem.preferences()))
+                })
+                .collect()
+        };
+
+        let mut levels = Vec::with_capacity(ranked.len());
+        for activity in ranked {
+            levels.push(activity?);
+        }
+
         let mut qassa = Qassa::with_config(&self.model, self.config.qassa);
         if let Some(rec) = &self.recorder {
             qassa = qassa.with_recorder(rec.as_ref());
         }
-        let outcome = qassa.select_parallel(&problem)?;
+        let outcome = qassa.select_with_levels(&problem, levels)?;
 
         self.emit(MiddlewareEvent::Composed {
             task: task.name().to_owned(),
@@ -876,6 +885,41 @@ mod tests {
             log.events()[0],
             MiddlewareEvent::Composed { feasible: true, .. }
         ));
+    }
+
+    /// Compose ranks each activity where it discovered it and runs the
+    /// global phase over those rankings alone; the outcome, hierarchies
+    /// included, is the one QASSA selects over the whole candidate matrix.
+    #[test]
+    fn compose_selects_as_qassa_does_over_the_discovered_candidates() {
+        let mut e = env();
+        for i in 0..12 {
+            let x = f64::from(i);
+            deploy(&mut e, &format!("a{i}"), "d#A", 40.0 + 37.0 * (x % 5.0) + x);
+            deploy(&mut e, &format!("b{i}"), "d#B", 300.0 - 11.0 * x);
+        }
+        let request = UserRequest::new(two_step_task())
+            .constraint("ResponseTime", 0.4, Unit::Seconds)
+            .unwrap()
+            .weight("ResponseTime", 0.6)
+            .weight("Availability", 0.4);
+        let comp = e.compose(&request).unwrap();
+
+        let task = two_step_task();
+        let candidates = task
+            .activities()
+            .map(|a| e.discover(a.activity()))
+            .collect();
+        let problem = SelectionProblem::new(&task)
+            .with_candidates(candidates)
+            .with_constraints(request.constraints(e.model()).unwrap())
+            .with_preferences(request.preferences(e.model()).unwrap())
+            .with_approach(request.aggregation_approach());
+        let expected = Qassa::with_config(e.model(), e.config().qassa)
+            .select(&problem)
+            .unwrap();
+        assert_eq!(comp.outcome(), &expected);
+        assert_eq!(comp.outcome().levels.len(), 2);
     }
 
     #[test]

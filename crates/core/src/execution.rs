@@ -472,18 +472,17 @@ impl Environment {
             });
         }
         let planner = Substitution::new(&model);
-        // Activities with no upcoming invocation cannot be rebound: strip
-        // their alternates so the planner only proposes viable plans.
-        let masked: Vec<Vec<qasom_selection::ServiceCandidate>> = (0..comp.outcome.levels.len())
-            .map(|i| {
-                if upcoming.contains(&i) {
-                    comp.outcome.alternates(i).cloned().collect()
-                } else {
-                    Vec::new()
-                }
-            })
-            .collect();
-        if let Some(plan) = planner.plan(cm, &self.monitor, &masked) {
+        // Activities with no upcoming invocation cannot be rebound: offer
+        // no alternates for them, so the planner only proposes viable
+        // plans.
+        let alternates = |i: usize| {
+            upcoming
+                .contains(&i)
+                .then(|| comp.outcome.alternates(i))
+                .into_iter()
+                .flatten()
+        };
+        if let Some(plan) = planner.plan(cm, &self.monitor, alternates) {
             if upcoming.contains(&plan.activity) {
                 cm.rebind(plan.activity, plan.to.id(), plan.to.qos().clone());
                 self.emit(MiddlewareEvent::Substituted {

@@ -17,8 +17,10 @@
 //!   [`MatchDegree::PlugIn`], and the oracle the parity tests compare
 //!   against ([`DiscoveryQuery::linear_scan`]).
 
+use std::collections::BTreeSet;
+
 use qasom_obs::{keys, Recorder};
-use qasom_ontology::{Iri, MatchDegree, Ontology};
+use qasom_ontology::{ConceptId, Iri, MatchDegree, Ontology};
 use qasom_qos::{ConstraintSet, QosModel, QosVector};
 use qasom_task::Activity;
 
@@ -174,22 +176,34 @@ impl<'a> Discovery<'a> {
         self
     }
 
-    /// Semantic match degree between a required and an offered function
-    /// IRI. Unknown IRIs match syntactically (equal → exact).
-    fn compute_match(&self, required: &Iri, offered: &Iri) -> MatchDegree {
-        match (
-            self.ontology.concept(required),
-            self.ontology.concept(offered),
-        ) {
+    /// Looks `iri` up in the ontology.
+    fn resolve<'i>(&self, iri: &'i Iri) -> Resolved<'i> {
+        Resolved {
+            iri,
+            concept: self.ontology.concept(iri),
+        }
+    }
+
+    /// Semantic match degree between a required and an offered function,
+    /// both already resolved. Unknown IRIs match syntactically (equal →
+    /// exact).
+    fn match_resolved(&self, required: Resolved<'_>, offered: Resolved<'_>) -> MatchDegree {
+        match (required.concept, offered.concept) {
             (Some(r), Some(o)) => self.ontology.match_degree(r, o),
             _ => {
-                if required == offered {
+                if required.iri == offered.iri {
                     MatchDegree::Exact
                 } else {
                     MatchDegree::Fail
                 }
             }
         }
+    }
+
+    /// Semantic match degree between a required and an offered function
+    /// IRI.
+    fn compute_match(&self, required: &Iri, offered: &Iri) -> MatchDegree {
+        self.match_resolved(self.resolve(required), self.resolve(offered))
     }
 
     /// Whether `required` is satisfied by `offered` (exact or plug-in).
@@ -233,14 +247,24 @@ impl<'a> Discovery<'a> {
         let indexed = !query.force_linear
             && query.min_degree >= MatchDegree::PlugIn
             && self.index_usable(registry);
-        let ids = if indexed {
-            self.candidate_ids(registry, query.activity.function())
+        let required = self.resolve(query.activity.function());
+        let (evaluated, mut out) = if indexed {
+            let posting = self.posting(registry, required);
+            let services = posting
+                .iter()
+                .filter_map(|&id| registry.get(id).map(|desc| (id, desc)));
+            (
+                posting.len(),
+                self.evaluate(query, required, services, posting.len()),
+            )
         } else {
-            registry.iter().map(|(id, _)| id).collect()
+            (
+                registry.len(),
+                self.evaluate(query, required, registry.iter(), 0),
+            )
         };
-        let evaluated = ids.len() as u64;
-        let mut out = self.evaluate_ids(registry, query, ids);
-        out.sort_by(|a, b| b.degree.cmp(&a.degree).then(a.service.cmp(&b.service)));
+        // (degree, id) is a total order, so an unstable sort is exact.
+        out.sort_unstable_by(|a, b| b.degree.cmp(&a.degree).then(a.service.cmp(&b.service)));
         if let Some(rec) = self.recorder {
             rec.incr(
                 if indexed {
@@ -250,7 +274,7 @@ impl<'a> Discovery<'a> {
                 },
                 1,
             );
-            rec.incr(keys::DISCOVERY_EVALUATED, evaluated);
+            rec.incr(keys::DISCOVERY_EVALUATED, evaluated as u64);
             rec.incr(keys::DISCOVERY_CANDIDATES, out.len() as u64);
         }
         out
@@ -272,37 +296,54 @@ impl<'a> Discovery<'a> {
     /// list) or advertises the identical unknown IRI (hence is in the
     /// syntactic bucket) — there is no third way to reach `Exact` or
     /// `PlugIn`.
-    fn candidate_ids(&self, registry: &ServiceRegistry, required: &Iri) -> Vec<ServiceId> {
-        let posting = match self.ontology.concept(required) {
-            Some(concept) => registry.usable_for_concept(self.ontology.canon(concept)),
-            None => registry.usable_for_unknown_iri(required),
-        };
-        posting
-            .map(|bucket| bucket.iter().copied().collect())
-            .unwrap_or_default()
-    }
-
-    /// Evaluates candidate ids (ascending) against the query. The
-    /// per-service logic is shared verbatim by the indexed and linear
-    /// paths, so they can only differ in which ids they consider.
-    fn evaluate_ids(
+    fn posting<'r>(
         &self,
-        registry: &ServiceRegistry,
-        query: &DiscoveryQuery<'_>,
-        ids: Vec<ServiceId>,
-    ) -> Vec<DiscoveredCandidate> {
-        ids.into_iter()
-            .filter_map(|id| {
-                let desc = registry.get(id)?;
-                self.evaluate_service(query, id, desc)
-            })
-            .collect()
+        registry: &'r ServiceRegistry,
+        required: Resolved<'_>,
+    ) -> &'r BTreeSet<ServiceId> {
+        static EMPTY: BTreeSet<ServiceId> = BTreeSet::new();
+        match required.concept {
+            Some(concept) => registry.usable_for_concept(self.ontology.canon(concept)),
+            None => registry.usable_for_unknown_iri(required.iri),
+        }
+        .unwrap_or(&EMPTY)
     }
 
-    /// Evaluates one live service against the query.
+    /// Evaluates live services (ascending id) against the query, into a
+    /// `Vec` of `capacity`. The per-service logic is shared verbatim by
+    /// the indexed and linear paths, so they can only differ in which
+    /// services they consider.
+    fn evaluate<'r>(
+        &self,
+        query: &DiscoveryQuery<'_>,
+        required: Resolved<'_>,
+        services: impl Iterator<Item = (ServiceId, &'r ServiceDescription)>,
+        capacity: usize,
+    ) -> Vec<DiscoveredCandidate> {
+        let mut out = Vec::with_capacity(capacity);
+        // Neighbouring services often advertise the same function, so
+        // its concept is looked up once per run of equal IRIs.
+        let mut offered: Option<Resolved<'r>> = None;
+        for (id, desc) in services {
+            let function = desc.function();
+            let profile = match offered {
+                Some(last) if last.iri == function => last,
+                _ => *offered.insert(self.resolve(function)),
+            };
+            if let Some(candidate) = self.evaluate_service(query, required, profile, id, desc) {
+                out.push(candidate);
+            }
+        }
+        out
+    }
+
+    /// Evaluates one live service, whose profile function resolves to
+    /// `profile`, against the query.
     fn evaluate_service(
         &self,
         query: &DiscoveryQuery<'_>,
+        required: Resolved<'_>,
+        profile: Resolved<'_>,
         id: ServiceId,
         desc: &ServiceDescription,
     ) -> Option<DiscoveredCandidate> {
@@ -313,7 +354,7 @@ impl<'a> Discovery<'a> {
         let accepts =
             |degree: MatchDegree| degree >= query.min_degree && degree != MatchDegree::Fail;
 
-        let profile_degree = self.compute_match(activity.function(), desc.function());
+        let profile_degree = self.match_resolved(required, profile);
         let candidate = if accepts(profile_degree) {
             DiscoveredCandidate {
                 service: id,
@@ -333,7 +374,7 @@ impl<'a> Discovery<'a> {
                     (
                         i,
                         op,
-                        self.compute_match(activity.function(), op.function()),
+                        self.match_resolved(required, self.resolve(op.function())),
                     )
                 })
                 .filter(|&(_, _, d)| accepts(d))
@@ -358,6 +399,14 @@ impl<'a> Discovery<'a> {
         }
         Some(candidate)
     }
+}
+
+/// A function IRI looked up in the ontology: its concept, or `None` when
+/// the ontology does not know it.
+#[derive(Debug, Clone, Copy)]
+struct Resolved<'i> {
+    iri: &'i Iri,
+    concept: Option<ConceptId>,
 }
 
 #[cfg(test)]
@@ -618,6 +667,64 @@ mod tests {
                 let constrained = d.discover(&r, &query.require_qos(&cs));
                 let constrained_linear = d.discover(&r, &query.require_qos(&cs).linear_scan(true));
                 assert_eq!(constrained, constrained_linear);
+            }
+        }
+    }
+
+    /// Every candidate's degree is the one the ontology gives directly,
+    /// over a posting whose offered concept changes at almost every step:
+    /// a parent, both leaves, an unknown IRI and operation-only services
+    /// interleave, so a per-call lookup that outlived its IRI would show.
+    #[test]
+    fn every_discovered_degree_is_the_direct_match() {
+        use crate::Operation;
+        let (o, m) = setup();
+        let onto = Arc::new(o);
+        let d = Discovery::new(&onto, &m);
+        let mut r = ServiceRegistry::with_ontology(Arc::clone(&onto));
+        for i in 0..36 {
+            let desc = match i % 6 {
+                0 => ServiceDescription::new(format!("s{i}"), "shop#Pay"),
+                1 => ServiceDescription::new(format!("s{i}"), "shop#PayByCard"),
+                2 => ServiceDescription::new(format!("s{i}"), "misc#Unknown"),
+                3 => ServiceDescription::new(format!("s{i}"), "shop#PayCash"),
+                4 => ServiceDescription::new(format!("s{i}"), "misc#Kiosk")
+                    .with_operation(Operation::new("op", "shop#PayCash")),
+                _ => ServiceDescription::new(format!("s{i}"), "shop#Browse")
+                    .with_operation(Operation::new("op", "shop#Pay"))
+                    .with_operation(Operation::new("op", "misc#Unknown")),
+            };
+            r.register(desc);
+        }
+        let direct =
+            |required: &Iri, offered: &Iri| match (onto.concept(required), onto.concept(offered)) {
+                (Some(req), Some(off)) => onto.match_degree(req, off),
+                _ if required == offered => MatchDegree::Exact,
+                _ => MatchDegree::Fail,
+            };
+        for function in ["shop#Pay", "shop#PayByCard", "shop#PayCash", "misc#Unknown"] {
+            let activity = Activity::new("a", function);
+            for white_box in [false, true] {
+                for linear in [false, true] {
+                    let query = DiscoveryQuery::new(&activity)
+                        .white_box(white_box)
+                        .linear_scan(linear);
+                    let found = d.discover(&r, &query);
+                    assert!(!found.is_empty(), "{function} found nothing");
+                    for c in found {
+                        let desc = r.get(c.service).unwrap();
+                        let offered = match c.matched_via {
+                            MatchedVia::Profile => desc.function(),
+                            MatchedVia::Operation(i) => desc.operations()[i].function(),
+                        };
+                        assert_eq!(
+                            c.degree,
+                            direct(activity.function(), offered),
+                            "{function} -> {} (white-box {white_box}, linear {linear})",
+                            desc.name()
+                        );
+                    }
+                }
             }
         }
     }

@@ -1,7 +1,5 @@
 //! Selection inputs: candidates and the selection problem.
 
-use std::sync::Arc;
-
 use qasom_qos::{ConstraintSet, Preferences, PropertyId, QosVector};
 use qasom_registry::ServiceId;
 use qasom_task::UserTask;
@@ -12,22 +10,19 @@ use crate::AggregationApproach;
 /// id and the QoS vector selection reasons about (advertised, or monitored
 /// at re-selection time).
 ///
-/// The vector is shared (`Arc`), so cloning a candidate — the selection
-/// hot path does it once per ranked-list entry — is a refcount bump, not
-/// a heap allocation.
+/// The candidate owns its vector. Discovery builds every candidate
+/// afresh for each compose, and a vector of up to two properties lives
+/// inline, so cloning a candidate into a ranked table is a plain copy.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServiceCandidate {
     id: ServiceId,
-    qos: Arc<QosVector>,
+    qos: QosVector,
 }
 
 impl ServiceCandidate {
     /// Creates a candidate.
     pub fn new(id: ServiceId, qos: QosVector) -> Self {
-        ServiceCandidate {
-            id,
-            qos: Arc::new(qos),
-        }
+        ServiceCandidate { id, qos }
     }
 
     /// The registry id of the service.
@@ -161,5 +156,12 @@ mod tests {
             )
             .with_preferences(Preferences::uniform([av, price, rt]));
         assert_eq!(p.properties(), vec![rt, av, price]);
+    }
+
+    /// Ranked tables hold a candidate per row, so the per-session byte
+    /// and RSS figures rest on this size.
+    #[test]
+    fn a_candidate_fits_in_forty_eight_bytes() {
+        assert!(std::mem::size_of::<ServiceCandidate>() <= 48);
     }
 }

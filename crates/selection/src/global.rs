@@ -257,9 +257,7 @@ impl<'a> Qassa<'a> {
         problem: &SelectionProblem<'_>,
     ) -> Result<SelectionOutcome, SelectionError> {
         let levels = self.local_phase(problem)?;
-        self.record_local(&levels);
-        let shared: Vec<Arc<QosLevels>> = levels.into_iter().map(Arc::new).collect();
-        self.select_with_shared_levels(problem, &shared)
+        self.select_with_levels(problem, levels)
     }
 
     /// [`Qassa::select`] with the parallel local phase — the right choice
@@ -273,6 +271,25 @@ impl<'a> Qassa<'a> {
         problem: &SelectionProblem<'_>,
     ) -> Result<SelectionOutcome, SelectionError> {
         let levels = self.local_phase_parallel(problem)?;
+        self.select_with_levels(problem, levels)
+    }
+
+    /// Runs the global phase over one local hierarchy per activity that
+    /// the caller ranked itself (with this selector's
+    /// [`QassaConfig::local`]), counting them as this run's local phase.
+    ///
+    /// [`Qassa::select`] and [`Qassa::select_parallel`] end here. A caller
+    /// that ranks each activity where it discovered it calls it directly;
+    /// the problem's candidate matrix may then be left empty.
+    ///
+    /// # Errors
+    ///
+    /// Fails when the hierarchies do not line up with the task.
+    pub fn select_with_levels(
+        &self,
+        problem: &SelectionProblem<'_>,
+        levels: Vec<QosLevels>,
+    ) -> Result<SelectionOutcome, SelectionError> {
         self.record_local(&levels);
         let shared: Vec<Arc<QosLevels>> = levels.into_iter().map(Arc::new).collect();
         self.select_with_shared_levels(problem, &shared)

@@ -150,7 +150,9 @@ pub fn kmeans_1d_with(
 
     scratch.sorted.clear();
     scratch.sorted.extend_from_slice(values);
-    scratch.sorted.sort_by(f64::total_cmp);
+    // Keys equal under `total_cmp` are bit-identical, so an unstable
+    // sort gives the same column.
+    scratch.sorted.sort_unstable_by(f64::total_cmp);
     scratch.sorted.dedup();
     let k = k.min(scratch.sorted.len());
 
@@ -171,13 +173,17 @@ pub fn kmeans_1d_with(
         // Assignment step.
         let mut changed = false;
         for (i, &v) in values.iter().enumerate() {
-            let nearest = scratch
-                .centroids
-                .iter()
-                .enumerate()
-                .min_by(|(_, a), (_, b)| (v - **a).abs().total_cmp(&(v - **b).abs()))
-                .map(|(j, _)| j)
-                .unwrap_or(0);
+            // The first nearest centroid: distances are finite or +inf
+            // and never negative, so `<` orders them as `total_cmp` would.
+            let mut nearest = 0;
+            let mut best = f64::INFINITY;
+            for (j, &c) in scratch.centroids.iter().enumerate() {
+                let distance = (v - c).abs();
+                if distance < best {
+                    nearest = j;
+                    best = distance;
+                }
+            }
             if scratch.assignments[i] != nearest {
                 scratch.assignments[i] = nearest;
                 changed = true;

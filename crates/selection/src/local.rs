@@ -148,6 +148,11 @@ impl LocalRank {
         ranks.resize(properties.len() * n, missing_rank);
         let mut normalizer = Normalizer::default();
         let mut bounds: Vec<(PropertyId, f64, f64)> = Vec::with_capacity(properties.len());
+        // Each column holds at most `n` values: size both buffers once.
+        values.clear();
+        values.reserve(n);
+        present.clear();
+        present.reserve(n);
         for (pi, &p) in properties.iter().enumerate() {
             let tendency = model.tendency(p);
             values.clear();
@@ -239,7 +244,10 @@ impl LocalRank {
             ends: Vec::new(),
             bounds,
         };
-        levels.sort_best_first();
+        // Ids are unique within one activity, so the order is total and
+        // an unstable sort is exact.
+        levels.ranked.sort_unstable_by(QosLevels::best_first_order);
+        levels.index_levels();
         levels
     }
 }
@@ -263,16 +271,18 @@ pub struct QosLevels {
 }
 
 impl QosLevels {
-    /// Puts the table in best-first order — the one comparator ranking
-    /// and merging share — and re-derives the level offsets from it.
-    fn sort_best_first(&mut self) {
-        self.ranked.sort_by(|a, b| {
-            a.level
-                .cmp(&b.level)
-                .then(a.class.cmp(&b.class))
-                .then(b.utility.total_cmp(&a.utility))
-                .then(a.candidate.id().cmp(&b.candidate.id()))
-        });
+    /// The best-first order — the one comparator ranking and merging
+    /// share.
+    fn best_first_order(a: &RankedCandidate, b: &RankedCandidate) -> std::cmp::Ordering {
+        a.level
+            .cmp(&b.level)
+            .then(a.class.cmp(&b.class))
+            .then(b.utility.total_cmp(&a.utility))
+            .then(a.candidate.id().cmp(&b.candidate.id()))
+    }
+
+    /// Re-derives the level offsets from the best-first table.
+    fn index_levels(&mut self) {
         let level_count = self.ranked.last().map_or(0, |r| r.level + 1);
         self.ends = (0..level_count)
             .map(|r| self.ranked.partition_point(|c| c.level <= r))
@@ -324,7 +334,10 @@ impl QosLevels {
     /// to cover both sides.
     pub fn merge(&mut self, mut other: QosLevels) {
         self.ranked.append(&mut other.ranked);
-        self.sort_best_first();
+        // Digests from different providers may repeat an id: keep the
+        // stable sort so such ties stay in arrival order.
+        self.ranked.sort_by(QosLevels::best_first_order);
+        self.index_levels();
         for (p, lo, hi) in other.bounds {
             match self.bounds.binary_search_by_key(&p, |&(q, ..)| q) {
                 Ok(i) => {
