@@ -1182,7 +1182,7 @@ mod tests {
         let mut e = env();
         let rt = e.model().property("ResponseTime").unwrap();
         let lat = e.model().property("NetworkLatency").unwrap();
-        // Two identical services on different hosts; host 2's path is slow.
+        // Two identical services on different hosts.
         let mk = |host: u64| {
             ServiceDescription::new(format!("svc-{host}"), "d#A")
                 .with_qos(rt, 100.0)
@@ -1193,27 +1193,56 @@ mod tests {
             let nominal = d.qos().clone();
             e.deploy(d, SyntheticService::new(nominal));
         }
-        let mut infra = qasom_qos::QosVector::new();
-        infra.set(lat, 200.0);
-        e.set_infrastructure(2, infra);
+        let path = |latency_ms: f64| {
+            let mut infra = qasom_qos::QosVector::new();
+            infra.set(lat, latency_ms);
+            infra
+        };
+        let perceived = |e: &Environment| {
+            let mut by_host: Vec<(u64, f64)> = e
+                .discover(&Activity::new("x", "d#A"))
+                .iter()
+                .map(|c| {
+                    (
+                        e.registry().get(c.id()).unwrap().host().unwrap(),
+                        c.qos().get(rt).unwrap(),
+                    )
+                })
+                .collect();
+            by_host.sort_by_key(|&(host, _)| host);
+            by_host
+        };
+        let selected_host = |e: &mut Environment| {
+            let task = UserTask::new("t", TaskNode::activity(Activity::new("x", "d#A"))).unwrap();
+            // Selection needs a QoS axis to rank on: the user cares about delay.
+            let comp = e
+                .compose(&UserRequest::new(task).weight("Delay", 1.0))
+                .unwrap();
+            let id = comp.outcome().assignment[0].id();
+            e.registry().get(id).unwrap().host().unwrap()
+        };
 
-        let found = e.discover(&Activity::new("x", "d#A"));
-        assert_eq!(found.len(), 2);
-        let by_host: std::collections::HashMap<_, _> = found
-            .iter()
-            .map(|c| {
-                (
-                    e.registry().get(c.id()).unwrap().host().unwrap(),
-                    c.qos().get(rt).unwrap(),
-                )
-            })
-            .collect();
-        assert_eq!(by_host[&1], 100.0);
-        assert_eq!(by_host[&2], 500.0); // 100 + 2 × 200 round trip
-                                        // Selection will therefore prefer host 1.
+        // Host 2's path is slow: 100 + 2 × 200 round trip. The nearer
+        // host wins.
+        e.set_infrastructure(2, path(200.0));
+        assert_eq!(perceived(&e), vec![(1, 100.0), (2, 500.0)]);
+        assert_eq!(selected_host(&mut e), 1);
+        // The user walks: the paths swap, so does the selection.
+        e.set_infrastructure(1, path(200.0));
+        e.set_infrastructure(2, path(2.5));
+        assert_eq!(perceived(&e), vec![(1, 500.0), (2, 105.0)]);
+        assert_eq!(selected_host(&mut e), 2);
+        // Host 1 is out of range: an unusable path makes its perceived
+        // response time infinite and takes it out of selection, even
+        // against a slow path to host 2.
+        e.set_infrastructure(1, path(f64::INFINITY));
+        e.set_infrastructure(2, path(200.0));
+        assert_eq!(perceived(&e), vec![(1, f64::INFINITY), (2, 500.0)]);
+        assert_eq!(selected_host(&mut e), 2);
+
+        e.clear_infrastructure(1);
         e.clear_infrastructure(2);
-        let found = e.discover(&Activity::new("x", "d#A"));
-        assert!(found.iter().all(|c| c.qos().get(rt) == Some(100.0)));
+        assert_eq!(perceived(&e), vec![(1, 100.0), (2, 100.0)]);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Seeded sampling distributions.
 //!
-//! The evaluation draws QoS values and link latencies from normal and
-//! exponential laws. `rand` only ships uniform sampling in its core, so the
-//! two laws are implemented here (Box–Muller and inverse CDF) rather than
-//! pulling in an extra dependency.
+//! The evaluation draws QoS values and link latencies from normal laws.
+//! `rand` only ships uniform sampling in its core, so the law is
+//! implemented here (Box–Muller) rather than pulling in an extra
+//! dependency.
 
 use rand::Rng;
 
@@ -68,52 +68,6 @@ impl Normal {
     }
 }
 
-/// Exponential distribution with the given rate `λ`, sampled by inverse
-/// CDF. Mean is `1/λ`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Exponential {
-    rate: f64,
-}
-
-impl Exponential {
-    /// Creates an exponential law.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `rate` is finite and positive.
-    pub fn new(rate: f64) -> Self {
-        assert!(
-            rate.is_finite() && rate > 0.0,
-            "exponential law needs a positive rate"
-        );
-        Exponential { rate }
-    }
-
-    /// An exponential law with the given mean (`rate = 1/mean`).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `mean` is finite and positive.
-    pub fn with_mean(mean: f64) -> Self {
-        assert!(
-            mean.is_finite() && mean > 0.0,
-            "exponential law needs a positive mean"
-        );
-        Exponential { rate: 1.0 / mean }
-    }
-
-    /// The rate `λ`.
-    pub fn rate(&self) -> f64 {
-        self.rate
-    }
-
-    /// Draws one sample.
-    pub fn sample(&self, rng: &mut impl Rng) -> f64 {
-        let u: f64 = 1.0 - rng.gen::<f64>();
-        -u.ln() / self.rate
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -149,23 +103,6 @@ mod tests {
     }
 
     #[test]
-    fn exponential_mean_converges() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let e = Exponential::with_mean(20.0);
-        let mean: f64 = (0..20_000).map(|_| e.sample(&mut rng)).sum::<f64>() / 20_000.0;
-        assert!((mean - 20.0).abs() < 1.0, "mean {mean}");
-    }
-
-    #[test]
-    fn exponential_samples_are_positive() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let e = Exponential::new(0.5);
-        for _ in 0..1000 {
-            assert!(e.sample(&mut rng) >= 0.0);
-        }
-    }
-
-    #[test]
     fn sampling_is_deterministic_for_a_seed() {
         let n = Normal::new(10.0, 2.0);
         let a: Vec<f64> = {
@@ -183,11 +120,5 @@ mod tests {
     #[should_panic(expected = "non-negative std dev")]
     fn normal_rejects_negative_std() {
         let _ = Normal::new(0.0, -1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive rate")]
-    fn exponential_rejects_zero_rate() {
-        let _ = Exponential::new(0.0);
     }
 }

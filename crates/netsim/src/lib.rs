@@ -5,16 +5,18 @@
 //! substrate: a deterministic (seeded) discrete-event simulator capturing
 //! the two properties the evaluation depends on —
 //!
-//! 1. **message cost** — wireless links with configurable latency
-//!    distributions, jitter and loss ([`LinkConfig`]), full-mesh by default
-//!    with per-pair overrides and partitions;
+//! 1. **message cost** — one wireless link shared by every pair of nodes,
+//!    with a configurable latency distribution, jitter and loss
+//!    ([`LinkConfig`]), which may change at a scheduled instant (a
+//!    transient outage clearing);
 //! 2. **heterogeneous compute** — per-node [`DeviceProfile`]s whose CPU
 //!    factor scales local computation time, modelling resource-constrained
 //!    devices.
 //!
 //! Protocols are written as [`NodeBehaviour`] implementations exchanging a
-//! user-defined message type; [`Simulation::run`] drives the event queue.
-//! Node churn (join/leave/crash) can be injected at any point.
+//! user-defined message type; each starts from
+//! [`NodeBehaviour::on_start`], and [`Simulation::run`] drives the event
+//! queue until it drains or the event cap stops it.
 //!
 //! The [`runtime`] module adds the *synthetic service runtime*: services
 //! whose per-invocation QoS is drawn from seeded distributions with drift
@@ -24,12 +26,18 @@
 //! # Examples
 //!
 //! ```
-//! use qasom_netsim::{
-//!     DeviceProfile, LinkConfig, NodeBehaviour, NodeContext, NodeId, Simulation,
-//! };
+//! use qasom_netsim::{DeviceProfile, NodeBehaviour, NodeContext, NodeId, Simulation};
 //!
-//! struct Echo;
+//! struct Echo {
+//!     opener: bool,
+//! }
 //! impl NodeBehaviour<String> for Echo {
+//!     fn on_start(&mut self, ctx: &mut NodeContext<'_, String>) {
+//!         if self.opener {
+//!             let peer = ctx.peers()[0];
+//!             ctx.send(peer, "ping".to_owned());
+//!         }
+//!     }
 //!     fn on_message(&mut self, ctx: &mut NodeContext<'_, String>, from: NodeId, msg: String) {
 //!         if msg == "ping" {
 //!             ctx.send(from, "pong".to_owned());
@@ -38,11 +46,10 @@
 //! }
 //!
 //! let mut sim = Simulation::new(42);
-//! let a = sim.add_node(DeviceProfile::default(), Echo);
-//! let b = sim.add_node(DeviceProfile::default(), Echo);
-//! sim.send_external(a, b, "ping".to_owned());
-//! sim.run();
-//! assert_eq!(sim.stats().delivered, 2); // ping + pong
+//! sim.add_node(DeviceProfile::default(), Echo { opener: true });
+//! sim.add_node(DeviceProfile::default(), Echo { opener: false });
+//! assert_eq!(sim.run(), Ok(4)); // two starts, ping, pong
+//! assert_eq!(sim.stats().delivered, 2);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -51,7 +58,6 @@
 
 pub mod dist;
 mod link;
-pub mod mobility;
 pub mod runtime;
 mod sim;
 mod time;

@@ -5,8 +5,8 @@ use rand::Rng;
 use crate::dist::Normal;
 use crate::SimDuration;
 
-/// Configuration of a (directed pair of) wireless link(s): latency law,
-/// jitter and loss.
+/// Configuration of the wireless link every message crosses: latency
+/// law, jitter and loss.
 ///
 /// # Examples
 ///
@@ -21,7 +21,6 @@ pub struct LinkConfig {
     latency_ms: f64,
     jitter_ms: f64,
     loss: f64,
-    connected: bool,
 }
 
 impl LinkConfig {
@@ -44,7 +43,6 @@ impl LinkConfig {
             latency_ms,
             jitter_ms,
             loss: 0.0,
-            connected: true,
         }
     }
 
@@ -57,16 +55,6 @@ impl LinkConfig {
         assert!((0.0..=1.0).contains(&loss), "loss must be in [0, 1]");
         self.loss = loss;
         self
-    }
-
-    /// A severed link: every message is dropped (network partition).
-    pub fn disconnected() -> Self {
-        LinkConfig {
-            latency_ms: 0.0,
-            jitter_ms: 0.0,
-            loss: 1.0,
-            connected: false,
-        }
     }
 
     /// Mean latency in milliseconds.
@@ -84,15 +72,10 @@ impl LinkConfig {
         self.loss
     }
 
-    /// Whether the endpoints can talk at all.
-    pub fn is_connected(&self) -> bool {
-        self.connected
-    }
-
     /// Samples one delivery: `None` when the message is lost, otherwise
     /// the transit delay.
     pub fn sample_delivery(&self, rng: &mut impl Rng) -> Option<SimDuration> {
-        if !self.connected || (self.loss > 0.0 && rng.gen::<f64>() < self.loss) {
+        if self.loss > 0.0 && rng.gen::<f64>() < self.loss {
             return None;
         }
         let latency =
@@ -125,10 +108,9 @@ mod tests {
     }
 
     #[test]
-    fn disconnected_link_never_delivers() {
+    fn total_loss_never_delivers() {
         let mut rng = StdRng::seed_from_u64(2);
-        let link = LinkConfig::disconnected();
-        assert!(!link.is_connected());
+        let link = LinkConfig::new(5.0, 1.0).with_loss(1.0);
         for _ in 0..10 {
             assert!(link.sample_delivery(&mut rng).is_none());
         }

@@ -116,7 +116,8 @@ impl SyntheticService {
         self
     }
 
-    /// The service crashes permanently after `n` successful invocations.
+    /// The service crashes permanently after `n` invocations, failed
+    /// ones included: every invocation from the `n + 1`-th on fails.
     pub fn with_crash_after(mut self, n: u64) -> Self {
         self.crash_after = Some(n);
         self
@@ -289,6 +290,16 @@ mod tests {
         assert!(svc.invoke(&mut rng).is_success());
         assert!(svc.invoke(&mut rng).is_success());
         assert!(!svc.invoke(&mut rng).is_success());
+        assert!(!svc.invoke(&mut rng).is_success());
+        assert!(svc.is_crashed());
+
+        // Failed invocations count towards the crash too.
+        let (v, _) = nominal(10.0);
+        let mut svc = SyntheticService::new(v)
+            .with_crash_after(2)
+            .with_failure_rate(1.0);
+        assert!(!svc.invoke(&mut rng).is_success());
+        assert!(!svc.is_crashed());
         assert!(!svc.invoke(&mut rng).is_success());
         assert!(svc.is_crashed());
     }

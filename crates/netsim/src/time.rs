@@ -15,9 +15,6 @@ impl SimTime {
     /// The simulation epoch.
     pub const ZERO: SimTime = SimTime(0);
 
-    /// The farthest representable instant.
-    pub const MAX: SimTime = SimTime(u64::MAX);
-
     /// Microseconds since simulation start.
     pub fn as_micros(self) -> u64 {
         self.0

@@ -782,7 +782,7 @@ impl<'a> DistributedQassa<'a> {
             );
         }
 
-        let run_result = sim.run_checked();
+        let run_result = sim.run();
         let sim_events = match run_result {
             Ok(processed) => processed,
             Err(cap) => cap.processed,

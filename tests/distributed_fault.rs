@@ -191,3 +191,93 @@ fn without_retries_thirty_percent_loss_is_flagged_degraded() {
         "expected most seeds degraded without retries, got {degraded}/10"
     );
 }
+
+/// The simulated figures are deterministic: Fig. VI.12's phase times and
+/// the loss figure's coverage and latency are pinned exactly, so any
+/// change to the simulator's event order or RNG draws shows here.
+#[test]
+fn simulated_figures_are_pinned() {
+    let m = model();
+    let series = |figure: Vec<qasom_obs::report::FigureSeries>| -> Vec<(String, Vec<(f64, f64)>)> {
+        figure.into_iter().map(|s| (s.label, s.points)).collect()
+    };
+    let pinned = |rows: &[(&str, &[(f64, f64)])]| -> Vec<(String, Vec<(f64, f64)>)> {
+        rows.iter()
+            .map(|(label, points)| (label.to_string(), points.to_vec()))
+            .collect()
+    };
+    assert_eq!(
+        series(qasom_bench::fig_vi12(&m)),
+        pinned(&[
+            (
+                "local phase [ms]",
+                &[
+                    (2.0, 48.822),
+                    (5.0, 26.5),
+                    (10.0, 19.748),
+                    (20.0, 16.252),
+                    (50.0, 14.085)
+                ],
+            ),
+            (
+                "global phase [ms]",
+                &[
+                    (2.0, 20.0),
+                    (5.0, 20.0),
+                    (10.0, 20.0),
+                    (20.0, 20.0),
+                    (50.0, 20.0)
+                ],
+            ),
+        ])
+    );
+    assert_eq!(
+        series(qasom_bench::fig_loss(&m)),
+        pinned(&[
+            (
+                "coverage (retries)",
+                &[
+                    (0.0, 1.0),
+                    (0.1, 1.0),
+                    (0.2, 1.0),
+                    (0.3, 1.0),
+                    (0.4, 0.99),
+                    (0.6, 0.73)
+                ],
+            ),
+            (
+                "total [ms] (retries)",
+                &[
+                    (0.0, 17.7072),
+                    (0.1, 152.2078),
+                    (0.2, 482.38430000000005),
+                    (0.3, 1250.2364),
+                    (0.4, 2381.0970999999995),
+                    (0.6, 5002.628000000001),
+                ],
+            ),
+            (
+                "coverage (no retries)",
+                &[
+                    (0.0, 1.0),
+                    (0.1, 0.8366666666666667),
+                    (0.2, 0.5900000000000001),
+                    (0.3, 0.4666666666666667),
+                    (0.4, 0.3466666666666667),
+                    (0.6, 0.12999999999999998),
+                ],
+            ),
+            (
+                "total [ms] (no retries)",
+                &[
+                    (0.0, 17.7072),
+                    (0.1, 3507.1001999999994),
+                    (0.2, 5002.124000000001),
+                    (0.3, 5001.68),
+                    (0.4, 5001.247999999999),
+                    (0.6, 5000.467999999999),
+                ],
+            ),
+        ])
+    );
+}
