@@ -3,61 +3,52 @@
 //! ```text
 //! cargo run --release -p qasom-bench --bin repro            # everything
 //! cargo run --release -p qasom-bench --bin repro -- vi5 vi12  # a subset
-//! cargo run --release -p qasom-bench --bin repro -- --json BENCH.json
 //! ```
 //!
-//! With `--json PATH` the regenerated figures are also written as a
-//! [`BenchReport`] (`qasom.bench-report.v1`): the machine-readable
-//! trajectory file the CI stores next to the printed tables. Timing
-//! figures carry machine-local values; the *schema* and series labels
-//! are stable.
+//! A figure that fails prints `error: <title>: <cause>` on stderr; the
+//! remaining figures still run and the binary exits non-zero.
+
+use std::process::ExitCode;
 
 use qasom_bench as bench;
-use qasom_obs::report::{BenchReport, Figure, FigureSeries};
 use qasom_qos::QosModel;
 
 /// One regenerated figure: the command-line key that selects it (`vi5`
-/// selects both `vi5a` and `vi5b`), its name in the JSON report, the
-/// printed title and x-axis label, and the function producing it.
+/// selects both `vi5a` and `vi5b`), the printed title and x-axis label,
+/// and the function producing it.
 type FigureRow = (
     &'static str,
     &'static str,
     &'static str,
-    &'static str,
-    fn(&QosModel) -> Vec<FigureSeries>,
+    fn(&QosModel) -> bench::FigureResult,
 );
 
 const FIGURES: &[FigureRow] = &[
     (
         "vi5",
-        "vi5a",
         "Fig. VI.5a — selection time vs services/activity (5 activities, 4 constraints)",
         "services",
         bench::fig_vi5a,
     ),
     (
         "vi5",
-        "vi5b",
         "Fig. VI.5b — selection time vs #QoS constraints (100 services/activity)",
         "constraints",
         bench::fig_vi5b,
     ),
     (
         "vi6",
-        "vi6a",
         "Fig. VI.6a — optimality vs services/activity (vs exhaustive optimum)",
         "services",
         bench::fig_vi6a,
     ),
     (
         "vi6",
-        "vi6b",
         "Fig. VI.6b — optimality vs #QoS constraints",
         "constraints",
         bench::fig_vi6b,
     ),
     (
-        "vi7",
         "vi7",
         "Fig. VI.7 — selection time per aggregation approach (choice+loop tasks)",
         "services",
@@ -65,13 +56,11 @@ const FIGURES: &[FigureRow] = &[
     ),
     (
         "vi8",
-        "vi8",
         "Fig. VI.8 — optimality per aggregation approach",
         "services",
         bench::fig_vi8,
     ),
     (
-        "vi9",
         "vi9",
         "Fig. VI.9 — generated QoS follows N(m, σ)",
         "property",
@@ -79,13 +68,11 @@ const FIGURES: &[FigureRow] = &[
     ),
     (
         "vi10",
-        "vi10",
         "Fig. VI.10 — selection time with constraints at m vs m+σ",
         "services",
         bench::fig_vi10,
     ),
     (
-        "vi11",
         "vi11",
         "Fig. VI.11 — optimality with constraints at m vs m+σ",
         "services",
@@ -93,13 +80,11 @@ const FIGURES: &[FigureRow] = &[
     ),
     (
         "vi12",
-        "vi12",
         "Fig. VI.12 — distributed QASSA: simulated phase times vs provider nodes",
         "providers",
         bench::fig_vi12,
     ),
     (
-        "vi13",
         "vi13",
         "Fig. VI.13 — abstract BPEL → behavioural graph transformation time",
         "activities",
@@ -107,13 +92,11 @@ const FIGURES: &[FigureRow] = &[
     ),
     (
         "v_adapt",
-        "v_adapt",
         "Ch. V — behavioural adaptation (subgraph homeomorphism) time",
         "activities",
         |_| bench::fig_v_adapt(),
     ),
     (
-        "loss",
         "loss",
         "Extra — fault tolerance under message loss: retries vs no retries (8 providers, 10 seeds)",
         "loss prob",
@@ -121,13 +104,11 @@ const FIGURES: &[FigureRow] = &[
     ),
     (
         "activities",
-        "activities",
         "Extra — selection time vs number of activities (100 services each)",
         "activities",
         bench::fig_activities,
     ),
     (
-        "discovery",
         "discovery",
         "Discovery — indexed vs linear full scan (32 × 4 taxonomy, category-level request)",
         "services",
@@ -135,87 +116,67 @@ const FIGURES: &[FigureRow] = &[
     ),
     (
         "scale",
-        "scale",
         "Scalability — QASSA at large pools (serial vs parallel local phase)",
         "services",
         bench::scalability,
     ),
     (
         "ablate",
-        "ablate_kmeans_k",
         "Ablation — K-means band count k",
         "k",
         bench::ablate_kmeans_k,
     ),
     (
         "ablate",
-        "ablate_global",
         "Ablation — global phase repair budget (feasible-rate, tight constraints)",
         "services",
         bench::ablate_global_strategy,
     ),
     (
         "ablate",
-        "ablate_monitoring",
         "Ablation — proactive vs reactive monitoring (lead on a drifting service)",
         "drift slope",
         bench::ablate_monitoring,
     ),
     (
         "ablate",
-        "ablate_semantics",
         "Ablation — semantic vs syntactic discovery recall",
         "providers",
         bench::ablate_semantics,
     ),
 ];
 
-fn main() {
-    let mut json_path: Option<String> = None;
-    let mut keys: Vec<String> = Vec::new();
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        if arg == "--json" {
-            json_path = it.next();
-            if json_path.is_none() {
-                eprintln!("error: --json requires a path");
-                std::process::exit(2);
-            }
-        } else {
-            keys.push(arg);
-        }
-    }
+fn main() -> ExitCode {
+    let keys: Vec<String> = std::env::args().skip(1).collect();
     let want = |key: &str| keys.is_empty() || keys.iter().any(|a| a == key || a == "all");
     let model = QosModel::standard();
-    let mut report = BenchReport::new(42);
+    let mut failed = false;
 
     println!("QASOM evaluation reproduction — simulated substrate");
     println!("(shapes are comparable to the original figures; absolute values are machine-local)");
 
-    for &(key, name, title, x_name, figure) in FIGURES {
+    for &(key, title, x_name, figure) in FIGURES {
         if want(key) {
-            let series = figure(&model);
-            bench::print_figure(title, x_name, &series);
-            report.figures.push(Figure {
-                name: name.to_owned(),
-                series,
-            });
+            match figure(&model) {
+                Ok(series) => bench::print_figure(title, x_name, &series),
+                Err(e) => {
+                    eprintln!("error: {title}: {e}");
+                    failed = true;
+                }
+            }
         }
     }
     // The selector comparison prints its own table and has no series.
     if want("compare") {
         println!("\n== Selector comparison (5 activities × 100 services, 10 seeds) ==");
-        bench::compare_selectors(&model);
-    }
-
-    if let Some(path) = json_path {
-        let json = report.to_json().to_pretty();
-        match std::fs::write(&path, json + "\n") {
-            Ok(()) => eprintln!("wrote bench report to {path}"),
-            Err(e) => {
-                eprintln!("error: {path}: {e}");
-                std::process::exit(1);
-            }
+        if let Err(e) = bench::compare_selectors(&model) {
+            eprintln!("error: selector comparison: {e}");
+            failed = true;
         }
+    }
+    if failed {
+        ExitCode::FAILURE
+    } else {
+        ExitCode::SUCCESS
     }
 }

@@ -2,29 +2,56 @@
 //! (thesis Ch. VI §3 and Ch. V §7).
 //!
 //! Each `fig_*` function reproduces one figure as a set of labelled
-//! [`FigureSeries`]; the `repro` binary prints them as tables. The
-//! numbers are produced on *this* machine against the simulated
-//! substrate, so absolute values differ from the original testbed — the
-//! shapes (slopes, orderings, crossovers) are what reproduction means
-//! here; see `EXPERIMENTS.md` for the side-by-side reading.
+//! [`FigureSeries`], or returns the error that stopped it; the `repro`
+//! binary prints them as tables. The numbers are produced on *this*
+//! machine against the simulated substrate, so absolute values differ
+//! from the original testbed — the shapes (slopes, orderings,
+//! crossovers) are what reproduction means here; see `EXPERIMENTS.md`
+//! for the side-by-side reading.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod scenarios;
 
+use std::error::Error;
 use std::time::Instant;
 
 use qasom_adaptation::BehaviouralAdapter;
 use qasom_netsim::{DeviceProfile, LinkConfig};
-use qasom_obs::report::FigureSeries;
 use qasom_ontology::OntologyBuilder;
 use qasom_qos::QosModel;
 use qasom_selection::baseline::Baselines;
 use qasom_selection::distributed::{DistributedQassa, DistributedSetup, RetryPolicy};
 use qasom_selection::workload::{TaskShape, Tightness, Workload, WorkloadSpec};
 use qasom_selection::{AggregationApproach, LocalRank, Qassa, QassaConfig};
-use qasom_task::{bpel, Activity, BehaviouralGraph, TaskNode, UserTask};
+use qasom_task::{bpel, Activity, BehaviouralGraph, TaskError, TaskNode, UserTask};
+
+/// Whatever stopped a figure: a malformed workload, a failed selection,
+/// a protocol that never completed, …
+pub type FigureError = Box<dyn Error>;
+
+/// A figure's series, or the error that stopped it.
+pub type FigureResult = Result<Vec<FigureSeries>, FigureError>;
+
+/// One plotted series of a figure.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FigureSeries {
+    /// Series label, as printed in the table header.
+    pub label: String,
+    /// `(x, y)` samples.
+    pub points: Vec<(f64, f64)>,
+}
+
+impl FigureSeries {
+    /// Creates an empty series.
+    pub fn new(label: impl Into<String>) -> Self {
+        FigureSeries {
+            label: label.into(),
+            points: Vec::new(),
+        }
+    }
+}
 
 /// Prints a figure as an aligned table (x column + one column per series).
 pub fn print_figure(title: &str, x_name: &str, series: &[FigureSeries]) {
@@ -52,37 +79,36 @@ pub fn print_figure(title: &str, x_name: &str, series: &[FigureSeries]) {
 }
 
 /// Times `f` (milliseconds), median of `repeats` runs after one warm-up.
+/// The first error `f` returns stops the timing and is returned.
 #[allow(
     clippy::disallowed_methods,
     reason = "the repro figures time wall-clock on purpose"
 )]
-pub fn time_ms(repeats: usize, mut f: impl FnMut()) -> f64 {
-    f(); // warm-up
-    let mut samples: Vec<f64> = (0..repeats.max(1))
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_secs_f64() * 1_000.0
-        })
-        .collect();
+pub fn time_ms<T>(
+    repeats: usize,
+    mut f: impl FnMut() -> Result<T, FigureError>,
+) -> Result<f64, FigureError> {
+    f()?; // warm-up
+    let mut samples = Vec::with_capacity(repeats.max(1));
+    for _ in 0..repeats.max(1) {
+        let t = Instant::now();
+        f()?;
+        samples.push(t.elapsed().as_secs_f64() * 1_000.0);
+    }
     samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
+    Ok(samples[samples.len() / 2])
 }
 
-#[expect(clippy::expect_used, reason = "generated workloads are well-formed")]
-fn qassa_time_ms(model: &QosModel, w: &Workload, repeats: usize) -> f64 {
+fn qassa_time_ms(model: &QosModel, w: &Workload, repeats: usize) -> Result<f64, FigureError> {
     let problem = w.problem();
     let qassa = Qassa::new(model);
-    time_ms(repeats, || {
-        let _ = qassa.select(&problem).expect("well-formed problem");
-    })
+    time_ms(repeats, || Ok(qassa.select(&problem)?))
 }
 
 /// Mean QASSA/exhaustive utility ratio over `seeds` feasible instances
 /// (infeasible-for-both instances are skipped; QASSA missing a feasible
 /// solution scores 0, so misses show up as optimality loss).
-#[expect(clippy::expect_used, reason = "generated workloads are well-formed")]
-fn optimality(model: &QosModel, spec: &WorkloadSpec, seeds: u64) -> f64 {
+fn optimality(model: &QosModel, spec: &WorkloadSpec, seeds: u64) -> Result<f64, FigureError> {
     let baselines = Baselines::new(model).with_max_combinations(20_000_000);
     let qassa = Qassa::new(model);
     let mut total = 0.0;
@@ -90,11 +116,11 @@ fn optimality(model: &QosModel, spec: &WorkloadSpec, seeds: u64) -> f64 {
     for seed in 0..seeds {
         let w = spec.build(model, seed);
         let problem = w.problem();
-        let exact = baselines.exhaustive(&problem).expect("within cap");
+        let exact = baselines.exhaustive(&problem)?;
         if !exact.feasible || exact.utility <= 0.0 {
             continue;
         }
-        let ours = qassa.select(&problem).expect("well-formed");
+        let ours = qassa.select(&problem)?;
         let ratio = if ours.feasible {
             (ours.utility / exact.utility).min(1.0)
         } else {
@@ -103,74 +129,70 @@ fn optimality(model: &QosModel, spec: &WorkloadSpec, seeds: u64) -> f64 {
         total += ratio;
         counted += 1;
     }
-    if counted == 0 {
+    Ok(if counted == 0 {
         f64::NAN
     } else {
         total / counted as f64
-    }
+    })
 }
 
 /// Fig. VI.5a — QASSA execution time vs. services per activity
 /// (5 activities, 4 global constraints).
-#[expect(clippy::expect_used, reason = "generated workloads are well-formed")]
-pub fn fig_vi5a(model: &QosModel) -> Vec<FigureSeries> {
+pub fn fig_vi5a(model: &QosModel) -> FigureResult {
     let mut qassa = FigureSeries::new("QASSA [ms]");
     let mut greedy = FigureSeries::new("greedy [ms]");
     for n in [10, 50, 100, 150, 200, 250, 300] {
         let w = WorkloadSpec::evaluation_default()
             .services_per_activity(n)
             .build(model, 42);
-        qassa.points.push((n as f64, qassa_time_ms(model, &w, 5)));
+        qassa.points.push((n as f64, qassa_time_ms(model, &w, 5)?));
         let b = Baselines::new(model);
         let problem = w.problem();
-        greedy.points.push((
-            n as f64,
-            time_ms(5, || {
-                let _ = b.greedy(&problem).expect("well-formed");
-            }),
-        ));
+        greedy
+            .points
+            .push((n as f64, time_ms(5, || Ok(b.greedy(&problem)?))?));
     }
-    vec![qassa, greedy]
+    Ok(vec![qassa, greedy])
 }
 
 /// Fig. VI.5b — QASSA execution time vs. number of global QoS constraints
 /// (100 services per activity).
-pub fn fig_vi5b(model: &QosModel) -> Vec<FigureSeries> {
+pub fn fig_vi5b(model: &QosModel) -> FigureResult {
     let mut s = FigureSeries::new("QASSA [ms]");
     for k in 1..=8 {
         let w = WorkloadSpec::evaluation_default()
             .property_count(k)
             .build(model, 42);
-        s.points.push((k as f64, qassa_time_ms(model, &w, 5)));
+        s.points.push((k as f64, qassa_time_ms(model, &w, 5)?));
     }
-    vec![s]
+    Ok(vec![s])
 }
 
 /// Fig. VI.6a — optimality vs. services per activity (4 activities so the
 /// exhaustive optimum stays tractable).
-pub fn fig_vi6a(model: &QosModel) -> Vec<FigureSeries> {
+pub fn fig_vi6a(model: &QosModel) -> FigureResult {
     let mut s = FigureSeries::new("optimality");
     for n in [4, 6, 8, 10, 12, 15] {
         let spec = WorkloadSpec::evaluation_default()
             .activities(4)
             .services_per_activity(n);
-        s.points.push((n as f64, optimality(model, &spec, 8)));
+        s.points.push((n as f64, optimality(model, &spec, 8)?));
     }
-    vec![s]
+    Ok(vec![s])
 }
 
 /// Fig. VI.6b — optimality vs. number of constraints (4 activities × 10
 /// services).
-pub fn fig_vi6b(model: &QosModel) -> Vec<FigureSeries> {
+pub fn fig_vi6b(model: &QosModel) -> FigureResult {
     let mut s = FigureSeries::new("optimality");
     for k in 1..=6 {
         let spec = WorkloadSpec::evaluation_default()
             .activities(4)
             .services_per_activity(10)
             .property_count(k);
-        s.points.push((k as f64, optimality(model, &spec, 8)));
+        s.points.push((k as f64, optimality(model, &spec, 8)?));
     }
-    vec![s]
+    Ok(vec![s])
 }
 
 fn approaches() -> [(AggregationApproach, &'static str); 3] {
@@ -183,7 +205,7 @@ fn approaches() -> [(AggregationApproach, &'static str); 3] {
 
 /// Fig. VI.7 — execution time under the three aggregation approaches
 /// (choice- and loop-bearing tasks).
-pub fn fig_vi7(model: &QosModel) -> Vec<FigureSeries> {
+pub fn fig_vi7(model: &QosModel) -> FigureResult {
     approaches()
         .into_iter()
         .map(|(approach, label)| {
@@ -194,15 +216,15 @@ pub fn fig_vi7(model: &QosModel) -> Vec<FigureSeries> {
                     .approach(approach)
                     .services_per_activity(n)
                     .build(model, 42);
-                s.points.push((n as f64, qassa_time_ms(model, &w, 5)));
+                s.points.push((n as f64, qassa_time_ms(model, &w, 5)?));
             }
-            s
+            Ok(s)
         })
         .collect()
 }
 
 /// Fig. VI.8 — optimality under the three aggregation approaches.
-pub fn fig_vi8(model: &QosModel) -> Vec<FigureSeries> {
+pub fn fig_vi8(model: &QosModel) -> FigureResult {
     approaches()
         .into_iter()
         .map(|(approach, label)| {
@@ -213,9 +235,9 @@ pub fn fig_vi8(model: &QosModel) -> Vec<FigureSeries> {
                     .shape(TaskShape::Full)
                     .approach(approach)
                     .services_per_activity(n);
-                s.points.push((n as f64, optimality(model, &spec, 6)));
+                s.points.push((n as f64, optimality(model, &spec, 6)?));
             }
-            s
+            Ok(s)
         })
         .collect()
 }
@@ -223,7 +245,7 @@ pub fn fig_vi8(model: &QosModel) -> Vec<FigureSeries> {
 /// Fig. VI.9 — sanity of the normally distributed QoS workload: per
 /// property, the sample mean and standard deviation of the generated
 /// values (compare against the configured `N(m, σ)`).
-pub fn fig_vi9(model: &QosModel) -> Vec<FigureSeries> {
+pub fn fig_vi9(model: &QosModel) -> FigureResult {
     let w = WorkloadSpec::evaluation_default()
         .activities(1)
         .services_per_activity(5_000)
@@ -241,12 +263,12 @@ pub fn fig_vi9(model: &QosModel) -> Vec<FigureSeries> {
         mean_s.points.push((i as f64, mean));
         std_s.points.push((i as f64, var.sqrt()));
     }
-    vec![mean_s, std_s]
+    Ok(vec![mean_s, std_s])
 }
 
 /// Fig. VI.10 — execution time with global constraints fixed at `m`
 /// (tight) vs. one σ looser.
-pub fn fig_vi10(model: &QosModel) -> Vec<FigureSeries> {
+pub fn fig_vi10(model: &QosModel) -> FigureResult {
     [
         (Tightness::AtMean, "bound at m [ms]"),
         (Tightness::AtMeanPlusSigma, "bound at m+σ [ms]"),
@@ -259,15 +281,15 @@ pub fn fig_vi10(model: &QosModel) -> Vec<FigureSeries> {
                 .tightness(tightness)
                 .services_per_activity(n)
                 .build(model, 42);
-            s.points.push((n as f64, qassa_time_ms(model, &w, 5)));
+            s.points.push((n as f64, qassa_time_ms(model, &w, 5)?));
         }
-        s
+        Ok(s)
     })
     .collect()
 }
 
 /// Fig. VI.11 — optimality with constraints at `m` vs. `m+σ`.
-pub fn fig_vi11(model: &QosModel) -> Vec<FigureSeries> {
+pub fn fig_vi11(model: &QosModel) -> FigureResult {
     [
         (Tightness::AtMean, "bound at m"),
         (Tightness::AtMeanPlusSigma, "bound at m+σ"),
@@ -280,20 +302,16 @@ pub fn fig_vi11(model: &QosModel) -> Vec<FigureSeries> {
                 .activities(4)
                 .tightness(tightness)
                 .services_per_activity(n);
-            s.points.push((n as f64, optimality(model, &spec, 6)));
+            s.points.push((n as f64, optimality(model, &spec, 6)?));
         }
-        s
+        Ok(s)
     })
     .collect()
 }
 
 /// Fig. VI.12 — distributed QASSA: simulated local- and global-selection
 /// time vs. number of provider nodes.
-#[expect(
-    clippy::expect_used,
-    reason = "a lossless link always completes the protocol"
-)]
-pub fn fig_vi12(model: &QosModel) -> Vec<FigureSeries> {
+pub fn fig_vi12(model: &QosModel) -> FigureResult {
     let w = WorkloadSpec::evaluation_default().build(model, 42);
     let mut local = FigureSeries::new("local phase [ms]");
     let mut global = FigureSeries::new("global phase [ms]");
@@ -308,7 +326,7 @@ pub fn fig_vi12(model: &QosModel) -> Vec<FigureSeries> {
             reply_timeout_ms: 5_000,
             ..DistributedSetup::default()
         };
-        let report = driver.run(&w, &setup, 42).expect("protocol completes");
+        let report = driver.run(&w, &setup, 42)?;
         local
             .points
             .push((providers as f64, report.local_phase.as_millis_f64()));
@@ -316,7 +334,7 @@ pub fn fig_vi12(model: &QosModel) -> Vec<FigureSeries> {
             .points
             .push((providers as f64, report.global_phase.as_millis_f64()));
     }
-    vec![local, global]
+    Ok(vec![local, global])
 }
 
 /// Generates an abstract-BPEL document with `n` activities and a mixed
@@ -370,36 +388,27 @@ pub fn synthetic_bpel(n: usize) -> String {
 
 /// Fig. VI.13 — time to transform abstract-BPEL specifications into
 /// behavioural graphs (parse + graph construction).
-#[expect(clippy::expect_used, reason = "synthetic_bpel emits valid BPEL")]
-pub fn fig_vi13() -> Vec<FigureSeries> {
+pub fn fig_vi13() -> FigureResult {
     let mut s = FigureSeries::new("transform [ms]");
     for n in [5, 10, 20, 40, 60, 80, 100] {
         let doc = synthetic_bpel(n);
-        let ms = time_ms(20, || {
-            let task = bpel::parse(&doc).expect("generated BPEL is valid");
-            let _ = BehaviouralGraph::from_task(&task);
-        });
+        let ms = time_ms(20, || Ok(BehaviouralGraph::from_task(&bpel::parse(&doc)?)))?;
         s.points.push((n as f64, ms));
     }
-    vec![s]
+    Ok(vec![s])
 }
 
 /// Builds the pair (current behaviour, reordered alternative) used by the
 /// behavioural-adaptation benchmark: `n` sequential activities, the
 /// alternative swapping the tail order.
-#[expect(
-    clippy::expect_used,
-    reason = "uniquely named sequential tasks are valid"
-)]
-pub fn adaptation_pair(n: usize) -> (UserTask, UserTask) {
+pub fn adaptation_pair(n: usize) -> Result<(UserTask, UserTask), TaskError> {
     let act = |i: usize, prefix: &str| {
         TaskNode::activity(Activity::new(
             format!("{prefix}{i}"),
             format!("ad#F{i}").as_str(),
         ))
     };
-    let current =
-        UserTask::new("current", TaskNode::sequence((0..n).map(|i| act(i, "c")))).expect("valid");
+    let current = UserTask::new("current", TaskNode::sequence((0..n).map(|i| act(i, "c"))))?;
     // Alternative: same functions; the unexecuted tail is wrapped in a
     // parallel block (a different behaviour realising the same class).
     let half = n / 2;
@@ -407,41 +416,37 @@ pub fn adaptation_pair(n: usize) -> (UserTask, UserTask) {
     if half < n {
         nodes.push(TaskNode::parallel((half..n).map(|i| act(i, "a"))));
     }
-    let alternative = UserTask::new("alternative", TaskNode::sequence(nodes)).expect("valid");
-    (current, alternative)
+    let alternative = UserTask::new("alternative", TaskNode::sequence(nodes))?;
+    Ok((current, alternative))
 }
 
 /// Ch. V evaluation — behavioural-adaptation (subgraph homeomorphism)
 /// time vs. task size; the executed prefix is the first half.
-#[expect(
-    clippy::expect_used,
-    reason = "a flat ontology of fresh concepts is valid"
-)]
-pub fn fig_v_adapt() -> Vec<FigureSeries> {
+pub fn fig_v_adapt() -> FigureResult {
     let mut onto = OntologyBuilder::new("ad");
     for i in 0..64 {
         onto.concept(&format!("F{i}"));
     }
-    let onto = onto.build().expect("valid ontology");
+    let onto = onto.build()?;
     let adapter = BehaviouralAdapter::new(&onto);
 
     let mut s = FigureSeries::new("resume mapping [ms]");
     for n in [4usize, 8, 12, 16, 20, 24] {
-        let (current, alternative) = adaptation_pair(n);
+        let (current, alternative) = adaptation_pair(n)?;
         let executed: Vec<String> = (0..n / 2).map(|i| format!("c{i}")).collect();
         let executed_refs: Vec<&str> = executed.iter().map(String::as_str).collect();
         let ms = time_ms(10, || {
-            let m = adapter.resume_mapping(&current, &alternative, &executed_refs);
-            assert!(m.is_some(), "mapping must exist for n={n}");
-        });
+            adapter
+                .resume_mapping(&current, &alternative, &executed_refs)
+                .ok_or_else(|| format!("no resume mapping for {n} activities").into())
+        })?;
         s.points.push((n as f64, ms));
     }
-    vec![s]
+    Ok(vec![s])
 }
 
 /// Ablation — K-means band count `k`: selection time and optimality.
-#[expect(clippy::expect_used, reason = "generated workloads are well-formed")]
-pub fn ablate_kmeans_k(model: &QosModel) -> Vec<FigureSeries> {
+pub fn ablate_kmeans_k(model: &QosModel) -> FigureResult {
     let mut time_series = FigureSeries::new("time [ms]");
     let mut opt_series = FigureSeries::new("optimality");
     for k in [2usize, 3, 4, 6, 8] {
@@ -452,12 +457,9 @@ pub fn ablate_kmeans_k(model: &QosModel) -> Vec<FigureSeries> {
         let w = WorkloadSpec::evaluation_default().build(model, 42);
         let problem = w.problem();
         let qassa = Qassa::with_config(model, config);
-        time_series.points.push((
-            k as f64,
-            time_ms(5, || {
-                let _ = qassa.select(&problem).expect("well-formed");
-            }),
-        ));
+        time_series
+            .points
+            .push((k as f64, time_ms(5, || Ok(qassa.select(&problem)?))?));
 
         // Optimality at exhaustive-tractable size.
         let baselines = Baselines::new(model);
@@ -469,9 +471,9 @@ pub fn ablate_kmeans_k(model: &QosModel) -> Vec<FigureSeries> {
                 .services_per_activity(10)
                 .build(model, seed);
             let p = w.problem();
-            let exact = baselines.exhaustive(&p).expect("within cap");
+            let exact = baselines.exhaustive(&p)?;
             if exact.feasible && exact.utility > 0.0 {
-                let ours = Qassa::with_config(model, config).select(&p).expect("ok");
+                let ours = Qassa::with_config(model, config).select(&p)?;
                 total += if ours.feasible {
                     (ours.utility / exact.utility).min(1.0)
                 } else {
@@ -484,13 +486,12 @@ pub fn ablate_kmeans_k(model: &QosModel) -> Vec<FigureSeries> {
             .points
             .push((k as f64, total / counted.max(1) as f64));
     }
-    vec![time_series, opt_series]
+    Ok(vec![time_series, opt_series])
 }
 
 /// Ablation — repair budget of the global phase: 0 (pure level descent)
 /// vs. the default utility-aware repair.
-#[expect(clippy::expect_used, reason = "generated workloads are well-formed")]
-pub fn ablate_global_strategy(model: &QosModel) -> Vec<FigureSeries> {
+pub fn ablate_global_strategy(model: &QosModel) -> FigureResult {
     [(0usize, "no repairs"), (64, "repairs (default)")]
         .into_iter()
         .map(|(budget, label)| {
@@ -507,16 +508,14 @@ pub fn ablate_global_strategy(model: &QosModel) -> Vec<FigureSeries> {
                         .services_per_activity(n)
                         .tightness(Tightness::AtMean)
                         .build(model, seed);
-                    let out = Qassa::with_config(model, config)
-                        .select(&w.problem())
-                        .expect("well-formed");
+                    let out = Qassa::with_config(model, config).select(&w.problem())?;
                     if out.feasible {
                         feasible += 1;
                     }
                 }
                 s.points.push((n as f64, feasible as f64 / SEEDS as f64));
             }
-            s
+            Ok(s)
         })
         .collect()
 }
@@ -526,7 +525,7 @@ pub fn ablate_global_strategy(model: &QosModel) -> Vec<FigureSeries> {
 /// link loss probability, with retransmissions enabled (default capped
 /// exponential backoff) against retransmissions disabled, averaged over
 /// 10 seeds per point.
-pub fn fig_loss(model: &QosModel) -> Vec<FigureSeries> {
+pub fn fig_loss(model: &QosModel) -> FigureResult {
     let w = WorkloadSpec::evaluation_default()
         .activities(3)
         .services_per_activity(30)
@@ -570,27 +569,26 @@ pub fn fig_loss(model: &QosModel) -> Vec<FigureSeries> {
         out.push(coverage);
         out.push(total);
     }
-    out
+    Ok(out)
 }
 
 /// Extra axis: QASSA execution time vs. number of abstract activities
 /// (100 services each, 4 constraints).
-pub fn fig_activities(model: &QosModel) -> Vec<FigureSeries> {
+pub fn fig_activities(model: &QosModel) -> FigureResult {
     let mut s = FigureSeries::new("QASSA [ms]");
     for n in [2usize, 5, 10, 15, 20] {
         let w = WorkloadSpec::evaluation_default()
             .activities(n)
             .build(model, 42);
-        s.points.push((n as f64, qassa_time_ms(model, &w, 5)));
+        s.points.push((n as f64, qassa_time_ms(model, &w, 5)?));
     }
-    vec![s]
+    Ok(vec![s])
 }
 
 /// Scalability beyond the paper's axis: QASSA at very large candidate
 /// pools, with the serial and the multi-core (parallel local phase)
 /// variants — the timeliness claim stretched an order of magnitude.
-#[expect(clippy::expect_used, reason = "generated workloads are well-formed")]
-pub fn scalability(model: &QosModel) -> Vec<FigureSeries> {
+pub fn scalability(model: &QosModel) -> FigureResult {
     let mut serial = FigureSeries::new("serial [ms]");
     let mut parallel = FigureSeries::new("parallel local [ms]");
     for n in [300usize, 600, 1000, 2000] {
@@ -600,27 +598,22 @@ pub fn scalability(model: &QosModel) -> Vec<FigureSeries> {
             .build(model, 42);
         let problem = w.problem();
         let qassa = Qassa::new(model);
-        serial.points.push((
-            n as f64,
-            time_ms(3, || {
-                let _ = qassa.select(&problem).expect("well-formed");
-            }),
-        ));
+        serial
+            .points
+            .push((n as f64, time_ms(3, || Ok(qassa.select(&problem)?))?));
         parallel.points.push((
             n as f64,
-            time_ms(3, || {
-                let _ = qassa.select_parallel(&problem).expect("well-formed");
-            }),
+            time_ms(3, || Ok(qassa.select_parallel(&problem)?))?,
         ));
     }
-    vec![serial, parallel]
+    Ok(vec![serial, parallel])
 }
 
 /// Head-to-head selector comparison on the default workload
 /// (5 activities × 100 services × 4 constraints, 10 seeds): median time,
 /// mean utility and feasible rate for QASSA, greedy, the genetic
 /// baseline and random. Prints its own table.
-pub fn compare_selectors(model: &QosModel) {
+pub fn compare_selectors(model: &QosModel) -> Result<(), FigureError> {
     const SEEDS: u64 = 10;
     for (scenario, spec) in [
         (
@@ -635,46 +628,48 @@ pub fn compare_selectors(model: &QosModel) {
         ),
     ] {
         println!("\n-- {scenario} --");
-        compare_selectors_on(model, &spec, SEEDS);
+        compare_selectors_on(model, &spec, SEEDS)?;
     }
+    Ok(())
 }
 
-#[expect(clippy::expect_used, reason = "generated workloads are well-formed")]
-fn compare_selectors_on(model: &QosModel, spec: &WorkloadSpec, seeds: u64) {
+fn compare_selectors_on(
+    model: &QosModel,
+    spec: &WorkloadSpec,
+    seeds: u64,
+) -> Result<(), FigureError> {
     use qasom_selection::baseline::GeneticConfig;
 
     println!(
         "{:>12}  {:>12}  {:>12}  {:>14}",
         "selector", "time [ms]", "utility", "feasible rate"
     );
-    type Runner<'m> = Box<dyn Fn(&crate::Workload) -> qasom_selection::SelectionOutcome + 'm>;
+    type Runner<'m> = Box<
+        dyn Fn(&crate::Workload) -> Result<qasom_selection::SelectionOutcome, FigureError> + 'm,
+    >;
     let baselines = Baselines::new(model);
     let selectors: Vec<(&str, Runner)> = vec![
         (
             "QASSA",
-            Box::new(move |w: &Workload| {
-                Qassa::new(model).select(&w.problem()).expect("well-formed")
-            }),
+            Box::new(move |w: &Workload| Ok(Qassa::new(model).select(&w.problem())?)),
         ),
         (
             "greedy",
-            Box::new(move |w: &Workload| baselines.greedy(&w.problem()).expect("well-formed")),
+            Box::new(move |w: &Workload| Ok(baselines.greedy(&w.problem())?)),
         ),
         (
             "decomposed",
-            Box::new(move |w: &Workload| baselines.decomposed(&w.problem()).expect("well-formed")),
+            Box::new(move |w: &Workload| Ok(baselines.decomposed(&w.problem())?)),
         ),
         (
             "genetic",
             Box::new(move |w: &Workload| {
-                baselines
-                    .genetic(&w.problem(), &GeneticConfig::default())
-                    .expect("well-formed")
+                Ok(baselines.genetic(&w.problem(), &GeneticConfig::default())?)
             }),
         ),
         (
             "random",
-            Box::new(move |w: &Workload| baselines.random(&w.problem(), 1).expect("well-formed")),
+            Box::new(move |w: &Workload| Ok(baselines.random(&w.problem(), 1)?)),
         ),
     ];
     for (name, run) in &selectors {
@@ -682,14 +677,12 @@ fn compare_selectors_on(model: &QosModel, spec: &WorkloadSpec, seeds: u64) {
         let mut feasible = 0usize;
         for seed in 0..seeds {
             let w = spec.build(model, seed);
-            let out = run(&w);
+            let out = run(&w)?;
             utilities += out.utility;
             feasible += usize::from(out.feasible);
         }
         let w = spec.build(model, 0);
-        let t = time_ms(3, || {
-            let _ = run(&w);
-        });
+        let t = time_ms(3, || run(&w))?;
         println!(
             "{:>12}  {:>12.3}  {:>12.4}  {:>14.2}",
             name,
@@ -698,6 +691,7 @@ fn compare_selectors_on(model: &QosModel, spec: &WorkloadSpec, seeds: u64) {
             feasible as f64 / seeds as f64
         );
     }
+    Ok(())
 }
 
 /// Ablation — proactive (EWMA+trend) vs reactive violation detection:
@@ -705,16 +699,13 @@ fn compare_selectors_on(model: &QosModel, spec: &WorkloadSpec, seeds: u64) {
 /// invocations earlier does the proactive monitor flag the (future)
 /// violation? Larger lead = more time to substitute before the user
 /// feels it.
-#[expect(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    reason = "the standard model has ResponseTime and every step observes it"
-)]
-pub fn ablate_monitoring(model: &QosModel) -> Vec<FigureSeries> {
+pub fn ablate_monitoring(model: &QosModel) -> FigureResult {
     use qasom_adaptation::{MonitorConfig, QosMonitor};
     use qasom_registry::{ServiceDescription, ServiceRegistry};
 
-    let rt = model.property("ResponseTime").expect("standard model");
+    let rt = model
+        .property("ResponseTime")
+        .ok_or("the QoS model has no ResponseTime")?;
     let bound = 200.0;
     let mut lead_series = FigureSeries::new("proactive lead [invocations]");
     for slope in [2.0f64, 5.0, 10.0, 20.0] {
@@ -731,8 +722,15 @@ pub fn ablate_monitoring(model: &QosModel) -> Vec<FigureSeries> {
             let mut q = qasom_qos::QosVector::new();
             q.set(rt, value);
             monitor.observe(id, &q);
-            let estimate = monitor.estimate(id).unwrap().get(rt).unwrap();
-            let predicted = monitor.predict(id).unwrap().get(rt).unwrap();
+            let observed = "the monitor observed ResponseTime";
+            let estimate = monitor
+                .estimate(id)
+                .and_then(|q| q.get(rt))
+                .ok_or(observed)?;
+            let predicted = monitor
+                .predict(id)
+                .and_then(|q| q.get(rt))
+                .ok_or(observed)?;
             if proactive_at.is_none() && predicted > bound {
                 proactive_at = Some(step);
             }
@@ -747,22 +745,18 @@ pub fn ablate_monitoring(model: &QosModel) -> Vec<FigureSeries> {
         };
         lead_series.points.push((slope, lead));
     }
-    vec![lead_series]
+    Ok(vec![lead_series])
 }
 
 /// Ablation — semantic vs syntactic discovery recall: providers advertise
 /// *specialised* capabilities (subconcepts of what the user asks for);
 /// semantic matching finds them all, exact-syntax matching finds none.
-#[expect(
-    clippy::expect_used,
-    reason = "a one-level taxonomy of fresh concepts is valid"
-)]
-pub fn ablate_semantics(model: &QosModel) -> Vec<FigureSeries> {
-    use qasom_ontology::Ontology;
+pub fn ablate_semantics(model: &QosModel) -> FigureResult {
+    use qasom_ontology::OntologyError;
     use qasom_registry::{Discovery, DiscoveryQuery, ServiceDescription, ServiceRegistry};
     use qasom_task::Activity;
 
-    let build = |specialised: usize, with_taxonomy: bool| -> (Ontology, ServiceRegistry) {
+    let build = |specialised: usize, with_taxonomy: bool| -> Result<_, OntologyError> {
         let mut b = OntologyBuilder::new("shop");
         let pay = b.concept("Pay");
         if with_taxonomy {
@@ -770,7 +764,7 @@ pub fn ablate_semantics(model: &QosModel) -> Vec<FigureSeries> {
                 b.subconcept(&format!("Pay{i}"), pay);
             }
         }
-        let onto = b.build().expect("valid");
+        let onto = b.build()?;
         let mut reg = ServiceRegistry::new();
         for i in 0..specialised {
             reg.register(ServiceDescription::new(
@@ -778,26 +772,26 @@ pub fn ablate_semantics(model: &QosModel) -> Vec<FigureSeries> {
                 &format!("shop#Pay{i}"),
             ));
         }
-        (onto, reg)
+        Ok((onto, reg))
     };
 
     let mut semantic = FigureSeries::new("semantic recall");
     let mut syntactic = FigureSeries::new("syntactic recall");
     for n in [1usize, 5, 10, 20] {
         let activity = Activity::new("pay", "shop#Pay");
-        let (onto, reg) = build(n, true);
+        let (onto, reg) = build(n, true)?;
         let found = Discovery::new(&onto, model)
             .discover(&reg, &DiscoveryQuery::new(&activity))
             .len();
         semantic.points.push((n as f64, found as f64 / n as f64));
 
-        let (onto, reg) = build(n, false);
+        let (onto, reg) = build(n, false)?;
         let found = Discovery::new(&onto, model)
             .discover(&reg, &DiscoveryQuery::new(&activity))
             .len();
         syntactic.points.push((n as f64, found as f64 / n as f64));
     }
-    vec![semantic, syntactic]
+    Ok(vec![semantic, syntactic])
 }
 
 /// Discovery latency at registry scale (DESIGN.md §5c): the capability
@@ -805,7 +799,7 @@ pub fn ablate_semantics(model: &QosModel) -> Vec<FigureSeries> {
 /// 32-category × 4-leaf taxonomy. A category-level request plugs in 4
 /// leaves × n/128 services; both paths must return identical candidate
 /// vectors before either is timed — only the work differs.
-pub fn fig_discovery(model: &QosModel) -> Vec<FigureSeries> {
+pub fn fig_discovery(model: &QosModel) -> FigureResult {
     use qasom_registry::{Discovery, DiscoveryQuery, ServiceDescription, ServiceRegistry};
     use std::sync::Arc;
 
@@ -817,9 +811,7 @@ pub fn fig_discovery(model: &QosModel) -> Vec<FigureSeries> {
             b.subconcept(&format!("Cat{i}Leaf{j}"), mid);
         }
     }
-    let Ok(onto) = b.build().map(Arc::new) else {
-        return Vec::new();
-    };
+    let onto = Arc::new(b.build()?);
     let activity = Activity::new("a", "d#Cat7");
     let indexed_query = DiscoveryQuery::new(&activity);
     let linear_query = DiscoveryQuery::new(&activity).linear_scan(true);
@@ -837,25 +829,26 @@ pub fn fig_discovery(model: &QosModel) -> Vec<FigureSeries> {
         }
         let discovery = Discovery::new(&onto, model);
         let expected = discovery.discover(&registry, &indexed_query);
-        assert!(!expected.is_empty());
-        assert_eq!(
-            expected,
-            discovery.discover(&registry, &linear_query),
-            "indexed and linear paths must agree before timing them"
-        );
+        if expected.is_empty() || expected != discovery.discover(&registry, &linear_query) {
+            return Err("indexed and linear discovery disagree".into());
+        }
 
         let x = n as f64;
         let i = time_ms(20, || {
-            std::hint::black_box(discovery.discover(&registry, &indexed_query));
-        });
+            Ok(std::hint::black_box(
+                discovery.discover(&registry, &indexed_query),
+            ))
+        })?;
         let l = time_ms(20, || {
-            std::hint::black_box(discovery.discover(&registry, &linear_query));
-        });
+            Ok(std::hint::black_box(
+                discovery.discover(&registry, &linear_query),
+            ))
+        })?;
         indexed_ms.points.push((x, i));
         linear_ms.points.push((x, l));
         speedup.points.push((x, l / i.max(f64::MIN_POSITIVE)));
     }
-    vec![indexed_ms, linear_ms, speedup]
+    Ok(vec![indexed_ms, linear_ms, speedup])
 }
 
 #[cfg(test)]
@@ -880,7 +873,7 @@ mod tests {
         let onto = onto.build().unwrap();
         let adapter = BehaviouralAdapter::new(&onto);
         for n in [4usize, 9, 14] {
-            let (cur, alt) = adaptation_pair(n);
+            let (cur, alt) = adaptation_pair(n).unwrap();
             let executed: Vec<String> = (0..n / 2).map(|i| format!("c{i}")).collect();
             let refs: Vec<&str> = executed.iter().map(String::as_str).collect();
             assert!(adapter.resume_mapping(&cur, &alt, &refs).is_some());
@@ -889,9 +882,7 @@ mod tests {
 
     #[test]
     fn time_ms_returns_positive_duration() {
-        let ms = time_ms(3, || {
-            std::hint::black_box((0..1000).sum::<u64>());
-        });
+        let ms = time_ms(3, || Ok(std::hint::black_box((0..1000).sum::<u64>()))).unwrap();
         assert!(ms >= 0.0);
     }
 
@@ -899,7 +890,7 @@ mod tests {
     fn fig_vi13_series_is_monotone_in_size() {
         // Smoke: the transformation runs at every size (no timing
         // assertion — CI machines vary).
-        let series = fig_vi13();
+        let series = fig_vi13().unwrap();
         assert_eq!(series[0].points.len(), 7);
     }
 }

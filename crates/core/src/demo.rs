@@ -140,7 +140,7 @@ pub fn demo_run_report(seed: u64) -> Result<RunReport, String> {
     let mut report = env.run_report(DEMO_SCENARIO);
     report.compose = Some(compose);
     report.execution = Some(execution);
-    report.distributed = Some(distributed.to_section());
+    report.distributed = Some(distributed.to_json());
     Ok(report)
 }
 
@@ -151,21 +151,33 @@ mod tests {
 
     #[test]
     fn demo_report_covers_every_section() {
+        use qasom_obs::JsonValue;
         let report = demo_run_report(42).unwrap();
         assert_eq!(report.seed, 42);
         assert_eq!(report.scenario, DEMO_SCENARIO);
-        let compose = report.compose.as_ref().expect("compose section");
-        assert!(compose.feasible);
-        let execution = report.execution.as_ref().expect("execution section");
-        assert!(execution.success);
+        let field = |section: &Option<JsonValue>, key: &str| {
+            section.as_ref().and_then(|json| json.get(key)).cloned()
+        };
+        let at_least = |value: Option<JsonValue>, min: u64| matches!(value, Some(JsonValue::U64(n)) if n >= min);
+        assert_eq!(
+            field(&report.compose, "feasible"),
+            Some(JsonValue::Bool(true))
+        );
+        assert_eq!(
+            field(&report.execution, "success"),
+            Some(JsonValue::Bool(true))
+        );
         // pay-nfc crashes once: at least one failure and a substitution.
-        assert!(execution.failures >= 1);
-        assert!(execution.substitutions >= 1);
+        assert!(at_least(field(&report.execution, "failures"), 1));
+        assert!(at_least(field(&report.execution, "substitutions"), 1));
         assert!(report.metrics.counter(keys::DISCOVERY_INDEXED) >= 3);
         assert!(report.metrics.counter(keys::SELECTION_RUNS) >= 1);
-        let distributed = report.distributed.as_ref().expect("distributed section");
-        assert_eq!(distributed.providers, 7);
-        assert!(distributed.net.sent > 0);
+        assert_eq!(
+            field(&report.distributed, "providers"),
+            Some(JsonValue::U64(7))
+        );
+        let net = field(&report.distributed, "net");
+        assert!(at_least(net.and_then(|net| net.get("sent").cloned()), 1));
     }
 
     #[test]

@@ -6,8 +6,8 @@ use std::sync::Arc;
 use qasom_adaptation::{overlay, MonitorConfig, QosMonitor};
 use qasom_analysis::{Analyzer, ApproachKind, RequestSpec};
 use qasom_netsim::runtime::{ServiceRuntime, SyntheticService};
-use qasom_obs::report::{ComposeSection, ExecutionSection, RunReport};
-use qasom_obs::{keys, Recorder};
+use qasom_obs::report::RunReport;
+use qasom_obs::{keys, JsonValue, Recorder};
 use qasom_ontology::Ontology;
 use qasom_qos::{EndToEnd, QosModel, QosVector};
 use qasom_registry::persist::{PersistStats, RegistryJournal};
@@ -290,36 +290,39 @@ impl Environment {
     }
 
     /// The `compose` section of a [`RunReport`] for `composition`.
-    pub fn compose_section(composition: &ExecutableComposition) -> ComposeSection {
-        ComposeSection {
-            task: composition.task().name().to_owned(),
-            feasible: composition.outcome().feasible,
-            levels_explored: composition.outcome().levels_explored as u64,
-            utility: composition.outcome().utility,
-            analyzer_warnings: composition.warnings().len() as u64,
-        }
+    pub fn compose_section(composition: &ExecutableComposition) -> JsonValue {
+        let outcome = composition.outcome();
+        JsonValue::object()
+            .field("task", composition.task().name())
+            .field("feasible", outcome.feasible)
+            .field("levels_explored", outcome.levels_explored)
+            .field("utility", outcome.utility)
+            .field("analyzer_warnings", composition.warnings().len())
     }
 
     /// The `execution` section of a [`RunReport`] for `report`, with
-    /// delivered QoS keyed by this environment's property names.
-    pub fn execution_section(&self, report: &ExecutionReport) -> ExecutionSection {
-        ExecutionSection {
-            success: report.success,
-            invocations: report.invocations.len() as u64,
-            failures: report
-                .invocations
-                .iter()
-                .filter(|r| r.qos.is_none())
-                .count() as u64,
-            substitutions: report.substitutions as u64,
-            behavioural_adaptations: report.behavioural_adaptations as u64,
-            violations: report.violations.len() as u64,
-            delivered: report
-                .delivered
-                .iter()
-                .map(|(p, v)| (self.model.def(p).name().to_owned(), v))
-                .collect(),
-        }
+    /// delivered QoS keyed by this environment's property names in the
+    /// QoS model's property order.
+    pub fn execution_section(&self, report: &ExecutionReport) -> JsonValue {
+        let failures = report
+            .invocations
+            .iter()
+            .filter(|r| r.qos.is_none())
+            .count();
+        let delivered = report
+            .delivered
+            .iter()
+            .fold(JsonValue::object(), |json, (p, v)| {
+                json.field(self.model.def(p).name(), v)
+            });
+        JsonValue::object()
+            .field("success", report.success)
+            .field("invocations", report.invocations.len())
+            .field("failures", failures)
+            .field("substitutions", report.substitutions)
+            .field("behavioural_adaptations", report.behavioural_adaptations)
+            .field("violations", report.violations.len())
+            .field("delivered", delivered)
     }
 
     /// Replaces the domain ontology and re-binds the registry to it (the
@@ -561,12 +564,6 @@ impl Environment {
     /// Removes the infrastructure information of a host.
     pub fn clear_infrastructure(&mut self, host: u64) {
         self.infra.remove(&host);
-    }
-
-    /// The end-to-end rule system used to perceive service QoS through
-    /// infrastructure QoS.
-    pub fn end_to_end_mut(&mut self) -> &mut EndToEnd {
-        &mut self.end_to_end
     }
 
     /// The SLA record of a service (created lazily at first delivery).

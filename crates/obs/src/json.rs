@@ -52,6 +52,14 @@ impl JsonValue {
         self
     }
 
+    /// The value under `key`, when this is an object that holds it.
+    pub fn get(&self, key: &str) -> Option<&JsonValue> {
+        match self {
+            JsonValue::Object(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
     /// Serialises without whitespace — the canonical byte-stable form.
     pub fn to_compact(&self) -> String {
         let mut out = String::new();

@@ -19,10 +19,10 @@
 //!   ordered map (`BTreeMap`), so a [`MetricsSnapshot`] always
 //!   serialises with a stable field order regardless of emission
 //!   interleaving.
-//! * [`report`] — the one serialisable schema every consumer parses:
-//!   [`report::RunReport`] unifies the composition pipeline metrics,
-//!   the distributed protocol counters (previously only in
-//!   `DistributedReport`/`FaultReport`) and the bench figure series.
+//! * [`report`] — the one envelope every consumer parses:
+//!   [`report::RunReport`] stamps schema, seed and scenario, carries the
+//!   counters, and places the `compose`, `execution` and `distributed`
+//!   sections as the [`JsonValue`]s their producers write.
 //!
 //! Serialisation is hand-rolled ([`JsonValue`]) because the workspace
 //! is offline and vendors no serde: objects keep insertion order,

@@ -406,11 +406,6 @@ impl PersistentRegistry {
     pub fn journal(&self) -> &RegistryJournal {
         &self.journal
     }
-
-    /// Splits into the registry and its journal (environment adoption).
-    pub fn into_parts(self) -> (ServiceRegistry, RegistryJournal) {
-        (self.registry, self.journal)
-    }
 }
 
 #[cfg(test)]

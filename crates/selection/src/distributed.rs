@@ -38,8 +38,7 @@ use qasom_netsim::{
     DeviceProfile, LinkConfig, NetworkStats, NodeBehaviour, NodeContext, NodeId, SimDuration,
     SimTime, Simulation,
 };
-use qasom_obs::report::{CoverageEntry, DistributedSection, NetsimSection, ProviderRtt};
-use qasom_obs::{keys, Recorder};
+use qasom_obs::{keys, JsonValue, Recorder};
 use qasom_ontology::Ontology;
 use qasom_qos::{ConstraintSet, Preferences, PropertyId, QosModel};
 use qasom_registry::{Discovery, DiscoveryQuery, ServiceDescription, ServiceId, ServiceRegistry};
@@ -281,52 +280,61 @@ impl DistributedReport {
         self.local_phase + self.global_phase
     }
 
-    /// The serialisable face of this report: the unified
-    /// [`DistributedSection`] of a
-    /// [`RunReport`](qasom_obs::report::RunReport), folding in the
-    /// fault report and network totals.
-    pub fn to_section(&self) -> DistributedSection {
-        DistributedSection {
-            providers: self.fault.providers_expected as u64,
-            providers_heard: self.fault.providers_heard as u64,
-            messages: self.messages,
-            sim_events: self.sim_events,
-            retries: self.fault.retries_sent,
-            coverage_ratio: self.fault.coverage_ratio(),
-            degraded: self.fault.is_degraded(),
-            feasible: self.outcome.feasible,
-            utility: self.outcome.utility,
-            local_phase_us: self.local_phase.as_micros(),
-            global_phase_us: self.global_phase.as_micros(),
-            provider_rtt: self
-                .provider_rtt_us
-                .iter()
-                .map(|&(node, rtt_us)| ProviderRtt { node, rtt_us })
-                .collect(),
-            coverage: self
-                .fault
-                .activity_coverage
-                .iter()
-                .filter(|c| c.received < c.expected)
-                .map(|c| CoverageEntry {
-                    activity: format!("#{}", c.activity),
-                    candidates_heard: c.received as u64,
-                    candidates_total: c.expected as u64,
-                })
-                .collect(),
-            net: NetsimSection {
-                sent: self.net.sent,
-                delivered: self.net.delivered,
-                dropped: self.net.dropped,
-                timers_cancelled: self.net.timers_cancelled,
-                sim_time_us: self.sim_time_us,
-            },
-        }
+    /// The `distributed` section of a
+    /// [`RunReport`](qasom_obs::report::RunReport): protocol totals, the
+    /// fault report's coverage, phase times and per-provider RTTs on
+    /// the simulated clock, and the network totals, in a stable field
+    /// order. `coverage` lists only the activities that lost candidates.
+    pub fn to_json(&self) -> JsonValue {
+        let fault = &self.fault;
+        let provider_rtt: Vec<JsonValue> = self
+            .provider_rtt_us
+            .iter()
+            .map(|&(node, rtt_us)| {
+                JsonValue::object()
+                    .field("node", node)
+                    .field("rtt_us", rtt_us)
+            })
+            .collect();
+        let coverage: Vec<JsonValue> = fault
+            .activity_coverage
+            .iter()
+            .filter(|c| c.received < c.expected)
+            .map(|c| {
+                JsonValue::object()
+                    .field("activity", format!("#{}", c.activity))
+                    .field("candidates_heard", c.received)
+                    .field("candidates_total", c.expected)
+            })
+            .collect();
+        JsonValue::object()
+            .field("providers", fault.providers_expected)
+            .field("providers_heard", fault.providers_heard)
+            .field("messages", self.messages)
+            .field("sim_events", self.sim_events)
+            .field("retries", fault.retries_sent)
+            .field("coverage_ratio", fault.coverage_ratio())
+            .field("degraded", fault.is_degraded())
+            .field("feasible", self.outcome.feasible)
+            .field("utility", self.outcome.utility)
+            .field("local_phase_us", self.local_phase.as_micros())
+            .field("global_phase_us", self.global_phase.as_micros())
+            .field("provider_rtt", provider_rtt)
+            .field("coverage", coverage)
+            .field(
+                "net",
+                JsonValue::object()
+                    .field("sent", self.net.sent)
+                    .field("delivered", self.net.delivered)
+                    .field("dropped", self.net.dropped)
+                    .field("timers_cancelled", self.net.timers_cancelled)
+                    .field("sim_time_us", self.sim_time_us),
+            )
     }
 
     /// Flushes this report's protocol and network counters to
     /// `recorder`. Phase times and per-provider RTTs stay in the report
-    /// (and its [`DistributedSection`]).
+    /// (and its [`to_json`](Self::to_json) section).
     pub fn record(&self, recorder: &dyn Recorder) {
         recorder.incr(keys::DISTRIBUTED_MESSAGES, self.messages);
         recorder.incr(keys::DISTRIBUTED_RETRIES, self.fault.retries_sent);
@@ -1094,17 +1102,67 @@ mod tests {
         let report = DistributedQassa::new(&m)
             .run(&w, &DistributedSetup::default(), 2)
             .unwrap();
-        let section = report.to_section();
-        assert_eq!(section.providers, 10);
-        assert_eq!(section.messages, report.messages);
-        assert_eq!(section.coverage_ratio, 1.0);
-        assert!(!section.degraded);
-        assert!(section.coverage.is_empty());
-        assert_eq!(section.net.sent, report.messages);
-        // The section serialises deterministically.
+        let json = report.to_json();
+        assert_eq!(json.get("providers"), Some(&JsonValue::U64(10)));
+        assert_eq!(json.get("messages"), Some(&JsonValue::U64(report.messages)));
+        assert_eq!(json.get("coverage_ratio"), Some(&JsonValue::F64(1.0)));
+        assert_eq!(json.get("degraded"), Some(&JsonValue::Bool(false)));
+        assert_eq!(json.get("coverage"), Some(&JsonValue::Array(Vec::new())));
         assert_eq!(
-            section.to_json().to_compact(),
-            report.to_section().to_json().to_compact()
+            json.get("net").and_then(|net| net.get("sent")),
+            Some(&JsonValue::U64(report.messages))
+        );
+        // The section serialises deterministically.
+        assert_eq!(json.to_compact(), report.to_json().to_compact());
+    }
+
+    #[test]
+    fn degraded_run_reports_its_coverage_shortfall() {
+        let (m, w) = small();
+        let lossy = DistributedSetup {
+            providers: 6,
+            link: LinkConfig::new(5.0, 1.0).with_loss(0.5),
+            reply_timeout_ms: 400,
+            retry: RetryPolicy::disabled(),
+            ..DistributedSetup::default()
+        };
+        // Seed 14 hears five of the six providers: every activity keeps
+        // 25 of its 30 candidates.
+        let report = DistributedQassa::new(&m).run(&w, &lossy, 14).unwrap();
+        let fault = &report.fault;
+        assert_eq!(fault.providers_heard, 5);
+        assert!(fault.is_degraded());
+        assert!(fault.coverage_ratio() < 1.0);
+        let json = report.to_json();
+        assert_eq!(json.get("degraded"), Some(&JsonValue::Bool(true)));
+        assert_eq!(
+            json.get("coverage_ratio"),
+            Some(&JsonValue::F64(fault.coverage_ratio()))
+        );
+        assert_eq!(
+            json.get("providers_heard"),
+            Some(&JsonValue::U64(fault.providers_heard as u64))
+        );
+        assert_eq!(json.get("retries"), Some(&JsonValue::U64(0)));
+        let shortfalls: Vec<JsonValue> = fault
+            .activity_coverage
+            .iter()
+            .filter(|c| c.received < c.expected)
+            .map(|c| {
+                JsonValue::object()
+                    .field("activity", format!("#{}", c.activity))
+                    .field("candidates_heard", c.received)
+                    .field("candidates_total", c.expected)
+            })
+            .collect();
+        assert_eq!(json.get("coverage"), Some(&JsonValue::Array(shortfalls)));
+        assert_eq!(
+            json.get("coverage").map(JsonValue::to_compact).as_deref(),
+            Some(concat!(
+                r##"[{"activity":"#0","candidates_heard":25,"candidates_total":30},"##,
+                r##"{"activity":"#1","candidates_heard":25,"candidates_total":30},"##,
+                r##"{"activity":"#2","candidates_heard":25,"candidates_total":30}]"##,
+            ))
         );
     }
 

@@ -354,11 +354,14 @@ impl<'a> Qassa<'a> {
         self.validate_levels(problem, levels)?;
         let properties = problem.properties();
         let aggregator = Aggregator::new(self.model, problem.approach());
-        let normalizer = self.composition_normalizer_from_levels(
+        // The hierarchies cached each column's finite bounds during the
+        // local phase: no candidate is re-scanned here.
+        let normalizer = self.composition_normalizer(
             problem.task(),
             &properties,
             &aggregator,
-            levels,
+            levels.len(),
+            |i, p| levels[i].bound(p),
         );
 
         let max_levels = levels.iter().map(|l| l.level_count()).max().unwrap_or(0);
@@ -479,13 +482,19 @@ impl<'a> Qassa<'a> {
     ) -> (QosVector, f64) {
         let properties = problem.properties();
         let aggregator = Aggregator::new(self.model, problem.approach());
-        let pools: Vec<Vec<&QosVector>> = problem
+        // Per activity, the same finite bounds `QosLevels::bound` holds.
+        let fitted: Vec<Normalizer> = problem
             .candidates()
             .iter()
-            .map(|cands| cands.iter().map(ServiceCandidate::qos).collect())
+            .map(|cands| Normalizer::fit(self.model, cands.iter().map(ServiceCandidate::qos)))
             .collect();
-        let normalizer =
-            self.composition_normalizer(problem.task(), &properties, &aggregator, &pools);
+        let normalizer = self.composition_normalizer(
+            problem.task(),
+            &properties,
+            &aggregator,
+            fitted.len(),
+            |i, p| fitted[i].bounds(p),
+        );
         let vectors: Vec<&QosVector> = assignment.iter().map(ServiceCandidate::qos).collect();
         let aggregated = aggregator.aggregate_refs(problem.task(), &vectors, &properties);
         let u = utility(
@@ -539,78 +548,33 @@ impl<'a> Qassa<'a> {
         }
     }
 
-    /// [`Qassa::composition_normalizer`] from the hierarchies' cached
-    /// per-property value bounds (recorded during the local phase's
-    /// single column pass): `O(activities × properties)` instead of a
-    /// re-scan of every candidate. Non-finite advertised values never
-    /// enter the cached bounds, so an unreachable host's infinite
-    /// perceived response time cannot stretch the normalisation range
-    /// and flatten every utility to the same score.
-    fn composition_normalizer_from_levels(
-        &self,
-        task: &UserTask,
-        properties: &[PropertyId],
-        aggregator: &Aggregator<'_>,
-        levels: &[Arc<QosLevels>],
-    ) -> Normalizer {
-        let mut best = Vec::with_capacity(levels.len());
-        let mut worst = Vec::with_capacity(levels.len());
-        for l in levels {
-            let mut b = QosVector::new();
-            let mut w = QosVector::new();
-            for &p in properties {
-                if let Some((lo, hi)) = l.bound(p) {
-                    let (bv, wv) = match self.model.tendency(p) {
-                        Tendency::LowerBetter => (lo, hi),
-                        Tendency::HigherBetter => (hi, lo),
-                    };
-                    b.set(p, bv);
-                    w.set(p, wv);
-                }
-            }
-            best.push(b);
-            worst.push(w);
-        }
-        let mut normalizer = Normalizer::default();
-        for bound in [
-            aggregator.aggregate(task, &best, properties),
-            aggregator.aggregate(task, &worst, properties),
-        ] {
-            for (p, v) in bound.iter() {
-                normalizer.include(self.model, p, v);
-            }
-        }
-        normalizer
-    }
-
     /// Fits composition-level normalisation bounds by aggregating the
     /// per-activity best and worst values (aggregation is monotone per
     /// argument, so these are true bounds of the composition space).
-    /// Order-independent in each pool, so candidate-matrix order and
-    /// level-hierarchy order fit identical bounds.
+    /// `bound(i, p)` is activity `i`'s raw `(min, max)` over the finite
+    /// values of `p`, so an unreachable host's infinite perceived
+    /// response time can neither stretch the range nor, once
+    /// aggregated, drop out of it and collapse it to a point.
+    /// `O(activities × properties)` calls of `bound`.
     fn composition_normalizer(
         &self,
         task: &UserTask,
         properties: &[PropertyId],
         aggregator: &Aggregator<'_>,
-        pools: &[Vec<&QosVector>],
+        activities: usize,
+        bound: impl Fn(usize, PropertyId) -> Option<(f64, f64)>,
     ) -> Normalizer {
-        let mut best = Vec::with_capacity(pools.len());
-        let mut worst = Vec::with_capacity(pools.len());
-        for cands in pools {
+        let mut best = Vec::with_capacity(activities);
+        let mut worst = Vec::with_capacity(activities);
+        for i in 0..activities {
             let mut b = QosVector::new();
             let mut w = QosVector::new();
             for &p in properties {
-                let tendency = self.model.tendency(p);
-                let mut b_val: Option<f64> = None;
-                let mut w_val: Option<f64> = None;
-                for qos in cands {
-                    if let Some(v) = qos.get(p) {
-                        b_val = Some(b_val.map_or(v, |cur| tendency.better(cur, v)));
-                        w_val = Some(w_val.map_or(v, |cur| tendency.worse(cur, v)));
-                    }
-                }
-                if let (Some(bv), Some(wv)) = (b_val, w_val) {
+                if let Some((lo, hi)) = bound(i, p) {
+                    let (bv, wv) = match self.model.tendency(p) {
+                        Tendency::LowerBetter => (lo, hi),
+                        Tendency::HigherBetter => (hi, lo),
+                    };
                     b.set(p, bv);
                     w.set(p, wv);
                 }
@@ -995,21 +959,35 @@ mod tests {
     fn evaluate_matches_selected_outcome() {
         let f = fx();
         let task = seq_task(2);
-        let cands = candidates(
-            &f,
-            &[
-                vec![(50.0, 0.99), (500.0, 0.5)],
-                vec![(60.0, 0.98), (400.0, 0.6)],
-            ],
-        );
-        let problem = SelectionProblem::new(&task)
-            .with_candidates(cands)
-            .with_constraints(constraints(&f, 200.0, 0.9));
-        let qassa = Qassa::new(&f.model);
-        let out = qassa.select(&problem).unwrap();
-        let (agg, u) = qassa.evaluate(&problem, &out.assignment);
-        assert_eq!(agg, out.aggregated);
-        assert!((u - out.utility).abs() < 1e-12);
+        // The second input holds an unreachable candidate (infinite
+        // response time), which must not enter either normaliser.
+        for (specs, rt_bound, av_bound) in [
+            (
+                [
+                    vec![(50.0, 0.99), (500.0, 0.5)],
+                    vec![(60.0, 0.98), (400.0, 0.6)],
+                ],
+                200.0,
+                0.9,
+            ),
+            (
+                [
+                    vec![(50.0, 0.99), (f64::INFINITY, 0.5), (300.0, 0.7)],
+                    vec![(60.0, 0.98), (400.0, 0.6)],
+                ],
+                2_000.0,
+                0.1,
+            ),
+        ] {
+            let problem = SelectionProblem::new(&task)
+                .with_candidates(candidates(&f, &specs))
+                .with_constraints(constraints(&f, rt_bound, av_bound));
+            let qassa = Qassa::new(&f.model);
+            let out = qassa.select(&problem).unwrap();
+            let (agg, u) = qassa.evaluate(&problem, &out.assignment);
+            assert_eq!(agg, out.aggregated);
+            assert!((u - out.utility).abs() < 1e-12, "{u} != {}", out.utility);
+        }
     }
 
     #[test]

@@ -198,8 +198,12 @@ fn without_retries_thirty_percent_loss_is_flagged_degraded() {
 #[test]
 fn simulated_figures_are_pinned() {
     let m = model();
-    let series = |figure: Vec<qasom_obs::report::FigureSeries>| -> Vec<(String, Vec<(f64, f64)>)> {
-        figure.into_iter().map(|s| (s.label, s.points)).collect()
+    let series = |figure: qasom_bench::FigureResult| -> Vec<(String, Vec<(f64, f64)>)> {
+        figure
+            .unwrap()
+            .into_iter()
+            .map(|s| (s.label, s.points))
+            .collect()
     };
     let pinned = |rows: &[(&str, &[(f64, f64)])]| -> Vec<(String, Vec<(f64, f64)>)> {
         rows.iter()
