@@ -18,11 +18,11 @@ use std::error::Error;
 use std::time::Instant;
 
 use qasom_adaptation::BehaviouralAdapter;
-use qasom_netsim::{DeviceProfile, LinkConfig};
+use qasom_netsim::LinkConfig;
 use qasom_ontology::OntologyBuilder;
 use qasom_qos::QosModel;
 use qasom_selection::baseline::Baselines;
-use qasom_selection::distributed::{DistributedQassa, DistributedSetup, RetryPolicy};
+use qasom_selection::distributed::{DistributedQassa, DistributedSetup, REPLY_TIMEOUT_MS};
 use qasom_selection::workload::{TaskShape, Tightness, Workload, WorkloadSpec};
 use qasom_selection::{AggregationApproach, LocalRank, Qassa, QassaConfig};
 use qasom_task::{bpel, Activity, BehaviouralGraph, TaskError, TaskNode, UserTask};
@@ -320,10 +320,6 @@ pub fn fig_vi12(model: &QosModel) -> FigureResult {
         let setup = DistributedSetup {
             providers,
             link: LinkConfig::new(5.0, 1.0),
-            provider_profile: DeviceProfile::constrained(),
-            coordinator_profile: DeviceProfile::constrained(),
-            per_candidate_cost_us: 10,
-            reply_timeout_ms: 5_000,
             ..DistributedSetup::default()
         };
         let report = driver.run(&w, &setup, 42)?;
@@ -532,23 +528,16 @@ pub fn fig_loss(model: &QosModel) -> FigureResult {
         .build(model, 42);
     let driver = DistributedQassa::new(model);
     const SEEDS: u64 = 10;
-    let variants = [
-        ("retries", RetryPolicy::default()),
-        ("no retries", RetryPolicy::disabled()),
-    ];
+    let variants = [("retries", true), ("no retries", false)];
     let mut out = Vec::new();
-    for (label, retry) in variants {
+    for (label, retries) in variants {
         let mut coverage = FigureSeries::new(format!("coverage ({label})"));
         let mut total = FigureSeries::new(format!("total [ms] ({label})"));
         for loss in [0.0f64, 0.1, 0.2, 0.3, 0.4, 0.6] {
             let setup = DistributedSetup {
                 providers: 8,
                 link: LinkConfig::new(5.0, 1.0).with_loss(loss),
-                provider_profile: DeviceProfile::constrained(),
-                coordinator_profile: DeviceProfile::constrained(),
-                per_candidate_cost_us: 10,
-                reply_timeout_ms: 5_000,
-                retry,
+                retries,
                 ..DistributedSetup::default()
             };
             let (mut cov_sum, mut ms_sum) = (0.0, 0.0);
@@ -560,7 +549,7 @@ pub fn fig_loss(model: &QosModel) -> FigureResult {
                     }
                     // An activity lost every candidate: zero coverage,
                     // and the run still paid the full deadline.
-                    Err(_) => ms_sum += setup.reply_timeout_ms as f64,
+                    Err(_) => ms_sum += REPLY_TIMEOUT_MS as f64,
                 }
             }
             coverage.points.push((loss, cov_sum / SEEDS as f64));

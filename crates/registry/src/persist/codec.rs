@@ -1,10 +1,9 @@
 //! Binary codec primitives for the persistence layer.
 //!
 //! Little-endian, length-prefixed, no external dependencies. Every
-//! decode is bounds-checked and returns
-//! [`PersistError::Corrupt`](super::PersistError::Corrupt) on underrun
-//! or malformed content — the registry must never panic on stored
-//! bytes.
+//! decode is bounds-checked and returns [`PersistError::Corrupt`] on
+//! underrun or malformed content — the registry must never panic on
+//! stored bytes.
 
 use qasom_ontology::Iri;
 use qasom_qos::{PropertyId, QosVector};

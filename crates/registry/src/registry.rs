@@ -102,8 +102,10 @@ impl ServiceId {
         self.0
     }
 
-    /// Rebuilds an id from its raw form (persistence codecs only: ids
-    /// are meaningful within the registry that allocated them).
+    /// Rebuilds an id from its raw form, for persistence codecs and for
+    /// synthetic workloads that mint ids without a registry. Ids are
+    /// meaningful only within the registry or workload that allocated
+    /// them.
     pub fn from_raw(raw: u32) -> Self {
         ServiceId(raw)
     }

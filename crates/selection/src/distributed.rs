@@ -9,16 +9,15 @@
 //!    own [`NodeBehaviour::on_start`] — the request leg transits real
 //!    links, so it is subject to latency, jitter and loss exactly like
 //!    the digest leg;
-//! 2. every provider node runs the *local selection* phase over the
-//!    candidates it hosts — looked up per activity through its own
-//!    capability-indexed shard registry, not a linear scan —
-//!    (cost modelled as `candidates × properties × per_candidate_cost`,
-//!    scaled by the node's CPU factor) and replies with per-activity
-//!    ranked digests; retransmitted requests are answered from the
+//! 2. every provider node runs the *local selection* phase
+//!    ([`LocalRank::rank`]) over the candidates it hosts, per activity
+//!    (cost modelled as 10 µs per candidate × property, scaled by the
+//!    node's CPU factor) and replies with one ranked hierarchy per
+//!    hosted activity; retransmitted requests are answered from the
 //!    cached ranking;
-//! 3. providers that have not answered are re-requested with capped
-//!    exponential backoff plus seeded jitter ([`RetryPolicy`]) until the
-//!    reply deadline;
+//! 3. when [`DistributedSetup::retries`] is on, providers that have not
+//!    answered are re-requested with capped exponential backoff plus
+//!    seeded jitter until the reply deadline ([`REPLY_TIMEOUT_MS`]);
 //! 4. once all expected digests arrived — or the deadline passes — the
 //!    coordinator merges the digests ([`QosLevels::merge`]) and runs the
 //!    *global selection* phase locally over whatever it heard.
@@ -39,23 +38,36 @@ use qasom_netsim::{
     SimTime, Simulation,
 };
 use qasom_obs::{keys, JsonValue, Recorder};
-use qasom_ontology::Ontology;
 use qasom_qos::{ConstraintSet, Preferences, PropertyId, QosModel};
-use qasom_registry::{Discovery, DiscoveryQuery, ServiceDescription, ServiceId, ServiceRegistry};
-use qasom_task::{Activity, UserTask};
+use qasom_task::UserTask;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::workload::Workload;
 use crate::{
-    AggregationApproach, LocalRank, Qassa, QassaConfig, QosLevels, SelectionOutcome,
-    SelectionProblem, ServiceCandidate,
+    AggregationApproach, LocalRank, Qassa, QosLevels, SelectionOutcome, SelectionProblem,
+    ServiceCandidate,
 };
 
 /// Timer key of the coordinator's reply deadline.
 const DEADLINE_TIMER: u64 = 0;
 /// Timer key of the coordinator's retransmission rounds.
 const RETRY_TIMER: u64 = 1;
+
+/// How long the coordinator waits for provider digests before proceeding
+/// with whatever arrived (provider churn tolerance), in simulated ms.
+pub const REPLY_TIMEOUT_MS: u64 = 5_000;
+/// Modelled local-selection cost per (candidate × property), in
+/// microseconds on the reference machine.
+const PER_CANDIDATE_COST_US: u64 = 10;
+/// Retransmission schedule: round `r` (zero-based) fires
+/// `RETRY_BASE_MS × 2^r`, capped at `RETRY_MAX_DELAY_MS`, plus a uniform
+/// jitter in `[0, RETRY_JITTER_MS]` after the previous round. Eight
+/// rounds fit well inside the reply deadline.
+const MAX_RETRIES: u32 = 8;
+const RETRY_BASE_MS: u64 = 50;
+const RETRY_MAX_DELAY_MS: u64 = 800;
+const RETRY_JITTER_MS: u64 = 20;
 
 /// Protocol messages.
 #[derive(Debug, Clone)]
@@ -69,73 +81,13 @@ pub enum Message {
         /// User preference weights.
         preferences: Preferences,
     },
-    /// Provider → coordinator: ranked digests, one per hosted activity,
-    /// plus the raw candidates (the coordinator needs them to rebuild a
-    /// complete problem for the global phase).
+    /// Provider → coordinator: one ranked hierarchy per hosted activity.
+    /// The hierarchies hold the ranked candidates, which is all the
+    /// global phase reads.
     LocalDigest {
-        /// Per-activity `(activity index, hierarchy, candidates)`.
-        digests: Vec<(usize, QosLevels, Vec<ServiceCandidate>)>,
+        /// Per-activity `(activity index, hierarchy)`.
+        digests: Vec<(usize, QosLevels)>,
     },
-}
-
-/// Retransmission policy for unanswered providers: capped exponential
-/// backoff with seeded jitter, bounded by the reply deadline.
-///
-/// Round `r` (zero-based) fires `base_delay_ms × 2^r` (capped at
-/// `max_delay_ms`) plus a uniform jitter in `[0, jitter_ms]` after the
-/// previous round; only providers that have not yet answered are
-/// re-requested. Jitter is drawn from a generator seeded by the run seed,
-/// so runs stay deterministic per seed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Maximum retransmission rounds (0 disables retries).
-    pub max_retries: u32,
-    /// Delay before the first retransmission round, in simulated ms.
-    pub base_delay_ms: u64,
-    /// Upper bound on the exponentially growing round delay, in ms.
-    pub max_delay_ms: u64,
-    /// Uniform jitter added to every round delay, in ms.
-    pub jitter_ms: u64,
-}
-
-impl RetryPolicy {
-    /// No retransmissions: a lost request or digest permanently shrinks
-    /// the candidate pool (the pre-fault-tolerance behaviour).
-    pub fn disabled() -> Self {
-        RetryPolicy {
-            max_retries: 0,
-            base_delay_ms: 0,
-            max_delay_ms: 0,
-            jitter_ms: 0,
-        }
-    }
-
-    /// Whether any retransmission round may fire.
-    pub fn is_enabled(&self) -> bool {
-        self.max_retries > 0
-    }
-
-    /// The capped exponential delay of round `round`, without jitter.
-    fn backoff_ms(&self, round: u32) -> u64 {
-        let cap = self.max_delay_ms.max(self.base_delay_ms);
-        self.base_delay_ms
-            .saturating_mul(1u64 << round.min(20))
-            .min(cap)
-    }
-}
-
-impl Default for RetryPolicy {
-    /// Eight rounds at 50 ms doubling to a 800 ms cap with ≤ 20 ms of
-    /// jitter — all rounds fit comfortably inside the default 5 s reply
-    /// deadline.
-    fn default() -> Self {
-        RetryPolicy {
-            max_retries: 8,
-            base_delay_ms: 50,
-            max_delay_ms: 800,
-            jitter_ms: 20,
-        }
-    }
 }
 
 /// Deployment parameters of a distributed run.
@@ -145,19 +97,12 @@ pub struct DistributedSetup {
     pub providers: usize,
     /// Wireless link profile.
     pub link: LinkConfig,
-    /// Device profile of provider nodes.
+    /// Device profile of provider nodes. The coordinator (user device)
+    /// is always [`DeviceProfile::constrained`].
     pub provider_profile: DeviceProfile,
-    /// Device profile of the coordinator (user device).
-    pub coordinator_profile: DeviceProfile,
-    /// Modelled local-selection cost per (candidate × property), in
-    /// microseconds on the reference machine.
-    pub per_candidate_cost_us: u64,
-    /// How long the coordinator waits for provider digests before
-    /// proceeding with whatever arrived (provider churn tolerance), in
-    /// simulated milliseconds.
-    pub reply_timeout_ms: u64,
-    /// Retransmission policy for unanswered providers.
-    pub retry: RetryPolicy,
+    /// Whether unanswered providers are re-requested. Without retries a
+    /// lost request or digest permanently shrinks the candidate pool.
+    pub retries: bool,
     /// Optional transient-network schedule: at `(t_ms, link)` the default
     /// link switches to `link` (e.g. an outage clearing after t_ms).
     pub link_after: Option<(u64, LinkConfig)>,
@@ -168,17 +113,14 @@ pub struct DistributedSetup {
 }
 
 impl Default for DistributedSetup {
-    /// Ten constrained handhelds on a 5 ms ± 1 ms ad hoc network; 10 µs
-    /// of ranking work per candidate-property; default retries on.
+    /// Ten constrained handhelds on a 5 ms ± 1 ms ad hoc network, with
+    /// retries on.
     fn default() -> Self {
         DistributedSetup {
             providers: 10,
             link: LinkConfig::default(),
             provider_profile: DeviceProfile::constrained(),
-            coordinator_profile: DeviceProfile::constrained(),
-            per_candidate_cost_us: 10,
-            reply_timeout_ms: 5_000,
-            retry: RetryPolicy::default(),
+            retries: true,
             link_after: None,
             max_sim_events: None,
         }
@@ -256,9 +198,6 @@ pub struct DistributedReport {
     pub local_phase: SimDuration,
     /// Simulated duration of the global phase (coordinator compute).
     pub global_phase: SimDuration,
-    /// Total protocol messages sent (requests, retransmissions, digests —
-    /// nothing is injected outside the link model).
-    pub messages: u64,
     /// Simulator events processed by the run. Cancelled timers are not
     /// processed, so a clean run's count reflects protocol work only.
     pub sim_events: u64,
@@ -266,6 +205,9 @@ pub struct DistributedReport {
     /// digest arrival) on the simulated clock, ascending node id.
     pub provider_rtt_us: Vec<(u32, u64)>,
     /// Network totals of the run (sends, drops, cancelled timers, …).
+    /// `net.sent` counts every protocol message (requests,
+    /// retransmissions, digests — nothing is injected outside the link
+    /// model).
     pub net: NetworkStats,
     /// Final simulated clock of the run, microseconds.
     pub sim_time_us: u64,
@@ -310,7 +252,7 @@ impl DistributedReport {
         JsonValue::object()
             .field("providers", fault.providers_expected)
             .field("providers_heard", fault.providers_heard)
-            .field("messages", self.messages)
+            .field("messages", self.net.sent)
             .field("sim_events", self.sim_events)
             .field("retries", fault.retries_sent)
             .field("coverage_ratio", fault.coverage_ratio())
@@ -336,7 +278,7 @@ impl DistributedReport {
     /// `recorder`. Phase times and per-provider RTTs stay in the report
     /// (and its [`to_json`](Self::to_json) section).
     pub fn record(&self, recorder: &dyn Recorder) {
-        recorder.incr(keys::DISTRIBUTED_MESSAGES, self.messages);
+        recorder.incr(keys::DISTRIBUTED_MESSAGES, self.net.sent);
         recorder.incr(keys::DISTRIBUTED_RETRIES, self.fault.retries_sent);
         recorder.incr(
             keys::DISTRIBUTED_PROVIDERS_HEARD,
@@ -350,67 +292,39 @@ impl DistributedReport {
 
 struct ProviderState {
     model: QosModel,
-    local: LocalRank,
-    /// `(activity index, abstract activity)` pairs this provider hosts
-    /// candidates for. The candidates themselves live in the provider's
-    /// own capability-indexed [`registry`](Self::registry) and are
-    /// re-discovered (not linearly scanned) on each first request.
-    hosted: Vec<(usize, Activity)>,
-    /// The taxonomy the shard registry is indexed under (shared with the
-    /// workload, so index probes are a single posting-list lookup).
-    ontology: Arc<Ontology>,
-    /// This provider's shard of the service pool, as its own indexed
-    /// registry.
-    registry: ServiceRegistry,
-    /// Shard-local [`ServiceId`] (dense, registration order) → the
-    /// workload-global id the coordinator knows the candidate by.
-    global_ids: Vec<ServiceId>,
-    per_candidate_cost_us: u64,
+    /// This provider's shard of the candidate pool, per hosted activity.
+    shard: Vec<(usize, Vec<ServiceCandidate>)>,
     /// Ranking computed on the first request; retransmissions are
     /// answered from this cache (the work is not redone, only the reply
     /// leg is repeated).
-    digests: Option<Vec<(usize, QosLevels, Vec<ServiceCandidate>)>>,
+    digests: Option<Vec<(usize, QosLevels)>>,
 }
 
 impl ProviderState {
-    /// Local-selection phase: discover this provider's candidates for
-    /// every hosted activity through the capability index, then rank
-    /// each activity's pool. Returns the
-    /// digests plus the modelled work in candidate×property units.
+    /// Local-selection phase: ranks each hosted activity's candidates.
+    /// Returns the digests plus the modelled work in
+    /// candidate×property units.
     fn rank_shard(
         &self,
         properties: &[PropertyId],
         preferences: &Preferences,
-    ) -> (Vec<(usize, QosLevels, Vec<ServiceCandidate>)>, u64) {
-        let discovery = Discovery::new(&self.ontology, &self.model);
-        let mut digests = Vec::with_capacity(self.hosted.len());
+    ) -> (Vec<(usize, QosLevels)>, u64) {
         let mut work_units = 0u64;
-        for (activity_index, activity) in &self.hosted {
-            let found = discovery.discover(&self.registry, &DiscoveryQuery::new(activity));
-            let cands: Vec<ServiceCandidate> = found
-                .iter()
-                .map(|m| {
-                    let id = self
-                        .global_ids
-                        .get(m.service.index())
-                        .copied()
-                        .unwrap_or(m.service);
-                    ServiceCandidate::new(id, m.effective_qos.clone())
-                })
-                .collect();
-            let levels = self
-                .local
-                .rank(&self.model, &cands, properties, preferences);
-            work_units += (cands.len() * properties.len()) as u64;
-            digests.push((*activity_index, levels, cands));
-        }
+        let digests = self
+            .shard
+            .iter()
+            .map(|(activity, cands)| {
+                work_units += (cands.len() * properties.len()) as u64;
+                let levels = LocalRank::default().rank(&self.model, cands, properties, preferences);
+                (*activity, levels)
+            })
+            .collect();
         (digests, work_units)
     }
 }
 
 struct CoordinatorState {
     model: QosModel,
-    config: QassaConfig,
     task: UserTask,
     constraints: ConstraintSet,
     preferences: Preferences,
@@ -425,10 +339,7 @@ struct CoordinatorState {
     /// report's per-provider round-trip times.
     digest_arrivals: Vec<(NodeId, SimTime)>,
     merged: Vec<QosLevels>,
-    candidates: Vec<Vec<ServiceCandidate>>,
-    per_candidate_cost_us: u64,
-    reply_timeout_ms: u64,
-    retry: RetryPolicy,
+    retries: bool,
     retry_round: u32,
     retry_pending: bool,
     deadline_pending: bool,
@@ -450,22 +361,20 @@ impl CoordinatorState {
 
     /// The absolute instant of the reply deadline.
     fn deadline_at(&self) -> SimTime {
-        self.started_at + SimDuration::from_millis(self.reply_timeout_ms)
+        self.started_at + SimDuration::from_millis(REPLY_TIMEOUT_MS)
     }
 
     /// Schedules the next retransmission round if one remains and it
     /// would fire before the reply deadline.
     fn schedule_retry(&mut self, ctx: &mut NodeContext<'_, Message>) {
-        if self.retry_round >= self.retry.max_retries {
+        if self.retry_round >= MAX_RETRIES {
             return;
         }
-        let jitter_us = if self.retry.jitter_ms == 0 {
-            0
-        } else {
-            self.rng.gen_range(0..=self.retry.jitter_ms * 1_000)
-        };
-        let delay =
-            SimDuration::from_micros(self.retry.backoff_ms(self.retry_round) * 1_000 + jitter_us);
+        let backoff_ms = RETRY_BASE_MS
+            .saturating_mul(1u64 << self.retry_round)
+            .min(RETRY_MAX_DELAY_MS);
+        let jitter_us = self.rng.gen_range(0..=RETRY_JITTER_MS * 1_000);
+        let delay = SimDuration::from_micros(backoff_ms * 1_000 + jitter_us);
         if ctx.now() + delay < self.deadline_at() {
             ctx.set_timer(delay, RETRY_TIMER);
             self.retry_pending = true;
@@ -490,17 +399,18 @@ impl CoordinatorState {
         self.local_done_at = Some(ctx.now());
 
         // Global phase on the user device.
-        let total: u64 = self.candidates.iter().map(|c| c.len() as u64).sum();
+        let total: u64 = self.merged.iter().map(|l| l.total() as u64).sum();
         let props = self.constraints.len().max(self.preferences.len()).max(1) as u64;
-        let work = SimDuration::from_micros(total * props * self.per_candidate_cost_us / 4);
+        let work = SimDuration::from_micros(total * props * PER_CANDIDATE_COST_US / 4);
         ctx.compute(work);
 
+        // The global phase reads the hierarchies only: the problem needs
+        // no candidate matrix.
         let problem = SelectionProblem::new(&self.task)
-            .with_candidates(self.candidates.clone())
             .with_constraints(self.constraints.clone())
             .with_preferences(self.preferences.clone())
             .with_approach(self.approach);
-        let qassa = Qassa::with_config(&self.model, self.config);
+        let qassa = Qassa::new(&self.model);
         // Digests arriving after this point are dropped (`outcome` is
         // set), so the merged hierarchies can move into the outcome.
         let merged: Vec<Arc<QosLevels>> = std::mem::take(&mut self.merged)
@@ -532,12 +442,9 @@ impl NodeBehaviour<Message> for Role {
             }
             // Churn tolerance: proceed with whatever digests arrived once
             // the reply deadline passes.
-            ctx.set_timer(
-                SimDuration::from_millis(state.reply_timeout_ms),
-                DEADLINE_TIMER,
-            );
+            ctx.set_timer(SimDuration::from_millis(REPLY_TIMEOUT_MS), DEADLINE_TIMER);
             state.deadline_pending = true;
-            if state.retry.is_enabled() {
+            if state.retries {
                 state.schedule_retry(ctx);
             }
         }
@@ -589,9 +496,7 @@ impl NodeBehaviour<Message> for Role {
             ) => {
                 if state.digests.is_none() {
                     let (digests, work_units) = state.rank_shard(&properties, &preferences);
-                    ctx.compute(SimDuration::from_micros(
-                        work_units * state.per_candidate_cost_us,
-                    ));
+                    ctx.compute(SimDuration::from_micros(work_units * PER_CANDIDATE_COST_US));
                     state.digests = Some(digests);
                 }
                 let digests = state.digests.clone().unwrap_or_default();
@@ -603,9 +508,8 @@ impl NodeBehaviour<Message> for Role {
                     return;
                 }
                 state.digest_arrivals.push((from, ctx.now()));
-                for (activity, levels, cands) in digests {
+                for (activity, levels) in digests {
                     state.merged[activity].merge(levels);
-                    state.candidates[activity].extend(cands);
                 }
                 if state.answered.len() == state.expected_replies {
                     state.cancel_timers(ctx);
@@ -621,22 +525,12 @@ impl NodeBehaviour<Message> for Role {
 #[derive(Debug, Clone, Copy)]
 pub struct DistributedQassa<'a> {
     model: &'a QosModel,
-    config: QassaConfig,
 }
 
 impl<'a> DistributedQassa<'a> {
     /// Creates a driver with the default QASSA configuration.
     pub fn new(model: &'a QosModel) -> Self {
-        DistributedQassa {
-            model,
-            config: QassaConfig::default(),
-        }
-    }
-
-    /// Overrides the QASSA configuration.
-    pub fn with_config(mut self, config: QassaConfig) -> Self {
-        self.config = config;
-        self
+        DistributedQassa { model }
     }
 
     /// Runs the protocol for `workload` under `setup`, deterministically
@@ -708,10 +602,9 @@ impl<'a> DistributedQassa<'a> {
         }
 
         let coordinator = sim.add_node(
-            setup.coordinator_profile,
+            DeviceProfile::constrained(),
             Role::Coordinator(Box::new(CoordinatorState {
                 model: self.model.clone(),
-                config: self.config,
                 task: workload.task().clone(),
                 constraints: problem.constraints().clone(),
                 preferences: problem.preferences().clone(),
@@ -722,10 +615,7 @@ impl<'a> DistributedQassa<'a> {
                 answered: BTreeSet::new(),
                 digest_arrivals: Vec::new(),
                 merged: vec![QosLevels::default(); n_activities],
-                candidates: vec![Vec::new(); n_activities],
-                per_candidate_cost_us: setup.per_candidate_cost_us,
-                reply_timeout_ms: setup.reply_timeout_ms,
-                retry: setup.retry,
+                retries: setup.retries,
                 retry_round: 0,
                 retry_pending: false,
                 deadline_pending: false,
@@ -739,52 +629,12 @@ impl<'a> DistributedQassa<'a> {
                 outcome: None,
             })),
         );
-        let ontology = Arc::clone(workload.ontology());
-        let activities: Vec<Activity> = workload
-            .task()
-            .activities()
-            .map(|r| r.activity().clone())
-            .collect();
         for shard in shards {
-            // Each provider advertises its shard in its own
-            // capability-indexed registry; ranking then goes through
-            // indexed discovery instead of a linear scan of the shard.
-            let mut registry = ServiceRegistry::with_ontology(Arc::clone(&ontology));
-            let mut global_ids = Vec::new();
-            let mut hosted = Vec::with_capacity(shard.len());
-            for (activity, cands) in shard {
-                let act = activities[activity].clone();
-                for c in &cands {
-                    let desc = match workload.registry().get(c.id()) {
-                        Some(d) => d.clone(),
-                        // Candidate without a published description (not
-                        // produced by workload generation, but cheap to
-                        // tolerate): advertise it under the activity's
-                        // own required function.
-                        None => {
-                            let f = act.function();
-                            ServiceDescription::new(
-                                format!("candidate-{activity}-{}", global_ids.len()),
-                                &format!("{}#{}", f.namespace(), f.local_name()),
-                            )
-                            .with_qos_vector(c.qos().clone())
-                        }
-                    };
-                    registry.register(desc);
-                    global_ids.push(c.id());
-                }
-                hosted.push((activity, act));
-            }
             sim.add_node(
                 setup.provider_profile,
                 Role::Provider(Box::new(ProviderState {
                     model: self.model.clone(),
-                    local: self.config.local,
-                    hosted,
-                    ontology: Arc::clone(&ontology),
-                    registry,
-                    global_ids,
-                    per_candidate_cost_us: setup.per_candidate_cost_us,
+                    shard,
                     digests: None,
                 })),
             );
@@ -824,7 +674,7 @@ impl<'a> DistributedQassa<'a> {
             activity_coverage: (0..n_activities)
                 .map(|activity| ActivityCoverage {
                     activity,
-                    received: state.candidates[activity].len(),
+                    received: outcome.levels.get(activity).map_or(0, |l| l.total()),
                     expected: workload.candidates()[activity].len(),
                 })
                 .collect(),
@@ -842,7 +692,6 @@ impl<'a> DistributedQassa<'a> {
             outcome,
             local_phase: local_done.since(state.started_at),
             global_phase: global_done.since(local_done),
-            messages: sim.stats().sent,
             sim_events,
             provider_rtt_us,
             net: sim.stats(),
@@ -913,6 +762,15 @@ mod tests {
         assert_eq!(total, 3 * 30);
         assert!(report.fault.full_coverage());
         assert_eq!(report.fault.coverage_ratio(), 1.0);
+        // Every candidate arrives exactly once, under its workload id and
+        // with its workload QoS.
+        for (a, expected) in w.candidates().iter().enumerate() {
+            let mut heard: Vec<&ServiceCandidate> = report.outcome.alternates(a).collect();
+            heard.sort_by_key(|c| c.id());
+            let mut want: Vec<&ServiceCandidate> = expected.iter().collect();
+            want.sort_by_key(|c| c.id());
+            assert_eq!(heard, want, "activity {a}");
+        }
     }
 
     #[test]
@@ -925,7 +783,7 @@ mod tests {
         let report = DistributedQassa::new(&m).run(&w, &setup, 3).unwrap();
         // 7 requests + 7 digests — the kickoff is a real protocol send,
         // not an external injection, and no retries fire without loss.
-        assert_eq!(report.messages, 14);
+        assert_eq!(report.net.sent, 14);
     }
 
     #[test]
@@ -936,7 +794,7 @@ mod tests {
         let b = d.run(&w, &DistributedSetup::default(), 9).unwrap();
         assert_eq!(a.local_phase, b.local_phase);
         assert_eq!(a.outcome.assignment, b.outcome.assignment);
-        assert_eq!(a.messages, b.messages);
+        assert_eq!(a.net.sent, b.net.sent);
         assert_eq!(a.fault, b.fault);
     }
 
@@ -948,7 +806,6 @@ mod tests {
         let (m, w) = small();
         let setup = DistributedSetup {
             link: LinkConfig::new(40.0, 0.0),
-            per_candidate_cost_us: 0,
             ..DistributedSetup::default()
         };
         let report = DistributedQassa::new(&m).run(&w, &setup, 4).unwrap();
@@ -989,8 +846,7 @@ mod tests {
         let (m, w) = small();
         let setup = DistributedSetup {
             link: LinkConfig::new(5.0, 1.0).with_loss(1.0),
-            retry: RetryPolicy::disabled(),
-            reply_timeout_ms: 100,
+            retries: false,
             ..DistributedSetup::default()
         };
         match DistributedQassa::new(&m).run(&w, &setup, 5) {
@@ -1024,8 +880,7 @@ mod tests {
         let lossy = DistributedSetup {
             providers: 6,
             link: LinkConfig::new(5.0, 1.0).with_loss(0.5),
-            reply_timeout_ms: 400,
-            retry: RetryPolicy::disabled(),
+            retries: false,
             ..DistributedSetup::default()
         };
         match DistributedQassa::new(&m).run(&w, &lossy, 11) {
@@ -1058,10 +913,10 @@ mod tests {
         for &(_, rtt) in &report.provider_rtt_us {
             assert!(rtt > 0);
         }
-        // Clean run: both protocol timers were cancelled, and the
-        // network totals agree with the message count.
+        // Clean run: both protocol timers were cancelled, and one request
+        // and one digest crossed each provider's link.
         assert_eq!(report.net.timers_cancelled, 2);
-        assert_eq!(report.net.sent, report.messages);
+        assert_eq!(report.net.sent, 14);
         assert!(report.sim_time_us > 0);
     }
 
@@ -1078,14 +933,14 @@ mod tests {
         let plain = d.run(&w, &lossy, 11).unwrap();
         let rec = MemoryRecorder::new();
         let recorded = d.run_recorded(&w, &lossy, 11, Some(&rec)).unwrap();
-        assert_eq!(plain.messages, recorded.messages);
+        assert_eq!(plain.net.sent, recorded.net.sent);
         assert_eq!(plain.sim_events, recorded.sim_events);
         assert_eq!(plain.local_phase, recorded.local_phase);
         assert_eq!(plain.fault, recorded.fault);
         assert_eq!(plain.provider_rtt_us, recorded.provider_rtt_us);
         assert_eq!(plain.outcome.assignment, recorded.outcome.assignment);
         let snap = rec.snapshot().expect("memory recorder snapshots");
-        assert_eq!(snap.counter(keys::DISTRIBUTED_MESSAGES), plain.messages);
+        assert_eq!(snap.counter(keys::DISTRIBUTED_MESSAGES), plain.net.sent);
         assert_eq!(
             snap.counter(keys::DISTRIBUTED_RETRIES),
             plain.fault.retries_sent
@@ -1104,13 +959,13 @@ mod tests {
             .unwrap();
         let json = report.to_json();
         assert_eq!(json.get("providers"), Some(&JsonValue::U64(10)));
-        assert_eq!(json.get("messages"), Some(&JsonValue::U64(report.messages)));
+        assert_eq!(json.get("messages"), Some(&JsonValue::U64(report.net.sent)));
         assert_eq!(json.get("coverage_ratio"), Some(&JsonValue::F64(1.0)));
         assert_eq!(json.get("degraded"), Some(&JsonValue::Bool(false)));
         assert_eq!(json.get("coverage"), Some(&JsonValue::Array(Vec::new())));
         assert_eq!(
             json.get("net").and_then(|net| net.get("sent")),
-            Some(&JsonValue::U64(report.messages))
+            Some(&JsonValue::U64(report.net.sent))
         );
         // The section serialises deterministically.
         assert_eq!(json.to_compact(), report.to_json().to_compact());
@@ -1122,8 +977,7 @@ mod tests {
         let lossy = DistributedSetup {
             providers: 6,
             link: LinkConfig::new(5.0, 1.0).with_loss(0.5),
-            reply_timeout_ms: 400,
-            retry: RetryPolicy::disabled(),
+            retries: false,
             ..DistributedSetup::default()
         };
         // Seed 14 hears five of the six providers: every activity keeps

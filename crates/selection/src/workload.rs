@@ -6,15 +6,12 @@
 //! the per-activity bound) or at one standard deviation looser (Fig.
 //! VI.10/VI.11). This module reproduces that methodology deterministically.
 
-use std::sync::Arc;
-
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use qasom_netsim::dist::Normal;
-use qasom_ontology::{Ontology, OntologyBuilder};
 use qasom_qos::{Constraint, ConstraintSet, Preferences, PropertyId, QosModel, QosVector};
-use qasom_registry::{ServiceDescription, ServiceRegistry};
+use qasom_registry::ServiceId;
 use qasom_task::{Activity, LoopBound, TaskNode, UserTask};
 
 use crate::{AggregationApproach, SelectionProblem, ServiceCandidate};
@@ -124,26 +121,35 @@ impl WorkloadSpec {
     }
 
     /// Keeps only the first `n` of the configured properties (the
-    /// "#QoS constraints" axis of Fig. VI.5b/VI.6b).
+    /// "#QoS constraints" axis of Fig. VI.5b/VI.6b), extending them with
+    /// further standard properties when more axes are requested.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is 0 or exceeds the configured properties plus the
+    /// six extras.
     pub fn property_count(mut self, n: usize) -> Self {
         assert!(n > 0, "at least one property is required");
-        while self.properties.len() < n {
-            // Extend with further standard properties when more axes are
-            // requested than the default four.
-            for extra in [
-                "Reliability",
-                "Reputation",
-                "EnergyCost",
-                "SecurityLevel",
-                "Accuracy",
-                "EncodingQuality",
-            ] {
-                if !self.properties.iter().any(|p| p == extra) {
-                    self.properties.push(extra.to_owned());
-                    break;
-                }
+        for extra in [
+            "Reliability",
+            "Reputation",
+            "EnergyCost",
+            "SecurityLevel",
+            "Accuracy",
+            "EncodingQuality",
+        ] {
+            if self.properties.len() >= n {
+                break;
+            }
+            if !self.properties.iter().any(|p| p == extra) {
+                self.properties.push(extra.to_owned());
             }
         }
+        assert!(
+            self.properties.len() >= n,
+            "at most {} properties are available, {n} requested",
+            self.properties.len()
+        );
         self.properties.truncate(n);
         self
     }
@@ -181,37 +187,20 @@ impl WorkloadSpec {
 
         let task = build_task(self.shape, self.activities);
 
-        // One capability concept per abstract activity so the registry's
-        // inverted index (and hence provider-side indexed discovery in
-        // the distributed protocol) can be exercised on workloads.
-        let mut taxonomy = OntologyBuilder::new("wl");
-        for a in 0..self.activities {
-            taxonomy.concept(&format!("Activity{a}"));
-        }
-        let ontology = Arc::new(
-            taxonomy
-                .build()
-                .unwrap_or_else(|e| panic!("generated taxonomy is well-formed: {e}")),
-        );
-
-        let mut registry = ServiceRegistry::with_ontology(Arc::clone(&ontology));
+        // Ids are dense across the whole workload, in generation order.
+        let mut next_id = 0u32;
         let candidates: Vec<Vec<ServiceCandidate>> = (0..self.activities)
-            .map(|a| {
+            .map(|_| {
                 (0..self.services_per_activity)
-                    .map(|s| {
+                    .map(|_| {
                         let mut qos = QosVector::new();
                         for p in &profiles {
                             let v = Normal::new(p.mean, p.std_dev)
                                 .sample_clamped(&mut rng, p.clamp.0, p.clamp.1);
                             qos.set(p.property, v);
                         }
-                        let id = registry.register(
-                            ServiceDescription::new(
-                                format!("svc-{a}-{s}"),
-                                &format!("wl#Activity{a}"),
-                            )
-                            .with_qos_vector(qos.clone()),
-                        );
+                        let id = ServiceId::from_raw(next_id);
+                        next_id += 1;
                         ServiceCandidate::new(id, qos)
                     })
                     .collect()
@@ -227,8 +216,6 @@ impl WorkloadSpec {
             constraints,
             preferences,
             approach: self.approach,
-            registry,
-            ontology,
         }
     }
 
@@ -335,8 +322,7 @@ fn build_task(shape: TaskShape, n: usize) -> UserTask {
         .unwrap_or_else(|e| panic!("generated tasks are well-formed: {e}"))
 }
 
-/// A materialised workload: owns the task, candidate sets, constraints and
-/// the registry the candidates came from.
+/// A materialised workload: owns the task, candidate sets and constraints.
 #[derive(Debug, Clone)]
 pub struct Workload {
     task: UserTask,
@@ -344,8 +330,6 @@ pub struct Workload {
     constraints: ConstraintSet,
     preferences: Preferences,
     approach: AggregationApproach,
-    registry: ServiceRegistry,
-    ontology: Arc<Ontology>,
 }
 
 impl Workload {
@@ -362,19 +346,6 @@ impl Workload {
     /// The derived global constraints.
     pub fn constraints(&self) -> &ConstraintSet {
         &self.constraints
-    }
-
-    /// The registry the candidate services are registered in. It is
-    /// bound to [`Workload::ontology`], so indexed discovery works
-    /// against it out of the box.
-    pub fn registry(&self) -> &ServiceRegistry {
-        &self.registry
-    }
-
-    /// The per-activity capability taxonomy the workload was generated
-    /// under (one concept per abstract activity).
-    pub fn ontology(&self) -> &Arc<Ontology> {
-        &self.ontology
     }
 
     /// Assembles the [`SelectionProblem`] view of this workload.
@@ -497,6 +468,12 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "at most 10 properties are available, 11 requested")]
+    fn property_count_beyond_the_extras_panics() {
+        let _ = WorkloadSpec::evaluation_default().property_count(11);
+    }
+
+    #[test]
     fn full_shape_contains_choice_and_loop() {
         let m = QosModel::standard();
         let w = WorkloadSpec::evaluation_default()
@@ -522,27 +499,6 @@ mod tests {
         }
         walk(w.task().root(), &mut has_choice, &mut has_loop);
         assert!(has_choice && has_loop);
-    }
-
-    #[test]
-    fn workload_registry_supports_indexed_discovery() {
-        use qasom_registry::{Discovery, DiscoveryQuery};
-
-        let m = QosModel::standard();
-        let w = WorkloadSpec::evaluation_default()
-            .activities(3)
-            .services_per_activity(10)
-            .build(&m, 7);
-        let discovery = Discovery::new(w.ontology(), &m);
-        for r in w.task().activities() {
-            let indexed = discovery.discover(w.registry(), &DiscoveryQuery::new(r.activity()));
-            assert_eq!(indexed.len(), 10, "each activity has its own concept");
-            let linear = discovery.discover(
-                w.registry(),
-                &DiscoveryQuery::new(r.activity()).linear_scan(true),
-            );
-            assert_eq!(indexed, linear, "index and scan must agree");
-        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! cargo run --release --example adhoc_market
 //! ```
 
-use qasom_netsim::{DeviceProfile, LinkConfig};
+use qasom_netsim::LinkConfig;
 use qasom_obs::{keys, MemoryRecorder, Recorder};
 use qasom_qos::QosModel;
 use qasom_selection::distributed::{DistributedQassa, DistributedSetup};
@@ -40,10 +40,6 @@ fn main() {
             providers: stalls,
             // Crowded 2.4 GHz band: slower, jittery, slightly lossy.
             link: LinkConfig::new(8.0, 3.0).with_loss(0.0),
-            provider_profile: DeviceProfile::constrained(),
-            coordinator_profile: DeviceProfile::constrained(),
-            per_candidate_cost_us: 10,
-            reply_timeout_ms: 5_000,
             ..DistributedSetup::default()
         };
         let report = driver
@@ -54,7 +50,7 @@ fn main() {
             stalls,
             report.local_phase.as_millis_f64(),
             report.global_phase.as_millis_f64(),
-            report.messages,
+            report.net.sent,
             report.outcome.feasible
         );
     }

@@ -2,7 +2,7 @@
 //!
 //! The build environment cannot reach a crates.io mirror, so the
 //! workspace vendors the API subset its property tests use: the
-//! [`Strategy`] combinators (`prop_map`, `prop_flat_map`,
+//! [`Strategy`](strategy::Strategy) combinators (`prop_map`, `prop_flat_map`,
 //! `prop_recursive`, `boxed`), [`strategy::Just`], range and tuple and
 //! `Vec` strategies, `prop::collection::vec`, regex-literal string
 //! strategies, `any::<T>()`, and the `proptest!` / `prop_assert!` /
@@ -915,7 +915,7 @@ pub mod collection {
         VecStrategy { element, size }
     }
 
-    /// See [`vec`].
+    /// See [`vec()`].
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S> {
         element: S,

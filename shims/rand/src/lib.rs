@@ -1,4 +1,4 @@
-//! Dependency-free stand-in for the [`rand`] crate.
+//! Dependency-free stand-in for the `rand` crate.
 //!
 //! The build environment of this repository cannot reach a crates.io
 //! mirror, so the workspace vendors the small API subset it uses:

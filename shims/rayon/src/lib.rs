@@ -1,4 +1,4 @@
-//! Dependency-free stand-in for the [`rayon`] data-parallelism crate.
+//! Dependency-free stand-in for the `rayon` data-parallelism crate.
 //!
 //! The build environment cannot reach a crates.io mirror, so the
 //! workspace vendors the API subset it uses: `par_iter()` /

@@ -15,8 +15,9 @@
 //!   (functions not listed match syntactically).
 //! * `--constraint NAME=VALUE[UNIT]` e.g. `Delay=1.5s`, `TotalPrice=30EUR`.
 //! * `--weight NAME=W` preference weights.
-//! * `--report FILE` write the seed-stamped [`RunReport`] JSON of this
-//!   run to `FILE` (`-` for stdout).
+//! * `--report FILE` write the seed-stamped
+//!   [`RunReport`](qasom_obs::report::RunReport) JSON of this run to
+//!   `FILE` (`-` for stdout).
 //!
 //! The scenario subcommands (`report`, `daemon-stress`,
 //! `persist-stress`) are the rows of

@@ -3,9 +3,9 @@
 //! criteria of the retransmission protocol.
 
 use proptest::prelude::*;
-use qasom_netsim::{DeviceProfile, LinkConfig};
+use qasom_netsim::LinkConfig;
 use qasom_qos::QosModel;
-use qasom_selection::distributed::{DistributedQassa, DistributedSetup, RetryPolicy};
+use qasom_selection::distributed::{DistributedQassa, DistributedSetup};
 use qasom_selection::workload::{Workload, WorkloadSpec};
 
 fn model() -> QosModel {
@@ -19,15 +19,11 @@ fn workload(m: &QosModel, seed: u64) -> Workload {
         .build(m, seed)
 }
 
-fn lossy_setup(providers: usize, loss: f64, retry: RetryPolicy) -> DistributedSetup {
+fn lossy_setup(providers: usize, loss: f64, retries: bool) -> DistributedSetup {
     DistributedSetup {
         providers,
         link: LinkConfig::new(5.0, 1.0).with_loss(loss),
-        provider_profile: DeviceProfile::constrained(),
-        coordinator_profile: DeviceProfile::constrained(),
-        per_candidate_cost_us: 10,
-        reply_timeout_ms: 5_000,
-        retry,
+        retries,
         ..DistributedSetup::default()
     }
 }
@@ -46,11 +42,11 @@ proptest! {
     ) {
         let m = model();
         let w = workload(&m, seed);
-        let setup = lossy_setup(providers, loss, RetryPolicy::default());
+        let setup = lossy_setup(providers, loss, true);
         let d = DistributedQassa::new(&m);
         match (d.run(&w, &setup, seed), d.run(&w, &setup, seed)) {
             (Ok(a), Ok(b)) => {
-                prop_assert_eq!(a.messages, b.messages);
+                prop_assert_eq!(a.net.sent, b.net.sent);
                 prop_assert_eq!(a.sim_events, b.sim_events);
                 prop_assert_eq!(a.local_phase, b.local_phase);
                 prop_assert_eq!(a.global_phase, b.global_phase);
@@ -69,7 +65,7 @@ proptest! {
     fn degraded_pool_is_a_subset_of_the_centralised_pool(
         seed in any::<u64>(),
         loss in 0.0f64..0.7,
-        retries in prop_oneof![Just(RetryPolicy::disabled()), Just(RetryPolicy::default())],
+        retries in prop_oneof![Just(false), Just(true)],
     ) {
         let m = model();
         let w = workload(&m, seed);
@@ -107,7 +103,7 @@ fn retries_recover_from_a_transient_outage() {
     let setup = DistributedSetup {
         link: LinkConfig::new(5.0, 1.0).with_loss(1.0),
         link_after: Some((120, LinkConfig::new(5.0, 1.0))),
-        ..lossy_setup(5, 1.0, RetryPolicy::default())
+        ..lossy_setup(5, 1.0, true)
     };
     let report = DistributedQassa::new(&m)
         .run(&w, &setup, 11)
@@ -132,8 +128,7 @@ fn transient_outage_without_retries_is_not_recovered() {
     let setup = DistributedSetup {
         link: LinkConfig::new(5.0, 1.0).with_loss(1.0),
         link_after: Some((120, LinkConfig::new(5.0, 1.0))),
-        reply_timeout_ms: 500,
-        ..lossy_setup(5, 1.0, RetryPolicy::disabled())
+        ..lossy_setup(5, 1.0, false)
     };
     match DistributedQassa::new(&m).run(&w, &setup, 11) {
         Ok(report) => assert!(report.fault.is_degraded()),
@@ -150,7 +145,7 @@ fn transient_outage_without_retries_is_not_recovered() {
 fn retries_restore_full_coverage_at_thirty_percent_loss() {
     let m = model();
     let d = DistributedQassa::new(&m);
-    let setup = lossy_setup(8, 0.3, RetryPolicy::default());
+    let setup = lossy_setup(8, 0.3, true);
     let mut full = 0;
     for seed in 0..10u64 {
         let w = workload(&m, seed);
@@ -170,7 +165,7 @@ fn retries_restore_full_coverage_at_thirty_percent_loss() {
 fn without_retries_thirty_percent_loss_is_flagged_degraded() {
     let m = model();
     let d = DistributedQassa::new(&m);
-    let setup = lossy_setup(8, 0.3, RetryPolicy::disabled());
+    let setup = lossy_setup(8, 0.3, false);
     let mut degraded = 0;
     for seed in 0..10u64 {
         let w = workload(&m, seed);

@@ -10,10 +10,6 @@ fn setup(providers: usize) -> DistributedSetup {
     DistributedSetup {
         providers,
         link: LinkConfig::new(5.0, 1.0),
-        provider_profile: DeviceProfile::constrained(),
-        coordinator_profile: DeviceProfile::constrained(),
-        per_candidate_cost_us: 10,
-        reply_timeout_ms: 5_000,
         ..DistributedSetup::default()
     }
 }
@@ -69,7 +65,7 @@ fn message_budget_is_two_per_provider() {
         let report = DistributedQassa::new(&m)
             .run(&w, &setup(providers), 4)
             .unwrap();
-        assert_eq!(report.messages as usize, 2 * providers);
+        assert_eq!(report.net.sent as usize, 2 * providers);
     }
 }
 
@@ -105,7 +101,6 @@ fn provider_churn_is_tolerated_via_timeout() {
         .services_per_activity(12)
         .build(&m, 8);
     let mut lossy = setup(4);
-    lossy.reply_timeout_ms = 200;
     // A very lossy network: some digests will be dropped, the timeout
     // must still produce an outcome from whatever arrived.
     lossy.link = LinkConfig::new(5.0, 1.0).with_loss(0.6);
