@@ -12,10 +12,12 @@ use crate::service::{Operation, ServiceDescription};
 
 use super::PersistError;
 
-/// CRC32 (IEEE, reflected polynomial `0xEDB88320`) lookup table,
-/// computed at compile time.
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// CRC32 (IEEE, reflected polynomial `0xEDB88320`) slicing-by-8
+/// lookup tables, computed at compile time. Table 0 is the classic
+/// bytewise table; table `k` holds the CRC of byte `b` followed by `k`
+/// zero bytes, so eight lookups fold eight input bytes at once.
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -28,20 +30,45 @@ const fn crc_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut i = 0;
+    while i < 256 {
+        let mut k = 1;
+        while k < 8 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            k += 1;
+        }
+        i += 1;
+    }
+    tables
 }
 
-static CRC_TABLE: [u32; 256] = crc_table();
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
 
 /// CRC32 (IEEE) of `bytes` — the checksum used by WAL record framing
-/// and snapshot blobs.
+/// and snapshot blobs. Folds eight bytes per step (slicing-by-8), then
+/// the remainder bytewise.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -67,9 +94,16 @@ pub fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
-/// Appends an IRI in its canonical `ns#local` text form.
+/// Appends an IRI in its canonical `ns#local` text form, length
+/// prefixed like [`put_str`]. The parts are copied straight in: neither
+/// may contain `#` (see [`Iri::new`]), so these are the bytes of
+/// `iri.to_string()`.
 pub fn put_iri(out: &mut Vec<u8>, iri: &Iri) {
-    put_str(out, &iri.to_string());
+    let (ns, local) = (iri.namespace().as_bytes(), iri.local_name().as_bytes());
+    put_u32(out, (ns.len() + 1 + local.len()) as u32);
+    out.extend_from_slice(ns);
+    out.push(b'#');
+    out.extend_from_slice(local);
 }
 
 /// Appends a QoS vector as `count · (property index, value)` pairs in
@@ -167,9 +201,14 @@ impl<'a> ByteReader<'a> {
     ///
     /// [`PersistError::Corrupt`] on underrun or invalid UTF-8.
     pub fn get_str(&mut self) -> Result<String, PersistError> {
+        self.get_borrowed_str().map(str::to_owned)
+    }
+
+    /// Reads a length-prefixed UTF-8 string in place, without copying.
+    fn get_borrowed_str(&mut self) -> Result<&'a str, PersistError> {
         let len = self.get_u32()? as usize;
         let raw = self.take(len, "string body")?;
-        String::from_utf8(raw.to_vec())
+        std::str::from_utf8(raw)
             .map_err(|e| PersistError::Corrupt(format!("stored string is not UTF-8: {e}")))
     }
 
@@ -179,7 +218,7 @@ impl<'a> ByteReader<'a> {
     ///
     /// [`PersistError::Corrupt`] on underrun or a malformed IRI.
     pub fn get_iri(&mut self) -> Result<Iri, PersistError> {
-        let text = self.get_str()?;
+        let text = self.get_borrowed_str()?;
         text.parse()
             .map_err(|e| PersistError::Corrupt(format!("stored IRI {text:?} malformed: {e}")))
     }
@@ -242,6 +281,35 @@ pub fn put_description(out: &mut Vec<u8>, desc: &ServiceDescription) {
     }
 }
 
+/// Bytes [`put_description`] appends for `desc`, so a snapshot can size
+/// its buffer before it encodes.
+pub fn description_len(desc: &ServiceDescription) -> usize {
+    fn iri_len(iri: &Iri) -> usize {
+        4 + iri.namespace().len() + 1 + iri.local_name().len()
+    }
+    fn qos_len(qos: &QosVector) -> usize {
+        4 + qos.len() * (4 + 8)
+    }
+    let operations: usize = desc
+        .operations()
+        .iter()
+        .map(|op| 4 + op.name().len() + iri_len(op.function()) + qos_len(op.qos()))
+        .sum();
+    4 + desc.name().len()
+        + 4
+        + desc.provider().len()
+        + iri_len(desc.function())
+        + 4
+        + desc.inputs().iter().map(iri_len).sum::<usize>()
+        + 4
+        + desc.outputs().iter().map(iri_len).sum::<usize>()
+        + qos_len(desc.qos())
+        + 4
+        + operations
+        + 1
+        + desc.host().map_or(0, |_| 8)
+}
+
 /// Decodes a service description written by [`put_description`].
 ///
 /// # Errors
@@ -285,13 +353,58 @@ pub fn get_description(r: &mut ByteReader<'_>) -> Result<ServiceDescription, Per
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use qasom_qos::QosModel;
+
+    /// The bytewise CRC32 loop: the reference the sliced one must equal.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        c ^ 0xFFFF_FFFF
+    }
 
     #[test]
     fn crc32_matches_known_vectors() {
         // IEEE CRC32 of "123456789" is the classic check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    proptest! {
+        #[test]
+        fn sliced_crc32_equals_bytewise_on_every_short_length(
+            bytes in prop::collection::vec(any::<u8>(), 64..65),
+        ) {
+            for len in 0..=64 {
+                prop_assert_eq!(crc32(&bytes[..len]), crc32_bytewise(&bytes[..len]));
+            }
+        }
+
+        #[test]
+        fn sliced_crc32_equals_bytewise_at_every_alignment(
+            bytes in prop::collection::vec(any::<u8>(), 0..65_537),
+            start in 0usize..64,
+            end_trim in 0usize..64,
+        ) {
+            let start = start.min(bytes.len());
+            let end = bytes.len().saturating_sub(end_trim).max(start);
+            let slice = &bytes[start..end];
+            prop_assert_eq!(crc32(slice), crc32_bytewise(slice));
+        }
+    }
+
+    #[test]
+    fn stored_iri_errors_stay_typed() {
+        for bad in [&b"no-hash"[..], b"#local", b"ns#", b"a#b#c", b"ns#\xFF"] {
+            let mut out = Vec::new();
+            put_u32(&mut out, bad.len() as u32);
+            out.extend_from_slice(bad);
+            let err = ByteReader::new(&out).get_iri().unwrap_err();
+            assert!(matches!(err, PersistError::Corrupt(_)), "{bad:?}: {err:?}");
+        }
     }
 
     #[test]
@@ -328,6 +441,7 @@ mod tests {
             .with_host(3);
         let mut out = Vec::new();
         put_description(&mut out, &desc);
+        assert_eq!(description_len(&desc), out.len());
         let mut r = ByteReader::new(&out);
         let back = get_description(&mut r).unwrap();
         assert!(r.is_empty());
@@ -339,6 +453,7 @@ mod tests {
         let desc = ServiceDescription::new("s", "d#F");
         let mut out = Vec::new();
         put_description(&mut out, &desc);
+        assert_eq!(description_len(&desc), out.len());
         let back = get_description(&mut ByteReader::new(&out)).unwrap();
         assert_eq!(back, desc);
     }

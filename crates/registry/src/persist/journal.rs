@@ -111,6 +111,8 @@ pub struct RegistryJournal {
     /// paired registry's event cursor.
     next_seq: u64,
     since_checkpoint: usize,
+    /// Reused buffer each WAL record is framed into before its append.
+    frame: Vec<u8>,
 }
 
 impl std::fmt::Debug for RegistryJournal {
@@ -226,6 +228,7 @@ impl RegistryJournal {
             stats,
             next_seq: expected,
             since_checkpoint: report.wal_events_applied as usize,
+            frame: Vec::new(),
         };
         Ok((registry, journal, report))
     }
@@ -243,12 +246,8 @@ impl RegistryJournal {
         id: ServiceId,
         description: &ServiceDescription,
     ) -> Result<(), PersistError> {
-        let record = WalRecord::Register {
-            seq: self.next_seq,
-            id,
-            description: Box::new(description.clone()),
-        };
-        self.append(&record)
+        let seq = self.next_seq;
+        self.append(|out| wal::put_register(out, seq, id, description))
     }
 
     /// Journals a departure.
@@ -257,18 +256,17 @@ impl RegistryJournal {
     ///
     /// As for [`RegistryJournal::record_registered`].
     pub fn record_deregistered(&mut self, id: ServiceId) -> Result<(), PersistError> {
-        let record = WalRecord::Deregister {
-            seq: self.next_seq,
-            id,
-        };
-        self.append(&record)
+        let seq = self.next_seq;
+        self.append(|out| wal::put_deregister(out, seq, id))
     }
 
-    fn append(&mut self, record: &WalRecord) -> Result<(), PersistError> {
-        let frame = wal::encode_frame(&record.encode());
-        self.backend.append_wal(&frame)?;
+    /// Frames one record into the reused buffer and appends it.
+    fn append(&mut self, put_record: impl FnOnce(&mut Vec<u8>)) -> Result<(), PersistError> {
+        self.frame.clear();
+        put_record(&mut self.frame);
+        self.backend.append_wal(&self.frame)?;
         self.stats.appends += 1;
-        self.stats.wal_bytes += frame.len() as u64;
+        self.stats.wal_bytes += self.frame.len() as u64;
         self.next_seq += 1;
         self.since_checkpoint += 1;
         Ok(())
@@ -528,14 +526,9 @@ mod tests {
     fn sequence_gap_is_corrupt_not_partial() {
         let backend = MemoryBackend::new();
         let mut handle = backend.clone();
-        let record = WalRecord::Register {
-            seq: 5,
-            id: ServiceId::from_raw(0),
-            description: Box::new(desc(0)),
-        };
-        handle
-            .append_wal(&wal::encode_frame(&record.encode()))
-            .unwrap();
+        let mut frame = Vec::new();
+        wal::put_register(&mut frame, 5, ServiceId::from_raw(0), &desc(0));
+        handle.append_wal(&frame).unwrap();
         let err = PersistentRegistry::open(backend, PersistConfig::default(), None)
             .map(|_| ())
             .unwrap_err();

@@ -75,6 +75,14 @@ impl PersistError {
 /// the journal orders operations so that a crash between
 /// `write_snapshot` and `truncate_wal` is recoverable (stale WAL
 /// records are skipped by sequence number on replay).
+///
+/// That ordering only holds if `write_snapshot` is durable before it
+/// returns. A checkpoint is therefore, in this order: write and fsync
+/// the new snapshot, install it (rename), make the installation durable
+/// (fsync the directory), and only then `truncate_wal` (truncate and
+/// fsync the WAL). If the WAL truncation could become durable while the
+/// snapshot installation was not, a power loss would boot the older
+/// snapshot over an empty WAL and silently drop every event in between.
 pub trait Persistence {
     /// Appends raw bytes (one or more complete frames) to the WAL.
     fn append_wal(&mut self, bytes: &[u8]) -> Result<(), PersistError>;
@@ -87,7 +95,8 @@ pub trait Persistence {
     /// trims a torn tail. Later appends continue at the new end.
     fn truncate_wal(&mut self, len: u64) -> Result<(), PersistError>;
 
-    /// Atomically replaces the snapshot.
+    /// Atomically and durably replaces the snapshot: when this returns
+    /// `Ok`, a power loss can no longer bring the previous one back.
     fn write_snapshot(&mut self, blob: &[u8]) -> Result<(), PersistError>;
 
     /// Reads the current snapshot, `None` when none was ever written.
@@ -180,7 +189,9 @@ impl Persistence for MemoryBackend {
 ///
 /// WAL appends are flushed but not fsynced per record (group commit is
 /// the checkpoint: `write_snapshot` syncs). A power loss can therefore
-/// tear the WAL tail — exactly the case recovery discards cleanly.
+/// tear the WAL tail — exactly the case recovery discards cleanly. The
+/// directory itself is fsynced after each rename and after the WAL is
+/// created, so the entries the files are reached by are durable too.
 #[derive(Debug)]
 pub struct FileBackend {
     dir: PathBuf,
@@ -202,6 +213,7 @@ impl FileBackend {
             .append(true)
             .open(dir.join("registry.wal"))
             .map_err(PersistError::io)?;
+        sync_dir(&dir)?;
         Ok(FileBackend { dir, wal })
     }
 
@@ -238,7 +250,8 @@ impl Persistence for FileBackend {
         file.write_all(blob).map_err(PersistError::io)?;
         file.sync_all().map_err(PersistError::io)?;
         drop(file);
-        fs::rename(&tmp, self.snap_path()).map_err(PersistError::io)
+        fs::rename(&tmp, self.snap_path()).map_err(PersistError::io)?;
+        sync_dir(&self.dir)
     }
 
     fn snapshot_bytes(&self) -> Result<Option<Vec<u8>>, PersistError> {
@@ -248,6 +261,14 @@ impl Persistence for FileBackend {
             Err(e) => Err(PersistError::io(e)),
         }
     }
+}
+
+/// Fsyncs the directory `dir`, making the entries created or renamed
+/// in it durable (a file's own fsync does not cover its name).
+fn sync_dir(dir: &Path) -> Result<(), PersistError> {
+    fs::File::open(dir)
+        .and_then(|d| d.sync_all())
+        .map_err(PersistError::io)
 }
 
 #[cfg(test)]

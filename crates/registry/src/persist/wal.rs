@@ -8,11 +8,13 @@
 //! └────────────┴────────────┴─────────────────┘
 //! ```
 //!
-//! `crc32` covers the payload only. A tail that ends in a short header,
-//! a short payload (`len` exceeds the remaining bytes) or a CRC
-//! mismatch is *torn*: [`split_frames`] stops there and reports the
-//! tear, and recovery discards everything from the tear onward — no
-//! partial replay.
+//! `crc32` covers the payload only. Writers reserve the header, encode
+//! the payload in place behind it and then patch the length and CRC
+//! ([`put_frame`]), so framing never copies a payload. A tail that
+//! ends in a short header, a short payload (`len` exceeds the remaining
+//! bytes) or a CRC mismatch is *torn*: [`split_frames`] stops there and
+//! reports the tear, and recovery discards everything from the tear
+//! onward — no partial replay.
 //!
 //! # Snapshot blob
 //!
@@ -36,13 +38,18 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"QSNP";
 /// Current snapshot format version.
 pub const SNAPSHOT_VERSION: u8 = 1;
 
-/// Wraps a payload in a `[len][crc32][payload]` frame.
-pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(FRAME_HEADER + payload.len());
-    codec::put_u32(&mut out, payload.len() as u32);
-    codec::put_u32(&mut out, codec::crc32(payload));
-    out.extend_from_slice(payload);
-    out
+/// Appends one `[len][crc32][payload]` frame to `out`: reserves the
+/// header, lets `encode` append the payload right behind it, then
+/// patches the payload's length and CRC into the header.
+pub fn put_frame(out: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) {
+    let header = out.len();
+    out.extend_from_slice(&[0; FRAME_HEADER]);
+    encode(out);
+    let payload = &out[header + FRAME_HEADER..];
+    let len = (payload.len() as u32).to_le_bytes();
+    let crc = codec::crc32(payload).to_le_bytes();
+    out[header..header + 4].copy_from_slice(&len);
+    out[header + 4..header + FRAME_HEADER].copy_from_slice(&crc);
 }
 
 /// Why a WAL tail failed to parse as a complete frame.
@@ -119,7 +126,29 @@ pub fn split_frames(bytes: &[u8]) -> (Vec<&[u8]>, Option<TornTail>) {
 const TAG_REGISTER: u8 = 1;
 const TAG_DEREGISTER: u8 = 2;
 
-/// One journaled registry mutation.
+/// Appends the framed WAL record of a registration: event `seq`
+/// allocated `id` to `description`.
+pub fn put_register(out: &mut Vec<u8>, seq: u64, id: ServiceId, description: &ServiceDescription) {
+    put_frame(out, |out| {
+        out.push(TAG_REGISTER);
+        codec::put_u64(out, seq);
+        codec::put_u32(out, id.raw());
+        codec::put_description(out, description);
+    });
+}
+
+/// Appends the framed WAL record of a departure: event `seq` removed
+/// `id`.
+pub fn put_deregister(out: &mut Vec<u8>, seq: u64, id: ServiceId) {
+    put_frame(out, |out| {
+        out.push(TAG_DEREGISTER);
+        codec::put_u64(out, seq);
+        codec::put_u32(out, id.raw());
+    });
+}
+
+/// One journaled registry mutation, as decoded on replay (the journal
+/// writes records with [`put_register`] and [`put_deregister`]).
 ///
 /// `seq` is the registry event cursor *before* the mutation — the
 /// record's global sequence number. Replay applies records whose `seq`
@@ -156,30 +185,8 @@ impl WalRecord {
         }
     }
 
-    /// Serialises the record payload (unframed).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        match self {
-            WalRecord::Register {
-                seq,
-                id,
-                description,
-            } => {
-                out.push(TAG_REGISTER);
-                codec::put_u64(&mut out, *seq);
-                codec::put_u32(&mut out, id.raw());
-                codec::put_description(&mut out, description);
-            }
-            WalRecord::Deregister { seq, id } => {
-                out.push(TAG_DEREGISTER);
-                codec::put_u64(&mut out, *seq);
-                codec::put_u32(&mut out, id.raw());
-            }
-        }
-        out
-    }
-
-    /// Decodes a record payload written by [`WalRecord::encode`].
+    /// Decodes a frame payload written by [`put_register`] or
+    /// [`put_deregister`].
     ///
     /// # Errors
     ///
@@ -224,23 +231,32 @@ const SLOT_LIVE: u8 = 1;
 
 /// Serialises a snapshot blob: magic, version, then one frame whose
 /// payload is `cursor` plus the full slot vector (tombstones included).
+///
+/// The buffer is sized before encoding and the frame is encoded in
+/// place into it, so every byte is written once and never copied.
 pub fn encode_snapshot(cursor: u64, slots: &[Option<ServiceDescription>]) -> Vec<u8> {
-    let mut payload = Vec::new();
-    codec::put_u64(&mut payload, cursor);
-    codec::put_u32(&mut payload, slots.len() as u32);
-    for slot in slots {
-        match slot {
-            None => payload.push(SLOT_EMPTY),
-            Some(desc) => {
-                payload.push(SLOT_LIVE);
-                codec::put_description(&mut payload, desc);
-            }
-        }
-    }
-    let mut out = Vec::with_capacity(5 + FRAME_HEADER + payload.len());
+    let slots_len: usize = slots
+        .iter()
+        .map(|slot| 1 + slot.as_ref().map_or(0, codec::description_len))
+        .sum();
+    let len = SNAPSHOT_MAGIC.len() + 1 + FRAME_HEADER + 8 + 4 + slots_len;
+    let mut out = Vec::with_capacity(len);
     out.extend_from_slice(&SNAPSHOT_MAGIC);
     out.push(SNAPSHOT_VERSION);
-    out.extend_from_slice(&encode_frame(&payload));
+    put_frame(&mut out, |out| {
+        codec::put_u64(out, cursor);
+        codec::put_u32(out, slots.len() as u32);
+        for slot in slots {
+            match slot {
+                None => out.push(SLOT_EMPTY),
+                Some(desc) => {
+                    out.push(SLOT_LIVE);
+                    codec::put_description(out, desc);
+                }
+            }
+        }
+    });
+    debug_assert_eq!(out.len(), len, "sizing pass disagrees with the encoder");
     out
 }
 
@@ -309,12 +325,18 @@ mod tests {
         ServiceDescription::new(name, "d#F").with_provider("p")
     }
 
+    fn encode_frame(payload: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        put_frame(&mut out, |out| out.extend_from_slice(payload));
+        out
+    }
+
     #[test]
     fn frames_round_trip() {
         let mut wal = Vec::new();
-        wal.extend_from_slice(&encode_frame(b"alpha"));
-        wal.extend_from_slice(&encode_frame(b""));
-        wal.extend_from_slice(&encode_frame(b"beta"));
+        for payload in [&b"alpha"[..], b"", b"beta"] {
+            put_frame(&mut wal, |out| out.extend_from_slice(payload));
+        }
         let (frames, torn) = split_frames(&wal);
         assert_eq!(torn, None);
         assert_eq!(frames, vec![&b"alpha"[..], &b""[..], &b"beta"[..]]);
@@ -359,28 +381,34 @@ mod tests {
 
     #[test]
     fn wal_records_round_trip() {
-        let reg = WalRecord::Register {
-            seq: 41,
-            id: ServiceId::from_raw(7),
-            description: Box::new(desc("s7")),
-        };
-        let dereg = WalRecord::Deregister {
-            seq: 42,
-            id: ServiceId::from_raw(7),
-        };
-        for record in [reg, dereg] {
-            let payload = record.encode();
-            assert_eq!(WalRecord::decode(&payload).unwrap(), record);
-        }
+        let id = ServiceId::from_raw(7);
+        let mut wal = Vec::new();
+        put_register(&mut wal, 41, id, &desc("s7"));
+        put_deregister(&mut wal, 42, id);
+        let (frames, torn) = split_frames(&wal);
+        assert_eq!(torn, None);
+        let records: Vec<WalRecord> = frames
+            .into_iter()
+            .map(|payload| WalRecord::decode(payload).unwrap())
+            .collect();
+        assert_eq!(
+            records,
+            vec![
+                WalRecord::Register {
+                    seq: 41,
+                    id,
+                    description: Box::new(desc("s7")),
+                },
+                WalRecord::Deregister { seq: 42, id },
+            ]
+        );
     }
 
     #[test]
     fn record_decode_rejects_trailing_bytes_and_bad_tags() {
-        let mut payload = WalRecord::Deregister {
-            seq: 1,
-            id: ServiceId::from_raw(0),
-        }
-        .encode();
+        let mut wal = Vec::new();
+        put_deregister(&mut wal, 1, ServiceId::from_raw(0));
+        let mut payload = wal[FRAME_HEADER..].to_vec();
         payload.push(0xFF);
         assert!(matches!(
             WalRecord::decode(&payload),

@@ -11,7 +11,10 @@
 //! * **the journaled `Environment`** — the path `qasomd --data-dir`
 //!   runs (`attach_journal`, `adopt_registry`, journaled `deploy` /
 //!   `undeploy` / `checkpoint_registry`) meets the same oracle, and a
-//!   failing store detaches the journal instead of stopping service.
+//!   failing store detaches the journal instead of stopping service;
+//! * **the on-disk bytes** — a snapshot and both WAL record kinds
+//!   encode exactly as `tests/fixtures/persist_format.hex` pins them,
+//!   so a data directory written by an older `qasomd` still opens.
 
 use std::sync::Arc;
 
@@ -25,7 +28,7 @@ use qasom_registry::persist::{
     encode_state, MemoryBackend, PersistConfig, PersistError, Persistence, PersistentRegistry,
     RegistryJournal,
 };
-use qasom_registry::{ServiceDescription, ServiceId};
+use qasom_registry::{Operation, ServiceDescription, ServiceId, ServiceRegistry};
 
 fn taxonomy() -> Ontology {
     let mut b = OntologyBuilder::new("p");
@@ -395,4 +398,81 @@ fn crash_between_snapshot_and_truncate_skips_stale_records() {
     assert!(report.wal_events_skipped > 0);
     assert_eq!(report.wal_events_applied, 0);
     assert_equivalent(&recovered, &oracle);
+}
+
+/// Renders named byte strings as `name:` followed by 32 bytes of hex a
+/// line.
+fn hex_sections(sections: &[(&str, &[u8])]) -> String {
+    let mut text = String::new();
+    for (name, bytes) in sections {
+        text.push_str(name);
+        text.push_str(":\n");
+        for line in bytes.chunks(32) {
+            for b in line {
+                text.push_str(&format!("{b:02x}"));
+            }
+            text.push('\n');
+        }
+    }
+    text
+}
+
+#[test]
+fn on_disk_bytes_match_the_format_fixture() {
+    // Small enough to pin byte for byte, yet every branch of the
+    // encoding: a live slot with inputs, outputs, two QoS values, an
+    // operation with its own QoS and a host; a tombstone; a minimal
+    // live slot.
+    let model = QosModel::standard();
+    let rt = model.property("ResponseTime").unwrap();
+    let price = model.property("Price").unwrap();
+    let full = ServiceDescription::new("books", "shop#BuyBook")
+        .with_provider("fnac")
+        .with_input("shop#BookTitle")
+        .with_input("shop#CardNumber")
+        .with_output("shop#Receipt")
+        .with_qos(rt, 120.5)
+        .with_qos(price, 3.0)
+        .with_operation(Operation::new("pay", "shop#Pay").with_qos(rt, 30.0))
+        .with_host(3);
+    let mut registry = ServiceRegistry::new();
+    registry.register(full.clone());
+    let tombstone = registry.register(ServiceDescription::new("gone", "shop#Locate"));
+    registry.register(
+        ServiceDescription::new("maps", "geo#Locate")
+            .with_provider("osm")
+            .with_output("geo#Position"),
+    );
+    registry.deregister(tombstone).unwrap();
+    let snapshot = encode_state(&registry);
+
+    let backend = MemoryBackend::new();
+    let (mut journaled, _) = PersistentRegistry::open(
+        backend.clone(),
+        PersistConfig {
+            checkpoint_every: 0,
+        },
+        None,
+    )
+    .unwrap();
+    let id = journaled.register(full).unwrap();
+    let register = backend.wal_bytes().unwrap();
+    journaled.deregister(id).unwrap();
+    let deregister = backend.wal_bytes().unwrap()[register.len()..].to_vec();
+
+    let rendered = hex_sections(&[
+        ("snapshot", &snapshot),
+        ("register", &register),
+        ("deregister", &deregister),
+    ]);
+    let fixture = include_str!("fixtures/persist_format.hex");
+    let pinned: String = fixture
+        .lines()
+        .filter(|line| !line.starts_with('#'))
+        .flat_map(|line| [line, "\n"])
+        .collect();
+    assert_eq!(
+        rendered, pinned,
+        "the persistence format changed: old data directories would not open"
+    );
 }
