@@ -11,17 +11,17 @@ use crate::{LinkConfig, SimDuration, SimTime};
 
 /// Handle to a simulated node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct NodeId(u32);
+pub struct NodeId(usize);
 
 impl NodeId {
     /// Index into the simulation's node table.
     pub fn index(self) -> usize {
-        self.0 as usize
+        self.0
     }
 
     /// Stable numeric form, usable as a registry `host` id.
     pub fn as_u64(self) -> u64 {
-        u64::from(self.0)
+        self.0 as u64
     }
 }
 
@@ -264,7 +264,7 @@ pub struct Simulation<M, B: NodeBehaviour<M>> {
     max_events: u64,
     /// Pending timer cancellations: `(node, key)` → how many of the next
     /// matching timer pops to discard.
-    cancelled: BTreeMap<(u32, u64), u64>,
+    cancelled: BTreeMap<(NodeId, u64), u64>,
 }
 
 impl<M, B: NodeBehaviour<M>> Simulation<M, B> {
@@ -290,9 +290,8 @@ impl<M, B: NodeBehaviour<M>> Simulation<M, B> {
 
     /// Adds a node; its [`NodeBehaviour::on_start`] runs at the current
     /// simulated time.
-    #[expect(clippy::expect_used, reason = "2^32 nodes cannot fit in memory")]
     pub fn add_node(&mut self, profile: DeviceProfile, behaviour: B) -> NodeId {
-        let id = NodeId(u32::try_from(self.nodes.len()).expect("too many nodes"));
+        let id = NodeId(self.nodes.len());
         self.nodes.push(NodeSlot {
             behaviour,
             cpu_factor: profile.cpu_factor,
@@ -342,10 +341,10 @@ impl<M, B: NodeBehaviour<M>> Simulation<M, B> {
                 // cap is consulted: simulated time does not advance to its
                 // instant and it does not count towards the processed
                 // total, so it never makes a finished run look cut short.
-                if let Some(pending) = self.cancelled.get_mut(&(node.0, key)) {
+                if let Some(pending) = self.cancelled.get_mut(&(node, key)) {
                     *pending -= 1;
                     if *pending == 0 {
-                        self.cancelled.remove(&(node.0, key));
+                        self.cancelled.remove(&(node, key));
                     }
                     continue;
                 }
@@ -393,7 +392,7 @@ impl<M, B: NodeBehaviour<M>> Simulation<M, B> {
     }
 
     fn with_behaviour(&mut self, node: NodeId, f: impl FnOnce(&mut B, &mut NodeContext<'_, M>)) {
-        let peers: Vec<NodeId> = (0..self.nodes.len() as u32)
+        let peers: Vec<NodeId> = (0..self.nodes.len())
             .map(NodeId)
             .filter(|&n| n != node)
             .collect();
@@ -442,9 +441,9 @@ impl<M, B: NodeBehaviour<M>> Simulation<M, B> {
                         .iter()
                         .filter(|e| matches!(e.kind, EventKind::Timer { node: n, key: k } if n == node && k == key))
                         .count() as u64;
-                    let already = self.cancelled.get(&(node.0, key)).copied().unwrap_or(0);
+                    let already = self.cancelled.get(&(node, key)).copied().unwrap_or(0);
                     if already < pending {
-                        self.cancelled.insert((node.0, key), already + 1);
+                        self.cancelled.insert((node, key), already + 1);
                         self.stats.timers_cancelled += 1;
                     }
                 }

@@ -38,9 +38,21 @@ use super::{PersistError, Persistence};
 /// Journal tuning knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PersistConfig {
-    /// Checkpoint (snapshot + WAL truncate) automatically after this
-    /// many journaled events; `0` disables
-    /// automatic checkpoints (callers checkpoint explicitly).
+    /// The journal's one cadence, in journaled events; `0` disables
+    /// both automatic jobs below, leaving durability to explicit
+    /// [`RegistryJournal::checkpoint`]s.
+    ///
+    /// * **Durability:** every `checkpoint_every` appends the WAL is
+    ///   synced ([`Persistence::sync_wal`]), so a power loss loses at
+    ///   most the last `checkpoint_every` events.
+    /// * **Replay bound:** a checkpoint (snapshot + WAL truncate) is
+    ///   taken once at least `checkpoint_every` events *and* at least
+    ///   the last snapshot's size in WAL bytes have accumulated since
+    ///   it. A boot then replays at most one snapshot's worth of WAL
+    ///   (or `checkpoint_every` events, whichever is more). The durable
+    ///   bytes (snapshot + WAL) at least double between two snapshots,
+    ///   so a growing registry writes logarithmically many rather than
+    ///   one per `checkpoint_every` events.
     pub checkpoint_every: usize,
 }
 
@@ -111,6 +123,11 @@ pub struct RegistryJournal {
     /// paired registry's event cursor.
     next_seq: u64,
     since_checkpoint: usize,
+    /// Encoded size of the last snapshot written or loaded (0 when
+    /// none): the WAL may grow to this many bytes before the next one.
+    snapshot_len: u64,
+    /// Valid WAL bytes since that snapshot, stale frames included.
+    wal_since: u64,
     /// Reused buffer each WAL record is framed into before its append.
     frame: Vec<u8>,
 }
@@ -120,6 +137,8 @@ impl std::fmt::Debug for RegistryJournal {
         f.debug_struct("RegistryJournal")
             .field("next_seq", &self.next_seq)
             .field("since_checkpoint", &self.since_checkpoint)
+            .field("snapshot_len", &self.snapshot_len)
+            .field("wal_since", &self.wal_since)
             .field("stats", &self.stats)
             .finish_non_exhaustive()
     }
@@ -151,9 +170,11 @@ impl RegistryJournal {
         let mut stats = PersistStats::default();
         let mut report = RecoveryReport::default();
 
+        let mut snapshot_len = 0;
         let mut registry = match backend.snapshot_bytes()? {
             Some(blob) => {
                 let snap = wal::decode_snapshot(&blob)?;
+                snapshot_len = blob.len() as u64;
                 stats.snapshot_loads = 1;
                 report.snapshot_loaded = true;
                 report.snapshot_cursor = snap.cursor;
@@ -167,6 +188,7 @@ impl RegistryJournal {
 
         let wal_bytes = backend.wal_bytes()?;
         let (frames, torn) = wal::split_frames(&wal_bytes);
+        let wal_since = torn.map_or(wal_bytes.len(), |tear| tear.offset) as u64;
         if let Some(tear) = torn {
             stats.torn_tails = 1;
             report.torn_tail = true;
@@ -228,6 +250,8 @@ impl RegistryJournal {
             stats,
             next_seq: expected,
             since_checkpoint: report.wal_events_applied as usize,
+            snapshot_len,
+            wal_since,
             frame: Vec::new(),
         };
         Ok((registry, journal, report))
@@ -260,21 +284,32 @@ impl RegistryJournal {
         self.append(|out| wal::put_deregister(out, seq, id))
     }
 
-    /// Frames one record into the reused buffer and appends it.
+    /// Frames one record into the reused buffer and appends it; syncs
+    /// the WAL every [`PersistConfig::checkpoint_every`] appends.
     fn append(&mut self, put_record: impl FnOnce(&mut Vec<u8>)) -> Result<(), PersistError> {
         self.frame.clear();
         put_record(&mut self.frame);
         self.backend.append_wal(&self.frame)?;
+        let len = self.frame.len() as u64;
         self.stats.appends += 1;
-        self.stats.wal_bytes += self.frame.len() as u64;
+        self.stats.wal_bytes += len;
+        self.wal_since += len;
         self.next_seq += 1;
         self.since_checkpoint += 1;
+        let every = self.config.checkpoint_every as u64;
+        if every > 0 && self.stats.appends.is_multiple_of(every) {
+            self.backend.sync_wal()?;
+        }
         Ok(())
     }
 
-    /// Whether enough events accumulated for an automatic checkpoint.
+    /// Whether an automatic checkpoint is due: at least
+    /// [`PersistConfig::checkpoint_every`] events, and at least the last
+    /// snapshot's size in WAL bytes, since the last snapshot.
     pub fn should_checkpoint(&self) -> bool {
-        self.config.checkpoint_every > 0 && self.since_checkpoint >= self.config.checkpoint_every
+        self.config.checkpoint_every > 0
+            && self.since_checkpoint >= self.config.checkpoint_every
+            && self.wal_since >= self.snapshot_len
     }
 
     /// Takes a checkpoint: snapshots the registry at its current event
@@ -292,6 +327,8 @@ impl RegistryJournal {
         self.backend.truncate_wal(0)?;
         self.stats.checkpoints += 1;
         self.since_checkpoint = 0;
+        self.snapshot_len = blob.len() as u64;
+        self.wal_since = 0;
         Ok(())
     }
 
@@ -474,6 +511,24 @@ mod tests {
         assert_eq!(report.wal_events_applied, 1);
         assert_eq!(encode_state(recovered.registry()), oracle);
         assert!(recovered.registry().index_eq(pr.registry()));
+    }
+
+    #[test]
+    fn a_reopened_journal_keeps_the_snapshot_schedule() {
+        let backend = MemoryBackend::new();
+        let (mut live, _) = open_mem(&backend, 2);
+        for i in 0..40 {
+            live.register(desc(i)).unwrap();
+            let (recovered, _) = open_mem(&backend.fork(), 2);
+            let (a, b) = (live.journal(), recovered.journal());
+            assert_eq!(
+                (a.since_checkpoint, a.snapshot_len, a.wal_since),
+                (b.since_checkpoint, b.snapshot_len, b.wal_since),
+                "after {} registrations",
+                i + 1
+            );
+        }
+        assert!(live.journal().stats().checkpoints > 1);
     }
 
     #[test]

@@ -8,9 +8,14 @@
 //! * every registration/departure is journaled as a [`WalRecord`]
 //!   (`crate::persist::wal`) framed `[len][crc32][payload]` and appended
 //!   to a write-ahead log through a [`Persistence`] backend;
-//! * every [`PersistConfig::checkpoint_every`] events a full
+//! * every [`PersistConfig::checkpoint_every`] appends the WAL is
+//!   synced ([`Persistence::sync_wal`]), which bounds what a power loss
+//!   can take;
+//! * once the WAL has grown past the last snapshot's size (and by at
+//!   least `checkpoint_every` events), a full
 //!   [snapshot](wal::encode_snapshot) of the slot vector is checkpointed
-//!   and the WAL truncated ([`RegistryJournal::checkpoint`]);
+//!   and the WAL truncated ([`RegistryJournal::checkpoint`]), which
+//!   bounds what a boot replays;
 //! * on boot, replay = latest valid snapshot + WAL tail
 //!   ([`RegistryJournal::open`]). A torn tail — short header, short
 //!   payload or CRC mismatch — is detected, counted and discarded
@@ -70,11 +75,18 @@ impl PersistError {
 /// Storage abstraction the registry journal writes through.
 ///
 /// A backend owns two byte streams: an append-only WAL and a
-/// single-slot snapshot. Implementations must make `write_snapshot`
-/// atomic (readers see the old snapshot or the new one, never a mix);
-/// the journal orders operations so that a crash between
-/// `write_snapshot` and `truncate_wal` is recoverable (stale WAL
-/// records are skipped by sequence number on replay).
+/// single-slot snapshot.
+///
+/// Appends need not be durable on their own: the journal calls
+/// `sync_wal` every [`PersistConfig::checkpoint_every`] appends, and
+/// that is the power-loss window. Snapshots are independent of it:
+/// the journal writes one when the WAL has outgrown the last.
+///
+/// Implementations must make `write_snapshot` atomic (readers see the
+/// old snapshot or the new one, never a mix); the journal orders
+/// operations so that a crash between `write_snapshot` and
+/// `truncate_wal` is recoverable (stale WAL records are skipped by
+/// sequence number on replay).
 ///
 /// That ordering only holds if `write_snapshot` is durable before it
 /// returns. A checkpoint is therefore, in this order: write and fsync
@@ -86,6 +98,10 @@ impl PersistError {
 pub trait Persistence {
     /// Appends raw bytes (one or more complete frames) to the WAL.
     fn append_wal(&mut self, bytes: &[u8]) -> Result<(), PersistError>;
+
+    /// Makes every byte appended so far durable: a power loss after
+    /// this returns `Ok` keeps them.
+    fn sync_wal(&mut self) -> Result<(), PersistError>;
 
     /// Reads the entire WAL back, including any torn tail.
     fn wal_bytes(&self) -> Result<Vec<u8>, PersistError>;
@@ -162,6 +178,10 @@ impl Persistence for MemoryBackend {
         Ok(())
     }
 
+    fn sync_wal(&mut self) -> Result<(), PersistError> {
+        Ok(())
+    }
+
     fn wal_bytes(&self) -> Result<Vec<u8>, PersistError> {
         Ok(self.lock().wal.clone())
     }
@@ -187,11 +207,13 @@ impl Persistence for MemoryBackend {
 /// write-to-temporary + rename, so a crash mid-checkpoint leaves the
 /// previous snapshot intact).
 ///
-/// WAL appends are flushed but not fsynced per record (group commit is
-/// the checkpoint: `write_snapshot` syncs). A power loss can therefore
-/// tear the WAL tail — exactly the case recovery discards cleanly. The
-/// directory itself is fsynced after each rename and after the WAL is
-/// created, so the entries the files are reached by are durable too.
+/// WAL appends are flushed but not fsynced per record: `sync_wal`
+/// (`sync_data` on `registry.wal`) is the group commit, every
+/// [`PersistConfig::checkpoint_every`] appends. A power loss can
+/// therefore lose the unsynced events and tear the WAL tail — exactly
+/// the case recovery discards cleanly. The directory itself is fsynced
+/// after each rename and after the WAL is created, so the entries the
+/// files are reached by are durable too.
 #[derive(Debug)]
 pub struct FileBackend {
     dir: PathBuf,
@@ -231,6 +253,10 @@ impl Persistence for FileBackend {
     fn append_wal(&mut self, bytes: &[u8]) -> Result<(), PersistError> {
         self.wal.write_all(bytes).map_err(PersistError::io)?;
         self.wal.flush().map_err(PersistError::io)
+    }
+
+    fn sync_wal(&mut self) -> Result<(), PersistError> {
+        self.wal.sync_data().map_err(PersistError::io)
     }
 
     fn wal_bytes(&self) -> Result<Vec<u8>, PersistError> {

@@ -16,6 +16,7 @@
 //!   encode exactly as `tests/fixtures/persist_format.hex` pins them,
 //!   so a data directory written by an older `qasomd` still opens.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use qasom::Environment;
@@ -230,6 +231,10 @@ impl Persistence for FailingAppends {
         self.inner.append_wal(bytes)
     }
 
+    fn sync_wal(&mut self) -> Result<(), PersistError> {
+        self.inner.sync_wal()
+    }
+
     fn wal_bytes(&self) -> Result<Vec<u8>, PersistError> {
         self.inner.wal_bytes()
     }
@@ -272,6 +277,134 @@ fn trimming_a_torn_tail_never_loses_the_durable_prefix() {
     let _ = PersistentRegistry::open(dying, PersistConfig::default(), Some(ontology()));
     let (recovered, _) = open(crash, 0);
     assert_eq!(recovered.registry().len(), 4);
+}
+
+/// A [`MemoryBackend`] that counts the journal's WAL syncs and
+/// snapshots, and keeps the last snapshot's size and the bytes of all
+/// snapshots before it.
+#[derive(Clone, Default)]
+struct Counting {
+    inner: MemoryBackend,
+    syncs: Arc<AtomicUsize>,
+    snapshots: Arc<AtomicUsize>,
+    snapshot_len: Arc<AtomicUsize>,
+    earlier_snapshot_bytes: Arc<AtomicUsize>,
+}
+
+impl Persistence for Counting {
+    fn append_wal(&mut self, bytes: &[u8]) -> Result<(), PersistError> {
+        self.inner.append_wal(bytes)
+    }
+
+    fn sync_wal(&mut self) -> Result<(), PersistError> {
+        self.syncs.fetch_add(1, Ordering::Relaxed);
+        self.inner.sync_wal()
+    }
+
+    fn wal_bytes(&self) -> Result<Vec<u8>, PersistError> {
+        self.inner.wal_bytes()
+    }
+
+    fn truncate_wal(&mut self, len: u64) -> Result<(), PersistError> {
+        self.inner.truncate_wal(len)
+    }
+
+    fn write_snapshot(&mut self, blob: &[u8]) -> Result<(), PersistError> {
+        self.snapshots.fetch_add(1, Ordering::Relaxed);
+        let previous = self.snapshot_len.swap(blob.len(), Ordering::Relaxed);
+        self.earlier_snapshot_bytes
+            .fetch_add(previous, Ordering::Relaxed);
+        self.inner.write_snapshot(blob)
+    }
+
+    fn snapshot_bytes(&self) -> Result<Option<Vec<u8>>, PersistError> {
+        self.inner.snapshot_bytes()
+    }
+}
+
+/// The `i`-th registration of a deterministic run.
+fn numbered(i: usize) -> ServiceDescription {
+    let functions = ["p#Pay", "p#PayByCard", "p#Locate"];
+    ServiceDescription::new(format!("s{i}"), functions[i % functions.len()])
+}
+
+#[test]
+fn the_schedule_bounds_the_power_loss_window_and_the_replay() {
+    const EVERY: usize = 16;
+    const SERVICES: usize = 20_000;
+    let config = PersistConfig {
+        checkpoint_every: EVERY,
+    };
+    let store = Counting::default();
+    let (mut oracle, _) =
+        PersistentRegistry::open(store.clone(), config, Some(ontology())).unwrap();
+
+    let mut largest_frame = 0;
+    let mut largest_wal = (0, 0);
+    for i in 0..SERVICES {
+        let before = oracle.journal().stats().wal_bytes;
+        oracle.register(numbered(i)).unwrap();
+        let frame = (oracle.journal().stats().wal_bytes - before) as usize;
+        largest_frame = largest_frame.max(frame);
+        // Replay bound: a boot replays no more than `EVERY` frames or
+        // one snapshot's worth of WAL, whichever is larger.
+        let wal = store.inner.wal_len();
+        let snapshot = store.snapshot_len.load(Ordering::Relaxed);
+        let bound = (EVERY * largest_frame).max(snapshot + largest_frame);
+        assert!(
+            wal <= bound,
+            "after {} appends the WAL is {wal} B > {bound} B",
+            i + 1
+        );
+        if wal > largest_wal.0 {
+            largest_wal = (wal, i + 1);
+        }
+    }
+
+    // Power-loss window: one sync per `EVERY` appends, on the dot.
+    let stats = oracle.journal().stats();
+    assert_eq!(stats.appends as usize, SERVICES);
+    assert_eq!(store.syncs.load(Ordering::Relaxed), SERVICES / EVERY);
+
+    // Snapshot writing is amortised O(1) per event: a snapshot is taken
+    // only once the WAL has outgrown the one before it, so every
+    // snapshot but the last was paid for by as many WAL bytes.
+    let snapshots = store.snapshots.load(Ordering::Relaxed);
+    assert_eq!(stats.checkpoints as usize, snapshots);
+    let earlier = store.earlier_snapshot_bytes.load(Ordering::Relaxed);
+    assert!(
+        earlier as u64 <= stats.wal_bytes,
+        "{earlier} B of snapshots for {} B of WAL",
+        stats.wal_bytes
+    );
+    // So under registrations alone each snapshot is at least
+    // 1 + slot/frame times its predecessor: logarithmically many, where
+    // a fixed cadence would take `SERVICES / EVERY` = 1 250. A slot is
+    // cheaper than its register frame (no frame header, sequence number
+    // or id), so the base is below 2 here.
+    let slot = encode_state(oracle.registry()).len() as f64 / SERVICES as f64;
+    let growth = 1.0 + slot / largest_frame as f64;
+    let bound = ((SERVICES / EVERY) as f64).log(growth).ceil() as usize + 2;
+    assert!(
+        snapshots <= bound,
+        "{snapshots} snapshots for {SERVICES} registrations (bound {bound}, growth {growth:.2})"
+    );
+
+    // The crash image at the largest WAL recovers ≡ never-crashed: the
+    // run is deterministic, so replay it up to that append and crash.
+    let (wal, at) = largest_wal;
+    let store = MemoryBackend::new();
+    let (mut oracle, _) =
+        PersistentRegistry::open(store.clone(), config, Some(ontology())).unwrap();
+    for i in 0..at {
+        oracle.register(numbered(i)).unwrap();
+    }
+    assert_eq!(store.wal_len(), wal);
+    let (recovered, report) =
+        PersistentRegistry::open(store.fork(), config, Some(ontology())).unwrap();
+    assert!(report.snapshot_loaded);
+    assert!(report.wal_events_applied as usize >= EVERY);
+    assert_equivalent(&recovered, &oracle);
 }
 
 fn environment() -> Environment {
