@@ -23,9 +23,9 @@ pub struct AdaptationPlan {
 }
 
 /// Decides whether (and how) an alternative behaviour can take over a
-/// partially executed task, via extended vertex-disjoint subgraph
-/// homeomorphism with semantic vertex matching, data constraints and
-/// pinned start/end mappings.
+/// partially executed task, via an order embedding of the executed prefix
+/// ([`find_order_embedding`]) with semantic vertex matching, data
+/// constraints and pinned start/end mappings.
 #[derive(Debug, Clone, Copy)]
 pub struct BehaviouralAdapter<'a> {
     ontology: &'a Ontology,

@@ -18,9 +18,12 @@
 //!   the fallback when no substitute exists: realise the task through an
 //!   *alternative behaviour* of its task class. Whether the executed part
 //!   of the old behaviour can be resumed in the new one is decided by an
-//!   **extended vertex-disjoint subgraph homeomorphism** over behavioural
-//!   graphs, with semantic vertex matching, data (I/O) constraints and
-//!   pinned vertex mappings.
+//!   **order embedding** ([`find_order_embedding`]) of its behavioural
+//!   graph: every established precedence must hold in the new behaviour,
+//!   with semantic vertex matching, data (I/O) constraints and pinned
+//!   start/end vertices. The strict **extended vertex-disjoint subgraph
+//!   homeomorphism** ([`find_homeomorphism`]) remains the behavioural
+//!   equivalence check.
 //!
 //! # Examples
 //!
@@ -54,5 +57,5 @@ mod substitute;
 
 pub use behavioural::{AdaptationPlan, BehaviouralAdapter};
 pub use homeo::{find_homeomorphism, find_order_embedding, Homeomorphism};
-pub use monitor::{overlay, CompositionMonitor, MonitorConfig, QosMonitor, Violation};
+pub use monitor::{overlay, CompositionMonitor, QosMonitor, Violation};
 pub use substitute::{Substitution, SubstitutionPlan};

@@ -7,23 +7,10 @@ use qasom_registry::ServiceId;
 use qasom_selection::{AggregationApproach, Aggregator};
 use qasom_task::UserTask;
 
-/// Monitoring parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MonitorConfig {
-    /// Sliding-window length (observations per property).
-    pub window: usize,
-    /// EWMA smoothing factor in `(0, 1]` — weight of the newest sample.
-    pub ewma_alpha: f64,
-}
-
-impl Default for MonitorConfig {
-    fn default() -> Self {
-        MonitorConfig {
-            window: 10,
-            ewma_alpha: 0.3,
-        }
-    }
-}
+/// Sliding-window length (observations per property).
+const WINDOW: usize = 10;
+/// EWMA smoothing factor in `(0, 1]` — weight of the newest sample.
+const EWMA_ALPHA: f64 = 0.3;
 
 #[derive(Debug, Clone, Default)]
 struct PropertyWindow {
@@ -32,13 +19,13 @@ struct PropertyWindow {
 }
 
 impl PropertyWindow {
-    fn push(&mut self, value: f64, config: &MonitorConfig) {
-        if self.samples.len() == config.window {
+    fn push(&mut self, value: f64) {
+        if self.samples.len() == WINDOW {
             self.samples.pop_front();
         }
         self.samples.push_back(value);
         self.ewma = Some(match self.ewma {
-            Some(prev) => config.ewma_alpha * value + (1.0 - config.ewma_alpha) * prev,
+            Some(prev) => EWMA_ALPHA * value + (1.0 - EWMA_ALPHA) * prev,
             None => value,
         });
     }
@@ -78,29 +65,20 @@ impl PropertyWindow {
 /// trend prediction.
 #[derive(Debug, Clone, Default)]
 pub struct QosMonitor {
-    config: MonitorConfig,
     windows: HashMap<ServiceId, HashMap<PropertyId, PropertyWindow>>,
 }
 
 impl QosMonitor {
-    /// Creates a monitor with the default configuration.
+    /// Creates a monitor that has observed nothing.
     pub fn new() -> Self {
         QosMonitor::default()
-    }
-
-    /// Creates a monitor with an explicit configuration.
-    pub fn with_config(config: MonitorConfig) -> Self {
-        QosMonitor {
-            config,
-            ..QosMonitor::default()
-        }
     }
 
     /// Records one successful invocation's delivered QoS.
     pub fn observe(&mut self, service: ServiceId, delivered: &QosVector) {
         let per_service = self.windows.entry(service).or_default();
         for (p, v) in delivered.iter() {
-            per_service.entry(p).or_default().push(v, &self.config);
+            per_service.entry(p).or_default().push(v);
         }
     }
 
@@ -337,16 +315,14 @@ mod tests {
     #[test]
     fn window_slides() {
         let f = fx(1);
-        let mut m = QosMonitor::with_config(MonitorConfig {
-            window: 2,
-            ewma_alpha: 0.5,
-        });
-        for v in [100.0, 200.0, 400.0] {
-            m.observe(f.ids[0], &obs(f.rt, v));
+        let mut m = QosMonitor::new();
+        m.observe(f.ids[0], &obs(f.rt, 1000.0));
+        for _ in 0..WINDOW {
+            m.observe(f.ids[0], &obs(f.rt, 200.0));
         }
-        // Window holds [200, 400].
-        assert_eq!(m.estimate(f.ids[0]).unwrap().get(f.rt), Some(300.0));
-        assert_eq!(m.sample_count(f.ids[0], f.rt), 2);
+        // The first sample has left the window.
+        assert_eq!(m.estimate(f.ids[0]).unwrap().get(f.rt), Some(200.0));
+        assert_eq!(m.sample_count(f.ids[0], f.rt), WINDOW);
     }
 
     #[test]

@@ -133,7 +133,6 @@ fn violation_magnitude(c: &qasom_qos::Constraint, aggregate: &QosVector) -> f64 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MonitorConfig;
     use qasom_qos::{Constraint, ConstraintSet, Tendency};
     use qasom_registry::{ServiceDescription, ServiceRegistry};
     use qasom_selection::AggregationApproach;
@@ -200,7 +199,7 @@ mod tests {
     #[test]
     fn substitutes_the_degraded_service() {
         let (f, comp) = fx([90.0, 90.0]);
-        let mut m = QosMonitor::with_config(MonitorConfig::default());
+        let mut m = QosMonitor::new();
         // Service 0 degrades badly: believed 300 + 100 > 250.
         for _ in 0..3 {
             m.observe(f.ids[0], &qv(f.rt, 300.0));
@@ -251,7 +250,7 @@ mod tests {
         // keep ranking (total_cmp) and still produce a plan from the
         // healthy alternate.
         let (f, comp) = fx([90.0, f64::NAN]);
-        let mut m = QosMonitor::with_config(MonitorConfig::default());
+        let mut m = QosMonitor::new();
         for _ in 0..3 {
             m.observe(f.ids[0], &qv(f.rt, 300.0));
             // The violated composition believes a NaN value too.

@@ -92,7 +92,7 @@ const FIGURES: &[FigureRow] = &[
     ),
     (
         "v_adapt",
-        "Ch. V — behavioural adaptation (subgraph homeomorphism) time",
+        "Ch. V — behavioural adaptation (order-embedding resume mapping) time",
         "activities",
         |_| bench::fig_v_adapt(),
     ),

@@ -109,7 +109,7 @@ fn qassa_time_ms(model: &QosModel, w: &Workload, repeats: usize) -> Result<f64, 
 /// (infeasible-for-both instances are skipped; QASSA missing a feasible
 /// solution scores 0, so misses show up as optimality loss).
 fn optimality(model: &QosModel, spec: &WorkloadSpec, seeds: u64) -> Result<f64, FigureError> {
-    let baselines = Baselines::new(model).with_max_combinations(20_000_000);
+    let baselines = Baselines::new(model);
     let qassa = Qassa::new(model);
     let mut total = 0.0;
     let mut counted = 0usize;
@@ -416,8 +416,8 @@ pub fn adaptation_pair(n: usize) -> Result<(UserTask, UserTask), TaskError> {
     Ok((current, alternative))
 }
 
-/// Ch. V evaluation — behavioural-adaptation (subgraph homeomorphism)
-/// time vs. task size; the executed prefix is the first half.
+/// Ch. V evaluation — behavioural-adaptation time (the order-embedding
+/// resume mapping) vs. task size; the executed prefix is the first half.
 pub fn fig_v_adapt() -> FigureResult {
     let mut onto = OntologyBuilder::new("ad");
     for i in 0..64 {
@@ -627,8 +627,6 @@ fn compare_selectors_on(
     spec: &WorkloadSpec,
     seeds: u64,
 ) -> Result<(), FigureError> {
-    use qasom_selection::baseline::GeneticConfig;
-
     println!(
         "{:>12}  {:>12}  {:>12}  {:>14}",
         "selector", "time [ms]", "utility", "feasible rate"
@@ -652,9 +650,7 @@ fn compare_selectors_on(
         ),
         (
             "genetic",
-            Box::new(move |w: &Workload| {
-                Ok(baselines.genetic(&w.problem(), &GeneticConfig::default())?)
-            }),
+            Box::new(move |w: &Workload| Ok(baselines.genetic(&w.problem())?)),
         ),
         (
             "random",
@@ -689,7 +685,7 @@ fn compare_selectors_on(
 /// violation? Larger lead = more time to substitute before the user
 /// feels it.
 pub fn ablate_monitoring(model: &QosModel) -> FigureResult {
-    use qasom_adaptation::{MonitorConfig, QosMonitor};
+    use qasom_adaptation::QosMonitor;
     use qasom_registry::{ServiceDescription, ServiceRegistry};
 
     let rt = model
@@ -700,10 +696,7 @@ pub fn ablate_monitoring(model: &QosModel) -> FigureResult {
     for slope in [2.0f64, 5.0, 10.0, 20.0] {
         let mut reg = ServiceRegistry::new();
         let id = reg.register(ServiceDescription::new("s", "d#F"));
-        let mut monitor = QosMonitor::with_config(MonitorConfig {
-            window: 10,
-            ewma_alpha: 0.3,
-        });
+        let mut monitor = QosMonitor::new();
         let mut reactive_at: Option<usize> = None;
         let mut proactive_at: Option<usize> = None;
         for step in 0..400usize {

@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use qasom_adaptation::{overlay, MonitorConfig, QosMonitor};
+use qasom_adaptation::{overlay, QosMonitor};
 use qasom_analysis::{Analyzer, ApproachKind, RequestSpec};
 use qasom_netsim::runtime::{ServiceRuntime, SyntheticService};
 use qasom_obs::report::RunReport;
@@ -27,8 +27,6 @@ pub struct EnvironmentConfig {
     pub seed: u64,
     /// QASSA parameters.
     pub qassa: QassaConfig,
-    /// Monitoring parameters.
-    pub monitor: MonitorConfig,
 }
 
 impl EnvironmentConfig {
@@ -53,7 +51,7 @@ impl EnvironmentConfig {
 
 /// Builder for [`Environment`]: the seed plus the observability
 /// attachments ([`Recorder`], [`EventSink`]s) that a `Copy` config cannot
-/// carry; QASSA and monitoring run on their defaults. Created by
+/// carry; QASSA runs on its defaults. Created by
 /// [`EnvironmentConfig::builder`].
 #[derive(Debug, Default)]
 pub struct EnvironmentBuilder {
@@ -124,11 +122,7 @@ impl CacheStats {
 pub struct Environment {
     model: QosModel,
     ontology: Arc<Ontology>,
-    // Behind an `Arc` so readers can take a copy-on-write snapshot
-    // ([`Environment::registry_snapshot`]) that stays valid across
-    // subsequent churn: `deploy`/`undeploy` mutate through
-    // `Arc::make_mut`, cloning only while a snapshot is outstanding.
-    registry: Arc<ServiceRegistry>,
+    registry: ServiceRegistry,
     // When attached, every registration/departure is journaled to the
     // WAL before control returns to the caller; a journal I/O failure
     // is counted and detaches the journal (the instance degrades to
@@ -166,7 +160,7 @@ impl Environment {
             model,
             // The registry is bound to the domain ontology so it maintains
             // the inverted capability index discovery probes.
-            registry: Arc::new(ServiceRegistry::with_ontology(Arc::clone(&ontology))),
+            registry: ServiceRegistry::with_ontology(Arc::clone(&ontology)),
             journal: None,
             ontology,
             runtime: ServiceRuntime::new(config.seed),
@@ -174,7 +168,7 @@ impl Environment {
             infra: HashMap::new(),
             end_to_end,
             slas: HashMap::new(),
-            monitor: QosMonitor::with_config(config.monitor),
+            monitor: QosMonitor::new(),
             config,
             recorder: None,
             sinks: Vec::new(),
@@ -194,20 +188,6 @@ impl Environment {
     /// The service directory.
     pub fn registry(&self) -> &ServiceRegistry {
         &self.registry
-    }
-
-    /// A cheap copy-on-write snapshot of the service directory (with its
-    /// capability index): the returned handle pins the provider
-    /// population of this instant even while churn continues —
-    /// subsequent [`Environment::deploy`]/[`Environment::undeploy`]
-    /// clone-on-write instead of mutating the snapshot in place. Pair
-    /// with [`Environment::epoch`] to tag results with the registry
-    /// state that produced them.
-    pub fn registry_snapshot(&self) -> Arc<ServiceRegistry> {
-        if let Some(rec) = &self.recorder {
-            rec.incr(keys::SERVING_SNAPSHOTS, 1);
-        }
-        Arc::clone(&self.registry)
     }
 
     /// The registry epoch: the monotone event cursor every
@@ -337,7 +317,7 @@ impl Environment {
     pub fn reload_ontology(&mut self, ontology: Ontology) -> u64 {
         let ontology = Arc::new(ontology);
         let stamp = ontology.stamp();
-        Arc::make_mut(&mut self.registry).bind_ontology(Arc::clone(&ontology));
+        self.registry.bind_ontology(Arc::clone(&ontology));
         self.ontology = ontology;
         stamp
     }
@@ -350,15 +330,14 @@ impl Environment {
         description: ServiceDescription,
         behaviour: SyntheticService,
     ) -> ServiceId {
-        let registry = Arc::make_mut(&mut self.registry);
-        let id = registry.register(description);
+        let id = self.registry.register(description);
         if let Some(journal) = &mut self.journal {
             let before = journal.stats();
-            let outcome = match registry.get(id) {
+            let outcome = match self.registry.get(id) {
                 Some(desc) => journal.record_registered(id, desc),
                 None => Ok(()),
             }
-            .and_then(|()| journal.maybe_checkpoint(registry).map(|_| ()));
+            .and_then(|()| journal.maybe_checkpoint(&self.registry).map(|_| ()));
             let after = journal.stats();
             self.settle_journal(before, after, outcome);
         }
@@ -369,14 +348,13 @@ impl Environment {
     /// Removes a service (provider departure / churn). Journaled like
     /// [`Environment::deploy`] when the service was live.
     pub fn undeploy(&mut self, id: ServiceId) {
-        let registry = Arc::make_mut(&mut self.registry);
-        let removed = registry.deregister(id).is_some();
+        let removed = self.registry.deregister(id).is_some();
         if removed {
             if let Some(journal) = &mut self.journal {
                 let before = journal.stats();
                 let outcome = journal
                     .record_deregistered(id)
-                    .and_then(|()| journal.maybe_checkpoint(registry).map(|_| ()));
+                    .and_then(|()| journal.maybe_checkpoint(&self.registry).map(|_| ()));
                 let after = journal.stats();
                 self.settle_journal(before, after, outcome);
             }
@@ -428,7 +406,7 @@ impl Environment {
     /// silently disqualify the capability index.
     pub fn adopt_registry(&mut self, mut registry: ServiceRegistry) {
         registry.bind_ontology(Arc::clone(&self.ontology));
-        self.registry = Arc::new(registry);
+        self.registry = registry;
     }
 
     /// Attaches the journal continuing the WAL the adopted registry was
@@ -603,6 +581,10 @@ impl Environment {
     /// `Reputation` as `5 × compliance` (the standard model's 0–5 scale),
     /// so chronically breaching providers sink in future selections.
     /// Returns the number of services updated.
+    ///
+    /// The WAL journals only registrations and departures, so when a
+    /// journal is attached and anything changed, the pass ends with a
+    /// checkpoint: a crash afterwards recovers the re-advertised values.
     pub fn apply_reputation_feedback(&mut self) -> usize {
         let Some(reputation) = self.model.property("Reputation") else {
             return 0;
@@ -612,10 +594,13 @@ impl Environment {
             if sla.checks() == 0 {
                 continue;
             }
-            if let Some(desc) = Arc::make_mut(&mut self.registry).get_mut(id) {
+            if let Some(desc) = self.registry.get_mut(id) {
                 desc.qos_mut().set(reputation, 5.0 * sla.compliance());
                 updated += 1;
             }
+        }
+        if updated > 0 {
+            self.checkpoint_registry();
         }
         updated
     }

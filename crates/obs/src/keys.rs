@@ -77,8 +77,6 @@ pub const SERVING_READ_LOCKS: &str = "serving.read_locks";
 /// `SharedEnvironment` write-lock acquisitions (execute, churn,
 /// checkpoints, ontology reloads).
 pub const SERVING_WRITE_LOCKS: &str = "serving.write_locks";
-/// Registry snapshots handed out (`Environment::registry_snapshot`).
-pub const SERVING_SNAPSHOTS: &str = "serving.snapshot_refreshes";
 
 /// Sessions the daemon's admission layer accepted into the queue.
 pub const DAEMON_ADMITTED: &str = "daemon.sessions_admitted";

@@ -1,9 +1,11 @@
 //! QoS-aware semantic service discovery.
 //!
 //! The entry point is [`Discovery::discover`] with a [`DiscoveryQuery`]:
-//! one call covers black-box discovery, white-box (per-operation)
-//! discovery and QoS-requirement filtering, returning
-//! [`DiscoveredCandidate`]s that carry everything selection needs.
+//! one call covers black-box and white-box (per-operation) discovery,
+//! returning [`DiscoveredCandidate`]s that carry everything selection
+//! needs. A service qualifies by an exact or plug-in match
+//! ([`MatchDegree::is_usable`]); the user's global QoS constraints are
+//! checked later, on the aggregate, by selection.
 //!
 //! Two execution paths produce byte-identical results:
 //!
@@ -13,15 +15,14 @@
 //!   inverted capability index, so only plausibly-matching services are
 //!   evaluated;
 //! * a **linear** path scanning every live service — the fallback for
-//!   unbound registries and for relaxed queries asking for degrees below
-//!   [`MatchDegree::PlugIn`], and the oracle the parity tests compare
-//!   against ([`DiscoveryQuery::linear_scan`]).
+//!   unbound registries, and the oracle the parity tests compare against
+//!   ([`DiscoveryQuery::linear_scan`]).
 
 use std::collections::BTreeSet;
 
 use qasom_obs::{keys, Recorder};
 use qasom_ontology::{ConceptId, Iri, MatchDegree, Ontology};
-use qasom_qos::{ConstraintSet, QosModel, QosVector};
+use qasom_qos::{QosModel, QosVector};
 use qasom_task::Activity;
 
 use crate::{ServiceDescription, ServiceId, ServiceRegistry};
@@ -80,32 +81,18 @@ pub struct DiscoveredCandidate {
 #[derive(Debug, Clone, Copy)]
 pub struct DiscoveryQuery<'a> {
     activity: &'a Activity,
-    min_degree: MatchDegree,
     white_box: bool,
-    constraints: Option<&'a ConstraintSet>,
     force_linear: bool,
 }
 
 impl<'a> DiscoveryQuery<'a> {
-    /// A black-box query for `activity` with the default minimum degree
-    /// ([`MatchDegree::PlugIn`]) and no QoS requirements.
+    /// A black-box query for `activity`.
     pub fn new(activity: &'a Activity) -> Self {
         DiscoveryQuery {
             activity,
-            min_degree: MatchDegree::PlugIn,
             white_box: false,
-            constraints: None,
             force_linear: false,
         }
-    }
-
-    /// Requires at least `degree`. Degrees below
-    /// [`MatchDegree::PlugIn`] (i.e. [`MatchDegree::Subsumes`] and
-    /// [`MatchDegree::Intersection`]) admit services the capability
-    /// index cannot enumerate, so such queries always scan linearly.
-    pub fn min_degree(mut self, degree: MatchDegree) -> Self {
-        self.min_degree = degree;
-        self
     }
 
     /// Enables white-box matching: a service whose profile does not
@@ -113,13 +100,6 @@ impl<'a> DiscoveryQuery<'a> {
     /// operations, advertising the operation's merged QoS.
     pub fn white_box(mut self, enabled: bool) -> Self {
         self.white_box = enabled;
-        self
-    }
-
-    /// Keeps only candidates whose *effective* QoS satisfies
-    /// `constraints`.
-    pub fn require_qos(mut self, constraints: &'a ConstraintSet) -> Self {
-        self.constraints = Some(constraints);
         self
     }
 
@@ -142,9 +122,8 @@ impl<'a> DiscoveryQuery<'a> {
 /// calls.
 ///
 /// Discovery is *semantic*: a service matches an activity when its
-/// capability concept matches the required function with at least the
-/// query's minimum degree, its I/O signature is compatible, and its
-/// effective QoS passes the query's constraints (when given). Function
+/// capability concept matches the required function exactly or by
+/// plug-in and its I/O signature is compatible. Function
 /// IRIs unknown to the ontology fall back to syntactic equality, so
 /// purely syntactic environments still work (degraded recall).
 #[derive(Debug, Clone, Copy)]
@@ -244,9 +223,7 @@ impl<'a> Discovery<'a> {
         registry: &ServiceRegistry,
         query: &DiscoveryQuery<'_>,
     ) -> Vec<DiscoveredCandidate> {
-        let indexed = !query.force_linear
-            && query.min_degree >= MatchDegree::PlugIn
-            && self.index_usable(registry);
+        let indexed = !query.force_linear && self.index_usable(registry);
         let required = self.resolve(query.activity.function());
         let (evaluated, mut out) = if indexed {
             let posting = self.posting(registry, required);
@@ -351,17 +328,14 @@ impl<'a> Discovery<'a> {
         if !self.io_compatible(activity, desc) {
             return None;
         }
-        let accepts =
-            |degree: MatchDegree| degree >= query.min_degree && degree != MatchDegree::Fail;
-
         let profile_degree = self.match_resolved(required, profile);
-        let candidate = if accepts(profile_degree) {
-            DiscoveredCandidate {
+        if profile_degree.is_usable() {
+            Some(DiscoveredCandidate {
                 service: id,
                 degree: profile_degree,
                 matched_via: MatchedVia::Profile,
                 effective_qos: desc.qos().clone(),
-            }
+            })
         } else if query.white_box {
             // Fall back to the conversation: the best qualifying
             // operation (ties resolved towards the last declared, the
@@ -377,27 +351,20 @@ impl<'a> Discovery<'a> {
                         self.match_resolved(required, self.resolve(op.function())),
                     )
                 })
-                .filter(|&(_, _, d)| accepts(d))
+                .filter(|&(_, _, d)| d.is_usable())
                 .max_by_key(|&(_, _, d)| d)?;
             let mut qos = desc.qos().clone();
             // Operation-level QoS overrides the black-box figures.
             qos.merge_with(op.qos(), |_, op_value| op_value);
-            DiscoveredCandidate {
+            Some(DiscoveredCandidate {
                 service: id,
                 degree,
                 matched_via: MatchedVia::Operation(op_index),
                 effective_qos: qos,
-            }
+            })
         } else {
-            return None;
-        };
-
-        if let Some(constraints) = query.constraints {
-            if !constraints.satisfied_by(&candidate.effective_qos) {
-                return None;
-            }
+            None
         }
-        Some(candidate)
     }
 }
 
@@ -414,7 +381,6 @@ mod tests {
     use super::*;
     use crate::ServiceDescription;
     use qasom_ontology::OntologyBuilder;
-    use qasom_qos::{Constraint, Tendency, Unit};
     use std::sync::Arc;
 
     fn domain() -> Ontology {
@@ -509,23 +475,6 @@ mod tests {
     }
 
     #[test]
-    fn qos_constraints_filter_candidates() {
-        let (o, m) = setup();
-        let d = Discovery::new(&o, &m);
-        let rt = m.property("ResponseTime").unwrap();
-        let mut r = ServiceRegistry::new();
-        r.register(ServiceDescription::new("fast", "shop#Pay").with_qos(rt, 50.0));
-        r.register(ServiceDescription::new("slow", "shop#Pay").with_qos(rt, 500.0));
-        let a = Activity::new("pay", "shop#Pay");
-        let cs: ConstraintSet = [Constraint::new(rt, Tendency::LowerBetter, 100.0)]
-            .into_iter()
-            .collect();
-        let hits = d.discover(&r, &DiscoveryQuery::new(&a).require_qos(&cs));
-        assert_eq!(hits.len(), 1);
-        assert_eq!(r.get(hits[0].service).unwrap().name(), "fast");
-    }
-
-    #[test]
     fn departed_services_are_not_discovered() {
         let (o, m) = setup();
         let d = Discovery::new(&o, &m);
@@ -581,42 +530,6 @@ mod tests {
     }
 
     #[test]
-    fn constraint_via_model_units() {
-        let (o, m) = setup();
-        let d = Discovery::new(&o, &m);
-        let rt = m.property("ResponseTime").unwrap();
-        let mut r = ServiceRegistry::new();
-        r.register(ServiceDescription::new("s", "shop#Pay").with_qos(rt, 1500.0));
-        let a = Activity::new("pay", "shop#Pay");
-        // 2 seconds => 2000 ms: satisfied.
-        let cs: ConstraintSet = [m.constraint("ResponseTime", 2.0, Unit::Seconds).unwrap()]
-            .into_iter()
-            .collect();
-        assert_eq!(
-            d.discover(&r, &DiscoveryQuery::new(&a).require_qos(&cs))
-                .len(),
-            1
-        );
-    }
-
-    #[test]
-    fn relaxed_degrees_admit_subsumes_and_force_linear() {
-        let (o, m) = setup();
-        let d = Discovery::new(&o, &m);
-        let mut r = ServiceRegistry::with_ontology(Arc::new(domain()));
-        r.register(ServiceDescription::new("generic", "shop#Pay"));
-        // Requesting the *sub*concept: the generic service only subsumes.
-        let a = Activity::new("pay", "shop#PayByCard");
-        assert!(d.discover(&r, &DiscoveryQuery::new(&a)).is_empty());
-        let relaxed = d.discover(
-            &r,
-            &DiscoveryQuery::new(&a).min_degree(MatchDegree::Subsumes),
-        );
-        assert_eq!(relaxed.len(), 1);
-        assert_eq!(relaxed[0].degree, MatchDegree::Subsumes);
-    }
-
-    #[test]
     fn indexed_and_linear_paths_agree() {
         use crate::Operation;
         let (o, m) = setup();
@@ -650,9 +563,6 @@ mod tests {
         }
         assert!(r.index_matches_rebuild());
 
-        let cs: ConstraintSet = [Constraint::new(rt, Tendency::LowerBetter, 70.0)]
-            .into_iter()
-            .collect();
         for activity in [
             Activity::new("a", "shop#Pay"),
             Activity::new("b", "shop#PayCash"),
@@ -664,9 +574,6 @@ mod tests {
                 let indexed = d.discover(&r, &query);
                 let linear = d.discover(&r, &query.linear_scan(true));
                 assert_eq!(indexed, linear, "activity {}", activity.name());
-                let constrained = d.discover(&r, &query.require_qos(&cs));
-                let constrained_linear = d.discover(&r, &query.require_qos(&cs).linear_scan(true));
-                assert_eq!(constrained, constrained_linear);
             }
         }
     }

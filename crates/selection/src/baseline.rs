@@ -16,11 +16,11 @@ use crate::{Qassa, SelectionError, SelectionOutcome, SelectionProblem, ServiceCa
 pub enum BaselineError {
     /// The problem is structurally invalid.
     Selection(SelectionError),
-    /// The exhaustive search space exceeds the configured cap.
+    /// The exhaustive search space exceeds the cap.
     TooLarge {
         /// Number of compositions the problem spans.
         combinations: u128,
-        /// The configured cap.
+        /// The cap (2 × 10⁶ compositions).
         cap: u128,
     },
 }
@@ -45,58 +45,35 @@ impl From<SelectionError> for BaselineError {
     }
 }
 
-/// Parameters of the [genetic baseline](Baselines::genetic).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GeneticConfig {
-    /// Population size (≥ 2).
-    pub population: usize,
-    /// Number of generations.
-    pub generations: usize,
-    /// Per-gene mutation probability.
-    pub mutation_rate: f64,
-    /// Probability of crossing two parents (vs. cloning one).
-    pub crossover_rate: f64,
-    /// Number of elites copied unchanged each generation.
-    pub elite: usize,
-    /// RNG seed (the GA is deterministic per seed).
-    pub seed: u64,
-}
+/// The most compositions [`Baselines::exhaustive`] enumerates: a safety
+/// bound, far above every evaluation space (the largest is 15⁴).
+const MAX_COMBINATIONS: u128 = 2_000_000;
 
-impl Default for GeneticConfig {
-    fn default() -> Self {
-        GeneticConfig {
-            population: 50,
-            generations: 100,
-            mutation_rate: 0.05,
-            crossover_rate: 0.8,
-            elite: 2,
-            seed: 0,
-        }
-    }
-}
+// Parameters of the genetic baseline.
+/// Population size.
+const GA_POPULATION: usize = 50;
+/// Number of generations.
+const GA_GENERATIONS: usize = 100;
+/// Per-gene mutation probability.
+const GA_MUTATION_RATE: f64 = 0.05;
+/// Probability of crossing two parents (vs. cloning one).
+const GA_CROSSOVER_RATE: f64 = 0.8;
+/// Number of elites copied unchanged each generation.
+const GA_ELITE: usize = 2;
+/// RNG seed: the GA is deterministic.
+const GA_SEED: u64 = 0;
 
 /// Baseline selectors sharing QASSA's exact scoring (aggregation +
 /// composition utility), so utilities are directly comparable.
 #[derive(Debug, Clone, Copy)]
 pub struct Baselines<'a> {
     model: &'a qasom_qos::QosModel,
-    max_combinations: u128,
 }
 
 impl<'a> Baselines<'a> {
-    /// Creates baselines with the default exhaustive cap (2 × 10⁶
-    /// compositions).
+    /// Creates the baselines over a QoS model.
     pub fn new(model: &'a qasom_qos::QosModel) -> Self {
-        Baselines {
-            model,
-            max_combinations: 2_000_000,
-        }
-    }
-
-    /// Overrides the exhaustive-search cap.
-    pub fn with_max_combinations(mut self, cap: u128) -> Self {
-        self.max_combinations = cap;
-        self
+        Baselines { model }
     }
 
     /// **Exact optimum**: enumerates every composition, returning the
@@ -107,8 +84,8 @@ impl<'a> Baselines<'a> {
     ///
     /// # Errors
     ///
-    /// Fails on malformed problems or when the search space exceeds the
-    /// cap.
+    /// Fails on malformed problems or when the search space exceeds
+    /// 2 × 10⁶ compositions.
     pub fn exhaustive(
         &self,
         problem: &SelectionProblem<'_>,
@@ -120,10 +97,10 @@ impl<'a> Baselines<'a> {
             .iter()
             .map(|c| c.len() as u128)
             .product();
-        if combinations > self.max_combinations {
+        if combinations > MAX_COMBINATIONS {
             return Err(BaselineError::TooLarge {
                 combinations,
-                cap: self.max_combinations,
+                cap: MAX_COMBINATIONS,
             });
         }
 
@@ -344,7 +321,9 @@ impl<'a> Baselines<'a> {
     /// approaches QASSA is positioned against: integer chromosomes (one
     /// gene per activity), tournament selection, single-point crossover,
     /// random-reset mutation, elitism, and a fitness of
-    /// `utility − penalty(relative constraint violations)`.
+    /// `utility − penalty(relative constraint violations)`. Population
+    /// 50, 100 generations, elitism 2, crossover 0.8, mutation 0.05, one
+    /// fixed seed: the GA is deterministic.
     ///
     /// # Errors
     ///
@@ -352,11 +331,10 @@ impl<'a> Baselines<'a> {
     pub fn genetic(
         &self,
         problem: &SelectionProblem<'_>,
-        config: &GeneticConfig,
     ) -> Result<SelectionOutcome, BaselineError> {
         validate(problem)?;
         let qassa = Qassa::new(self.model);
-        let mut rng = StdRng::seed_from_u64(config.seed);
+        let mut rng = StdRng::seed_from_u64(GA_SEED);
         let n = problem.candidates().len();
         let sizes: Vec<usize> = problem.candidates().iter().map(Vec::len).collect();
 
@@ -381,17 +359,16 @@ impl<'a> Baselines<'a> {
             u - penalty
         };
 
-        let mut population: Vec<(f64, Vec<usize>)> = (0..config.population.max(2))
+        let mut population: Vec<(f64, Vec<usize>)> = (0..GA_POPULATION)
             .map(|_| {
                 let c = random_chromosome(&mut rng);
                 (fitness(&c), c)
             })
             .collect();
 
-        for _ in 0..config.generations {
+        for _ in 0..GA_GENERATIONS {
             population.sort_by(|a, b| b.0.total_cmp(&a.0));
-            let mut next: Vec<(f64, Vec<usize>)> =
-                population[..config.elite.min(population.len())].to_vec();
+            let mut next: Vec<(f64, Vec<usize>)> = population[..GA_ELITE].to_vec();
             while next.len() < population.len() {
                 // Tournament selection of two parents.
                 let pick = |rng: &mut StdRng| -> &Vec<usize> {
@@ -406,7 +383,7 @@ impl<'a> Baselines<'a> {
                 let pa = pick(&mut rng).clone();
                 let pb = pick(&mut rng).clone();
                 // Single-point crossover.
-                let mut child = if n > 1 && rng.gen::<f64>() < config.crossover_rate {
+                let mut child = if n > 1 && rng.gen::<f64>() < GA_CROSSOVER_RATE {
                     let cut = rng.gen_range(1..n);
                     let mut c = pa[..cut].to_vec();
                     c.extend_from_slice(&pb[cut..]);
@@ -416,7 +393,7 @@ impl<'a> Baselines<'a> {
                 };
                 // Random-reset mutation.
                 for (i, gene) in child.iter_mut().enumerate() {
-                    if rng.gen::<f64>() < config.mutation_rate {
+                    if rng.gen::<f64>() < GA_MUTATION_RATE {
                         *gene = rng.gen_range(0..sizes[i]);
                     }
                 }
@@ -425,8 +402,8 @@ impl<'a> Baselines<'a> {
             population = next;
         }
         population.sort_by(|a, b| b.0.total_cmp(&a.0));
-        // `config.population.max(2)` above keeps the population
-        // non-empty; the typed escape replaces a panic all the same.
+        // `GA_POPULATION` keeps the population non-empty; the typed
+        // escape replaces a panic all the same.
         let Some(best) = population.into_iter().next() else {
             return Err(BaselineError::Selection(SelectionError::NoCandidates {
                 activity: 0,
@@ -525,13 +502,17 @@ mod tests {
 
     #[test]
     fn exhaustive_respects_the_cap() {
-        let (m, w) = small_workload(1);
-        let problem = w.problem();
-        let err = Baselines::new(&m)
-            .with_max_combinations(10)
-            .exhaustive(&problem)
-            .unwrap_err();
-        assert!(matches!(err, BaselineError::TooLarge { .. }));
+        // 100 candidates for each of 5 activities: 10¹⁰ compositions.
+        let m = QosModel::standard();
+        let w = WorkloadSpec::evaluation_default().build(&m, 1);
+        let err = Baselines::new(&m).exhaustive(&w.problem()).unwrap_err();
+        assert_eq!(
+            err,
+            BaselineError::TooLarge {
+                combinations: 10_000_000_000,
+                cap: MAX_COMBINATIONS,
+            }
+        );
     }
 
     #[test]
@@ -633,12 +614,8 @@ mod tests {
         let (m, w) = small_workload(6);
         let problem = w.problem();
         let b = Baselines::new(&m);
-        let config = GeneticConfig {
-            generations: 30,
-            ..GeneticConfig::default()
-        };
-        let a = b.genetic(&problem, &config).unwrap();
-        let c = b.genetic(&problem, &config).unwrap();
+        let a = b.genetic(&problem).unwrap();
+        let c = b.genetic(&problem).unwrap();
         assert_eq!(a.assignment, c.assignment);
         assert_eq!(a.assignment.len(), 3);
         assert!((0.0..=1.0).contains(&a.utility));
@@ -655,15 +632,7 @@ mod tests {
         let problem = w.problem();
         let b = Baselines::new(&m);
         let exact = b.exhaustive(&problem).unwrap();
-        let ga = b
-            .genetic(
-                &problem,
-                &GeneticConfig {
-                    generations: 120,
-                    ..GeneticConfig::default()
-                },
-            )
-            .unwrap();
+        let ga = b.genetic(&problem).unwrap();
         if exact.feasible {
             assert!(ga.utility <= exact.utility + 1e-9);
             // On a 6^3 space a decent GA should land close.

@@ -13,6 +13,12 @@ use crate::{
     ServiceCandidate,
 };
 
+/// When the level-wise search finds no feasible composition and the full
+/// candidate space spans at most this many compositions, QASSA falls back
+/// to an exact scan: small problems become complete while the heuristic's
+/// bounded cost at scale is preserved.
+const EXACT_FALLBACK_CAP: u128 = 50_000;
+
 /// Configuration of the QASSA selector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QassaConfig {
@@ -20,11 +26,6 @@ pub struct QassaConfig {
     pub local: LocalRank,
     /// Repair-swap budget per explored level.
     pub max_repairs_per_level: usize,
-    /// When the level-wise search finds no feasible composition and the
-    /// full candidate space spans at most this many compositions, fall
-    /// back to an exact scan — small problems become complete while the
-    /// heuristic's bounded cost at scale is preserved.
-    pub exact_fallback_cap: u128,
 }
 
 impl Default for QassaConfig {
@@ -32,7 +33,6 @@ impl Default for QassaConfig {
         QassaConfig {
             local: LocalRank::default(),
             max_repairs_per_level: 64,
-            exact_fallback_cap: 50_000,
         }
     }
 }
@@ -438,7 +438,7 @@ impl<'a> Qassa<'a> {
         // The level-wise heuristic found nothing feasible. On small
         // problems, scan the whole space exactly before giving up.
         let combinations: u128 = levels.iter().map(|l| l.total() as u128).product();
-        if combinations <= self.config.exact_fallback_cap {
+        if combinations <= EXACT_FALLBACK_CAP {
             tally.exact_fallback = true;
             tally.utility_evals += u64::try_from(combinations).unwrap_or(u64::MAX);
             if let Some(current) =
@@ -1041,23 +1041,10 @@ mod tests {
         let problem = SelectionProblem::new(&task)
             .with_candidates(cands)
             .with_constraints(constraints(&f, 190.0, 0.94));
-        // With no repairs and no fallback the level search fails…
-        let strict = QassaConfig {
-            max_repairs_per_level: 0,
-            exact_fallback_cap: 0,
-            ..QassaConfig::default()
-        };
-        let out = Qassa::with_config(&f.model, strict)
-            .select(&problem)
-            .unwrap();
-        let strict_feasible = out.feasible;
-        // …but the (default) bounded fallback finds the single solution.
+        // The bounded fallback finds the single solution.
         let out = Qassa::new(&f.model).select(&problem).unwrap();
         assert!(out.feasible);
         assert_eq!(out.aggregated.get(f.rt), Some(190.0));
-        // Sanity: the strict configuration genuinely needed help or got
-        // lucky via level ordering; either way the fallback never hurts.
-        let _ = strict_feasible;
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use std::collections::HashSet;
 
 use proptest::prelude::*;
-use qasom_adaptation::{find_homeomorphism, find_order_embedding, MonitorConfig, QosMonitor};
+use qasom_adaptation::{find_homeomorphism, find_order_embedding, QosMonitor};
 use qasom_qos::QosModel;
 use qasom_registry::{ServiceDescription, ServiceRegistry};
 use qasom_task::{Activity, BehaviouralGraph, TaskNode, UserTask, VertexId};
@@ -133,24 +133,24 @@ proptest! {
     }
 
     /// Monitor estimates converge to the sample mean and the window
-    /// bounds them.
+    /// (the monitor's last 10 observations) bounds them.
     #[test]
     fn monitor_estimate_is_bounded_by_observations(
         values in prop::collection::vec(1.0f64..1e4, 1..40),
-        window in 1usize..20,
     ) {
+        const WINDOW: usize = 10;
         let model = QosModel::standard();
         let rt = model.property("ResponseTime").unwrap();
         let mut reg = ServiceRegistry::new();
         let id = reg.register(ServiceDescription::new("s", "d#F"));
-        let mut monitor = QosMonitor::with_config(MonitorConfig { window, ewma_alpha: 0.3 });
+        let mut monitor = QosMonitor::new();
         for &v in &values {
             let mut q = qasom_qos::QosVector::new();
             q.set(rt, v);
             monitor.observe(id, &q);
         }
         let est = monitor.estimate(id).unwrap().get(rt).unwrap();
-        let tail: Vec<f64> = values.iter().rev().take(window).copied().collect();
+        let tail: Vec<f64> = values.iter().rev().take(WINDOW).copied().collect();
         let lo = tail.iter().cloned().fold(f64::INFINITY, f64::min);
         let hi = tail.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         prop_assert!(est >= lo - 1e-9 && est <= hi + 1e-9, "estimate {est} outside [{lo}, {hi}]");

@@ -19,7 +19,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use qasom::Environment;
+use qasom::{Environment, UserRequest};
 use qasom_netsim::runtime::SyntheticService;
 use qasom_obs::{keys, MemoryRecorder, Recorder};
 use qasom_ontology::{Ontology, OntologyBuilder};
@@ -30,6 +30,7 @@ use qasom_registry::persist::{
     RegistryJournal,
 };
 use qasom_registry::{Operation, ServiceDescription, ServiceId, ServiceRegistry};
+use qasom_task::{Activity, TaskNode, UserTask};
 
 fn taxonomy() -> Ontology {
     let mut b = OntologyBuilder::new("p");
@@ -476,6 +477,28 @@ fn a_journaled_environment_recovers_byte_identically_after_every_op() {
         deploy(&mut env, format!("s{i}"), functions[i % functions.len()]);
         assert_recoverable(&env);
     }
+}
+
+/// Reputation feedback rewrites live advertisements, which the WAL does
+/// not journal: after a pass that changed anything, a crash must still
+/// recover the re-advertised registry.
+#[test]
+fn reputation_feedback_survives_a_crash() {
+    let backend = MemoryBackend::new();
+    let mut env = environment();
+    env.attach_journal(recover(backend.clone(), PersistConfig::default()).1);
+    for i in 0..3 {
+        deploy(&mut env, format!("pay{i}"), "p#Pay");
+    }
+    let task = UserTask::new("t", TaskNode::activity(Activity::new("pay", "p#Pay"))).unwrap();
+    for _ in 0..3 {
+        let composition = env.compose(&UserRequest::new(task.clone())).unwrap();
+        assert!(env.execute(composition).unwrap().success);
+    }
+    assert!(env.apply_reputation_feedback() > 0);
+
+    let (recovered, _) = recover(backend.fork(), PersistConfig::default());
+    assert_eq!(encode_state(&recovered), encode_state(env.registry()));
 }
 
 #[test]

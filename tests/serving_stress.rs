@@ -37,8 +37,7 @@ fn serve(shared: &SharedEnvironment) {
 fn winner(e: &Environment) -> String {
     let comp = e.compose(&request()).expect("providers always available");
     let id = comp.outcome().assignment[0].id();
-    let registry = e.registry_snapshot();
-    let desc = registry.get(id).expect("bound under this guard");
+    let desc = e.registry().get(id).expect("bound under this guard");
     desc.name().to_owned()
 }
 
@@ -218,8 +217,7 @@ fn scripted_stress_report_is_deterministic_per_seed() {
 }
 
 /// The serving counters account for the lock split exactly: one read
-/// acquisition per compose-phase, one write per execute/churn, one
-/// snapshot per registry hand-out.
+/// acquisition per compose-phase, one write per execute/churn.
 #[test]
 fn serving_section_reports_the_lock_split() {
     let shared = market(5);
@@ -228,14 +226,13 @@ fn serving_section_reports_the_lock_split() {
     for _ in 0..5 {
         serve(&shared);
     }
-    let registry = shared.with(|e| e.registry_snapshot());
-    assert_eq!(registry.len(), BASE_PROVIDERS);
+    let providers = shared.with(|e| e.registry().len());
+    assert_eq!(providers, BASE_PROVIDERS);
 
     let metrics = shared.with(|e| e.run_report("stress")).metrics;
-    // 5 serve compose-phases + the snapshot `with` + the report `with`.
+    // 5 serve compose-phases + the registry `with` + the report `with`.
     assert_eq!(metrics.counter(keys::SERVING_READ_LOCKS), 7);
     // 5 serve execute-phases; `set_recorder` ran before the recorder
     // was installed, so it is not observed.
     assert_eq!(metrics.counter(keys::SERVING_WRITE_LOCKS), 5);
-    assert_eq!(metrics.counter(keys::SERVING_SNAPSHOTS), 1);
 }
