@@ -82,6 +82,12 @@ impl QosMonitor {
         }
     }
 
+    /// Drops everything observed of a service (it departed; ids are never
+    /// reused, so nothing would read its windows again).
+    pub fn forget(&mut self, service: ServiceId) {
+        self.windows.remove(&service);
+    }
+
     /// Window-mean estimate of a service's delivered QoS (`None` when the
     /// service was never observed).
     pub fn estimate(&self, service: ServiceId) -> Option<QosVector> {

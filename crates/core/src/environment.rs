@@ -128,7 +128,7 @@ pub struct Environment {
     // is counted and detaches the journal (the instance degrades to
     // in-memory rather than diverging from its own store).
     journal: Option<RegistryJournal>,
-    runtime: ServiceRuntime<ServiceId>,
+    runtime: ServiceRuntime,
     tasks: TaskClassRepository,
     infra: HashMap<u64, QosVector>,
     end_to_end: EndToEnd,
@@ -341,11 +341,12 @@ impl Environment {
             let after = journal.stats();
             self.settle_journal(before, after, outcome);
         }
-        self.runtime.deploy(id, behaviour);
+        self.runtime.deploy(id.index(), behaviour);
         id
     }
 
-    /// Removes a service (provider departure / churn). Journaled like
+    /// Removes a service (provider departure / churn) with its behaviour,
+    /// monitor windows and SLA record. Journaled like
     /// [`Environment::deploy`] when the service was live.
     pub fn undeploy(&mut self, id: ServiceId) {
         let removed = self.registry.deregister(id).is_some();
@@ -359,7 +360,9 @@ impl Environment {
                 self.settle_journal(before, after, outcome);
             }
         }
-        self.runtime.undeploy(&id);
+        self.runtime.undeploy(id.index());
+        self.monitor.forget(id);
+        self.slas.remove(&id);
     }
 
     /// Mirrors journal counter movement into the recorder and detaches
@@ -447,20 +450,20 @@ impl Environment {
     /// recovered from the WAL but runtime behaviours live only in
     /// memory and must be re-created by the host.
     pub fn attach_behaviour(&mut self, id: ServiceId, behaviour: SyntheticService) {
-        self.runtime.deploy(id, behaviour);
+        self.runtime.deploy(id.index(), behaviour);
     }
 
     /// Direct access to a deployed synthetic service (fault injection in
     /// tests and examples).
     pub fn runtime_mut(&mut self, id: ServiceId) -> Option<&mut SyntheticService> {
-        self.runtime.get_mut(&id)
+        self.runtime.get_mut(id.index())
     }
 
     pub(crate) fn invoke(
         &mut self,
         id: ServiceId,
     ) -> Option<qasom_netsim::runtime::InvocationOutcome> {
-        self.runtime.invoke(&id)
+        self.runtime.invoke(id.index())
     }
 
     /// Registers a task class.
@@ -902,6 +905,25 @@ mod tests {
             .unwrap();
         assert_eq!(comp.outcome(), &expected);
         assert_eq!(comp.outcome().levels.len(), 2);
+    }
+
+    #[test]
+    fn a_departed_service_leaves_no_monitor_windows_or_sla() {
+        let mut e = env();
+        let rt = e.model().property("ResponseTime").unwrap();
+        let a = deploy(&mut e, "a1", "d#A", 50.0);
+        let b = deploy(&mut e, "b1", "d#B", 60.0);
+        let comp = e.compose(&UserRequest::new(two_step_task())).unwrap();
+        assert!(e.execute(comp).unwrap().success);
+        assert!(e.sla(a).is_some());
+        assert_eq!(e.monitor().sample_count(a, rt), 1);
+
+        e.undeploy(a);
+        assert!(e.sla(a).is_none());
+        assert_eq!(e.monitor().sample_count(a, rt), 0);
+        // The service that stays keeps its record.
+        assert!(e.sla(b).is_some());
+        assert_eq!(e.monitor().sample_count(b, rt), 1);
     }
 
     #[test]

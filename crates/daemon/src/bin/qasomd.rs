@@ -16,7 +16,7 @@
 //!        [--queue N] [--quota N] [--batch N] [--data-dir DIR]
 //! ```
 
-use std::io::BufRead;
+use std::io::{BufRead, Write};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -29,6 +29,14 @@ use qasom_ontology::OntologyBuilder;
 use qasom_qos::QosModel;
 use qasom_registry::persist::{FileBackend, PersistConfig, RegistryJournal};
 use qasom_registry::ServiceDescription;
+
+/// `eprintln!` that drops write errors: a log reader that went away
+/// (a closed pipe) must not take the daemon down with it.
+macro_rules! log {
+    ($($arg:tt)*) => {{
+        let _ = writeln!(std::io::stderr(), $($arg)*);
+    }};
+}
 
 struct Options {
     addr: String,
@@ -116,7 +124,7 @@ fn market(
             for (id, nominal) in live {
                 env.attach_behaviour(id, SyntheticService::new(nominal));
             }
-            eprintln!(
+            log!(
                 "qasomd: warm restart from {}: {count} live services at epoch {} \
                  (snapshot cursor {}, {} WAL events replayed{})",
                 dir.display(),
@@ -156,7 +164,7 @@ fn main() -> ExitCode {
     let options = match parse_args() {
         Ok(options) => options,
         Err(message) => {
-            eprintln!("{message}");
+            log!("{message}");
             return ExitCode::FAILURE;
         }
     };
@@ -164,7 +172,7 @@ fn main() -> ExitCode {
     let shared = match market(options.seed, options.providers, options.data_dir.as_deref()) {
         Ok(shared) => shared,
         Err(message) => {
-            eprintln!("qasomd: {message}");
+            log!("qasomd: {message}");
             return ExitCode::FAILURE;
         }
     };
@@ -177,11 +185,11 @@ fn main() -> ExitCode {
     ) {
         Ok(handle) => handle,
         Err(e) => {
-            eprintln!("qasomd: cannot bind {}: {e}", options.addr);
+            log!("qasomd: cannot bind {}: {e}", options.addr);
             return ExitCode::FAILURE;
         }
     };
-    eprintln!(
+    log!(
         "qasomd: serving on {} (seed {}, {} providers, queue {}, quota {}, batch {})",
         handle.addr(),
         options.seed,
@@ -191,9 +199,9 @@ fn main() -> ExitCode {
         options.admission.batch_max
     );
     if let Some(dir) = &options.data_dir {
-        eprintln!("qasomd: journaling registry to {}", dir.display());
+        log!("qasomd: journaling registry to {}", dir.display());
     }
-    eprintln!("qasomd: close stdin to stop");
+    log!("qasomd: close stdin to stop");
 
     // Block until stdin closes — no polling, no clocks.
     let stdin = std::io::stdin();
@@ -207,6 +215,7 @@ fn main() -> ExitCode {
     // A final checkpoint makes the next boot snapshot-only (empty WAL).
     shared.checkpoint_registry();
     let report = shared.with(|e| e.run_report("qasomd"));
-    println!("{}", report.to_pretty_string());
+    // Like the log, the report is best effort once the reader is gone.
+    let _ = writeln!(std::io::stdout(), "{}", report.to_pretty_string());
     ExitCode::SUCCESS
 }

@@ -29,11 +29,16 @@ fn start(dir: &Path) -> Daemon {
         .unwrap();
     let stdin = child.stdin.take().unwrap();
     let mut boot_log = Vec::new();
-    for line in BufReader::new(child.stderr.take().unwrap()).lines() {
-        let line = line.unwrap();
+    let mut stderr = BufReader::new(child.stderr.take().unwrap());
+    let mut line = String::new();
+    while stderr.read_line(&mut line).unwrap() > 0 {
         let serving = line.contains("serving on");
-        boot_log.push(line);
+        boot_log.push(line.trim_end().to_owned());
+        line.clear();
         if serving {
+            // `qasomd` keeps logging after `serving on`; drain the rest
+            // so it never writes to a pipe nobody reads.
+            std::thread::spawn(move || std::io::copy(&mut stderr, &mut std::io::sink()));
             return Daemon {
                 child,
                 stdin,

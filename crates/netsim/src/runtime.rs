@@ -9,8 +9,6 @@
 //! number of invocations, with both transient failures (per-invocation
 //! probability) and permanent crashes (after N invocations).
 
-use std::collections::BTreeMap;
-
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -73,11 +71,31 @@ struct Drift {
 #[derive(Debug, Clone, PartialEq)]
 pub struct SyntheticService {
     nominal: QosVector,
+    invocations: u64,
+    // `None` for a faithful service, so a market of them carries one
+    // pointer per service instead of the fault parameters.
+    faults: Option<Box<Faults>>,
+}
+
+/// The fault parameters of an unfaithful service.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct Faults {
     noise: f64,
     failure_rate: f64,
     crash_after: Option<u64>,
     drifts: Vec<Drift>,
-    invocations: u64,
+}
+
+impl Faults {
+    /// The faults to store: `None`, not a box, when every parameter is at
+    /// its default.
+    fn boxed(self) -> Option<Box<Faults>> {
+        let default = self.noise == 0.0
+            && self.failure_rate == 0.0
+            && self.crash_after.is_none()
+            && self.drifts.is_empty();
+        (!default).then(|| Box::new(self))
+    }
 }
 
 impl SyntheticService {
@@ -85,12 +103,18 @@ impl SyntheticService {
     pub fn new(nominal: QosVector) -> Self {
         SyntheticService {
             nominal,
-            noise: 0.0,
-            failure_rate: 0.0,
-            crash_after: None,
-            drifts: Vec::new(),
             invocations: 0,
+            faults: None,
         }
+    }
+
+    /// Applies `edit` to the fault parameters, boxing them only when
+    /// one is left at a non-default value.
+    fn edit_faults(mut self, edit: impl FnOnce(&mut Faults)) -> Self {
+        let mut faults = self.faults.take().map_or_else(Faults::default, |f| *f);
+        edit(&mut faults);
+        self.faults = faults.boxed();
+        self
     }
 
     /// Relative standard deviation of the multiplicative per-invocation
@@ -99,10 +123,9 @@ impl SyntheticService {
     /// # Panics
     ///
     /// Panics on a negative or non-finite value.
-    pub fn with_noise(mut self, noise: f64) -> Self {
+    pub fn with_noise(self, noise: f64) -> Self {
         assert!(noise.is_finite() && noise >= 0.0, "noise must be >= 0");
-        self.noise = noise;
-        self
+        self.edit_faults(|f| f.noise = noise)
     }
 
     /// Per-invocation transient-failure probability.
@@ -110,28 +133,27 @@ impl SyntheticService {
     /// # Panics
     ///
     /// Panics unless the rate is in `[0, 1]`.
-    pub fn with_failure_rate(mut self, rate: f64) -> Self {
+    pub fn with_failure_rate(self, rate: f64) -> Self {
         assert!((0.0..=1.0).contains(&rate), "failure rate must be in [0,1]");
-        self.failure_rate = rate;
-        self
+        self.edit_faults(|f| f.failure_rate = rate)
     }
 
     /// The service crashes permanently after `n` invocations, failed
     /// ones included: every invocation from the `n + 1`-th on fails.
-    pub fn with_crash_after(mut self, n: u64) -> Self {
-        self.crash_after = Some(n);
-        self
+    pub fn with_crash_after(self, n: u64) -> Self {
+        self.edit_faults(|f| f.crash_after = Some(n))
     }
 
     /// From invocation `after` onwards, multiplies `property` by `factor`
     /// (e.g. `2.0` on response time models growing load).
-    pub fn with_drift(mut self, after: u64, property: PropertyId, factor: f64) -> Self {
-        self.drifts.push(Drift {
-            after,
-            property,
-            factor,
-        });
-        self
+    pub fn with_drift(self, after: u64, property: PropertyId, factor: f64) -> Self {
+        self.edit_faults(|f| {
+            f.drifts.push(Drift {
+                after,
+                property,
+                factor,
+            })
+        })
     }
 
     /// The advertised QoS.
@@ -146,29 +168,36 @@ impl SyntheticService {
 
     /// Whether the service has permanently crashed.
     pub fn is_crashed(&self) -> bool {
-        self.crash_after.is_some_and(|n| self.invocations >= n)
+        self.faults
+            .as_ref()
+            .and_then(|f| f.crash_after)
+            .is_some_and(|n| self.invocations >= n)
     }
 
     /// Invokes the service once.
     pub fn invoke(&mut self, rng: &mut impl Rng) -> InvocationOutcome {
-        if self.is_crashed() {
-            self.invocations += 1;
+        let crashed = self.is_crashed();
+        self.invocations += 1;
+        if crashed {
             return InvocationOutcome::Failure;
         }
-        self.invocations += 1;
-        if self.failure_rate > 0.0 && rng.gen::<f64>() < self.failure_rate {
+        let (noise, failure_rate, drifts) = match self.faults.as_deref() {
+            Some(f) => (f.noise, f.failure_rate, &f.drifts[..]),
+            None => (0.0, 0.0, &[][..]),
+        };
+        if failure_rate > 0.0 && rng.gen::<f64>() < failure_rate {
             return InvocationOutcome::Failure;
         }
         let mut observed = QosVector::new();
         for (p, nominal) in self.nominal.iter() {
             let mut value = nominal;
-            for d in &self.drifts {
+            for d in drifts {
                 if d.property == p && self.invocations > d.after {
                     value *= d.factor;
                 }
             }
-            if self.noise > 0.0 {
-                let factor = Normal::new(1.0, self.noise).sample_clamped(rng, 0.0, f64::MAX);
+            if noise > 0.0 {
+                let factor = Normal::new(1.0, noise).sample_clamped(rng, 0.0, f64::MAX);
                 value *= factor;
             }
             // Values that are ratios by construction stay ratios.
@@ -181,58 +210,48 @@ impl SyntheticService {
     }
 }
 
-/// A keyed collection of synthetic services with a shared deterministic
-/// RNG — the "environment side" of the middleware's execution engine.
+/// A slot table of synthetic services with a shared deterministic RNG —
+/// the "environment side" of the middleware's execution engine. Slots
+/// are dense indices (the middleware uses the registry's own
+/// `ServiceId::index`), so the table is a `Vec` rather than a map.
 #[derive(Debug)]
-pub struct ServiceRuntime<K> {
-    services: BTreeMap<K, SyntheticService>,
+pub struct ServiceRuntime {
+    services: Vec<Option<SyntheticService>>,
     rng: StdRng,
 }
 
-impl<K: Ord + Clone> ServiceRuntime<K> {
+impl ServiceRuntime {
     /// Creates an empty runtime with a deterministic seed.
     pub fn new(seed: u64) -> Self {
         ServiceRuntime {
-            services: BTreeMap::new(),
+            services: Vec::new(),
             rng: StdRng::seed_from_u64(seed),
         }
     }
 
-    /// Deploys (or replaces) a service under `key`.
-    pub fn deploy(&mut self, key: K, service: SyntheticService) {
-        self.services.insert(key, service);
+    /// Deploys (or replaces) a service in `slot`.
+    pub fn deploy(&mut self, slot: usize, service: SyntheticService) {
+        if slot >= self.services.len() {
+            self.services.resize_with(slot + 1, || None);
+        }
+        self.services[slot] = Some(service);
     }
 
     /// Removes a service (provider departure).
-    pub fn undeploy(&mut self, key: &K) -> Option<SyntheticService> {
-        self.services.remove(key)
+    pub fn undeploy(&mut self, slot: usize) -> Option<SyntheticService> {
+        self.services.get_mut(slot)?.take()
     }
 
-    /// Invokes the service under `key`; `None` when no such service is
-    /// deployed.
-    pub fn invoke(&mut self, key: &K) -> Option<InvocationOutcome> {
-        let svc = self.services.get_mut(key)?;
+    /// Invokes the service in `slot`; `None` when no service is
+    /// deployed there.
+    pub fn invoke(&mut self, slot: usize) -> Option<InvocationOutcome> {
+        let svc = self.services.get_mut(slot)?.as_mut()?;
         Some(svc.invoke(&mut self.rng))
     }
 
-    /// The deployed service under `key`.
-    pub fn get(&self, key: &K) -> Option<&SyntheticService> {
-        self.services.get(key)
-    }
-
     /// Mutable access (inject drift/crash mid-run).
-    pub fn get_mut(&mut self, key: &K) -> Option<&mut SyntheticService> {
-        self.services.get_mut(key)
-    }
-
-    /// Number of deployed services.
-    pub fn len(&self) -> usize {
-        self.services.len()
-    }
-
-    /// Whether no service is deployed.
-    pub fn is_empty(&self) -> bool {
-        self.services.is_empty()
+    pub fn get_mut(&mut self, slot: usize) -> Option<&mut SyntheticService> {
+        self.services.get_mut(slot)?.as_mut()
     }
 }
 
@@ -331,15 +350,147 @@ mod tests {
         }
     }
 
+    /// `(response time, availability)` of the first 64 invocations of
+    /// [`mixed_runtime`], round-robin over its slots; `None` is a failure.
+    /// Pinned because a change in which RNG draws a service makes, or in
+    /// their order, shifts every later outcome of every seeded run.
+    const MIXED_OUTCOMES: [Option<[f64; 2]>; 64] = [
+        Some([100.0, 0.99]),
+        Some([90.1998636521604, 0.9116916426517961]),
+        None,
+        Some([39.681848136887766, 1.0]),
+        Some([118.31816963649118, 0.9544912193455262]),
+        Some([100.0, 0.99]),
+        Some([83.60723243237423, 0.9383402303491615]),
+        None,
+        Some([42.57513547088149, 0.8517910025644689]),
+        Some([122.55086652750519, 1.0]),
+        Some([100.0, 0.99]),
+        Some([72.41008560853479, 0.8044526710838216]),
+        None,
+        Some([39.33299909011166, 0.8677924311665309]),
+        Some([119.27158006726887, 0.9828014673621535]),
+        Some([100.0, 0.99]),
+        Some([76.94124980567365, 0.9648831992366382]),
+        None,
+        Some([33.69907510677854, 0.990426990951364]),
+        Some([121.91360819709033, 1.0]),
+        Some([100.0, 0.99]),
+        Some([83.31148613258205, 0.9545698240596767]),
+        None,
+        Some([39.92233595045471, 0.935958231047007]),
+        None,
+        Some([100.0, 0.99]),
+        Some([75.94078584976968, 0.9027255695442178]),
+        Some([60.0, 0.9]),
+        Some([41.76901121700611, 1.0]),
+        Some([300.42938395792953, 0.9712313388897628]),
+        Some([100.0, 0.99]),
+        Some([81.42782831860339, 0.8068596878554232]),
+        None,
+        None,
+        Some([303.4513354386516, 0.9923034983767077]),
+        Some([100.0, 0.99]),
+        Some([92.76265205336459, 0.8553827220795533]),
+        Some([60.0, 0.9]),
+        None,
+        Some([282.11062663335633, 0.9807059103268759]),
+        Some([100.0, 0.99]),
+        Some([94.01045072444322, 1.0]),
+        None,
+        None,
+        Some([305.7500997943689, 0.9876165717370577]),
+        Some([100.0, 0.99]),
+        Some([82.26891900926418, 1.0]),
+        Some([60.0, 0.9]),
+        None,
+        Some([305.7494678386044, 1.0]),
+        Some([100.0, 0.99]),
+        Some([70.6245718367938, 0.8658680027560992]),
+        Some([60.0, 0.9]),
+        None,
+        None,
+        Some([100.0, 0.99]),
+        Some([71.71408121539088, 0.7966253608868962]),
+        Some([60.0, 0.9]),
+        None,
+        Some([303.5854588439194, 1.0]),
+        Some([100.0, 0.99]),
+        Some([85.70770090480322, 0.8809756226792488]),
+        Some([60.0, 0.9]),
+        None,
+    ];
+
+    /// Faithful, noisy, failing, crashing and drifting services, with
+    /// empty slots between them.
+    fn mixed_runtime() -> (ServiceRuntime, [usize; 5], PropertyId, PropertyId) {
+        let m = QosModel::standard();
+        let rt = m.property("ResponseTime").unwrap();
+        let av = m.property("Availability").unwrap();
+        let nominal = |r: f64, a: f64| -> QosVector { [(rt, r), (av, a)].into_iter().collect() };
+        let mut runtime = ServiceRuntime::new(0x5eed);
+        runtime.deploy(0, SyntheticService::new(nominal(100.0, 0.99)));
+        runtime.deploy(
+            2,
+            SyntheticService::new(nominal(80.0, 0.95)).with_noise(0.1),
+        );
+        runtime.deploy(
+            3,
+            SyntheticService::new(nominal(60.0, 0.9)).with_failure_rate(0.5),
+        );
+        runtime.deploy(
+            5,
+            SyntheticService::new(nominal(40.0, 0.97))
+                .with_noise(0.05)
+                .with_crash_after(6),
+        );
+        runtime.deploy(
+            6,
+            SyntheticService::new(nominal(120.0, 0.999))
+                .with_noise(0.02)
+                .with_failure_rate(0.1)
+                .with_drift(4, rt, 2.5),
+        );
+        (runtime, [0, 2, 3, 5, 6], rt, av)
+    }
+
     #[test]
-    fn runtime_routes_by_key() {
+    fn a_mixed_runtime_repeats_its_pinned_outcomes() {
+        let (mut runtime, slots, rt, av) = mixed_runtime();
+        for (i, expected) in MIXED_OUTCOMES.iter().enumerate() {
+            let out = runtime.invoke(slots[i % slots.len()]).unwrap();
+            let got = out.qos().map(|q| [q.get(rt).unwrap(), q.get(av).unwrap()]);
+            assert_eq!(got.as_ref(), expected.as_ref(), "invocation {i}");
+        }
+    }
+
+    #[test]
+    fn default_fault_parameters_allocate_nothing() {
+        let (v, _) = nominal(10.0);
+        let plain = SyntheticService::new(v.clone());
+        let zeroed = SyntheticService::new(v)
+            .with_noise(0.0)
+            .with_failure_rate(0.0);
+        assert_eq!(zeroed, plain);
+        assert!(zeroed.faults.is_none());
+        assert_eq!(plain.clone().with_noise(0.1).with_noise(0.0), plain);
+    }
+
+    #[test]
+    fn runtime_routes_by_slot() {
         let (v, rt) = nominal(42.0);
-        let mut runtime: ServiceRuntime<&str> = ServiceRuntime::new(9);
-        runtime.deploy("a", SyntheticService::new(v));
-        assert!(runtime.invoke(&"missing").is_none());
-        let out = runtime.invoke(&"a").unwrap();
+        let mut runtime = ServiceRuntime::new(9);
+        runtime.deploy(3, SyntheticService::new(v));
+        // Slots below the highest one are empty, not deployed.
+        assert!(runtime.invoke(1).is_none());
+        assert!(runtime.get_mut(0).is_none());
+        assert!(runtime.invoke(7).is_none());
+        let out = runtime.invoke(3).unwrap();
         assert_eq!(out.qos().unwrap().get(rt), Some(42.0));
-        assert!(runtime.undeploy(&"a").is_some());
-        assert!(runtime.invoke(&"a").is_none());
+        assert_eq!(runtime.get_mut(3).unwrap().invocations(), 1);
+        assert!(runtime.undeploy(3).is_some());
+        assert!(runtime.undeploy(3).is_none());
+        assert!(runtime.undeploy(9).is_none());
+        assert!(runtime.invoke(3).is_none());
     }
 }

@@ -449,6 +449,24 @@ mod tests {
     }
 
     #[test]
+    fn each_extra_alone_round_trips() {
+        let base = || ServiceDescription::new("s", "d#F");
+        for desc in [
+            base().with_provider("p"),
+            base().with_input("d#In"),
+            base().with_output("d#Out"),
+            base().with_operation(Operation::new("op", "d#Op")),
+            base().with_host(0),
+        ] {
+            let mut out = Vec::new();
+            put_description(&mut out, &desc);
+            assert_eq!(description_len(&desc), out.len());
+            let back = get_description(&mut ByteReader::new(&out)).unwrap();
+            assert_eq!(back, desc);
+        }
+    }
+
+    #[test]
     fn minimal_description_round_trips() {
         let desc = ServiceDescription::new("s", "d#F");
         let mut out = Vec::new();

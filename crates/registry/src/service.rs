@@ -87,13 +87,35 @@ impl Operation {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServiceDescription {
     name: String,
-    provider: String,
     function: Iri,
+    qos: QosVector,
+    // `None` while every extra is at its default, so the common
+    // profile-only description carries one pointer instead of five
+    // fields, and equal descriptions stay structurally equal.
+    extras: Option<Box<Extras>>,
+}
+
+/// The description fields most advertisements leave unset.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct Extras {
+    provider: String,
     inputs: Vec<Iri>,
     outputs: Vec<Iri>,
-    qos: QosVector,
     operations: Vec<Operation>,
     host: Option<u64>,
+}
+
+impl Extras {
+    /// The extras to store: `None`, not a box, when every field is at its
+    /// default.
+    fn boxed(self) -> Option<Box<Extras>> {
+        let default = self.provider.is_empty()
+            && self.inputs.is_empty()
+            && self.outputs.is_empty()
+            && self.operations.is_empty()
+            && self.host.is_none();
+        (!default).then(|| Box::new(self))
+    }
 }
 
 impl ServiceDescription {
@@ -119,13 +141,9 @@ impl ServiceDescription {
     ) -> Result<Self, Box<dyn std::error::Error + Send + Sync>> {
         Ok(ServiceDescription {
             name: name.into(),
-            provider: String::new(),
             function: function.parse()?,
-            inputs: Vec::new(),
-            outputs: Vec::new(),
             qos: QosVector::new(),
-            operations: Vec::new(),
-            host: None,
+            extras: None,
         })
     }
 
@@ -143,20 +161,32 @@ impl ServiceDescription {
     ) -> Self {
         ServiceDescription {
             name,
-            provider,
             function,
-            inputs,
-            outputs,
             qos,
-            operations,
-            host,
+            extras: Extras {
+                provider,
+                inputs,
+                outputs,
+                operations,
+                host,
+            }
+            .boxed(),
         }
     }
 
-    /// Sets the provider name.
-    pub fn with_provider(mut self, provider: impl Into<String>) -> Self {
-        self.provider = provider.into();
+    /// Applies `edit` to the extras, boxing them only when one is left
+    /// at a non-default value.
+    fn edit_extras(mut self, edit: impl FnOnce(&mut Extras)) -> Self {
+        let mut extras = self.extras.take().map_or_else(Extras::default, |e| *e);
+        edit(&mut extras);
+        self.extras = extras.boxed();
         self
+    }
+
+    /// Sets the provider name.
+    pub fn with_provider(self, provider: impl Into<String>) -> Self {
+        let provider = provider.into();
+        self.edit_extras(|e| e.provider = provider)
     }
 
     /// Adds a consumed data concept.
@@ -164,13 +194,11 @@ impl ServiceDescription {
     /// # Panics
     ///
     /// Panics on a malformed IRI.
-    pub fn with_input(mut self, input: &str) -> Self {
-        self.inputs.push(
-            input
-                .parse()
-                .unwrap_or_else(|e| panic!("malformed input IRI {input:?}: {e}")),
-        );
-        self
+    pub fn with_input(self, input: &str) -> Self {
+        let iri = input
+            .parse()
+            .unwrap_or_else(|e| panic!("malformed input IRI {input:?}: {e}"));
+        self.edit_extras(|e| e.inputs.push(iri))
     }
 
     /// Adds a produced data concept.
@@ -178,13 +206,11 @@ impl ServiceDescription {
     /// # Panics
     ///
     /// Panics on a malformed IRI.
-    pub fn with_output(mut self, output: &str) -> Self {
-        self.outputs.push(
-            output
-                .parse()
-                .unwrap_or_else(|e| panic!("malformed output IRI {output:?}: {e}")),
-        );
-        self
+    pub fn with_output(self, output: &str) -> Self {
+        let iri = output
+            .parse()
+            .unwrap_or_else(|e| panic!("malformed output IRI {output:?}: {e}"));
+        self.edit_extras(|e| e.outputs.push(iri))
     }
 
     /// Advertises a QoS value (canonical unit).
@@ -200,16 +226,14 @@ impl ServiceDescription {
     }
 
     /// Adds a white-box operation.
-    pub fn with_operation(mut self, op: Operation) -> Self {
-        self.operations.push(op);
-        self
+    pub fn with_operation(self, op: Operation) -> Self {
+        self.edit_extras(|e| e.operations.push(op))
     }
 
     /// Binds the service to a hosting node (used by the network
     /// simulation and the end-to-end QoS computation).
-    pub fn with_host(mut self, node: u64) -> Self {
-        self.host = Some(node);
-        self
+    pub fn with_host(self, node: u64) -> Self {
+        self.edit_extras(|e| e.host = Some(node))
     }
 
     /// Service name.
@@ -219,7 +243,7 @@ impl ServiceDescription {
 
     /// Provider name (may be empty).
     pub fn provider(&self) -> &str {
-        &self.provider
+        self.extras.as_ref().map_or("", |e| &e.provider)
     }
 
     /// The capability concept the service implements.
@@ -229,12 +253,12 @@ impl ServiceDescription {
 
     /// Consumed data concepts.
     pub fn inputs(&self) -> &[Iri] {
-        &self.inputs
+        self.extras.as_ref().map_or(&[], |e| &e.inputs)
     }
 
     /// Produced data concepts.
     pub fn outputs(&self) -> &[Iri] {
-        &self.outputs
+        self.extras.as_ref().map_or(&[], |e| &e.outputs)
     }
 
     /// Advertised service-level QoS.
@@ -250,17 +274,17 @@ impl ServiceDescription {
 
     /// White-box operations (empty for black-box descriptions).
     pub fn operations(&self) -> &[Operation] {
-        &self.operations
+        self.extras.as_ref().map_or(&[], |e| &e.operations)
     }
 
     /// Whether the description is white-box (has per-operation QoS).
     pub fn is_white_box(&self) -> bool {
-        !self.operations.is_empty()
+        !self.operations().is_empty()
     }
 
     /// The hosting node, if declared.
     pub fn host(&self) -> Option<u64> {
-        self.host
+        self.extras.as_ref().and_then(|e| e.host)
     }
 }
 
@@ -303,6 +327,29 @@ mod tests {
         assert!(s.is_white_box());
         assert_eq!(s.operations()[1].qos().get(rt), Some(9.0));
         assert_eq!(s.operations()[0].function().to_string(), "d#F1");
+    }
+
+    #[test]
+    fn default_extras_equal_the_plain_description() {
+        let plain = ServiceDescription::new("s", "d#F");
+        let empty_provider = ServiceDescription::new("s", "d#F").with_provider("");
+        assert_eq!(empty_provider, plain);
+        assert!(empty_provider.extras.is_none());
+        let decoded = ServiceDescription::from_parts(
+            "s".to_owned(),
+            String::new(),
+            "d#F".parse().unwrap(),
+            Vec::new(),
+            Vec::new(),
+            QosVector::new(),
+            Vec::new(),
+            None,
+        );
+        assert_eq!(decoded, plain);
+        assert!(decoded.extras.is_none());
+        // Clearing the only extra drops the box again.
+        let cleared = plain.clone().with_provider("p").with_provider("");
+        assert_eq!(cleared, plain);
     }
 
     #[test]
