@@ -120,32 +120,13 @@ impl<'a> Analyzer<'a> {
         self
     }
 
-    /// Validates a raw task structure (the checks mirror
-    /// [`UserTask::new`] but report *all* defects at once, as
-    /// diagnostics, instead of failing on the first).
+    /// Warns about composition patterns that are well-formed but
+    /// misleading (QA005, QA006). Well-formedness itself — no empty
+    /// pattern, positive finite probabilities, unique activity names, at
+    /// least one activity — is [`UserTask::new`]'s to enforce.
     pub fn check_structure(&self, task_name: &str, root: &TaskNode) -> Vec<Diagnostic> {
         let mut out = Vec::new();
         check_node(task_name, root, &mut out);
-
-        // Duplicate activity names (QA003) and empty tasks (QA004).
-        let mut seen: BTreeMap<&str, usize> = BTreeMap::new();
-        root.for_each_activity(&mut |a| *seen.entry(a.name()).or_insert(0) += 1);
-        for (name, count) in &seen {
-            if *count > 1 {
-                out.push(Diagnostic::new(
-                    DiagnosticCode::DuplicateActivity,
-                    Location::task(task_name).with_activity(*name),
-                    format!("activity name {name:?} is used {count} times"),
-                ));
-            }
-        }
-        if seen.is_empty() {
-            out.push(Diagnostic::new(
-                DiagnosticCode::NoActivity,
-                Location::task(task_name),
-                "the task contains no activity at all",
-            ));
-        }
         out
     }
 
@@ -523,43 +504,23 @@ fn first_activity_name(node: &TaskNode) -> Option<&str> {
     name
 }
 
-/// Pattern-local structural checks (QA001, QA002, QA005, QA006).
+/// Pattern-local structural checks (QA005, QA006).
 fn check_node(task_name: &str, node: &TaskNode, out: &mut Vec<Diagnostic>) {
     match node {
         TaskNode::Activity(_) => {}
         TaskNode::Sequence(cs) | TaskNode::Parallel(cs) => {
-            if cs.is_empty() {
-                out.push(Diagnostic::new(
-                    DiagnosticCode::EmptyPattern,
-                    Location::task(task_name),
-                    "a sequence/parallel pattern has no child",
-                ));
-            }
             for c in cs {
                 check_node(task_name, c, out);
             }
         }
         TaskNode::Choice(bs) => {
-            if bs.is_empty() {
-                out.push(Diagnostic::new(
-                    DiagnosticCode::EmptyPattern,
-                    Location::task(task_name),
-                    "a choice pattern has no branch",
-                ));
-            }
             let total: f64 = bs.iter().map(|&(p, _)| p.max(0.0)).sum();
             for (p, branch) in bs {
                 let at = match first_activity_name(branch) {
                     Some(a) => Location::task(task_name).with_activity(a),
                     None => Location::task(task_name),
                 };
-                if !(p.is_finite() && *p > 0.0) {
-                    out.push(Diagnostic::new(
-                        DiagnosticCode::BadProbability,
-                        at,
-                        format!("choice branch probability {p} is not positive and finite"),
-                    ));
-                } else if total > 0.0 && p / total < NEGLIGIBLE_PROBABILITY {
+                if total > 0.0 && p / total < NEGLIGIBLE_PROBABILITY {
                     out.push(Diagnostic::new(
                         DiagnosticCode::NegligibleBranch,
                         at,

@@ -25,21 +25,14 @@ impl fmt::Display for Severity {
 
 /// Stable diagnostic codes (`QA0xx`).
 ///
-/// Codes are grouped by decade: `QA00x` task-graph well-formedness,
+/// Codes are grouped by decade: `QA00x` task-graph patterns,
 /// `QA01x` QoS requirements (dimensional analysis, satisfiability,
 /// preference weights), `QA02x` ontology sanity of the request, `QA03x`
-/// provider QoS specifications (QSD ingestion).
+/// provider QoS specifications (QSD ingestion). QA001–QA004 are
+/// retired, not free: they reported what `UserTask::new` rejects, so
+/// they could never fire on a request's `UserTask`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum DiagnosticCode {
-    /// QA001: a sequence/parallel/choice pattern has no child.
-    EmptyPattern,
-    /// QA002: a choice branch has a non-positive or non-finite
-    /// probability.
-    BadProbability,
-    /// QA003: two activities share a name.
-    DuplicateActivity,
-    /// QA004: the task contains no activity at all.
-    NoActivity,
     /// QA005: a choice branch has a negligible probability — its
     /// activities are effectively unreachable.
     NegligibleBranch,
@@ -97,10 +90,6 @@ impl DiagnosticCode {
     /// suppression lists.
     pub fn code(self) -> &'static str {
         match self {
-            DiagnosticCode::EmptyPattern => "QA001",
-            DiagnosticCode::BadProbability => "QA002",
-            DiagnosticCode::DuplicateActivity => "QA003",
-            DiagnosticCode::NoActivity => "QA004",
             DiagnosticCode::NegligibleBranch => "QA005",
             DiagnosticCode::LoopExpectationExceedsCap => "QA006",
             DiagnosticCode::UnknownProperty => "QA010",
@@ -123,11 +112,7 @@ impl DiagnosticCode {
     /// The fixed severity of this code.
     pub fn severity(self) -> Severity {
         match self {
-            DiagnosticCode::EmptyPattern
-            | DiagnosticCode::BadProbability
-            | DiagnosticCode::DuplicateActivity
-            | DiagnosticCode::NoActivity
-            | DiagnosticCode::UnknownProperty
+            DiagnosticCode::UnknownProperty
             | DiagnosticCode::DimensionMismatch
             | DiagnosticCode::UnsatisfiableBound
             | DiagnosticCode::UnusableWeights
@@ -305,10 +290,6 @@ mod tests {
     #[test]
     fn codes_are_stable_and_unique() {
         let all = [
-            DiagnosticCode::EmptyPattern,
-            DiagnosticCode::BadProbability,
-            DiagnosticCode::DuplicateActivity,
-            DiagnosticCode::NoActivity,
             DiagnosticCode::NegligibleBranch,
             DiagnosticCode::LoopExpectationExceedsCap,
             DiagnosticCode::UnknownProperty,
@@ -351,7 +332,7 @@ mod tests {
 
     #[test]
     fn partition_splits_by_severity() {
-        let e = Diagnostic::new(DiagnosticCode::NoActivity, Location::none(), "e");
+        let e = Diagnostic::new(DiagnosticCode::UnknownProperty, Location::none(), "e");
         let w = Diagnostic::new(DiagnosticCode::VacuousBound, Location::none(), "w");
         let (errors, warnings) = partition(vec![e.clone(), w.clone()]);
         assert_eq!(errors, vec![e]);

@@ -48,42 +48,6 @@ fn constrain(name: &str, bound: f64, unit: Unit) -> Vec<(String, f64, Unit)> {
 // ---- structural rules (QA00x) --------------------------------------
 
 #[test]
-fn qa001_empty_pattern() {
-    let model = QosModel::standard();
-    let diags =
-        Analyzer::new(&model).check_structure("t", &TaskNode::sequence(Vec::<TaskNode>::new()));
-    assert!(codes(&diags).contains(&"QA001"), "{diags:?}");
-    assert_eq!(severity_of(&diags, "QA001"), Severity::Error);
-}
-
-#[test]
-fn qa002_bad_probability() {
-    let model = QosModel::standard();
-    let root = TaskNode::choice([(0.0, act("a")), (1.0, act("b"))]);
-    let diags = Analyzer::new(&model).check_structure("t", &root);
-    assert!(codes(&diags).contains(&"QA002"), "{diags:?}");
-    assert_eq!(severity_of(&diags, "QA002"), Severity::Error);
-}
-
-#[test]
-fn qa003_duplicate_activity() {
-    let model = QosModel::standard();
-    let root = TaskNode::sequence([act("a"), act("a")]);
-    let diags = Analyzer::new(&model).check_structure("t", &root);
-    assert!(codes(&diags).contains(&"QA003"), "{diags:?}");
-    assert_eq!(severity_of(&diags, "QA003"), Severity::Error);
-}
-
-#[test]
-fn qa004_no_activity() {
-    let model = QosModel::standard();
-    let diags =
-        Analyzer::new(&model).check_structure("t", &TaskNode::parallel(Vec::<TaskNode>::new()));
-    assert!(codes(&diags).contains(&"QA004"), "{diags:?}");
-    assert_eq!(severity_of(&diags, "QA004"), Severity::Error);
-}
-
-#[test]
 fn qa005_negligible_branch() {
     let model = QosModel::standard();
     let root = TaskNode::choice([(1e-9, act("a")), (1.0, act("b"))]);

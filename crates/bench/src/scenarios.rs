@@ -28,7 +28,7 @@ use qasom_obs::{key_paths, JsonValue, MemoryRecorder};
 use qasom_ontology::OntologyBuilder;
 use qasom_qos::{QosModel, Unit};
 use qasom_registry::persist::{
-    encode_state, MemoryBackend, PersistConfig, Persistence, PersistentRegistry,
+    encode_state, Fs as _, MemoryBackend, PersistConfig, PersistentRegistry,
 };
 use qasom_registry::{ServiceDescription, ServiceId};
 use qasom_task::{Activity, TaskNode, UserTask};
@@ -534,12 +534,12 @@ fn persist_stress(flags: &Flags) -> Result<JsonValue, String> {
         // Torn-tail drill: tear the crash image's WAL tail and require
         // a clean, deterministic recovery (no panic, no partial
         // replay — two recoveries of the same torn image agree).
-        let torn = backend.fork();
-        if torn.wal_len() > 0 {
-            let mut wal = torn.wal_bytes().map_err(|e| e.to_string())?;
-            let last = wal.len() - 1;
-            wal[last] ^= 0xA5;
-            torn.set_wal(wal);
+        let mut torn = backend.fork();
+        let mut wal = torn.file("registry.wal").unwrap_or_default();
+        if let Some(last) = wal.last_mut() {
+            *last ^= 0xA5;
+            torn.create("registry.wal", &wal)
+                .map_err(|e| e.to_string())?;
             let (first, report) =
                 PersistentRegistry::open(torn.fork(), config, Some(Arc::clone(&ontology)))
                     .map_err(|e| format!("torn-tail recovery failed: {e}"))?;

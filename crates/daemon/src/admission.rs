@@ -162,13 +162,7 @@ impl AdmissionQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qasom_task::{Activity, TaskNode, UserTask};
-
-    fn request(task: &str) -> UserRequest {
-        UserRequest::new(
-            UserTask::new(task, TaskNode::activity(Activity::new("a", "d#A"))).unwrap(),
-        )
-    }
+    use crate::testkit::request;
 
     fn session(id: u64, client: &str, task: &str) -> QueuedSession {
         let request = request(task);

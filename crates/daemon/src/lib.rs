@@ -65,6 +65,8 @@ mod testkit {
     use qasom_registry::ServiceDescription;
     use qasom_task::{Activity, TaskNode, UserTask};
 
+    use crate::{wire, Frame, FrameType};
+
     fn market(seed: u64, recorder: Option<Arc<dyn Recorder>>) -> SharedEnvironment {
         let mut b = OntologyBuilder::new("d");
         b.concept("A");
@@ -114,14 +116,30 @@ mod testkit {
     /// serves `d#Nothing`.
     pub(crate) fn unserved() -> UserRequest {
         UserRequest::new(
-            UserTask::new("t", TaskNode::activity(Activity::new("x", "d#Nothing"))).unwrap(),
+            UserTask::new("t", TaskNode::activity(activity("x", "d#Nothing"))).unwrap(),
         )
     }
 
     /// A one-activity request for `d#A`; the task name sets the signature.
     pub(crate) fn request(task: &str) -> UserRequest {
-        UserRequest::new(
-            UserTask::new(task, TaskNode::activity(Activity::new("a", "d#A"))).unwrap(),
-        )
+        UserRequest::new(UserTask::new(task, TaskNode::activity(activity("a", "d#A"))).unwrap())
+    }
+
+    /// An activity; tests build theirs with the fallible constructor,
+    /// as the daemon must.
+    pub(crate) fn activity(name: &str, function: &str) -> Activity {
+        Activity::try_new(name, function).unwrap()
+    }
+
+    /// A `COMPOSE` frame for [`request`] whose activity function `d#A`
+    /// arrives as `dxA`: an IRI without `#`.
+    pub(crate) fn malformed_compose() -> Frame {
+        let mut payload = wire::encode_compose(1, &request("t")).unwrap();
+        let at = payload.windows(3).position(|w| w == b"d#A").unwrap();
+        payload[at + 1] = b'x';
+        Frame {
+            frame_type: FrameType::Compose,
+            payload,
+        }
     }
 }

@@ -218,9 +218,9 @@ fn append(conns: &mut BTreeMap<u64, LoopConn>, conn_id: u64, frame: &Frame) {
 mod tests {
     use super::*;
     use crate::session::ClientOutcome;
-    use crate::testkit::{request, shared};
+    use crate::testkit::{activity, malformed_compose, request, shared};
     use qasom::UserRequest;
-    use qasom_task::{Activity, TaskNode, UserTask};
+    use qasom_task::{TaskNode, UserTask};
 
     #[test]
     fn hello_compose_bye_roundtrip() {
@@ -266,6 +266,40 @@ mod tests {
         assert!(!d.is_closed(good));
     }
 
+    /// A malformed IRI inside a well-framed `COMPOSE` is a protocol
+    /// error for its connection only.
+    #[test]
+    fn a_malformed_iri_gets_an_error_frame_and_leaves_other_connections_alone() {
+        let mut d = LoopbackDaemon::new(shared(3), BrokerConfig::default());
+        let (bad, good) = (d.connect(), d.connect());
+        d.send_hello(bad, "client-1").unwrap();
+        d.send_frame(bad, &malformed_compose()).unwrap();
+        d.send_hello(good, "client-2").unwrap();
+        d.send_compose(good, 7, &request("t")).unwrap();
+        d.pump();
+        assert!(matches!(
+            d.drain_events(bad).unwrap()[..],
+            [
+                ClientEvent::HelloAck(_),
+                ClientEvent::Reply {
+                    corr_id: 0,
+                    outcome: ClientOutcome::Failed { .. }
+                }
+            ]
+        ));
+        assert!(d.is_closed(bad));
+        assert!(matches!(
+            d.drain_events(good).unwrap()[..],
+            [
+                ClientEvent::HelloAck(_),
+                ClientEvent::Reply {
+                    corr_id: 7,
+                    outcome: ClientOutcome::Completed(_)
+                }
+            ]
+        ));
+    }
+
     /// `NoServiceFor` quotes the activity name; either name below puts a
     /// two-byte character across byte 4096 of the message, whatever the
     /// parity of the text in front of it.
@@ -277,7 +311,7 @@ mod tests {
         for (corr_id, lead) in [(1, ""), (2, "a")] {
             let name = format!("{lead}{}", "é".repeat(3000));
             let task =
-                UserTask::new("t", TaskNode::activity(Activity::new(name, "d#Nothing"))).unwrap();
+                UserTask::new("t", TaskNode::activity(activity(&name, "d#Nothing"))).unwrap();
             d.send_compose(c, corr_id, &UserRequest::new(task)).unwrap();
         }
         d.pump();

@@ -218,12 +218,10 @@ pub fn decode_client_event(frame: &Frame) -> Result<ClientEvent, ProtocolError> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qasom_task::{Activity, TaskNode, UserTask};
+    use crate::testkit::request;
 
     fn compose_frame() -> Frame {
-        let request = UserRequest::new(
-            UserTask::new("t", TaskNode::activity(Activity::new("a", "d#A"))).unwrap(),
-        );
+        let request = request("t");
         Frame {
             frame_type: FrameType::Compose,
             payload: wire::encode_compose(1, &request).unwrap(),

@@ -226,11 +226,16 @@ mod tests {
     use super::*;
     use crate::frame::FrameType;
     use crate::session::{decode_client_event, ClientEvent, ClientOutcome};
-    use crate::testkit::{request, shared, too_wide_to_reject};
+    use crate::testkit::{malformed_compose, request, shared, too_wide_to_reject};
     use crate::wire;
 
     fn connect(handle: &TcpDaemonHandle) -> TcpStream {
         let mut client = TcpStream::connect(handle.addr()).unwrap();
+        // A daemon that stopped answering fails the test instead of
+        // hanging it.
+        client
+            .set_read_timeout(Some(std::time::Duration::from_secs(20)))
+            .unwrap();
         Frame {
             frame_type: FrameType::Hello,
             payload: wire::encode_hello("tcp-test").unwrap(),
@@ -295,6 +300,33 @@ mod tests {
             }
         ));
         drop(client);
+        handle.stop();
+    }
+
+    /// A malformed IRI inside a well-framed `COMPOSE` used to panic the
+    /// one router thread, and every connection stopped being served.
+    #[test]
+    fn a_malformed_iri_gets_an_error_frame_and_leaves_other_connections_alone() {
+        let handle = spawn("127.0.0.1:0", shared(11), BrokerConfig::default()).unwrap();
+        let mut bad = connect(&handle);
+        malformed_compose().write_to(&mut bad).unwrap();
+        let reply = Frame::read_from(&mut bad).unwrap().unwrap();
+        assert!(matches!(
+            decode_client_event(&reply).unwrap(),
+            ClientEvent::Reply {
+                corr_id: 0,
+                outcome: ClientOutcome::Failed { .. }
+            }
+        ));
+        let mut good = connect(&handle);
+        assert!(matches!(
+            session(&mut good, 8, &request("t")),
+            ClientEvent::Reply {
+                corr_id: 8,
+                outcome: ClientOutcome::Completed(_)
+            }
+        ));
+        drop((bad, good));
         handle.stop();
     }
 }

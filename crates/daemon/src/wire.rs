@@ -129,14 +129,14 @@ fn put_activity(out: &mut Vec<u8>, a: &Activity) -> Result<(), ProtocolError> {
 }
 
 fn get_activity(buf: &mut &[u8]) -> Result<Activity, ProtocolError> {
+    let bad_iri = |_| ProtocolError::Malformed("malformed IRI");
     let name = get_str(buf)?;
-    let function = get_str(buf)?;
-    let mut activity = Activity::new(name, &function);
+    let mut activity = Activity::try_new(name, &get_str(buf)?).map_err(bad_iri)?;
     for _ in 0..get_u8(buf)? {
-        activity = activity.with_input(&get_str(buf)?);
+        activity = activity.try_with_input(&get_str(buf)?).map_err(bad_iri)?;
     }
     for _ in 0..get_u8(buf)? {
-        activity = activity.with_output(&get_str(buf)?);
+        activity = activity.try_with_output(&get_str(buf)?).map_err(bad_iri)?;
     }
     Ok(activity)
 }
@@ -573,24 +573,27 @@ pub fn decode_error(payload: &[u8]) -> Result<(u64, u64, String), ProtocolError>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::activity;
     use qasom_task::LoopBound;
 
     fn deep_request() -> UserRequest {
         let node = TaskNode::sequence([
             TaskNode::activity(
-                Activity::new("a", "d#A")
-                    .with_input("d#In")
-                    .with_output("d#Out"),
+                activity("a", "d#A")
+                    .try_with_input("d#In")
+                    .unwrap()
+                    .try_with_output("d#Out")
+                    .unwrap(),
             ),
             TaskNode::parallel([
-                TaskNode::activity(Activity::new("b", "d#B")),
+                TaskNode::activity(activity("b", "d#B")),
                 TaskNode::choice([
-                    (0.25, TaskNode::activity(Activity::new("c", "d#C"))),
-                    (0.75, TaskNode::activity(Activity::new("e", "d#E"))),
+                    (0.25, TaskNode::activity(activity("c", "d#C"))),
+                    (0.75, TaskNode::activity(activity("e", "d#E"))),
                 ]),
             ]),
             TaskNode::repeat(
-                TaskNode::activity(Activity::new("f", "d#F")),
+                TaskNode::activity(activity("f", "d#F")),
                 LoopBound::new(2.5, 4),
             ),
         ]);
@@ -695,5 +698,34 @@ mod tests {
             decode_compose(&out),
             Err(ProtocolError::Malformed("task failed validation"))
         ));
+    }
+
+    #[test]
+    fn a_malformed_iri_is_a_protocol_error() {
+        let payload = encode_compose(77, &deep_request()).unwrap();
+        for iri in [&b"d#A"[..], b"d#In", b"d#Out"] {
+            let at = payload.windows(iri.len()).position(|w| w == iri).unwrap();
+            let mut bad = payload.clone();
+            bad[at + 1] = b'x';
+            assert_eq!(
+                decode_compose(&bad).map(|_| ()),
+                Err(ProtocolError::Malformed("malformed IRI"))
+            );
+        }
+    }
+
+    /// Peer bytes never panic the decoder: every single-byte substitution
+    /// of a golden `COMPOSE` decodes to a request or an error.
+    #[test]
+    fn every_single_byte_substitution_of_a_compose_decodes_without_panicking() {
+        let payload = encode_compose(77, &deep_request()).unwrap();
+        let mut bad = payload.clone();
+        for at in 0..payload.len() {
+            for byte in 0..=u8::MAX {
+                bad[at] = byte;
+                let _ = decode_compose(&bad);
+            }
+            bad[at] = payload[at];
+        }
     }
 }

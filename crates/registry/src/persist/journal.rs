@@ -1,5 +1,6 @@
 //! The registry journal: WAL appends, snapshot checkpoints and boot
-//! replay.
+//! replay — the file layout and the one durability protocol (see
+//! [`RegistryJournal`]), over any [`Fs`].
 //!
 //! # Recovery state machine
 //!
@@ -33,26 +34,19 @@ use crate::registry::{ServiceId, ServiceRegistry};
 use crate::service::ServiceDescription;
 
 use super::wal::{self, WalRecord};
-use super::{PersistError, Persistence};
+use super::{Fs, PersistError};
+
+const WAL: &str = "registry.wal";
+const SNAP: &str = "registry.snap";
+const SNAP_TMP: &str = "registry.snap.tmp";
 
 /// Journal tuning knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PersistConfig {
-    /// The journal's one cadence, in journaled events; `0` disables
-    /// both automatic jobs below, leaving durability to explicit
-    /// [`RegistryJournal::checkpoint`]s.
-    ///
-    /// * **Durability:** every `checkpoint_every` appends the WAL is
-    ///   synced ([`Persistence::sync_wal`]), so a power loss loses at
-    ///   most the last `checkpoint_every` events.
-    /// * **Replay bound:** a checkpoint (snapshot + WAL truncate) is
-    ///   taken once at least `checkpoint_every` events *and* at least
-    ///   the last snapshot's size in WAL bytes have accumulated since
-    ///   it. A boot then replays at most one snapshot's worth of WAL
-    ///   (or `checkpoint_every` events, whichever is more). The durable
-    ///   bytes (snapshot + WAL) at least double between two snapshots,
-    ///   so a growing registry writes logarithmically many rather than
-    ///   one per `checkpoint_every` events.
+    /// The journal's one cadence, in journaled events: the group
+    /// commit's period and the fewest events between two automatic
+    /// checkpoints (see [`RegistryJournal`]). `0` disables both,
+    /// leaving durability to explicit [`RegistryJournal::checkpoint`]s.
     pub checkpoint_every: usize,
 }
 
@@ -108,15 +102,41 @@ impl RecoveryReport {
     }
 }
 
-/// Journals registry mutations through a [`Persistence`] backend.
+/// Journals registry mutations through an [`Fs`].
 ///
 /// The journal does not own the registry (the environment keeps it
 /// behind an `Arc` for copy-on-write sharing); callers pair each
 /// registry mutation with the matching `record_*` call, and the
 /// sequence numbers self-check: events must be journaled in registry
 /// event order, with no mutation left unjournaled.
+///
+/// # Layout and protocol
+///
+/// A data directory holds `registry.wal` and `registry.snap`, plus
+/// `registry.snap.tmp` while a snapshot is being installed. Every
+/// durability step is one of these sequences of [`Fs`] calls:
+///
+/// * **group commit**, every [`PersistConfig::checkpoint_every`]
+///   appends: `sync(wal)`. A power loss therefore loses at most the last
+///   `checkpoint_every` events;
+/// * **checkpoint**: `create(tmp)` → `sync(tmp)` → `rename(tmp, snap)`
+///   → `sync_dir` → `truncate(wal, 0)` → `sync(wal)`. The snapshot's
+///   new name must be durable before the WAL is emptied: otherwise a
+///   power loss boots the older snapshot over an empty WAL and drops
+///   every event between the two. One is taken once at least
+///   `checkpoint_every` events *and* at least the last snapshot's size
+///   in WAL bytes have accumulated since the last, so a boot replays at
+///   most one snapshot's worth of WAL (or `checkpoint_every` events,
+///   whichever is more). The durable bytes (snapshot + WAL) at least
+///   double between two snapshots, so a growing registry writes
+///   logarithmically many rather than one per `checkpoint_every`
+///   events;
+/// * **torn-tail trim** on boot: `truncate(wal, valid prefix)` →
+///   `sync(wal)`;
+/// * **first boot**: `create(wal)` → `sync_dir`, so a synced WAL is
+///   never reached through a name that a power loss can take.
 pub struct RegistryJournal {
-    backend: Box<dyn Persistence + Send + Sync>,
+    fs: Box<dyn Fs + Send + Sync>,
     config: PersistConfig,
     stats: PersistStats,
     /// Sequence number the next journaled event must carry — equals the
@@ -162,16 +182,16 @@ impl RegistryJournal {
     /// A torn tail is not an error: it is discarded, counted in the
     /// [`RecoveryReport`] and trimmed from the stored WAL.
     pub fn open(
-        backend: impl Persistence + Send + Sync + 'static,
+        backend: impl Fs + Send + Sync + 'static,
         config: PersistConfig,
         ontology: Option<Arc<Ontology>>,
     ) -> Result<(ServiceRegistry, RegistryJournal, RecoveryReport), PersistError> {
-        let mut backend: Box<dyn Persistence + Send + Sync> = Box::new(backend);
+        let mut fs: Box<dyn Fs + Send + Sync> = Box::new(backend);
         let mut stats = PersistStats::default();
         let mut report = RecoveryReport::default();
 
         let mut snapshot_len = 0;
-        let mut registry = match backend.snapshot_bytes()? {
+        let mut registry = match fs.read(SNAP)? {
             Some(blob) => {
                 let snap = wal::decode_snapshot(&blob)?;
                 snapshot_len = blob.len() as u64;
@@ -186,16 +206,23 @@ impl RegistryJournal {
             },
         };
 
-        let wal_bytes = backend.wal_bytes()?;
+        let wal_bytes = match fs.read(WAL)? {
+            Some(bytes) => bytes,
+            None => {
+                fs.create(WAL, &[])?;
+                fs.sync_dir()?;
+                Vec::new()
+            }
+        };
         let (frames, torn) = wal::split_frames(&wal_bytes);
         let wal_since = torn.map_or(wal_bytes.len(), |tear| tear.offset) as u64;
         if let Some(tear) = torn {
             stats.torn_tails = 1;
             report.torn_tail = true;
             report.torn_tail_bytes = (wal_bytes.len() - tear.offset) as u64;
-            // Trim the stored WAL to the valid prefix so later appends
-            // continue on a clean frame boundary.
-            backend.truncate_wal(tear.offset as u64)?;
+            // Later appends continue on a clean frame boundary.
+            fs.truncate(WAL, tear.offset as u64)?;
+            fs.sync(WAL)?;
         }
 
         let mut expected = registry.event_cursor() as u64;
@@ -245,7 +272,7 @@ impl RegistryJournal {
         stats.replayed_events = report.wal_events_applied;
 
         let journal = RegistryJournal {
-            backend,
+            fs,
             config,
             stats,
             next_seq: expected,
@@ -289,7 +316,7 @@ impl RegistryJournal {
     fn append(&mut self, put_record: impl FnOnce(&mut Vec<u8>)) -> Result<(), PersistError> {
         self.frame.clear();
         put_record(&mut self.frame);
-        self.backend.append_wal(&self.frame)?;
+        self.fs.append(WAL, &self.frame)?;
         let len = self.frame.len() as u64;
         self.stats.appends += 1;
         self.stats.wal_bytes += len;
@@ -298,7 +325,7 @@ impl RegistryJournal {
         self.since_checkpoint += 1;
         let every = self.config.checkpoint_every as u64;
         if every > 0 && self.stats.appends.is_multiple_of(every) {
-            self.backend.sync_wal()?;
+            self.fs.sync(WAL)?;
         }
         Ok(())
     }
@@ -312,8 +339,9 @@ impl RegistryJournal {
             && self.wal_since >= self.snapshot_len
     }
 
-    /// Takes a checkpoint: snapshots the registry at its current event
-    /// cursor and truncates the WAL.
+    /// Takes a checkpoint: installs a snapshot of the registry at its
+    /// current event cursor, then empties the WAL (see the module docs
+    /// for the order).
     ///
     /// # Errors
     ///
@@ -323,8 +351,12 @@ impl RegistryJournal {
         let head = registry.event_cursor();
         debug_assert_eq!(head as u64, self.next_seq, "unjournaled registry mutation");
         let blob = wal::encode_snapshot(head as u64, registry.slots());
-        self.backend.write_snapshot(&blob)?;
-        self.backend.truncate_wal(0)?;
+        self.fs.create(SNAP_TMP, &blob)?;
+        self.fs.sync(SNAP_TMP)?;
+        self.fs.rename(SNAP_TMP, SNAP)?;
+        self.fs.sync_dir()?;
+        self.fs.truncate(WAL, 0)?;
+        self.fs.sync(WAL)?;
         self.stats.checkpoints += 1;
         self.since_checkpoint = 0;
         self.snapshot_len = blob.len() as u64;
@@ -340,12 +372,11 @@ impl RegistryJournal {
     ///
     /// As for [`RegistryJournal::checkpoint`].
     pub fn maybe_checkpoint(&mut self, registry: &ServiceRegistry) -> Result<bool, PersistError> {
-        if self.should_checkpoint() {
+        let due = self.should_checkpoint();
+        if due {
             self.checkpoint(registry)?;
-            Ok(true)
-        } else {
-            Ok(false)
         }
+        Ok(due)
     }
 
     /// The sequence number the next journaled event will carry.
@@ -384,7 +415,7 @@ impl PersistentRegistry {
     ///
     /// As for [`RegistryJournal::open`].
     pub fn open(
-        backend: impl Persistence + Send + Sync + 'static,
+        backend: impl Fs + Send + Sync + 'static,
         config: PersistConfig,
         ontology: Option<Arc<Ontology>>,
     ) -> Result<(Self, RecoveryReport), PersistError> {
@@ -448,6 +479,10 @@ mod tests {
     use super::*;
     use crate::persist::MemoryBackend;
 
+    fn wal_len(backend: &MemoryBackend) -> usize {
+        backend.file(WAL).map_or(0, |wal| wal.len())
+    }
+
     fn desc(i: usize) -> ServiceDescription {
         ServiceDescription::new(format!("s{i}"), "d#F").with_provider("p")
     }
@@ -498,9 +533,9 @@ mod tests {
         let backend = MemoryBackend::new();
         let (mut pr, _) = open_mem(&backend, 2);
         pr.register(desc(0)).unwrap();
-        assert!(backend.wal_len() > 0);
+        assert!(wal_len(&backend) > 0);
         pr.register(desc(1)).unwrap(); // auto checkpoint at 2 events
-        assert_eq!(backend.wal_len(), 0);
+        assert_eq!(wal_len(&backend), 0);
         assert_eq!(pr.journal().stats().checkpoints, 1);
 
         pr.register(desc(2)).unwrap();
@@ -541,7 +576,7 @@ mod tests {
         // truncated.
         let blob = wal::encode_snapshot(pr.registry().event_cursor() as u64, pr.registry().slots());
         let mut handle = backend.clone();
-        handle.write_snapshot(&blob).unwrap();
+        handle.create(SNAP, &blob).unwrap();
         let oracle = encode_state(pr.registry());
 
         let (recovered, report) = open_mem(&backend, 0);
@@ -556,12 +591,12 @@ mod tests {
         let backend = MemoryBackend::new();
         let (mut pr, _) = open_mem(&backend, 0);
         pr.register(desc(0)).unwrap();
-        let keep = backend.wal_len();
+        let keep = wal_len(&backend);
         pr.register(desc(1)).unwrap();
-        let mut bytes = backend.clone().wal_bytes().unwrap();
+        let mut bytes = backend.file(WAL).unwrap();
         let last = bytes.len() - 1;
         bytes[last] ^= 0xFF;
-        backend.set_wal(bytes);
+        backend.clone().create(WAL, &bytes).unwrap();
 
         let (recovered, report) = open_mem(&backend, 0);
         assert!(report.torn_tail);
@@ -570,7 +605,7 @@ mod tests {
         assert_eq!(recovered.journal().stats().torn_tails, 1);
         assert_eq!(recovered.registry().len(), 1);
         // The stored WAL was trimmed to the valid prefix.
-        assert_eq!(backend.wal_len(), keep);
+        assert_eq!(wal_len(&backend), keep);
         // Reopening again is clean: no torn tail the second time.
         let (_, report2) = open_mem(&backend, 0);
         assert!(!report2.torn_tail);
@@ -583,7 +618,7 @@ mod tests {
         let mut handle = backend.clone();
         let mut frame = Vec::new();
         wal::put_register(&mut frame, 5, ServiceId::from_raw(0), &desc(0));
-        handle.append_wal(&frame).unwrap();
+        handle.append(WAL, &frame).unwrap();
         let err = PersistentRegistry::open(backend, PersistConfig::default(), None)
             .map(|_| ())
             .unwrap_err();

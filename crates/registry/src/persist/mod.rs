@@ -1,5 +1,5 @@
 //! Registry persistence & crash recovery: CRC-framed write-ahead log
-//! plus snapshot checkpoints behind a [`Persistence`] trait.
+//! plus snapshot checkpoints, written through a policy-free [`Fs`].
 //!
 //! The paper assumes an always-on registry; a deployable middleware
 //! cannot. This module makes the service directory durable without
@@ -7,10 +7,9 @@
 //!
 //! * every registration/departure is journaled as a [`WalRecord`]
 //!   (`crate::persist::wal`) framed `[len][crc32][payload]` and appended
-//!   to a write-ahead log through a [`Persistence`] backend;
+//!   to a write-ahead log;
 //! * every [`PersistConfig::checkpoint_every`] appends the WAL is
-//!   synced ([`Persistence::sync_wal`]), which bounds what a power loss
-//!   can take;
+//!   synced, which bounds what a power loss can take;
 //! * once the WAL has grown past the last snapshot's size (and by at
 //!   least `checkpoint_every` events), a full
 //!   [snapshot](wal::encode_snapshot) of the slot vector is checkpointed
@@ -22,15 +21,18 @@
 //!   whole; valid records before it are kept, bytes after it are never
 //!   replayed partially.
 //!
-//! Two backends ship: [`MemoryBackend`] (tests and the
-//! `persist-stress` kill-and-replay harness — [`MemoryBackend::fork`]
-//! is the crash image) and [`FileBackend`] (a data directory holding
-//! `registry.wal` and `registry.snap`, used by `qasomd --data-dir`).
+//! The file layout and every ordering (which call is followed by which
+//! `sync`) live in [`RegistryJournal`] alone. An [`Fs`] only stores
+//! bytes; two ship: [`MemoryBackend`] (tests and the `persist-stress`
+//! kill-and-replay harness — [`MemoryBackend::fork`] is the crash
+//! image) and [`FileBackend`] (a data directory, used by `qasomd
+//! --data-dir`).
 
 pub mod codec;
 mod journal;
 pub mod wal;
 
+use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
 use std::io::Write as _;
@@ -72,68 +74,45 @@ impl PersistError {
     }
 }
 
-/// Storage abstraction the registry journal writes through.
+/// The seven file calls the journal writes through, over the files of
+/// one directory.
 ///
-/// A backend owns two byte streams: an append-only WAL and a
-/// single-slot snapshot.
-///
-/// Appends need not be durable on their own: the journal calls
-/// `sync_wal` every [`PersistConfig::checkpoint_every`] appends, and
-/// that is the power-loss window. Snapshots are independent of it:
-/// the journal writes one when the WAL has outgrown the last.
-///
-/// Implementations must make `write_snapshot` atomic (readers see the
-/// old snapshot or the new one, never a mix); the journal orders
-/// operations so that a crash between `write_snapshot` and
-/// `truncate_wal` is recoverable (stale WAL records are skipped by
-/// sequence number on replay).
-///
-/// That ordering only holds if `write_snapshot` is durable before it
-/// returns. A checkpoint is therefore, in this order: write and fsync
-/// the new snapshot, install it (rename), make the installation durable
-/// (fsync the directory), and only then `truncate_wal` (truncate and
-/// fsync the WAL). If the WAL truncation could become durable while the
-/// snapshot installation was not, a power loss would boot the older
-/// snapshot over an empty WAL and silently drop every event in between.
-pub trait Persistence {
-    /// Appends raw bytes (one or more complete frames) to the WAL.
-    fn append_wal(&mut self, bytes: &[u8]) -> Result<(), PersistError>;
+/// An implementation stores bytes and nothing else: no call implies
+/// another, none is durable on its own. Durability is what `sync` and
+/// `sync_dir` promise, and the journal decides when to call them.
+/// `append`, `truncate` and `sync` create `name` when it is missing.
+pub trait Fs {
+    /// Reads the whole file, `None` when it does not exist.
+    fn read(&self, name: &str) -> Result<Option<Vec<u8>>, PersistError>;
 
-    /// Makes every byte appended so far durable: a power loss after
-    /// this returns `Ok` keeps them.
-    fn sync_wal(&mut self) -> Result<(), PersistError>;
+    /// Appends `bytes` at the end of the file.
+    fn append(&mut self, name: &str, bytes: &[u8]) -> Result<(), PersistError>;
 
-    /// Reads the entire WAL back, including any torn tail.
-    fn wal_bytes(&self) -> Result<Vec<u8>, PersistError>;
+    /// Creates the file holding exactly `bytes`, replacing any old one.
+    fn create(&mut self, name: &str, bytes: &[u8]) -> Result<(), PersistError>;
 
-    /// Durably cuts the WAL down to its first `len` bytes in one step:
-    /// `0` after a durable snapshot, the valid prefix when recovery
-    /// trims a torn tail. Later appends continue at the new end.
-    fn truncate_wal(&mut self, len: u64) -> Result<(), PersistError>;
+    /// Cuts the file down to its first `len` bytes.
+    fn truncate(&mut self, name: &str, len: u64) -> Result<(), PersistError>;
 
-    /// Atomically and durably replaces the snapshot: when this returns
-    /// `Ok`, a power loss can no longer bring the previous one back.
-    fn write_snapshot(&mut self, blob: &[u8]) -> Result<(), PersistError>;
+    /// Renames `from` to `to`, replacing `to`.
+    fn rename(&mut self, from: &str, to: &str) -> Result<(), PersistError>;
 
-    /// Reads the current snapshot, `None` when none was ever written.
-    fn snapshot_bytes(&self) -> Result<Option<Vec<u8>>, PersistError>;
+    /// Makes every byte written to the file so far survive a power loss.
+    fn sync(&mut self, name: &str) -> Result<(), PersistError>;
+
+    /// Makes the names created and renamed so far survive a power loss.
+    fn sync_dir(&mut self) -> Result<(), PersistError>;
 }
 
-#[derive(Debug, Default)]
-struct MemoryState {
-    wal: Vec<u8>,
-    snapshot: Option<Vec<u8>>,
-}
-
-/// In-memory [`Persistence`] backend for tests and the kill-and-replay
-/// stress harness.
+/// In-memory [`Fs`]: a map from file name to bytes, for tests and the
+/// kill-and-replay stress harness. Every call is durable at once.
 ///
-/// `Clone` shares the underlying storage (like two handles on the same
-/// data directory); [`MemoryBackend::fork`] deep-copies it, which is
+/// `Clone` shares the underlying files (like two handles on the same
+/// data directory); [`MemoryBackend::fork`] deep-copies them, which is
 /// how the harness captures a crash image at an arbitrary churn point.
 #[derive(Debug, Clone, Default)]
 pub struct MemoryBackend {
-    state: Arc<Mutex<MemoryState>>,
+    files: Arc<Mutex<BTreeMap<String, Vec<u8>>>>,
 }
 
 impl MemoryBackend {
@@ -142,82 +121,82 @@ impl MemoryBackend {
         MemoryBackend::default()
     }
 
-    /// Deep-copies the stored bytes into an independent backend: the
+    /// Deep-copies the stored files into an independent backend: the
     /// durable state an abrupt crash at this instant would leave behind.
     pub fn fork(&self) -> Self {
-        let state = self.lock();
         MemoryBackend {
-            state: Arc::new(Mutex::new(MemoryState {
-                wal: state.wal.clone(),
-                snapshot: state.snapshot.clone(),
-            })),
+            files: Arc::new(Mutex::new(self.lock().clone())),
         }
     }
 
-    /// Replaces the raw WAL bytes — corruption injection for torn-tail
-    /// tests (bit flips, truncation at arbitrary byte offsets).
-    pub fn set_wal(&self, bytes: Vec<u8>) {
-        self.lock().wal = bytes;
+    /// The bytes of file `name`, `None` when it does not exist.
+    pub fn file(&self, name: &str) -> Option<Vec<u8>> {
+        self.lock().get(name).cloned()
     }
 
-    /// Current WAL length in bytes.
-    pub fn wal_len(&self) -> usize {
-        self.lock().wal.len()
+    /// Applies `edit` to file `name`, creating it empty when missing.
+    fn edit(&self, name: &str, edit: impl FnOnce(&mut Vec<u8>)) -> Result<(), PersistError> {
+        edit(self.lock().entry(name.to_owned()).or_default());
+        Ok(())
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, MemoryState> {
-        // A panic mid-append leaves whole frames (appends are single
-        // extends), so a poisoned lock is still readable state.
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    fn lock(&self) -> std::sync::MutexGuard<'_, BTreeMap<String, Vec<u8>>> {
+        // Every call is a single map update, so a poisoned lock is still
+        // readable state.
+        self.files.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
-impl Persistence for MemoryBackend {
-    fn append_wal(&mut self, bytes: &[u8]) -> Result<(), PersistError> {
-        self.lock().wal.extend_from_slice(bytes);
+impl Fs for MemoryBackend {
+    fn read(&self, name: &str) -> Result<Option<Vec<u8>>, PersistError> {
+        Ok(self.file(name))
+    }
+
+    fn append(&mut self, name: &str, bytes: &[u8]) -> Result<(), PersistError> {
+        self.edit(name, |file| file.extend_from_slice(bytes))
+    }
+
+    fn create(&mut self, name: &str, bytes: &[u8]) -> Result<(), PersistError> {
+        self.edit(name, |file| *file = bytes.to_vec())
+    }
+
+    fn truncate(&mut self, name: &str, len: u64) -> Result<(), PersistError> {
+        self.edit(name, |file| {
+            file.truncate(usize::try_from(len).unwrap_or(usize::MAX))
+        })
+    }
+
+    fn rename(&mut self, from: &str, to: &str) -> Result<(), PersistError> {
+        let mut files = self.lock();
+        let bytes = files
+            .remove(from)
+            .ok_or_else(|| PersistError::Io(format!("{from}: no such file")))?;
+        files.insert(to.to_owned(), bytes);
         Ok(())
     }
 
-    fn sync_wal(&mut self) -> Result<(), PersistError> {
+    fn sync(&mut self, name: &str) -> Result<(), PersistError> {
+        self.edit(name, |_| ())
+    }
+
+    fn sync_dir(&mut self) -> Result<(), PersistError> {
         Ok(())
-    }
-
-    fn wal_bytes(&self) -> Result<Vec<u8>, PersistError> {
-        Ok(self.lock().wal.clone())
-    }
-
-    fn truncate_wal(&mut self, len: u64) -> Result<(), PersistError> {
-        let len = usize::try_from(len).unwrap_or(usize::MAX);
-        self.lock().wal.truncate(len);
-        Ok(())
-    }
-
-    fn write_snapshot(&mut self, blob: &[u8]) -> Result<(), PersistError> {
-        self.lock().snapshot = Some(blob.to_vec());
-        Ok(())
-    }
-
-    fn snapshot_bytes(&self) -> Result<Option<Vec<u8>>, PersistError> {
-        Ok(self.lock().snapshot.clone())
     }
 }
 
-/// File-system [`Persistence`] backend: a data directory holding
-/// `registry.wal` (append-only) and `registry.snap` (replaced via
-/// write-to-temporary + rename, so a crash mid-checkpoint leaves the
-/// previous snapshot intact).
+/// [`Fs`] over a data directory on the local file system.
 ///
-/// WAL appends are flushed but not fsynced per record: `sync_wal`
-/// (`sync_data` on `registry.wal`) is the group commit, every
-/// [`PersistConfig::checkpoint_every`] appends. A power loss can
-/// therefore lose the unsynced events and tear the WAL tail — exactly
-/// the case recovery discards cleanly. The directory itself is fsynced
-/// after each rename and after the WAL is created, so the entries the
-/// files are reached by are durable too.
+/// It keeps the last file it appended to, truncated or synced open in
+/// append mode, so the journal's WAL appends are one `write` each and
+/// open no file. Append mode also puts the writes after a truncation at
+/// the new end. `create` truncates in place, so an open handle on the
+/// same name still reaches the file; `rename` closes the handle, which
+/// may be on either name. `sync` is `fdatasync`, which covers a
+/// truncation's new length; `sync_dir` fsyncs the directory itself.
 #[derive(Debug)]
 pub struct FileBackend {
     dir: PathBuf,
-    wal: fs::File,
+    open: Option<(String, fs::File)>,
 }
 
 impl FileBackend {
@@ -225,76 +204,68 @@ impl FileBackend {
     ///
     /// # Errors
     ///
-    /// Returns [`PersistError::Io`] when the directory or WAL file
-    /// cannot be created or opened.
+    /// [`PersistError::Io`] when the directory cannot be created.
     pub fn open(dir: impl AsRef<Path>) -> Result<Self, PersistError> {
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir).map_err(PersistError::io)?;
-        let wal = fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(dir.join("registry.wal"))
-            .map_err(PersistError::io)?;
-        sync_dir(&dir)?;
-        Ok(FileBackend { dir, wal })
+        Ok(FileBackend { dir, open: None })
     }
 
-    /// The data directory this backend stores into.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    fn snap_path(&self) -> PathBuf {
-        self.dir.join("registry.snap")
+    /// The open handle on `name`, opening it (and closing the previous
+    /// one) when it is another file.
+    fn handle(&mut self, name: &str) -> Result<&mut fs::File, PersistError> {
+        let handle = match self.open.take() {
+            Some(handle) if handle.0 == name => handle,
+            _ => {
+                let file = fs::OpenOptions::new()
+                    .create(true)
+                    .append(true)
+                    .open(self.dir.join(name))
+                    .map_err(PersistError::io)?;
+                (name.to_owned(), file)
+            }
+        };
+        Ok(&mut self.open.insert(handle).1)
     }
 }
 
-impl Persistence for FileBackend {
-    fn append_wal(&mut self, bytes: &[u8]) -> Result<(), PersistError> {
-        self.wal.write_all(bytes).map_err(PersistError::io)?;
-        self.wal.flush().map_err(PersistError::io)
-    }
-
-    fn sync_wal(&mut self) -> Result<(), PersistError> {
-        self.wal.sync_data().map_err(PersistError::io)
-    }
-
-    fn wal_bytes(&self) -> Result<Vec<u8>, PersistError> {
-        fs::read(self.dir.join("registry.wal")).map_err(PersistError::io)
-    }
-
-    fn truncate_wal(&mut self, len: u64) -> Result<(), PersistError> {
-        // The handle is in append mode, so later writes land at the new
-        // end after the truncation.
-        self.wal.set_len(len).map_err(PersistError::io)?;
-        self.wal.sync_all().map_err(PersistError::io)
-    }
-
-    fn write_snapshot(&mut self, blob: &[u8]) -> Result<(), PersistError> {
-        let tmp = self.dir.join("registry.snap.tmp");
-        let mut file = fs::File::create(&tmp).map_err(PersistError::io)?;
-        file.write_all(blob).map_err(PersistError::io)?;
-        file.sync_all().map_err(PersistError::io)?;
-        drop(file);
-        fs::rename(&tmp, self.snap_path()).map_err(PersistError::io)?;
-        sync_dir(&self.dir)
-    }
-
-    fn snapshot_bytes(&self) -> Result<Option<Vec<u8>>, PersistError> {
-        match fs::read(self.snap_path()) {
+impl Fs for FileBackend {
+    fn read(&self, name: &str) -> Result<Option<Vec<u8>>, PersistError> {
+        match fs::read(self.dir.join(name)) {
             Ok(bytes) => Ok(Some(bytes)),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
             Err(e) => Err(PersistError::io(e)),
         }
     }
-}
 
-/// Fsyncs the directory `dir`, making the entries created or renamed
-/// in it durable (a file's own fsync does not cover its name).
-fn sync_dir(dir: &Path) -> Result<(), PersistError> {
-    fs::File::open(dir)
-        .and_then(|d| d.sync_all())
-        .map_err(PersistError::io)
+    fn append(&mut self, name: &str, bytes: &[u8]) -> Result<(), PersistError> {
+        self.handle(name)?
+            .write_all(bytes)
+            .map_err(PersistError::io)
+    }
+
+    fn create(&mut self, name: &str, bytes: &[u8]) -> Result<(), PersistError> {
+        fs::write(self.dir.join(name), bytes).map_err(PersistError::io)
+    }
+
+    fn truncate(&mut self, name: &str, len: u64) -> Result<(), PersistError> {
+        self.handle(name)?.set_len(len).map_err(PersistError::io)
+    }
+
+    fn rename(&mut self, from: &str, to: &str) -> Result<(), PersistError> {
+        self.open = None;
+        fs::rename(self.dir.join(from), self.dir.join(to)).map_err(PersistError::io)
+    }
+
+    fn sync(&mut self, name: &str) -> Result<(), PersistError> {
+        self.handle(name)?.sync_data().map_err(PersistError::io)
+    }
+
+    fn sync_dir(&mut self) -> Result<(), PersistError> {
+        fs::File::open(&self.dir)
+            .and_then(|d| d.sync_all())
+            .map_err(PersistError::io)
+    }
 }
 
 #[cfg(test)]
@@ -304,15 +275,17 @@ mod tests {
     #[test]
     fn memory_clone_shares_fork_copies() {
         let mut a = MemoryBackend::new();
-        a.append_wal(b"abc").unwrap();
+        a.append("f", b"abc").unwrap();
         let mut shared = a.clone();
-        shared.append_wal(b"def").unwrap();
-        assert_eq!(a.wal_bytes().unwrap(), b"abcdef");
+        shared.append("f", b"def").unwrap();
+        assert_eq!(a.file("f").unwrap(), b"abcdef");
 
         let crash = a.fork();
-        a.truncate_wal(2).unwrap();
-        assert_eq!(crash.wal_bytes().unwrap(), b"abcdef");
-        assert_eq!(a.wal_bytes().unwrap(), b"ab");
+        a.truncate("f", 2).unwrap();
+        assert_eq!(crash.file("f").unwrap(), b"abcdef");
+        assert_eq!(a.file("f").unwrap(), b"ab");
+        a.rename("f", "g").unwrap();
+        assert_eq!((a.file("f"), a.file("g").unwrap()), (None, b"ab".to_vec()));
     }
 
     #[test]
@@ -320,24 +293,29 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("qasom-persist-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         let mut b = FileBackend::open(&dir).unwrap();
-        assert_eq!(b.snapshot_bytes().unwrap(), None);
-        b.append_wal(b"one").unwrap();
-        b.append_wal(b"two").unwrap();
-        assert_eq!(b.wal_bytes().unwrap(), b"onetwo");
-        b.write_snapshot(b"snap").unwrap();
-        assert_eq!(b.snapshot_bytes().unwrap().as_deref(), Some(&b"snap"[..]));
+        assert_eq!(b.read("log").unwrap(), None);
+        b.append("log", b"one").unwrap();
+        b.append("log", b"two").unwrap();
+        assert_eq!(b.read("log").unwrap().unwrap(), b"onetwo");
+        b.create("new", b"snap").unwrap();
+        b.sync("new").unwrap();
+        b.rename("new", "old").unwrap();
+        b.sync_dir().unwrap();
+        assert_eq!(b.read("new").unwrap(), None);
+        assert_eq!(b.read("old").unwrap().unwrap(), b"snap");
         // A partial truncation keeps the prefix; appends continue after it.
-        b.truncate_wal(4).unwrap();
-        b.append_wal(b"+").unwrap();
-        assert_eq!(b.wal_bytes().unwrap(), b"onet+");
-        b.truncate_wal(0).unwrap();
-        assert!(b.wal_bytes().unwrap().is_empty());
-        b.append_wal(b"three").unwrap();
+        b.truncate("log", 4).unwrap();
+        b.append("log", b"+").unwrap();
+        assert_eq!(b.read("log").unwrap().unwrap(), b"onet+");
+        b.truncate("log", 0).unwrap();
+        b.sync("log").unwrap();
+        assert!(b.read("log").unwrap().unwrap().is_empty());
+        b.append("log", b"three").unwrap();
         // Reopen: appends continue where the file left off.
         drop(b);
         let mut b = FileBackend::open(&dir).unwrap();
-        b.append_wal(b"!").unwrap();
-        assert_eq!(b.wal_bytes().unwrap(), b"three!");
+        b.append("log", b"!").unwrap();
+        assert_eq!(b.read("log").unwrap().unwrap(), b"three!");
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -25,7 +25,7 @@ use std::fmt;
 
 use qasom_analysis::{Analyzer, Diagnostic, OperationView, ServiceView};
 use qasom_ontology::Ontology;
-use qasom_qos::{QosModel, QosModelError, Unit};
+use qasom_qos::{QosModel, QosModelError, QosVector, Unit};
 use qasom_task::xml::{self, XmlElement, XmlError};
 
 use crate::{Operation, ServiceDescription};
@@ -192,8 +192,11 @@ fn parse_service(el: &XmlElement, model: &QosModel) -> Result<ServiceDescription
             }
             "operation" => {
                 let op_name = required(child, "name")?;
-                let op_function = required(child, "function")?;
-                let mut op = Operation::new(op_name, op_function);
+                let op_function = required(child, "function")?
+                    .parse()
+                    .map_err(|e| QsdError::Structure(format!("bad operation function IRI: {e}")))?;
+                let mut op =
+                    Operation::from_parts(op_name.to_owned(), op_function, QosVector::new());
                 for q in child.children_named("qos") {
                     let (p, v) = parse_qos(q, model)?;
                     op = op.with_qos(p, v);

@@ -34,7 +34,7 @@ use std::sync::Arc;
 use qasom::{Environment, EventLog, UserRequest};
 use qasom_bench::scenarios::{self, FlagSpec, Flags, Kind, Scenario, SEED};
 use qasom_obs::{MemoryRecorder, Recorder};
-use qasom_ontology::{ConceptId, Ontology, OntologyBuilder};
+use qasom_ontology::{ConceptId, Iri, Ontology, OntologyBuilder};
 use qasom_qos::{QosModel, Unit};
 use qasom_task::xml::{self, XmlElement};
 
@@ -131,10 +131,11 @@ fn parse_taxonomy(input: &str) -> Result<Ontology, String> {
     if root.name != "ontology" {
         return Err(format!("expected <ontology>, found <{}>", root.name));
     }
-    let ns = root.attr("ns").unwrap_or("domain").to_owned();
+    let ns = root.attr("ns").unwrap_or("domain");
     let mut builder = OntologyBuilder::new(ns);
     fn walk(
         builder: &mut OntologyBuilder,
+        ns: &str,
         el: &XmlElement,
         parent: Option<ConceptId>,
     ) -> Result<(), String> {
@@ -145,15 +146,18 @@ fn parse_taxonomy(input: &str) -> Result<Ontology, String> {
             let name = child
                 .attr("name")
                 .ok_or("concept requires a name attribute")?;
+            let iri: Iri = format!("{ns}#{name}")
+                .parse()
+                .map_err(|e| format!("bad concept name {name:?} in namespace {ns:?}: {e}"))?;
             let id = match parent {
-                Some(p) => builder.subconcept(name, p),
-                None => builder.concept(name),
+                Some(p) => builder.subconcept_iri(iri, p),
+                None => builder.concept_iri(iri),
             };
-            walk(builder, child, Some(id))?;
+            walk(builder, ns, child, Some(id))?;
         }
         Ok(())
     }
-    walk(&mut builder, &root, None)?;
+    walk(&mut builder, ns, &root, None)?;
     builder.build().map_err(|e| e.to_string())
 }
 
@@ -268,4 +272,26 @@ fn run(flags: &Flags) -> Result<(), String> {
         write_text(&run_report.to_pretty_string(), Some(path))?;
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_taxonomy;
+
+    /// A name that cannot form an `ns#local` IRI is a one-line error,
+    /// not a panic inside the ontology builder.
+    #[test]
+    fn malformed_concept_names_are_errors_not_panics() {
+        for doc in [
+            r#"<ontology ns="d"><concept name="a#b"/></ontology>"#,
+            r#"<ontology ns="d"><concept name=""/></ontology>"#,
+            r#"<ontology ns="d"><concept name="A"><concept name="x#y"/></concept></ontology>"#,
+            r#"<ontology ns="a#b"><concept name="A"/></ontology>"#,
+            r#"<ontology ns=""><concept name="A"/></ontology>"#,
+        ] {
+            let err = parse_taxonomy(doc).map(|_| ()).unwrap_err();
+            assert!(err.starts_with("bad concept name"), "{doc}: {err}");
+        }
+        assert!(parse_taxonomy(r#"<ontology ns="d"><concept name="A"/></ontology>"#).is_ok());
+    }
 }

@@ -5,6 +5,7 @@
 use qasom::{Environment, UserRequest};
 use qasom_ontology::OntologyBuilder;
 use qasom_qos::{QosModel, Unit};
+use qasom_registry::qsd::QsdError;
 use qasom_task::bpel;
 
 const SERVICES: &str = r#"
@@ -118,4 +119,26 @@ fn bpel_documents_round_trip_through_the_repository() {
     let printed = bpel::print(v1);
     let reparsed = bpel::parse(&printed).unwrap();
     assert_eq!(*v1, reparsed);
+}
+
+/// A malformed operation IRI is a structure error, like a malformed
+/// service IRI — not a panic in the middle of provisioning.
+#[test]
+fn a_malformed_operation_function_is_rejected_not_a_panic() {
+    let mut env = environment();
+    let before = env.registry().len();
+    let err = env
+        .load_services(
+            r#"<services>
+  <service name="kiosk" function="shop#Browse">
+    <operation name="look" function="nohash"/>
+  </service>
+</services>"#,
+        )
+        .unwrap_err();
+    assert!(
+        matches!(err, QsdError::Structure(ref m) if m.contains("nohash")),
+        "{err}"
+    );
+    assert_eq!(env.registry().len(), before, "nothing was deployed");
 }
