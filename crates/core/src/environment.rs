@@ -1,7 +1,7 @@
 //! The middleware instance: environment state + composition pipeline.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use qasom_adaptation::{overlay, QosMonitor};
 use qasom_analysis::{Analyzer, ApproachKind, RequestSpec};
@@ -12,7 +12,10 @@ use qasom_ontology::Ontology;
 use qasom_qos::{EndToEnd, QosModel, QosVector};
 use qasom_registry::persist::{PersistStats, RegistryJournal};
 use qasom_registry::{Discovery, DiscoveryQuery, ServiceDescription, ServiceId, ServiceRegistry};
-use qasom_selection::{Qassa, QassaConfig, QosLevels, SelectionProblem, ServiceCandidate};
+use qasom_selection::{
+    LocalScratch, Qassa, QassaConfig, QosLevels, RankedCandidate, SelectionProblem,
+    ServiceCandidate,
+};
 use qasom_task::{Activity, TaskClass, TaskClassRepository};
 
 use crate::{
@@ -615,6 +618,17 @@ impl Environment {
     /// node's infrastructure QoS is known, the candidate's QoS is the
     /// user-perceived one (service QoS degraded by the path).
     pub fn discover(&self, activity: &Activity) -> Vec<ServiceCandidate> {
+        self.discover_rows(activity, |candidate| candidate)
+    }
+
+    /// Discovery for one activity, one output row per discovered,
+    /// still-deployed service: `row` receives the candidate with its
+    /// perceived QoS, and the rows land in one exactly-sized `Vec`.
+    fn discover_rows<T>(
+        &self,
+        activity: &Activity,
+        mut row: impl FnMut(ServiceCandidate) -> T,
+    ) -> Vec<T> {
         let mut discovery = Discovery::new(&self.ontology, &self.model);
         if let Some(rec) = &self.recorder {
             discovery = discovery.with_recorder(rec.as_ref());
@@ -623,7 +637,7 @@ impl Environment {
             &self.registry,
             &DiscoveryQuery::new(activity).white_box(true),
         );
-        let mut candidates = Vec::with_capacity(found.len());
+        let mut rows = Vec::with_capacity(found.len());
         for c in found {
             let Some(desc) = self.registry.get(c.service) else {
                 continue;
@@ -632,9 +646,9 @@ impl Environment {
                 Some(infra) => self.end_to_end.perceive(&c.effective_qos, infra),
                 None => c.effective_qos,
             };
-            candidates.push(ServiceCandidate::new(c.service, qos));
+            rows.push(row(ServiceCandidate::new(c.service, qos)));
         }
-        candidates
+        rows
     }
 
     /// Whether at least one discoverable, deployed service can serve the
@@ -726,32 +740,30 @@ impl Environment {
         )
     }
 
-    /// Discovery for one activity as selection will see it: monitored QoS
-    /// overlaid where delivery history exists (when `use_monitor`), and a
+    /// Discovery for one activity as selection will see it, built as the
+    /// unranked table ranking sorts in place: monitored QoS overlaid
+    /// where delivery history exists (when `use_monitor`), and a
     /// [`ComposeError::NoServiceFor`] when nothing qualifies.
     fn discover_for_selection(
         &self,
         activity: &Activity,
         use_monitor: bool,
-    ) -> Result<Vec<ServiceCandidate>, ComposeError> {
-        let mut found = self.discover(activity);
-        if use_monitor {
-            found = found
-                .into_iter()
-                .map(|c| match self.monitor.estimate(c.id()) {
-                    Some(observed) => {
-                        ServiceCandidate::new(c.id(), overlay(Some(observed), c.qos()))
-                    }
-                    None => c,
-                })
-                .collect();
-        }
-        if found.is_empty() {
+    ) -> Result<Vec<RankedCandidate>, ComposeError> {
+        let table = self.discover_rows(activity, |c| {
+            match use_monitor.then(|| self.monitor.estimate(c.id())).flatten() {
+                Some(observed) => RankedCandidate::from(ServiceCandidate::new(
+                    c.id(),
+                    overlay(Some(observed), c.qos()),
+                )),
+                None => RankedCandidate::from(c),
+            }
+        });
+        if table.is_empty() {
             return Err(ComposeError::NoServiceFor {
                 activity: activity.name().to_owned(),
             });
         }
-        Ok(found)
+        Ok(table)
     }
 
     fn compose_task_with(
@@ -765,31 +777,56 @@ impl Environment {
         let activities: Vec<&Activity> = task.activities().map(|a| a.activity()).collect();
 
         // Discovering and locally ranking one activity reads nothing of the
-        // others, so each activity is discovered and ranked by the same
-        // worker: one fan-out per compose, and an activity's candidate list
-        // is freed on its worker once ranked. The global phase needs only
-        // the rankings, so the problem carries no candidate matrix. Errors
-        // are still surfaced in activity order so the first missing
-        // activity wins deterministically.
+        // others, so the activities are split into one contiguous chunk
+        // per core: the caller discovers and ranks the first chunk while
+        // a scoped worker takes each of the others, and each keeps one
+        // ranking scratch for its chunk. An activity's table is built
+        // from its discovery rows and ranked in place on the thread that
+        // discovered it. The global phase needs only the rankings, so the
+        // problem carries no candidate matrix. Results are collected by
+        // position, so errors still surface in activity order and the
+        // first missing activity wins deterministically.
         let problem = SelectionProblem::new(&task)
             .with_constraints(constraints.clone())
             .with_preferences(preferences.clone())
             .with_approach(approach);
         let properties = problem.properties();
         let local = self.config.qassa.local;
-        let ranked: Vec<Result<QosLevels, ComposeError>> = {
-            use rayon::prelude::*;
-            activities
-                .par_iter()
+        let rank_chunk = |chunk: &[&Activity]| -> Vec<Result<QosLevels, ComposeError>> {
+            let mut scratch = LocalScratch::new();
+            chunk
+                .iter()
                 .map(|a| {
-                    let found = self.discover_for_selection(a, use_monitor)?;
-                    Ok(local.rank(&self.model, &found, &properties, problem.preferences()))
+                    let table = self.discover_for_selection(a, use_monitor)?;
+                    Ok(local.rank_table(
+                        &self.model,
+                        table,
+                        &properties,
+                        problem.preferences(),
+                        &mut scratch,
+                    ))
                 })
                 .collect()
         };
+        let chunk_len = activities.len().div_ceil(compose_workers()).max(1);
+        let ranked: Vec<Vec<Result<QosLevels, ComposeError>>> = std::thread::scope(|s| {
+            let mut chunks = activities.chunks(chunk_len);
+            let first = chunks.next().unwrap_or_default();
+            let spawned: Vec<_> = chunks.map(|c| s.spawn(move || rank_chunk(c))).collect();
+            let mut ranked = Vec::with_capacity(spawned.len() + 1);
+            ranked.push(rank_chunk(first));
+            for worker in spawned {
+                ranked.push(
+                    worker
+                        .join()
+                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+                );
+            }
+            ranked
+        });
 
-        let mut levels = Vec::with_capacity(ranked.len());
-        for activity in ranked {
+        let mut levels = Vec::with_capacity(activities.len());
+        for activity in ranked.into_iter().flatten() {
             levels.push(activity?);
         }
 
@@ -814,6 +851,14 @@ impl Environment {
             warnings: Vec::new(),
         })
     }
+}
+
+/// How many threads one compose fans out to: the cores this process may
+/// run on, read once (the standard library re-reads the cgroup files on
+/// every call).
+fn compose_workers() -> usize {
+    static WORKERS: OnceLock<usize> = OnceLock::new();
+    *WORKERS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 #[cfg(test)]
@@ -905,6 +950,60 @@ mod tests {
             .unwrap();
         assert_eq!(comp.outcome(), &expected);
         assert_eq!(comp.outcome().levels.len(), 2);
+    }
+
+    /// Full re-selection builds each activity's table with the monitor's
+    /// estimates overlaid on the discovered advertisements; the outcome
+    /// is the one QASSA selects over those overlaid candidates.
+    #[test]
+    fn recompose_full_selects_as_qassa_does_over_the_monitored_candidates() {
+        let mut e = env();
+        let rt = e.model().property("ResponseTime").unwrap();
+        let mut observed = Vec::new();
+        for i in 0..12 {
+            let x = f64::from(i);
+            let a = deploy(&mut e, &format!("a{i}"), "d#A", 40.0 + 37.0 * (x % 5.0) + x);
+            deploy(&mut e, &format!("b{i}"), "d#B", 300.0 - 11.0 * x);
+            if i % 3 == 0 {
+                observed.push(a);
+            }
+        }
+        for (k, &id) in observed.iter().enumerate() {
+            let mut q = qasom_qos::QosVector::new();
+            q.set(rt, 90.0 + 50.0 * k as f64);
+            e.monitor.observe(id, &q);
+        }
+        let request = UserRequest::new(two_step_task())
+            .constraint("ResponseTime", 0.4, Unit::Seconds)
+            .unwrap()
+            .weight("ResponseTime", 0.6)
+            .weight("Availability", 0.4);
+        let comp = e.compose(&request).unwrap();
+        let recomposed = e.recompose_full(&comp).unwrap();
+
+        let task = two_step_task();
+        let candidates = task
+            .activities()
+            .map(|a| {
+                e.discover(a.activity())
+                    .into_iter()
+                    .map(|c| {
+                        let qos = overlay(e.monitor.estimate(c.id()), c.qos());
+                        ServiceCandidate::new(c.id(), qos)
+                    })
+                    .collect()
+            })
+            .collect();
+        let problem = SelectionProblem::new(&task)
+            .with_candidates(candidates)
+            .with_constraints(request.constraints(e.model()).unwrap())
+            .with_preferences(request.preferences(e.model()).unwrap())
+            .with_approach(request.aggregation_approach());
+        let expected = Qassa::with_config(e.model(), e.config().qassa)
+            .select(&problem)
+            .unwrap();
+        assert_eq!(recomposed.outcome(), &expected);
+        assert_ne!(recomposed.outcome(), comp.outcome());
     }
 
     #[test]

@@ -75,6 +75,22 @@ impl Normalizer {
         }
     }
 
+    /// Extends the fitted bounds to cover `[min, max]`, a range the caller
+    /// folded over finite values itself. A property seen for the first
+    /// time takes the range exactly, so including a column's `(min, max)`
+    /// fits what including each of its values in turn would.
+    pub fn include_bounds(&mut self, model: &QosModel, property: PropertyId, min: f64, max: f64) {
+        match self.stats.binary_search_by_key(&property, |&(id, ..)| id) {
+            Ok(i) => {
+                self.stats[i].2 = self.stats[i].2.min(min);
+                self.stats[i].3 = self.stats[i].3.max(max);
+            }
+            Err(i) => self
+                .stats
+                .insert(i, (property, model.tendency(property), min, max)),
+        }
+    }
+
     /// The fitted `(min, max)` bounds for `property`, if it was observed.
     pub fn bounds(&self, property: PropertyId) -> Option<(f64, f64)> {
         self.stats

@@ -87,6 +87,14 @@ impl KmeansScratch {
     }
 }
 
+/// An integer key whose unsigned order is `f64::total_cmp`'s: flip every
+/// bit of a negative value, and only the sign bit of a non-negative one.
+/// Ranking and K-means sort by it instead of calling a float comparator.
+pub(crate) fn total_key(x: f64) -> u64 {
+    let bits = x.to_bits();
+    bits ^ ((((bits as i64) >> 63) as u64) | (1 << 63))
+}
+
 /// Clusters `values` into at most `k` bands with Lloyd's algorithm.
 ///
 /// Deterministic: centroids are initialised at evenly spaced quantiles of
@@ -150,9 +158,9 @@ pub fn kmeans_1d_with(
 
     scratch.sorted.clear();
     scratch.sorted.extend_from_slice(values);
-    // Keys equal under `total_cmp` are bit-identical, so an unstable
-    // sort gives the same column.
-    scratch.sorted.sort_unstable_by(f64::total_cmp);
+    // Keys equal under `total_key` are bit-identical, so an unstable
+    // sort by the integer key gives the column `total_cmp` would.
+    scratch.sorted.sort_unstable_by_key(|&v| total_key(v));
     scratch.sorted.dedup();
     let k = k.min(scratch.sorted.len());
 
@@ -169,38 +177,44 @@ pub fn kmeans_1d_with(
     scratch.sums.resize(kc, 0.0);
     scratch.counts.clear();
     scratch.counts.resize(kc, 0);
+    let KmeansScratch {
+        centroids,
+        assignments,
+        sums,
+        counts,
+        ..
+    } = scratch;
     for _ in 0..max_iters.max(1) {
-        // Assignment step.
+        // One pass assigns each value and accumulates it into its
+        // cluster. Values are visited in input order, so every sum adds
+        // the same terms in the same order as a separate update pass.
+        sums.iter_mut().for_each(|s| *s = 0.0);
+        counts.iter_mut().for_each(|c| *c = 0);
         let mut changed = false;
-        for (i, &v) in values.iter().enumerate() {
+        for (&v, label) in values.iter().zip(assignments.iter_mut()) {
             // The first nearest centroid: distances are finite or +inf
             // and never negative, so `<` orders them as `total_cmp` would.
+            // Selects, not branches: the nearest centroid of a shuffled
+            // column is unpredictable.
             let mut nearest = 0;
             let mut best = f64::INFINITY;
-            for (j, &c) in scratch.centroids.iter().enumerate() {
+            for (j, &c) in centroids.iter().enumerate() {
                 let distance = (v - c).abs();
-                if distance < best {
-                    nearest = j;
-                    best = distance;
-                }
+                let closer = distance < best;
+                nearest = if closer { j } else { nearest };
+                best = if closer { distance } else { best };
             }
-            if scratch.assignments[i] != nearest {
-                scratch.assignments[i] = nearest;
-                changed = true;
-            }
+            changed |= *label != nearest;
+            *label = nearest;
+            sums[nearest] += v;
+            counts[nearest] += 1;
         }
-        // Update step. A cluster that lost every point keeps its old
-        // centroid here (no 0/0 NaN); the relabel pass below drops it
-        // from the result entirely.
-        scratch.sums.iter_mut().for_each(|s| *s = 0.0);
-        scratch.counts.iter_mut().for_each(|c| *c = 0);
-        for (i, &v) in values.iter().enumerate() {
-            scratch.sums[scratch.assignments[i]] += v;
-            scratch.counts[scratch.assignments[i]] += 1;
-        }
-        for (j, c) in scratch.centroids.iter_mut().enumerate() {
-            if scratch.counts[j] > 0 {
-                *c = scratch.sums[j] / scratch.counts[j] as f64;
+        // A cluster that lost every point keeps its old centroid here
+        // (no 0/0 NaN); the relabel pass below drops it from the result
+        // entirely.
+        for ((c, &sum), &count) in centroids.iter_mut().zip(sums.iter()).zip(counts.iter()) {
+            if count > 0 {
+                *c = sum / count as f64;
             }
         }
         if !changed {

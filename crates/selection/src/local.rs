@@ -20,15 +20,30 @@
 use qasom_qos::utility::utility;
 use qasom_qos::{Normalizer, Preferences, PropertyId, QosModel, Tendency};
 
+use crate::kmeans::total_key;
 use crate::{kmeans_1d_with, KmeansScratch, ServiceCandidate};
 
-/// A candidate annotated with its local-selection rank.
+/// A candidate annotated with its local-selection rank: one row of an
+/// activity's ranked table.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RankedCandidate {
     candidate: ServiceCandidate,
-    level: usize,
-    class: usize,
     utility: f64,
+    class: u32,
+    level: u8,
+}
+
+impl From<ServiceCandidate> for RankedCandidate {
+    /// An unranked row. [`LocalRank::rank_table`] fills in its level,
+    /// class and utility where it sorts the table.
+    fn from(candidate: ServiceCandidate) -> Self {
+        RankedCandidate {
+            candidate,
+            utility: 0.0,
+            class: 0,
+            level: 0,
+        }
+    }
 }
 
 impl RankedCandidate {
@@ -39,17 +54,27 @@ impl RankedCandidate {
 
     /// QoS level (`0` = best band).
     pub fn level(&self) -> usize {
-        self.level
+        usize::from(self.level)
     }
 
     /// QoS class within the level (`1` = closest to the better level).
     pub fn class(&self) -> usize {
-        self.class
+        self.class as usize
     }
 
     /// SAW utility among the activity's candidates (`f_{s_{i,k}}`).
     pub fn utility(&self) -> f64 {
         self.utility
+    }
+
+    /// The best-first order as one integer: level, then class, then
+    /// utility descending, then id. Ranking and merging both sort by it.
+    /// A class beyond 2²⁴ − 1 (as many requested properties) saturates.
+    fn sort_key(&self) -> u128 {
+        (u128::from(self.level) << 120)
+            | (u128::from(self.class.min(0xFF_FFFF)) << 96)
+            | (u128::from(!total_key(self.utility)) << 32)
+            | u128::from(self.candidate.id().raw())
     }
 }
 
@@ -59,7 +84,9 @@ const KMEANS_ITERS: usize = 50;
 /// Configuration of the local selection phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LocalRank {
-    /// Number of K-means bands per property (the `k` of QASSA).
+    /// Number of K-means bands per property (the `k` of QASSA). Ranking
+    /// reads it clamped to `1..=255`: `0` ranks as `1`, and a band rank
+    /// (or the missing-value rank one below the last band) fits a byte.
     pub bands: usize,
 }
 
@@ -70,18 +97,18 @@ impl Default for LocalRank {
     }
 }
 
-/// Reusable buffers for [`LocalRank::rank_with`].
+/// Reusable buffers for [`LocalRank::rank_table`].
 ///
 /// One arena holds the per-property value column, the present-candidate
 /// index column, the flat `|properties| × |candidates|` rank matrix and
-/// the K-means scratch. Ranking every activity of a task through one
-/// arena keeps the selection hot path allocation-free after the first
-/// activity.
+/// the K-means scratch. Its buffers grow to the largest table ranked
+/// through it and are then reused: compose keeps one per worker, so a
+/// worker allocates them once per compose, not once per activity.
 #[derive(Debug, Clone, Default)]
 pub struct LocalScratch {
     values: Vec<f64>,
-    present: Vec<usize>,
-    ranks: Vec<usize>,
+    present: Vec<u32>,
+    ranks: Vec<u8>,
     kmeans: KmeansScratch,
 }
 
@@ -90,6 +117,14 @@ impl LocalScratch {
     pub fn new() -> Self {
         LocalScratch::default()
     }
+}
+
+/// The `(min, max)` of `values`, folded in order; `None` when empty.
+fn fold_bounds(values: impl IntoIterator<Item = f64>) -> Option<(f64, f64)> {
+    values.into_iter().fold(None, |bounds, v| match bounds {
+        None => Some((v, v)),
+        Some((lo, hi)) => Some((f64::min(lo, v), f64::max(hi, v))),
+    })
 }
 
 impl LocalRank {
@@ -111,10 +146,9 @@ impl LocalRank {
         )
     }
 
-    /// [`LocalRank::rank`] into caller-owned buffers: the hot-path
-    /// variant. Identical output; the scratch arena is reused across
-    /// calls so repeated rankings stop allocating once the buffers have
-    /// grown to the workload's size.
+    /// [`LocalRank::rank`] with caller-owned buffers: copies the
+    /// candidates into a table and ranks it with
+    /// [`LocalRank::rank_table`].
     pub fn rank_with(
         &self,
         model: &QosModel,
@@ -123,13 +157,35 @@ impl LocalRank {
         preferences: &Preferences,
         scratch: &mut LocalScratch,
     ) -> QosLevels {
-        if candidates.is_empty() {
+        let table = candidates
+            .iter()
+            .cloned()
+            .map(RankedCandidate::from)
+            .collect();
+        self.rank_table(model, table, properties, preferences, scratch)
+    }
+
+    /// Ranks an owned table of candidate rows in place: fills in each
+    /// row's level, class and utility, sorts the table best-first and
+    /// cuts it into levels. The rows' previous ranks are ignored. A
+    /// caller that builds the rows itself (compose, from discovery)
+    /// makes no other per-candidate copy.
+    pub fn rank_table(
+        &self,
+        model: &QosModel,
+        mut table: Vec<RankedCandidate>,
+        properties: &[PropertyId],
+        preferences: &Preferences,
+        scratch: &mut LocalScratch,
+    ) -> QosLevels {
+        if table.is_empty() {
             return QosLevels::default();
         }
-        let n = candidates.len();
+        let n = table.len();
+        let bands = self.bands.clamp(1, usize::from(u8::MAX));
 
         // Worst possible rank: below the deepest band (missing values).
-        let missing_rank = self.bands;
+        let missing_rank = bands as u8;
 
         // Destructure for disjoint &mut borrows inside the column loop.
         let LocalScratch {
@@ -141,9 +197,8 @@ impl LocalRank {
 
         // Per property: gather the flat value column, cluster it, and
         // scatter band ranks into the flat rank matrix (column-major by
-        // property). The same pass feeds the min–max normaliser, so the
-        // candidate pool is traversed once per property instead of once
-        // for clustering plus once for normalisation.
+        // property). The column's bounds fit the min–max normaliser, so
+        // the candidate pool is traversed once per property.
         ranks.clear();
         ranks.resize(properties.len() * n, missing_rank);
         let mut normalizer = Normalizer::default();
@@ -160,30 +215,27 @@ impl LocalRank {
             // Non-finite values (e.g. an unreachable host's perceived
             // response time) count as missing: unknown or unusable
             // quality sinks below every band.
-            for (i, c) in candidates.iter().enumerate() {
-                if let Some(v) = c.qos().get(p).filter(|v| v.is_finite()) {
-                    present.push(i);
+            for (i, row) in table.iter().enumerate() {
+                if let Some(v) = row.candidate.qos().get(p).filter(|v| v.is_finite()) {
+                    present.push(i as u32);
                     values.push(v);
-                    normalizer.include(model, p, v);
                 }
             }
-            // The same pass caches the column's raw value bounds: the
-            // global phase fits its composition-level normaliser from
-            // these instead of re-scanning every candidate.
-            if let (Some(lo), Some(hi)) = (
-                values.iter().copied().reduce(f64::min),
-                values.iter().copied().reduce(f64::max),
-            ) {
+            // The column's raw value bounds are cached too: the global
+            // phase fits its composition-level normaliser from these
+            // instead of re-scanning every candidate.
+            if let Some((lo, hi)) = fold_bounds(values.iter().copied()) {
+                normalizer.include_bounds(model, p, lo, hi);
                 bounds.push((p, lo, hi));
             }
-            let k = kmeans_1d_with(values, self.bands, KMEANS_ITERS, kmeans);
+            let k = kmeans_1d_with(values, bands, KMEANS_ITERS, kmeans);
             let column = &mut ranks[pi * n..(pi + 1) * n];
-            for (j, &i) in present.iter().enumerate() {
-                let label = kmeans.assignments()[j];
-                column[i] = match tendency {
+            for (&i, &label) in present.iter().zip(kmeans.assignments()) {
+                // `label < k <= bands <= 255`.
+                column[i as usize] = match tendency {
                     Tendency::LowerBetter => label,
                     Tendency::HigherBetter => k - 1 - label,
-                };
+                } as u8;
             }
         }
 
@@ -191,10 +243,12 @@ impl LocalRank {
         // normalisation bounds for the utility term.
         for p in preferences.properties() {
             if !properties.contains(&p) {
-                for c in candidates {
-                    if let Some(v) = c.qos().get(p) {
-                        normalizer.include(model, p, v);
-                    }
+                let finite = table
+                    .iter()
+                    .filter_map(|row| row.candidate.qos().get(p))
+                    .filter(|v| v.is_finite());
+                if let Some((lo, hi)) = fold_bounds(finite) {
+                    normalizer.include_bounds(model, p, lo, hi);
                 }
             }
         }
@@ -207,46 +261,34 @@ impl LocalRank {
             preferences
         };
 
-        let ranked: Vec<RankedCandidate> = candidates
-            .iter()
-            .enumerate()
-            .map(|(i, c)| {
-                let (level, class) = if properties.is_empty() {
-                    (0, 0)
-                } else {
-                    let mut worst = 0;
-                    let mut class = 0;
-                    for pi in 0..properties.len() {
-                        let r = ranks[pi * n + i];
-                        match r.cmp(&worst) {
-                            std::cmp::Ordering::Greater => {
-                                worst = r;
-                                class = 1;
-                            }
-                            std::cmp::Ordering::Equal => class += 1,
-                            std::cmp::Ordering::Less => {}
-                        }
+        for (i, row) in table.iter_mut().enumerate() {
+            let mut worst = 0;
+            let mut class = 0;
+            for pi in 0..properties.len() {
+                let r = ranks[pi * n + i];
+                match r.cmp(&worst) {
+                    std::cmp::Ordering::Greater => {
+                        worst = r;
+                        class = 1;
                     }
-                    (worst, class)
-                };
-                RankedCandidate {
-                    candidate: c.clone(),
-                    level,
-                    class,
-                    utility: utility(c.qos(), &normalizer, prefs),
+                    std::cmp::Ordering::Equal => class += 1,
+                    std::cmp::Ordering::Less => {}
                 }
-            })
-            .collect();
+            }
+            row.level = worst;
+            row.class = class;
+            row.utility = utility(row.candidate.qos(), &normalizer, prefs);
+        }
 
         bounds.sort_by_key(|&(p, ..)| p);
+        // Ids are unique within one activity, so the key is total and an
+        // unstable sort is exact.
+        table.sort_unstable_by_key(RankedCandidate::sort_key);
         let mut levels = QosLevels {
-            ranked,
+            ranked: table,
             ends: Vec::new(),
             bounds,
         };
-        // Ids are unique within one activity, so the order is total and
-        // an unstable sort is exact.
-        levels.ranked.sort_unstable_by(QosLevels::best_first_order);
         levels.index_levels();
         levels
     }
@@ -271,21 +313,11 @@ pub struct QosLevels {
 }
 
 impl QosLevels {
-    /// The best-first order — the one comparator ranking and merging
-    /// share.
-    fn best_first_order(a: &RankedCandidate, b: &RankedCandidate) -> std::cmp::Ordering {
-        a.level
-            .cmp(&b.level)
-            .then(a.class.cmp(&b.class))
-            .then(b.utility.total_cmp(&a.utility))
-            .then(a.candidate.id().cmp(&b.candidate.id()))
-    }
-
     /// Re-derives the level offsets from the best-first table.
     fn index_levels(&mut self) {
-        let level_count = self.ranked.last().map_or(0, |r| r.level + 1);
+        let level_count = self.ranked.last().map_or(0, |r| r.level() + 1);
         self.ends = (0..level_count)
-            .map(|r| self.ranked.partition_point(|c| c.level <= r))
+            .map(|r| self.ranked.partition_point(|c| c.level() <= r))
             .collect();
     }
 
@@ -336,7 +368,7 @@ impl QosLevels {
         self.ranked.append(&mut other.ranked);
         // Digests from different providers may repeat an id: keep the
         // stable sort so such ties stay in arrival order.
-        self.ranked.sort_by(QosLevels::best_first_order);
+        self.ranked.sort_by_key(RankedCandidate::sort_key);
         self.index_levels();
         for (p, lo, hi) in other.bounds {
             match self.bounds.binary_search_by_key(&p, |&(q, ..)| q) {
@@ -512,6 +544,34 @@ mod tests {
         let total = la.total() + lb.total();
         la.merge(lb);
         assert_eq!(la.total(), total);
+    }
+
+    /// The ranked table is the one per-candidate copy a compose makes,
+    /// so the per-session byte figures rest on this size.
+    #[test]
+    fn a_ranked_row_fits_in_sixty_four_bytes() {
+        assert!(std::mem::size_of::<RankedCandidate>() <= 64);
+    }
+
+    #[test]
+    fn zero_bands_rank_like_one() {
+        let m = QosModel::standard();
+        let specs: Vec<(f64, f64)> = (0..12)
+            .map(|i| {
+                (
+                    10.0 + f64::from(i * 5 % 7) * 40.0,
+                    0.6 + f64::from(i % 4) * 0.1,
+                )
+            })
+            .collect();
+        let cands = candidates(&m, &specs);
+        let rank =
+            |bands| LocalRank { bands }.rank(&m, &cands, &props(&m), &Preferences::default());
+        let one = rank(1);
+        assert_eq!(rank(0), one);
+        assert_eq!(one.level_count(), 1);
+        // Above a byte's worth of bands, ranking reads 255.
+        assert_eq!(rank(1_000), rank(255));
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! time and availability. Discovery, local ranking and the global phase
 //! may size their buffers by the candidate count, but may not allocate
 //! once per candidate, so both composes make the same number of
-//! allocations.
+//! allocations. The bytes they request may grow with the candidates, by
+//! at most [`BYTES_PER_CANDIDATE`] per added candidate.
 //!
 //! This file holds a single test: the allocator counts every thread of
 //! the process, and a second test running alongside would be counted
@@ -22,25 +23,32 @@ use qasom_qos::{QosModel, Unit};
 use qasom_registry::ServiceDescription;
 use qasom_task::{Activity, TaskNode, UserTask};
 
-/// The system allocator, counting allocations and reallocations.
+/// The system allocator, counting allocations and reallocations and the
+/// bytes they request (a reallocation requests its new size).
 struct Counting;
 
 static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+static BYTES: AtomicUsize = AtomicUsize::new(0);
+
+fn note(bytes: usize) {
+    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    BYTES.fetch_add(bytes, Ordering::Relaxed);
+}
 
 // SAFETY: every call forwards to `System` with the caller's arguments.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        note(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        note(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        note(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -53,6 +61,13 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 const ACTIVITIES: usize = 8;
+
+/// Bytes a warm compose may request per candidate it adds: one
+/// discovery row (64 B) and one ranked row (64 B) per candidate, plus
+/// the ranking scratch (30 B per candidate of the largest activity a
+/// worker ranks). With one worker per activity, as on eight cores, that
+/// is 158 B; the cap leaves room for that.
+const BYTES_PER_CANDIDATE: f64 = 180.0;
 
 /// An environment with `per_activity` providers of each of eight
 /// concepts, and a request composing all eight in sequence.
@@ -93,25 +108,38 @@ fn market(per_activity: usize) -> (Environment, UserRequest) {
     (env, request)
 }
 
-/// Allocations made by the second of two composes of the request.
-fn warm_compose_allocations(per_activity: usize) -> usize {
+/// `(allocations, bytes)` requested by the second of two composes of the
+/// request.
+fn warm_compose_allocations(per_activity: usize) -> (usize, usize) {
     let (env, request) = market(per_activity);
     let first = env.compose(&request).expect("the market composes");
     assert_eq!(first.outcome().assignment.len(), ACTIVITIES);
     drop(first);
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = (
+        ALLOCATIONS.load(Ordering::Relaxed),
+        BYTES.load(Ordering::Relaxed),
+    );
     let second = env.compose(&request).expect("the market composes");
-    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before.0;
+    let bytes = BYTES.load(Ordering::Relaxed) - before.1;
     assert_eq!(second.outcome().assignment.len(), ACTIVITIES);
-    allocations
+    (allocations, bytes)
 }
 
 #[test]
 fn a_warm_compose_allocates_alike_at_125_and_1250_candidates() {
-    let small = warm_compose_allocations(125);
-    let large = warm_compose_allocations(1_250);
+    let (small, small_bytes) = warm_compose_allocations(125);
+    let (large, large_bytes) = warm_compose_allocations(1_250);
     assert_eq!(
         large, small,
         "1 250 candidates per activity made {large} allocations, 125 made {small}"
+    );
+    let added = ACTIVITIES * (1_250 - 125);
+    let per_candidate = (large_bytes as f64 - small_bytes as f64) / added as f64;
+    assert!(
+        per_candidate <= BYTES_PER_CANDIDATE,
+        "a warm compose requested {per_candidate:.1} B per added candidate \
+         ({small_bytes} B at 125 per activity, {large_bytes} B at 1 250), \
+         over the {BYTES_PER_CANDIDATE} B budget"
     );
 }
