@@ -213,13 +213,6 @@ impl CompositionMonitor {
         self.per_activity(monitor, QosMonitor::estimate)
     }
 
-    /// Aggregated QoS of the composition from current estimates.
-    pub fn aggregate_estimate(&self, model: &QosModel, monitor: &QosMonitor) -> QosVector {
-        let vectors = self.believed_qos(monitor);
-        let props: Vec<PropertyId> = self.constraints.properties().collect();
-        Aggregator::new(model, self.approach).aggregate(&self.task, &vectors, &props)
-    }
-
     /// Checks the global constraints against the current estimates and
     /// against trend predictions; returns every violation found, reactive
     /// ones first.
@@ -380,8 +373,7 @@ mod tests {
         let f = fx(2);
         let comp = composition(&f, 250.0);
         let m = QosMonitor::new();
-        let agg = comp.aggregate_estimate(&f.model, &m);
-        assert_eq!(agg.get(f.rt), Some(200.0));
+        assert_eq!(comp.believed_qos(&m), [obs(f.rt, 100.0), obs(f.rt, 100.0)]);
         assert!(comp.check(&f.model, &m).is_empty());
     }
 

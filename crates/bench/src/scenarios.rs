@@ -28,7 +28,7 @@ use qasom_obs::{key_paths, JsonValue, MemoryRecorder};
 use qasom_ontology::OntologyBuilder;
 use qasom_qos::{QosModel, Unit};
 use qasom_registry::persist::{
-    encode_state, Fs as _, MemoryBackend, PersistConfig, PersistentRegistry,
+    encode_state, Fs as _, MemoryBackend, PersistConfig, PersistentRegistry, RegistryJournal,
 };
 use qasom_registry::{ServiceDescription, ServiceId};
 use qasom_task::{Activity, TaskNode, UserTask};
@@ -505,7 +505,9 @@ fn persist_stress(flags: &Flags) -> Result<JsonValue, String> {
         if recovered.registry().event_cursor() != oracle.registry().event_cursor() {
             return Err("recovered epoch diverges from the oracle".into());
         }
-        if recovered.journal().wal_cursor() != oracle.journal().wal_cursor() {
+        let wal_cursor =
+            |registry: &PersistentRegistry| registry.journal().map(RegistryJournal::wal_cursor);
+        if wal_cursor(&recovered) != wal_cursor(oracle) {
             return Err("recovered WAL cursor diverges from the oracle".into());
         }
         Ok(())
@@ -558,7 +560,10 @@ fn persist_stress(flags: &Flags) -> Result<JsonValue, String> {
         }
     }
 
-    let stats = oracle.journal().stats();
+    let stats = oracle
+        .journal()
+        .map(RegistryJournal::stats)
+        .unwrap_or_default();
     Ok(JsonValue::object()
         .field("bench", "persist")
         .field("seed", seed)

@@ -20,7 +20,7 @@ use qasom_selection::distributed::{DistributedQassa, DistributedSetup};
 use qasom_selection::workload::WorkloadSpec;
 use qasom_task::{Activity, TaskNode, UserTask};
 
-use crate::{Environment, EnvironmentConfig, EventLog, UserRequest};
+use crate::{Environment, EventLog, UserRequest};
 
 /// Name of the scenario label stamped into the demo report.
 pub const DEMO_SCENARIO: &str = "builtin-demo";
@@ -38,14 +38,13 @@ fn demo_environment(
     onto.concept("Locate");
     onto.concept("Guide");
     onto.concept("Pay");
-    let mut env = EnvironmentConfig::builder()
-        .seed(seed)
-        .recorder(recorder as Arc<dyn Recorder>)
-        .sink(Arc::new(log.clone()))
-        .build(
-            QosModel::standard(),
-            onto.build().map_err(|e| e.to_string())?,
-        );
+    let mut env = Environment::new(
+        QosModel::standard(),
+        onto.build().map_err(|e| e.to_string())?,
+        seed,
+    );
+    env.set_recorder(recorder as Arc<dyn Recorder>);
+    env.subscribe(Arc::new(log.clone()));
 
     let rt = env
         .model()

@@ -10,7 +10,10 @@ use qasom_obs::report::RunReport;
 use qasom_obs::{keys, JsonValue, Recorder};
 use qasom_ontology::Ontology;
 use qasom_qos::{EndToEnd, QosModel, QosVector};
-use qasom_registry::persist::{PersistStats, RegistryJournal};
+use qasom_registry::persist::{
+    Fs, PersistConfig, PersistError, PersistStats, PersistentRegistry, RecoveryReport,
+    RegistryJournal, Unjournaled,
+};
 use qasom_registry::{Discovery, DiscoveryQuery, ServiceDescription, ServiceId, ServiceRegistry};
 use qasom_selection::{
     LocalScratch, Qassa, QassaConfig, QosLevels, RankedCandidate, SelectionProblem,
@@ -30,79 +33,6 @@ pub struct EnvironmentConfig {
     pub seed: u64,
     /// QASSA parameters.
     pub qassa: QassaConfig,
-}
-
-impl EnvironmentConfig {
-    /// A typed builder over the configuration plus the non-`Copy`
-    /// attachments (recorder, event sinks), ending in
-    /// [`EnvironmentBuilder::build`]:
-    ///
-    /// ```
-    /// use qasom::{Environment, EnvironmentConfig};
-    /// use qasom_ontology::OntologyBuilder;
-    /// use qasom_qos::QosModel;
-    ///
-    /// let env: Environment = EnvironmentConfig::builder()
-    ///     .seed(42)
-    ///     .build(QosModel::standard(), OntologyBuilder::new("d").build().unwrap());
-    /// assert_eq!(env.config().seed, 42);
-    /// ```
-    pub fn builder() -> EnvironmentBuilder {
-        EnvironmentBuilder::new()
-    }
-}
-
-/// Builder for [`Environment`]: the seed plus the observability
-/// attachments ([`Recorder`], [`EventSink`]s) that a `Copy` config cannot
-/// carry; QASSA runs on its defaults. Created by
-/// [`EnvironmentConfig::builder`].
-#[derive(Debug, Default)]
-pub struct EnvironmentBuilder {
-    config: EnvironmentConfig,
-    recorder: Option<Arc<dyn Recorder>>,
-    sinks: Vec<Arc<dyn EventSink>>,
-}
-
-impl EnvironmentBuilder {
-    /// A builder over the default configuration.
-    pub fn new() -> Self {
-        EnvironmentBuilder {
-            config: EnvironmentConfig::default(),
-            recorder: None,
-            sinks: Vec::new(),
-        }
-    }
-
-    /// Seed of the synthetic service runtime.
-    #[must_use]
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.config.seed = seed;
-        self
-    }
-
-    /// Attaches a [`Recorder`]: discovery, selection and event counters
-    /// flow into it (see [`Environment::run_report`]).
-    #[must_use]
-    pub fn recorder(mut self, recorder: Arc<dyn Recorder>) -> Self {
-        self.recorder = Some(recorder);
-        self
-    }
-
-    /// Subscribes an [`EventSink`] from the start (equivalent to calling
-    /// [`Environment::subscribe`] right after construction).
-    #[must_use]
-    pub fn sink(mut self, sink: Arc<dyn EventSink>) -> Self {
-        self.sinks.push(sink);
-        self
-    }
-
-    /// Builds the environment over a QoS model and a domain ontology.
-    pub fn build(self, model: QosModel, ontology: Ontology) -> Environment {
-        let mut env = Environment::with_config(model, ontology, self.config);
-        env.recorder = self.recorder;
-        env.sinks = self.sinks;
-        env
-    }
 }
 
 // Return type of the `Environment::cache_stats` stub; see there.
@@ -125,12 +55,8 @@ impl CacheStats {
 pub struct Environment {
     model: QosModel,
     ontology: Arc<Ontology>,
-    registry: ServiceRegistry,
-    // When attached, every registration/departure is journaled to the
-    // WAL before control returns to the caller; a journal I/O failure
-    // is counted and detaches the journal (the instance degrades to
-    // in-memory rather than diverging from its own store).
-    journal: Option<RegistryJournal>,
+    // Mutated only through `mutate`, which applies the journal policy.
+    registry: PersistentRegistry,
     runtime: ServiceRuntime,
     tasks: TaskClassRepository,
     infra: HashMap<u64, QosVector>,
@@ -146,27 +72,20 @@ impl Environment {
     /// Creates an environment over a QoS model and a domain ontology;
     /// `seed` drives the synthetic service runtime.
     pub fn new(model: QosModel, ontology: Ontology, seed: u64) -> Self {
-        Environment::with_config(
-            model,
-            ontology,
-            EnvironmentConfig {
-                seed,
-                ..EnvironmentConfig::default()
-            },
-        )
-    }
-
-    fn with_config(model: QosModel, ontology: Ontology, config: EnvironmentConfig) -> Self {
+        let config = EnvironmentConfig {
+            seed,
+            ..EnvironmentConfig::default()
+        };
         let end_to_end = EndToEnd::standard(&model);
         let ontology = Arc::new(ontology);
+        // The registry is bound to the domain ontology so it maintains
+        // the inverted capability index discovery probes.
+        let registry = ServiceRegistry::with_ontology(Arc::clone(&ontology));
         Environment {
             model,
-            // The registry is bound to the domain ontology so it maintains
-            // the inverted capability index discovery probes.
-            registry: ServiceRegistry::with_ontology(Arc::clone(&ontology)),
-            journal: None,
+            registry: PersistentRegistry::new(registry),
             ontology,
-            runtime: ServiceRuntime::new(config.seed),
+            runtime: ServiceRuntime::new(seed),
             tasks: TaskClassRepository::new(),
             infra: HashMap::new(),
             end_to_end,
@@ -190,7 +109,7 @@ impl Environment {
 
     /// The service directory.
     pub fn registry(&self) -> &ServiceRegistry {
-        &self.registry
+        self.registry.registry()
     }
 
     /// The registry epoch: the monotone event cursor every
@@ -199,7 +118,7 @@ impl Environment {
     /// epoch is what concurrent sessions use to compare results
     /// against a single-threaded replay.
     pub fn epoch(&self) -> u64 {
-        self.registry.event_cursor() as u64
+        self.registry.registry().event_cursor() as u64
     }
 
     /// The task-class repository.
@@ -333,17 +252,7 @@ impl Environment {
         description: ServiceDescription,
         behaviour: SyntheticService,
     ) -> ServiceId {
-        let id = self.registry.register(description);
-        if let Some(journal) = &mut self.journal {
-            let before = journal.stats();
-            let outcome = match self.registry.get(id) {
-                Some(desc) => journal.record_registered(id, desc),
-                None => Ok(()),
-            }
-            .and_then(|()| journal.maybe_checkpoint(&self.registry).map(|_| ()));
-            let after = journal.stats();
-            self.settle_journal(before, after, outcome);
-        }
+        let id = self.mutate(|registry| registry.register(description));
         self.runtime.deploy(id.index(), behaviour);
         id
     }
@@ -352,100 +261,121 @@ impl Environment {
     /// monitor windows and SLA record. Journaled like
     /// [`Environment::deploy`] when the service was live.
     pub fn undeploy(&mut self, id: ServiceId) {
-        let removed = self.registry.deregister(id).is_some();
-        if removed {
-            if let Some(journal) = &mut self.journal {
-                let before = journal.stats();
-                let outcome = journal
-                    .record_deregistered(id)
-                    .and_then(|()| journal.maybe_checkpoint(&self.registry).map(|_| ()));
-                let after = journal.stats();
-                self.settle_journal(before, after, outcome);
-            }
-        }
+        self.mutate(|registry| registry.deregister(id));
         self.runtime.undeploy(id.index());
         self.monitor.forget(id);
         self.slas.remove(&id);
     }
 
-    /// Mirrors journal counter movement into the recorder and detaches
-    /// the journal on its first I/O failure (in-memory state and store
-    /// would otherwise diverge silently).
-    fn settle_journal(
+    /// Runs one registry mutation under the journal policy: the mutation
+    /// stands either way, journal counter movement is mirrored into the
+    /// recorder, and the first journaling failure is counted and
+    /// detaches the journal (in-memory state and store would otherwise
+    /// diverge silently).
+    fn mutate<T>(
         &mut self,
-        before: PersistStats,
-        after: PersistStats,
-        outcome: Result<(), qasom_registry::persist::PersistError>,
-    ) {
-        if let Some(rec) = &self.recorder {
-            rec.incr(keys::PERSIST_WAL_APPENDS, after.appends - before.appends);
-            rec.incr(keys::PERSIST_WAL_BYTES, after.wal_bytes - before.wal_bytes);
-            rec.incr(
-                keys::PERSIST_CHECKPOINTS,
-                after.checkpoints - before.checkpoints,
-            );
-            rec.incr(
-                keys::PERSIST_REPLAY_EVENTS,
-                after.replayed_events - before.replayed_events,
-            );
-            rec.incr(
-                keys::PERSIST_TORN_TAIL,
-                after.torn_tails - before.torn_tails,
-            );
-            rec.incr(
-                keys::PERSIST_SNAPSHOT_LOADS,
-                after.snapshot_loads - before.snapshot_loads,
-            );
+        op: impl FnOnce(&mut PersistentRegistry) -> Result<T, Unjournaled<T>>,
+    ) -> T {
+        let before = self.journal_stats();
+        let (applied, failed) = match op(&mut self.registry) {
+            Ok(applied) => (applied, false),
+            Err(unjournaled) => (unjournaled.applied, true),
+        };
+        if let Some(before) = before {
+            self.settle_journal(before, failed);
         }
-        if outcome.is_err() {
+        applied
+    }
+
+    /// Mirrors journal counter movement since `before` into the
+    /// recorder, then counts a failure and detaches the journal.
+    fn settle_journal(&mut self, before: PersistStats, failed: bool) {
+        let after = self.journal_stats().unwrap_or_default();
+        if let Some(rec) = &self.recorder {
+            for (key, moved) in [
+                (keys::PERSIST_WAL_APPENDS, after.appends - before.appends),
+                (keys::PERSIST_WAL_BYTES, after.wal_bytes - before.wal_bytes),
+                (
+                    keys::PERSIST_CHECKPOINTS,
+                    after.checkpoints - before.checkpoints,
+                ),
+                (
+                    keys::PERSIST_REPLAY_EVENTS,
+                    after.replayed_events - before.replayed_events,
+                ),
+                (
+                    keys::PERSIST_TORN_TAIL,
+                    after.torn_tails - before.torn_tails,
+                ),
+                (
+                    keys::PERSIST_SNAPSHOT_LOADS,
+                    after.snapshot_loads - before.snapshot_loads,
+                ),
+            ] {
+                rec.incr(key, moved);
+            }
+        }
+        if failed {
             if let Some(rec) = &self.recorder {
                 rec.incr(keys::PERSIST_ERRORS, 1);
             }
-            self.journal = None;
+            self.registry.detach_journal();
         }
     }
 
-    /// Replaces the registry wholesale with one recovered from a
-    /// persistence backend. The recovered instance is re-bound to this
-    /// environment's own ontology `Arc` — ontology stamps are
-    /// per-instance, so keeping the stamp the recovery path bound would
-    /// silently disqualify the capability index.
-    pub fn adopt_registry(&mut self, mut registry: ServiceRegistry) {
-        registry.bind_ontology(Arc::clone(&self.ontology));
+    /// Makes the registry durable in `backend`: recovers what it holds
+    /// (snapshot + WAL tail, bound to this environment's own ontology)
+    /// and journals every later registration and departure to it. The
+    /// recovered registry replaces the current one, so call this before
+    /// deploying anything; an empty backend is a cold boot. Runtime
+    /// behaviours of recovered services live only in memory: re-create
+    /// them with [`Environment::attach_behaviour`].
+    ///
+    /// # Errors
+    ///
+    /// As for [`RegistryJournal::open`]; the environment is then left
+    /// as it was.
+    pub fn open_registry(
+        &mut self,
+        backend: impl Fs + Send + Sync + 'static,
+        config: PersistConfig,
+    ) -> Result<RecoveryReport, PersistError> {
+        let ontology = Some(Arc::clone(&self.ontology));
+        let (registry, report) = PersistentRegistry::open(backend, config, ontology)?;
         self.registry = registry;
+        // Recovery-time movement (replays, torn tails, snapshot loads).
+        self.settle_journal(PersistStats::default(), false);
+        Ok(report)
     }
 
-    /// Attaches the journal continuing the WAL the adopted registry was
-    /// recovered from; recovery-time counter movement (replays, torn
-    /// tails, snapshot loads) is mirrored into the recorder here.
+    /// Attaches a journal that continues at the registry's epoch (a
+    /// fresh one for a fresh environment); recovery-time counter
+    /// movement is mirrored into the recorder here.
     pub fn attach_journal(&mut self, journal: RegistryJournal) {
-        let after = journal.stats();
-        self.journal = Some(journal);
-        self.settle_journal(PersistStats::default(), after, Ok(()));
+        self.registry.attach_journal(journal);
+        self.settle_journal(PersistStats::default(), false);
     }
 
     /// Whether a journal is currently attached.
     pub fn journaling(&self) -> bool {
-        self.journal.is_some()
+        self.registry.journal().is_some()
     }
 
     /// Counter snapshot of the attached journal, if any.
     pub fn journal_stats(&self) -> Option<PersistStats> {
-        self.journal.as_ref().map(RegistryJournal::stats)
+        self.registry.journal().map(RegistryJournal::stats)
     }
 
     /// Takes an explicit persistence checkpoint (snapshot + WAL
     /// truncation); returns whether a journal was attached to
     /// checkpoint through.
     pub fn checkpoint_registry(&mut self) -> bool {
-        let Some(journal) = &mut self.journal else {
-            return false;
-        };
-        let before = journal.stats();
-        let outcome = journal.checkpoint(&self.registry);
-        let after = journal.stats();
-        self.settle_journal(before, after, outcome);
-        true
+        self.mutate(|registry| {
+            registry.checkpoint().map_err(|error| Unjournaled {
+                applied: true,
+                error,
+            })
+        })
     }
 
     /// Re-attaches a synthetic behaviour to an already-registered
@@ -454,12 +384,6 @@ impl Environment {
     /// memory and must be re-created by the host.
     pub fn attach_behaviour(&mut self, id: ServiceId, behaviour: SyntheticService) {
         self.runtime.deploy(id.index(), behaviour);
-    }
-
-    /// Direct access to a deployed synthetic service (fault injection in
-    /// tests and examples).
-    pub fn runtime_mut(&mut self, id: ServiceId) -> Option<&mut SyntheticService> {
-        self.runtime.get_mut(id.index())
     }
 
     pub(crate) fn invoke(
@@ -476,8 +400,7 @@ impl Environment {
 
     /// Loads a QSD document (see [`qasom_registry::qsd`]) and deploys
     /// every described service with a faithful synthetic behaviour
-    /// (delivers its advertised QoS exactly; tune via
-    /// [`Environment::runtime_mut`]).
+    /// (delivers its advertised QoS exactly).
     ///
     /// Ingestion is analyzer-gated: providers publishing inconsistent
     /// QoS specifications (error-level diagnostics) are rejected with
@@ -561,7 +484,7 @@ impl Environment {
         /// How much worse than advertised a delivery may be before it
         /// counts as a contract breach (fraction, `0.2` = 20 %).
         const SLA_TOLERANCE: f64 = 0.2;
-        let Some(desc) = self.registry.get(id) else {
+        let Some(desc) = self.registry.registry().get(id) else {
             return;
         };
         let sla = self.slas.entry(id).or_insert_with(|| {
@@ -595,20 +518,13 @@ impl Environment {
         let Some(reputation) = self.model.property("Reputation") else {
             return 0;
         };
-        let mut updated = 0;
-        for (&id, sla) in &self.slas {
-            if sla.checks() == 0 {
-                continue;
-            }
-            if let Some(desc) = self.registry.get_mut(id) {
-                desc.qos_mut().set(reputation, 5.0 * sla.compliance());
-                updated += 1;
-            }
-        }
-        if updated > 0 {
-            self.checkpoint_registry();
-        }
-        updated
+        let values: Vec<_> = self
+            .slas
+            .iter()
+            .filter(|(_, sla)| sla.checks() > 0)
+            .map(|(&id, sla)| (id, 5.0 * sla.compliance()))
+            .collect();
+        self.mutate(|registry| registry.set_qos(reputation, values))
     }
 
     /// QoS-aware discovery for one activity: the candidate set `S_i`.
@@ -633,13 +549,11 @@ impl Environment {
         if let Some(rec) = &self.recorder {
             discovery = discovery.with_recorder(rec.as_ref());
         }
-        let found = discovery.discover(
-            &self.registry,
-            &DiscoveryQuery::new(activity).white_box(true),
-        );
+        let registry = self.registry.registry();
+        let found = discovery.discover(registry, &DiscoveryQuery::new(activity).white_box(true));
         let mut rows = Vec::with_capacity(found.len());
         for c in found {
-            let Some(desc) = self.registry.get(c.service) else {
+            let Some(desc) = registry.get(c.service) else {
                 continue;
             };
             let qos = match desc.host().and_then(|h| self.infra.get(&h)) {
@@ -1026,7 +940,7 @@ mod tests {
     }
 
     #[test]
-    fn builder_configures_recorder_and_sinks() {
+    fn a_recorder_and_sinks_see_the_whole_pipeline() {
         use qasom_obs::MemoryRecorder;
 
         let mut b = OntologyBuilder::new("d");
@@ -1035,12 +949,10 @@ mod tests {
         let recorder = Arc::new(MemoryRecorder::new());
         let log = crate::EventLog::new();
         let bounded = crate::EventLog::bounded(1);
-        let mut e = EnvironmentConfig::builder()
-            .seed(7)
-            .recorder(Arc::clone(&recorder) as Arc<dyn qasom_obs::Recorder>)
-            .sink(Arc::new(log.clone()))
-            .sink(Arc::new(bounded.clone()))
-            .build(QosModel::standard(), b.build().unwrap());
+        let mut e = Environment::new(QosModel::standard(), b.build().unwrap(), 7);
+        e.set_recorder(Arc::clone(&recorder) as Arc<dyn qasom_obs::Recorder>);
+        e.subscribe(Arc::new(log.clone()));
+        e.subscribe(Arc::new(bounded.clone()));
         assert_eq!(e.config().seed, 7);
         deploy(&mut e, "a1", "d#A", 50.0);
         deploy(&mut e, "b1", "d#B", 60.0);

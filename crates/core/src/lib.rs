@@ -62,7 +62,7 @@ mod request;
 mod shared;
 
 pub use composition::{ComposeError, ExecutableComposition};
-pub use environment::{Environment, EnvironmentBuilder, EnvironmentConfig};
+pub use environment::{Environment, EnvironmentConfig};
 pub use events::{EventLog, EventSink, MiddlewareEvent};
 pub use execution::{ExecutionError, ExecutionReport, InvocationRecord, TimelineEntry};
 pub use request::UserRequest;

@@ -27,7 +27,7 @@ use qasom_netsim::runtime::SyntheticService;
 use qasom_obs::{MemoryRecorder, Recorder};
 use qasom_ontology::OntologyBuilder;
 use qasom_qos::QosModel;
-use qasom_registry::persist::{FileBackend, PersistConfig, RegistryJournal};
+use qasom_registry::persist::{FileBackend, PersistConfig};
 use qasom_registry::ServiceDescription;
 
 /// `eprintln!` that drops write errors: a log reader that went away
@@ -100,18 +100,16 @@ fn market(
     let mut env = Environment::new(QosModel::standard(), ontology, seed);
     env.set_recorder(Arc::new(MemoryRecorder::new()) as Arc<dyn Recorder>);
 
-    let mut recovered = false;
     if let Some(dir) = data_dir {
         let backend = FileBackend::open(dir)
             .map_err(|e| format!("cannot open data dir {}: {e}", dir.display()))?;
-        // The adopted registry is re-bound to the environment's own
-        // ontology, so recovery itself runs unbound.
-        let (registry, journal, report) =
-            RegistryJournal::open(backend, PersistConfig::default(), None)
-                .map_err(|e| format!("cannot recover registry from {}: {e}", dir.display()))?;
+        // An empty data dir is a cold boot: the journal is attached
+        // either way, so the market deployed below is journaled from
+        // its first registration.
+        let report = env
+            .open_registry(backend, PersistConfig::default())
+            .map_err(|e| format!("cannot recover registry from {}: {e}", dir.display()))?;
         if report.recovered_anything() {
-            env.adopt_registry(registry);
-            env.attach_journal(journal);
             // Registry rows survived the restart; runtime behaviours
             // live only in memory and are re-created from the
             // advertised QoS (the market is synthetic and faithful).
@@ -120,14 +118,14 @@ fn market(
                 .iter()
                 .map(|(id, desc)| (id, desc.qos().clone()))
                 .collect();
-            let count = live.len();
             for (id, nominal) in live {
                 env.attach_behaviour(id, SyntheticService::new(nominal));
             }
             log!(
-                "qasomd: warm restart from {}: {count} live services at epoch {} \
+                "qasomd: warm restart from {}: {} live services at epoch {} \
                  (snapshot cursor {}, {} WAL events replayed{})",
                 dir.display(),
+                env.registry().len(),
                 env.epoch(),
                 report.snapshot_cursor,
                 report.wal_events_applied,
@@ -137,25 +135,18 @@ fn market(
                     ""
                 },
             );
-            recovered = true;
-        } else {
-            // Cold boot: attach the journal first so the provider
-            // market below is journaled from the first registration.
-            env.attach_journal(journal);
+            return Ok(SharedEnvironment::new(env));
         }
     }
 
-    if !recovered {
-        let rt = env
-            .model()
-            .property("ResponseTime")
-            .expect("the standard model defines ResponseTime");
-        for i in 0..providers.max(1) {
-            let desc =
-                ServiceDescription::new(format!("s{i}"), "d#A").with_qos(rt, 40.0 + i as f64);
-            let nominal = desc.qos().clone();
-            env.deploy(desc, SyntheticService::new(nominal));
-        }
+    let rt = env
+        .model()
+        .property("ResponseTime")
+        .expect("the standard model defines ResponseTime");
+    for i in 0..providers.max(1) {
+        let desc = ServiceDescription::new(format!("s{i}"), "d#A").with_qos(rt, 40.0 + i as f64);
+        let nominal = desc.qos().clone();
+        env.deploy(desc, SyntheticService::new(nominal));
     }
     Ok(SharedEnvironment::new(env))
 }
@@ -193,7 +184,7 @@ fn main() -> ExitCode {
         "qasomd: serving on {} (seed {}, {} providers, queue {}, quota {}, batch {})",
         handle.addr(),
         options.seed,
-        options.providers,
+        shared.with(|e| e.registry().len()),
         options.admission.queue_capacity,
         options.admission.client_quota,
         options.admission.batch_max

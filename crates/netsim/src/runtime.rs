@@ -248,11 +248,6 @@ impl ServiceRuntime {
         let svc = self.services.get_mut(slot)?.as_mut()?;
         Some(svc.invoke(&mut self.rng))
     }
-
-    /// Mutable access (inject drift/crash mid-run).
-    pub fn get_mut(&mut self, slot: usize) -> Option<&mut SyntheticService> {
-        self.services.get_mut(slot)?.as_mut()
-    }
 }
 
 #[cfg(test)]
@@ -483,12 +478,10 @@ mod tests {
         runtime.deploy(3, SyntheticService::new(v));
         // Slots below the highest one are empty, not deployed.
         assert!(runtime.invoke(1).is_none());
-        assert!(runtime.get_mut(0).is_none());
         assert!(runtime.invoke(7).is_none());
         let out = runtime.invoke(3).unwrap();
         assert_eq!(out.qos().unwrap().get(rt), Some(42.0));
-        assert_eq!(runtime.get_mut(3).unwrap().invocations(), 1);
-        assert!(runtime.undeploy(3).is_some());
+        assert_eq!(runtime.undeploy(3).unwrap().invocations(), 1);
         assert!(runtime.undeploy(3).is_none());
         assert!(runtime.undeploy(9).is_none());
         assert!(runtime.invoke(3).is_none());

@@ -125,11 +125,6 @@ impl Normalizer {
         raw.clamp(0.0, 1.0)
     }
 
-    /// Normalises a whole vector; properties the vector lacks are skipped.
-    pub fn score_vector(&self, qos: &QosVector) -> QosVector {
-        qos.iter().map(|(p, v)| (p, self.score(p, v))).collect()
-    }
-
     /// Properties the normaliser observed.
     pub fn properties(&self) -> impl Iterator<Item = PropertyId> + '_ {
         self.stats.iter().map(|&(p, ..)| p)
@@ -213,16 +208,5 @@ mod tests {
         n.include(&m, rt, 300.0);
         assert_eq!(n.bounds(rt), Some((100.0, 300.0)));
         assert_eq!(n.score(rt, 200.0), 0.5);
-    }
-
-    #[test]
-    fn score_vector_maps_all_entries() {
-        let (m, rt, av) = setup();
-        let a = v(&[(rt, 100.0), (av, 0.9)]);
-        let b = v(&[(rt, 300.0), (av, 0.99)]);
-        let n = Normalizer::fit(&m, [&a, &b]);
-        let scored = n.score_vector(&v(&[(rt, 200.0), (av, 0.945)]));
-        assert!((scored.get(rt).unwrap() - 0.5).abs() < 1e-9);
-        assert!((scored.get(av).unwrap() - 0.5).abs() < 1e-9);
     }
 }

@@ -29,6 +29,7 @@
 use std::sync::Arc;
 
 use qasom_ontology::Ontology;
+use qasom_qos::PropertyId;
 
 use crate::registry::{ServiceId, ServiceRegistry};
 use crate::service::ServiceDescription;
@@ -46,7 +47,7 @@ pub struct PersistConfig {
     /// The journal's one cadence, in journaled events: the group
     /// commit's period and the fewest events between two automatic
     /// checkpoints (see [`RegistryJournal`]). `0` disables both,
-    /// leaving durability to explicit [`RegistryJournal::checkpoint`]s.
+    /// leaving durability to explicit [`PersistentRegistry::checkpoint`]s.
     pub checkpoint_every: usize,
 }
 
@@ -104,11 +105,11 @@ impl RecoveryReport {
 
 /// Journals registry mutations through an [`Fs`].
 ///
-/// The journal does not own the registry (the environment keeps it
-/// behind an `Arc` for copy-on-write sharing); callers pair each
-/// registry mutation with the matching `record_*` call, and the
-/// sequence numbers self-check: events must be journaled in registry
-/// event order, with no mutation left unjournaled.
+/// The journal does not own the registry: [`PersistentRegistry`] pairs
+/// each registry mutation with the matching `record_*` call and the
+/// checkpoints, and the sequence numbers self-check: events must be
+/// journaled in registry event order, with no mutation left
+/// unjournaled.
 ///
 /// # Layout and protocol
 ///
@@ -330,24 +331,10 @@ impl RegistryJournal {
         Ok(())
     }
 
-    /// Whether an automatic checkpoint is due: at least
-    /// [`PersistConfig::checkpoint_every`] events, and at least the last
-    /// snapshot's size in WAL bytes, since the last snapshot.
-    pub fn should_checkpoint(&self) -> bool {
-        self.config.checkpoint_every > 0
-            && self.since_checkpoint >= self.config.checkpoint_every
-            && self.wal_since >= self.snapshot_len
-    }
-
     /// Takes a checkpoint: installs a snapshot of the registry at its
-    /// current event cursor, then empties the WAL (see the module docs
-    /// for the order).
-    ///
-    /// # Errors
-    ///
-    /// [`PersistError::Io`] from the backend; the previous snapshot
-    /// stays in place when writing the new one fails.
-    pub fn checkpoint(&mut self, registry: &ServiceRegistry) -> Result<(), PersistError> {
+    /// current event cursor, then empties the WAL (see the type's docs
+    /// for the order). On an error the previous snapshot stays in place.
+    fn checkpoint(&mut self, registry: &ServiceRegistry) -> Result<(), PersistError> {
         let head = registry.event_cursor();
         debug_assert_eq!(head as u64, self.next_seq, "unjournaled registry mutation");
         let blob = wal::encode_snapshot(head as u64, registry.slots());
@@ -364,19 +351,15 @@ impl RegistryJournal {
         Ok(())
     }
 
-    /// [`checkpoint`](RegistryJournal::checkpoint)s when
-    /// [`should_checkpoint`](RegistryJournal::should_checkpoint);
-    /// returns whether one was taken.
-    ///
-    /// # Errors
-    ///
-    /// As for [`RegistryJournal::checkpoint`].
-    pub fn maybe_checkpoint(&mut self, registry: &ServiceRegistry) -> Result<bool, PersistError> {
-        let due = self.should_checkpoint();
-        if due {
+    /// Checkpoints when one is due: at least
+    /// [`PersistConfig::checkpoint_every`] events, and at least the last
+    /// snapshot's size in WAL bytes, since the last snapshot.
+    fn maybe_checkpoint(&mut self, registry: &ServiceRegistry) -> Result<(), PersistError> {
+        let every = self.config.checkpoint_every;
+        if every > 0 && self.since_checkpoint >= every && self.wal_since >= self.snapshot_len {
             self.checkpoint(registry)?;
         }
-        Ok(due)
+        Ok(())
     }
 
     /// The sequence number the next journaled event will carry.
@@ -397,18 +380,47 @@ pub fn encode_state(registry: &ServiceRegistry) -> Vec<u8> {
     wal::encode_snapshot(registry.event_cursor() as u64, registry.slots())
 }
 
-/// A registry paired with its journal: every mutation is journaled and
-/// automatic checkpoints fire per [`PersistConfig`]. Used by tests, the
-/// `persist-stress` harness and anywhere the copy-on-write `Arc`
-/// sharing of the environment is not needed.
+/// The registry and its optional journal: the one owner of every
+/// registry mutation. Each registration and departure is journaled
+/// before the call returns, and automatic checkpoints fire per
+/// [`PersistConfig`]; without a journal the same calls only mutate the
+/// registry. The environment, `qasomd`, the `persist-stress` harness
+/// and the power-loss tests all mutate through it, so they all run one
+/// sequence of journal calls.
 #[derive(Debug)]
 pub struct PersistentRegistry {
     registry: ServiceRegistry,
-    journal: RegistryJournal,
+    journal: Option<RegistryJournal>,
+}
+
+/// A mutation that took effect in the registry but not in its journal:
+/// the two have diverged, and the caller should treat the store as lost
+/// (stop journaling or crash).
+#[derive(Debug)]
+pub struct Unjournaled<T> {
+    /// What the mutation returned; it stands in memory.
+    pub applied: T,
+    /// Why journaling it failed.
+    pub error: PersistError,
+}
+
+impl<T> std::fmt::Display for Unjournaled<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.error.fmt(f)
+    }
 }
 
 impl PersistentRegistry {
-    /// Recovers (or freshly creates) a persistent registry from
+    /// An unjournaled registry: mutations change memory only until a
+    /// journal is [attached](PersistentRegistry::attach_journal).
+    pub fn new(registry: ServiceRegistry) -> Self {
+        PersistentRegistry {
+            registry,
+            journal: None,
+        }
+    }
+
+    /// Recovers (or freshly creates) a journaled registry from
     /// `backend`.
     ///
     /// # Errors
@@ -420,47 +432,112 @@ impl PersistentRegistry {
         ontology: Option<Arc<Ontology>>,
     ) -> Result<(Self, RecoveryReport), PersistError> {
         let (registry, journal, report) = RegistryJournal::open(backend, config, ontology)?;
+        let journal = Some(journal);
         Ok((PersistentRegistry { registry, journal }, report))
+    }
+
+    /// Attaches (or replaces) the journal. It must continue at the
+    /// registry's event cursor: every later mutation is journaled to it.
+    pub fn attach_journal(&mut self, journal: RegistryJournal) {
+        self.journal = Some(journal);
+    }
+
+    /// Detaches the journal; later mutations change memory only.
+    pub fn detach_journal(&mut self) {
+        self.journal = None;
     }
 
     /// Registers a service, journaling the event.
     ///
     /// # Errors
     ///
-    /// [`PersistError::Io`] when journaling or checkpointing fails.
-    pub fn register(&mut self, description: ServiceDescription) -> Result<ServiceId, PersistError> {
-        let id = self.registry.register(description);
-        if let Some(desc) = self.registry.get(id) {
-            self.journal.record_registered(id, desc)?;
-        }
-        self.journal.maybe_checkpoint(&self.registry)?;
-        Ok(id)
-    }
-
-    /// Deregisters a service, journaling the event when it was live.
-    ///
-    /// # Errors
-    ///
-    /// [`PersistError::Io`] when journaling or checkpointing fails.
-    pub fn deregister(
+    /// [`Unjournaled`] when journaling or checkpointing fails.
+    pub fn register(
         &mut self,
-        id: ServiceId,
-    ) -> Result<Option<ServiceDescription>, PersistError> {
-        let removed = self.registry.deregister(id);
-        if removed.is_some() {
-            self.journal.record_deregistered(id)?;
-            self.journal.maybe_checkpoint(&self.registry)?;
-        }
-        Ok(removed)
+        description: ServiceDescription,
+    ) -> Result<ServiceId, Unjournaled<ServiceId>> {
+        let id = self.registry.register(description);
+        self.journaled(id, |journal, registry| {
+            if let Some(desc) = registry.get(id) {
+                journal.record_registered(id, desc)?;
+            }
+            journal.maybe_checkpoint(registry)
+        })
     }
 
-    /// Takes an explicit checkpoint.
+    /// Deregisters a service, journaling the event when it was live;
+    /// returns whether it was.
     ///
     /// # Errors
     ///
-    /// As for [`RegistryJournal::checkpoint`].
-    pub fn checkpoint(&mut self) -> Result<(), PersistError> {
-        self.journal.checkpoint(&self.registry)
+    /// [`Unjournaled`] when journaling or checkpointing fails.
+    pub fn deregister(&mut self, id: ServiceId) -> Result<bool, Unjournaled<bool>> {
+        if self.registry.deregister(id).is_none() {
+            return Ok(false);
+        }
+        self.journaled(true, |journal, registry| {
+            journal.record_deregistered(id)?;
+            journal.maybe_checkpoint(registry)
+        })
+    }
+
+    /// Re-advertises `property` of each listed live service; returns
+    /// how many were live. The WAL journals only registrations and
+    /// departures, so a pass that changed anything ends with a
+    /// checkpoint: a crash afterwards recovers the re-advertised values.
+    ///
+    /// # Errors
+    ///
+    /// [`Unjournaled`] when the checkpoint fails.
+    pub fn set_qos(
+        &mut self,
+        property: PropertyId,
+        values: impl IntoIterator<Item = (ServiceId, f64)>,
+    ) -> Result<usize, Unjournaled<usize>> {
+        let updated = values
+            .into_iter()
+            .filter(|&(id, value)| self.registry.set_qos(id, property, value))
+            .count();
+        if updated == 0 {
+            return Ok(0);
+        }
+        self.journaled(updated, RegistryJournal::checkpoint)
+    }
+
+    /// Re-binds the registry to `ontology`, rebuilding the capability
+    /// index. Nothing is journaled: the binding is not durable state.
+    pub fn bind_ontology(&mut self, ontology: Arc<Ontology>) {
+        self.registry.bind_ontology(ontology);
+    }
+
+    /// Takes an explicit checkpoint; returns whether a journal was
+    /// attached to take it through.
+    ///
+    /// # Errors
+    ///
+    /// [`PersistError::Io`] from the backend; the previous snapshot then
+    /// stays in place.
+    pub fn checkpoint(&mut self) -> Result<bool, PersistError> {
+        match &mut self.journal {
+            Some(journal) => journal.checkpoint(&self.registry).map(|()| true),
+            None => Ok(false),
+        }
+    }
+
+    /// Runs `record` on the journal, when one is attached, after a
+    /// mutation that returned `applied`.
+    fn journaled<T>(
+        &mut self,
+        applied: T,
+        record: impl FnOnce(&mut RegistryJournal, &ServiceRegistry) -> Result<(), PersistError>,
+    ) -> Result<T, Unjournaled<T>> {
+        match &mut self.journal {
+            Some(journal) => match record(journal, &self.registry) {
+                Ok(()) => Ok(applied),
+                Err(error) => Err(Unjournaled { applied, error }),
+            },
+            None => Ok(applied),
+        }
     }
 
     /// The underlying registry.
@@ -468,9 +545,9 @@ impl PersistentRegistry {
         &self.registry
     }
 
-    /// The journal (stats, WAL cursor).
-    pub fn journal(&self) -> &RegistryJournal {
-        &self.journal
+    /// The journal (stats, WAL cursor), when one is attached.
+    pub fn journal(&self) -> Option<&RegistryJournal> {
+        self.journal.as_ref()
     }
 }
 
@@ -536,7 +613,7 @@ mod tests {
         assert!(wal_len(&backend) > 0);
         pr.register(desc(1)).unwrap(); // auto checkpoint at 2 events
         assert_eq!(wal_len(&backend), 0);
-        assert_eq!(pr.journal().stats().checkpoints, 1);
+        assert_eq!(pr.journal().unwrap().stats().checkpoints, 1);
 
         pr.register(desc(2)).unwrap();
         let oracle = encode_state(pr.registry());
@@ -555,7 +632,7 @@ mod tests {
         for i in 0..40 {
             live.register(desc(i)).unwrap();
             let (recovered, _) = open_mem(&backend.fork(), 2);
-            let (a, b) = (live.journal(), recovered.journal());
+            let (a, b) = (live.journal().unwrap(), recovered.journal().unwrap());
             assert_eq!(
                 (a.since_checkpoint, a.snapshot_len, a.wal_since),
                 (b.since_checkpoint, b.snapshot_len, b.wal_since),
@@ -563,7 +640,7 @@ mod tests {
                 i + 1
             );
         }
-        assert!(live.journal().stats().checkpoints > 1);
+        assert!(live.journal().unwrap().stats().checkpoints > 1);
     }
 
     #[test]
@@ -602,7 +679,7 @@ mod tests {
         assert!(report.torn_tail);
         assert!(report.torn_tail_bytes > 0);
         assert_eq!(report.wal_events_applied, 1);
-        assert_eq!(recovered.journal().stats().torn_tails, 1);
+        assert_eq!(recovered.journal().unwrap().stats().torn_tails, 1);
         assert_eq!(recovered.registry().len(), 1);
         // The stored WAL was trimmed to the valid prefix.
         assert_eq!(wal_len(&backend), keep);
@@ -632,8 +709,40 @@ mod tests {
         pr.register(desc(0)).unwrap();
         pr.register(desc(1)).unwrap();
         assert_eq!(
-            pr.journal().wal_cursor(),
+            pr.journal().unwrap().wal_cursor(),
             pr.registry().event_cursor() as u64
         );
+    }
+
+    #[test]
+    fn a_qos_readvertisement_is_checkpointed_when_it_changed_anything() {
+        let backend = MemoryBackend::new();
+        let (mut pr, _) = open_mem(&backend, 0);
+        let rt = qasom_qos::QosModel::standard()
+            .property("ResponseTime")
+            .unwrap();
+        let live = pr.register(desc(0)).unwrap();
+        let gone = pr.register(desc(1)).unwrap();
+        pr.deregister(gone).unwrap();
+        let checkpoints = |pr: &PersistentRegistry| pr.journal().unwrap().stats().checkpoints;
+
+        assert_eq!(pr.set_qos(rt, [(gone, 1.0)]).unwrap(), 0);
+        assert_eq!(checkpoints(&pr), 0);
+        assert_eq!(pr.set_qos(rt, [(live, 7.0), (gone, 1.0)]).unwrap(), 1);
+        assert_eq!(checkpoints(&pr), 1);
+        let (recovered, _) = open_mem(&backend, 0);
+        let qos = recovered.registry().get(live).unwrap().qos();
+        assert_eq!(qos.get(rt), Some(7.0));
+    }
+
+    #[test]
+    fn without_a_journal_mutations_change_memory_only() {
+        let mut pr = PersistentRegistry::new(ServiceRegistry::new());
+        let id = pr.register(desc(0)).unwrap();
+        assert_eq!(pr.checkpoint(), Ok(false));
+        assert!(pr.deregister(id).unwrap());
+        assert!(!pr.deregister(id).unwrap());
+        assert_eq!(pr.registry().event_cursor(), 2);
+        assert!(pr.journal().is_none());
     }
 }

@@ -13,8 +13,7 @@
 //! * once the WAL has grown past the last snapshot's size (and by at
 //!   least `checkpoint_every` events), a full
 //!   [snapshot](wal::encode_snapshot) of the slot vector is checkpointed
-//!   and the WAL truncated ([`RegistryJournal::checkpoint`]), which
-//!   bounds what a boot replays;
+//!   and the WAL truncated, which bounds what a boot replays;
 //! * on boot, replay = latest valid snapshot + WAL tail
 //!   ([`RegistryJournal::open`]). A torn tail — short header, short
 //!   payload or CRC mismatch — is detected, counted and discarded
@@ -22,11 +21,13 @@
 //!   replayed partially.
 //!
 //! The file layout and every ordering (which call is followed by which
-//! `sync`) live in [`RegistryJournal`] alone. An [`Fs`] only stores
-//! bytes; two ship: [`MemoryBackend`] (tests and the `persist-stress`
-//! kill-and-replay harness — [`MemoryBackend::fork`] is the crash
-//! image) and [`FileBackend`] (a data directory, used by `qasomd
-//! --data-dir`).
+//! `sync`) live in [`RegistryJournal`] alone, and which registry
+//! mutation is followed by which journal call lives in
+//! [`PersistentRegistry`] alone: the environment mutates its registry
+//! through one. An [`Fs`] only stores bytes; two ship: [`MemoryBackend`]
+//! (tests and the `persist-stress` kill-and-replay harness —
+//! [`MemoryBackend::fork`] is the crash image) and [`FileBackend`] (a
+//! data directory, used by `qasomd --data-dir`).
 
 pub mod codec;
 mod journal;
@@ -41,6 +42,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 
 pub use journal::{
     encode_state, PersistConfig, PersistStats, PersistentRegistry, RecoveryReport, RegistryJournal,
+    Unjournaled,
 };
 pub use wal::WalRecord;
 

@@ -88,7 +88,8 @@ impl Operation {
 pub struct ServiceDescription {
     name: String,
     function: Iri,
-    qos: QosVector,
+    // Re-advertised in place by `ServiceRegistry::set_qos`.
+    pub(crate) qos: QosVector,
     // `None` while every extra is at its default, so the common
     // profile-only description carries one pointer instead of five
     // fields, and equal descriptions stay structurally equal.
@@ -266,12 +267,6 @@ impl ServiceDescription {
         &self.qos
     }
 
-    /// Mutable access to the advertised QoS (providers re-advertise as
-    /// conditions change).
-    pub fn qos_mut(&mut self) -> &mut QosVector {
-        &mut self.qos
-    }
-
     /// White-box operations (empty for black-box descriptions).
     pub fn operations(&self) -> &[Operation] {
         self.extras.as_ref().map_or(&[], |e| &e.operations)
@@ -355,14 +350,5 @@ mod tests {
     #[test]
     fn try_new_rejects_bad_iri() {
         assert!(ServiceDescription::try_new("s", "nope").is_err());
-    }
-
-    #[test]
-    fn qos_mut_allows_readvertising() {
-        let m = QosModel::standard();
-        let rt = m.property("ResponseTime").unwrap();
-        let mut s = ServiceDescription::new("s", "d#F").with_qos(rt, 10.0);
-        s.qos_mut().set(rt, 50.0);
-        assert_eq!(s.qos().get(rt), Some(50.0));
     }
 }

@@ -96,13 +96,6 @@ impl TaskNode {
         TaskNode::Choice(branches.into_iter().collect())
     }
 
-    /// Choice with equal branch probabilities.
-    pub fn choice_uniform(branches: impl IntoIterator<Item = TaskNode>) -> Self {
-        let branches: Vec<_> = branches.into_iter().collect();
-        let p = 1.0 / branches.len().max(1) as f64;
-        TaskNode::Choice(branches.into_iter().map(|b| (p, b)).collect())
-    }
-
     /// Loop with the given iteration profile.
     pub fn repeat(body: TaskNode, bound: LoopBound) -> Self {
         TaskNode::Loop {
@@ -382,15 +375,6 @@ mod tests {
         let task = UserTask::new("t", node).unwrap();
         assert_eq!(task.find("b").unwrap().index(), 1);
         assert!(task.find("z").is_none());
-    }
-
-    #[test]
-    fn choice_uniform_splits_evenly() {
-        let node = TaskNode::choice_uniform([act("a"), act("b"), act("c"), act("d")]);
-        let TaskNode::Choice(branches) = &node else {
-            panic!()
-        };
-        assert!(branches.iter().all(|&(p, _)| p == 0.25));
     }
 
     #[test]

@@ -186,11 +186,6 @@ impl BehaviouralGraph {
         self.succ[from.index()].contains(&to)
     }
 
-    /// Number of edges.
-    pub fn edge_count(&self) -> usize {
-        self.succ.iter().map(Vec::len).sum()
-    }
-
     /// Iterates over all edges.
     pub fn edges(&self) -> impl Iterator<Item = (VertexId, VertexId)> + '_ {
         self.vertex_ids()
@@ -586,6 +581,6 @@ mod tests {
         let acts: Vec<_> = (0..50).map(|i| act(&format!("a{i}"))).collect();
         let g = graph(TaskNode::sequence(acts));
         assert_eq!(g.len(), 52);
-        assert_eq!(g.edge_count(), 51);
+        assert_eq!(g.edges().count(), 51);
     }
 }

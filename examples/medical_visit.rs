@@ -11,7 +11,7 @@
 
 use std::sync::Arc;
 
-use qasom::{Environment, EnvironmentConfig, EventLog, MiddlewareEvent, UserRequest};
+use qasom::{Environment, EventLog, MiddlewareEvent, UserRequest};
 use qasom_netsim::runtime::SyntheticService;
 use qasom_ontology::OntologyBuilder;
 use qasom_qos::{QosModel, Unit};
@@ -30,10 +30,8 @@ fn main() {
     let ontology = b.build().expect("well-formed ontology");
 
     let log = EventLog::new();
-    let mut env = EnvironmentConfig::builder()
-        .seed(99)
-        .sink(Arc::new(log.clone()))
-        .build(QosModel::standard(), ontology);
+    let mut env = Environment::new(QosModel::standard(), ontology, 99);
+    env.subscribe(Arc::new(log.clone()));
     let rt = env.model().property("ResponseTime").unwrap();
     let av = env.model().property("Availability").unwrap();
 

@@ -12,7 +12,7 @@
 
 use std::sync::Arc;
 
-use qasom::{EnvironmentConfig, EventLog, MiddlewareEvent, UserRequest};
+use qasom::{Environment, EventLog, MiddlewareEvent, UserRequest};
 use qasom_netsim::runtime::SyntheticService;
 use qasom_ontology::OntologyBuilder;
 use qasom_qos::{QosModel, Unit};
@@ -43,10 +43,8 @@ fn main() {
     let ontology = b.build().expect("well-formed ontology");
 
     let log = EventLog::new();
-    let mut env = EnvironmentConfig::builder()
-        .seed(7)
-        .sink(Arc::new(log.clone()))
-        .build(QosModel::standard(), ontology);
+    let mut env = Environment::new(QosModel::standard(), ontology, 7);
+    env.subscribe(Arc::new(log.clone()));
     let rt = env.model().property("ResponseTime").unwrap();
     let price = env.model().property("Price").unwrap();
     let av = env.model().property("Availability").unwrap();

@@ -7,7 +7,7 @@
 
 use std::sync::Arc;
 
-use qasom::{EnvironmentConfig, EventLog, UserRequest};
+use qasom::{Environment, EventLog, UserRequest};
 use qasom_netsim::runtime::SyntheticService;
 use qasom_ontology::OntologyBuilder;
 use qasom_qos::{QosModel, Unit};
@@ -24,10 +24,8 @@ fn main() {
     // 2. A pervasive environment with two competing providers, plus an
     //    event log subscribed to the middleware's event stream.
     let log = EventLog::new();
-    let mut env = EnvironmentConfig::builder()
-        .seed(42)
-        .sink(Arc::new(log.clone()))
-        .build(model, ontology);
+    let mut env = Environment::new(model, ontology, 42);
+    env.subscribe(Arc::new(log.clone()));
     let rt = env.model().property("ResponseTime").unwrap();
     let av = env.model().property("Availability").unwrap();
     for (name, time) in [("echo-fast", 40.0), ("echo-slow", 400.0)] {

@@ -7,7 +7,7 @@
 //! cargo run --release --example reputation_market
 //! ```
 
-use qasom::{EnvironmentConfig, UserRequest};
+use qasom::{Environment, UserRequest};
 use qasom_netsim::runtime::SyntheticService;
 use qasom_ontology::OntologyBuilder;
 use qasom_qos::QosModel;
@@ -17,9 +17,7 @@ use qasom_task::{Activity, TaskNode, UserTask};
 fn main() {
     let mut b = OntologyBuilder::new("mkt");
     b.concept("Quote");
-    let mut env = EnvironmentConfig::builder()
-        .seed(17)
-        .build(QosModel::standard(), b.build().unwrap());
+    let mut env = Environment::new(QosModel::standard(), b.build().unwrap(), 17);
     let rt = env.model().property("ResponseTime").unwrap();
     let av = env.model().property("Availability").unwrap();
     let rep = env.model().property("Reputation").unwrap();

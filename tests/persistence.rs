@@ -9,9 +9,10 @@
 //!   durable point, never panics, never replays a partial record —
 //!   and trimming the tear never endangers the records before it;
 //! * **the journaled `Environment`** — the path `qasomd --data-dir`
-//!   runs (`attach_journal`, `adopt_registry`, journaled `deploy` /
-//!   `undeploy` / `checkpoint_registry`) meets the same oracle, and a
-//!   failing store detaches the journal instead of stopping service;
+//!   runs (`open_registry`, journaled `deploy` / `undeploy` /
+//!   `checkpoint_registry`) meets the same oracle, makes the same file
+//!   calls as a bare `PersistentRegistry`, and a failing store detaches
+//!   the journal instead of stopping service;
 //! * **the on-disk bytes** — a snapshot and both WAL record kinds
 //!   encode exactly as `tests/fixtures/persist_format.hex` pins them,
 //!   so a data directory written by an older `qasomd` still opens;
@@ -32,7 +33,7 @@ use qasom_qos::QosModel;
 use qasom_registry::persist::wal::split_frames;
 use qasom_registry::persist::{
     encode_state, Fs, MemoryBackend, PersistConfig, PersistError, PersistentRegistry,
-    RegistryJournal,
+    RecoveryReport, RegistryJournal,
 };
 use qasom_registry::{Operation, ServiceDescription, ServiceId, ServiceRegistry};
 use qasom_task::{Activity, TaskNode, UserTask};
@@ -232,8 +233,8 @@ fn assert_equivalent(recovered: &PersistentRegistry, oracle: &PersistentRegistry
         "epoch must match"
     );
     assert_eq!(
-        recovered.journal().wal_cursor(),
-        oracle.journal().wal_cursor(),
+        recovered.journal().unwrap().wal_cursor(),
+        oracle.journal().unwrap().wal_cursor(),
         "replica cursor (WAL position) must match"
     );
 }
@@ -288,7 +289,7 @@ fn automatic_checkpoints_fire_and_stay_equivalent() {
     let backend = MemoryBackend::new();
     let (mut oracle, _) = open(backend.clone(), 4);
     churn(&mut oracle, 20);
-    assert!(oracle.journal().stats().checkpoints > 0);
+    assert!(oracle.journal().unwrap().stats().checkpoints > 0);
     let (recovered, _) = open(backend.fork(), 4);
     assert_equivalent(&recovered, &oracle);
 }
@@ -460,9 +461,9 @@ fn the_schedule_bounds_the_power_loss_window_and_the_replay() {
     let mut largest_frame = 0;
     let mut largest_wal = (0, 0);
     for i in 0..SERVICES {
-        let before = oracle.journal().stats().wal_bytes;
+        let before = oracle.journal().unwrap().stats().wal_bytes;
         oracle.register(numbered(i)).unwrap();
-        let frame = (oracle.journal().stats().wal_bytes - before) as usize;
+        let frame = (oracle.journal().unwrap().stats().wal_bytes - before) as usize;
         largest_frame = largest_frame.max(frame);
         // Replay bound: a boot replays no more than `EVERY` frames or
         // one snapshot's worth of WAL, whichever is larger.
@@ -481,7 +482,7 @@ fn the_schedule_bounds_the_power_loss_window_and_the_replay() {
 
     // Power-loss window: one sync per `EVERY` appends, on the dot, plus
     // the one each checkpoint makes of the emptied WAL.
-    let stats = oracle.journal().stats();
+    let stats = oracle.journal().unwrap().stats();
     assert_eq!(stats.appends as usize, SERVICES);
     let snapshots = counts.snapshots.load(Ordering::Relaxed);
     assert_eq!(
@@ -533,14 +534,12 @@ fn environment() -> Environment {
     Environment::new(QosModel::standard(), taxonomy(), 7)
 }
 
-fn deploy(env: &mut Environment, name: String, function: &str) -> ServiceId {
-    let desc = ServiceDescription::new(name, function);
+fn deploy(env: &mut Environment, desc: ServiceDescription) -> ServiceId {
     let nominal = desc.qos().clone();
     env.deploy(desc, SyntheticService::new(nominal))
 }
 
-/// Recovers `image` the way `qasomd --data-dir` boots: unbound, to be
-/// re-bound by `adopt_registry`.
+/// Recovers `image` as it stands, to compare with the live registry.
 fn recover(
     image: MemoryBackend,
     config: PersistConfig,
@@ -564,11 +563,11 @@ fn a_journaled_environment_recovers_byte_identically_after_every_op() {
 
     // Cold boot: the journal is attached before the first registration.
     let mut env = environment();
-    env.attach_journal(recover(backend.clone(), config).1);
+    let report = env.open_registry(backend.clone(), config).unwrap();
+    assert!(!report.recovered_anything());
     assert!(env.journaling());
-    let functions = ["p#Pay", "p#PayByCard", "p#Locate"];
     for i in 0..14 {
-        deploy(&mut env, format!("s{i}"), functions[i % functions.len()]);
+        deploy(&mut env, numbered(i));
         assert_recoverable(&env);
         if i % 3 == 2 {
             let victim = env.registry().iter().next().map(|(id, _)| id).unwrap();
@@ -584,18 +583,20 @@ fn a_journaled_environment_recovers_byte_identically_after_every_op() {
     let stats = env.journal_stats().unwrap();
     assert!(stats.checkpoints > 1, "automatic checkpoints fired too");
 
-    // Warm boot on the same store: adopt what was recovered, continue
+    // Warm boot on the same store: the same call recovers what was
+    // journaled, bound to the environment's own ontology, and continues
     // the same WAL.
     let epoch = env.epoch();
     drop(env);
     let mut env = environment();
-    let (registry, journal) = recover(backend.clone(), config);
-    env.adopt_registry(registry);
-    env.attach_journal(journal);
+    let report = env.open_registry(backend.clone(), config).unwrap();
+    assert!(report.recovered_anything());
     assert_eq!(env.epoch(), epoch);
     assert!(env.registry().index_matches_rebuild());
+    let bound = env.registry().ontology().unwrap();
+    assert_eq!(bound.stamp(), env.ontology().stamp());
     for i in 14..20 {
-        deploy(&mut env, format!("s{i}"), functions[i % functions.len()]);
+        deploy(&mut env, numbered(i));
         assert_recoverable(&env);
     }
 }
@@ -607,9 +608,13 @@ fn a_journaled_environment_recovers_byte_identically_after_every_op() {
 fn reputation_feedback_survives_a_crash() {
     let backend = MemoryBackend::new();
     let mut env = environment();
-    env.attach_journal(recover(backend.clone(), PersistConfig::default()).1);
+    env.open_registry(backend.clone(), PersistConfig::default())
+        .unwrap();
     for i in 0..3 {
-        deploy(&mut env, format!("pay{i}"), "p#Pay");
+        deploy(
+            &mut env,
+            ServiceDescription::new(format!("pay{i}"), "p#Pay"),
+        );
     }
     let task = UserTask::new("t", TaskNode::activity(Activity::new("pay", "p#Pay"))).unwrap();
     for _ in 0..3 {
@@ -626,21 +631,22 @@ fn reputation_feedback_survives_a_crash() {
 fn a_failing_store_detaches_the_journal_and_service_continues() {
     let backend = MemoryBackend::new();
     let store = failing_appends(backend.clone(), 2);
-    let (_, journal, _) = RegistryJournal::open(store, PersistConfig::default(), None).unwrap();
     let recorder = Arc::new(MemoryRecorder::new());
     let mut env = environment();
     env.set_recorder(Arc::clone(&recorder) as Arc<dyn Recorder>);
-    env.attach_journal(journal);
+    env.open_registry(store, PersistConfig::default()).unwrap();
 
+    let pay = |i: usize| ServiceDescription::new(format!("s{i}"), "p#Pay");
     for i in 0..2 {
-        deploy(&mut env, format!("s{i}"), "p#Pay");
+        deploy(&mut env, pay(i));
     }
     assert!(env.journaling());
     // The third append fails: counted once, journal detached, the
     // registration itself stands.
-    deploy(&mut env, "s2".into(), "p#Pay");
+    let third = deploy(&mut env, pay(2));
     assert!(!env.journaling());
-    deploy(&mut env, "s3".into(), "p#Pay");
+    assert_eq!(env.registry().get(third).unwrap().name(), "s2");
+    deploy(&mut env, pay(3));
     assert!(!env.checkpoint_registry());
     assert_eq!(env.registry().len(), 4);
     let errors = recorder.snapshot().unwrap().counter(keys::PERSIST_ERRORS);
@@ -748,20 +754,87 @@ fn on_disk_bytes_match_the_format_fixture() {
     );
 }
 
-/// The journal's durability protocol, call by call: the first boot, one
-/// group commit, one checkpoint and one torn-tail trim.
-#[test]
-fn the_journal_makes_exactly_the_protocols_file_calls() {
+/// A journaled registry as the protocol pin drives it: bare, or inside
+/// an `Environment` the way `qasomd --data-dir` runs it.
+enum Journaled {
+    Bare(Box<PersistentRegistry>),
+    Served(Box<Environment>),
+}
+
+impl Journaled {
+    fn open(store: Hooked, config: PersistConfig, served: bool) -> (Self, RecoveryReport) {
+        if served {
+            let mut env = environment();
+            let report = env.open_registry(store, config).unwrap();
+            (Journaled::Served(Box::new(env)), report)
+        } else {
+            let (registry, report) =
+                PersistentRegistry::open(store, config, Some(ontology())).unwrap();
+            (Journaled::Bare(Box::new(registry)), report)
+        }
+    }
+
+    fn register(&mut self, desc: ServiceDescription) -> ServiceId {
+        match self {
+            Journaled::Bare(registry) => registry.register(desc).unwrap(),
+            Journaled::Served(env) => deploy(env, desc),
+        }
+    }
+
+    fn deregister(&mut self, id: ServiceId) {
+        match self {
+            Journaled::Bare(registry) => assert!(registry.deregister(id).unwrap()),
+            Journaled::Served(env) => env.undeploy(id),
+        }
+    }
+}
+
+/// The pinned run: the first boot, three registrations, one departure,
+/// then a power loss that tears a record after the fourth (three bytes
+/// of its header made it to disk) and the boot that follows. Returns
+/// the file calls of each of those six steps, and the WAL's length at
+/// the power loss.
+fn protocol_run(served: bool) -> (Vec<Vec<Call>>, u64) {
     let log = Arc::new(Mutex::new(Vec::<Call>::new()));
-    let take = || -> Vec<String> { log.lock().unwrap().drain(..).map(|c| c.op()).collect() };
+    let mut steps = Vec::new();
+    let mut step = || steps.push(std::mem::take(&mut *log.lock().unwrap()));
     let config = PersistConfig {
         checkpoint_every: 2,
     };
     let backend = MemoryBackend::new();
-    let store = recording(backend.clone(), &log, None);
-    let (mut registry, _) = PersistentRegistry::open(store, config, Some(ontology())).unwrap();
+    let (mut registry, _) = Journaled::open(recording(backend.clone(), &log, None), config, served);
+    step();
+    let first = registry.register(numbered(0));
+    step();
+    for i in 1..3 {
+        registry.register(numbered(i));
+        step();
+    }
+    registry.deregister(first);
+    step();
+
+    let crash = backend.fork();
+    let keep = wal(&crash).len() as u64;
+    set_wal(&crash, &[wal(&crash), vec![0xEE; 3]].concat());
+    let (_, report) = Journaled::open(recording(crash, &log, None), config, served);
+    assert!(report.torn_tail);
+    step();
+    (steps, keep)
+}
+
+/// The journal's durability protocol, call by call: the first boot, one
+/// group commit, one checkpoint and one torn-tail trim. A journaled
+/// `Environment` makes exactly the same calls, bytes included: it
+/// mutates its registry through the same `PersistentRegistry`.
+#[test]
+fn the_journal_makes_exactly_the_protocols_file_calls() {
+    let (steps, keep) = protocol_run(false);
+    let ops: Vec<Vec<String>> = steps
+        .iter()
+        .map(|calls| calls.iter().map(Call::op).collect())
+        .collect();
     assert_eq!(
-        take(),
+        ops[0],
         [
             "read(registry.snap)",
             "read(registry.wal)",
@@ -769,14 +842,11 @@ fn the_journal_makes_exactly_the_protocols_file_calls() {
             "sync_dir"
         ]
     );
-
-    registry.register(numbered(0)).unwrap();
-    assert_eq!(take(), ["append(registry.wal)"]);
+    assert_eq!(ops[1], ["append(registry.wal)"]);
     // The second append is due a group commit, and the checkpoint then
     // installs the snapshot before it empties the WAL.
-    registry.register(numbered(1)).unwrap();
     assert_eq!(
-        take(),
+        ops[2],
         [
             "append(registry.wal)",
             "sync(registry.wal)",
@@ -788,25 +858,24 @@ fn the_journal_makes_exactly_the_protocols_file_calls() {
             "sync(registry.wal)",
         ]
     );
-
-    // A power loss tore a second record after the third: three bytes of
-    // its header made it to disk.
-    registry.register(numbered(2)).unwrap();
-    take();
-    let crash = backend.fork();
-    let keep = wal(&crash).len();
-    set_wal(&crash, &[wal(&crash), vec![0xEE; 3]].concat());
-    let store = recording(crash, &log, None);
-    let (_, report) = PersistentRegistry::open(store, config, Some(ontology())).unwrap();
-    assert!(report.torn_tail);
+    assert_eq!(ops[3], ["append(registry.wal)"]);
+    // The departure is the fourth append: a group commit, and two
+    // events since the snapshot but fewer WAL bytes than it holds.
+    assert_eq!(ops[4], ["append(registry.wal)", "sync(registry.wal)"]);
     assert_eq!(
-        take(),
+        ops[5],
         [
             "read(registry.snap)".to_owned(),
             "read(registry.wal)".to_owned(),
             format!("truncate(registry.wal, {keep})"),
             "sync(registry.wal)".to_owned(),
         ]
+    );
+
+    assert_eq!(
+        protocol_run(true),
+        (steps, keep),
+        "a journaled environment makes the same file calls"
     );
 }
 
@@ -1001,7 +1070,7 @@ fn scripted_run(skip: Option<Barrier>) -> (Vec<Call>, Vec<Vec<u8>>) {
         }
     }
     assert!(
-        registry.journal().stats().checkpoints >= 3,
+        registry.journal().unwrap().stats().checkpoints >= 3,
         "2 automatic + 1 explicit"
     );
     let log = log.lock().unwrap().clone();

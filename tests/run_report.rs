@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use qasom::demo::demo_run_report;
-use qasom::{Environment, EnvironmentConfig, UserRequest};
+use qasom::{Environment, UserRequest};
 use qasom_netsim::runtime::SyntheticService;
 use qasom_obs::{key_paths, keys, JsonValue, MemoryRecorder, NoopRecorder, Recorder};
 use qasom_ontology::{Ontology, OntologyBuilder};
@@ -68,11 +68,10 @@ fn tiny_ontology() -> Ontology {
 }
 
 fn seeded_env(seed: u64, recorder: Option<Arc<dyn Recorder>>) -> Environment {
-    let mut builder = EnvironmentConfig::builder().seed(seed);
+    let mut env = Environment::new(QosModel::standard(), tiny_ontology(), seed);
     if let Some(rec) = recorder {
-        builder = builder.recorder(rec);
+        env.set_recorder(rec);
     }
-    let mut env = builder.build(QosModel::standard(), tiny_ontology());
     let rt = env.model().property("ResponseTime").unwrap();
     let av = env.model().property("Availability").unwrap();
     for (name, function, ms) in [
