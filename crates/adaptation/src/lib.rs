@@ -10,7 +10,8 @@
 //!   service's delivered QoS plus EWMA trend prediction, aggregated over
 //!   the whole running composition so violations are detected (and
 //!   *predicted*, before they happen) against the user's global
-//!   constraints;
+//!   constraints. Each service's full windows and SLA compliance settle
+//!   into a [`QosEstimate`], the QoS every later composition ranks it on;
 //! * **Service substitution** ([`Substitution`]) — the first-line
 //!   strategy: replace the degraded service with a ranked alternate kept
 //!   from selection time, re-validating the aggregate;
@@ -41,7 +42,7 @@
 //! for v in [100.0, 110.0, 120.0] {
 //!     let mut obs = QosVector::new();
 //!     obs.set(rt, v);
-//!     monitor.observe(id, &obs);
+//!     monitor.observe(&model, id, &obs);
 //! }
 //! assert_eq!(monitor.estimate(id).unwrap().get(rt), Some(110.0));
 //! ```
@@ -57,5 +58,5 @@ mod substitute;
 
 pub use behavioural::{AdaptationPlan, BehaviouralAdapter};
 pub use homeo::{find_homeomorphism, find_order_embedding, Homeomorphism};
-pub use monitor::{overlay, CompositionMonitor, QosMonitor, Violation};
+pub use monitor::{overlay, CompositionMonitor, QosEstimate, QosMonitor, Violation};
 pub use substitute::{Substitution, SubstitutionPlan};

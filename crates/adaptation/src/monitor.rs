@@ -1,8 +1,8 @@
-//! Global and proactive QoS monitoring.
+//! Global and proactive QoS monitoring, and what it teaches selection.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
-use qasom_qos::{Constraint, ConstraintSet, PropertyId, QosModel, QosVector};
+use qasom_qos::{Category, Constraint, ConstraintSet, PropertyId, QosModel, QosVector, Sla};
 use qasom_registry::ServiceId;
 use qasom_selection::{AggregationApproach, Aggregator};
 use qasom_task::UserTask;
@@ -11,6 +11,12 @@ use qasom_task::UserTask;
 const WINDOW: usize = 10;
 /// EWMA smoothing factor in `(0, 1]` — weight of the newest sample.
 const EWMA_ALPHA: f64 = 0.3;
+/// How much worse than advertised a delivery may be before it counts as
+/// a contract breach (fraction, `0.2` = 20 %).
+const SLA_TOLERANCE: f64 = 0.2;
+/// Reputation earned by full SLA compliance: the top of the standard
+/// model's 0–5 scale.
+const REPUTATION_SCALE: f64 = 5.0;
 
 #[derive(Debug, Clone, Default)]
 struct PropertyWindow {
@@ -61,11 +67,85 @@ impl PropertyWindow {
     }
 }
 
+/// What the middleware has learnt of one service's QoS, per property:
+///
+/// * a property whose window holds `WINDOW` deliveries takes the window
+///   mean;
+/// * a Reputation-category property the service advertises takes
+///   `5 × compliance` of the service's SLA once the SLA has checked a
+///   delivery — and only that: delivered Reputation values are never
+///   windowed;
+/// * every other property keeps its advertised value.
+///
+/// The estimate holds only the learnt values; [`QosEstimate::apply`]
+/// lays them over an advertisement. Composition reads one per
+/// discovered service, so it is kept settled by the writes that change
+/// it ([`QosMonitor::observe`], [`QosMonitor::record_delivery`]) rather
+/// than recomputed by the read.
+#[derive(Debug, Clone, Default)]
+pub struct QosEstimate {
+    settled: QosVector,
+}
+
+impl QosEstimate {
+    /// The learnt value of `property`; `None` while the advertised value
+    /// stands.
+    pub fn get(&self, property: PropertyId) -> Option<f64> {
+        self.settled.get(property)
+    }
+
+    /// Overwrites, in place, every property of `qos` that has a learnt
+    /// value. Properties `qos` does not carry are left out, so applying
+    /// an estimate never grows (or allocates) the vector.
+    pub fn apply(&self, qos: &mut QosVector) {
+        qos.overwrite(&self.settled);
+    }
+}
+
+/// Everything the monitor keeps of one service.
+#[derive(Debug, Clone, Default)]
+struct ServiceRecord {
+    /// Delivery windows, sorted by property.
+    windows: Vec<(PropertyId, PropertyWindow)>,
+    /// Created from the advertisement at the first recorded delivery.
+    sla: Option<Sla>,
+    estimate: QosEstimate,
+}
+
+impl ServiceRecord {
+    fn window(&self, property: PropertyId) -> Option<&PropertyWindow> {
+        self.windows
+            .binary_search_by_key(&property, |&(p, _)| p)
+            .ok()
+            .map(|i| &self.windows[i].1)
+    }
+
+    fn per_property(&self, read: impl Fn(&PropertyWindow) -> Option<f64>) -> Option<QosVector> {
+        let v: QosVector = self
+            .windows
+            .iter()
+            .filter_map(|(p, w)| read(w).map(|m| (*p, m)))
+            .collect();
+        (!v.is_empty()).then_some(v)
+    }
+}
+
+/// Whether `property` is community feedback about a provider, which the
+/// middleware learns from SLAs instead of from deliveries.
+fn is_reputation(model: &QosModel, property: PropertyId) -> bool {
+    model.def(property).category() == Category::Reputation
+}
+
 /// Per-service QoS monitor: sliding windows of delivered QoS with EWMA
-/// trend prediction.
+/// trend prediction, each service's SLA record, and the [`QosEstimate`]
+/// both settle into.
+///
+/// Records live in a slot table indexed by [`ServiceId::index`], like
+/// the registry's own rows: a service never observed costs one empty
+/// slot, and reading its estimate one bounds-checked index.
 #[derive(Debug, Clone, Default)]
 pub struct QosMonitor {
-    windows: HashMap<ServiceId, HashMap<PropertyId, PropertyWindow>>,
+    services: Vec<Option<Box<ServiceRecord>>>,
 }
 
 impl QosMonitor {
@@ -74,46 +154,112 @@ impl QosMonitor {
         QosMonitor::default()
     }
 
-    /// Records one successful invocation's delivered QoS.
-    pub fn observe(&mut self, service: ServiceId, delivered: &QosVector) {
-        let per_service = self.windows.entry(service).or_default();
+    fn record(&self, service: ServiceId) -> Option<&ServiceRecord> {
+        self.services.get(service.index())?.as_deref()
+    }
+
+    fn record_mut(&mut self, service: ServiceId) -> &mut ServiceRecord {
+        let slot = service.index();
+        if slot >= self.services.len() {
+            self.services.resize_with(slot + 1, || None);
+        }
+        self.services[slot].get_or_insert_with(Box::default)
+    }
+
+    /// Records one successful invocation's delivered QoS in the
+    /// service's windows. Reputation-category values are not windowed
+    /// (see [`QosEstimate`]).
+    pub fn observe(&mut self, model: &QosModel, service: ServiceId, delivered: &QosVector) {
+        let record = self.record_mut(service);
         for (p, v) in delivered.iter() {
-            per_service.entry(p).or_default().push(v);
+            if is_reputation(model, p) {
+                continue;
+            }
+            let i = match record.windows.binary_search_by_key(&p, |&(q, _)| q) {
+                Ok(i) => i,
+                Err(i) => {
+                    record.windows.insert(i, (p, PropertyWindow::default()));
+                    i
+                }
+            };
+            let window = &mut record.windows[i].1;
+            window.push(v);
+            if window.samples.len() == WINDOW {
+                if let Some(mean) = window.mean() {
+                    record.estimate.settled.set(p, mean);
+                }
+            }
         }
     }
 
-    /// Drops everything observed of a service (it departed; ids are never
-    /// reused, so nothing would read its windows again).
-    pub fn forget(&mut self, service: ServiceId) {
-        self.windows.remove(&service);
+    /// Records one invocation against the service's SLA: `delivered` is
+    /// its QoS, `None` a failure (always a breach). The SLA is derived
+    /// from `advertised` at the first record, widened by a 20 %
+    /// tolerance; Reputation-category properties never become contract
+    /// terms, and every one `advertised` carries is re-estimated as
+    /// `5 × compliance`.
+    pub fn record_delivery(
+        &mut self,
+        model: &QosModel,
+        service: ServiceId,
+        advertised: &QosVector,
+        delivered: Option<&QosVector>,
+    ) {
+        let ServiceRecord { sla, estimate, .. } = self.record_mut(service);
+        let sla = sla.get_or_insert_with(|| {
+            let agreed: QosVector = advertised
+                .iter()
+                .filter(|&(p, _)| !is_reputation(model, p))
+                .collect();
+            Sla::from_agreed(model, &agreed, SLA_TOLERANCE)
+        });
+        match delivered {
+            Some(qos) => {
+                sla.record(qos);
+            }
+            None => sla.record_failure(),
+        }
+        let reputation = REPUTATION_SCALE * sla.compliance();
+        for p in advertised.properties().filter(|&p| is_reputation(model, p)) {
+            estimate.settled.set(p, reputation);
+        }
     }
 
-    /// Window-mean estimate of a service's delivered QoS (`None` when the
-    /// service was never observed).
+    /// Drops everything recorded of a service (it departed; ids are
+    /// never reused, so nothing would read its record again).
+    pub fn forget(&mut self, service: ServiceId) {
+        if let Some(slot) = self.services.get_mut(service.index()) {
+            *slot = None;
+        }
+    }
+
+    /// The service's [`QosEstimate`]; `None` when nothing was recorded of
+    /// it, so its advertisement stands as it is.
+    pub fn qos_estimate(&self, service: ServiceId) -> Option<&QosEstimate> {
+        self.record(service).map(|r| &r.estimate)
+    }
+
+    /// The service's SLA record (created at its first recorded delivery).
+    pub fn sla(&self, service: ServiceId) -> Option<&Sla> {
+        self.record(service)?.sla.as_ref()
+    }
+
+    /// Window-mean estimate of a service's delivered QoS, over however
+    /// many samples each window holds (`None` when the service was never
+    /// observed).
     pub fn estimate(&self, service: ServiceId) -> Option<QosVector> {
-        let per_service = self.windows.get(&service)?;
-        let v: QosVector = per_service
-            .iter()
-            .filter_map(|(&p, w)| w.mean().map(|m| (p, m)))
-            .collect();
-        (!v.is_empty()).then_some(v)
+        self.record(service)?.per_property(PropertyWindow::mean)
     }
 
     /// Trend-adjusted one-step-ahead prediction of a service's QoS.
     pub fn predict(&self, service: ServiceId) -> Option<QosVector> {
-        let per_service = self.windows.get(&service)?;
-        let v: QosVector = per_service
-            .iter()
-            .filter_map(|(&p, w)| w.predict().map(|m| (p, m)))
-            .collect();
-        (!v.is_empty()).then_some(v)
+        self.record(service)?.per_property(PropertyWindow::predict)
     }
 
     /// Number of observations recorded for a service/property.
     pub fn sample_count(&self, service: ServiceId, property: PropertyId) -> usize {
-        self.windows
-            .get(&service)
-            .and_then(|m| m.get(&property))
+        self.record(service)
+            .and_then(|r| r.window(property))
             .map_or(0, |w| w.samples.len())
     }
 }
@@ -306,7 +452,7 @@ mod tests {
         let f = fx(1);
         let mut m = QosMonitor::new();
         for v in [100.0, 200.0, 300.0] {
-            m.observe(f.ids[0], &obs(f.rt, v));
+            m.observe(&f.model, f.ids[0], &obs(f.rt, v));
         }
         assert_eq!(m.estimate(f.ids[0]).unwrap().get(f.rt), Some(200.0));
     }
@@ -315,9 +461,9 @@ mod tests {
     fn window_slides() {
         let f = fx(1);
         let mut m = QosMonitor::new();
-        m.observe(f.ids[0], &obs(f.rt, 1000.0));
+        m.observe(&f.model, f.ids[0], &obs(f.rt, 1000.0));
         for _ in 0..WINDOW {
-            m.observe(f.ids[0], &obs(f.rt, 200.0));
+            m.observe(&f.model, f.ids[0], &obs(f.rt, 200.0));
         }
         // The first sample has left the window.
         assert_eq!(m.estimate(f.ids[0]).unwrap().get(f.rt), Some(200.0));
@@ -329,7 +475,7 @@ mod tests {
         let f = fx(1);
         let mut m = QosMonitor::new();
         for v in [100.0, 120.0, 140.0, 160.0] {
-            m.observe(f.ids[0], &obs(f.rt, v));
+            m.observe(&f.model, f.ids[0], &obs(f.rt, v));
         }
         let predicted = m.predict(f.ids[0]).unwrap().get(f.rt).unwrap();
         let estimated = m.estimate(f.ids[0]).unwrap().get(f.rt).unwrap();
@@ -345,6 +491,66 @@ mod tests {
         let m = QosMonitor::new();
         assert!(m.estimate(f.ids[0]).is_none());
         assert!(m.predict(f.ids[0]).is_none());
+    }
+
+    #[test]
+    fn the_estimate_keeps_the_advertisement_until_a_window_is_full() {
+        let f = fx(2);
+        let av = f.model.property("Availability").unwrap();
+        let advertised: QosVector = [(f.rt, 100.0), (av, 0.99)].into_iter().collect();
+        let estimated = |m: &QosMonitor, id| {
+            let mut qos = advertised.clone();
+            if let Some(estimate) = m.qos_estimate(id) {
+                estimate.apply(&mut qos);
+            }
+            qos
+        };
+        let mut m = QosMonitor::new();
+        assert!(m.qos_estimate(f.ids[0]).is_none());
+        assert_eq!(estimated(&m, f.ids[0]), advertised);
+        for _ in 1..WINDOW {
+            m.observe(&f.model, f.ids[0], &obs(f.rt, 300.0));
+        }
+        assert_eq!(estimated(&m, f.ids[0]), advertised, "a partial window");
+        m.observe(&f.model, f.ids[0], &obs(f.rt, 1_300.0));
+        // The window mean, for the windowed property only.
+        let learnt: QosVector = [(f.rt, 400.0), (av, 0.99)].into_iter().collect();
+        assert_eq!(estimated(&m, f.ids[0]), learnt);
+        // It follows the window as it slides.
+        m.observe(&f.model, f.ids[0], &obs(f.rt, 300.0));
+        assert_eq!(estimated(&m, f.ids[0]).get(f.rt), Some(400.0));
+        m.observe(&f.model, f.ids[0], &obs(f.rt, 1_300.0));
+        assert_eq!(estimated(&m, f.ids[0]).get(f.rt), Some(500.0));
+        assert_eq!(estimated(&m, f.ids[1]), advertised);
+        m.forget(f.ids[0]);
+        assert_eq!(estimated(&m, f.ids[0]), advertised);
+    }
+
+    #[test]
+    fn reputation_is_learnt_from_the_sla_alone() {
+        let f = fx(1);
+        let rep = f.model.property("Reputation").unwrap();
+        let advertised: QosVector = [(f.rt, 100.0), (rep, 2.5)].into_iter().collect();
+        // A delivery that reports a reputation of its own.
+        let delivered: QosVector = [(f.rt, 100.0), (rep, 0.0)].into_iter().collect();
+        let mut m = QosMonitor::new();
+        for _ in 0..WINDOW {
+            m.observe(&f.model, f.ids[0], &delivered);
+        }
+        assert_eq!(m.sample_count(f.ids[0], rep), 0, "never windowed");
+        assert_eq!(m.estimate(f.ids[0]).unwrap().get(rep), None);
+        assert_eq!(m.qos_estimate(f.ids[0]).unwrap().get(rep), None);
+        assert!(m.sla(f.ids[0]).is_none());
+
+        // Three compliant deliveries and a failure: 5 × 3/4. Reputation
+        // is no contract term, so delivering 0.0 of it breaches nothing.
+        for _ in 0..3 {
+            m.record_delivery(&f.model, f.ids[0], &advertised, Some(&delivered));
+        }
+        m.record_delivery(&f.model, f.ids[0], &advertised, None);
+        let sla = m.sla(f.ids[0]).unwrap();
+        assert_eq!((sla.checks(), sla.breaches()), (4, 1));
+        assert_eq!(m.qos_estimate(f.ids[0]).unwrap().get(rep), Some(3.75));
     }
 
     fn composition(f: &Fx, bound: f64) -> CompositionMonitor {
@@ -383,7 +589,7 @@ mod tests {
         let comp = composition(&f, 250.0);
         let mut m = QosMonitor::new();
         for _ in 0..3 {
-            m.observe(f.ids[0], &obs(f.rt, 220.0)); // degraded service
+            m.observe(&f.model, f.ids[0], &obs(f.rt, 220.0)); // degraded service
         }
         let violations = comp.check(&f.model, &m);
         assert_eq!(violations.len(), 1);
@@ -399,7 +605,7 @@ mod tests {
         // Currently fine (mean 130 + 100 advertised < 250) but worsening
         // steeply: EWMA + slope crosses the per-activity budget.
         for v in [100.0, 130.0, 160.0] {
-            m.observe(f.ids[0], &obs(f.rt, v));
+            m.observe(&f.model, f.ids[0], &obs(f.rt, v));
         }
         let violations = comp.check(&f.model, &m);
         assert_eq!(violations.len(), 1, "trend must be flagged proactively");
@@ -412,7 +618,7 @@ mod tests {
         let mut comp = composition(&f, 250.0);
         let mut m = QosMonitor::new();
         for _ in 0..3 {
-            m.observe(f.ids[0], &obs(f.rt, 400.0));
+            m.observe(&f.model, f.ids[0], &obs(f.rt, 400.0));
         }
         assert_eq!(comp.check(&f.model, &m).len(), 1);
         comp.rebind(0, f.ids[2], obs(f.rt, 90.0));

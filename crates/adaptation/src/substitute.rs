@@ -202,7 +202,7 @@ mod tests {
         let mut m = QosMonitor::new();
         // Service 0 degrades badly: believed 300 + 100 > 250.
         for _ in 0..3 {
-            m.observe(f.ids[0], &qv(f.rt, 300.0));
+            m.observe(&f.model, f.ids[0], &qv(f.rt, 300.0));
         }
         let plan = Substitution::new(&f.model)
             .plan(&comp, &m, |i| f.alternates.get(i).into_iter().flatten())
@@ -218,7 +218,7 @@ mod tests {
         let (f, comp) = fx([400.0, 400.0]); // alternates are even worse
         let mut m = QosMonitor::new();
         for _ in 0..3 {
-            m.observe(f.ids[0], &qv(f.rt, 300.0));
+            m.observe(&f.model, f.ids[0], &qv(f.rt, 300.0));
         }
         assert!(Substitution::new(&f.model)
             .plan(&comp, &m, |i| f.alternates.get(i).into_iter().flatten())
@@ -230,9 +230,9 @@ mod tests {
         let (f, comp) = fx([90.0, 90.0]);
         let mut m = QosMonitor::new();
         for _ in 0..3 {
-            m.observe(f.ids[0], &qv(f.rt, 300.0));
+            m.observe(&f.model, f.ids[0], &qv(f.rt, 300.0));
             // The advertised-good alternate is known to be bad.
-            m.observe(f.ids[2], &qv(f.rt, 500.0));
+            m.observe(&f.model, f.ids[2], &qv(f.rt, 500.0));
         }
         // Activity 0's alternate is untrustworthy; the planner must fix
         // the violation elsewhere (activity 1's alternate at 90 keeps the
@@ -252,9 +252,9 @@ mod tests {
         let (f, comp) = fx([90.0, f64::NAN]);
         let mut m = QosMonitor::new();
         for _ in 0..3 {
-            m.observe(f.ids[0], &qv(f.rt, 300.0));
+            m.observe(&f.model, f.ids[0], &qv(f.rt, 300.0));
             // The violated composition believes a NaN value too.
-            m.observe(f.ids[1], &qv(f.rt, f64::NAN));
+            m.observe(&f.model, f.ids[1], &qv(f.rt, f64::NAN));
         }
         let plan = Substitution::new(&f.model)
             .plan(&comp, &m, |i| f.alternates.get(i).into_iter().flatten());
@@ -298,8 +298,8 @@ mod tests {
         );
         let mut m = QosMonitor::new();
         for _ in 0..3 {
-            m.observe(bound, &qv(rt, 300.0));
-            m.observe(alt, &qv(rt, 90.0));
+            m.observe(&model, bound, &qv(rt, 300.0));
+            m.observe(&model, alt, &qv(rt, 90.0));
         }
         let plan = Substitution::new(&model)
             .plan(&comp, &m, |i| alternates.get(i).into_iter().flatten())

@@ -703,7 +703,7 @@ pub fn ablate_monitoring(model: &QosModel) -> FigureResult {
             let value = 100.0 + slope * step as f64;
             let mut q = qasom_qos::QosVector::new();
             q.set(rt, value);
-            monitor.observe(id, &q);
+            monitor.observe(model, id, &q);
             let observed = "the monitor observed ResponseTime";
             let estimate = monitor
                 .estimate(id)

@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
-use qasom_adaptation::{overlay, QosMonitor};
+use qasom_adaptation::QosMonitor;
 use qasom_analysis::{Analyzer, ApproachKind, RequestSpec};
 use qasom_netsim::runtime::{ServiceRuntime, SyntheticService};
 use qasom_obs::report::RunReport;
@@ -61,7 +61,6 @@ pub struct Environment {
     tasks: TaskClassRepository,
     infra: HashMap<u64, QosVector>,
     end_to_end: EndToEnd,
-    slas: HashMap<ServiceId, qasom_qos::Sla>,
     pub(crate) monitor: QosMonitor,
     pub(crate) config: EnvironmentConfig,
     recorder: Option<Arc<dyn Recorder>>,
@@ -89,7 +88,6 @@ impl Environment {
             tasks: TaskClassRepository::new(),
             infra: HashMap::new(),
             end_to_end,
-            slas: HashMap::new(),
             monitor: QosMonitor::new(),
             config,
             recorder: None,
@@ -264,7 +262,6 @@ impl Environment {
         self.mutate(|registry| registry.deregister(id));
         self.runtime.undeploy(id.index());
         self.monitor.forget(id);
-        self.slas.remove(&id);
     }
 
     /// Runs one registry mutation under the journal policy: the mutation
@@ -475,56 +472,25 @@ impl Environment {
 
     /// The SLA record of a service (created lazily at first delivery).
     pub fn sla(&self, id: ServiceId) -> Option<&qasom_qos::Sla> {
-        self.slas.get(&id)
+        self.monitor.sla(id)
     }
 
-    /// Records a delivery (or failure) against the service's SLA, which
-    /// is derived from its advertised QoS on first use.
-    pub(crate) fn record_delivery(&mut self, id: ServiceId, delivered: Option<&QosVector>) {
-        /// How much worse than advertised a delivery may be before it
-        /// counts as a contract breach (fraction, `0.2` = 20 %).
-        const SLA_TOLERANCE: f64 = 0.2;
+    /// Records one invocation of a registered service, as
+    /// [`Environment::execute`] does for each of its own: `delivered` is
+    /// the QoS it delivered, `None` a failure. Deliveries fill the
+    /// monitor's windows, and every outcome is checked against the SLA
+    /// derived from the service's advertisement; both settle into the
+    /// [`qasom_adaptation::QosEstimate`] every later composition ranks
+    /// the service on. Nothing is written to the registry.
+    pub fn record_invocation(&mut self, id: ServiceId, delivered: Option<&QosVector>) {
         let Some(desc) = self.registry.registry().get(id) else {
             return;
         };
-        let sla = self.slas.entry(id).or_insert_with(|| {
-            // Feedback-derived properties (Reputation) are written into
-            // advertisements by the middleware itself and never appear in
-            // deliveries — they must not become contract terms.
-            let agreed: QosVector = desc
-                .qos()
-                .iter()
-                .filter(|&(p, _)| self.model.def(p).category() != qasom_qos::Category::Reputation)
-                .collect();
-            qasom_qos::Sla::from_agreed(&self.model, &agreed, SLA_TOLERANCE)
-        });
-        match delivered {
-            Some(qos) => {
-                sla.record(qos);
-            }
-            None => sla.record_failure(),
+        if let Some(qos) = delivered {
+            self.monitor.observe(&self.model, id, qos);
         }
-    }
-
-    /// Reputation feedback: re-advertises every SLA-tracked service's
-    /// `Reputation` as `5 × compliance` (the standard model's 0–5 scale),
-    /// so chronically breaching providers sink in future selections.
-    /// Returns the number of services updated.
-    ///
-    /// The WAL journals only registrations and departures, so when a
-    /// journal is attached and anything changed, the pass ends with a
-    /// checkpoint: a crash afterwards recovers the re-advertised values.
-    pub fn apply_reputation_feedback(&mut self) -> usize {
-        let Some(reputation) = self.model.property("Reputation") else {
-            return 0;
-        };
-        let values: Vec<_> = self
-            .slas
-            .iter()
-            .filter(|(_, sla)| sla.checks() > 0)
-            .map(|(&id, sla)| (id, 5.0 * sla.compliance()))
-            .collect();
-        self.mutate(|registry| registry.set_qos(reputation, values))
+        self.monitor
+            .record_delivery(&self.model, id, desc.qos(), delivered);
     }
 
     /// QoS-aware discovery for one activity: the candidate set `S_i`.
@@ -534,16 +500,16 @@ impl Environment {
     /// node's infrastructure QoS is known, the candidate's QoS is the
     /// user-perceived one (service QoS degraded by the path).
     pub fn discover(&self, activity: &Activity) -> Vec<ServiceCandidate> {
-        self.discover_rows(activity, |candidate| candidate)
+        self.discover_rows(activity, ServiceCandidate::new)
     }
 
     /// Discovery for one activity, one output row per discovered,
-    /// still-deployed service: `row` receives the candidate with its
+    /// still-deployed service: `row` receives the service and its
     /// perceived QoS, and the rows land in one exactly-sized `Vec`.
     fn discover_rows<T>(
         &self,
         activity: &Activity,
-        mut row: impl FnMut(ServiceCandidate) -> T,
+        mut row: impl FnMut(ServiceId, QosVector) -> T,
     ) -> Vec<T> {
         let mut discovery = Discovery::new(&self.ontology, &self.model);
         if let Some(rec) = &self.recorder {
@@ -560,7 +526,7 @@ impl Environment {
                 Some(infra) => self.end_to_end.perceive(&c.effective_qos, infra),
                 None => c.effective_qos,
             };
-            rows.push(row(ServiceCandidate::new(c.service, qos)));
+            rows.push(row(c.service, qos));
         }
         rows
     }
@@ -593,7 +559,9 @@ impl Environment {
     }
 
     /// Runs the composition pipeline: static analysis of the request,
-    /// then discovery per activity, then QASSA. Error-level diagnostics
+    /// then discovery per activity, then QASSA over each discovered
+    /// service's QoS estimate (its advertisement, corrected by what the
+    /// monitor and its SLA have learnt). Error-level diagnostics
     /// reject the request before discovery runs
     /// ([`ComposeError::Rejected`]); warnings are carried on the
     /// returned composition
@@ -620,23 +588,9 @@ impl Environment {
         Ok(composition)
     }
 
-    /// Composition from already-resolved QoS parts (also used when
-    /// behavioural adaptation re-composes an alternative behaviour).
-    pub(crate) fn compose_task(
-        &self,
-        task: qasom_task::UserTask,
-        constraints: qasom_qos::ConstraintSet,
-        preferences: qasom_qos::Preferences,
-        approach: qasom_selection::AggregationApproach,
-    ) -> Result<ExecutableComposition, ComposeError> {
-        self.compose_task_with(task, constraints, preferences, approach, false)
-    }
-
-    /// Re-runs discovery and selection for an existing composition's task
-    /// and QoS context, but reasons on *monitored* QoS where delivery
-    /// history exists instead of trusting advertisements — the
-    /// re-selection step of QoS-driven adaptation. Discovery and local
-    /// ranking re-run for every activity.
+    /// Re-runs composition for an existing composition's task and QoS
+    /// context: the same pipeline as [`Environment::compose`], over the
+    /// registry and the estimates as they are now.
     ///
     /// # Errors
     ///
@@ -645,32 +599,27 @@ impl Environment {
         &self,
         composition: &ExecutableComposition,
     ) -> Result<ExecutableComposition, ComposeError> {
-        self.compose_task_with(
+        self.compose_task(
             composition.task().clone(),
             composition.constraints().clone(),
             composition.preferences().clone(),
             composition.approach(),
-            true,
         )
     }
 
-    /// Discovery for one activity as selection will see it, built as the
-    /// unranked table ranking sorts in place: monitored QoS overlaid
-    /// where delivery history exists (when `use_monitor`), and a
-    /// [`ComposeError::NoServiceFor`] when nothing qualifies.
+    /// Discovery for one activity as selection sees it, built as the
+    /// unranked table ranking sorts in place: each row's perceived QoS
+    /// with the service's [`qasom_adaptation::QosEstimate`] laid over it,
+    /// and a [`ComposeError::NoServiceFor`] when nothing qualifies.
     fn discover_for_selection(
         &self,
         activity: &Activity,
-        use_monitor: bool,
     ) -> Result<Vec<RankedCandidate>, ComposeError> {
-        let table = self.discover_rows(activity, |c| {
-            match use_monitor.then(|| self.monitor.estimate(c.id())).flatten() {
-                Some(observed) => RankedCandidate::from(ServiceCandidate::new(
-                    c.id(),
-                    overlay(Some(observed), c.qos()),
-                )),
-                None => RankedCandidate::from(c),
+        let table = self.discover_rows(activity, |id, mut qos| {
+            if let Some(estimate) = self.monitor.qos_estimate(id) {
+                estimate.apply(&mut qos);
             }
+            RankedCandidate::from(ServiceCandidate::new(id, qos))
         });
         if table.is_empty() {
             return Err(ComposeError::NoServiceFor {
@@ -680,13 +629,15 @@ impl Environment {
         Ok(table)
     }
 
-    fn compose_task_with(
+    /// Composition from already-resolved QoS parts (also used when
+    /// behavioural adaptation re-composes an alternative behaviour):
+    /// discovery, then QASSA over the estimated candidates.
+    pub(crate) fn compose_task(
         &self,
         task: qasom_task::UserTask,
         constraints: qasom_qos::ConstraintSet,
         preferences: qasom_qos::Preferences,
         approach: qasom_selection::AggregationApproach,
-        use_monitor: bool,
     ) -> Result<ExecutableComposition, ComposeError> {
         let activities: Vec<&Activity> = task.activities().map(|a| a.activity()).collect();
 
@@ -711,7 +662,7 @@ impl Environment {
             chunk
                 .iter()
                 .map(|a| {
-                    let table = self.discover_for_selection(a, use_monitor)?;
+                    let table = self.discover_for_selection(a)?;
                     Ok(local.rank_table(
                         &self.model,
                         table,
@@ -780,7 +731,7 @@ mod tests {
     use super::*;
     use qasom_netsim::runtime::SyntheticService;
     use qasom_ontology::OntologyBuilder;
-    use qasom_qos::Unit;
+    use qasom_qos::{PropertyId, Unit};
     use qasom_task::{TaskNode, UserTask};
 
     fn env() -> Environment {
@@ -866,11 +817,25 @@ mod tests {
         assert_eq!(comp.outcome().levels.len(), 2);
     }
 
-    /// Full re-selection builds each activity's table with the monitor's
-    /// estimates overlaid on the discovered advertisements; the outcome
-    /// is the one QASSA selects over those overlaid candidates.
+    /// Records deliveries of `delivered` from `id` until the estimate
+    /// has settled `property`.
+    fn settle(e: &mut Environment, id: ServiceId, property: PropertyId, delivered: &QosVector) {
+        while e
+            .monitor()
+            .qos_estimate(id)
+            .and_then(|estimate| estimate.get(property))
+            .is_none()
+        {
+            e.record_invocation(id, Some(delivered));
+        }
+    }
+
+    /// Compose ranks each discovered service on its QoS estimate: the
+    /// outcome is the one QASSA selects over the discovered candidates
+    /// with each service's estimate laid over its advertisement, and
+    /// re-composing an earlier composition is that same compose.
     #[test]
-    fn recompose_full_selects_as_qassa_does_over_the_monitored_candidates() {
+    fn compose_selects_as_qassa_does_over_the_estimated_candidates() {
         let mut e = env();
         let rt = e.model().property("ResponseTime").unwrap();
         let mut observed = Vec::new();
@@ -882,18 +847,18 @@ mod tests {
                 observed.push(a);
             }
         }
-        for (k, &id) in observed.iter().enumerate() {
-            let mut q = qasom_qos::QosVector::new();
-            q.set(rt, 90.0 + 50.0 * k as f64);
-            e.monitor.observe(id, &q);
-        }
         let request = UserRequest::new(two_step_task())
             .constraint("ResponseTime", 0.4, Unit::Seconds)
             .unwrap()
             .weight("ResponseTime", 0.6)
             .weight("Availability", 0.4);
+        let advertised = e.compose(&request).unwrap();
+        for (k, &id) in observed.iter().enumerate() {
+            let mut q = QosVector::new();
+            q.set(rt, 90.0 + 50.0 * k as f64);
+            settle(&mut e, id, rt, &q);
+        }
         let comp = e.compose(&request).unwrap();
-        let recomposed = e.recompose_full(&comp).unwrap();
 
         let task = two_step_task();
         let candidates = task
@@ -902,7 +867,10 @@ mod tests {
                 e.discover(a.activity())
                     .into_iter()
                     .map(|c| {
-                        let qos = overlay(e.monitor.estimate(c.id()), c.qos());
+                        let mut qos = c.qos().clone();
+                        if let Some(estimate) = e.monitor().qos_estimate(c.id()) {
+                            estimate.apply(&mut qos);
+                        }
                         ServiceCandidate::new(c.id(), qos)
                     })
                     .collect()
@@ -916,8 +884,12 @@ mod tests {
         let expected = Qassa::with_config(e.model(), e.config().qassa)
             .select(&problem)
             .unwrap();
-        assert_eq!(recomposed.outcome(), &expected);
-        assert_ne!(recomposed.outcome(), comp.outcome());
+        assert_eq!(comp.outcome(), &expected);
+        assert_ne!(comp.outcome(), advertised.outcome(), "the estimates count");
+        assert_eq!(
+            e.recompose_full(&advertised).unwrap().outcome(),
+            comp.outcome()
+        );
     }
 
     #[test]
@@ -933,6 +905,7 @@ mod tests {
 
         e.undeploy(a);
         assert!(e.sla(a).is_none());
+        assert!(e.monitor().qos_estimate(a).is_none());
         assert_eq!(e.monitor().sample_count(a, rt), 0);
         // The service that stays keeps its record.
         assert!(e.sla(b).is_some());
@@ -1032,19 +1005,20 @@ mod tests {
     }
 
     #[test]
-    fn sla_tracks_deliveries_and_feeds_reputation() {
+    fn sla_tracks_deliveries_and_feeds_the_reputation_estimate() {
         let mut e = env();
         let rt = e.model().property("ResponseTime").unwrap();
         let rep = e.model().property("Reputation").unwrap();
-        // Advertises 50 ms but delivers 200 ms (beyond the 20 % default
-        // tolerance).
-        let liar = {
-            let desc = describe(&e, "liar", "d#A", 50.0);
+        // Both advertise 50 ms and a neutral reputation; the liar
+        // delivers 200 ms (beyond the 20 % default tolerance).
+        let mut deploy_delivering = |name: &str, function: &str, delivered_ms: f64| {
+            let desc = describe(&e, name, function, 50.0).with_qos(rep, 2.5);
             let mut delivered = desc.qos().clone();
-            delivered.set(rt, 200.0);
+            delivered.set(rt, delivered_ms);
             e.deploy(desc, SyntheticService::new(delivered))
         };
-        let honest = deploy(&mut e, "honest", "d#B", 50.0);
+        let liar = deploy_delivering("liar", "d#A", 200.0);
+        let honest = deploy_delivering("honest", "d#B", 50.0);
 
         let req = UserRequest::new(two_step_task());
         let comp = e.compose(&req).unwrap();
@@ -1057,10 +1031,11 @@ mod tests {
         let honest_sla = e.sla(honest).expect("delivery recorded");
         assert_eq!(honest_sla.compliance(), 1.0);
 
-        let updated = e.apply_reputation_feedback();
-        assert_eq!(updated, 2);
-        assert_eq!(e.registry().get(liar).unwrap().qos().get(rep), Some(0.0));
-        assert_eq!(e.registry().get(honest).unwrap().qos().get(rep), Some(5.0));
+        let reputation = |id| e.monitor().qos_estimate(id).and_then(|q| q.get(rep));
+        assert_eq!(reputation(liar), Some(0.0));
+        assert_eq!(reputation(honest), Some(5.0));
+        // Learning rewrote no advertisement.
+        assert_eq!(e.registry().get(liar).unwrap().qos().get(rep), Some(2.5));
     }
 
     fn describe(e: &Environment, name: &str, function: &str, rt_ms: f64) -> ServiceDescription {
@@ -1072,45 +1047,26 @@ mod tests {
     }
 
     #[test]
-    fn reputation_feedback_does_not_poison_future_slas() {
+    fn an_advertised_reputation_is_no_contract_term() {
         let mut e = env();
         let rep = e.model().property("Reputation").unwrap();
-        // An honest service; reputation feedback writes Reputation into
-        // its advertisement between two execution rounds.
-        let id = deploy(&mut e, "honest", "d#A", 50.0);
+        // An honest service advertising a reputation its deliveries never
+        // mention.
+        let desc = describe(&e, "honest", "d#A", 50.0).with_qos(rep, 2.5);
+        let nominal: QosVector = desc.qos().iter().filter(|&(p, _)| p != rep).collect();
+        let id = e.deploy(desc, SyntheticService::new(nominal));
         let task = UserTask::new("t", TaskNode::activity(Activity::new("a", "d#A"))).unwrap();
-        let comp = e.compose(&UserRequest::new(task.clone())).unwrap();
-        assert!(e.execute(comp).unwrap().success);
-        assert_eq!(e.apply_reputation_feedback(), 1);
-        assert_eq!(e.registry().get(id).unwrap().qos().get(rep), Some(5.0));
-
-        // A new SLA created after feedback (fresh environment state for
-        // the SLA map): re-deploy the same advertisement.
-        let desc = e.registry().get(id).unwrap().clone();
-        let nominal_without_rep: qasom_qos::QosVector =
-            desc.qos().iter().filter(|&(p, _)| p != rep).collect();
-        let id2 = e.deploy(
-            desc.clone().with_qos_vector(desc.qos().clone()),
-            SyntheticService::new(nominal_without_rep),
-        );
-        let comp = e.compose(&UserRequest::new(task)).unwrap();
-        let report = e.execute(comp).unwrap();
-        assert!(report.success);
-        // Whichever service served, no SLA may count the feedback-derived
-        // Reputation as a breached contract term.
-        for sid in [id, id2] {
-            if let Some(sla) = e.sla(sid) {
-                assert_eq!(
-                    sla.breaches(),
-                    0,
-                    "feedback-derived Reputation must not breach SLAs"
-                );
-            }
+        for _ in 0..2 {
+            let comp = e.compose(&UserRequest::new(task.clone())).unwrap();
+            assert!(e.execute(comp).unwrap().success);
         }
+        let sla = e.sla(id).unwrap();
+        assert_eq!((sla.checks(), sla.breaches()), (2, 0));
+        assert!(!sla.agreed().contains(rep));
     }
 
     #[test]
-    fn recompose_uses_monitored_history() {
+    fn compose_stops_trusting_an_advertisement_once_the_window_is_full() {
         let mut e = env();
         let rt = e.model().property("ResponseTime").unwrap();
         // Advertised-fast-but-actually-slow vs advertised-slow-but-fine.
@@ -1124,11 +1080,13 @@ mod tests {
         assert_eq!(comp.outcome().assignment[0].id(), liar);
 
         // The monitor learns the truth.
-        for _ in 0..5 {
-            let mut q = qasom_qos::QosVector::new();
-            q.set(rt, 500.0);
-            e.monitor.observe(liar, &q);
-        }
+        let mut q = e.registry().get(liar).unwrap().qos().clone();
+        q.set(rt, 500.0);
+        settle(&mut e, liar, rt, &q);
+        assert_eq!(
+            e.compose(&request).unwrap().outcome().assignment[0].id(),
+            honest
+        );
         let recomposed = e.recompose_full(&comp).unwrap();
         assert_eq!(recomposed.outcome().assignment[0].id(), honest);
     }

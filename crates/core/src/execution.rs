@@ -352,8 +352,7 @@ impl Environment {
                     // on the QoS itself covers both checks at once.
                     match self.invoke(service).and_then(|o| o.qos().cloned()) {
                         Some(qos) => {
-                            self.monitor.observe(service, &qos);
-                            self.record_delivery(service, Some(&qos));
+                            self.record_invocation(service, Some(&qos));
                             self.emit(MiddlewareEvent::Invoked {
                                 activity: name.clone(),
                                 service,
@@ -377,7 +376,7 @@ impl Environment {
                             break;
                         }
                         None => {
-                            self.record_delivery(service, None);
+                            self.record_invocation(service, None);
                             self.emit(MiddlewareEvent::InvocationFailed {
                                 activity: name.clone(),
                                 service,

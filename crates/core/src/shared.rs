@@ -262,9 +262,10 @@ impl SharedEnvironment {
         Ok((env.epoch(), composition))
     }
 
-    /// Re-selects an existing composition under the **read** lock
-    /// ([`Environment::recompose_full`]), so other sessions keep
-    /// composing concurrently.
+    /// Re-composes an existing composition under the **read** lock
+    /// ([`Environment::recompose_full`], the same pipeline as
+    /// [`Environment::compose`]), so other sessions keep composing
+    /// concurrently.
     ///
     /// # Errors
     ///

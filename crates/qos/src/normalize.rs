@@ -48,14 +48,26 @@ impl Normalizer {
                 }
                 match stats.binary_search_by_key(&p, |&(id, ..)| id) {
                     Ok(i) => {
-                        stats[i].2 = stats[i].2.min(v);
-                        stats[i].3 = stats[i].3.max(v);
+                        let (_, _, lo, hi) = &mut stats[i];
+                        (*lo, *hi) = Normalizer::widen((*lo, *hi), (v, v));
                     }
                     Err(i) => stats.insert(i, (p, model.tendency(p), v, v)),
                 }
             }
         }
         Normalizer { stats }
+    }
+
+    /// `(lo, hi)` widened to cover `(min, max)`, by explicit comparison:
+    /// on a tie the existing end stays. `f64::min` and `f64::max` may
+    /// return either zero for `-0.0` against `+0.0`, and a release build
+    /// need not return the one a debug build does, so every bound this
+    /// crate and ranking fold goes through here.
+    pub fn widen((lo, hi): (f64, f64), (min, max): (f64, f64)) -> (f64, f64) {
+        (
+            if min < lo { min } else { lo },
+            if max > hi { max } else { hi },
+        )
     }
 
     /// Extends the fitted bounds so that `value` falls inside them
@@ -66,8 +78,8 @@ impl Normalizer {
         }
         match self.stats.binary_search_by_key(&property, |&(id, ..)| id) {
             Ok(i) => {
-                self.stats[i].2 = self.stats[i].2.min(value);
-                self.stats[i].3 = self.stats[i].3.max(value);
+                let (_, _, lo, hi) = &mut self.stats[i];
+                (*lo, *hi) = Normalizer::widen((*lo, *hi), (value, value));
             }
             Err(i) => self
                 .stats
@@ -82,8 +94,8 @@ impl Normalizer {
     pub fn include_bounds(&mut self, model: &QosModel, property: PropertyId, min: f64, max: f64) {
         match self.stats.binary_search_by_key(&property, |&(id, ..)| id) {
             Ok(i) => {
-                self.stats[i].2 = self.stats[i].2.min(min);
-                self.stats[i].3 = self.stats[i].3.max(max);
+                let (_, _, lo, hi) = &mut self.stats[i];
+                (*lo, *hi) = Normalizer::widen((*lo, *hi), (min, max));
             }
             Err(i) => self
                 .stats
@@ -122,7 +134,10 @@ impl Normalizer {
             Tendency::LowerBetter => (max - value) / (max - min),
             Tendency::HigherBetter => (value - min) / (max - min),
         };
-        raw.clamp(0.0, 1.0)
+        // Adding `+0.0` turns a `-0.0` (from `max == -0.0`, say) into
+        // `+0.0` and leaves every other value as it is: a zero score is
+        // always the same bits, so it sorts the same in every build.
+        raw.clamp(0.0, 1.0) + 0.0
     }
 
     /// Properties the normaliser observed.

@@ -180,6 +180,17 @@ impl QosVector {
         self.entries.as_slice().iter().map(|&(p, _)| p)
     }
 
+    /// Replaces the value of every property `self` carries with the one
+    /// `other` carries for it. Properties only `other` carries are not
+    /// added, so the vector never grows (or allocates).
+    pub fn overwrite(&mut self, other: &QosVector) {
+        for (p, v) in other.iter() {
+            if let Ok(i) = self.search(p) {
+                self.entries.as_mut_slice()[i].1 = v;
+            }
+        }
+    }
+
     /// Merges `other` into `self`; on conflict the value chosen by
     /// `combine(self_value, other_value)` wins.
     pub fn merge_with(&mut self, other: &QosVector, mut combine: impl FnMut(f64, f64) -> f64) {
@@ -293,6 +304,14 @@ mod tests {
         assert_eq!(a.get(p(1)), Some(10.0));
         assert_eq!(a.get(p(2)), Some(7.0));
         assert_eq!(a.get(p(3)), Some(1.0));
+    }
+
+    #[test]
+    fn overwrite_replaces_shared_properties_only() {
+        let mut a: QosVector = [(p(1), 10.0), (p(2), 5.0)].into_iter().collect();
+        let b: QosVector = [(p(2), 7.0), (p(3), 1.0)].into_iter().collect();
+        a.overwrite(&b);
+        assert_eq!(a, [(p(1), 10.0), (p(2), 7.0)].into_iter().collect());
     }
 
     #[test]

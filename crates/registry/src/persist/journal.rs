@@ -29,7 +29,6 @@
 use std::sync::Arc;
 
 use qasom_ontology::Ontology;
-use qasom_qos::PropertyId;
 
 use crate::registry::{ServiceId, ServiceRegistry};
 use crate::service::ServiceDescription;
@@ -481,29 +480,6 @@ impl PersistentRegistry {
         })
     }
 
-    /// Re-advertises `property` of each listed live service; returns
-    /// how many were live. The WAL journals only registrations and
-    /// departures, so a pass that changed anything ends with a
-    /// checkpoint: a crash afterwards recovers the re-advertised values.
-    ///
-    /// # Errors
-    ///
-    /// [`Unjournaled`] when the checkpoint fails.
-    pub fn set_qos(
-        &mut self,
-        property: PropertyId,
-        values: impl IntoIterator<Item = (ServiceId, f64)>,
-    ) -> Result<usize, Unjournaled<usize>> {
-        let updated = values
-            .into_iter()
-            .filter(|&(id, value)| self.registry.set_qos(id, property, value))
-            .count();
-        if updated == 0 {
-            return Ok(0);
-        }
-        self.journaled(updated, RegistryJournal::checkpoint)
-    }
-
     /// Re-binds the registry to `ontology`, rebuilding the capability
     /// index. Nothing is journaled: the binding is not durable state.
     pub fn bind_ontology(&mut self, ontology: Arc<Ontology>) {
@@ -712,27 +688,6 @@ mod tests {
             pr.journal().unwrap().wal_cursor(),
             pr.registry().event_cursor() as u64
         );
-    }
-
-    #[test]
-    fn a_qos_readvertisement_is_checkpointed_when_it_changed_anything() {
-        let backend = MemoryBackend::new();
-        let (mut pr, _) = open_mem(&backend, 0);
-        let rt = qasom_qos::QosModel::standard()
-            .property("ResponseTime")
-            .unwrap();
-        let live = pr.register(desc(0)).unwrap();
-        let gone = pr.register(desc(1)).unwrap();
-        pr.deregister(gone).unwrap();
-        let checkpoints = |pr: &PersistentRegistry| pr.journal().unwrap().stats().checkpoints;
-
-        assert_eq!(pr.set_qos(rt, [(gone, 1.0)]).unwrap(), 0);
-        assert_eq!(checkpoints(&pr), 0);
-        assert_eq!(pr.set_qos(rt, [(live, 7.0), (gone, 1.0)]).unwrap(), 1);
-        assert_eq!(checkpoints(&pr), 1);
-        let (recovered, _) = open_mem(&backend, 0);
-        let qos = recovered.registry().get(live).unwrap().qos();
-        assert_eq!(qos.get(rt), Some(7.0));
     }
 
     #[test]

@@ -6,7 +6,6 @@ use std::hash::Hash;
 use std::sync::Arc;
 
 use qasom_ontology::{ConceptId, Iri, Ontology};
-use qasom_qos::PropertyId;
 
 use crate::ServiceDescription;
 
@@ -293,19 +292,6 @@ impl ServiceRegistry {
         self.services.get(id.index())?.as_ref()
     }
 
-    /// Re-advertises one QoS value of a live service; returns whether
-    /// the service was live. The capability index and the event cursor
-    /// stay as they are: neither depends on advertised QoS.
-    pub fn set_qos(&mut self, id: ServiceId, property: PropertyId, value: f64) -> bool {
-        match self.services.get_mut(id.index()) {
-            Some(Some(desc)) => {
-                desc.qos.set(property, value);
-                true
-            }
-            _ => false,
-        }
-    }
-
     /// Number of live services.
     pub fn len(&self) -> usize {
         self.alive
@@ -384,26 +370,5 @@ mod tests {
         let mut clone = r.clone();
         clone.register(svc("b", "d#F"));
         assert_eq!((r.event_cursor(), clone.event_cursor()), (2, 3));
-    }
-
-    #[test]
-    fn a_qos_readvertisement_keeps_the_index_and_the_epoch() {
-        let mut b = qasom_ontology::OntologyBuilder::new("d");
-        let f = b.concept("F");
-        b.subconcept("G", f);
-        let mut r = ServiceRegistry::with_ontology(Arc::new(b.build().unwrap()));
-        let rt = qasom_qos::QosModel::standard()
-            .property("ResponseTime")
-            .unwrap();
-        let a = r.register(svc("a", "d#G").with_qos(rt, 10.0));
-        let gone = r.register(svc("b", "d#F"));
-        r.deregister(gone);
-        let epoch = r.event_cursor();
-
-        assert!(r.set_qos(a, rt, 50.0));
-        assert!(!r.set_qos(gone, rt, 50.0), "a departed service stays gone");
-        assert_eq!(r.get(a).unwrap().qos().get(rt), Some(50.0));
-        assert_eq!(r.event_cursor(), epoch);
-        assert!(r.index_matches_rebuild());
     }
 }

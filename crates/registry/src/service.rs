@@ -88,8 +88,7 @@ impl Operation {
 pub struct ServiceDescription {
     name: String,
     function: Iri,
-    // Re-advertised in place by `ServiceRegistry::set_qos`.
-    pub(crate) qos: QosVector,
+    qos: QosVector,
     // `None` while every extra is at its default, so the common
     // profile-only description carries one pointer instead of five
     // fields, and equal descriptions stay structurally equal.

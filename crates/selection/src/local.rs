@@ -119,11 +119,12 @@ impl LocalScratch {
     }
 }
 
-/// The `(min, max)` of `values`, folded in order; `None` when empty.
+/// The `(min, max)` of `values`, folded in order with
+/// [`Normalizer::widen`] (the first of two equal values stays); `None`
+/// when empty.
 fn fold_bounds(values: impl IntoIterator<Item = f64>) -> Option<(f64, f64)> {
-    values.into_iter().fold(None, |bounds, v| match bounds {
-        None => Some((v, v)),
-        Some((lo, hi)) => Some((f64::min(lo, v), f64::max(hi, v))),
+    values.into_iter().fold(None, |bounds, v| {
+        Some(bounds.map_or((v, v), |b| Normalizer::widen(b, (v, v))))
     })
 }
 
@@ -373,8 +374,8 @@ impl QosLevels {
         for (p, lo, hi) in other.bounds {
             match self.bounds.binary_search_by_key(&p, |&(q, ..)| q) {
                 Ok(i) => {
-                    self.bounds[i].1 = self.bounds[i].1.min(lo);
-                    self.bounds[i].2 = self.bounds[i].2.max(hi);
+                    let (_, min, max) = &mut self.bounds[i];
+                    (*min, *max) = Normalizer::widen((*min, *max), (lo, hi));
                 }
                 Err(i) => self.bounds.insert(i, (p, lo, hi)),
             }

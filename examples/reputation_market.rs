@@ -1,7 +1,9 @@
-//! SLA tracking and reputation feedback: providers that deliver worse QoS
+//! SLA tracking and learnt reputation: providers that deliver worse QoS
 //! than they advertise accumulate contract breaches; the middleware turns
-//! compliance into reputation, and reputation-weighted requests then
-//! steer future selections away from the liars — no manual blacklisting.
+//! compliance into the reputation of each provider's QoS estimate, which
+//! every composition ranks on, so reputation-weighted requests steer
+//! away from the liars — no manual blacklisting, and no advertisement
+//! rewritten.
 //!
 //! ```text
 //! cargo run --release --example reputation_market
@@ -68,21 +70,19 @@ fn main() {
         );
     }
 
-    // The middleware turns SLA compliance into reputation.
-    let updated = env.apply_reputation_feedback();
-    println!("\nreputation feedback applied to {updated} provider(s):");
+    // Every recorded delivery was checked against the provider's SLA,
+    // and compliance became the reputation its QoS estimate carries; the
+    // advertisements stay as published.
+    println!("\nreputation learnt from SLA compliance:");
     for id in [liar, honest] {
-        let sla = env.sla(id);
+        let advertised = env.registry().get(id).unwrap();
+        let learnt = env.monitor().qos_estimate(id).and_then(|e| e.get(rep));
         println!(
-            "  {:<12} compliance {:>5.2}  reputation {:>3.1}/5",
-            env.registry().get(id).unwrap().name(),
-            sla.map_or(1.0, |s| s.compliance()),
-            env.registry()
-                .get(id)
-                .unwrap()
-                .qos()
-                .get(env.model().property("Reputation").unwrap())
-                .unwrap_or(f64::NAN)
+            "  {:<12} compliance {:>5.2}  reputation {:>3.1}/5 (advertised {:.1})",
+            advertised.name(),
+            env.sla(id).map_or(1.0, |s| s.compliance()),
+            learnt.or(advertised.qos().get(rep)).unwrap_or(f64::NAN),
+            advertised.qos().get(rep).unwrap_or(f64::NAN)
         );
     }
 

@@ -147,7 +147,7 @@ proptest! {
         for &v in &values {
             let mut q = qasom_qos::QosVector::new();
             q.set(rt, v);
-            monitor.observe(id, &q);
+            monitor.observe(&model, id, &q);
         }
         let est = monitor.estimate(id).unwrap().get(rt).unwrap();
         let tail: Vec<f64> = values.iter().rev().take(WINDOW).copied().collect();
@@ -167,7 +167,7 @@ proptest! {
         for _ in 0..n {
             let mut q = qasom_qos::QosVector::new();
             q.set(rt, value);
-            monitor.observe(id, &q);
+            monitor.observe(&model, id, &q);
         }
         let predicted = monitor.predict(id).unwrap().get(rt).unwrap();
         prop_assert!((predicted - value).abs() < 1e-6, "{predicted} vs {value}");

@@ -9,6 +9,11 @@
 //! allocations. The bytes they request may grow with the candidates, by
 //! at most [`BYTES_PER_CANDIDATE`] per added candidate.
 //!
+//! Compose ranks every candidate on its QoS estimate, so the larger
+//! market is composed twice: unobserved, and after every provider has
+//! a settled estimate and an SLA record. Reading the estimates may not
+//! allocate either.
+//!
 //! This file holds a single test: the allocator counts every thread of
 //! the process, and a second test running alongside would be counted
 //! too.
@@ -70,8 +75,10 @@ const ACTIVITIES: usize = 8;
 const BYTES_PER_CANDIDATE: f64 = 180.0;
 
 /// An environment with `per_activity` providers of each of eight
-/// concepts, and a request composing all eight in sequence.
-fn market(per_activity: usize) -> (Environment, UserRequest) {
+/// concepts, and a request composing all eight in sequence. An
+/// `observed` market has recorded deliveries 1.5 times slower than
+/// advertised from every provider, until each one's estimate settled.
+fn market(per_activity: usize, observed: bool) -> (Environment, UserRequest) {
     let mut b = OntologyBuilder::new("m");
     for c in 0..ACTIVITIES {
         b.concept(&format!("C{c}"));
@@ -88,8 +95,20 @@ fn market(per_activity: usize) -> (Environment, UserRequest) {
             let desc = ServiceDescription::new(format!("s{c}-{i}"), &format!("m#C{c}"))
                 .with_qos(rt, 40.0 + 1_000.0 * i as f64 / per_activity as f64)
                 .with_qos(av, 0.90 + 0.1 * spread);
+            let mut delivered = desc.qos().clone();
             let behaviour = SyntheticService::new(desc.qos().clone());
-            env.deploy(desc, behaviour);
+            let id = env.deploy(desc, behaviour);
+            if let Some(advertised) = delivered.get(rt).filter(|_| observed) {
+                delivered.set(rt, 1.5 * advertised);
+                while env
+                    .monitor()
+                    .qos_estimate(id)
+                    .and_then(|e| e.get(rt))
+                    .is_none()
+                {
+                    env.record_invocation(id, Some(&delivered));
+                }
+            }
         }
     }
     let task = UserTask::new(
@@ -110,8 +129,8 @@ fn market(per_activity: usize) -> (Environment, UserRequest) {
 
 /// `(allocations, bytes)` requested by the second of two composes of the
 /// request.
-fn warm_compose_allocations(per_activity: usize) -> (usize, usize) {
-    let (env, request) = market(per_activity);
+fn warm_compose_allocations(per_activity: usize, observed: bool) -> (usize, usize) {
+    let (env, request) = market(per_activity, observed);
     let first = env.compose(&request).expect("the market composes");
     assert_eq!(first.outcome().assignment.len(), ACTIVITIES);
     drop(first);
@@ -128,11 +147,18 @@ fn warm_compose_allocations(per_activity: usize) -> (usize, usize) {
 
 #[test]
 fn a_warm_compose_allocates_alike_at_125_and_1250_candidates() {
-    let (small, small_bytes) = warm_compose_allocations(125);
-    let (large, large_bytes) = warm_compose_allocations(1_250);
+    let (small, small_bytes) = warm_compose_allocations(125, false);
+    let (large, large_bytes) = warm_compose_allocations(1_250, false);
+    let (observed, observed_bytes) = warm_compose_allocations(1_250, true);
     assert_eq!(
         large, small,
         "1 250 candidates per activity made {large} allocations, 125 made {small}"
+    );
+    assert_eq!(
+        (observed, observed_bytes),
+        (large, large_bytes),
+        "over settled estimates a warm compose made {observed} allocations \
+         ({observed_bytes} B), over advertisements {large} ({large_bytes} B)"
     );
     let added = ACTIVITIES * (1_250 - 125);
     let per_candidate = (large_bytes as f64 - small_bytes as f64) / added as f64;

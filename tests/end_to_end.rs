@@ -280,6 +280,55 @@ fn drifting_service_triggers_proactive_substitution() {
         .any(|e| matches!(e, MiddlewareEvent::ViolationDetected { .. })));
 }
 
+/// A provider whose response time drifts ×3 keeps being bound while its
+/// advertisement is all there is to judge it by. Once its window of
+/// deliveries is full, a fresh compose ranks it on the window mean and
+/// binds an honest provider instead.
+#[test]
+fn a_fresh_compose_stops_binding_a_drifting_provider_once_its_window_is_full() {
+    let mut env = Environment::new(QosModel::standard(), shop_ontology(), 12);
+    let d = Deployer::new(&env);
+    let rt = d.rt;
+    let mut deploy = |name: String, rt_ms: f64, drifts: bool| {
+        let desc = ServiceDescription::new(name, "shop#Browse")
+            .with_qos(rt, rt_ms)
+            .with_qos(d.av, 0.99);
+        let mut behaviour = SyntheticService::new(desc.qos().clone()).with_noise(0.05);
+        if drifts {
+            behaviour = behaviour.with_drift(3, rt, 3.0);
+        }
+        env.deploy(desc, behaviour)
+    };
+    for i in 0..8 {
+        deploy(format!("kiosk{i}"), 60.0 + 10.0 * f64::from(i), false);
+    }
+    let drifting = deploy("kiosk-fast".to_owned(), 40.0, true);
+    let task = UserTask::new(
+        "browse",
+        TaskNode::activity(Activity::new("browse", "shop#Browse")),
+    )
+    .unwrap();
+    let request = UserRequest::new(task)
+        .constraint("Delay", 1.0, Unit::Seconds)
+        .unwrap()
+        .weight("Delay", 1.0);
+
+    let (mut before, mut after) = (Vec::new(), Vec::new());
+    for _ in 0..20 {
+        let settled = env
+            .monitor()
+            .qos_estimate(drifting)
+            .and_then(|e| e.get(rt))
+            .is_some();
+        let comp = env.compose(&request).unwrap();
+        let bound = comp.outcome().assignment[0].id();
+        if settled { &mut after } else { &mut before }.push(bound);
+        assert!(env.execute(comp).unwrap().success);
+    }
+    assert!(!before.is_empty() && before.iter().all(|&id| id == drifting));
+    assert!(!after.is_empty() && after.iter().all(|&id| id != drifting));
+}
+
 #[test]
 fn events_trace_the_full_lifecycle() {
     let (mut env, _) = full_environment(9);

@@ -11,8 +11,9 @@
 //! * **the journaled `Environment`** — the path `qasomd --data-dir`
 //!   runs (`open_registry`, journaled `deploy` / `undeploy` /
 //!   `checkpoint_registry`) meets the same oracle, makes the same file
-//!   calls as a bare `PersistentRegistry`, and a failing store detaches
-//!   the journal instead of stopping service;
+//!   calls as a bare `PersistentRegistry`, a failing store detaches
+//!   the journal instead of stopping service, and what execution learns
+//!   (monitor windows, SLAs, QoS estimates) makes no file call;
 //! * **the on-disk bytes** — a snapshot and both WAL record kinds
 //!   encode exactly as `tests/fixtures/persist_format.hex` pins them,
 //!   so a data directory written by an older `qasomd` still opens;
@@ -601,30 +602,55 @@ fn a_journaled_environment_recovers_byte_identically_after_every_op() {
     }
 }
 
-/// Reputation feedback rewrites live advertisements, which the WAL does
-/// not journal: after a pass that changed anything, a crash must still
-/// recover the re-advertised registry.
+/// What execution learns lives in memory only: monitor windows, SLA
+/// records and the QoS estimates compose ranks on. On a journaled
+/// environment, sessions that settle every provider's estimate, its
+/// learnt reputation included, make no file call at all: no WAL byte,
+/// no checkpoint, and the store still recovers the advertisements.
 #[test]
-fn reputation_feedback_survives_a_crash() {
+fn composing_executing_and_learning_reputation_touch_no_file() {
+    let log = Arc::new(Mutex::new(Vec::<Call>::new()));
     let backend = MemoryBackend::new();
     let mut env = environment();
-    env.open_registry(backend.clone(), PersistConfig::default())
-        .unwrap();
-    for i in 0..3 {
-        deploy(
-            &mut env,
-            ServiceDescription::new(format!("pay{i}"), "p#Pay"),
-        );
-    }
+    env.open_registry(
+        recording(backend.clone(), &log, None),
+        PersistConfig::default(),
+    )
+    .unwrap();
+    let rt = env.model().property("ResponseTime").unwrap();
+    let rep = env.model().property("Reputation").unwrap();
+    let ids: Vec<ServiceId> = (0..3)
+        .map(|i| {
+            let desc = ServiceDescription::new(format!("pay{i}"), "p#Pay")
+                .with_qos(rt, 50.0 + 10.0 * i as f64)
+                .with_qos(rep, 2.5);
+            deploy(&mut env, desc)
+        })
+        .collect();
+    let stats = env.journal_stats().unwrap();
+    log.lock().unwrap().clear();
+
     let task = UserTask::new("t", TaskNode::activity(Activity::new("pay", "p#Pay"))).unwrap();
-    for _ in 0..3 {
-        let composition = env.compose(&UserRequest::new(task.clone())).unwrap();
+    let request = UserRequest::new(task).weight("ResponseTime", 1.0);
+    while env
+        .monitor()
+        .qos_estimate(ids[0])
+        .and_then(|e| e.get(rt))
+        .is_none()
+    {
+        let composition = env.compose(&request).unwrap();
         assert!(env.execute(composition).unwrap().success);
     }
-    assert!(env.apply_reputation_feedback() > 0);
+    assert_eq!(
+        env.monitor().qos_estimate(ids[0]).unwrap().get(rep),
+        Some(5.0)
+    );
 
+    assert_eq!(*log.lock().unwrap(), []);
+    assert_eq!(env.journal_stats().unwrap(), stats);
     let (recovered, _) = recover(backend.fork(), PersistConfig::default());
     assert_eq!(encode_state(&recovered), encode_state(env.registry()));
+    assert_eq!(recovered.get(ids[0]).unwrap().qos().get(rep), Some(2.5));
 }
 
 #[test]

@@ -373,9 +373,18 @@ fn reference_rank(
                 normalizer.include(model, p, v);
             }
         }
+        // Explicit comparisons, first of equal values kept: `f64::min`
+        // and `f64::max` leave the zero they return for `-0.0` against
+        // `+0.0` unspecified.
         if let (Some(lo), Some(hi)) = (
-            values.iter().copied().reduce(f64::min),
-            values.iter().copied().reduce(f64::max),
+            values
+                .iter()
+                .copied()
+                .reduce(|lo, v| if v < lo { v } else { lo }),
+            values
+                .iter()
+                .copied()
+                .reduce(|hi, v| if v > hi { v } else { hi }),
         ) {
             bounds.push((p, lo, hi));
         }
