@@ -44,7 +44,11 @@
 //!     obs.set(rt, v);
 //!     monitor.observe(&model, id, &obs);
 //! }
-//! assert_eq!(monitor.estimate(id).unwrap().get(rt), Some(110.0));
+//! // Completion checks read the window means at once…
+//! assert_eq!(monitor.window_means(id).unwrap().get(rt), Some(110.0));
+//! // …but composition ranks on the estimate, which keeps the
+//! // advertisement until a window is full.
+//! assert_eq!(monitor.qos_estimate(id).unwrap().get(rt), None);
 //! ```
 
 #![forbid(unsafe_code)]

@@ -244,10 +244,12 @@ impl QosMonitor {
         self.record(service)?.sla.as_ref()
     }
 
-    /// Window-mean estimate of a service's delivered QoS, over however
-    /// many samples each window holds (`None` when the service was never
-    /// observed).
-    pub fn estimate(&self, service: ServiceId) -> Option<QosVector> {
+    /// The mean of each of a service's delivery windows, over however
+    /// many samples each holds (`None` when the service was never
+    /// observed). Completion checks and substitution read these; what
+    /// composition ranks a service on is its settled
+    /// [`QosMonitor::qos_estimate`].
+    pub fn window_means(&self, service: ServiceId) -> Option<QosVector> {
         self.record(service)?.per_property(PropertyWindow::mean)
     }
 
@@ -356,7 +358,7 @@ impl CompositionMonitor {
     /// Per-activity QoS as currently believed: monitored estimate where
     /// available, advertised value otherwise.
     pub fn believed_qos(&self, monitor: &QosMonitor) -> Vec<QosVector> {
-        self.per_activity(monitor, QosMonitor::estimate)
+        self.per_activity(monitor, QosMonitor::window_means)
     }
 
     /// Checks the global constraints against the current estimates and
@@ -454,7 +456,7 @@ mod tests {
         for v in [100.0, 200.0, 300.0] {
             m.observe(&f.model, f.ids[0], &obs(f.rt, v));
         }
-        assert_eq!(m.estimate(f.ids[0]).unwrap().get(f.rt), Some(200.0));
+        assert_eq!(m.window_means(f.ids[0]).unwrap().get(f.rt), Some(200.0));
     }
 
     #[test]
@@ -466,7 +468,7 @@ mod tests {
             m.observe(&f.model, f.ids[0], &obs(f.rt, 200.0));
         }
         // The first sample has left the window.
-        assert_eq!(m.estimate(f.ids[0]).unwrap().get(f.rt), Some(200.0));
+        assert_eq!(m.window_means(f.ids[0]).unwrap().get(f.rt), Some(200.0));
         assert_eq!(m.sample_count(f.ids[0], f.rt), WINDOW);
     }
 
@@ -478,7 +480,7 @@ mod tests {
             m.observe(&f.model, f.ids[0], &obs(f.rt, v));
         }
         let predicted = m.predict(f.ids[0]).unwrap().get(f.rt).unwrap();
-        let estimated = m.estimate(f.ids[0]).unwrap().get(f.rt).unwrap();
+        let estimated = m.window_means(f.ids[0]).unwrap().get(f.rt).unwrap();
         assert!(
             predicted > estimated,
             "worsening trend must predict above the mean: {predicted} vs {estimated}"
@@ -489,7 +491,7 @@ mod tests {
     fn unobserved_service_has_no_estimate() {
         let f = fx(1);
         let m = QosMonitor::new();
-        assert!(m.estimate(f.ids[0]).is_none());
+        assert!(m.window_means(f.ids[0]).is_none());
         assert!(m.predict(f.ids[0]).is_none());
     }
 
@@ -538,7 +540,7 @@ mod tests {
             m.observe(&f.model, f.ids[0], &delivered);
         }
         assert_eq!(m.sample_count(f.ids[0], rep), 0, "never windowed");
-        assert_eq!(m.estimate(f.ids[0]).unwrap().get(rep), None);
+        assert_eq!(m.window_means(f.ids[0]).unwrap().get(rep), None);
         assert_eq!(m.qos_estimate(f.ids[0]).unwrap().get(rep), None);
         assert!(m.sla(f.ids[0]).is_none());
 

@@ -105,7 +105,7 @@ impl<'a> Substitution<'a> {
                 }
                 // Believe the monitor about the alternate too where it has
                 // history; trust its advertisement for the rest.
-                let alternate_qos = overlay(monitor.estimate(alternate.id()), alternate.qos());
+                let alternate_qos = overlay(monitor.window_means(alternate.id()), alternate.qos());
                 let mut trial = believed.clone();
                 trial[activity] = alternate_qos;
                 let expected = aggregator.aggregate(composition.task(), &trial, &properties);

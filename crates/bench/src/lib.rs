@@ -706,7 +706,7 @@ pub fn ablate_monitoring(model: &QosModel) -> FigureResult {
             monitor.observe(model, id, &q);
             let observed = "the monitor observed ResponseTime";
             let estimate = monitor
-                .estimate(id)
+                .window_means(id)
                 .and_then(|q| q.get(rt))
                 .ok_or(observed)?;
             let predicted = monitor

@@ -496,16 +496,20 @@ impl Environment {
     /// QoS-aware discovery for one activity: the candidate set `S_i`.
     ///
     /// Discovery is white-box aware (a service may qualify through one of
-    /// its conversation operations) and *end-to-end*: when the hosting
-    /// node's infrastructure QoS is known, the candidate's QoS is the
-    /// user-perceived one (service QoS degraded by the path).
+    /// its conversation operations) and *end-to-end*: a candidate's
+    /// service-layer QoS is its [`qasom_adaptation::QosEstimate`] laid
+    /// over what it advertises, and when the hosting node's
+    /// infrastructure QoS is known, the candidate's QoS is the
+    /// user-perceived one (that service QoS degraded by the path).
     pub fn discover(&self, activity: &Activity) -> Vec<ServiceCandidate> {
         self.discover_rows(activity, ServiceCandidate::new)
     }
 
     /// Discovery for one activity, one output row per discovered,
     /// still-deployed service: `row` receives the service and its
-    /// perceived QoS, and the rows land in one exactly-sized `Vec`.
+    /// perceived QoS, and the rows land in one exactly-sized `Vec`. The
+    /// estimate is service-layer QoS, so it is laid over the discovered
+    /// vector in place before the path is perceived.
     fn discover_rows<T>(
         &self,
         activity: &Activity,
@@ -522,9 +526,13 @@ impl Environment {
             let Some(desc) = registry.get(c.service) else {
                 continue;
             };
+            let mut qos = c.effective_qos;
+            if let Some(estimate) = self.monitor.qos_estimate(c.service) {
+                estimate.apply(&mut qos);
+            }
             let qos = match desc.host().and_then(|h| self.infra.get(&h)) {
-                Some(infra) => self.end_to_end.perceive(&c.effective_qos, infra),
-                None => c.effective_qos,
+                Some(infra) => self.end_to_end.perceive(&qos, infra),
+                None => qos,
             };
             rows.push(row(c.service, qos));
         }
@@ -608,17 +616,13 @@ impl Environment {
     }
 
     /// Discovery for one activity as selection sees it, built as the
-    /// unranked table ranking sorts in place: each row's perceived QoS
-    /// with the service's [`qasom_adaptation::QosEstimate`] laid over it,
-    /// and a [`ComposeError::NoServiceFor`] when nothing qualifies.
+    /// unranked table ranking sorts in place, and a
+    /// [`ComposeError::NoServiceFor`] when nothing qualifies.
     fn discover_for_selection(
         &self,
         activity: &Activity,
     ) -> Result<Vec<RankedCandidate>, ComposeError> {
-        let table = self.discover_rows(activity, |id, mut qos| {
-            if let Some(estimate) = self.monitor.qos_estimate(id) {
-                estimate.apply(&mut qos);
-            }
+        let table = self.discover_rows(activity, |id, qos| {
             RankedCandidate::from(ServiceCandidate::new(id, qos))
         });
         if table.is_empty() {
@@ -860,20 +864,25 @@ mod tests {
         }
         let comp = e.compose(&request).unwrap();
 
+        // The reference lays each estimate over the advertisement itself,
+        // and discovery must hand ranking exactly those rows.
         let task = two_step_task();
         let candidates = task
             .activities()
             .map(|a| {
-                e.discover(a.activity())
-                    .into_iter()
+                let found = e.discover(a.activity());
+                let estimated: Vec<ServiceCandidate> = found
+                    .iter()
                     .map(|c| {
-                        let mut qos = c.qos().clone();
+                        let mut qos = e.registry().get(c.id()).unwrap().qos().clone();
                         if let Some(estimate) = e.monitor().qos_estimate(c.id()) {
                             estimate.apply(&mut qos);
                         }
                         ServiceCandidate::new(c.id(), qos)
                     })
-                    .collect()
+                    .collect();
+                assert_eq!(found, estimated);
+                estimated
             })
             .collect();
         let problem = SelectionProblem::new(&task)
@@ -1150,72 +1159,101 @@ mod tests {
         assert_eq!(e.task_repository().alternatives("v1").count(), 1);
     }
 
-    #[test]
-    fn infrastructure_degrades_perceived_candidates() {
+    /// Two services advertising a 100 ms response time, on hosts 1 and 2.
+    fn two_hosts() -> (Environment, [ServiceId; 2]) {
         let mut e = env();
         let rt = e.model().property("ResponseTime").unwrap();
-        let lat = e.model().property("NetworkLatency").unwrap();
-        // Two identical services on different hosts.
-        let mk = |host: u64| {
-            ServiceDescription::new(format!("svc-{host}"), "d#A")
+        let ids = [1, 2].map(|host: u64| {
+            let d = ServiceDescription::new(format!("svc-{host}"), "d#A")
                 .with_qos(rt, 100.0)
-                .with_host(host)
-        };
-        for host in [1, 2] {
-            let d = mk(host);
+                .with_host(host);
             let nominal = d.qos().clone();
-            e.deploy(d, SyntheticService::new(nominal));
-        }
-        let path = |latency_ms: f64| {
-            let mut infra = qasom_qos::QosVector::new();
-            infra.set(lat, latency_ms);
-            infra
-        };
-        let perceived = |e: &Environment| {
-            let mut by_host: Vec<(u64, f64)> = e
-                .discover(&Activity::new("x", "d#A"))
-                .iter()
-                .map(|c| {
-                    (
-                        e.registry().get(c.id()).unwrap().host().unwrap(),
-                        c.qos().get(rt).unwrap(),
-                    )
-                })
-                .collect();
-            by_host.sort_by_key(|&(host, _)| host);
-            by_host
-        };
-        let selected_host = |e: &mut Environment| {
-            let task = UserTask::new("t", TaskNode::activity(Activity::new("x", "d#A"))).unwrap();
-            // Selection needs a QoS axis to rank on: the user cares about delay.
-            let comp = e
-                .compose(&UserRequest::new(task).weight("Delay", 1.0))
-                .unwrap();
-            let id = comp.outcome().assignment[0].id();
-            e.registry().get(id).unwrap().host().unwrap()
-        };
+            e.deploy(d, SyntheticService::new(nominal))
+        });
+        (e, ids)
+    }
 
+    /// The infrastructure QoS of a path with the given one-way latency.
+    fn path(e: &Environment, latency_ms: f64) -> QosVector {
+        let mut infra = QosVector::new();
+        infra.set(e.model().property("NetworkLatency").unwrap(), latency_ms);
+        infra
+    }
+
+    /// Each discovered service's host and perceived response time.
+    fn perceived(e: &Environment) -> Vec<(u64, f64)> {
+        let rt = e.model().property("ResponseTime").unwrap();
+        let mut by_host: Vec<(u64, f64)> = e
+            .discover(&Activity::new("x", "d#A"))
+            .iter()
+            .map(|c| {
+                (
+                    e.registry().get(c.id()).unwrap().host().unwrap(),
+                    c.qos().get(rt).unwrap(),
+                )
+            })
+            .collect();
+        by_host.sort_by_key(|&(host, _)| host);
+        by_host
+    }
+
+    /// The host of the service a fresh compose binds.
+    fn selected_host(e: &Environment) -> u64 {
+        let task = UserTask::new("t", TaskNode::activity(Activity::new("x", "d#A"))).unwrap();
+        // Selection needs a QoS axis to rank on: the user cares about delay.
+        let comp = e
+            .compose(&UserRequest::new(task).weight("Delay", 1.0))
+            .unwrap();
+        let id = comp.outcome().assignment[0].id();
+        e.registry().get(id).unwrap().host().unwrap()
+    }
+
+    #[test]
+    fn infrastructure_degrades_perceived_candidates() {
+        let (mut e, _) = two_hosts();
         // Host 2's path is slow: 100 + 2 × 200 round trip. The nearer
         // host wins.
-        e.set_infrastructure(2, path(200.0));
+        e.set_infrastructure(2, path(&e, 200.0));
         assert_eq!(perceived(&e), vec![(1, 100.0), (2, 500.0)]);
-        assert_eq!(selected_host(&mut e), 1);
+        assert_eq!(selected_host(&e), 1);
         // The user walks: the paths swap, so does the selection.
-        e.set_infrastructure(1, path(200.0));
-        e.set_infrastructure(2, path(2.5));
+        e.set_infrastructure(1, path(&e, 200.0));
+        e.set_infrastructure(2, path(&e, 2.5));
         assert_eq!(perceived(&e), vec![(1, 500.0), (2, 105.0)]);
-        assert_eq!(selected_host(&mut e), 2);
+        assert_eq!(selected_host(&e), 2);
         // Host 1 is out of range: an unusable path makes its perceived
         // response time infinite and takes it out of selection, even
         // against a slow path to host 2.
-        e.set_infrastructure(1, path(f64::INFINITY));
-        e.set_infrastructure(2, path(200.0));
+        e.set_infrastructure(1, path(&e, f64::INFINITY));
+        e.set_infrastructure(2, path(&e, 200.0));
         assert_eq!(perceived(&e), vec![(1, f64::INFINITY), (2, 500.0)]);
-        assert_eq!(selected_host(&mut e), 2);
+        assert_eq!(selected_host(&e), 2);
 
         e.clear_infrastructure(1);
         e.clear_infrastructure(2);
         assert_eq!(perceived(&e), vec![(1, 100.0), (2, 100.0)]);
+    }
+
+    /// The estimate replaces what a service delivers, not what the user
+    /// perceives: a settled estimate is still degraded by the path, so
+    /// an out-of-range host stays out of selection however fast its
+    /// service has proved.
+    #[test]
+    fn a_settled_estimate_is_perceived_through_the_path() {
+        let (mut e, [near, _]) = two_hosts();
+        let rt = e.model().property("ResponseTime").unwrap();
+        let mut fast = QosVector::new();
+        fast.set(rt, 50.0);
+        settle(&mut e, near, rt, &fast);
+        assert_eq!(perceived(&e), vec![(1, 50.0), (2, 100.0)]);
+        assert_eq!(selected_host(&e), 1);
+        // 50 + 2 × 10 round trip.
+        e.set_infrastructure(1, path(&e, 10.0));
+        assert_eq!(perceived(&e), vec![(1, 70.0), (2, 100.0)]);
+        assert_eq!(selected_host(&e), 1);
+        e.set_infrastructure(1, path(&e, f64::INFINITY));
+        assert_eq!(perceived(&e), vec![(1, f64::INFINITY), (2, 100.0)]);
+        assert_eq!(selected_host(&e), 2);
     }
 
     #[test]
