@@ -14,7 +14,9 @@ use qasom_registry::persist::{
     Fs, PersistConfig, PersistError, PersistStats, PersistentRegistry, RecoveryReport,
     RegistryJournal, Unjournaled,
 };
-use qasom_registry::{Discovery, DiscoveryQuery, ServiceDescription, ServiceId, ServiceRegistry};
+use qasom_registry::{
+    Discovery, DiscoveryQuery, Qualified, ServiceDescription, ServiceId, ServiceRegistry,
+};
 use qasom_selection::{
     LocalScratch, Qassa, QassaConfig, QosLevels, RankedCandidate, SelectionProblem,
     ServiceCandidate,
@@ -502,47 +504,44 @@ impl Environment {
     /// infrastructure QoS is known, the candidate's QoS is the
     /// user-perceived one (that service QoS degraded by the path).
     pub fn discover(&self, activity: &Activity) -> Vec<ServiceCandidate> {
-        self.discover_rows(activity, ServiceCandidate::new)
+        self.discover_rows(activity, |found| self.candidate(found))
     }
 
-    /// Discovery for one activity, one output row per discovered,
-    /// still-deployed service: `row` receives the service and its
-    /// perceived QoS, and the rows land in one exactly-sized `Vec`. The
-    /// estimate is service-layer QoS, so it is laid over the discovered
-    /// vector in place before the path is perceived.
-    fn discover_rows<T>(
-        &self,
+    /// White-box discovery for one activity, one row per qualifying
+    /// service, built by `row` as discovery evaluates the service.
+    fn discover_rows<'e, T>(
+        &'e self,
         activity: &Activity,
-        mut row: impl FnMut(ServiceId, QosVector) -> T,
+        row: impl FnMut(Qualified<'e>) -> T,
     ) -> Vec<T> {
         let mut discovery = Discovery::new(&self.ontology, &self.model);
         if let Some(rec) = &self.recorder {
             discovery = discovery.with_recorder(rec.as_ref());
         }
-        let registry = self.registry.registry();
-        let found = discovery.discover(registry, &DiscoveryQuery::new(activity).white_box(true));
-        let mut rows = Vec::with_capacity(found.len());
-        for c in found {
-            let Some(desc) = registry.get(c.service) else {
-                continue;
-            };
-            let mut qos = c.effective_qos;
-            if let Some(estimate) = self.monitor.qos_estimate(c.service) {
-                estimate.apply(&mut qos);
-            }
-            let qos = match desc.host().and_then(|h| self.infra.get(&h)) {
-                Some(infra) => self.end_to_end.perceive(&qos, infra),
-                None => qos,
-            };
-            rows.push(row(c.service, qos));
+        let query = DiscoveryQuery::new(activity).white_box(true);
+        discovery.discover_rows(self.registry.registry(), &query, row)
+    }
+
+    /// A discovered service as selection sees it. The estimate is
+    /// service-layer QoS, so it is laid over the discovered vector in
+    /// place before the path towards the service's host is perceived.
+    fn candidate(&self, found: Qualified<'_>) -> ServiceCandidate {
+        let mut qos = found.effective_qos;
+        if let Some(estimate) = self.monitor.qos_estimate(found.service) {
+            estimate.apply(&mut qos);
         }
-        rows
+        let qos = match found.description.host().and_then(|h| self.infra.get(&h)) {
+            Some(infra) => self.end_to_end.perceive(&qos, infra),
+            None => qos,
+        };
+        ServiceCandidate::new(found.service, qos)
     }
 
     /// Whether at least one discoverable, deployed service can serve the
     /// activity — the realisability check of behavioural adaptation.
+    /// Its rows are zero-sized, so discovery builds no table for it.
     pub(crate) fn realisable(&self, activity: &Activity) -> bool {
-        !self.discover(activity).is_empty()
+        !self.discover_rows(activity, |_| ()).is_empty()
     }
 
     /// Runs the static analyzer over a request without composing: the
@@ -622,8 +621,8 @@ impl Environment {
         &self,
         activity: &Activity,
     ) -> Result<Vec<RankedCandidate>, ComposeError> {
-        let table = self.discover_rows(activity, |id, qos| {
-            RankedCandidate::from(ServiceCandidate::new(id, qos))
+        let table = self.discover_rows(activity, |found| {
+            RankedCandidate::from(self.candidate(found))
         });
         if table.is_empty() {
             return Err(ComposeError::NoServiceFor {

@@ -5,7 +5,9 @@
 //! drifted away from the advertised one (load, mobility, failures). The
 //! synthetic runtime reproduces those phenomena deterministically:
 //! per-invocation QoS is the advertised (nominal) value perturbed by
-//! multiplicative Gaussian noise, optionally *drifting* after a configured
+//! multiplicative Gaussian noise (for a ratio, noise on its distance to
+//! the nearer of 0 and 1, so it stays a ratio with its mean intact),
+//! optionally *drifting* after a configured
 //! number of invocations, with both transient failures (per-invocation
 //! probability) and permanent crashes (after N invocations).
 
@@ -118,7 +120,9 @@ impl SyntheticService {
     }
 
     /// Relative standard deviation of the multiplicative per-invocation
-    /// noise (`0.05` = ±5 % typical deviation).
+    /// noise (`0.05` = ±5 % typical deviation). A ratio advertised in
+    /// `[0, 1]` above one half is noisy in its shortfall from 1 instead,
+    /// so that `0.99` delivers `0.99` on average, not less.
     ///
     /// # Panics
     ///
@@ -196,12 +200,20 @@ impl SyntheticService {
                     value *= d.factor;
                 }
             }
+            // Values that are ratios by construction stay ratios.
+            let ratio = (0.0..=1.0).contains(&nominal);
             if noise > 0.0 {
                 let factor = Normal::new(1.0, noise).sample_clamped(rng, 0.0, f64::MAX);
-                value *= factor;
+                if ratio && value > 0.5 {
+                    // Noise scales a ratio's distance to the nearer bound,
+                    // so the clamp below almost never binds and the
+                    // delivered mean stays the advertised one.
+                    value = 1.0 - (1.0 - value) * factor;
+                } else {
+                    value *= factor;
+                }
             }
-            // Values that are ratios by construction stay ratios.
-            if (0.0..=1.0).contains(&nominal) {
+            if ratio {
                 value = value.clamp(0.0, 1.0);
             }
             observed.set(p, value);
@@ -285,6 +297,34 @@ mod tests {
         assert!((mean - 100.0).abs() < 2.0, "mean {mean}");
     }
 
+    /// Noise keeps a ratio's mean: over 10 000 invocations at 10 %
+    /// noise, the delivered mean is within 0.5 % of the advertised
+    /// ratio, near either bound, and every value stays in `[0, 1]`.
+    #[test]
+    fn noisy_ratios_keep_their_mean() {
+        let av = QosModel::standard().property("Availability").unwrap();
+        for (seed, advertised) in [0.05, 0.90, 0.95, 0.99].into_iter().enumerate() {
+            let mut nominal = QosVector::new();
+            nominal.set(av, advertised);
+            let mut svc = SyntheticService::new(nominal).with_noise(0.10);
+            let mut rng = StdRng::seed_from_u64(seed as u64);
+            let mut sum = 0.0;
+            for _ in 0..10_000 {
+                let value = svc.invoke(&mut rng).qos().unwrap().get(av).unwrap();
+                assert!(
+                    (0.0..=1.0).contains(&value),
+                    "{advertised} delivered {value}"
+                );
+                sum += value;
+            }
+            let mean = sum / 10_000.0;
+            assert!(
+                (mean - advertised).abs() <= 0.005 * advertised,
+                "{advertised} delivered a mean of {mean}"
+            );
+        }
+    }
+
     #[test]
     fn drift_kicks_in_after_threshold() {
         let (v, rt) = nominal(100.0);
@@ -351,67 +391,67 @@ mod tests {
     /// their order, shifts every later outcome of every seeded run.
     const MIXED_OUTCOMES: [Option<[f64; 2]>; 64] = [
         Some([100.0, 0.99]),
-        Some([90.1998636521604, 0.9116916426517961]),
+        Some([90.1998636521604, 0.9520162293341159]),
         None,
-        Some([39.681848136887766, 1.0]),
-        Some([118.31816963649118, 0.9544912193455262]),
+        Some([39.681848136887766, 0.9680856082260285]),
+        Some([118.31816963649118, 0.9990445533339884]),
         Some([100.0, 0.99]),
-        Some([83.60723243237423, 0.9383402303491615]),
+        Some([83.60723243237423, 0.9506136720868862]),
         None,
-        Some([42.57513547088149, 0.8517910025644689]),
-        Some([122.55086652750519, 1.0]),
+        Some([42.57513547088149, 0.9736559483742947]),
+        Some([122.55086652750519, 0.998994851583554]),
         Some([100.0, 0.99]),
-        Some([72.41008560853479, 0.8044526710838216]),
+        Some([72.41008560853479, 0.9576603857324304]),
         None,
-        Some([39.33299909011166, 0.8677924311665309]),
-        Some([119.27158006726887, 0.9828014673621535]),
+        Some([39.33299909011166, 0.9731610588299011]),
+        Some([119.27158006726887, 0.9990162147473852]),
         Some([100.0, 0.99]),
-        Some([76.94124980567365, 0.9648831992366382]),
+        Some([76.94124980567365, 0.9492166737243874]),
         None,
-        Some([33.69907510677854, 0.990426990951364]),
-        Some([121.91360819709033, 1.0]),
+        Some([33.69907510677854, 0.9693682373932567]),
+        Some([121.91360819709033, 0.9989937187697214]),
         Some([100.0, 0.99]),
-        Some([83.31148613258205, 0.9545698240596767]),
+        Some([83.31148613258205, 0.9497594829442275]),
         None,
-        Some([39.92233595045471, 0.935958231047007]),
+        Some([39.92233595045471, 0.971052838215041]),
         None,
         Some([100.0, 0.99]),
-        Some([75.94078584976968, 0.9027255695442178]),
+        Some([75.94078584976968, 0.9524881279187254]),
         Some([60.0, 0.9]),
-        Some([41.76901121700611, 1.0]),
-        Some([300.42938395792953, 0.9712313388897628]),
+        Some([41.76901121700611, 0.9678951709328253]),
+        Some([300.42938395792953, 0.9990277964575678]),
         Some([100.0, 0.99]),
-        Some([81.42782831860339, 0.8068596878554232]),
+        Some([81.42782831860339, 0.9575337006391882]),
         None,
         None,
-        Some([303.4513354386516, 0.9923034983767077]),
+        Some([303.4513354386516, 0.9990067032048281]),
         Some([100.0, 0.99]),
-        Some([92.76265205336459, 0.8553827220795533]),
-        Some([60.0, 0.9]),
-        None,
-        Some([282.11062663335633, 0.9807059103268759]),
-        Some([100.0, 0.99]),
-        Some([94.01045072444322, 1.0]),
-        None,
-        None,
-        Some([305.7500997943689, 0.9876165717370577]),
-        Some([100.0, 0.99]),
-        Some([82.26891900926418, 1.0]),
+        Some([92.76265205336459, 0.9549798567326551]),
         Some([60.0, 0.9]),
         None,
-        Some([305.7494678386044, 1.0]),
+        Some([282.11062663335633, 0.9990183124020752]),
         Some([100.0, 0.99]),
-        Some([70.6245718367938, 0.8658680027560992]),
+        Some([94.01045072444322, 0.9440876590533502]),
+        None,
+        None,
+        Some([305.7500997943689, 0.999011394823086]),
+        Some([100.0, 0.99]),
+        Some([82.26891900926418, 0.9433454445969894]),
+        Some([60.0, 0.9]),
+        None,
+        Some([305.7494678386044, 0.9989783857087134]),
+        Some([100.0, 0.99]),
+        Some([70.6245718367938, 0.9544279998549421]),
         Some([60.0, 0.9]),
         None,
         None,
         Some([100.0, 0.99]),
-        Some([71.71408121539088, 0.7966253608868962]),
+        Some([71.71408121539088, 0.9580723494270055]),
         Some([60.0, 0.9]),
         None,
-        Some([303.5854588439194, 1.0]),
+        Some([303.5854588439194, 0.9989713863563462]),
         Some([100.0, 0.99]),
-        Some([85.70770090480322, 0.8809756226792488]),
+        Some([85.70770090480322, 0.95363286196425]),
         Some([60.0, 0.9]),
         None,
     ];

@@ -1,11 +1,14 @@
 //! QoS-aware semantic service discovery.
 //!
-//! The entry point is [`Discovery::discover`] with a [`DiscoveryQuery`]:
-//! one call covers black-box and white-box (per-operation) discovery,
-//! returning [`DiscoveredCandidate`]s that carry everything selection
-//! needs. A service qualifies by an exact or plug-in match
-//! ([`MatchDegree::is_usable`]); the user's global QoS constraints are
-//! checked later, on the aggregate, by selection.
+//! The entry point is [`Discovery::discover_rows`] with a
+//! [`DiscoveryQuery`]: one call covers black-box and white-box
+//! (per-operation) discovery, and writes the caller's row for each
+//! [`Qualified`] service as it is evaluated, so a caller that ranks the
+//! candidates builds its table in one pass. [`Discovery::discover`] is
+//! the same call writing [`DiscoveredCandidate`]s. A service qualifies
+//! by an exact or plug-in match ([`MatchDegree::is_usable`]); the user's
+//! global QoS constraints are checked later, on the aggregate, by
+//! selection.
 //!
 //! Two execution paths produce byte-identical results:
 //!
@@ -18,6 +21,7 @@
 //!   unbound registries, and the oracle the parity tests compare against
 //!   ([`DiscoveryQuery::linear_scan`]).
 
+use std::cmp::Reverse;
 use std::collections::BTreeSet;
 
 use qasom_obs::{keys, Recorder};
@@ -46,6 +50,23 @@ pub enum MatchedVia {
 pub struct DiscoveredCandidate {
     /// The matched service.
     pub service: ServiceId,
+    /// How well its capability matches the required function.
+    pub degree: MatchDegree,
+    /// Which part of the description produced the match.
+    pub matched_via: MatchedVia,
+    /// The QoS vector the match is advertised with.
+    pub effective_qos: QosVector,
+}
+
+/// A service that qualified for a query, as [`Discovery::discover_rows`]
+/// hands it to the caller's row builder: the fields of a
+/// [`DiscoveredCandidate`], plus the description they were read from.
+#[derive(Debug)]
+pub struct Qualified<'r> {
+    /// The matched service.
+    pub service: ServiceId,
+    /// Its live description in the queried registry.
+    pub description: &'r ServiceDescription,
     /// How well its capability matches the required function.
     pub degree: MatchDegree,
     /// Which part of the description produced the match.
@@ -223,25 +244,42 @@ impl<'a> Discovery<'a> {
         registry: &ServiceRegistry,
         query: &DiscoveryQuery<'_>,
     ) -> Vec<DiscoveredCandidate> {
+        self.discover_rows(registry, query, |found| DiscoveredCandidate {
+            service: found.service,
+            degree: found.degree,
+            matched_via: found.matched_via,
+            effective_qos: found.effective_qos,
+        })
+    }
+
+    /// [`Discovery::discover`], writing `row(found)` for each qualifying
+    /// service instead of a [`DiscoveredCandidate`]: every service is
+    /// evaluated once, and its row is built as it qualifies. Rows come
+    /// out in the order `discover` returns candidates in (degree best
+    /// first, then ascending id) on either path.
+    pub fn discover_rows<'r, T>(
+        &self,
+        registry: &'r ServiceRegistry,
+        query: &DiscoveryQuery<'_>,
+        row: impl FnMut(Qualified<'r>) -> T,
+    ) -> Vec<T> {
         let indexed = !query.force_linear && self.index_usable(registry);
         let required = self.resolve(query.activity.function());
-        let (evaluated, mut out) = if indexed {
+        let (evaluated, rows) = if indexed {
             let posting = self.posting(registry, required);
             let services = posting
                 .iter()
                 .filter_map(|&id| registry.get(id).map(|desc| (id, desc)));
             (
                 posting.len(),
-                self.evaluate(query, required, services, posting.len()),
+                self.evaluate(query, required, services, posting.len(), row),
             )
         } else {
             (
                 registry.len(),
-                self.evaluate(query, required, registry.iter(), 0),
+                self.evaluate(query, required, registry.iter(), 0, row),
             )
         };
-        // (degree, id) is a total order, so an unstable sort is exact.
-        out.sort_unstable_by(|a, b| b.degree.cmp(&a.degree).then(a.service.cmp(&b.service)));
         if let Some(rec) = self.recorder {
             rec.incr(
                 if indexed {
@@ -252,9 +290,9 @@ impl<'a> Discovery<'a> {
                 1,
             );
             rec.incr(keys::DISCOVERY_EVALUATED, evaluated as u64);
-            rec.incr(keys::DISCOVERY_CANDIDATES, out.len() as u64);
+            rec.incr(keys::DISCOVERY_CANDIDATES, rows.len() as u64);
         }
-        out
+        rows
     }
 
     /// Whether the registry's capability index covers this engine's
@@ -286,18 +324,22 @@ impl<'a> Discovery<'a> {
         .unwrap_or(&EMPTY)
     }
 
-    /// Evaluates live services (ascending id) against the query, into a
-    /// `Vec` of `capacity`. The per-service logic is shared verbatim by
-    /// the indexed and linear paths, so they can only differ in which
-    /// services they consider.
-    fn evaluate<'r>(
+    /// Evaluates live services (ascending id) against the query, writing
+    /// one row per qualifying service into a `Vec` of `capacity`. The
+    /// per-service logic is shared verbatim by the indexed and linear
+    /// paths, so they can only differ in which services they consider.
+    /// Services arrive in id order, so rows of one degree are already in
+    /// (degree, id) order and only a table mixing degrees is sorted.
+    fn evaluate<'r, T>(
         &self,
         query: &DiscoveryQuery<'_>,
         required: Resolved<'_>,
         services: impl Iterator<Item = (ServiceId, &'r ServiceDescription)>,
         capacity: usize,
-    ) -> Vec<DiscoveredCandidate> {
-        let mut out = Vec::with_capacity(capacity);
+        mut row: impl FnMut(Qualified<'r>) -> T,
+    ) -> Vec<T> {
+        let mut rows = Vec::with_capacity(capacity);
+        let mut degrees = DegreeColumn::default();
         // Neighbouring services often advertise the same function, so
         // its concept is looked up once per run of equal IRIs.
         let mut offered: Option<Resolved<'r>> = None;
@@ -307,31 +349,34 @@ impl<'a> Discovery<'a> {
                 Some(last) if last.iri == function => last,
                 _ => *offered.insert(self.resolve(function)),
             };
-            if let Some(candidate) = self.evaluate_service(query, required, profile, id, desc) {
-                out.push(candidate);
+            if let Some(found) = self.evaluate_service(query, required, profile, id, desc) {
+                degrees.push(found.degree, rows.len());
+                rows.push(row(found));
             }
         }
-        out
+        degrees.sort(&mut rows);
+        rows
     }
 
     /// Evaluates one live service, whose profile function resolves to
     /// `profile`, against the query.
-    fn evaluate_service(
+    fn evaluate_service<'r>(
         &self,
         query: &DiscoveryQuery<'_>,
         required: Resolved<'_>,
         profile: Resolved<'_>,
         id: ServiceId,
-        desc: &ServiceDescription,
-    ) -> Option<DiscoveredCandidate> {
+        desc: &'r ServiceDescription,
+    ) -> Option<Qualified<'r>> {
         let activity = query.activity;
         if !self.io_compatible(activity, desc) {
             return None;
         }
         let profile_degree = self.match_resolved(required, profile);
         if profile_degree.is_usable() {
-            Some(DiscoveredCandidate {
+            Some(Qualified {
                 service: id,
+                description: desc,
                 degree: profile_degree,
                 matched_via: MatchedVia::Profile,
                 effective_qos: desc.qos().clone(),
@@ -356,8 +401,9 @@ impl<'a> Discovery<'a> {
             let mut qos = desc.qos().clone();
             // Operation-level QoS overrides the black-box figures.
             qos.merge_with(op.qos(), |_, op_value| op_value);
-            Some(DiscoveredCandidate {
+            Some(Qualified {
                 service: id,
+                description: desc,
                 degree,
                 matched_via: MatchedVia::Operation(op_index),
                 effective_qos: qos,
@@ -365,6 +411,39 @@ impl<'a> Discovery<'a> {
         } else {
             None
         }
+    }
+}
+
+/// The match degree of each row [`Discovery::evaluate`] has written,
+/// kept only once two rows differ: while every row has the first row's
+/// degree, nothing is stored and nothing needs sorting.
+#[derive(Debug, Default)]
+struct DegreeColumn {
+    first: Option<MatchDegree>,
+    mixed: Vec<MatchDegree>,
+}
+
+impl DegreeColumn {
+    /// Notes the degree of row `index`, the next row written.
+    fn push(&mut self, degree: MatchDegree, index: usize) {
+        let first = *self.first.get_or_insert(degree);
+        if degree != first && self.mixed.is_empty() {
+            self.mixed.resize(index, first);
+        }
+        if !self.mixed.is_empty() {
+            self.mixed.push(degree);
+        }
+    }
+
+    /// Stable-sorts `rows` by degree, best first, so rows of one degree
+    /// keep their ascending-id order.
+    fn sort<T>(self, rows: &mut Vec<T>) {
+        if self.mixed.is_empty() {
+            return;
+        }
+        let mut keyed: Vec<(MatchDegree, T)> = self.mixed.into_iter().zip(rows.drain(..)).collect();
+        keyed.sort_by_key(|&(degree, _)| Reverse(degree));
+        rows.extend(keyed.into_iter().map(|(_, row)| row));
     }
 }
 

@@ -14,11 +14,11 @@
 //!   WAL's sequence numbers);
 //! * [`Discovery`] — QoS-aware service discovery: semantic functional
 //!   matching (through a domain [`Ontology`]) combined with I/O
-//!   compatibility and QoS-requirement filtering. One entry point,
-//!   [`Discovery::discover`], takes a [`DiscoveryQuery`] (minimum match
-//!   degree, white-box matching, QoS requirements) and yields the
-//!   per-activity candidate sets (`S_i`) — [`DiscoveredCandidate`]s —
-//!   the selection algorithm consumes. Registries
+//!   compatibility. One entry point, [`Discovery::discover_rows`], takes
+//!   a [`DiscoveryQuery`] (white-box matching, the linear-scan oracle)
+//!   and writes the per-activity candidate set (`S_i`) the selection
+//!   algorithm consumes, one caller-built row per [`Qualified`] service;
+//!   [`Discovery::discover`] writes [`DiscoveredCandidate`]s. Registries
 //!   [bound](ServiceRegistry::bind_ontology) to the ontology answer
 //!   queries from an inverted capability index instead of a full scan.
 //!
@@ -58,7 +58,7 @@ pub mod qsd;
 mod registry;
 mod service;
 
-pub use discovery::{DiscoveredCandidate, Discovery, DiscoveryQuery, MatchedVia};
+pub use discovery::{DiscoveredCandidate, Discovery, DiscoveryQuery, MatchedVia, Qualified};
 pub use registry::{ServiceId, ServiceRegistry};
 pub use service::{Operation, ServiceDescription};
 

@@ -67,12 +67,12 @@ static GLOBAL: Counting = Counting;
 
 const ACTIVITIES: usize = 8;
 
-/// Bytes a warm compose may request per candidate it adds: one
-/// discovery row (64 B) and one ranked row (64 B) per candidate, plus
-/// the ranking scratch (30 B per candidate of the largest activity a
-/// worker ranks). With one worker per activity, as on eight cores, that
-/// is 158 B; the cap leaves room for that.
-const BYTES_PER_CANDIDATE: f64 = 180.0;
+/// Bytes a warm compose may request per candidate it adds: discovery
+/// writes each candidate's ranked row (64 B) straight into the table
+/// ranking sorts, and ranking adds its scratch (30 B per candidate of
+/// the largest activity a worker ranks). With one worker per activity,
+/// as on eight cores, that is 94 B; the cap leaves room for that.
+const BYTES_PER_CANDIDATE: f64 = 100.0;
 
 /// An environment with `per_activity` providers of each of eight
 /// concepts, and a request composing all eight in sequence. An

@@ -8,14 +8,20 @@
 //! * indexed discovery returns exactly — same candidates, same order,
 //!   same QoS — what the linear full-scan oracle returns, for black-box
 //!   and white-box queries alike.
+//!
+//! A deterministic market whose match degrees interleave by id pins the
+//! order both paths share against a reference built from the ontology.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use qasom_ontology::{Ontology, OntologyBuilder};
+use qasom::Environment;
+use qasom_netsim::runtime::SyntheticService;
+use qasom_ontology::{Iri, MatchDegree, Ontology, OntologyBuilder};
 use qasom_qos::QosModel;
 use qasom_registry::{
-    Discovery, DiscoveryQuery, Operation, ServiceDescription, ServiceId, ServiceRegistry,
+    Discovery, DiscoveryQuery, MatchedVia, Operation, ServiceDescription, ServiceId,
+    ServiceRegistry,
 };
 use qasom_task::Activity;
 
@@ -173,4 +179,92 @@ fn reregistration_after_departure_is_consistent() {
         found,
         discovery.discover(&registry, &query.linear_scan(true))
     );
+}
+
+/// Discovery's order on a market mixing match degrees: for `d#Cat0`,
+/// exact profiles, plug-in profiles, and white-box operations matching
+/// exactly or by plug-in interleave by id, with services that do not
+/// qualify between them. Both paths, and the environment's white-box
+/// discovery, return the reference order: every live service evaluated
+/// from the ontology directly, then sorted by degree (best first) and
+/// ascending id.
+#[test]
+fn mixed_degrees_come_out_best_first_then_by_id() {
+    let mut env = Environment::new(QosModel::standard(), domain(), 1);
+    for i in 0..42 {
+        let name = format!("s{i}");
+        let desc = match i % 7 {
+            0 => ServiceDescription::new(name, "d#Cat0Leaf1"),
+            1 => ServiceDescription::new(name, "d#Cat0"),
+            2 => ServiceDescription::new(name, "d#Cat1")
+                .with_operation(Operation::new("op", "d#Cat0Leaf0")),
+            3 => ServiceDescription::new(name, "d#Cat0Leaf0"),
+            4 => ServiceDescription::new(name, "x#Unknown0")
+                .with_operation(Operation::new("op", "d#Cat0")),
+            5 => ServiceDescription::new(name, "d#Cat2"),
+            _ => ServiceDescription::new(name, "d#Cat2Leaf1")
+                .with_operation(Operation::new("op", "d#Cat0Leaf1"))
+                .with_operation(Operation::new("op", "d#Cat0")),
+        };
+        let behaviour = SyntheticService::new(desc.qos().clone());
+        env.deploy(desc, behaviour);
+    }
+    // Departures leave holes in the id sequence.
+    for id in [5, 8, 22] {
+        env.undeploy(ServiceId::from_raw(id));
+    }
+
+    let (onto, registry) = (env.ontology(), env.registry());
+    let direct =
+        |required: &Iri, offered: &Iri| match (onto.concept(required), onto.concept(offered)) {
+            (Some(req), Some(off)) => onto.match_degree(req, off),
+            _ if required == offered => MatchDegree::Exact,
+            _ => MatchDegree::Fail,
+        };
+    let activity = Activity::new("a", "d#Cat0");
+    let discovery = Discovery::new(onto, env.model());
+    for white_box in [false, true] {
+        let mut reference: Vec<(ServiceId, MatchDegree, MatchedVia)> = registry
+            .iter()
+            .filter_map(|(id, desc)| {
+                let profile = direct(activity.function(), desc.function());
+                if profile.is_usable() {
+                    return Some((id, profile, MatchedVia::Profile));
+                }
+                if !white_box {
+                    return None;
+                }
+                // The best operation; ties go to the last declared.
+                let (op, degree) = desc
+                    .operations()
+                    .iter()
+                    .map(|op| direct(activity.function(), op.function()))
+                    .enumerate()
+                    .filter(|&(_, degree)| degree.is_usable())
+                    .max_by_key(|&(_, degree)| degree)?;
+                Some((id, degree, MatchedVia::Operation(op)))
+            })
+            .collect();
+        reference.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        let has = |degree| reference.iter().any(|r| r.1 == degree);
+        assert!(
+            has(MatchDegree::Exact) && has(MatchDegree::PlugIn),
+            "the market mixes degrees"
+        );
+
+        let query = DiscoveryQuery::new(&activity).white_box(white_box);
+        for linear in [false, true] {
+            let found: Vec<_> = discovery
+                .discover(registry, &query.linear_scan(linear))
+                .iter()
+                .map(|c| (c.service, c.degree, c.matched_via))
+                .collect();
+            assert_eq!(found, reference, "white-box {white_box}, linear {linear}");
+        }
+        if white_box {
+            let served: Vec<_> = env.discover(&activity).iter().map(|c| c.id()).collect();
+            let expected: Vec<_> = reference.iter().map(|r| r.0).collect();
+            assert_eq!(served, expected);
+        }
+    }
 }
