@@ -47,14 +47,14 @@ impl<'a> Substitution<'a> {
     /// yields them — an activity that must not be rebound yields none.
     /// Returns `None` when no single substitution suffices — the caller
     /// then escalates to behavioural adaptation.
-    pub fn plan<'c, I>(
+    pub fn plan<I>(
         &self,
         composition: &CompositionMonitor,
         monitor: &QosMonitor,
         alternates: impl Fn(usize) -> I,
     ) -> Option<SubstitutionPlan>
     where
-        I: IntoIterator<Item = &'c ServiceCandidate>,
+        I: IntoIterator<Item = ServiceCandidate>,
     {
         let believed = composition.believed_qos(monitor);
         let properties: Vec<PropertyId> = composition.constraints().properties().collect();
@@ -113,7 +113,7 @@ impl<'a> Substitution<'a> {
                     return Some(SubstitutionPlan {
                         activity,
                         from: bound,
-                        to: alternate.clone(),
+                        to: alternate,
                         expected,
                     });
                 }
@@ -205,7 +205,9 @@ mod tests {
             m.observe(&f.model, f.ids[0], &qv(f.rt, 300.0));
         }
         let plan = Substitution::new(&f.model)
-            .plan(&comp, &m, |i| f.alternates.get(i).into_iter().flatten())
+            .plan(&comp, &m, |i| {
+                f.alternates.get(i).into_iter().flatten().cloned()
+            })
             .expect("a substitute exists");
         assert_eq!(plan.activity, 0);
         assert_eq!(plan.from, f.ids[0]);
@@ -221,7 +223,12 @@ mod tests {
             m.observe(&f.model, f.ids[0], &qv(f.rt, 300.0));
         }
         assert!(Substitution::new(&f.model)
-            .plan(&comp, &m, |i| f.alternates.get(i).into_iter().flatten())
+            .plan(&comp, &m, |i| f
+                .alternates
+                .get(i)
+                .into_iter()
+                .flatten()
+                .cloned())
             .is_none());
     }
 
@@ -238,7 +245,12 @@ mod tests {
         // the violation elsewhere (activity 1's alternate at 90 keeps the
         // total at 300 + 90 = 390 > 250, so no plan at all).
         assert!(Substitution::new(&f.model)
-            .plan(&comp, &m, |i| f.alternates.get(i).into_iter().flatten())
+            .plan(&comp, &m, |i| f
+                .alternates
+                .get(i)
+                .into_iter()
+                .flatten()
+                .cloned())
             .is_none());
     }
 
@@ -256,8 +268,9 @@ mod tests {
             // The violated composition believes a NaN value too.
             m.observe(&f.model, f.ids[1], &qv(f.rt, f64::NAN));
         }
-        let plan = Substitution::new(&f.model)
-            .plan(&comp, &m, |i| f.alternates.get(i).into_iter().flatten());
+        let plan = Substitution::new(&f.model).plan(&comp, &m, |i| {
+            f.alternates.get(i).into_iter().flatten().cloned()
+        });
         // No particular plan is promised for poisoned inputs — only that
         // the adaptation loop survives to report one or none.
         if let Some(p) = plan {
@@ -302,7 +315,9 @@ mod tests {
             m.observe(&model, alt, &qv(rt, 90.0));
         }
         let plan = Substitution::new(&model)
-            .plan(&comp, &m, |i| alternates.get(i).into_iter().flatten())
+            .plan(&comp, &m, |i| {
+                alternates.get(i).into_iter().flatten().cloned()
+            })
             .expect("the alternate meets both constraints");
         assert_eq!(plan.to.id(), alt);
         assert_eq!(plan.expected.get(av), Some(0.95));
@@ -313,8 +328,9 @@ mod tests {
         let (f, comp) = fx([90.0, 90.0]);
         let m = QosMonitor::new();
         // No violation: the planner must not churn healthy bindings.
-        let plan = Substitution::new(&f.model)
-            .plan(&comp, &m, |i| f.alternates.get(i).into_iter().flatten());
+        let plan = Substitution::new(&f.model).plan(&comp, &m, |i| {
+            f.alternates.get(i).into_iter().flatten().cloned()
+        });
         assert!(plan.is_none());
     }
 }

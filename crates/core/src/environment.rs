@@ -3,13 +3,13 @@
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
-use qasom_adaptation::QosMonitor;
+use qasom_adaptation::{QosEstimate, QosMonitor};
 use qasom_analysis::{Analyzer, ApproachKind, RequestSpec};
 use qasom_netsim::runtime::{ServiceRuntime, SyntheticService};
 use qasom_obs::report::RunReport;
 use qasom_obs::{keys, JsonValue, Recorder};
 use qasom_ontology::Ontology;
-use qasom_qos::{EndToEnd, QosModel, QosVector};
+use qasom_qos::{EndToEnd, PropertyId, QosModel, QosVector};
 use qasom_registry::persist::{
     Fs, PersistConfig, PersistError, PersistStats, PersistentRegistry, RecoveryReport,
     RegistryJournal, Unjournaled,
@@ -18,7 +18,7 @@ use qasom_registry::{
     Discovery, DiscoveryQuery, Qualified, ServiceDescription, ServiceId, ServiceRegistry,
 };
 use qasom_selection::{
-    LocalScratch, Qassa, QassaConfig, QosLevels, RankedCandidate, SelectionProblem,
+    LocalScratch, Qassa, QassaConfig, QosColumns, QosLevels, RankedCandidate, SelectionProblem,
     ServiceCandidate,
 };
 use qasom_task::{Activity, TaskClass, TaskClassRepository};
@@ -82,11 +82,14 @@ impl Environment {
         // The registry is bound to the domain ontology so it maintains
         // the inverted capability index discovery probes.
         let registry = ServiceRegistry::with_ontology(Arc::clone(&ontology));
+        // Services deliver ratios as the model's units say, not as their
+        // advertised values suggest.
+        let runtime = ServiceRuntime::new(seed).with_units(&model);
         Environment {
             model,
             registry: PersistentRegistry::new(registry),
             ontology,
-            runtime: ServiceRuntime::new(seed),
+            runtime,
             tasks: TaskClassRepository::new(),
             infra: HashMap::new(),
             end_to_end,
@@ -504,7 +507,19 @@ impl Environment {
     /// infrastructure QoS is known, the candidate's QoS is the
     /// user-perceived one (that service QoS degraded by the path).
     pub fn discover(&self, activity: &Activity) -> Vec<ServiceCandidate> {
-        self.discover_rows(activity, |found| self.candidate(found))
+        self.discover_rows(activity, |found| {
+            ServiceCandidate::new(found.service, self.seen(&found).qos())
+        })
+    }
+
+    /// Discovery as this environment runs it, counting into its
+    /// recorder.
+    fn discovery(&self) -> Discovery<'_> {
+        let discovery = Discovery::new(&self.ontology, &self.model);
+        match &self.recorder {
+            Some(rec) => discovery.with_recorder(rec.as_ref()),
+            None => discovery,
+        }
     }
 
     /// White-box discovery for one activity, one row per qualifying
@@ -514,27 +529,35 @@ impl Environment {
         activity: &Activity,
         row: impl FnMut(Qualified<'e>) -> T,
     ) -> Vec<T> {
-        let mut discovery = Discovery::new(&self.ontology, &self.model);
-        if let Some(rec) = &self.recorder {
-            discovery = discovery.with_recorder(rec.as_ref());
-        }
         let query = DiscoveryQuery::new(activity).white_box(true);
-        discovery.discover_rows(self.registry.registry(), &query, row)
+        self.discovery()
+            .discover_rows(self.registry.registry(), &query, row)
     }
 
-    /// A discovered service as selection sees it. The estimate is
-    /// service-layer QoS, so it is laid over the discovered vector in
-    /// place before the path towards the service's host is perceived.
-    fn candidate(&self, found: Qualified<'_>) -> ServiceCandidate {
-        let mut qos = found.effective_qos;
-        if let Some(estimate) = self.monitor.qos_estimate(found.service) {
-            estimate.apply(&mut qos);
+    /// A discovered service's QoS as selection sees it: the row builder
+    /// every compose, discovery and rebind reads through.
+    fn seen<'a>(&'a self, found: &'a Qualified<'_>) -> Seen<'a> {
+        Seen {
+            advertised: &found.effective_qos,
+            estimate: self.monitor.qos_estimate(found.service),
+            path: found.description.host().and_then(|h| self.infra.get(&h)),
+            end_to_end: &self.end_to_end,
         }
-        let qos = match found.description.host().and_then(|h| self.infra.get(&h)) {
-            Some(infra) => self.end_to_end.perceive(&qos, infra),
-            None => qos,
+    }
+
+    /// The QoS vector a ranked candidate of `activity` is bound with:
+    /// everything the service advertises, seen as discovery sees it now,
+    /// with the values it was ranked on kept as they were ranked.
+    /// `ranked`'s own values when the service no longer qualifies.
+    pub(crate) fn complete(&self, activity: &Activity, ranked: &ServiceCandidate) -> QosVector {
+        let query = DiscoveryQuery::new(activity).white_box(true);
+        let registry = self.registry.registry();
+        let Some(found) = self.discovery().qualify(registry, &query, ranked.id()) else {
+            return ranked.qos().clone();
         };
-        ServiceCandidate::new(found.service, qos)
+        let mut qos = self.seen(&found).qos();
+        qos.overwrite(ranked.qos());
+        qos
     }
 
     /// Whether at least one discoverable, deployed service can serve the
@@ -614,22 +637,30 @@ impl Environment {
         )
     }
 
-    /// Discovery for one activity as selection sees it, built as the
-    /// unranked table ranking sorts in place, and a
+    /// Discovery for one activity as selection ranks it: a row per
+    /// qualifying service, and its values of `properties` written into
+    /// columns sized once by [`Discovery::capacity`]. A
     /// [`ComposeError::NoServiceFor`] when nothing qualifies.
     fn discover_for_selection(
         &self,
         activity: &Activity,
-    ) -> Result<Vec<RankedCandidate>, ComposeError> {
-        let table = self.discover_rows(activity, |found| {
-            RankedCandidate::from(self.candidate(found))
+        properties: &Arc<[PropertyId]>,
+    ) -> Result<(Vec<RankedCandidate>, QosColumns), ComposeError> {
+        let query = DiscoveryQuery::new(activity).white_box(true);
+        let discovery = self.discovery();
+        let registry = self.registry.registry();
+        let mut columns =
+            QosColumns::with_capacity(Arc::clone(properties), discovery.capacity(registry, &query));
+        let rows = discovery.discover_rows(registry, &query, |found| {
+            let seen = self.seen(&found);
+            RankedCandidate::new(found.service, columns.push(|p| seen.get(p)))
         });
-        if table.is_empty() {
+        if rows.is_empty() {
             return Err(ComposeError::NoServiceFor {
                 activity: activity.name().to_owned(),
             });
         }
-        Ok(table)
+        Ok((rows, columns))
     }
 
     /// Composition from already-resolved QoS parts (also used when
@@ -650,25 +681,28 @@ impl Environment {
         // a scoped worker takes each of the others, and each keeps one
         // ranking scratch for its chunk. An activity's table is built
         // from its discovery rows and ranked in place on the thread that
-        // discovered it. The global phase needs only the rankings, so the
-        // problem carries no candidate matrix. Results are collected by
-        // position, so errors still surface in activity order and the
-        // first missing activity wins deterministically.
+        // discovered it; it holds the requested properties only (resolved
+        // once, shared by every activity's columns). The global phase
+        // needs only the rankings, so the problem carries no candidate
+        // matrix. Results are collected by position, so errors still
+        // surface in activity order and the first missing activity wins
+        // deterministically.
         let problem = SelectionProblem::new(&task)
             .with_constraints(constraints.clone())
             .with_preferences(preferences.clone())
             .with_approach(approach);
-        let properties = problem.properties();
+        let properties: Arc<[PropertyId]> = problem.properties().into();
         let local = self.config.qassa.local;
         let rank_chunk = |chunk: &[&Activity]| -> Vec<Result<QosLevels, ComposeError>> {
             let mut scratch = LocalScratch::new();
             chunk
                 .iter()
                 .map(|a| {
-                    let table = self.discover_for_selection(a)?;
+                    let (rows, columns) = self.discover_for_selection(a, &properties)?;
                     Ok(local.rank_table(
                         &self.model,
-                        table,
+                        rows,
+                        columns,
                         &properties,
                         problem.preferences(),
                         &mut scratch,
@@ -702,7 +736,12 @@ impl Environment {
         if let Some(rec) = &self.recorder {
             qassa = qassa.with_recorder(rec.as_ref());
         }
-        let outcome = qassa.select_with_levels(&problem, levels)?;
+        let mut outcome = qassa.select_with_levels(&problem, levels)?;
+        // The tables hold the requested values only: the winners take
+        // everything their services advertise from the row builder.
+        for (winner, activity) in outcome.assignment.iter_mut().zip(&activities) {
+            *winner = ServiceCandidate::new(winner.id(), self.complete(activity, winner));
+        }
 
         self.emit(MiddlewareEvent::Composed {
             task: task.name().to_owned(),
@@ -718,6 +757,44 @@ impl Environment {
             approach,
             warnings: Vec::new(),
         })
+    }
+}
+
+/// One discovered service's QoS as selection sees it: what it is
+/// advertised with for the match, the monitor's estimate laid over that,
+/// and the result perceived through the path to its host, in that order.
+/// Compose reads the requested properties one at a time
+/// ([`Seen::get`]) into its tables, so nothing the request does not
+/// name is copied; a winner or a rebound alternate reads the whole
+/// vector ([`Seen::qos`]).
+struct Seen<'a> {
+    advertised: &'a QosVector,
+    estimate: Option<&'a QosEstimate>,
+    path: Option<&'a QosVector>,
+    end_to_end: &'a EndToEnd,
+}
+
+impl Seen<'_> {
+    /// The value of an advertised property, `value` as advertised.
+    fn see(&self, property: PropertyId, value: f64) -> f64 {
+        let value = self.estimate.and_then(|e| e.get(property)).unwrap_or(value);
+        match self.path {
+            Some(infra) => self.end_to_end.perceive_value(property, value, infra),
+            None => value,
+        }
+    }
+
+    /// The value of `property`; `None` when it is not advertised.
+    fn get(&self, property: PropertyId) -> Option<f64> {
+        Some(self.see(property, self.advertised.get(property)?))
+    }
+
+    /// Every advertised property's value.
+    fn qos(&self) -> QosVector {
+        self.advertised
+            .iter()
+            .map(|(p, v)| (p, self.see(p, v)))
+            .collect()
     }
 }
 
@@ -1253,6 +1330,73 @@ mod tests {
         e.set_infrastructure(1, path(&e, f64::INFINITY));
         assert_eq!(perceived(&e), vec![(1, f64::INFINITY), (2, 100.0)]);
         assert_eq!(selected_host(&e), 2);
+    }
+
+    /// Compose ranks on the two properties the request names, but binds
+    /// with everything a service advertises: each winner's vector and
+    /// each rebound alternate's carry all four properties, the estimate
+    /// laid over the advertisement and the path perceived, as discovery
+    /// sees the service.
+    #[test]
+    fn bound_services_carry_every_advertised_property() {
+        let mut e = env();
+        let m = e.model().clone();
+        let [rt, av, price, rel, loss] = [
+            "ResponseTime",
+            "Availability",
+            "Price",
+            "Reliability",
+            "PacketLoss",
+        ]
+        .map(|name| m.property(name).unwrap());
+        let ids = [(1, 100.0), (2, 120.0), (3, 400.0)].map(|(host, ms): (u64, f64)| {
+            let d = ServiceDescription::new(format!("svc-{host}"), "d#A")
+                .with_qos(rt, ms)
+                .with_qos(av, 0.99)
+                .with_qos(price, 2.0 + ms / 100.0)
+                .with_qos(rel, 0.98)
+                .with_host(host);
+            let nominal = d.qos().clone();
+            e.deploy(d, SyntheticService::new(nominal))
+        });
+        // Service 1 has proved faster than it advertises, and its path
+        // adds 2 × 10 ms and loses one packet in ten.
+        let delivered: QosVector = [(rt, 50.0), (av, 0.99), (price, 3.0), (rel, 0.9)]
+            .into_iter()
+            .collect();
+        settle(&mut e, ids[0], rt, &delivered);
+        let mut infra = path(&e, 10.0);
+        infra.set(loss, 0.1);
+        e.set_infrastructure(1, infra);
+
+        let activity = Activity::new("x", "d#A");
+        let task = UserTask::new("t", TaskNode::activity(activity.clone())).unwrap();
+        let request = UserRequest::new(task)
+            .weight("ResponseTime", 0.8)
+            .weight("Price", 0.2);
+        let comp = e.compose(&request).unwrap();
+        let discovered = e.discover(&activity);
+        let seen = |id: ServiceId| discovered.iter().find(|c| c.id() == id).unwrap().clone();
+
+        let winner = &comp.outcome().assignment[0];
+        assert_eq!(winner.id(), ids[0]);
+        assert_eq!(winner, &seen(ids[0]));
+        assert_eq!(winner.qos().len(), 4);
+        let estimate = e.monitor().qos_estimate(ids[0]).unwrap();
+        assert_eq!(winner.qos().get(rt), Some(estimate.get(rt).unwrap() + 20.0));
+        assert_eq!(
+            winner.qos().get(rel),
+            Some(estimate.get(rel).unwrap() * 0.9)
+        );
+
+        // The ranked alternates hold the two named properties only; the
+        // vector a rebind takes is the one discovery gives the service.
+        for alternate in comp.outcome().alternates(0) {
+            assert_eq!(alternate.qos().len(), 2);
+            assert_eq!(alternate.qos().get(rt), seen(alternate.id()).qos().get(rt));
+            let bound = e.complete(&activity, &alternate);
+            assert_eq!(bound, seen(alternate.id()).qos().clone());
+        }
     }
 
     #[test]

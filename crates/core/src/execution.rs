@@ -7,7 +7,7 @@ use std::fmt;
 use qasom_adaptation::{BehaviouralAdapter, CompositionMonitor, Substitution, Violation};
 use qasom_qos::{PropertyId, QosVector};
 use qasom_registry::ServiceId;
-use qasom_selection::Aggregator;
+use qasom_selection::{Aggregator, RankedCandidate};
 use qasom_task::{TaskNode, UserTask};
 
 use crate::{ComposeError, Environment, ExecutableComposition, MiddlewareEvent};
@@ -335,7 +335,8 @@ impl Environment {
                             .outcome
                             .alternates(idx)
                             .find(|c| c.id() == service)
-                            .map(|c| c.qos().clone())
+                            .zip(task.activities().nth(idx))
+                            .map(|(c, a)| self.complete(a.activity(), &c))
                             .unwrap_or_default();
                         cm.rebind(idx, service, advertised_qos);
                         substitutions += 1;
@@ -444,8 +445,11 @@ impl Environment {
             return Some(current);
         }
         comp.outcome
-            .alternates(idx)
-            .map(|c| c.id())
+            .levels
+            .get(idx)
+            .into_iter()
+            .flat_map(|l| l.best_first())
+            .map(RankedCandidate::id)
             .find(|&id| alive(id) && !tried.contains(&id))
     }
 
@@ -483,7 +487,11 @@ impl Environment {
         };
         if let Some(plan) = planner.plan(cm, &self.monitor, alternates) {
             if upcoming.contains(&plan.activity) {
-                cm.rebind(plan.activity, plan.to.id(), plan.to.qos().clone());
+                let qos = comp.task.activities().nth(plan.activity).map_or_else(
+                    || plan.to.qos().clone(),
+                    |a| self.complete(a.activity(), &plan.to),
+                );
+                cm.rebind(plan.activity, plan.to.id(), qos);
                 self.emit(MiddlewareEvent::Substituted {
                     activity: names[plan.activity].clone(),
                     from: plan.from,

@@ -5,8 +5,9 @@
 //! drifted away from the advertised one (load, mobility, failures). The
 //! synthetic runtime reproduces those phenomena deterministically:
 //! per-invocation QoS is the advertised (nominal) value perturbed by
-//! multiplicative Gaussian noise (for a ratio, noise on its distance to
-//! the nearer of 0 and 1, so it stays a ratio with its mean intact),
+//! multiplicative Gaussian noise (for a property whose unit is a ratio,
+//! noise on its distance to the nearer of 0 and 1, so it stays a ratio
+//! with its mean intact),
 //! optionally *drifting* after a configured
 //! number of invocations, with both transient failures (per-invocation
 //! probability) and permanent crashes (after N invocations).
@@ -14,7 +15,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use qasom_qos::{PropertyId, QosVector};
+use qasom_qos::{PropertyId, QosModel, QosVector, Unit};
 
 use crate::dist::Normal;
 
@@ -120,9 +121,10 @@ impl SyntheticService {
     }
 
     /// Relative standard deviation of the multiplicative per-invocation
-    /// noise (`0.05` = ±5 % typical deviation). A ratio advertised in
-    /// `[0, 1]` above one half is noisy in its shortfall from 1 instead,
-    /// so that `0.99` delivers `0.99` on average, not less.
+    /// noise (`0.05` = ±5 % typical deviation). A ratio (a property
+    /// [`SyntheticService::invoke_with`] is told has [`Unit::Ratio`])
+    /// above one half is noisy in its shortfall from 1 instead, so that
+    /// `0.99` delivers `0.99` on average, not less.
     ///
     /// # Panics
     ///
@@ -178,8 +180,18 @@ impl SyntheticService {
             .is_some_and(|n| self.invocations >= n)
     }
 
-    /// Invokes the service once.
+    /// Invokes the service once, knowing no units: every property takes
+    /// plain multiplicative noise and drift.
     pub fn invoke(&mut self, rng: &mut impl Rng) -> InvocationOutcome {
+        self.invoke_with(rng, &[])
+    }
+
+    /// Invokes the service once; the properties in `ratios` are ratios
+    /// (their unit is [`Unit::Ratio`]), so noise keeps them in `[0, 1]`
+    /// with their mean, and a drift is clamped to `[0, 1]`. A
+    /// [`ServiceRuntime`] built [`with_units`](ServiceRuntime::with_units)
+    /// passes its model's.
+    pub fn invoke_with(&mut self, rng: &mut impl Rng, ratios: &[PropertyId]) -> InvocationOutcome {
         let crashed = self.is_crashed();
         self.invocations += 1;
         if crashed {
@@ -200,8 +212,8 @@ impl SyntheticService {
                     value *= d.factor;
                 }
             }
-            // Values that are ratios by construction stay ratios.
-            let ratio = (0.0..=1.0).contains(&nominal);
+            // Ratios stay ratios.
+            let ratio = ratios.contains(&p);
             if noise > 0.0 {
                 let factor = Normal::new(1.0, noise).sample_clamped(rng, 0.0, f64::MAX);
                 if ratio && value > 0.5 {
@@ -230,15 +242,31 @@ impl SyntheticService {
 pub struct ServiceRuntime {
     services: Vec<Option<SyntheticService>>,
     rng: StdRng,
+    /// The properties every invocation treats as ratios.
+    ratios: Vec<PropertyId>,
 }
 
 impl ServiceRuntime {
-    /// Creates an empty runtime with a deterministic seed.
+    /// Creates an empty runtime with a deterministic seed, knowing no
+    /// units (see [`ServiceRuntime::with_units`]).
     pub fn new(seed: u64) -> Self {
         ServiceRuntime {
             services: Vec::new(),
             rng: StdRng::seed_from_u64(seed),
+            ratios: Vec::new(),
         }
+    }
+
+    /// Takes from `model` which properties are ratios ([`Unit::Ratio`]):
+    /// every service this runtime invokes keeps those in `[0, 1]`, and
+    /// only those, whatever value a service advertises.
+    #[must_use]
+    pub fn with_units(mut self, model: &QosModel) -> Self {
+        self.ratios = model
+            .iter()
+            .filter(|&p| model.def(p).unit() == Unit::Ratio)
+            .collect();
+        self
     }
 
     /// Deploys (or replaces) a service in `slot`.
@@ -258,7 +286,7 @@ impl ServiceRuntime {
     /// deployed there.
     pub fn invoke(&mut self, slot: usize) -> Option<InvocationOutcome> {
         let svc = self.services.get_mut(slot)?.as_mut()?;
-        Some(svc.invoke(&mut self.rng))
+        Some(svc.invoke_with(&mut self.rng, &self.ratios))
     }
 }
 
@@ -310,7 +338,12 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed as u64);
             let mut sum = 0.0;
             for _ in 0..10_000 {
-                let value = svc.invoke(&mut rng).qos().unwrap().get(av).unwrap();
+                let value = svc
+                    .invoke_with(&mut rng, &[av])
+                    .qos()
+                    .unwrap()
+                    .get(av)
+                    .unwrap();
                 assert!(
                     (0.0..=1.0).contains(&value),
                     "{advertised} delivered {value}"
@@ -379,7 +412,7 @@ mod tests {
         let mut svc = SyntheticService::new(v).with_noise(0.5);
         let mut rng = StdRng::seed_from_u64(6);
         for _ in 0..500 {
-            let q = svc.invoke(&mut rng);
+            let q = svc.invoke_with(&mut rng, &[av]);
             let val = q.qos().unwrap().get(av).unwrap();
             assert!((0.0..=1.0).contains(&val));
         }
@@ -463,7 +496,7 @@ mod tests {
         let rt = m.property("ResponseTime").unwrap();
         let av = m.property("Availability").unwrap();
         let nominal = |r: f64, a: f64| -> QosVector { [(rt, r), (av, a)].into_iter().collect() };
-        let mut runtime = ServiceRuntime::new(0x5eed);
+        let mut runtime = ServiceRuntime::new(0x5eed).with_units(&m);
         runtime.deploy(0, SyntheticService::new(nominal(100.0, 0.99)));
         runtime.deploy(
             2,
@@ -496,6 +529,28 @@ mod tests {
             let out = runtime.invoke(slots[i % slots.len()]).unwrap();
             let got = out.qos().map(|q| [q.get(rt).unwrap(), q.get(av).unwrap()]);
             assert_eq!(got.as_ref(), expected.as_ref(), "invocation {i}");
+        }
+    }
+
+    /// A ratio is told by its unit, not its value: a 0.5 ms response
+    /// time drifting threefold delivers 1.5 ms, while a 0.99
+    /// availability under heavy noise stays in `[0, 1]`.
+    #[test]
+    fn ratios_come_from_the_model_not_the_value() {
+        let m = QosModel::standard();
+        let rt = m.property("ResponseTime").unwrap();
+        let av = m.property("Availability").unwrap();
+        let mut runtime = ServiceRuntime::new(7).with_units(&m);
+        let fast: QosVector = [(rt, 0.5)].into_iter().collect();
+        runtime.deploy(0, SyntheticService::new(fast).with_drift(0, rt, 3.0));
+        let available: QosVector = [(av, 0.99)].into_iter().collect();
+        runtime.deploy(1, SyntheticService::new(available).with_noise(0.5));
+        let delivered = runtime.invoke(0).unwrap();
+        assert_eq!(delivered.qos().unwrap().get(rt), Some(1.5));
+        for _ in 0..500 {
+            let delivered = runtime.invoke(1).unwrap();
+            let value = delivered.qos().unwrap().get(av).unwrap();
+            assert!((0.0..=1.0).contains(&value), "{value}");
         }
     }
 

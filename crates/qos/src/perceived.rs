@@ -50,23 +50,34 @@ pub enum EndToEndRule {
 }
 
 impl EndToEndRule {
-    fn apply(self, perceived: &mut QosVector, infra: &QosVector) {
-        let (target, source) = match self {
-            EndToEndRule::AddScaled { target, source, .. }
-            | EndToEndRule::MulComplement { target, source }
-            | EndToEndRule::Mul { target, source }
-            | EndToEndRule::Min { target, source } => (target, source),
+    /// The service-layer property the rule degrades.
+    fn target(self) -> PropertyId {
+        match self {
+            EndToEndRule::AddScaled { target, .. }
+            | EndToEndRule::MulComplement { target, .. }
+            | EndToEndRule::Mul { target, .. }
+            | EndToEndRule::Min { target, .. } => target,
+        }
+    }
+
+    /// The target's value `t` after the rule: unchanged when `infra`
+    /// does not carry the rule's source.
+    fn degrade(self, t: f64, infra: &QosVector) -> f64 {
+        let source = match self {
+            EndToEndRule::AddScaled { source, .. }
+            | EndToEndRule::MulComplement { source, .. }
+            | EndToEndRule::Mul { source, .. }
+            | EndToEndRule::Min { source, .. } => source,
         };
-        let (Some(t), Some(s)) = (perceived.get(target), infra.get(source)) else {
-            return;
+        let Some(s) = infra.get(source) else {
+            return t;
         };
-        let new = match self {
+        match self {
             EndToEndRule::AddScaled { factor, .. } => t + factor * s,
             EndToEndRule::MulComplement { .. } => t * (1.0 - s),
             EndToEndRule::Mul { .. } => t * s,
             EndToEndRule::Min { .. } => t.min(s),
-        };
-        perceived.set(target, new);
+        }
     }
 }
 
@@ -147,11 +158,21 @@ impl EndToEnd {
     /// absent from `infra` are skipped: unknown infrastructure degrades
     /// nothing (it is accounted for by the monitoring layer instead).
     pub fn perceive(&self, service: &QosVector, infra: &QosVector) -> QosVector {
-        let mut perceived = service.clone();
-        for rule in &self.rules {
-            rule.apply(&mut perceived, infra);
-        }
-        perceived
+        service
+            .iter()
+            .map(|(p, v)| (p, self.perceive_value(p, v, infra)))
+            .collect()
+    }
+
+    /// The perceived value of one property the service delivers at
+    /// `value`: the rules targeting `property`, in insertion order. A
+    /// rule reads only its own target and the path, so this is the
+    /// value [`EndToEnd::perceive`] gives that property.
+    pub fn perceive_value(&self, property: PropertyId, value: f64, infra: &QosVector) -> f64 {
+        self.rules
+            .iter()
+            .filter(|rule| rule.target() == property)
+            .fold(value, |t, rule| rule.degrade(t, infra))
     }
 }
 

@@ -7,8 +7,10 @@ use crate::PropertyId;
 /// Entries a [`QosVector`] keeps without a heap allocation. Every serving
 /// workload advertises two properties (response time and availability),
 /// so with two slots cloning an advertisement is a 40-byte copy instead of
-/// a `malloc`. More slots would fatten every candidate row the selection
-/// tables hold, and cost more bytes than the small allocations they save.
+/// a `malloc`. Selection tables copy values, not vectors, so the size
+/// trades the bytes of every registered description against a heap
+/// block per description, bound service and monitored vector with more
+/// properties.
 const INLINE: usize = 2;
 
 /// A sparse vector of QoS values, keyed by [`PropertyId`], always stored in

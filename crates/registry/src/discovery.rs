@@ -21,6 +21,7 @@
 //!   unbound registries, and the oracle the parity tests compare against
 //!   ([`DiscoveryQuery::linear_scan`]).
 
+use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::collections::BTreeSet;
 
@@ -71,8 +72,10 @@ pub struct Qualified<'r> {
     pub degree: MatchDegree,
     /// Which part of the description produced the match.
     pub matched_via: MatchedVia,
-    /// The QoS vector the match is advertised with.
-    pub effective_qos: QosVector,
+    /// The QoS vector the match is advertised with: the description's
+    /// own for a profile match, and an owned merge of it with the
+    /// operation's QoS for an operation match.
+    pub effective_qos: Cow<'r, QosVector>,
 }
 
 /// A discovery request: the activity to serve plus matching options.
@@ -248,7 +251,7 @@ impl<'a> Discovery<'a> {
             service: found.service,
             degree: found.degree,
             matched_via: found.matched_via,
-            effective_qos: found.effective_qos,
+            effective_qos: found.effective_qos.into_owned(),
         })
     }
 
@@ -293,6 +296,37 @@ impl<'a> Discovery<'a> {
             rec.incr(keys::DISCOVERY_CANDIDATES, rows.len() as u64);
         }
         rows
+    }
+
+    /// The most rows [`Discovery::discover_rows`] can write for `query`:
+    /// the number of services it evaluates. A caller that keeps more per
+    /// row than the row itself sizes that storage with it.
+    pub fn capacity(&self, registry: &ServiceRegistry, query: &DiscoveryQuery<'_>) -> usize {
+        if !query.force_linear && self.index_usable(registry) {
+            self.posting(registry, self.resolve(query.activity.function()))
+                .len()
+        } else {
+            registry.len()
+        }
+    }
+
+    /// One live service evaluated against `query`, as
+    /// [`Discovery::discover_rows`] would hand it to its row builder;
+    /// `None` when it is gone or does not qualify. Records no counter.
+    pub fn qualify<'r>(
+        &self,
+        registry: &'r ServiceRegistry,
+        query: &DiscoveryQuery<'_>,
+        service: ServiceId,
+    ) -> Option<Qualified<'r>> {
+        let desc = registry.get(service)?;
+        self.evaluate_service(
+            query,
+            self.resolve(query.activity.function()),
+            self.resolve(desc.function()),
+            service,
+            desc,
+        )
     }
 
     /// Whether the registry's capability index covers this engine's
@@ -379,7 +413,7 @@ impl<'a> Discovery<'a> {
                 description: desc,
                 degree: profile_degree,
                 matched_via: MatchedVia::Profile,
-                effective_qos: desc.qos().clone(),
+                effective_qos: Cow::Borrowed(desc.qos()),
             })
         } else if query.white_box {
             // Fall back to the conversation: the best qualifying
@@ -406,7 +440,7 @@ impl<'a> Discovery<'a> {
                 description: desc,
                 degree,
                 matched_via: MatchedVia::Operation(op_index),
-                effective_qos: qos,
+                effective_qos: Cow::Owned(qos),
             })
         } else {
             None

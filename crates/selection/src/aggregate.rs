@@ -108,10 +108,8 @@ impl<'a> Aggregator<'a> {
         self.aggregate_refs(task, &refs, properties)
     }
 
-    /// [`Aggregator::aggregate`] over borrowed vectors — the hot-path
-    /// variant: the global phase scores thousands of assignments per
-    /// selection, and borrowing spares one deep vector clone per
-    /// activity per evaluation.
+    /// [`Aggregator::aggregate`] over borrowed vectors, sparing one deep
+    /// vector clone per activity.
     ///
     /// # Panics
     ///
@@ -128,10 +126,23 @@ impl<'a> Aggregator<'a> {
             task.activity_count(),
             "one QoS vector per activity is required"
         );
+        self.aggregate_with(task, properties, |i, p| assignments[i].get(p))
+    }
+
+    /// [`Aggregator::aggregate`] over the values `value(i, p)` reads for
+    /// the activity with DFS index `i`: the global phase reads them from
+    /// its ranked tables without building a vector per activity. The
+    /// same folds, so the same bits as over vectors holding the values.
+    pub fn aggregate_with(
+        &self,
+        task: &UserTask,
+        properties: &[PropertyId],
+        value: impl Fn(usize, PropertyId) -> Option<f64>,
+    ) -> QosVector {
         let mut out = QosVector::new();
         for &p in properties {
             let mut idx = 0;
-            if let Some(v) = self.fold(task.root(), assignments, p, &mut idx) {
+            if let Some(v) = self.fold(task.root(), &value, p, &mut idx) {
                 out.set(p, v);
             }
         }
@@ -139,10 +150,10 @@ impl<'a> Aggregator<'a> {
     }
 
     /// Aggregates a single property; `idx` is the DFS activity cursor.
-    fn fold(
+    fn fold<F: Fn(usize, PropertyId) -> Option<f64>>(
         &self,
         node: &TaskNode,
-        assignments: &[&QosVector],
+        value: &F,
         property: PropertyId,
         idx: &mut usize,
     ) -> Option<f64> {
@@ -150,23 +161,23 @@ impl<'a> Aggregator<'a> {
         let op = def.aggregation();
         match node {
             TaskNode::Activity(_) => {
-                let v = assignments[*idx].get(property);
+                let v = value(*idx, property);
                 *idx += 1;
                 v
             }
             TaskNode::Sequence(cs) => {
-                let vals = self.fold_children(cs.iter(), assignments, property, idx)?;
+                let vals = self.fold_children(cs.iter(), value, property, idx)?;
                 Some(combine_sequence(op, &vals))
             }
             TaskNode::Parallel(cs) => {
-                let vals = self.fold_children(cs.iter(), assignments, property, idx)?;
+                let vals = self.fold_children(cs.iter(), value, property, idx)?;
                 Some(combine_parallel(op, def.unit().dimension(), &vals))
             }
             TaskNode::Choice(bs) => {
                 let mut vals = Vec::with_capacity(bs.len());
                 let mut missing = false;
                 for (prob, c) in bs {
-                    match self.fold(c, assignments, property, idx) {
+                    match self.fold(c, value, property, idx) {
                         Some(v) => vals.push((*prob, v)),
                         None => missing = true,
                     }
@@ -177,7 +188,7 @@ impl<'a> Aggregator<'a> {
                 self.combine_choice(def.tendency(), &vals)
             }
             TaskNode::Loop { body, bound } => {
-                let v = self.fold(body, assignments, property, idx)?;
+                let v = self.fold(body, value, property, idx)?;
                 let n = match self.approach {
                     AggregationApproach::Pessimistic => f64::from(bound.max()),
                     AggregationApproach::Optimistic => 1.0,
@@ -188,17 +199,17 @@ impl<'a> Aggregator<'a> {
         }
     }
 
-    fn fold_children<'n>(
+    fn fold_children<'n, F: Fn(usize, PropertyId) -> Option<f64>>(
         &self,
         children: impl Iterator<Item = &'n TaskNode>,
-        assignments: &[&QosVector],
+        value: &F,
         property: PropertyId,
         idx: &mut usize,
     ) -> Option<Vec<f64>> {
         let mut vals = Vec::new();
         let mut missing = false;
         for c in children {
-            match self.fold(c, assignments, property, idx) {
+            match self.fold(c, value, property, idx) {
                 Some(v) => vals.push(v),
                 None => missing = true,
             }

@@ -10,9 +10,11 @@ use crate::AggregationApproach;
 /// id and the QoS vector selection reasons about (advertised, or monitored
 /// at re-selection time).
 ///
-/// The candidate owns its vector. Discovery builds every candidate
-/// afresh for each compose, and a vector of up to two properties lives
-/// inline, so cloning a candidate into a ranked table is a plain copy.
+/// The candidate owns its vector. Ranking does not keep candidates: it
+/// copies the values of the requested properties into its table's
+/// columns ([`crate::QosColumns`]), and a candidate is built again from a
+/// table row ([`crate::QosLevels::candidate`]) only for an alternate
+/// substitution reads or a selected service.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServiceCandidate {
     id: ServiceId,
@@ -158,8 +160,8 @@ mod tests {
         assert_eq!(p.properties(), vec![rt, av, price]);
     }
 
-    /// Ranked tables hold a candidate per row, so the per-session byte
-    /// and RSS figures rest on this size.
+    /// Selection outcomes hold a candidate per activity, and callers that
+    /// rank a candidate slice keep one per candidate.
     #[test]
     fn a_candidate_fits_in_forty_eight_bytes() {
         assert!(std::mem::size_of::<ServiceCandidate>() <= 48);

@@ -765,9 +765,9 @@ mod tests {
         // Every candidate arrives exactly once, under its workload id and
         // with its workload QoS.
         for (a, expected) in w.candidates().iter().enumerate() {
-            let mut heard: Vec<&ServiceCandidate> = report.outcome.alternates(a).collect();
+            let mut heard: Vec<ServiceCandidate> = report.outcome.alternates(a).collect();
             heard.sort_by_key(|c| c.id());
-            let mut want: Vec<&ServiceCandidate> = expected.iter().collect();
+            let mut want: Vec<ServiceCandidate> = expected.clone();
             want.sort_by_key(|c| c.id());
             assert_eq!(heard, want, "activity {a}");
         }

@@ -8,10 +8,7 @@ use qasom_qos::utility::utility;
 use qasom_qos::{Normalizer, Preferences, PropertyId, QosVector, Tendency};
 use qasom_task::UserTask;
 
-use crate::{
-    Aggregator, LocalRank, LocalScratch, QosLevels, RankedCandidate, SelectionProblem,
-    ServiceCandidate,
-};
+use crate::{Aggregator, LocalRank, LocalScratch, QosLevels, SelectionProblem, ServiceCandidate};
 
 /// When the level-wise search finds no feasible composition and the full
 /// candidate space spans at most this many compositions, QASSA falls back
@@ -84,7 +81,10 @@ impl std::error::Error for SelectionError {}
 /// Result of a QASSA run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SelectionOutcome {
-    /// The selected service per activity (DFS order).
+    /// The selected service per activity (DFS order), with everything
+    /// it advertises when the problem carries the candidates its
+    /// hierarchies were ranked from, and with the ranked values only
+    /// when it does not (compose completes its winners itself).
     pub assignment: Vec<ServiceCandidate>,
     /// Aggregated QoS of the selected composition (`QoS_{C_v}`).
     pub aggregated: QosVector,
@@ -105,14 +105,14 @@ pub struct SelectionOutcome {
 
 impl SelectionOutcome {
     /// The candidates of one activity, best-first — the alternates kept
-    /// for dynamic binding and service substitution. Nothing for an
-    /// activity the outcome has no hierarchy for.
-    pub fn alternates(&self, activity: usize) -> impl Iterator<Item = &ServiceCandidate> {
+    /// for dynamic binding and service substitution — each with the
+    /// values it was ranked on ([`QosLevels::candidate`]). Nothing for
+    /// an activity the outcome has no hierarchy for.
+    pub fn alternates(&self, activity: usize) -> impl Iterator<Item = ServiceCandidate> + '_ {
         self.levels
             .get(activity)
             .into_iter()
-            .flat_map(|l| l.best_first())
-            .map(RankedCandidate::candidate)
+            .flat_map(|l| l.best_first().iter().map(|row| l.candidate(row)))
     }
 }
 
@@ -644,12 +644,9 @@ impl<'a> Qassa<'a> {
         current: &[usize],
         properties: &[PropertyId],
     ) -> QosVector {
-        let vectors: Vec<&QosVector> = levels
-            .iter()
-            .zip(current)
-            .map(|(l, &j)| l.best_first()[j].candidate().qos())
-            .collect();
-        aggregator.aggregate_refs(problem.task(), &vectors, properties)
+        aggregator.aggregate_with(problem.task(), properties, |i, p| {
+            levels[i].value(&levels[i].best_first()[current[i]], p)
+        })
     }
 
     /// The swap most improving `property`: for each activity, the
@@ -668,12 +665,12 @@ impl<'a> Qassa<'a> {
         for (i, l) in levels.iter().enumerate() {
             let cands = l.best_first();
             let cur = &cands[current[i]];
-            let cur_val = cur.candidate().qos().get(property);
+            let cur_val = l.value(cur, property);
             for (j, cand) in cands.iter().enumerate().take(pools[i]) {
                 if j == current[i] {
                     continue;
                 }
-                let Some(v) = cand.candidate().qos().get(property) else {
+                let Some(v) = l.value(cand, property) else {
                     continue;
                 };
                 let better = match cur_val {
@@ -712,7 +709,17 @@ impl<'a> Qassa<'a> {
         let assignment: Vec<ServiceCandidate> = levels
             .iter()
             .zip(current)
-            .map(|(l, &j)| l.best_first()[j].candidate().clone())
+            .enumerate()
+            .map(|(i, (l, &j))| {
+                let row = &l.best_first()[j];
+                problem
+                    .candidates()
+                    .get(i)
+                    .and_then(|cands| cands.get(row.position()))
+                    .filter(|c| c.id() == row.id())
+                    .cloned()
+                    .unwrap_or_else(|| l.candidate(row))
+            })
             .collect();
         let u = utility(
             &aggregated,

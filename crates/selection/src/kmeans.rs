@@ -56,12 +56,13 @@ impl Clustering {
 /// The local selection phase clusters one column per (activity, property)
 /// pair; at 10k+ candidates the per-call `Vec` churn dominates. One
 /// scratch, cleared and refilled per column, keeps the hot loop
-/// allocation-free after the first activity.
+/// allocation-free after the first activity. Labels are bytes: a run
+/// makes at most [`MAX_CLUSTERS`] clusters.
 #[derive(Debug, Clone, Default)]
 pub struct KmeansScratch {
     sorted: Vec<f64>,
     centroids: Vec<f64>,
-    assignments: Vec<usize>,
+    assignments: Vec<u8>,
     sums: Vec<f64>,
     counts: Vec<usize>,
     order: Vec<usize>,
@@ -76,7 +77,7 @@ impl KmeansScratch {
 
     /// Final labels of the last run (relabelled, ascending-centroid
     /// order), parallel to its input slice.
-    pub fn assignments(&self) -> &[usize] {
+    pub fn assignments(&self) -> &[u8] {
         &self.assignments
     }
 
@@ -86,6 +87,9 @@ impl KmeansScratch {
         &self.centroids
     }
 }
+
+/// The most clusters one run makes: a label fits a byte.
+pub const MAX_CLUSTERS: usize = 256;
 
 /// An integer key whose unsigned order is `f64::total_cmp`'s: flip every
 /// bit of a negative value, and only the sign bit of a non-negative one.
@@ -98,7 +102,8 @@ pub(crate) fn total_key(x: f64) -> u64 {
 /// Clusters `values` into at most `k` bands with Lloyd's algorithm.
 ///
 /// Deterministic: centroids are initialised at evenly spaced quantiles of
-/// the sorted input. When the input has fewer than `k` distinct values,
+/// the sorted input. A `k` above [`MAX_CLUSTERS`] clusters as
+/// [`MAX_CLUSTERS`]. When the input has fewer than `k` distinct values,
 /// the effective `k` shrinks to the distinct count, and a cluster that
 /// loses every point mid-iteration is dropped from the result rather
 /// than receiving a `0.0 / 0` (`NaN`) centroid update. An empty input
@@ -124,7 +129,11 @@ pub fn kmeans_1d(values: &[f64], k: usize, max_iters: usize) -> Clustering {
     let mut scratch = KmeansScratch::new();
     kmeans_1d_with(values, k, max_iters, &mut scratch);
     Clustering {
-        assignments: scratch.assignments,
+        assignments: scratch
+            .assignments
+            .iter()
+            .map(|&l| usize::from(l))
+            .collect(),
         centroids: scratch.centroids,
     }
 }
@@ -162,7 +171,7 @@ pub fn kmeans_1d_with(
     // sort by the integer key gives the column `total_cmp` would.
     scratch.sorted.sort_unstable_by_key(|&v| total_key(v));
     scratch.sorted.dedup();
-    let k = k.min(scratch.sorted.len());
+    let k = k.min(scratch.sorted.len()).min(MAX_CLUSTERS);
 
     // Quantile initialisation over distinct values.
     for i in 0..k {
@@ -204,8 +213,9 @@ pub fn kmeans_1d_with(
                 nearest = if closer { j } else { nearest };
                 best = if closer { distance } else { best };
             }
-            changed |= *label != nearest;
-            *label = nearest;
+            // `nearest < kc <= MAX_CLUSTERS`.
+            changed |= usize::from(*label) != nearest;
+            *label = nearest as u8;
             sums[nearest] += v;
             counts[nearest] += 1;
         }
@@ -242,7 +252,8 @@ pub fn kmeans_1d_with(
         scratch.relabel[old] = new;
     }
     for a in scratch.assignments.iter_mut() {
-        *a = scratch.relabel[*a];
+        // A new label is below the old cluster count, so still a byte.
+        *a = scratch.relabel[usize::from(*a)] as u8;
     }
     // Compact the surviving centroids through the (idle) sums buffer so
     // the reorder never reads a slot it already overwrote.
@@ -345,7 +356,8 @@ mod tests {
             let fresh = kmeans_1d(values, 4, 100);
             let k = kmeans_1d_with(values, 4, 100, &mut scratch);
             assert_eq!(k, fresh.k());
-            assert_eq!(scratch.assignments(), fresh.assignments());
+            let labels: Vec<usize> = scratch.assignments().iter().map(|&l| l.into()).collect();
+            assert_eq!(labels, fresh.assignments());
             assert_eq!(scratch.centroids(), &fresh.centroids[..]);
         }
     }
@@ -360,6 +372,14 @@ mod tests {
         for label in 0..c.k() {
             assert!(c.assignments().contains(&label));
         }
+    }
+
+    #[test]
+    fn more_than_a_bytes_worth_of_clusters_clusters_as_max() {
+        let values: Vec<f64> = (0..600).map(f64::from).collect();
+        let c = kmeans_1d(&values, 1_000, 5);
+        assert_eq!(c.k(), MAX_CLUSTERS);
+        assert_eq!(c, kmeans_1d(&values, MAX_CLUSTERS, 5));
     }
 
     #[test]

@@ -59,5 +59,5 @@ pub mod workload;
 pub use aggregate::{AggregationApproach, Aggregator};
 pub use candidate::{SelectionProblem, ServiceCandidate};
 pub use global::{Qassa, QassaConfig, SelectionError, SelectionOutcome};
-pub use kmeans::{kmeans_1d, kmeans_1d_with, Clustering, KmeansScratch};
-pub use local::{LocalRank, LocalScratch, QosLevels, RankedCandidate};
+pub use kmeans::{kmeans_1d, kmeans_1d_with, Clustering, KmeansScratch, MAX_CLUSTERS};
+pub use local::{LocalRank, LocalScratch, QosColumns, QosLevels, RankedCandidate};

@@ -16,40 +16,57 @@
 //! A candidate missing a requested property is ranked below every band
 //! (its quality is unknown, which an open environment must treat as
 //! worst).
+//!
+//! Ranking reads an activity's candidates as a table: one
+//! [`RankedCandidate`] row per candidate, and its values in
+//! [`QosColumns`], one column per property the request names. Nothing
+//! else a service advertises is copied.
 
-use qasom_qos::utility::utility;
-use qasom_qos::{Normalizer, Preferences, PropertyId, QosModel, Tendency};
+use std::sync::Arc;
+
+use qasom_qos::utility::utility_of;
+use qasom_qos::{Normalizer, Preferences, PropertyId, QosModel, QosVector, Tendency};
+use qasom_registry::ServiceId;
 
 use crate::kmeans::total_key;
 use crate::{kmeans_1d_with, KmeansScratch, ServiceCandidate};
 
-/// A candidate annotated with its local-selection rank: one row of an
-/// activity's ranked table.
-#[derive(Debug, Clone, PartialEq)]
+/// One row of an activity's ranked table: a candidate's id, the
+/// position of its values in the table's [`QosColumns`], and its
+/// local-selection rank. Ranking sorts these rows, not the values.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RankedCandidate {
-    candidate: ServiceCandidate,
     utility: f64,
+    id: ServiceId,
+    position: u32,
     class: u32,
     level: u8,
 }
 
-impl From<ServiceCandidate> for RankedCandidate {
-    /// An unranked row. [`LocalRank::rank_table`] fills in its level,
-    /// class and utility where it sorts the table.
-    fn from(candidate: ServiceCandidate) -> Self {
+impl RankedCandidate {
+    /// An unranked row for candidate `id`, whose values are row
+    /// `position` of the table's columns. [`LocalRank::rank_table`]
+    /// fills in its level, class and utility where it sorts the table.
+    pub fn new(id: ServiceId, position: u32) -> Self {
         RankedCandidate {
-            candidate,
             utility: 0.0,
+            id,
+            position,
             class: 0,
             level: 0,
         }
     }
-}
 
-impl RankedCandidate {
-    /// The underlying candidate.
-    pub fn candidate(&self) -> &ServiceCandidate {
-        &self.candidate
+    /// The registry id of the candidate.
+    pub fn id(&self) -> ServiceId {
+        self.id
+    }
+
+    /// Where the candidate's values sit in its table's columns: its
+    /// index in the candidates the table was ranked from (after a
+    /// merge, in the concatenation of both sides).
+    pub fn position(&self) -> usize {
+        self.position as usize
     }
 
     /// QoS level (`0` = best band).
@@ -67,6 +84,17 @@ impl RankedCandidate {
         self.utility
     }
 
+    /// Folds the band rank of one more requested property into the
+    /// level (the worst rank) and the class (how many properties are at
+    /// it).
+    fn note_rank(&mut self, rank: u8) {
+        match rank.cmp(&self.level) {
+            std::cmp::Ordering::Greater => (self.level, self.class) = (rank, 1),
+            std::cmp::Ordering::Equal => self.class += 1,
+            std::cmp::Ordering::Less => {}
+        }
+    }
+
     /// The best-first order as one integer: level, then class, then
     /// utility descending, then id. Ranking and merging both sort by it.
     /// A class beyond 2²⁴ − 1 (as many requested properties) saturates.
@@ -74,7 +102,172 @@ impl RankedCandidate {
         (u128::from(self.level) << 120)
             | (u128::from(self.class.min(0xFF_FFFF)) << 96)
             | (u128::from(!total_key(self.utility)) << 32)
-            | u128::from(self.candidate.id().raw())
+            | u128::from(self.id.raw())
+    }
+}
+
+/// The bits of a value a column does not hold: a signalling NaN, which
+/// neither arithmetic nor parsing produces (both yield quiet NaNs), so a
+/// value a QoS vector carries, NaN included, reads back as itself unless
+/// it was built from exactly these bits.
+const MISSING: u64 = 0x7FF0_0000_0000_0001;
+
+/// The QoS values of one activity's candidates, as selection reads
+/// them: one column of `f64`s per property, in the request's property
+/// order, one value per row.
+///
+/// Discovery writes a compose's columns as it qualifies each service,
+/// and K-means, the bound fold and the global phase read them in place.
+/// The property list is shared (an `Arc`), so the columns of every
+/// activity of one request point at one list.
+#[derive(Debug, Clone, Default)]
+pub struct QosColumns {
+    properties: Arc<[PropertyId]>,
+    /// Column `c` is `values[c * stride..][..len]`.
+    values: Vec<f64>,
+    stride: usize,
+    len: usize,
+}
+
+impl QosColumns {
+    /// Empty columns for `properties`, with room for `rows` rows before
+    /// the first reallocation.
+    pub fn with_capacity(properties: Arc<[PropertyId]>, rows: usize) -> Self {
+        QosColumns {
+            values: vec![f64::from_bits(MISSING); properties.len() * rows],
+            properties,
+            stride: rows,
+            len: 0,
+        }
+    }
+
+    /// The property of each column, in column order.
+    pub fn properties(&self) -> &[PropertyId] {
+        &self.properties
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether no row was written.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Appends one row, reading each column's value from `value`, and
+    /// returns the row's position.
+    pub fn push(&mut self, value: impl Fn(PropertyId) -> Option<f64>) -> u32 {
+        if self.len == self.stride {
+            let rows = self.len;
+            self.relayout((2 * rows).max(4), 0..rows);
+        }
+        for (c, &p) in self.properties.iter().enumerate() {
+            self.values[c * self.stride + self.len] = value(p).unwrap_or(f64::from_bits(MISSING));
+        }
+        self.len += 1;
+        (self.len - 1) as u32
+    }
+
+    /// The column index of `property`.
+    fn column(&self, property: PropertyId) -> Option<usize> {
+        self.properties.iter().position(|&p| p == property)
+    }
+
+    /// Column `c`, one slot per row, a missing value as [`MISSING`].
+    fn column_values(&self, c: usize) -> &[f64] {
+        &self.values[c * self.stride..][..self.len]
+    }
+
+    /// The value in column `c` of row `position`.
+    fn at(&self, c: usize, position: usize) -> Option<f64> {
+        let v = self.values[c * self.stride + position];
+        (v.to_bits() != MISSING).then_some(v)
+    }
+
+    /// The value of `property` in row `position`; `None` when the row
+    /// has none or no column holds the property.
+    pub fn get(&self, position: usize, property: PropertyId) -> Option<f64> {
+        self.at(self.column(property)?, position)
+    }
+
+    /// Row `position` as a QoS vector: the values it holds.
+    pub fn qos(&self, position: usize) -> QosVector {
+        (0..self.properties.len())
+            .filter_map(|c| Some((self.properties[c], self.at(c, position)?)))
+            .collect()
+    }
+
+    /// Rewrites the columns at `stride`, holding the rows `rows` names
+    /// (by position), in that order.
+    fn relayout(&mut self, stride: usize, rows: impl Iterator<Item = usize> + Clone) {
+        let mut values = vec![f64::from_bits(MISSING); self.properties.len() * stride];
+        for c in 0..self.properties.len() {
+            let column = self.column_values(c);
+            for (slot, position) in values[c * stride..].iter_mut().zip(rows.clone()) {
+                *slot = column[position];
+            }
+        }
+        self.len = rows.count();
+        self.values = values;
+        self.stride = stride;
+    }
+
+    /// Puts the rows in the order of `rows`, which name rows by
+    /// position, and renumbers their positions to match: a row no entry
+    /// names is dropped. Nothing is copied when `rows` names every row
+    /// once, in column order.
+    fn follow(&mut self, rows: &mut [RankedCandidate]) {
+        if self.len == rows.len() && rows.iter().enumerate().all(|(i, r)| r.position() == i) {
+            return;
+        }
+        self.relayout(rows.len(), rows.iter().map(RankedCandidate::position));
+        for (i, row) in rows.iter_mut().enumerate() {
+            row.position = i as u32;
+        }
+    }
+
+    /// Appends the rows of `other` after these, under the union of both
+    /// property lists (a value one side has no column for is missing).
+    fn append(&mut self, other: &QosColumns) {
+        let mut properties = self.properties.to_vec();
+        for &p in other.properties.iter() {
+            if !properties.contains(&p) {
+                properties.push(p);
+            }
+        }
+        let stride = self.len + other.len;
+        let mut values = vec![f64::from_bits(MISSING); properties.len() * stride];
+        for (c, &p) in properties.iter().enumerate() {
+            let column = &mut values[c * stride..][..stride];
+            for (side, offset) in [(&*self, 0), (other, self.len)] {
+                if let Some(from) = side.column(p) {
+                    column[offset..][..side.len].copy_from_slice(side.column_values(from));
+                }
+            }
+        }
+        if properties[..] != self.properties[..] {
+            self.properties = properties.into();
+        }
+        self.values = values;
+        self.stride = stride;
+        self.len = stride;
+    }
+}
+
+impl PartialEq for QosColumns {
+    /// Same properties, rows and values, a missing value equal only to a
+    /// missing one (and NaN to nothing, as in a [`QosVector`]).
+    fn eq(&self, other: &Self) -> bool {
+        self.properties == other.properties
+            && self.len == other.len
+            && (0..self.properties.len()).all(|c| {
+                self.column_values(c)
+                    .iter()
+                    .zip(other.column_values(c))
+                    .all(|(a, b)| a == b || (a.to_bits() == MISSING && b.to_bits() == MISSING))
+            })
     }
 }
 
@@ -99,16 +292,16 @@ impl Default for LocalRank {
 
 /// Reusable buffers for [`LocalRank::rank_table`].
 ///
-/// One arena holds the per-property value column, the present-candidate
-/// index column, the flat `|properties| × |candidates|` rank matrix and
-/// the K-means scratch. Its buffers grow to the largest table ranked
-/// through it and are then reused: compose keeps one per worker, so a
-/// worker allocates them once per compose, not once per activity.
+/// One arena holds the K-means scratch, and the value and present-row
+/// columns a column with a missing or non-finite value is gathered into
+/// (a column of finite values is clustered in place). Its buffers grow
+/// to the largest table ranked through it and are then reused: compose
+/// keeps one per worker, so a worker allocates them once per compose,
+/// not once per activity.
 #[derive(Debug, Clone, Default)]
 pub struct LocalScratch {
     values: Vec<f64>,
     present: Vec<u32>,
-    ranks: Vec<u8>,
     kmeans: KmeansScratch,
 }
 
@@ -147,9 +340,10 @@ impl LocalRank {
         )
     }
 
-    /// [`LocalRank::rank`] with caller-owned buffers: copies the
-    /// candidates into a table and ranks it with
-    /// [`LocalRank::rank_table`].
+    /// [`LocalRank::rank`] with caller-owned buffers: writes the
+    /// candidates' values of the requested properties (and of weighted
+    /// ones outside them, which utility reads) into columns and ranks
+    /// them with [`LocalRank::rank_table`].
     pub fn rank_with(
         &self,
         model: &QosModel,
@@ -158,31 +352,43 @@ impl LocalRank {
         preferences: &Preferences,
         scratch: &mut LocalScratch,
     ) -> QosLevels {
-        let table = candidates
+        let mut layout = properties.to_vec();
+        for p in preferences.properties() {
+            if !layout.contains(&p) {
+                layout.push(p);
+            }
+        }
+        let mut columns = QosColumns::with_capacity(layout.into(), candidates.len());
+        let rows = candidates
             .iter()
-            .cloned()
-            .map(RankedCandidate::from)
+            .map(|c| RankedCandidate::new(c.id(), columns.push(|p| c.qos().get(p))))
             .collect();
-        self.rank_table(model, table, properties, preferences, scratch)
+        self.rank_table(model, rows, columns, properties, preferences, scratch)
     }
 
-    /// Ranks an owned table of candidate rows in place: fills in each
-    /// row's level, class and utility, sorts the table best-first and
-    /// cuts it into levels. The rows' previous ranks are ignored. A
-    /// caller that builds the rows itself (compose, from discovery)
-    /// makes no other per-candidate copy.
+    /// Ranks an owned table in place: fills in each row's level, class
+    /// and utility from its values in `columns`, sorts the rows
+    /// best-first and cuts them into levels. The rows' previous ranks
+    /// are ignored. Rows are ranked in the order given, which may differ
+    /// from the columns' (discovery puts better match degrees first); the
+    /// columns are then copied once into that order. A property no
+    /// column holds is missing from every row. A caller that builds the
+    /// table itself (compose, from discovery) makes no other
+    /// per-candidate copy.
     pub fn rank_table(
         &self,
         model: &QosModel,
-        mut table: Vec<RankedCandidate>,
+        mut rows: Vec<RankedCandidate>,
+        mut columns: QosColumns,
         properties: &[PropertyId],
         preferences: &Preferences,
         scratch: &mut LocalScratch,
     ) -> QosLevels {
-        if table.is_empty() {
+        if rows.is_empty() {
             return QosLevels::default();
         }
-        let n = table.len();
+        columns.follow(&mut rows);
+        let n = rows.len();
         let bands = self.bands.clamp(1, usize::from(u8::MAX));
 
         // Worst possible rank: below the deepest band (missing values).
@@ -192,51 +398,68 @@ impl LocalRank {
         let LocalScratch {
             values,
             present,
-            ranks,
             kmeans,
         } = scratch;
 
-        // Per property: gather the flat value column, cluster it, and
-        // scatter band ranks into the flat rank matrix (column-major by
-        // property). The column's bounds fit the min–max normaliser, so
-        // the candidate pool is traversed once per property.
-        ranks.clear();
-        ranks.resize(properties.len() * n, missing_rank);
+        // Per property: cluster the column and fold each row's band rank
+        // into its level (the worst rank so far) and class (how many
+        // properties share it). The column's bounds fit the min–max
+        // normaliser, so the candidate pool is traversed once per
+        // property.
+        for row in rows.iter_mut() {
+            (row.level, row.class) = (0, 0);
+        }
         let mut normalizer = Normalizer::default();
         let mut bounds: Vec<(PropertyId, f64, f64)> = Vec::with_capacity(properties.len());
-        // Each column holds at most `n` values: size both buffers once.
-        values.clear();
-        values.reserve(n);
-        present.clear();
-        present.reserve(n);
-        for (pi, &p) in properties.iter().enumerate() {
+        for &p in properties {
             let tendency = model.tendency(p);
-            values.clear();
-            present.clear();
+            let column = columns
+                .column(p)
+                .map_or(&[][..], |c| columns.column_values(c));
             // Non-finite values (e.g. an unreachable host's perceived
             // response time) count as missing: unknown or unusable
-            // quality sinks below every band.
-            for (i, row) in table.iter().enumerate() {
-                if let Some(v) = row.candidate.qos().get(p).filter(|v| v.is_finite()) {
-                    present.push(i as u32);
-                    values.push(v);
+            // quality sinks below every band. A column without one is
+            // clustered where it lies; any other is gathered first.
+            let gathered = column.len() < n || !column.iter().all(|v| v.is_finite());
+            if gathered {
+                values.clear();
+                present.clear();
+                for (i, &v) in column.iter().enumerate() {
+                    if v.is_finite() {
+                        present.push(i as u32);
+                        values.push(v);
+                    }
                 }
             }
+            let finite: &[f64] = if gathered { &values[..] } else { column };
             // The column's raw value bounds are cached too: the global
             // phase fits its composition-level normaliser from these
             // instead of re-scanning every candidate.
-            if let Some((lo, hi)) = fold_bounds(values.iter().copied()) {
+            if let Some((lo, hi)) = fold_bounds(finite.iter().copied()) {
                 normalizer.include_bounds(model, p, lo, hi);
                 bounds.push((p, lo, hi));
             }
-            let k = kmeans_1d_with(values, bands, KMEANS_ITERS, kmeans);
-            let column = &mut ranks[pi * n..(pi + 1) * n];
-            for (&i, &label) in present.iter().zip(kmeans.assignments()) {
+            let k = kmeans_1d_with(finite, bands, KMEANS_ITERS, kmeans);
+            let band = |label: u8| -> u8 {
                 // `label < k <= bands <= 255`.
-                column[i as usize] = match tendency {
+                match tendency {
                     Tendency::LowerBetter => label,
-                    Tendency::HigherBetter => k - 1 - label,
-                } as u8;
+                    Tendency::HigherBetter => (k - 1) as u8 - label,
+                }
+            };
+            if gathered {
+                let mut labelled = present.iter().zip(kmeans.assignments()).peekable();
+                for (i, row) in rows.iter_mut().enumerate() {
+                    let rank = match labelled.next_if(|&(&at, _)| at as usize == i) {
+                        Some((_, &label)) => band(label),
+                        None => missing_rank,
+                    };
+                    row.note_rank(rank);
+                }
+            } else {
+                for (row, &label) in rows.iter_mut().zip(kmeans.assignments()) {
+                    row.note_rank(band(label));
+                }
             }
         }
 
@@ -244,9 +467,11 @@ impl LocalRank {
         // normalisation bounds for the utility term.
         for p in preferences.properties() {
             if !properties.contains(&p) {
-                let finite = table
+                let finite = columns
+                    .column(p)
+                    .map_or(&[][..], |c| columns.column_values(c))
                     .iter()
-                    .filter_map(|row| row.candidate.qos().get(p))
+                    .copied()
                     .filter(|v| v.is_finite());
                 if let Some((lo, hi)) = fold_bounds(finite) {
                     normalizer.include_bounds(model, p, lo, hi);
@@ -262,31 +487,17 @@ impl LocalRank {
             preferences
         };
 
-        for (i, row) in table.iter_mut().enumerate() {
-            let mut worst = 0;
-            let mut class = 0;
-            for pi in 0..properties.len() {
-                let r = ranks[pi * n + i];
-                match r.cmp(&worst) {
-                    std::cmp::Ordering::Greater => {
-                        worst = r;
-                        class = 1;
-                    }
-                    std::cmp::Ordering::Equal => class += 1,
-                    std::cmp::Ordering::Less => {}
-                }
-            }
-            row.level = worst;
-            row.class = class;
-            row.utility = utility(row.candidate.qos(), &normalizer, prefs);
+        for (i, row) in rows.iter_mut().enumerate() {
+            row.utility = utility_of(|p| columns.get(i, p), &normalizer, prefs);
         }
 
         bounds.sort_by_key(|&(p, ..)| p);
         // Ids are unique within one activity, so the key is total and an
         // unstable sort is exact.
-        table.sort_unstable_by_key(RankedCandidate::sort_key);
+        rows.sort_unstable_by_key(RankedCandidate::sort_key);
         let mut levels = QosLevels {
-            ranked: table,
+            ranked: rows,
+            columns,
             ends: Vec::new(),
             bounds,
         };
@@ -297,12 +508,14 @@ impl LocalRank {
 
 /// The ranked candidate hierarchy of one activity — the one list the
 /// global phase descends, dynamic binding walks and substitution picks
-/// alternates from. Stored once: every candidate in a single best-first
-/// table (level, then class, then utility), with each level a sub-slice
-/// of it.
+/// alternates from. Stored once: every candidate's row in a single
+/// best-first table (level, then class, then utility), with each level a
+/// sub-slice of it, and the candidates' values in columns the rows
+/// point into.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct QosLevels {
     ranked: Vec<RankedCandidate>,
+    columns: QosColumns,
     /// `ends[r]` is where level `r` ends in `ranked` (it starts where
     /// level `r - 1` ends); an empty intermediate level repeats its
     /// predecessor's offset.
@@ -342,6 +555,24 @@ impl QosLevels {
         &self.ranked
     }
 
+    /// The values the rows point into.
+    pub fn columns(&self) -> &QosColumns {
+        &self.columns
+    }
+
+    /// The value of `property` a row of this table holds; `None` when
+    /// the candidate has none or the property was not ranked on.
+    pub fn value(&self, row: &RankedCandidate, property: PropertyId) -> Option<f64> {
+        self.columns.get(row.position(), property)
+    }
+
+    /// A row of this table as a candidate: its id and the values the
+    /// table holds for it, which are those of the properties it was
+    /// ranked on, not everything the service advertises.
+    pub fn candidate(&self, row: &RankedCandidate) -> ServiceCandidate {
+        ServiceCandidate::new(row.id(), self.columns.qos(row.position()))
+    }
+
     /// Total number of candidates.
     pub fn total(&self) -> usize {
         self.ranked.len()
@@ -365,8 +596,14 @@ impl QosLevels {
     /// coordinator unions provider-side digests): the tables are
     /// concatenated and put back in best-first order; value bounds widen
     /// to cover both sides.
-    pub fn merge(&mut self, mut other: QosLevels) {
-        self.ranked.append(&mut other.ranked);
+    pub fn merge(&mut self, other: QosLevels) {
+        let offset = self.columns.len() as u32;
+        self.columns.append(&other.columns);
+        self.ranked
+            .extend(other.ranked.iter().map(|row| RankedCandidate {
+                position: row.position + offset,
+                ..*row
+            }));
         // Digests from different providers may repeat an id: keep the
         // stable sort so such ties stay in arrival order.
         self.ranked.sort_by_key(RankedCandidate::sort_key);
@@ -426,13 +663,13 @@ mod tests {
         );
         let levels = LocalRank::default().rank(&m, &cands, &props(&m), &Preferences::default());
         let best = &levels.best_first()[0];
-        assert_eq!(best.candidate().id(), cands[0].id());
+        assert_eq!(best.id(), cands[0].id());
         assert_eq!(best.level(), 0);
         // The uniformly terrible one sits in a deeper level.
         let worst_level = levels
             .best_first()
             .iter()
-            .find(|r| r.candidate().id() == cands[1].id())
+            .find(|r| r.id() == cands[1].id())
             .unwrap()
             .level();
         assert!(worst_level > 0);
@@ -450,22 +687,13 @@ mod tests {
             ],
         );
         let levels = LocalRank::default().rank(&m, &cands, &props(&m), &Preferences::default());
-        let by_id = |id| {
-            levels
-                .best_first()
-                .iter()
-                .find(|r| r.candidate().id() == id)
-                .unwrap()
-        };
+        let by_id = |id| levels.best_first().iter().find(|r| r.id() == id).unwrap();
         let mixed = by_id(cands[1].id());
         let bad = by_id(cands[2].id());
         assert_eq!(mixed.level(), bad.level());
         assert!(mixed.class() < bad.class());
         // And the mixed one is therefore ranked first within the level.
-        assert_eq!(
-            levels.level(mixed.level())[0].candidate().id(),
-            cands[1].id()
-        );
+        assert_eq!(levels.level(mixed.level())[0].id(), cands[1].id());
     }
 
     #[test]
@@ -493,10 +721,10 @@ mod tests {
         let empty_rank = levels
             .best_first()
             .iter()
-            .find(|r| r.candidate().id() == empty.id())
+            .find(|r| r.id() == empty.id())
             .unwrap();
         assert_eq!(empty_rank.level(), cfg.bands);
-        assert_eq!(levels.best_first()[0].candidate().id(), full.id());
+        assert_eq!(levels.best_first()[0].id(), full.id());
         // The levels between the two are empty but counted, and asking
         // past the last one is as empty as asking for one of them.
         assert_eq!(levels.level_count(), cfg.bands + 1);
@@ -547,11 +775,99 @@ mod tests {
         assert_eq!(la.total(), total);
     }
 
-    /// The ranked table is the one per-candidate copy a compose makes,
-    /// so the per-session byte figures rest on this size.
+    /// Ranking sorts these rows, and a compose keeps one per candidate
+    /// beside its values, so the per-session byte figures rest on this
+    /// size.
     #[test]
-    fn a_ranked_row_fits_in_sixty_four_bytes() {
-        assert!(std::mem::size_of::<RankedCandidate>() <= 64);
+    fn a_ranked_row_fits_in_twenty_four_bytes() {
+        assert!(std::mem::size_of::<RankedCandidate>() <= 24);
+    }
+
+    /// Rows ranked out of column order (discovery puts better match
+    /// degrees first) rank as the same candidates handed in that order.
+    #[test]
+    fn rows_out_of_column_order_rank_as_if_in_order() {
+        let m = QosModel::standard();
+        let specs: Vec<(f64, f64)> = (0..30)
+            .map(|i| {
+                (
+                    10.0 + f64::from(i * 7 % 11) * 30.0,
+                    0.5 + f64::from(i % 5) * 0.1,
+                )
+            })
+            .collect();
+        let cands = candidates(&m, &specs);
+        let properties: Arc<[PropertyId]> = props(&m).into();
+        let mut columns = QosColumns::with_capacity(Arc::clone(&properties), 0);
+        let mut rows: Vec<RankedCandidate> = cands
+            .iter()
+            .map(|c| RankedCandidate::new(c.id(), columns.push(|p| c.qos().get(p))))
+            .collect();
+        rows.reverse();
+        let prefs = Preferences::default();
+        let cfg = LocalRank::default();
+        let reversed: Vec<ServiceCandidate> = cands.iter().rev().cloned().collect();
+        let levels = cfg.rank_table(
+            &m,
+            rows,
+            columns,
+            &properties,
+            &prefs,
+            &mut LocalScratch::new(),
+        );
+        assert_eq!(levels, cfg.rank(&m, &reversed, &properties, &prefs));
+        for row in levels.best_first() {
+            assert_eq!(&levels.candidate(row), &reversed[row.position()]);
+        }
+    }
+
+    /// Values of properties the ranking does not read are not copied,
+    /// and a row reads back as the ranked values it holds.
+    #[test]
+    fn a_table_holds_only_the_ranked_properties() {
+        let m = QosModel::standard();
+        let rt = m.property("ResponseTime").unwrap();
+        let price = m.property("Price").unwrap();
+        let mut cands = candidates(&m, &[(10.0, 0.99), (20.0, 0.5)]);
+        let full: Vec<ServiceCandidate> = cands
+            .drain(..)
+            .map(|c| {
+                let mut qos = c.qos().clone();
+                qos.set(price, 3.0);
+                ServiceCandidate::new(c.id(), qos)
+            })
+            .collect();
+        let levels = LocalRank::default().rank(&m, &full, &[rt], &Preferences::default());
+        assert_eq!(levels.columns().properties(), &[rt]);
+        for row in levels.best_first() {
+            let qos = levels.candidate(row).qos().clone();
+            assert_eq!(qos.len(), 1);
+            assert_eq!(qos.get(rt), full[row.position()].qos().get(rt));
+            assert_eq!(levels.value(row, price), None);
+        }
+    }
+
+    /// A merge of tables over different property lists keeps both
+    /// sides' values under the union of the lists.
+    #[test]
+    fn merge_unions_the_columns() {
+        let m = QosModel::standard();
+        let rt = m.property("ResponseTime").unwrap();
+        let av = m.property("Availability").unwrap();
+        let cands = candidates(&m, &[(10.0, 0.99), (500.0, 0.5), (40.0, 0.7)]);
+        let cfg = LocalRank::default();
+        let prefs = Preferences::default();
+        let mut merged = cfg.rank(&m, &cands[..2], &[rt], &prefs);
+        merged.merge(cfg.rank(&m, &cands[2..], &[av], &prefs));
+        assert_eq!(merged.columns().properties(), &[rt, av]);
+        let value = |id, p| {
+            let row = merged.best_first().iter().find(|r| r.id() == id).unwrap();
+            merged.value(row, p)
+        };
+        assert_eq!(value(cands[0].id(), rt), Some(10.0));
+        assert_eq!(value(cands[0].id(), av), None);
+        assert_eq!(value(cands[2].id(), av), Some(0.7));
+        assert_eq!(value(cands[2].id(), rt), None);
     }
 
     #[test]

@@ -1,18 +1,24 @@
 //! Composition allocates per activity, not per candidate.
 //!
 //! A counting global allocator measures one warm `Environment::compose`
-//! of an eight-activity sequence over two markets that differ only in
-//! size: 125 and 1 250 providers per activity, each advertising response
-//! time and availability. Discovery, local ranking and the global phase
-//! may size their buffers by the candidate count, but may not allocate
-//! once per candidate, so both composes make the same number of
-//! allocations. The bytes they request may grow with the candidates, by
-//! at most [`BYTES_PER_CANDIDATE`] per added candidate.
+//! of an eight-activity sequence over markets that differ only in size:
+//! 125 and 1 250 providers per activity. Discovery, local ranking and
+//! the global phase may size their buffers by the candidate count, but
+//! may not allocate once per candidate, so both composes make the same
+//! number of allocations. The bytes they request may grow with the
+//! candidates, by at most a budget per added candidate.
+//!
+//! Two markets are measured. In the first, every provider advertises
+//! response time and availability, and the request names both. In the
+//! second, every provider also advertises price and reliability, and
+//! the request names three of the four: ranking copies only the values
+//! the request names, so a property a provider advertises beyond them
+//! costs nothing per candidate either.
 //!
 //! Compose ranks every candidate on its QoS estimate, so the larger
-//! market is composed twice: unobserved, and after every provider has
-//! a settled estimate and an SLA record. Reading the estimates may not
-//! allocate either.
+//! two-property market is composed twice: unobserved, and after every
+//! provider has a settled estimate and an SLA record. Reading the
+//! estimates may not allocate either.
 //!
 //! This file holds a single test: the allocator counts every thread of
 //! the process, and a second test running alongside would be counted
@@ -67,18 +73,36 @@ static GLOBAL: Counting = Counting;
 
 const ACTIVITIES: usize = 8;
 
-/// Bytes a warm compose may request per candidate it adds: discovery
-/// writes each candidate's ranked row (64 B) straight into the table
-/// ranking sorts, and ranking adds its scratch (30 B per candidate of
-/// the largest activity a worker ranks). With one worker per activity,
-/// as on eight cores, that is 94 B; the cap leaves room for that.
-const BYTES_PER_CANDIDATE: f64 = 100.0;
+/// Bytes a warm compose may request per candidate it adds over the
+/// two-property market: discovery writes each candidate's 24-byte rank
+/// row and its two 8-byte values straight into the table ranking sorts
+/// (40 B), and ranking adds its scratch (9 B per candidate of the
+/// largest activity a worker ranks: the sorted K-means column and a
+/// one-byte label). On 2 cores that reads 42.2 B; with one worker per
+/// activity, as on eight cores, it would be 49 B, which the cap admits.
+const BYTES_PER_CANDIDATE: f64 = 50.0;
+
+/// The same budget over the four-property market, whose request names
+/// three properties: one more value per row (50.2 B on 2 cores, 57 B
+/// with a worker per activity).
+const BYTES_PER_CANDIDATE_FOUR: f64 = 60.0;
+
+/// Which properties a market's providers advertise and its request
+/// names.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Offers {
+    /// Response time and availability, both requested.
+    Two,
+    /// Response time, availability, price and reliability; the request
+    /// weights response time, availability and price.
+    Four,
+}
 
 /// An environment with `per_activity` providers of each of eight
 /// concepts, and a request composing all eight in sequence. An
 /// `observed` market has recorded deliveries 1.5 times slower than
 /// advertised from every provider, until each one's estimate settled.
-fn market(per_activity: usize, observed: bool) -> (Environment, UserRequest) {
+fn market(per_activity: usize, offers: Offers, observed: bool) -> (Environment, UserRequest) {
     let mut b = OntologyBuilder::new("m");
     for c in 0..ACTIVITIES {
         b.concept(&format!("C{c}"));
@@ -87,14 +111,22 @@ fn market(per_activity: usize, observed: bool) -> (Environment, UserRequest) {
     let mut env = Environment::new(QosModel::standard(), ontology, 1);
     let rt = env.model().property("ResponseTime").expect("standard");
     let av = env.model().property("Availability").expect("standard");
+    let price = env.model().property("Price").expect("standard");
+    let reliability = env.model().property("Reliability").expect("standard");
     for c in 0..ACTIVITIES {
         for i in 0..per_activity {
             // Spread response time and availability over the market, in
             // an order where neither sorts the other.
             let spread = (i * 7919 % per_activity) as f64 / per_activity as f64;
-            let desc = ServiceDescription::new(format!("s{c}-{i}"), &format!("m#C{c}"))
+            let mut desc = ServiceDescription::new(format!("s{c}-{i}"), &format!("m#C{c}"))
                 .with_qos(rt, 40.0 + 1_000.0 * i as f64 / per_activity as f64)
                 .with_qos(av, 0.90 + 0.1 * spread);
+            if offers == Offers::Four {
+                let other = (i * 104_729 % per_activity) as f64 / per_activity as f64;
+                desc = desc
+                    .with_qos(price, 1.0 + 9.0 * other)
+                    .with_qos(reliability, 0.95 + 0.05 * spread * other);
+            }
             let mut delivered = desc.qos().clone();
             let behaviour = SyntheticService::new(desc.qos().clone());
             let id = env.deploy(desc, behaviour);
@@ -124,13 +156,17 @@ fn market(per_activity: usize, observed: bool) -> (Environment, UserRequest) {
         .expect("standard property")
         .weight("ResponseTime", 0.7)
         .weight("Availability", 0.3);
+    let request = match offers {
+        Offers::Two => request,
+        Offers::Four => request.weight("Price", 0.2),
+    };
     (env, request)
 }
 
 /// `(allocations, bytes)` requested by the second of two composes of the
 /// request.
-fn warm_compose_allocations(per_activity: usize, observed: bool) -> (usize, usize) {
-    let (env, request) = market(per_activity, observed);
+fn warm_compose_allocations(per_activity: usize, offers: Offers, observed: bool) -> (usize, usize) {
+    let (env, request) = market(per_activity, offers, observed);
     let first = env.compose(&request).expect("the market composes");
     assert_eq!(first.outcome().assignment.len(), ACTIVITIES);
     drop(first);
@@ -145,11 +181,18 @@ fn warm_compose_allocations(per_activity: usize, observed: bool) -> (usize, usiz
     (allocations, bytes)
 }
 
+/// The bytes requested per candidate added between the two market
+/// sizes.
+fn per_added_candidate(small_bytes: usize, large_bytes: usize) -> f64 {
+    let added = ACTIVITIES * (1_250 - 125);
+    (large_bytes as f64 - small_bytes as f64) / added as f64
+}
+
 #[test]
 fn a_warm_compose_allocates_alike_at_125_and_1250_candidates() {
-    let (small, small_bytes) = warm_compose_allocations(125, false);
-    let (large, large_bytes) = warm_compose_allocations(1_250, false);
-    let (observed, observed_bytes) = warm_compose_allocations(1_250, true);
+    let (small, small_bytes) = warm_compose_allocations(125, Offers::Two, false);
+    let (large, large_bytes) = warm_compose_allocations(1_250, Offers::Two, false);
+    let (observed, observed_bytes) = warm_compose_allocations(1_250, Offers::Two, true);
     assert_eq!(
         large, small,
         "1 250 candidates per activity made {large} allocations, 125 made {small}"
@@ -160,12 +203,27 @@ fn a_warm_compose_allocates_alike_at_125_and_1250_candidates() {
         "over settled estimates a warm compose made {observed} allocations \
          ({observed_bytes} B), over advertisements {large} ({large_bytes} B)"
     );
-    let added = ACTIVITIES * (1_250 - 125);
-    let per_candidate = (large_bytes as f64 - small_bytes as f64) / added as f64;
+    let per_candidate = per_added_candidate(small_bytes, large_bytes);
     assert!(
         per_candidate <= BYTES_PER_CANDIDATE,
         "a warm compose requested {per_candidate:.1} B per added candidate \
          ({small_bytes} B at 125 per activity, {large_bytes} B at 1 250), \
          over the {BYTES_PER_CANDIDATE} B budget"
+    );
+
+    let (small, small_bytes) = warm_compose_allocations(125, Offers::Four, false);
+    let (large, large_bytes) = warm_compose_allocations(1_250, Offers::Four, false);
+    assert_eq!(
+        large, small,
+        "with four advertised properties, 1 250 candidates per activity made \
+         {large} allocations, 125 made {small}"
+    );
+    let per_candidate = per_added_candidate(small_bytes, large_bytes);
+    assert!(
+        per_candidate <= BYTES_PER_CANDIDATE_FOUR,
+        "with four advertised properties, a warm compose requested \
+         {per_candidate:.1} B per added candidate ({small_bytes} B at 125 per \
+         activity, {large_bytes} B at 1 250), over the \
+         {BYTES_PER_CANDIDATE_FOUR} B budget"
     );
 }

@@ -79,7 +79,7 @@ proptest! {
                 prop_assert!(report.outcome.levels[a].total() <= pool.len());
                 for c in report.outcome.alternates(a) {
                     prop_assert!(
-                        pool.contains(c),
+                        pool.contains(&c),
                         "activity {a}: ranked candidate not in the workload pool"
                     );
                 }

@@ -10,7 +10,8 @@ use qasom_selection::baseline::Baselines;
 use qasom_selection::workload::{TaskShape, Tightness, WorkloadSpec};
 use qasom_selection::{
     kmeans_1d, kmeans_1d_with, AggregationApproach, Aggregator, KmeansScratch, LocalRank,
-    LocalScratch, Qassa, QosLevels, RankedCandidate, SelectionProblem, ServiceCandidate,
+    LocalScratch, Qassa, QosColumns, QosLevels, RankedCandidate, SelectionProblem,
+    ServiceCandidate,
 };
 
 fn model() -> QosModel {
@@ -58,8 +59,7 @@ fn check_best_first_table(levels: &QosLevels) -> TestCaseResult {
             key(a) < key(b)
                 || (key(a) == key(b)
                     && (a.utility() > b.utility()
-                        || (a.utility() == b.utility()
-                            && a.candidate().id() < b.candidate().id()))),
+                        || (a.utility() == b.utility() && a.id() < b.id()))),
             "out of order: {a:?} before {b:?}"
         );
     }
@@ -134,9 +134,9 @@ proptest! {
         for (i, levels) in out.levels.iter().enumerate() {
             prop_assert_eq!(levels.total(), problem.candidates()[i].len());
             check_best_first_table(levels)?;
-            let alternates: Vec<&ServiceCandidate> = out.alternates(i).collect();
-            let table: Vec<&ServiceCandidate> =
-                levels.best_first().iter().map(|r| r.candidate()).collect();
+            let alternates: Vec<ServiceCandidate> = out.alternates(i).collect();
+            let table: Vec<ServiceCandidate> =
+                levels.best_first().iter().map(|r| levels.candidate(r)).collect();
             prop_assert_eq!(alternates, table);
         }
         prop_assert_eq!(out.alternates(out.levels.len()).count(), 0);
@@ -447,14 +447,7 @@ fn rows(levels: &QosLevels) -> Vec<Row> {
     levels
         .best_first()
         .iter()
-        .map(|r: &RankedCandidate| {
-            (
-                r.candidate().id(),
-                r.level(),
-                r.class(),
-                r.utility().to_bits(),
-            )
-        })
+        .map(|r: &RankedCandidate| (r.id(), r.level(), r.class(), r.utility().to_bits()))
         .collect()
 }
 
@@ -568,6 +561,20 @@ fn table(model: &QosModel, n: usize, seed: u64) -> (Vec<ServiceCandidate>, Vec<P
     (candidates, props)
 }
 
+/// The unranked table of `candidates`: one row each, in order, and
+/// their values of the `layout` properties in columns.
+fn rows_and_columns(
+    candidates: &[ServiceCandidate],
+    layout: &[PropertyId],
+) -> (Vec<RankedCandidate>, QosColumns) {
+    let mut columns = QosColumns::with_capacity(layout.into(), candidates.len());
+    let rows = candidates
+        .iter()
+        .map(|c| RankedCandidate::new(c.id(), columns.push(|p| c.qos().get(p))))
+        .collect();
+    (rows, columns)
+}
+
 fn approx(a: f64, b: f64) -> bool {
     (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0)
 }
@@ -593,7 +600,8 @@ proptest! {
         kmeans_1d_with(&reversed, k, max_iters, &mut scratch);
         let kc = kmeans_1d_with(&values, k, max_iters, &mut scratch);
         prop_assert_eq!(kc, centroids.len());
-        prop_assert_eq!(scratch.assignments(), &labels[..]);
+        let labels_read: Vec<usize> = scratch.assignments().iter().map(|&l| l.into()).collect();
+        prop_assert_eq!(labels_read, labels);
         let bits = |c: &[f64]| c.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         prop_assert_eq!(bits(scratch.centroids()), bits(&centroids));
     }
@@ -636,11 +644,60 @@ proptest! {
             let want = bounds.iter().find(|b| b.0 == p).map(|b| (b.1.to_bits(), b.2.to_bits()));
             prop_assert_eq!(levels.bound(p).map(|(lo, hi)| (lo.to_bits(), hi.to_bits())), want);
         }
-        let table: Vec<RankedCandidate> =
-            candidates.iter().cloned().map(RankedCandidate::from).collect();
+        // The table a compose builds: rows written as discovery hands
+        // them over, under a layout naming all four properties.
+        let (table, columns) = rows_and_columns(&candidates, &props);
         // NaN values make whole tables unequal to themselves: compare rows.
-        let owned = local.rank_table(&m, table, &properties, &preferences, &mut scratch);
+        let owned = local.rank_table(&m, table, columns, &properties, &preferences, &mut scratch);
         prop_assert_eq!(rows(&owned), expected);
+    }
+
+    /// Offers that also advertise properties the request does not name
+    /// rank as the same offers stripped of them, and as the comparator
+    /// reference: the same order, levels, classes, utility bits and
+    /// bounds. The table keeps a column per requested property only.
+    #[test]
+    fn unrequested_properties_leave_the_ranking_unchanged(
+        n in 1usize..120,
+        seed in any::<u64>(),
+        bands in 0usize..=8,
+        requested in 1usize..15,
+        weighted in 0usize..16,
+    ) {
+        let m = model();
+        let (candidates, props) = table(&m, n, seed);
+        let subset = |mask: usize| -> Vec<PropertyId> {
+            props.iter().enumerate().filter(|(i, _)| mask >> i & 1 == 1).map(|(_, &p)| p).collect()
+        };
+        // At least one of the four properties is left unrequested.
+        let properties = {
+            let mut p = subset(requested);
+            p.sort();
+            p
+        };
+        let preferences = Preferences::uniform(subset(weighted & requested));
+        let stripped: Vec<ServiceCandidate> = candidates
+            .iter()
+            .map(|c| {
+                let named = c.qos().iter().filter(|(p, _)| properties.contains(p)).collect();
+                ServiceCandidate::new(c.id(), named)
+            })
+            .collect();
+        let local = LocalRank { bands };
+        let offered = local.rank(&m, &candidates, &properties, &preferences);
+        let bare = local.rank(&m, &stripped, &properties, &preferences);
+        let (expected, bounds) = reference_rank(&m, bands, &candidates, &properties, &preferences);
+        prop_assert_eq!(offered.columns().properties(), &properties[..]);
+        prop_assert_eq!(rows(&offered), rows(&bare));
+        prop_assert_eq!(rows(&offered), expected.clone());
+        prop_assert_eq!(offered.level_count(), bare.level_count());
+        prop_assert_eq!(offered.level_count(), expected.last().map_or(0, |r| r.1 + 1));
+        for &p in &props {
+            let bits = |b: Option<(f64, f64)>| b.map(|(lo, hi)| (lo.to_bits(), hi.to_bits()));
+            let want = bounds.iter().find(|b| b.0 == p).map(|b| (b.1.to_bits(), b.2.to_bits()));
+            prop_assert_eq!(bits(offered.bound(p)), bits(bare.bound(p)));
+            prop_assert_eq!(bits(offered.bound(p)), want);
+        }
     }
 
     /// Merging keeps repeated ids (digests of two providers) in arrival
@@ -653,9 +710,18 @@ proptest! {
         let m = model();
         let marker = m.property("EnergyCost").expect("standard property");
         let (candidates, props) = table(&m, n, seed);
-        let rank = |cands: &[ServiceCandidate]| {
-            LocalRank::default().rank(&m, cands, &props, &Preferences::default())
+        let rank = |cands: &[ServiceCandidate], layout: &[PropertyId]| {
+            let (table, columns) = rows_and_columns(cands, layout);
+            LocalRank::default().rank_table(
+                &m,
+                table,
+                columns,
+                &props,
+                &Preferences::default(),
+                &mut LocalScratch::new(),
+            )
         };
+        let marked_layout: Vec<PropertyId> = props.iter().copied().chain([marker]).collect();
         let marked: Vec<ServiceCandidate> = candidates
             .iter()
             .zip(candidates.iter().cycle().skip(1))
@@ -668,11 +734,11 @@ proptest! {
         let tagged = |levels: &QosLevels| -> Vec<(Row, bool)> {
             rows(levels)
                 .into_iter()
-                .zip(levels.best_first().iter().map(|r| r.candidate().qos().contains(marker)))
+                .zip(levels.best_first().iter().map(|r| levels.value(r, marker).is_some()))
                 .collect()
         };
-        let mut merged = rank(&candidates);
-        let right = rank(&marked);
+        let mut merged = rank(&candidates, &props);
+        let right = rank(&marked, &marked_layout);
         let mut arrived = tagged(&merged);
         arrived.extend(tagged(&right));
         merged.merge(right);
