@@ -84,7 +84,7 @@ impl Environment {
         let registry = ServiceRegistry::with_ontology(Arc::clone(&ontology));
         // Services deliver ratios as the model's units say, not as their
         // advertised values suggest.
-        let runtime = ServiceRuntime::new(seed).with_units(&model);
+        let runtime = ServiceRuntime::new(seed, &model);
         Environment {
             model,
             registry: PersistentRegistry::new(registry),
@@ -527,11 +527,16 @@ impl Environment {
     fn discover_rows<'e, T>(
         &'e self,
         activity: &Activity,
-        row: impl FnMut(Qualified<'e>) -> T,
+        mut row: impl FnMut(Qualified<'e>) -> T,
     ) -> Vec<T> {
         let query = DiscoveryQuery::new(activity).white_box(true);
-        self.discovery()
-            .discover_rows(self.registry.registry(), &query, row)
+        let (rows, ()) = self.discovery().discover_rows(
+            self.registry.registry(),
+            &query,
+            |_| (),
+            |(), found| row(found),
+        );
+        rows
     }
 
     /// A discovered service's QoS as selection sees it: the row builder
@@ -548,7 +553,11 @@ impl Environment {
     /// The QoS vector a ranked candidate of `activity` is bound with:
     /// everything the service advertises, seen as discovery sees it now,
     /// with the values it was ranked on kept as they were ranked.
-    /// `ranked`'s own values when the service no longer qualifies.
+    /// `ranked`'s own values when the service no longer qualifies. For a
+    /// winner, "now" is the compose that ranked it; for an alternate
+    /// rebound during execution, its unranked properties are read when
+    /// it is rebound, so an estimate settled since compose (by this or
+    /// another session's deliveries) shows in them.
     pub(crate) fn complete(&self, activity: &Activity, ranked: &ServiceCandidate) -> QosVector {
         let query = DiscoveryQuery::new(activity).white_box(true);
         let registry = self.registry.registry();
@@ -639,7 +648,7 @@ impl Environment {
 
     /// Discovery for one activity as selection ranks it: a row per
     /// qualifying service, and its values of `properties` written into
-    /// columns sized once by [`Discovery::capacity`]. A
+    /// columns sized by discovery's presize. A
     /// [`ComposeError::NoServiceFor`] when nothing qualifies.
     fn discover_for_selection(
         &self,
@@ -647,14 +656,15 @@ impl Environment {
         properties: &Arc<[PropertyId]>,
     ) -> Result<(Vec<RankedCandidate>, QosColumns), ComposeError> {
         let query = DiscoveryQuery::new(activity).white_box(true);
-        let discovery = self.discovery();
-        let registry = self.registry.registry();
-        let mut columns =
-            QosColumns::with_capacity(Arc::clone(properties), discovery.capacity(registry, &query));
-        let rows = discovery.discover_rows(registry, &query, |found| {
-            let seen = self.seen(&found);
-            RankedCandidate::new(found.service, columns.push(|p| seen.get(p)))
-        });
+        let (rows, columns) = self.discovery().discover_rows(
+            self.registry.registry(),
+            &query,
+            |presize| QosColumns::with_capacity(Arc::clone(properties), presize),
+            |columns, found| {
+                let seen = self.seen(&found);
+                RankedCandidate::new(found.service, columns.push(|p| seen.get(p)))
+            },
+        );
         if rows.is_empty() {
             return Err(ComposeError::NoServiceFor {
                 activity: activity.name().to_owned(),
@@ -1397,6 +1407,25 @@ mod tests {
             let bound = e.complete(&activity, &alternate);
             assert_eq!(bound, seen(alternate.id()).qos().clone());
         }
+
+        // An estimate settled after compose reaches a rebind's unranked
+        // properties only: the ranked ones stay as compose ranked them.
+        let alternate = comp
+            .outcome()
+            .alternates(0)
+            .find(|c| c.id() == ids[1])
+            .unwrap();
+        let late: QosVector = [(rt, 60.0), (av, 0.5), (price, 9.0), (rel, 0.5)]
+            .into_iter()
+            .collect();
+        settle(&mut e, ids[1], rt, &late);
+        let estimate = e.monitor().qos_estimate(ids[1]).unwrap();
+        assert_ne!(estimate.get(rel), Some(0.98));
+        let bound = e.complete(&activity, &alternate);
+        assert_eq!(bound.get(rt), Some(120.0));
+        assert_eq!(bound.get(price), Some(3.2));
+        assert_eq!(bound.get(av), estimate.get(av));
+        assert_eq!(bound.get(rel), estimate.get(rel));
     }
 
     #[test]

@@ -63,12 +63,15 @@ struct Drift {
 ///
 /// let model = QosModel::standard();
 /// let rt = model.property("ResponseTime").unwrap();
+/// let av = model.property("Availability").unwrap();
 /// let mut nominal = QosVector::new();
 /// nominal.set(rt, 100.0);
+/// nominal.set(av, 0.99);
 ///
 /// let mut svc = SyntheticService::new(nominal).with_noise(0.05);
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-/// let outcome = svc.invoke(&mut rng);
+/// // Availability is a ratio: noise keeps it in [0, 1].
+/// let outcome = svc.invoke(&mut rng, &[av]);
 /// assert!(outcome.is_success());
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -122,7 +125,7 @@ impl SyntheticService {
 
     /// Relative standard deviation of the multiplicative per-invocation
     /// noise (`0.05` = ±5 % typical deviation). A ratio (a property
-    /// [`SyntheticService::invoke_with`] is told has [`Unit::Ratio`])
+    /// [`SyntheticService::invoke`] is told has [`Unit::Ratio`])
     /// above one half is noisy in its shortfall from 1 instead, so that
     /// `0.99` delivers `0.99` on average, not less.
     ///
@@ -180,18 +183,12 @@ impl SyntheticService {
             .is_some_and(|n| self.invocations >= n)
     }
 
-    /// Invokes the service once, knowing no units: every property takes
-    /// plain multiplicative noise and drift.
-    pub fn invoke(&mut self, rng: &mut impl Rng) -> InvocationOutcome {
-        self.invoke_with(rng, &[])
-    }
-
     /// Invokes the service once; the properties in `ratios` are ratios
     /// (their unit is [`Unit::Ratio`]), so noise keeps them in `[0, 1]`
-    /// with their mean, and a drift is clamped to `[0, 1]`. A
-    /// [`ServiceRuntime`] built [`with_units`](ServiceRuntime::with_units)
-    /// passes its model's.
-    pub fn invoke_with(&mut self, rng: &mut impl Rng, ratios: &[PropertyId]) -> InvocationOutcome {
+    /// with their mean, and a drift is clamped to `[0, 1]`. Every other
+    /// property takes plain multiplicative noise and drift. A
+    /// [`ServiceRuntime`] passes its model's ratios.
+    pub fn invoke(&mut self, rng: &mut impl Rng, ratios: &[PropertyId]) -> InvocationOutcome {
         let crashed = self.is_crashed();
         self.invocations += 1;
         if crashed {
@@ -247,26 +244,19 @@ pub struct ServiceRuntime {
 }
 
 impl ServiceRuntime {
-    /// Creates an empty runtime with a deterministic seed, knowing no
-    /// units (see [`ServiceRuntime::with_units`]).
-    pub fn new(seed: u64) -> Self {
+    /// Creates an empty runtime with a deterministic seed. It takes from
+    /// `model` which properties are ratios ([`Unit::Ratio`]): every
+    /// service it invokes keeps those in `[0, 1]`, and only those,
+    /// whatever value a service advertises.
+    pub fn new(seed: u64, model: &QosModel) -> Self {
         ServiceRuntime {
             services: Vec::new(),
             rng: StdRng::seed_from_u64(seed),
-            ratios: Vec::new(),
+            ratios: model
+                .iter()
+                .filter(|&p| model.def(p).unit() == Unit::Ratio)
+                .collect(),
         }
-    }
-
-    /// Takes from `model` which properties are ratios ([`Unit::Ratio`]):
-    /// every service this runtime invokes keeps those in `[0, 1]`, and
-    /// only those, whatever value a service advertises.
-    #[must_use]
-    pub fn with_units(mut self, model: &QosModel) -> Self {
-        self.ratios = model
-            .iter()
-            .filter(|&p| model.def(p).unit() == Unit::Ratio)
-            .collect();
-        self
     }
 
     /// Deploys (or replaces) a service in `slot`.
@@ -286,7 +276,7 @@ impl ServiceRuntime {
     /// deployed there.
     pub fn invoke(&mut self, slot: usize) -> Option<InvocationOutcome> {
         let svc = self.services.get_mut(slot)?.as_mut()?;
-        Some(svc.invoke_with(&mut self.rng, &self.ratios))
+        Some(svc.invoke(&mut self.rng, &self.ratios))
     }
 }
 
@@ -308,7 +298,7 @@ mod tests {
         let (v, rt) = nominal(100.0);
         let mut svc = SyntheticService::new(v);
         let mut rng = StdRng::seed_from_u64(1);
-        let out = svc.invoke(&mut rng);
+        let out = svc.invoke(&mut rng, &[]);
         assert_eq!(out.qos().unwrap().get(rt), Some(100.0));
     }
 
@@ -319,7 +309,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let mut sum = 0.0;
         for _ in 0..1000 {
-            sum += svc.invoke(&mut rng).qos().unwrap().get(rt).unwrap();
+            sum += svc.invoke(&mut rng, &[]).qos().unwrap().get(rt).unwrap();
         }
         let mean = sum / 1000.0;
         assert!((mean - 100.0).abs() < 2.0, "mean {mean}");
@@ -338,12 +328,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed as u64);
             let mut sum = 0.0;
             for _ in 0..10_000 {
-                let value = svc
-                    .invoke_with(&mut rng, &[av])
-                    .qos()
-                    .unwrap()
-                    .get(av)
-                    .unwrap();
+                let value = svc.invoke(&mut rng, &[av]).qos().unwrap().get(av).unwrap();
                 assert!(
                     (0.0..=1.0).contains(&value),
                     "{advertised} delivered {value}"
@@ -364,9 +349,15 @@ mod tests {
         let mut svc = SyntheticService::new(v).with_drift(5, rt, 3.0);
         let mut rng = StdRng::seed_from_u64(3);
         for _ in 0..5 {
-            assert_eq!(svc.invoke(&mut rng).qos().unwrap().get(rt), Some(100.0));
+            assert_eq!(
+                svc.invoke(&mut rng, &[]).qos().unwrap().get(rt),
+                Some(100.0)
+            );
         }
-        assert_eq!(svc.invoke(&mut rng).qos().unwrap().get(rt), Some(300.0));
+        assert_eq!(
+            svc.invoke(&mut rng, &[]).qos().unwrap().get(rt),
+            Some(300.0)
+        );
     }
 
     #[test]
@@ -374,10 +365,10 @@ mod tests {
         let (v, _) = nominal(10.0);
         let mut svc = SyntheticService::new(v).with_crash_after(2);
         let mut rng = StdRng::seed_from_u64(4);
-        assert!(svc.invoke(&mut rng).is_success());
-        assert!(svc.invoke(&mut rng).is_success());
-        assert!(!svc.invoke(&mut rng).is_success());
-        assert!(!svc.invoke(&mut rng).is_success());
+        assert!(svc.invoke(&mut rng, &[]).is_success());
+        assert!(svc.invoke(&mut rng, &[]).is_success());
+        assert!(!svc.invoke(&mut rng, &[]).is_success());
+        assert!(!svc.invoke(&mut rng, &[]).is_success());
         assert!(svc.is_crashed());
 
         // Failed invocations count towards the crash too.
@@ -385,9 +376,9 @@ mod tests {
         let mut svc = SyntheticService::new(v)
             .with_crash_after(2)
             .with_failure_rate(1.0);
-        assert!(!svc.invoke(&mut rng).is_success());
+        assert!(!svc.invoke(&mut rng, &[]).is_success());
         assert!(!svc.is_crashed());
-        assert!(!svc.invoke(&mut rng).is_success());
+        assert!(!svc.invoke(&mut rng, &[]).is_success());
         assert!(svc.is_crashed());
     }
 
@@ -397,7 +388,7 @@ mod tests {
         let mut svc = SyntheticService::new(v).with_failure_rate(0.25);
         let mut rng = StdRng::seed_from_u64(5);
         let fails = (0..10_000)
-            .filter(|_| !svc.invoke(&mut rng).is_success())
+            .filter(|_| !svc.invoke(&mut rng, &[]).is_success())
             .count();
         let rate = fails as f64 / 10_000.0;
         assert!((rate - 0.25).abs() < 0.02, "failure rate {rate}");
@@ -412,7 +403,7 @@ mod tests {
         let mut svc = SyntheticService::new(v).with_noise(0.5);
         let mut rng = StdRng::seed_from_u64(6);
         for _ in 0..500 {
-            let q = svc.invoke_with(&mut rng, &[av]);
+            let q = svc.invoke(&mut rng, &[av]);
             let val = q.qos().unwrap().get(av).unwrap();
             assert!((0.0..=1.0).contains(&val));
         }
@@ -496,7 +487,7 @@ mod tests {
         let rt = m.property("ResponseTime").unwrap();
         let av = m.property("Availability").unwrap();
         let nominal = |r: f64, a: f64| -> QosVector { [(rt, r), (av, a)].into_iter().collect() };
-        let mut runtime = ServiceRuntime::new(0x5eed).with_units(&m);
+        let mut runtime = ServiceRuntime::new(0x5eed, &m);
         runtime.deploy(0, SyntheticService::new(nominal(100.0, 0.99)));
         runtime.deploy(
             2,
@@ -540,7 +531,7 @@ mod tests {
         let m = QosModel::standard();
         let rt = m.property("ResponseTime").unwrap();
         let av = m.property("Availability").unwrap();
-        let mut runtime = ServiceRuntime::new(7).with_units(&m);
+        let mut runtime = ServiceRuntime::new(7, &m);
         let fast: QosVector = [(rt, 0.5)].into_iter().collect();
         runtime.deploy(0, SyntheticService::new(fast).with_drift(0, rt, 3.0));
         let available: QosVector = [(av, 0.99)].into_iter().collect();
@@ -569,7 +560,7 @@ mod tests {
     #[test]
     fn runtime_routes_by_slot() {
         let (v, rt) = nominal(42.0);
-        let mut runtime = ServiceRuntime::new(9);
+        let mut runtime = ServiceRuntime::new(9, &QosModel::standard());
         runtime.deploy(3, SyntheticService::new(v));
         // Slots below the highest one are empty, not deployed.
         assert!(runtime.invoke(1).is_none());

@@ -247,41 +247,56 @@ impl<'a> Discovery<'a> {
         registry: &ServiceRegistry,
         query: &DiscoveryQuery<'_>,
     ) -> Vec<DiscoveredCandidate> {
-        self.discover_rows(registry, query, |found| DiscoveredCandidate {
-            service: found.service,
-            degree: found.degree,
-            matched_via: found.matched_via,
-            effective_qos: found.effective_qos.into_owned(),
-        })
+        let (rows, ()) = self.discover_rows(
+            registry,
+            query,
+            |_| (),
+            |(), found| DiscoveredCandidate {
+                service: found.service,
+                degree: found.degree,
+                matched_via: found.matched_via,
+                effective_qos: found.effective_qos.into_owned(),
+            },
+        );
+        rows
     }
 
-    /// [`Discovery::discover`], writing `row(found)` for each qualifying
-    /// service instead of a [`DiscoveredCandidate`]: every service is
-    /// evaluated once, and its row is built as it qualifies. Rows come
-    /// out in the order `discover` returns candidates in (degree best
-    /// first, then ascending id) on either path.
-    pub fn discover_rows<'r, T>(
+    /// [`Discovery::discover`], writing `row(table, found)` for each
+    /// qualifying service instead of a [`DiscoveredCandidate`]: every
+    /// service is evaluated once, and its row is built as it qualifies.
+    /// Rows come out in the order `discover` returns candidates in
+    /// (degree best first, then ascending id) on either path.
+    ///
+    /// A caller that keeps more per row than the row itself (a ranking
+    /// table) builds that storage with `table(presize)`, before the
+    /// first row: `presize` is how many services the indexed path
+    /// evaluates, the most rows it can write, and 0 on the linear path,
+    /// whose rows grow as they come. Returns the rows and the table.
+    pub fn discover_rows<'r, S, T>(
         &self,
         registry: &'r ServiceRegistry,
         query: &DiscoveryQuery<'_>,
-        row: impl FnMut(Qualified<'r>) -> T,
-    ) -> Vec<T> {
+        table: impl FnOnce(usize) -> S,
+        mut row: impl FnMut(&mut S, Qualified<'r>) -> T,
+    ) -> (Vec<T>, S) {
         let indexed = !query.force_linear && self.index_usable(registry);
         let required = self.resolve(query.activity.function());
-        let (evaluated, rows) = if indexed {
+        let (evaluated, rows, table) = if indexed {
             let posting = self.posting(registry, required);
             let services = posting
                 .iter()
                 .filter_map(|&id| registry.get(id).map(|desc| (id, desc)));
-            (
-                posting.len(),
-                self.evaluate(query, required, services, posting.len(), row),
-            )
+            let mut table = table(posting.len());
+            let rows = self.evaluate(query, required, services, posting.len(), |found| {
+                row(&mut table, found)
+            });
+            (posting.len(), rows, table)
         } else {
-            (
-                registry.len(),
-                self.evaluate(query, required, registry.iter(), 0, row),
-            )
+            let mut table = table(0);
+            let rows = self.evaluate(query, required, registry.iter(), 0, |found| {
+                row(&mut table, found)
+            });
+            (registry.len(), rows, table)
         };
         if let Some(rec) = self.recorder {
             rec.incr(
@@ -295,19 +310,7 @@ impl<'a> Discovery<'a> {
             rec.incr(keys::DISCOVERY_EVALUATED, evaluated as u64);
             rec.incr(keys::DISCOVERY_CANDIDATES, rows.len() as u64);
         }
-        rows
-    }
-
-    /// The most rows [`Discovery::discover_rows`] can write for `query`:
-    /// the number of services it evaluates. A caller that keeps more per
-    /// row than the row itself sizes that storage with it.
-    pub fn capacity(&self, registry: &ServiceRegistry, query: &DiscoveryQuery<'_>) -> usize {
-        if !query.force_linear && self.index_usable(registry) {
-            self.posting(registry, self.resolve(query.activity.function()))
-                .len()
-        } else {
-            registry.len()
-        }
+        (rows, table)
     }
 
     /// One live service evaluated against `query`, as

@@ -192,7 +192,11 @@ impl FaultReport {
 /// Result of a distributed QASSA run.
 #[derive(Debug, Clone)]
 pub struct DistributedReport {
-    /// The selection outcome computed by the coordinator.
+    /// The selection outcome computed by the coordinator. The
+    /// coordinator holds the providers' digests only, so each assigned
+    /// candidate carries the values its provider ranked it on (the
+    /// request's constraint and weight properties), not its whole
+    /// advertisement.
     pub outcome: SelectionOutcome,
     /// Simulated duration of the local phase (request → last digest).
     pub local_phase: SimDuration,

@@ -81,10 +81,13 @@ impl std::error::Error for SelectionError {}
 /// Result of a QASSA run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SelectionOutcome {
-    /// The selected service per activity (DFS order), with everything
-    /// it advertises when the problem carries the candidates its
-    /// hierarchies were ranked from, and with the ranked values only
-    /// when it does not (compose completes its winners itself).
+    /// The selected service per activity (DFS order). When the problem's
+    /// candidate matrix holds candidates ([`Qassa::select`],
+    /// [`Qassa::select_parallel`]), each is that matrix's entry, with
+    /// everything it advertises. When it holds none (compose,
+    /// distributed QASSA), each holds the values its hierarchy was
+    /// ranked on only ([`QosLevels::candidate`]); compose completes its
+    /// winners itself.
     pub assignment: Vec<ServiceCandidate>,
     /// Aggregated QoS of the selected composition (`QoS_{C_v}`).
     pub aggregated: QosVector,
@@ -317,12 +320,21 @@ impl<'a> Qassa<'a> {
     ///
     /// The global phase is driven entirely by `levels` — the problem
     /// contributes task, constraints, preferences and approach, so the
-    /// candidate matrix may be left empty. The returned outcome holds
-    /// clones of the `Arc`s.
+    /// candidate matrix may be left empty; the assignment then holds
+    /// the ranked values only ([`SelectionOutcome::assignment`]). A
+    /// matrix that holds candidates must be the one `levels` were
+    /// ranked from, and the assignment takes its entries. The returned
+    /// outcome holds clones of the `Arc`s.
     ///
     /// # Errors
     ///
-    /// Fails when the hierarchies do not line up with the task.
+    /// Fails when the hierarchies, or a candidate matrix that holds
+    /// candidates, do not line up with the task.
+    ///
+    /// # Panics
+    ///
+    /// Panics when such a matrix holds fewer candidates for an activity
+    /// than its hierarchy ranked.
     pub fn select_with_shared_levels(
         &self,
         problem: &SelectionProblem<'_>,
@@ -517,9 +529,9 @@ impl<'a> Qassa<'a> {
         Ok(())
     }
 
-    /// The global phase's own validation: hierarchies, not the problem's
-    /// candidate matrix, must line up with the task — the matrix may be
-    /// left empty.
+    /// The global phase's own validation: the hierarchies must line up
+    /// with the task, and so must the problem's candidate matrix when it
+    /// holds candidates.
     fn validate_levels(
         &self,
         problem: &SelectionProblem<'_>,
@@ -528,6 +540,10 @@ impl<'a> Qassa<'a> {
         let expected = problem.task().activity_count();
         let found = levels.len();
         if expected != found {
+            return Err(SelectionError::ArityMismatch { expected, found });
+        }
+        let found = problem.candidates().len();
+        if holds_candidates(problem) && expected != found {
             return Err(SelectionError::ArityMismatch { expected, found });
         }
         if let Some(activity) = levels.iter().position(|l| l.is_empty()) {
@@ -706,19 +722,17 @@ impl<'a> Qassa<'a> {
         levels_explored: usize,
     ) -> SelectionOutcome {
         let properties = problem.properties();
+        let matrix = holds_candidates(problem).then(|| problem.candidates());
         let assignment: Vec<ServiceCandidate> = levels
             .iter()
             .zip(current)
             .enumerate()
             .map(|(i, (l, &j))| {
                 let row = &l.best_first()[j];
-                problem
-                    .candidates()
-                    .get(i)
-                    .and_then(|cands| cands.get(row.position()))
-                    .filter(|c| c.id() == row.id())
-                    .cloned()
-                    .unwrap_or_else(|| l.candidate(row))
+                match matrix {
+                    Some(matrix) => matrix[i][row.position()].clone(),
+                    None => l.candidate(row),
+                }
             })
             .collect();
         let u = utility(
@@ -735,6 +749,12 @@ impl<'a> Qassa<'a> {
             levels: levels.to_vec(),
         }
     }
+}
+
+/// Whether the problem's candidate matrix holds any candidate, so the
+/// hierarchies were ranked from it ([`SelectionOutcome::assignment`]).
+fn holds_candidates(problem: &SelectionProblem<'_>) -> bool {
+    problem.candidates().iter().any(|c| !c.is_empty())
 }
 
 fn relative_violation(c: &qasom_qos::Constraint, aggregated: &QosVector) -> f64 {
@@ -936,6 +956,49 @@ mod tests {
                 found: 1
             })
         ));
+    }
+
+    /// `select` assigns the candidate matrix's entries, everything they
+    /// advertise; the same hierarchies over a problem without candidates
+    /// assign the same services with their ranked values only.
+    #[test]
+    fn the_assignment_takes_the_matrix_when_it_holds_candidates() {
+        let f = fx();
+        let price = f.model.property("Price").unwrap();
+        let task = seq_task(2);
+        let mut cands = candidates(
+            &f,
+            &[
+                vec![(50.0, 0.99), (500.0, 0.5), (70.0, 0.9)],
+                vec![(60.0, 0.98), (400.0, 0.6)],
+            ],
+        );
+        for (i, c) in cands.iter_mut().flatten().enumerate() {
+            let mut qos = c.qos().clone();
+            qos.set(price, i as f64);
+            *c = ServiceCandidate::new(c.id(), qos);
+        }
+        let problem = SelectionProblem::new(&task)
+            .with_candidates(cands.clone())
+            .with_constraints(constraints(&f, 10_000.0, 0.0));
+        let qassa = Qassa::new(&f.model);
+        let full = qassa.select(&problem).unwrap();
+        for (i, chosen) in full.assignment.iter().enumerate() {
+            assert!(cands[i].contains(chosen));
+            assert!(chosen.qos().get(price).is_some());
+        }
+
+        let bare = SelectionProblem::new(&task).with_constraints(constraints(&f, 10_000.0, 0.0));
+        let projected = qassa
+            .select_with_shared_levels(&bare, &full.levels)
+            .unwrap();
+        for (p, c) in projected.assignment.iter().zip(&full.assignment) {
+            assert_eq!(p.id(), c.id());
+            let mut ranked = c.qos().clone();
+            ranked.remove(price);
+            assert_eq!(p.qos(), &ranked);
+        }
+        assert_eq!(projected.aggregated, full.aggregated);
     }
 
     #[test]
