@@ -1,13 +1,16 @@
 //! Experiment harness regenerating every figure of the QASOM evaluation
 //! (thesis Ch. VI §3 and Ch. V §7).
 //!
-//! Each `fig_*` function reproduces one figure as a set of labelled
-//! [`FigureSeries`], or returns the error that stopped it; the `repro`
-//! binary prints them as tables. The numbers are produced on *this*
-//! machine against the simulated substrate, so absolute values differ
-//! from the original testbed — the shapes (slopes, orderings,
-//! crossovers) are what reproduction means here; see `EXPERIMENTS.md`
-//! for the side-by-side reading.
+//! [`FIGURES`] lists every figure: its key, title, x label, whether it
+//! measures wall-clock time, and the `fig_*`-style function that
+//! reproduces it as a set of labelled [`FigureSeries`] (or returns the
+//! error that stopped it). The `repro` binary prints every row as a
+//! table; the `figures` scenario ([`scenarios`]) renders the
+//! deterministic ones as one JSON document, pinned by its golden file.
+//! Timed series are produced on *this* machine against the simulated
+//! substrate, so absolute values differ from the original testbed — the
+//! shapes (slopes, orderings, crossovers) are what reproduction means
+//! here; see `EXPERIMENTS.md` for the side-by-side reading.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
@@ -78,6 +81,216 @@ pub fn print_figure(title: &str, x_name: &str, series: &[FigureSeries]) {
     }
 }
 
+/// One regenerated figure: a row of [`FIGURES`].
+#[derive(Debug, Clone, Copy)]
+pub struct Figure {
+    /// The command-line key that selects it (`vi5` selects both VI.5a
+    /// and VI.5b).
+    pub key: &'static str,
+    /// Printed title.
+    pub title: &'static str,
+    /// x-axis label.
+    pub x_label: &'static str,
+    /// Whether its series are wall-clock times ([`time_ms`]). Every
+    /// other row is deterministic: a pure function of the code,
+    /// simulated `[ms]` included.
+    pub timed: bool,
+    /// Produces the series.
+    pub run: fn(&QosModel) -> FigureResult,
+}
+
+/// Every figure, in print order.
+pub const FIGURES: &[Figure] = &[
+    Figure {
+        key: "vi5",
+        title: "Fig. VI.5a — selection time vs services/activity (5 activities, 4 constraints)",
+        x_label: "services",
+        timed: true,
+        run: fig_vi5a,
+    },
+    Figure {
+        key: "vi5",
+        title: "Fig. VI.5b — selection time vs #QoS constraints (100 services/activity)",
+        x_label: "constraints",
+        timed: true,
+        run: fig_vi5b,
+    },
+    Figure {
+        key: "vi6",
+        title: "Fig. VI.6a — optimality vs services/activity (vs exhaustive optimum)",
+        x_label: "services",
+        timed: false,
+        run: fig_vi6a,
+    },
+    Figure {
+        key: "vi6",
+        title: "Fig. VI.6b — optimality vs #QoS constraints",
+        x_label: "constraints",
+        timed: false,
+        run: fig_vi6b,
+    },
+    Figure {
+        key: "vi7",
+        title: "Fig. VI.7 — selection time per aggregation approach (choice+loop tasks)",
+        x_label: "services",
+        timed: true,
+        run: fig_vi7,
+    },
+    Figure {
+        key: "vi8",
+        title: "Fig. VI.8 — optimality per aggregation approach",
+        x_label: "services",
+        timed: false,
+        run: fig_vi8,
+    },
+    Figure {
+        key: "vi9",
+        title: "Fig. VI.9 — generated QoS follows N(m, σ)",
+        x_label: "property",
+        timed: false,
+        run: fig_vi9,
+    },
+    Figure {
+        key: "vi10",
+        title: "Fig. VI.10 — selection time with constraints at m vs m+σ",
+        x_label: "services",
+        timed: true,
+        run: fig_vi10,
+    },
+    Figure {
+        key: "vi11",
+        title: "Fig. VI.11 — optimality with constraints at m vs m+σ",
+        x_label: "services",
+        timed: false,
+        run: fig_vi11,
+    },
+    Figure {
+        key: "vi12",
+        title: "Fig. VI.12 — distributed QASSA: simulated phase times vs provider nodes",
+        x_label: "providers",
+        timed: false,
+        run: fig_vi12,
+    },
+    Figure {
+        key: "vi13",
+        title: "Fig. VI.13 — abstract BPEL → behavioural graph transformation time",
+        x_label: "activities",
+        timed: true,
+        run: |_| fig_vi13(),
+    },
+    Figure {
+        key: "v_adapt",
+        title: "Ch. V — behavioural adaptation (order-embedding resume mapping) time",
+        x_label: "activities",
+        timed: true,
+        run: |_| fig_v_adapt(),
+    },
+    Figure {
+        key: "loss",
+        title: "Extra — message loss: retries vs no retries (8 providers, 10 seeds)",
+        x_label: "loss prob",
+        timed: false,
+        run: fig_loss,
+    },
+    Figure {
+        key: "activities",
+        title: "Extra — selection time vs number of activities (100 services each)",
+        x_label: "activities",
+        timed: true,
+        run: fig_activities,
+    },
+    Figure {
+        key: "discovery",
+        title: "Discovery — indexed vs linear scan (32 × 4 taxonomy, category-level request)",
+        x_label: "services",
+        timed: true,
+        run: fig_discovery,
+    },
+    Figure {
+        key: "scale",
+        title: "Scalability — QASSA at large pools (serial vs parallel local phase)",
+        x_label: "services",
+        timed: true,
+        run: scalability,
+    },
+    Figure {
+        key: "ablate",
+        title: "Ablation — K-means band count k: selection time",
+        x_label: "k",
+        timed: true,
+        run: ablate_kmeans_k_time,
+    },
+    Figure {
+        key: "ablate",
+        title: "Ablation — K-means band count k: optimality",
+        x_label: "k",
+        timed: false,
+        run: ablate_kmeans_k_optimality,
+    },
+    Figure {
+        key: "ablate",
+        title: "Ablation — global phase repair budget (feasible-rate, tight constraints)",
+        x_label: "services",
+        timed: false,
+        run: ablate_global_strategy,
+    },
+    Figure {
+        key: "ablate",
+        title: "Ablation — proactive vs reactive monitoring (lead on a drifting service)",
+        x_label: "drift slope",
+        timed: false,
+        run: ablate_monitoring,
+    },
+    Figure {
+        key: "ablate",
+        title: "Ablation — semantic vs syntactic discovery recall",
+        x_label: "providers",
+        timed: false,
+        run: ablate_semantics,
+    },
+    Figure {
+        key: "compare",
+        title: "Selector comparison — median time, seed 0 (8 services at m−σ/4, 100 at m)",
+        x_label: "services",
+        timed: true,
+        run: compare_selectors_time,
+    },
+    Figure {
+        key: "compare",
+        title: "Selector comparison — utility and feasible rate, 10 seeds (8 at m−σ/4, 100 at m)",
+        x_label: "services",
+        timed: false,
+        run: compare_selectors,
+    },
+];
+
+/// The rows of [`FIGURES`] the command-line `keys` select: every row
+/// when `keys` is empty or holds `all`, else the rows whose key is
+/// listed, in table order.
+///
+/// # Errors
+///
+/// A key no row has, with the list of valid keys.
+pub fn select_figures(keys: &[String]) -> Result<Vec<&'static Figure>, String> {
+    let mut valid = vec!["all"];
+    for f in FIGURES {
+        if !valid.contains(&f.key) {
+            valid.push(f.key);
+        }
+    }
+    if let Some(unknown) = keys.iter().find(|k| !valid.contains(&k.as_str())) {
+        return Err(format!(
+            "unknown figure {unknown:?}; valid keys: {}",
+            valid.join(" ")
+        ));
+    }
+    let all = keys.is_empty() || keys.iter().any(|k| k == "all");
+    Ok(FIGURES
+        .iter()
+        .filter(|f| all || keys.iter().any(|k| k == f.key))
+        .collect())
+}
+
 /// Times `f` (milliseconds), median of `repeats` runs after one warm-up.
 /// The first error `f` returns stops the timing and is returned.
 #[allow(
@@ -108,9 +321,14 @@ fn qassa_time_ms(model: &QosModel, w: &Workload, repeats: usize) -> Result<f64, 
 /// Mean QASSA/exhaustive utility ratio over `seeds` feasible instances
 /// (infeasible-for-both instances are skipped; QASSA missing a feasible
 /// solution scores 0, so misses show up as optimality loss).
-fn optimality(model: &QosModel, spec: &WorkloadSpec, seeds: u64) -> Result<f64, FigureError> {
+fn optimality(
+    model: &QosModel,
+    config: QassaConfig,
+    spec: &WorkloadSpec,
+    seeds: u64,
+) -> Result<f64, FigureError> {
     let baselines = Baselines::new(model);
-    let qassa = Qassa::new(model);
+    let qassa = Qassa::with_config(model, config);
     let mut total = 0.0;
     let mut counted = 0usize;
     for seed in 0..seeds {
@@ -176,7 +394,10 @@ pub fn fig_vi6a(model: &QosModel) -> FigureResult {
         let spec = WorkloadSpec::evaluation_default()
             .activities(4)
             .services_per_activity(n);
-        s.points.push((n as f64, optimality(model, &spec, 8)?));
+        s.points.push((
+            n as f64,
+            optimality(model, QassaConfig::default(), &spec, 8)?,
+        ));
     }
     Ok(vec![s])
 }
@@ -190,7 +411,10 @@ pub fn fig_vi6b(model: &QosModel) -> FigureResult {
             .activities(4)
             .services_per_activity(10)
             .property_count(k);
-        s.points.push((k as f64, optimality(model, &spec, 8)?));
+        s.points.push((
+            k as f64,
+            optimality(model, QassaConfig::default(), &spec, 8)?,
+        ));
     }
     Ok(vec![s])
 }
@@ -235,7 +459,10 @@ pub fn fig_vi8(model: &QosModel) -> FigureResult {
                     .shape(TaskShape::Full)
                     .approach(approach)
                     .services_per_activity(n);
-                s.points.push((n as f64, optimality(model, &spec, 6)?));
+                s.points.push((
+                    n as f64,
+                    optimality(model, QassaConfig::default(), &spec, 6)?,
+                ));
             }
             Ok(s)
         })
@@ -302,7 +529,10 @@ pub fn fig_vi11(model: &QosModel) -> FigureResult {
                 .activities(4)
                 .tightness(tightness)
                 .services_per_activity(n);
-            s.points.push((n as f64, optimality(model, &spec, 6)?));
+            s.points.push((
+                n as f64,
+                optimality(model, QassaConfig::default(), &spec, 6)?,
+            ));
         }
         Ok(s)
     })
@@ -441,48 +671,44 @@ pub fn fig_v_adapt() -> FigureResult {
     Ok(vec![s])
 }
 
-/// Ablation — K-means band count `k`: selection time and optimality.
-pub fn ablate_kmeans_k(model: &QosModel) -> FigureResult {
-    let mut time_series = FigureSeries::new("time [ms]");
-    let mut opt_series = FigureSeries::new("optimality");
-    for k in [2usize, 3, 4, 6, 8] {
+/// The band counts the K-means ablation sweeps, each as a QASSA
+/// configuration.
+fn band_counts() -> impl Iterator<Item = (usize, QassaConfig)> {
+    [2usize, 3, 4, 6, 8].into_iter().map(|k| {
         let config = QassaConfig {
             local: LocalRank { bands: k },
             ..QassaConfig::default()
         };
-        let w = WorkloadSpec::evaluation_default().build(model, 42);
-        let problem = w.problem();
-        let qassa = Qassa::with_config(model, config);
-        time_series
-            .points
-            .push((k as f64, time_ms(5, || Ok(qassa.select(&problem)?))?));
+        (k, config)
+    })
+}
 
-        // Optimality at exhaustive-tractable size.
-        let baselines = Baselines::new(model);
-        let mut total = 0.0;
-        let mut counted = 0;
-        for seed in 0..6 {
-            let w = WorkloadSpec::evaluation_default()
-                .activities(4)
-                .services_per_activity(10)
-                .build(model, seed);
-            let p = w.problem();
-            let exact = baselines.exhaustive(&p)?;
-            if exact.feasible && exact.utility > 0.0 {
-                let ours = Qassa::with_config(model, config).select(&p)?;
-                total += if ours.feasible {
-                    (ours.utility / exact.utility).min(1.0)
-                } else {
-                    0.0
-                };
-                counted += 1;
-            }
-        }
-        opt_series
-            .points
-            .push((k as f64, total / counted.max(1) as f64));
+/// Ablation — K-means band count `k`: selection time on the default
+/// workload.
+pub fn ablate_kmeans_k_time(model: &QosModel) -> FigureResult {
+    let mut s = FigureSeries::new("time [ms]");
+    let w = WorkloadSpec::evaluation_default().build(model, 42);
+    let problem = w.problem();
+    for (k, config) in band_counts() {
+        let qassa = Qassa::with_config(model, config);
+        s.points
+            .push((k as f64, time_ms(5, || Ok(qassa.select(&problem)?))?));
     }
-    Ok(vec![time_series, opt_series])
+    Ok(vec![s])
+}
+
+/// Ablation — K-means band count `k`: optimality at exhaustive-tractable
+/// size (4 activities × 10 services, 6 seeds).
+pub fn ablate_kmeans_k_optimality(model: &QosModel) -> FigureResult {
+    let spec = WorkloadSpec::evaluation_default()
+        .activities(4)
+        .services_per_activity(10);
+    let mut s = FigureSeries::new("optimality");
+    for (k, config) in band_counts() {
+        s.points
+            .push((k as f64, optimality(model, config, &spec, 6)?));
+    }
+    Ok(vec![s])
 }
 
 /// Ablation — repair budget of the global phase: 0 (pure level descent)
@@ -598,44 +824,16 @@ pub fn scalability(model: &QosModel) -> FigureResult {
     Ok(vec![serial, parallel])
 }
 
-/// Head-to-head selector comparison on the default workload
-/// (5 activities × 100 services × 4 constraints, 10 seeds): median time,
-/// mean utility and feasible rate for QASSA, greedy, the genetic
-/// baseline and random. Prints its own table.
-pub fn compare_selectors(model: &QosModel) -> Result<(), FigureError> {
-    const SEEDS: u64 = 10;
-    for (scenario, spec) in [
-        (
-            "abundant (100 services/activity, bounds at m)",
-            WorkloadSpec::evaluation_default().tightness(Tightness::AtMean),
-        ),
-        (
-            "scarce (8 services/activity, bounds tighter than m)",
-            WorkloadSpec::evaluation_default()
-                .services_per_activity(8)
-                .tightness(Tightness::LooserBySigmas(-0.25)),
-        ),
-    ] {
-        println!("\n-- {scenario} --");
-        compare_selectors_on(model, &spec, SEEDS)?;
-    }
-    Ok(())
-}
+/// A selector the comparison runs on one workload.
+type Selector<'m> = (
+    &'static str,
+    Box<dyn Fn(&Workload) -> Result<qasom_selection::SelectionOutcome, FigureError> + 'm>,
+);
 
-fn compare_selectors_on(
-    model: &QosModel,
-    spec: &WorkloadSpec,
-    seeds: u64,
-) -> Result<(), FigureError> {
-    println!(
-        "{:>12}  {:>12}  {:>12}  {:>14}",
-        "selector", "time [ms]", "utility", "feasible rate"
-    );
-    type Runner<'m> = Box<
-        dyn Fn(&crate::Workload) -> Result<qasom_selection::SelectionOutcome, FigureError> + 'm,
-    >;
+/// QASSA and the four baselines, in table order.
+fn selectors(model: &QosModel) -> [Selector<'_>; 5] {
     let baselines = Baselines::new(model);
-    let selectors: Vec<(&str, Runner)> = vec![
+    [
         (
             "QASSA",
             Box::new(move |w: &Workload| Ok(Qassa::new(model).select(&w.problem())?)),
@@ -656,27 +854,68 @@ fn compare_selectors_on(
             "random",
             Box::new(move |w: &Workload| Ok(baselines.random(&w.problem(), 1)?)),
         ),
-    ];
-    for (name, run) in &selectors {
-        let mut utilities = 0.0;
-        let mut feasible = 0usize;
-        for seed in 0..seeds {
-            let w = spec.build(model, seed);
-            let out = run(&w)?;
-            utilities += out.utility;
-            feasible += usize::from(out.feasible);
+    ]
+}
+
+/// The comparison's two regimes, keyed by services per activity (5
+/// activities × 4 constraints each): scarce, with bounds a quarter σ
+/// tighter than `m`, and abundant, with bounds at `m`.
+fn regimes() -> [(f64, WorkloadSpec); 2] {
+    [
+        (
+            8.0,
+            WorkloadSpec::evaluation_default()
+                .services_per_activity(8)
+                .tightness(Tightness::LooserBySigmas(-0.25)),
+        ),
+        (
+            100.0,
+            WorkloadSpec::evaluation_default().tightness(Tightness::AtMean),
+        ),
+    ]
+}
+
+/// Head-to-head selector comparison, timed: each selector's median time
+/// on each regime's seed-0 workload.
+pub fn compare_selectors_time(model: &QosModel) -> FigureResult {
+    selectors(model)
+        .iter()
+        .map(|(name, run)| {
+            let mut s = FigureSeries::new(format!("{name} [ms]"));
+            for (x, spec) in regimes() {
+                let w = spec.build(model, 0);
+                s.points.push((x, time_ms(3, || run(&w))?));
+            }
+            Ok(s)
+        })
+        .collect()
+}
+
+/// Head-to-head selector comparison: each selector's mean utility and
+/// feasible rate over 10 seeds of each regime.
+pub fn compare_selectors(model: &QosModel) -> FigureResult {
+    const SEEDS: u64 = 10;
+    let mut out = Vec::new();
+    for (name, run) in &selectors(model) {
+        let mut utility = FigureSeries::new(format!("{name} utility"));
+        let mut feasible_rate = FigureSeries::new(format!("{name} feasible"));
+        for (x, spec) in regimes() {
+            let mut utilities = 0.0;
+            let mut feasible = 0usize;
+            for seed in 0..SEEDS {
+                let outcome = run(&spec.build(model, seed))?;
+                utilities += outcome.utility;
+                feasible += usize::from(outcome.feasible);
+            }
+            utility.points.push((x, utilities / SEEDS as f64));
+            feasible_rate
+                .points
+                .push((x, feasible as f64 / SEEDS as f64));
         }
-        let w = spec.build(model, 0);
-        let t = time_ms(3, || run(&w))?;
-        println!(
-            "{:>12}  {:>12.3}  {:>12.4}  {:>14.2}",
-            name,
-            t,
-            utilities / seeds as f64,
-            feasible as f64 / seeds as f64
-        );
+        out.push(utility);
+        out.push(feasible_rate);
     }
-    Ok(())
+    Ok(out)
 }
 
 /// Ablation — proactive (EWMA+trend) vs reactive violation detection:
@@ -866,6 +1105,28 @@ mod tests {
     fn time_ms_returns_positive_duration() {
         let ms = time_ms(3, || Ok(std::hint::black_box((0..1000).sum::<u64>()))).unwrap();
         assert!(ms >= 0.0);
+    }
+
+    #[test]
+    fn repro_keys_select_rows_and_unknown_keys_are_refused() {
+        let keys = |list: &[&str]| list.iter().map(|&k| k.to_owned()).collect::<Vec<_>>();
+        assert_eq!(select_figures(&[]).unwrap().len(), FIGURES.len());
+        assert_eq!(
+            select_figures(&keys(&["all"])).unwrap().len(),
+            FIGURES.len()
+        );
+        let titles: Vec<&str> = select_figures(&keys(&["vi12", "vi6"]))
+            .unwrap()
+            .iter()
+            .map(|f| f.title)
+            .collect();
+        assert_eq!(titles.len(), 3);
+        assert!(titles[0].starts_with("Fig. VI.6a") && titles[2].starts_with("Fig. VI.12"));
+
+        let err = select_figures(&keys(&["vi6", "comapre"])).unwrap_err();
+        assert!(err.contains("\"comapre\""), "{err}");
+        assert!(err.contains("valid keys: all vi5 vi6"), "{err}");
+        assert!(err.ends_with("ablate compare"), "{err}");
     }
 
     #[test]

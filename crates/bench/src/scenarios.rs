@@ -12,7 +12,8 @@
 //! Every document is a pure function of the flags: identical arguments
 //! produce byte-identical output. The crate's `clippy.toml` therefore
 //! bans the wall clock and unordered collections; the figure timer
-//! `time_ms` is the one function allowed to read the clock.
+//! `time_ms` is the one function allowed to read the clock, and the
+//! `figures` row runs only the figures that never call it.
 //!
 //! The synthetic provider market the serving scenarios run on,
 //! `one_concept_market`, and its `one_activity_request` are `pub` for
@@ -53,7 +54,7 @@ pub enum Kind {
 /// One command-line flag: its spelling (dashes included) and [`Kind`].
 pub type FlagSpec = (&'static str, Kind);
 
-/// `--seed N`, default 42: every scenario takes it.
+/// `--seed N`, default 42: every seeded scenario takes it.
 pub const SEED: FlagSpec = ("--seed", Kind::Value("N", "42"));
 /// `--out FILE`: where the CLI writes the document (`-` or absent →
 /// stdout). Scenario functions never read it.
@@ -213,6 +214,11 @@ pub const SCENARIOS: &[Scenario] = &[
             OUT,
         ],
         run: persist_stress,
+    },
+    Scenario {
+        name: "figures",
+        flags: &[OUT],
+        run: figures,
     },
 ];
 
@@ -578,6 +584,39 @@ fn persist_stress(flags: &Flags) -> Result<JsonValue, String> {
         .field("wal_bytes", stats.wal_bytes)
         .field("checkpoints", stats.checkpoints)
         .field("oracle_match", true))
+}
+
+/// `figures`: every deterministic series of the evaluation — the rows
+/// of [`crate::FIGURES`] that are not timed — as one document. Their
+/// seeds are fixed by the figures themselves.
+fn figures(_: &Flags) -> Result<JsonValue, String> {
+    let model = QosModel::standard();
+    let figures = crate::FIGURES
+        .iter()
+        .filter(|figure| !figure.timed)
+        .map(|figure| {
+            let series = (figure.run)(&model).map_err(|e| format!("{}: {e}", figure.title))?;
+            let series: Vec<JsonValue> = series
+                .into_iter()
+                .map(|s| {
+                    let points: Vec<JsonValue> = s
+                        .points
+                        .into_iter()
+                        .map(|(x, y)| JsonValue::from(vec![x.into(), y.into()]))
+                        .collect();
+                    JsonValue::object()
+                        .field("label", s.label)
+                        .field("points", points)
+                })
+                .collect();
+            Ok(JsonValue::object()
+                .field("key", figure.key)
+                .field("title", figure.title)
+                .field("x", figure.x_label)
+                .field("series", series))
+        })
+        .collect::<Result<Vec<_>, String>>()?;
+    Ok(JsonValue::object().field("figures", figures))
 }
 
 #[cfg(test)]

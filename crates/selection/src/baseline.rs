@@ -7,8 +7,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use qasom_qos::utility::utility;
-use qasom_qos::{Normalizer, Preferences};
+use qasom_qos::{Normalizer, Preferences, QosVector};
 
+use crate::global::CompositionScorer;
 use crate::{Qassa, SelectionError, SelectionOutcome, SelectionProblem, ServiceCandidate};
 
 /// Errors specific to baseline selectors.
@@ -90,7 +91,6 @@ impl<'a> Baselines<'a> {
         &self,
         problem: &SelectionProblem<'_>,
     ) -> Result<SelectionOutcome, BaselineError> {
-        let qassa = Qassa::new(self.model);
         validate(problem)?;
         let combinations: u128 = problem
             .candidates()
@@ -104,30 +104,28 @@ impl<'a> Baselines<'a> {
             });
         }
 
+        let scorer = Qassa::new(self.model).scorer(problem);
         let n = problem.candidates().len();
         let mut indices = vec![0usize; n];
+        let mut vectors: Vec<&QosVector> =
+            problem.candidates().iter().map(|c| c[0].qos()).collect();
         let mut best_feasible: Option<(f64, Vec<usize>)> = None;
         let mut best_any: Option<(usize, f64, Vec<usize>)> = None;
 
         loop {
-            let assignment: Vec<ServiceCandidate> = indices
-                .iter()
-                .enumerate()
-                .map(|(i, &j)| problem.candidates()[i][j].clone())
-                .collect();
-            let (aggregated, u) = qassa.evaluate(problem, &assignment);
-            let violations: Vec<_> = problem.constraints().violations(&aggregated).collect();
-            if violations.is_empty() {
+            let (aggregated, u) = scorer.score(&vectors);
+            let violations = problem.constraints().violations(&aggregated).count();
+            if violations == 0 {
                 if best_feasible.as_ref().is_none_or(|(bu, _)| u > *bu) {
                     best_feasible = Some((u, indices.clone()));
                 }
             } else {
-                let sev = (violations.len(), -u);
+                let sev = (violations, -u);
                 if best_any
                     .as_ref()
                     .is_none_or(|(bn, bu, _)| sev < (*bn, -*bu))
                 {
-                    best_any = Some((violations.len(), u, indices.clone()));
+                    best_any = Some((violations, u, indices.clone()));
                 }
             }
 
@@ -140,41 +138,15 @@ impl<'a> Baselines<'a> {
                 k -= 1;
                 indices[k] += 1;
                 if indices[k] < problem.candidates()[k].len() {
+                    vectors[k] = problem.candidates()[k][indices[k]].qos();
                     break;
                 }
                 indices[k] = 0;
+                vectors[k] = problem.candidates()[k][0].qos();
                 if k == 0 {
-                    return Ok(self.finish(problem, &qassa, best_feasible, best_any));
+                    return Ok(finish(problem, &scorer, best_feasible, best_any));
                 }
             }
-        }
-    }
-
-    fn finish(
-        &self,
-        problem: &SelectionProblem<'_>,
-        qassa: &Qassa<'_>,
-        best_feasible: Option<(f64, Vec<usize>)>,
-        best_any: Option<(usize, f64, Vec<usize>)>,
-    ) -> SelectionOutcome {
-        let (feasible, indices) = match (best_feasible, best_any) {
-            (Some((_, idx)), _) => (true, idx),
-            (None, Some((_, _, idx))) => (false, idx),
-            (None, None) => unreachable!("at least one composition exists"),
-        };
-        let assignment: Vec<ServiceCandidate> = indices
-            .iter()
-            .enumerate()
-            .map(|(i, &j)| problem.candidates()[i][j].clone())
-            .collect();
-        let (aggregated, u) = qassa.evaluate(problem, &assignment);
-        SelectionOutcome {
-            assignment,
-            aggregated,
-            utility: u,
-            feasible,
-            levels_explored: 0,
-            levels: Vec::new(),
         }
     }
 
@@ -190,7 +162,6 @@ impl<'a> Baselines<'a> {
         problem: &SelectionProblem<'_>,
     ) -> Result<SelectionOutcome, BaselineError> {
         validate(problem)?;
-        let qassa = Qassa::new(self.model);
         let properties = problem.properties();
         let prefs = if problem.preferences().is_empty() {
             Preferences::uniform(properties.iter().copied())
@@ -218,7 +189,7 @@ impl<'a> Baselines<'a> {
                     }))
             })
             .collect::<Result<_, _>>()?;
-        Ok(self.outcome_of(problem, &qassa, assignment))
+        Ok(self.outcome_of(problem, assignment))
     }
 
     /// **Random** baseline: a uniformly random composition (seeded).
@@ -232,14 +203,13 @@ impl<'a> Baselines<'a> {
         seed: u64,
     ) -> Result<SelectionOutcome, BaselineError> {
         validate(problem)?;
-        let qassa = Qassa::new(self.model);
         let mut rng = StdRng::seed_from_u64(seed);
         let assignment: Vec<ServiceCandidate> = problem
             .candidates()
             .iter()
             .map(|cands| cands[rng.gen_range(0..cands.len())].clone())
             .collect();
-        Ok(self.outcome_of(problem, &qassa, assignment))
+        Ok(self.outcome_of(problem, assignment))
     }
 
     /// **Decomposed-constraints** baseline (the "local selection under
@@ -260,7 +230,6 @@ impl<'a> Baselines<'a> {
         problem: &SelectionProblem<'_>,
     ) -> Result<SelectionOutcome, BaselineError> {
         validate(problem)?;
-        let qassa = Qassa::new(self.model);
         let n = problem.candidates().len() as f64;
         let local_bounds: Vec<qasom_qos::Constraint> = problem
             .constraints()
@@ -314,7 +283,7 @@ impl<'a> Baselines<'a> {
                     }))
             })
             .collect::<Result<_, _>>()?;
-        Ok(self.outcome_of(problem, &qassa, assignment))
+        Ok(self.outcome_of(problem, assignment))
     }
 
     /// **Genetic algorithm** baseline, after the GA-based selection
@@ -333,7 +302,6 @@ impl<'a> Baselines<'a> {
         problem: &SelectionProblem<'_>,
     ) -> Result<SelectionOutcome, BaselineError> {
         validate(problem)?;
-        let qassa = Qassa::new(self.model);
         let mut rng = StdRng::seed_from_u64(GA_SEED);
         let n = problem.candidates().len();
         let sizes: Vec<usize> = problem.candidates().iter().map(Vec::len).collect();
@@ -341,13 +309,14 @@ impl<'a> Baselines<'a> {
         let random_chromosome = |rng: &mut StdRng| -> Vec<usize> {
             sizes.iter().map(|&s| rng.gen_range(0..s)).collect()
         };
+        let scorer = Qassa::new(self.model).scorer(problem);
         let fitness = |c: &[usize]| -> f64 {
-            let assignment: Vec<ServiceCandidate> = c
+            let vectors: Vec<&QosVector> = c
                 .iter()
                 .enumerate()
-                .map(|(i, &j)| problem.candidates()[i][j].clone())
+                .map(|(i, &j)| problem.candidates()[i][j].qos())
                 .collect();
-            let (aggregated, u) = qassa.evaluate(problem, &assignment);
+            let (aggregated, u) = scorer.score(&vectors);
             let penalty: f64 = problem
                 .constraints()
                 .violations(&aggregated)
@@ -415,25 +384,54 @@ impl<'a> Baselines<'a> {
             .enumerate()
             .map(|(i, &j)| problem.candidates()[i][j].clone())
             .collect();
-        Ok(self.outcome_of(problem, &qassa, assignment))
+        Ok(outcome(problem, &scorer, assignment))
     }
 
     fn outcome_of(
         &self,
         problem: &SelectionProblem<'_>,
-        qassa: &Qassa<'_>,
         assignment: Vec<ServiceCandidate>,
     ) -> SelectionOutcome {
-        let (aggregated, u) = qassa.evaluate(problem, &assignment);
-        let feasible = problem.constraints().satisfied_by(&aggregated);
-        SelectionOutcome {
-            assignment,
-            aggregated,
-            utility: u,
-            feasible,
-            levels_explored: 0,
-            levels: Vec::new(),
-        }
+        outcome(problem, &Qassa::new(self.model).scorer(problem), assignment)
+    }
+}
+
+/// The exhaustive search's answer: its best feasible composition, else
+/// its least-violating one.
+fn finish(
+    problem: &SelectionProblem<'_>,
+    scorer: &CompositionScorer<'_>,
+    best_feasible: Option<(f64, Vec<usize>)>,
+    best_any: Option<(usize, f64, Vec<usize>)>,
+) -> SelectionOutcome {
+    let indices = match (best_feasible, best_any) {
+        (Some((_, idx)), _) | (None, Some((_, _, idx))) => idx,
+        (None, None) => unreachable!("at least one composition exists"),
+    };
+    let assignment: Vec<ServiceCandidate> = indices
+        .iter()
+        .enumerate()
+        .map(|(i, &j)| problem.candidates()[i][j].clone())
+        .collect();
+    outcome(problem, scorer, assignment)
+}
+
+/// A baseline's composition, scored as QASSA scores its own.
+fn outcome(
+    problem: &SelectionProblem<'_>,
+    scorer: &CompositionScorer<'_>,
+    assignment: Vec<ServiceCandidate>,
+) -> SelectionOutcome {
+    let vectors: Vec<&QosVector> = assignment.iter().map(ServiceCandidate::qos).collect();
+    let (aggregated, utility) = scorer.score(&vectors);
+    let feasible = problem.constraints().satisfied_by(&aggregated);
+    SelectionOutcome {
+        assignment,
+        aggregated,
+        utility,
+        feasible,
+        levels_explored: 0,
+        levels: Vec::new(),
     }
 }
 

@@ -141,6 +141,34 @@ pub struct Qassa<'a> {
     recorder: Option<&'a dyn Recorder>,
 }
 
+/// Scores compositions of one problem the way QASSA does
+/// ([`Qassa::scorer`]).
+#[derive(Debug, Clone)]
+pub(crate) struct CompositionScorer<'p> {
+    task: &'p UserTask,
+    aggregator: Aggregator<'p>,
+    properties: Vec<PropertyId>,
+    normalizer: Normalizer,
+    preferences: Preferences,
+}
+
+impl CompositionScorer<'_> {
+    /// Aggregated QoS and SAW utility of one composition: one QoS
+    /// vector per activity, in DFS order.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `vectors.len()` differs from the task's activity
+    /// count.
+    pub(crate) fn score(&self, vectors: &[&QosVector]) -> (QosVector, f64) {
+        let aggregated = self
+            .aggregator
+            .aggregate_refs(self.task, vectors, &self.properties);
+        let u = utility(&aggregated, &self.normalizer, &self.preferences);
+        (aggregated, u)
+    }
+}
+
 /// Work counters of one global-phase run, flushed to the recorder (if
 /// any) once the run finishes — instrumentation never touches the
 /// search itself.
@@ -484,14 +512,14 @@ impl<'a> Qassa<'a> {
         ))
     }
 
-    /// Aggregated QoS and SAW utility of an arbitrary assignment — the
-    /// exact scoring QASSA itself uses, exposed so baselines compare
-    /// apples to apples.
-    pub fn evaluate(
-        &self,
-        problem: &SelectionProblem<'_>,
-        assignment: &[ServiceCandidate],
-    ) -> (QosVector, f64) {
+    /// QASSA's own scoring of whole compositions of `problem`, fitted
+    /// once: the aggregation, the composition-level normaliser over
+    /// every candidate and the effective preferences `select` uses, so
+    /// baselines compare apples to apples.
+    pub(crate) fn scorer<'p>(&self, problem: &SelectionProblem<'p>) -> CompositionScorer<'p>
+    where
+        'a: 'p,
+    {
         let properties = problem.properties();
         let aggregator = Aggregator::new(self.model, problem.approach());
         // Per activity, the same finite bounds `QosLevels::bound` holds.
@@ -507,14 +535,13 @@ impl<'a> Qassa<'a> {
             fitted.len(),
             |i, p| fitted[i].bounds(p),
         );
-        let vectors: Vec<&QosVector> = assignment.iter().map(ServiceCandidate::qos).collect();
-        let aggregated = aggregator.aggregate_refs(problem.task(), &vectors, &properties);
-        let u = utility(
-            &aggregated,
-            &normalizer,
-            &self.effective_preferences(problem, &properties),
-        );
-        (aggregated, u)
+        CompositionScorer {
+            task: problem.task(),
+            preferences: self.effective_preferences(problem, &properties),
+            aggregator,
+            properties,
+            normalizer,
+        }
     }
 
     fn validate(&self, problem: &SelectionProblem<'_>) -> Result<(), SelectionError> {
@@ -1026,7 +1053,7 @@ mod tests {
     }
 
     #[test]
-    fn evaluate_matches_selected_outcome() {
+    fn the_scorer_matches_the_selected_outcome() {
         let f = fx();
         let task = seq_task(2);
         // The second input holds an unreachable candidate (infinite
@@ -1054,7 +1081,8 @@ mod tests {
                 .with_constraints(constraints(&f, rt_bound, av_bound));
             let qassa = Qassa::new(&f.model);
             let out = qassa.select(&problem).unwrap();
-            let (agg, u) = qassa.evaluate(&problem, &out.assignment);
+            let vectors: Vec<&QosVector> = out.assignment.iter().map(|c| c.qos()).collect();
+            let (agg, u) = qassa.scorer(&problem).score(&vectors);
             assert_eq!(agg, out.aggregated);
             assert!((u - out.utility).abs() < 1e-12, "{u} != {}", out.utility);
         }

@@ -20,7 +20,7 @@
 //!   `FILE` (`-` for stdout).
 //!
 //! The scenario subcommands (`report`, `daemon-stress`,
-//! `persist-stress`) are the rows of
+//! `persist-stress`, `figures`) are the rows of
 //! [`qasom_bench::scenarios::SCENARIOS`]: each is documented, flagged and
 //! implemented there, prints a JSON document that is byte-identical for
 //! identical arguments, and `qasom-cli --help` lists them all.
