@@ -104,23 +104,6 @@ impl<'a> Aggregator<'a> {
         assignments: &[QosVector],
         properties: &[PropertyId],
     ) -> QosVector {
-        let refs: Vec<&QosVector> = assignments.iter().collect();
-        self.aggregate_refs(task, &refs, properties)
-    }
-
-    /// [`Aggregator::aggregate`] over borrowed vectors, sparing one deep
-    /// vector clone per activity.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `assignments.len()` differs from the task's activity
-    /// count.
-    pub fn aggregate_refs(
-        &self,
-        task: &UserTask,
-        assignments: &[&QosVector],
-        properties: &[PropertyId],
-    ) -> QosVector {
         assert_eq!(
             assignments.len(),
             task.activity_count(),

@@ -7,10 +7,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use qasom_qos::utility::utility;
-use qasom_qos::{Normalizer, Preferences, QosVector};
+use qasom_qos::{Normalizer, QosModel};
 
 use crate::global::CompositionScorer;
-use crate::{Qassa, SelectionError, SelectionOutcome, SelectionProblem, ServiceCandidate};
+use crate::{SelectionError, SelectionOutcome, SelectionProblem, ServiceCandidate};
 
 /// Errors specific to baseline selectors.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -64,7 +64,7 @@ const GA_ELITE: usize = 2;
 /// RNG seed: the GA is deterministic.
 const GA_SEED: u64 = 0;
 
-/// Baseline selectors sharing QASSA's exact scoring (aggregation +
+/// Baseline selectors sharing QASSA's scoring (aggregation +
 /// composition utility), so utilities are directly comparable.
 #[derive(Debug, Clone, Copy)]
 pub struct Baselines<'a> {
@@ -91,63 +91,26 @@ impl<'a> Baselines<'a> {
         &self,
         problem: &SelectionProblem<'_>,
     ) -> Result<SelectionOutcome, BaselineError> {
-        validate(problem)?;
-        let combinations: u128 = problem
-            .candidates()
-            .iter()
-            .map(|c| c.len() as u128)
-            .product();
+        problem.validate()?;
+        let candidates = problem.candidates();
+        let combinations: u128 = candidates.iter().map(|c| c.len() as u128).product();
         if combinations > MAX_COMBINATIONS {
             return Err(BaselineError::TooLarge {
                 combinations,
                 cap: MAX_COMBINATIONS,
             });
         }
-
-        let scorer = Qassa::new(self.model).scorer(problem);
-        let n = problem.candidates().len();
-        let mut indices = vec![0usize; n];
-        let mut vectors: Vec<&QosVector> =
-            problem.candidates().iter().map(|c| c[0].qos()).collect();
-        let mut best_feasible: Option<(f64, Vec<usize>)> = None;
-        let mut best_any: Option<(usize, f64, Vec<usize>)> = None;
-
-        loop {
-            let (aggregated, u) = scorer.score(&vectors);
-            let violations = problem.constraints().violations(&aggregated).count();
-            if violations == 0 {
-                if best_feasible.as_ref().is_none_or(|(bu, _)| u > *bu) {
-                    best_feasible = Some((u, indices.clone()));
-                }
-            } else {
-                let sev = (violations, -u);
-                if best_any
-                    .as_ref()
-                    .is_none_or(|(bn, bu, _)| sev < (*bn, -*bu))
-                {
-                    best_any = Some((violations, u, indices.clone()));
-                }
-            }
-
-            // Odometer increment.
-            let mut k = n;
-            loop {
-                if k == 0 {
-                    break;
-                }
-                k -= 1;
-                indices[k] += 1;
-                if indices[k] < problem.candidates()[k].len() {
-                    vectors[k] = problem.candidates()[k][indices[k]].qos();
-                    break;
-                }
-                indices[k] = 0;
-                vectors[k] = problem.candidates()[k][0].qos();
-                if k == 0 {
-                    return Ok(finish(problem, &scorer, best_feasible, best_any));
-                }
-            }
-        }
+        // The problem's own matrix, not a ranking: the yardstick stays
+        // independent of the selector it judges.
+        let scorer = scorer(self.model, problem);
+        let sizes: Vec<usize> = candidates.iter().map(Vec::len).collect();
+        let (indices, _) = scorer.exact(&sizes, |i, j, p| candidates[i][j].qos().get(p));
+        let assignment: Vec<ServiceCandidate> = indices
+            .iter()
+            .enumerate()
+            .map(|(i, &j)| candidates[i][j].clone())
+            .collect();
+        Ok(outcome(problem, &scorer, assignment))
     }
 
     /// **Greedy / local-only** baseline: picks the highest-utility
@@ -161,13 +124,9 @@ impl<'a> Baselines<'a> {
         &self,
         problem: &SelectionProblem<'_>,
     ) -> Result<SelectionOutcome, BaselineError> {
-        validate(problem)?;
+        problem.validate()?;
         let properties = problem.properties();
-        let prefs = if problem.preferences().is_empty() {
-            Preferences::uniform(properties.iter().copied())
-        } else {
-            problem.preferences().clone()
-        };
+        let prefs = SelectionProblem::effective_preferences(problem.preferences(), &properties);
         let assignment: Vec<ServiceCandidate> = problem
             .candidates()
             .iter()
@@ -202,7 +161,7 @@ impl<'a> Baselines<'a> {
         problem: &SelectionProblem<'_>,
         seed: u64,
     ) -> Result<SelectionOutcome, BaselineError> {
-        validate(problem)?;
+        problem.validate()?;
         let mut rng = StdRng::seed_from_u64(seed);
         let assignment: Vec<ServiceCandidate> = problem
             .candidates()
@@ -229,7 +188,7 @@ impl<'a> Baselines<'a> {
         &self,
         problem: &SelectionProblem<'_>,
     ) -> Result<SelectionOutcome, BaselineError> {
-        validate(problem)?;
+        problem.validate()?;
         let n = problem.candidates().len() as f64;
         let local_bounds: Vec<qasom_qos::Constraint> = problem
             .constraints()
@@ -252,11 +211,7 @@ impl<'a> Baselines<'a> {
             .collect();
 
         let properties = problem.properties();
-        let prefs = if problem.preferences().is_empty() {
-            Preferences::uniform(properties.iter().copied())
-        } else {
-            problem.preferences().clone()
-        };
+        let prefs = SelectionProblem::effective_preferences(problem.preferences(), &properties);
         let assignment: Vec<ServiceCandidate> = problem
             .candidates()
             .iter()
@@ -301,7 +256,7 @@ impl<'a> Baselines<'a> {
         &self,
         problem: &SelectionProblem<'_>,
     ) -> Result<SelectionOutcome, BaselineError> {
-        validate(problem)?;
+        problem.validate()?;
         let mut rng = StdRng::seed_from_u64(GA_SEED);
         let n = problem.candidates().len();
         let sizes: Vec<usize> = problem.candidates().iter().map(Vec::len).collect();
@@ -309,14 +264,9 @@ impl<'a> Baselines<'a> {
         let random_chromosome = |rng: &mut StdRng| -> Vec<usize> {
             sizes.iter().map(|&s| rng.gen_range(0..s)).collect()
         };
-        let scorer = Qassa::new(self.model).scorer(problem);
+        let scorer = scorer(self.model, problem);
         let fitness = |c: &[usize]| -> f64 {
-            let vectors: Vec<&QosVector> = c
-                .iter()
-                .enumerate()
-                .map(|(i, &j)| problem.candidates()[i][j].qos())
-                .collect();
-            let (aggregated, u) = scorer.score(&vectors);
+            let (aggregated, u) = scorer.score(|i, p| problem.candidates()[i][c[i]].qos().get(p));
             let penalty: f64 = problem
                 .constraints()
                 .violations(&aggregated)
@@ -392,28 +342,22 @@ impl<'a> Baselines<'a> {
         problem: &SelectionProblem<'_>,
         assignment: Vec<ServiceCandidate>,
     ) -> SelectionOutcome {
-        outcome(problem, &Qassa::new(self.model).scorer(problem), assignment)
+        outcome(problem, &scorer(self.model, problem), assignment)
     }
 }
 
-/// The exhaustive search's answer: its best feasible composition, else
-/// its least-violating one.
-fn finish(
-    problem: &SelectionProblem<'_>,
-    scorer: &CompositionScorer<'_>,
-    best_feasible: Option<(f64, Vec<usize>)>,
-    best_any: Option<(usize, f64, Vec<usize>)>,
-) -> SelectionOutcome {
-    let indices = match (best_feasible, best_any) {
-        (Some((_, idx)), _) | (None, Some((_, _, idx))) => idx,
-        (None, None) => unreachable!("at least one composition exists"),
-    };
-    let assignment: Vec<ServiceCandidate> = indices
+/// The scorer of `problem` fitted over its candidate matrix: per
+/// activity, the same finite bounds `QosLevels::bound` holds.
+pub(crate) fn scorer<'s>(
+    model: &'s QosModel,
+    problem: &'s SelectionProblem<'_>,
+) -> CompositionScorer<'s> {
+    let fitted: Vec<Normalizer> = problem
+        .candidates()
         .iter()
-        .enumerate()
-        .map(|(i, &j)| problem.candidates()[i][j].clone())
+        .map(|cands| Normalizer::fit(model, cands.iter().map(ServiceCandidate::qos)))
         .collect();
-    outcome(problem, scorer, assignment)
+    CompositionScorer::new(model, problem, |i, p| fitted[i].bounds(p))
 }
 
 /// A baseline's composition, scored as QASSA scores its own.
@@ -422,8 +366,7 @@ fn outcome(
     scorer: &CompositionScorer<'_>,
     assignment: Vec<ServiceCandidate>,
 ) -> SelectionOutcome {
-    let vectors: Vec<&QosVector> = assignment.iter().map(ServiceCandidate::qos).collect();
-    let (aggregated, utility) = scorer.score(&vectors);
+    let (aggregated, utility) = scorer.score(|i, p| assignment[i].qos().get(p));
     let feasible = problem.constraints().satisfied_by(&aggregated);
     SelectionOutcome {
         assignment,
@@ -435,23 +378,12 @@ fn outcome(
     }
 }
 
-fn validate(problem: &SelectionProblem<'_>) -> Result<(), SelectionError> {
-    let expected = problem.task().activity_count();
-    let found = problem.candidates().len();
-    if expected != found {
-        return Err(SelectionError::ArityMismatch { expected, found });
-    }
-    if let Some(activity) = problem.candidates().iter().position(Vec::is_empty) {
-        return Err(SelectionError::NoCandidates { activity });
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::workload::{Tightness, WorkloadSpec};
-    use qasom_qos::QosModel;
+    use crate::Qassa;
+    use qasom_obs::{keys, MemoryRecorder, Recorder};
 
     fn small_workload(seed: u64) -> (QosModel, crate::workload::Workload) {
         let m = QosModel::standard();
@@ -485,17 +417,49 @@ mod tests {
         }
     }
 
+    /// QASSA is feasible wherever the optimum is, and where its exact
+    /// fallback ran on a feasible problem it returns that optimum, not
+    /// just some feasible composition.
     #[test]
     fn qassa_feasible_whenever_exhaustive_is() {
-        for seed in 0..8 {
-            let (m, w) = small_workload(seed);
-            let problem = w.problem();
-            let exact = Baselines::new(&m).exhaustive(&problem).unwrap();
-            let qassa = Qassa::new(&m).select(&problem).unwrap();
-            if exact.feasible {
-                assert!(qassa.feasible, "seed {seed}: QASSA missed a feasible mix");
+        let mut optimal_fallbacks = 0;
+        for (tightness, seeds) in [
+            (Tightness::AtMeanPlusSigma, 0..8),
+            (Tightness::AtMean, 0..32),
+        ] {
+            for seed in seeds {
+                let m = QosModel::standard();
+                let w = WorkloadSpec::evaluation_default()
+                    .activities(3)
+                    .services_per_activity(6)
+                    .tightness(tightness)
+                    .build(&m, seed);
+                let problem = w.problem();
+                let exact = Baselines::new(&m).exhaustive(&problem).unwrap();
+                let rec = MemoryRecorder::new();
+                let qassa = Qassa::new(&m).with_recorder(&rec).select(&problem).unwrap();
+                if !exact.feasible {
+                    continue;
+                }
+                assert!(
+                    qassa.feasible,
+                    "{tightness:?} seed {seed}: QASSA missed a feasible mix"
+                );
+                let snap = rec.snapshot().expect("memory recorder snapshots");
+                if snap.counter(keys::SELECTION_EXACT_FALLBACKS) == 1 {
+                    assert_eq!(
+                        qassa.utility.to_bits(),
+                        exact.utility.to_bits(),
+                        "{tightness:?} seed {seed}: the fallback missed the optimum"
+                    );
+                    optimal_fallbacks += 1;
+                }
             }
         }
+        assert!(
+            optimal_fallbacks >= 1,
+            "no feasible problem ran the fallback"
+        );
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! Selection inputs: candidates and the selection problem.
 
+use std::borrow::Cow;
+
 use qasom_qos::{ConstraintSet, Preferences, PropertyId, QosVector};
 use qasom_registry::ServiceId;
 use qasom_task::UserTask;
 
-use crate::AggregationApproach;
+use crate::{AggregationApproach, SelectionError};
 
 /// A concrete service candidate for one abstract activity: its registry
 /// id and the QoS vector selection reasons about (advertised, or monitored
@@ -134,6 +136,33 @@ impl<'a> SelectionProblem<'a> {
         props.sort();
         props.dedup();
         props
+    }
+
+    /// The weights utility is computed with: `preferences` when they
+    /// weigh anything, else equal weights over `properties`.
+    pub(crate) fn effective_preferences<'w>(
+        preferences: &'w Preferences,
+        properties: &[PropertyId],
+    ) -> Cow<'w, Preferences> {
+        if preferences.is_empty() {
+            Cow::Owned(Preferences::uniform(properties.iter().copied()))
+        } else {
+            Cow::Borrowed(preferences)
+        }
+    }
+
+    /// Checks that the candidate matrix has one non-empty set per
+    /// activity.
+    pub(crate) fn validate(&self) -> Result<(), SelectionError> {
+        let expected = self.task.activity_count();
+        let found = self.candidates.len();
+        if expected != found {
+            return Err(SelectionError::ArityMismatch { expected, found });
+        }
+        if let Some(activity) = self.candidates.iter().position(Vec::is_empty) {
+            return Err(SelectionError::NoCandidates { activity });
+        }
+        Ok(())
     }
 }
 

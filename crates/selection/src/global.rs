@@ -1,11 +1,14 @@
 //! QASSA phase 2 — global selection under global QoS constraints.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
 
 use qasom_obs::{keys, Recorder};
 use qasom_qos::utility::utility;
-use qasom_qos::{Normalizer, Preferences, PropertyId, QosVector, Tendency};
+use qasom_qos::{
+    ConstraintSet, Normalizer, Preferences, PropertyId, QosModel, QosVector, Tendency,
+};
 use qasom_task::UserTask;
 
 use crate::{Aggregator, LocalRank, LocalScratch, QosLevels, SelectionProblem, ServiceCandidate};
@@ -141,31 +144,134 @@ pub struct Qassa<'a> {
     recorder: Option<&'a dyn Recorder>,
 }
 
-/// Scores compositions of one problem the way QASSA does
-/// ([`Qassa::scorer`]).
+/// The one place a composition of one problem is scored: aggregated,
+/// checked against the global constraints and given its SAW utility,
+/// for QASSA's global phase and the baselines alike. Each caller reads
+/// the values of its own source through a closure: the global phase its
+/// ranked tables, a baseline the problem's candidate matrix.
 #[derive(Debug, Clone)]
-pub(crate) struct CompositionScorer<'p> {
-    task: &'p UserTask,
-    aggregator: Aggregator<'p>,
+pub(crate) struct CompositionScorer<'s> {
+    task: &'s UserTask,
+    constraints: &'s ConstraintSet,
+    aggregator: Aggregator<'s>,
     properties: Vec<PropertyId>,
     normalizer: Normalizer,
-    preferences: Preferences,
+    preferences: Cow<'s, Preferences>,
 }
 
-impl CompositionScorer<'_> {
-    /// Aggregated QoS and SAW utility of one composition: one QoS
-    /// vector per activity, in DFS order.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `vectors.len()` differs from the task's activity
-    /// count.
-    pub(crate) fn score(&self, vectors: &[&QosVector]) -> (QosVector, f64) {
-        let aggregated = self
-            .aggregator
-            .aggregate_refs(self.task, vectors, &self.properties);
-        let u = utility(&aggregated, &self.normalizer, &self.preferences);
+impl<'s> CompositionScorer<'s> {
+    /// Fits the scorer of `problem` once. `bound(i, p)` is activity
+    /// `i`'s raw `(min, max)` over the finite values of `p`; the
+    /// per-activity best and worst values are aggregated into the
+    /// composition-level normalisation bounds (aggregation is monotone
+    /// per argument, so these are true bounds of the composition space),
+    /// so an unreachable host's infinite perceived response time can
+    /// neither stretch the range nor, once aggregated, drop out of it
+    /// and collapse it to a point. `O(activities × properties)` calls of
+    /// `bound`.
+    pub(crate) fn new(
+        model: &'s QosModel,
+        problem: &'s SelectionProblem<'_>,
+        bound: impl Fn(usize, PropertyId) -> Option<(f64, f64)>,
+    ) -> Self {
+        let task = problem.task();
+        let properties = problem.properties();
+        let aggregator = Aggregator::new(model, problem.approach());
+        let activities = task.activity_count();
+        let mut best = Vec::with_capacity(activities);
+        let mut worst = Vec::with_capacity(activities);
+        for i in 0..activities {
+            let mut b = QosVector::new();
+            let mut w = QosVector::new();
+            for &p in &properties {
+                if let Some((lo, hi)) = bound(i, p) {
+                    let (bv, wv) = match model.tendency(p) {
+                        Tendency::LowerBetter => (lo, hi),
+                        Tendency::HigherBetter => (hi, lo),
+                    };
+                    b.set(p, bv);
+                    w.set(p, wv);
+                }
+            }
+            best.push(b);
+            worst.push(w);
+        }
+        let mut normalizer = Normalizer::default();
+        for bound in [
+            aggregator.aggregate(task, &best, &properties),
+            aggregator.aggregate(task, &worst, &properties),
+        ] {
+            for (p, v) in bound.iter() {
+                normalizer.include(model, p, v);
+            }
+        }
+        CompositionScorer {
+            task,
+            constraints: problem.constraints(),
+            preferences: SelectionProblem::effective_preferences(
+                problem.preferences(),
+                &properties,
+            ),
+            aggregator,
+            properties,
+            normalizer,
+        }
+    }
+
+    /// Aggregated QoS of the composition whose activity `i` (DFS order)
+    /// has the values `value(i, p)`.
+    pub(crate) fn aggregate(&self, value: impl Fn(usize, PropertyId) -> Option<f64>) -> QosVector {
+        self.aggregator
+            .aggregate_with(self.task, &self.properties, value)
+    }
+
+    /// SAW utility of an aggregated composition, in `[0, 1]`.
+    pub(crate) fn utility(&self, aggregated: &QosVector) -> f64 {
+        utility(aggregated, &self.normalizer, &self.preferences)
+    }
+
+    /// Aggregated QoS and utility of one composition
+    /// ([`CompositionScorer::aggregate`]).
+    pub(crate) fn score(
+        &self,
+        value: impl Fn(usize, PropertyId) -> Option<f64>,
+    ) -> (QosVector, f64) {
+        let aggregated = self.aggregate(value);
+        let u = self.utility(&aggregated);
         (aggregated, u)
+    }
+
+    /// The exhaustive search over every composition that picks one of
+    /// `sizes[i]` alternatives for activity `i`, whose values are
+    /// `value(i, j, p)`: the feasible composition of highest utility,
+    /// else the one with the fewest violated constraints and then the
+    /// highest utility; the first one enumerated on ties. Returns its
+    /// indices and whether it is feasible. One aggregation per
+    /// composition; a utility only where it can change the answer.
+    pub(crate) fn exact(
+        &self,
+        sizes: &[usize],
+        value: impl Fn(usize, usize, PropertyId) -> Option<f64>,
+    ) -> (Vec<usize>, bool) {
+        let mut indices = vec![0; sizes.len()];
+        // (violations, utility, indices) of the best composition so far.
+        let mut best = (usize::MAX, f64::NEG_INFINITY, Vec::new());
+        loop {
+            let aggregated = self.aggregate(|i, p| value(i, indices[i], p));
+            let violations = self.constraints.violations(&aggregated).count();
+            if violations <= best.0 {
+                let u = self.utility(&aggregated);
+                if violations < best.0 || u > best.1 {
+                    best = (violations, u, indices.clone());
+                }
+            }
+            // Odometer: the last activity turns fastest.
+            let Some(k) = (0..sizes.len()).rev().find(|&k| indices[k] + 1 < sizes[k]) else {
+                return (best.2, best.0 == 0);
+            };
+            indices[k] += 1;
+            indices[k + 1..].fill(0);
+        }
     }
 }
 
@@ -224,7 +330,7 @@ impl<'a> Qassa<'a> {
         &self,
         problem: &SelectionProblem<'_>,
     ) -> Result<Vec<QosLevels>, SelectionError> {
-        self.validate(problem)?;
+        problem.validate()?;
         let properties = problem.properties();
         // One scratch arena across the whole task: every activity after
         // the first ranks into already-warm buffers.
@@ -262,7 +368,7 @@ impl<'a> Qassa<'a> {
         problem: &SelectionProblem<'_>,
     ) -> Result<Vec<QosLevels>, SelectionError> {
         use rayon::prelude::*;
-        self.validate(problem)?;
+        problem.validate()?;
         let properties = problem.properties();
         let levels: Vec<QosLevels> = problem
             .candidates()
@@ -392,17 +498,10 @@ impl<'a> Qassa<'a> {
         tally: &mut GlobalTally,
     ) -> Result<SelectionOutcome, SelectionError> {
         self.validate_levels(problem, levels)?;
-        let properties = problem.properties();
-        let aggregator = Aggregator::new(self.model, problem.approach());
         // The hierarchies cached each column's finite bounds during the
         // local phase: no candidate is re-scanned here.
-        let normalizer = self.composition_normalizer(
-            problem.task(),
-            &properties,
-            &aggregator,
-            levels.len(),
-            |i, p| levels[i].bound(p),
-        );
+        let scorer = CompositionScorer::new(self.model, problem, |i, p| levels[i].bound(p));
+        let value = |i: usize, j: usize, p| levels[i].value(&levels[i].best_first()[j], p);
 
         let max_levels = levels.iter().map(|l| l.level_count()).max().unwrap_or(0);
 
@@ -423,8 +522,7 @@ impl<'a> Qassa<'a> {
 
             let mut current: Vec<usize> = vec![0; levels.len()];
             for _ in 0..=self.config.max_repairs_per_level {
-                let aggregated =
-                    self.aggregate_assignment(problem, &aggregator, levels, &current, &properties);
+                let aggregated = scorer.aggregate(|i, p| value(i, current[i], p));
                 tally.utility_evals += 1;
                 let violations: Vec<_> = problem
                     .constraints()
@@ -441,10 +539,10 @@ impl<'a> Qassa<'a> {
                         .sum();
                     return Ok(self.outcome(
                         problem,
+                        &scorer,
                         levels,
                         &current,
                         aggregated,
-                        &normalizer,
                         true,
                         r + 1,
                     ));
@@ -476,24 +574,17 @@ impl<'a> Qassa<'a> {
         }
 
         // The level-wise heuristic found nothing feasible. On small
-        // problems, scan the whole space exactly before giving up.
+        // problems, search the whole space exactly before giving up.
         let combinations: u128 = levels.iter().map(|l| l.total() as u128).product();
         if combinations <= EXACT_FALLBACK_CAP {
             tally.exact_fallback = true;
             tally.utility_evals += u64::try_from(combinations).unwrap_or(u64::MAX);
-            if let Some(current) =
-                self.exact_scan(problem, &aggregator, levels, &properties, &normalizer)
-            {
-                let aggregated =
-                    self.aggregate_assignment(problem, &aggregator, levels, &current, &properties);
+            let sizes: Vec<usize> = levels.iter().map(|l| l.total()).collect();
+            let (current, feasible) = scorer.exact(&sizes, value);
+            if feasible {
+                let aggregated = scorer.aggregate(|i, p| value(i, current[i], p));
                 return Ok(self.outcome(
-                    problem,
-                    levels,
-                    &current,
-                    aggregated,
-                    &normalizer,
-                    true,
-                    max_levels,
+                    problem, &scorer, levels, &current, aggregated, true, max_levels,
                 ));
             }
         }
@@ -502,58 +593,8 @@ impl<'a> Qassa<'a> {
         let (_, _, current, aggregated) =
             best_infeasible.ok_or(SelectionError::NoCandidates { activity: 0 })?;
         Ok(self.outcome(
-            problem,
-            levels,
-            &current,
-            aggregated,
-            &normalizer,
-            false,
-            max_levels,
+            problem, &scorer, levels, &current, aggregated, false, max_levels,
         ))
-    }
-
-    /// QASSA's own scoring of whole compositions of `problem`, fitted
-    /// once: the aggregation, the composition-level normaliser over
-    /// every candidate and the effective preferences `select` uses, so
-    /// baselines compare apples to apples.
-    pub(crate) fn scorer<'p>(&self, problem: &SelectionProblem<'p>) -> CompositionScorer<'p>
-    where
-        'a: 'p,
-    {
-        let properties = problem.properties();
-        let aggregator = Aggregator::new(self.model, problem.approach());
-        // Per activity, the same finite bounds `QosLevels::bound` holds.
-        let fitted: Vec<Normalizer> = problem
-            .candidates()
-            .iter()
-            .map(|cands| Normalizer::fit(self.model, cands.iter().map(ServiceCandidate::qos)))
-            .collect();
-        let normalizer = self.composition_normalizer(
-            problem.task(),
-            &properties,
-            &aggregator,
-            fitted.len(),
-            |i, p| fitted[i].bounds(p),
-        );
-        CompositionScorer {
-            task: problem.task(),
-            preferences: self.effective_preferences(problem, &properties),
-            aggregator,
-            properties,
-            normalizer,
-        }
-    }
-
-    fn validate(&self, problem: &SelectionProblem<'_>) -> Result<(), SelectionError> {
-        let expected = problem.task().activity_count();
-        let found = problem.candidates().len();
-        if expected != found {
-            return Err(SelectionError::ArityMismatch { expected, found });
-        }
-        if let Some(activity) = problem.candidates().iter().position(Vec::is_empty) {
-            return Err(SelectionError::NoCandidates { activity });
-        }
-        Ok(())
     }
 
     /// The global phase's own validation: the hierarchies must line up
@@ -577,119 +618,6 @@ impl<'a> Qassa<'a> {
             return Err(SelectionError::NoCandidates { activity });
         }
         Ok(())
-    }
-
-    fn effective_preferences(
-        &self,
-        problem: &SelectionProblem<'_>,
-        properties: &[PropertyId],
-    ) -> Preferences {
-        if problem.preferences().is_empty() {
-            Preferences::uniform(properties.iter().copied())
-        } else {
-            problem.preferences().clone()
-        }
-    }
-
-    /// Fits composition-level normalisation bounds by aggregating the
-    /// per-activity best and worst values (aggregation is monotone per
-    /// argument, so these are true bounds of the composition space).
-    /// `bound(i, p)` is activity `i`'s raw `(min, max)` over the finite
-    /// values of `p`, so an unreachable host's infinite perceived
-    /// response time can neither stretch the range nor, once
-    /// aggregated, drop out of it and collapse it to a point.
-    /// `O(activities × properties)` calls of `bound`.
-    fn composition_normalizer(
-        &self,
-        task: &UserTask,
-        properties: &[PropertyId],
-        aggregator: &Aggregator<'_>,
-        activities: usize,
-        bound: impl Fn(usize, PropertyId) -> Option<(f64, f64)>,
-    ) -> Normalizer {
-        let mut best = Vec::with_capacity(activities);
-        let mut worst = Vec::with_capacity(activities);
-        for i in 0..activities {
-            let mut b = QosVector::new();
-            let mut w = QosVector::new();
-            for &p in properties {
-                if let Some((lo, hi)) = bound(i, p) {
-                    let (bv, wv) = match self.model.tendency(p) {
-                        Tendency::LowerBetter => (lo, hi),
-                        Tendency::HigherBetter => (hi, lo),
-                    };
-                    b.set(p, bv);
-                    w.set(p, wv);
-                }
-            }
-            best.push(b);
-            worst.push(w);
-        }
-        let mut normalizer = Normalizer::default();
-        for bound in [
-            aggregator.aggregate(task, &best, properties),
-            aggregator.aggregate(task, &worst, properties),
-        ] {
-            for (p, v) in bound.iter() {
-                normalizer.include(self.model, p, v);
-            }
-        }
-        normalizer
-    }
-
-    /// Exhaustively scans the (small) full space, returning the
-    /// best-utility feasible assignment's indices, if any.
-    fn exact_scan(
-        &self,
-        problem: &SelectionProblem<'_>,
-        aggregator: &Aggregator<'_>,
-        levels: &[Arc<QosLevels>],
-        properties: &[PropertyId],
-        normalizer: &Normalizer,
-    ) -> Option<Vec<usize>> {
-        let n = levels.len();
-        let prefs = self.effective_preferences(problem, properties);
-        let mut indices = vec![0usize; n];
-        let mut best: Option<(f64, Vec<usize>)> = None;
-        loop {
-            let aggregated =
-                self.aggregate_assignment(problem, aggregator, levels, &indices, properties);
-            if problem.constraints().satisfied_by(&aggregated) {
-                let u = utility(&aggregated, normalizer, &prefs);
-                if best.as_ref().is_none_or(|(bu, _)| u > *bu) {
-                    best = Some((u, indices.clone()));
-                }
-            }
-            // Odometer increment.
-            let mut k = n;
-            loop {
-                if k == 0 {
-                    return best.map(|(_, idx)| idx);
-                }
-                k -= 1;
-                indices[k] += 1;
-                if indices[k] < levels[k].total() {
-                    break;
-                }
-                indices[k] = 0;
-                if k == 0 {
-                    return best.map(|(_, idx)| idx);
-                }
-            }
-        }
-    }
-
-    fn aggregate_assignment(
-        &self,
-        problem: &SelectionProblem<'_>,
-        aggregator: &Aggregator<'_>,
-        levels: &[Arc<QosLevels>],
-        current: &[usize],
-        properties: &[PropertyId],
-    ) -> QosVector {
-        aggregator.aggregate_with(problem.task(), properties, |i, p| {
-            levels[i].value(&levels[i].best_first()[current[i]], p)
-        })
     }
 
     /// The swap most improving `property`: for each activity, the
@@ -741,14 +669,13 @@ impl<'a> Qassa<'a> {
     fn outcome(
         &self,
         problem: &SelectionProblem<'_>,
+        scorer: &CompositionScorer<'_>,
         levels: &[Arc<QosLevels>],
         current: &[usize],
         aggregated: QosVector,
-        normalizer: &Normalizer,
         feasible: bool,
         levels_explored: usize,
     ) -> SelectionOutcome {
-        let properties = problem.properties();
         let matrix = holds_candidates(problem).then(|| problem.candidates());
         let assignment: Vec<ServiceCandidate> = levels
             .iter()
@@ -762,15 +689,10 @@ impl<'a> Qassa<'a> {
                 }
             })
             .collect();
-        let u = utility(
-            &aggregated,
-            normalizer,
-            &self.effective_preferences(problem, &properties),
-        );
         SelectionOutcome {
             assignment,
+            utility: scorer.utility(&aggregated),
             aggregated,
-            utility: u,
             feasible,
             levels_explored,
             levels: levels.to_vec(),
@@ -1081,8 +1003,8 @@ mod tests {
                 .with_constraints(constraints(&f, rt_bound, av_bound));
             let qassa = Qassa::new(&f.model);
             let out = qassa.select(&problem).unwrap();
-            let vectors: Vec<&QosVector> = out.assignment.iter().map(|c| c.qos()).collect();
-            let (agg, u) = qassa.scorer(&problem).score(&vectors);
+            let scorer = crate::baseline::scorer(&f.model, &problem);
+            let (agg, u) = scorer.score(|i, p| out.assignment[i].qos().get(p));
             assert_eq!(agg, out.aggregated);
             assert!((u - out.utility).abs() < 1e-12, "{u} != {}", out.utility);
         }

@@ -29,7 +29,7 @@ use qasom_qos::{Normalizer, Preferences, PropertyId, QosModel, QosVector, Tenden
 use qasom_registry::ServiceId;
 
 use crate::kmeans::total_key;
-use crate::{kmeans_1d_with, KmeansScratch, ServiceCandidate};
+use crate::{kmeans_1d_with, KmeansScratch, SelectionProblem, ServiceCandidate};
 
 /// One row of an activity's ranked table: a candidate's id, the
 /// position of its values in the table's [`QosColumns`], and its
@@ -479,16 +479,9 @@ impl LocalRank {
             }
         }
 
-        let prefs_owned;
-        let prefs = if preferences.is_empty() {
-            prefs_owned = Preferences::uniform(properties.iter().copied());
-            &prefs_owned
-        } else {
-            preferences
-        };
-
+        let prefs = SelectionProblem::effective_preferences(preferences, properties);
         for (i, row) in rows.iter_mut().enumerate() {
-            row.utility = utility_of(|p| columns.get(i, p), &normalizer, prefs);
+            row.utility = utility_of(|p| columns.get(i, p), &normalizer, &prefs);
         }
 
         bounds.sort_by_key(|&(p, ..)| p);
