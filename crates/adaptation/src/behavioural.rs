@@ -41,33 +41,15 @@ impl<'a> BehaviouralAdapter<'a> {
     /// Semantic + data compatibility of two activities: the candidate
     /// (`new`) must offer a function usable for the executed (`old`) one
     /// — exact or more specific — produce at least its outputs, and
-    /// require no inputs the old activity did not have.
+    /// require no inputs the old activity did not have; the rule
+    /// discovery applies to a service ([`Ontology::io_compatible`]).
     pub fn activities_compatible(&self, old: &Activity, new: &Activity) -> bool {
-        self.functions_match(old.function(), new.function())
-            && old.outputs().iter().all(|req| {
-                new.outputs()
-                    .iter()
-                    .any(|off| self.functions_match(req, off))
-            })
-            && new.inputs().iter().all(|need| {
-                old.inputs()
-                    .iter()
-                    .any(|have| self.functions_match(need, have))
-            })
-    }
-
-    fn functions_match(
-        &self,
-        required: &qasom_ontology::Iri,
-        offered: &qasom_ontology::Iri,
-    ) -> bool {
-        match (
-            self.ontology.concept(required),
-            self.ontology.concept(offered),
-        ) {
-            (Some(r), Some(o)) => self.ontology.match_degree(r, o).is_usable(),
-            _ => required == offered,
-        }
+        self.ontology
+            .match_iri(old.function(), new.function())
+            .is_usable()
+            && self
+                .ontology
+                .io_compatible((old.inputs(), old.outputs()), (new.inputs(), new.outputs()))
     }
 
     /// Checks whether `alternative` can resume `current` after the

@@ -23,8 +23,8 @@
 //!   graph: every established precedence must hold in the new behaviour,
 //!   with semantic vertex matching, data (I/O) constraints and pinned
 //!   start/end vertices. The strict **extended vertex-disjoint subgraph
-//!   homeomorphism** ([`find_homeomorphism`]) remains the behavioural
-//!   equivalence check.
+//!   homeomorphism** ([`find_homeomorphism`]), the thesis's behavioural
+//!   equivalence check, is kept but has no caller outside its tests.
 //!
 //! # Examples
 //!

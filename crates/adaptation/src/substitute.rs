@@ -60,42 +60,29 @@ impl<'a> Substitution<'a> {
         let properties: Vec<PropertyId> = composition.constraints().properties().collect();
         let aggregator = Aggregator::new(self.model, composition.approach());
 
-        // Most violated constraint decides the blame order.
+        // Most violated constraint decides the blame order; a healthy
+        // composition needs no substitution.
         let aggregate = aggregator.aggregate(composition.task(), &believed, &properties);
-        let violated = composition
-            .constraints()
-            .iter()
-            .filter(|c| !c.satisfied_by(&aggregate))
-            .max_by(|a, b| {
-                let va = violation_magnitude(a, &aggregate);
-                let vb = violation_magnitude(b, &aggregate);
-                // total_cmp: a NaN magnitude (corrupt advertised QoS)
-                // must not panic the adaptation loop mid-violation.
-                va.total_cmp(&vb)
-            });
-        // A healthy composition needs no substitution.
-        violated?;
+        let c = composition.constraints().worst_violation(&aggregate)?;
 
+        let tendency = c.tendency();
         let mut activity_order: Vec<usize> = (0..believed.len()).collect();
-        if let Some(c) = violated {
-            let tendency = c.tendency();
-            activity_order.sort_by(|&i, &j| {
-                let vi = believed[i].get(c.property());
-                let vj = believed[j].get(c.property());
-                match (vi, vj) {
-                    (Some(a), Some(b)) => {
-                        if tendency.at_least_as_good(b, a) {
-                            std::cmp::Ordering::Less // i is worse → first
-                        } else {
-                            std::cmp::Ordering::Greater
-                        }
+        activity_order.sort_by(|&i, &j| {
+            let vi = believed[i].get(c.property());
+            let vj = believed[j].get(c.property());
+            match (vi, vj) {
+                (Some(a), Some(b)) => {
+                    if tendency.at_least_as_good(b, a) {
+                        std::cmp::Ordering::Less // i is worse → first
+                    } else {
+                        std::cmp::Ordering::Greater
                     }
-                    (None, Some(_)) => std::cmp::Ordering::Less,
-                    (Some(_), None) => std::cmp::Ordering::Greater,
-                    (None, None) => std::cmp::Ordering::Equal,
                 }
-            });
-        }
+                (None, Some(_)) => std::cmp::Ordering::Less,
+                (Some(_), None) => std::cmp::Ordering::Greater,
+                (None, None) => std::cmp::Ordering::Equal,
+            }
+        });
 
         for activity in activity_order {
             let bound = composition.bindings()[activity];
@@ -120,13 +107,6 @@ impl<'a> Substitution<'a> {
             }
         }
         None
-    }
-}
-
-fn violation_magnitude(c: &qasom_qos::Constraint, aggregate: &QosVector) -> f64 {
-    match aggregate.get(c.property()) {
-        Some(v) => (-c.slack(v) / c.bound().abs().max(1e-9)).max(0.0),
-        None => f64::INFINITY,
     }
 }
 

@@ -501,6 +501,51 @@ impl Ontology {
             MatchDegree::Fail
         }
     }
+
+    /// Match degree between a *required* and an *offered* function IRI,
+    /// each given with its [`Ontology::concept`] so a caller matching
+    /// many IRIs against one looks it up once: the concepts'
+    /// [`Ontology::match_degree`] when both are known, else textual
+    /// equality (equal IRIs match exactly, others fail), so purely
+    /// syntactic descriptions still match themselves.
+    pub fn match_looked_up(
+        &self,
+        (required, required_concept): (&Iri, Option<ConceptId>),
+        (offered, offered_concept): (&Iri, Option<ConceptId>),
+    ) -> MatchDegree {
+        match (required_concept, offered_concept) {
+            (Some(r), Some(o)) => self.match_degree(r, o),
+            _ if required == offered => MatchDegree::Exact,
+            _ => MatchDegree::Fail,
+        }
+    }
+
+    /// [`Ontology::match_looked_up`] of two IRIs, looked up here.
+    pub fn match_iri(&self, required: &Iri, offered: &Iri) -> MatchDegree {
+        self.match_looked_up(
+            (required, self.concept(required)),
+            (offered, self.concept(offered)),
+        )
+    }
+
+    /// Data compatibility of a provider with a requester, each given as
+    /// `(inputs, outputs)`: every output the requester needs is produced
+    /// by the provider, and every input the provider consumes is
+    /// provided by the requester, each by a usable
+    /// [`Ontology::match_iri`]. A side declaring no I/O constrains
+    /// nothing.
+    pub fn io_compatible(
+        &self,
+        (has_inputs, needs_outputs): (&[Iri], &[Iri]),
+        (consumes, produces): (&[Iri], &[Iri]),
+    ) -> bool {
+        let covered = |required: &[Iri], offered: &[Iri]| {
+            required
+                .iter()
+                .all(|r| offered.iter().any(|o| self.match_iri(r, o).is_usable()))
+        };
+        covered(needs_outputs, produces) && covered(consumes, has_inputs)
+    }
 }
 
 #[cfg(test)]
@@ -515,6 +560,23 @@ mod tests {
         let throughput = b.subconcept("Throughput", perf);
         let onto = b.build().unwrap();
         (onto, quality, perf, latency, throughput)
+    }
+
+    #[test]
+    fn iris_match_semantically_else_textually() {
+        let (o, ..) = sample();
+        let iri = |s: &str| s.parse::<Iri>().unwrap();
+        let [perf, latency, odd] = ["qos#Performance", "qos#Latency", "x#Odd"].map(iri);
+        assert_eq!(o.match_iri(&perf, &latency), MatchDegree::PlugIn);
+        assert_eq!(o.match_iri(&odd, &odd), MatchDegree::Exact);
+        assert_eq!(o.match_iri(&odd, &perf), MatchDegree::Fail);
+        // A more specific output serves; an input the requester lacks,
+        // or an output that matches nothing needed, does not.
+        let [needs, has, specific] = [&perf, &odd, &latency].map(std::slice::from_ref);
+        assert!(o.io_compatible((has, needs), (has, specific)));
+        assert!(!o.io_compatible((has, needs), (specific, specific)));
+        assert!(!o.io_compatible((has, needs), (&[], has)));
+        assert!(o.io_compatible((&[], &[]), (&[], &[])));
     }
 
     #[test]

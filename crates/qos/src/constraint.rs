@@ -80,6 +80,15 @@ impl Constraint {
             Tendency::HigherBetter => value - self.bound,
         }
     }
+
+    /// How far `qos` misses the bound, relative to it:
+    /// `max(0, −slack / max(|bound|, 1e-9))`, so 0 when the constraint
+    /// holds (or the value is NaN). `None` when `qos` has no value for
+    /// the property.
+    pub fn shortfall(&self, qos: &QosVector) -> Option<f64> {
+        let value = qos.get(self.property)?;
+        Some((-self.slack(value) / self.bound.abs().max(1e-9)).max(0.0))
+    }
 }
 
 impl fmt::Display for Constraint {
@@ -158,6 +167,28 @@ impl ConstraintSet {
         self.constraints.iter().filter(|c| !c.satisfied_by(qos))
     }
 
+    /// How badly `qos` misses the set: the number of violated
+    /// constraints, then the sum of their [`Constraint::shortfall`]s, a
+    /// missing or non-finite one counting `1e6`. Compared as a tuple,
+    /// fewer violations win first, then the smaller total; a satisfying
+    /// `qos` gives `(0, 0.0)`.
+    pub fn miss(&self, qos: &QosVector) -> (usize, f64) {
+        self.violations(qos).fold((0, 0.0), |(count, total), c| {
+            let shortfall = c.shortfall(qos).filter(|s| s.is_finite());
+            (count + 1, total + shortfall.unwrap_or(1e6))
+        })
+    }
+
+    /// The violated constraint of largest [`Constraint::shortfall`], a
+    /// missing value counting as infinite; the last such on ties.
+    pub fn worst_violation(&self, qos: &QosVector) -> Option<&Constraint> {
+        let violated = self.constraints.iter().filter(|c| !c.satisfied_by(qos));
+        violated.max_by(|a, b| {
+            let shortfall = |c: &Constraint| c.shortfall(qos).unwrap_or(f64::INFINITY);
+            shortfall(a).total_cmp(&shortfall(b))
+        })
+    }
+
     /// The constrained properties.
     pub fn properties(&self) -> impl Iterator<Item = PropertyId> + '_ {
         self.constraints.iter().map(|c| c.property)
@@ -219,6 +250,48 @@ mod tests {
         assert!(c.slack(0.95) > 0.0);
         assert!(c.slack(0.85) < 0.0);
         assert_eq!(c.slack(0.9), 0.0);
+    }
+
+    #[test]
+    fn shortfall_is_the_relative_miss() {
+        let c = Constraint::new(p(0), Tendency::LowerBetter, 200.0);
+        let qos = |v: f64| QosVector::from_iter([(p(0), v)]);
+        assert_eq!(c.shortfall(&qos(150.0)), Some(0.0));
+        assert_eq!(c.shortfall(&qos(200.0)), Some(0.0));
+        assert_eq!(c.shortfall(&qos(300.0)), Some(0.5));
+        assert_eq!(c.shortfall(&qos(f64::NAN)), Some(0.0));
+        assert_eq!(c.shortfall(&QosVector::new()), None);
+        // A zero bound is scaled by 1e-9, not divided by.
+        let zero = Constraint::new(p(0), Tendency::HigherBetter, 0.0);
+        assert_eq!(zero.shortfall(&qos(-1e-9)), Some(1.0));
+    }
+
+    #[test]
+    fn miss_counts_then_sums_the_shortfalls_and_names_the_worst() {
+        let set: ConstraintSet = [
+            Constraint::new(p(0), Tendency::LowerBetter, 100.0),
+            Constraint::new(p(1), Tendency::HigherBetter, 0.5),
+        ]
+        .into_iter()
+        .collect();
+        let qos = |rt: f64, av: f64| QosVector::from_iter([(p(0), rt), (p(1), av)]);
+        assert_eq!(set.miss(&qos(100.0, 0.5)), (0, 0.0));
+        assert_eq!(set.miss(&qos(150.0, 0.5)), (1, 0.5));
+        assert_eq!(set.miss(&qos(150.0, 0.25)), (2, 1.0));
+        // A missing or infinite value counts 1e6.
+        assert_eq!(set.miss(&QosVector::from_iter([(p(1), 0.5)])), (1, 1e6));
+        assert_eq!(set.miss(&qos(f64::INFINITY, 0.5)), (1, 1e6));
+        // Lexicographic: one huge miss beats two small ones.
+        assert!(set.miss(&qos(1e9, 0.5)) < set.miss(&qos(101.0, 0.49)));
+        assert!(set.miss(&qos(101.0, 0.5)) < set.miss(&qos(150.0, 0.5)));
+        // The worst violation has the largest shortfall, a missing
+        // value counting as infinite; ties go to the last constraint.
+        let worst = |q: &QosVector| set.worst_violation(q).map(Constraint::property);
+        assert_eq!(worst(&qos(100.0, 0.5)), None);
+        assert_eq!(worst(&qos(150.0, 0.4)), Some(p(0)));
+        assert_eq!(worst(&qos(110.0, 0.4)), Some(p(1)));
+        assert_eq!(worst(&QosVector::from_iter([(p(1), 0.0)])), Some(p(0)));
+        assert_eq!(worst(&QosVector::new()), Some(p(1)));
     }
 
     #[test]

@@ -253,11 +253,9 @@ impl QosModelBuilder {
         let ontology = self.onto.build()?;
         let mut props = Vec::with_capacity(self.specs.len());
         let mut by_name = HashMap::new();
-        let mut by_concept = HashMap::new();
         for (i, (spec, concept)) in self.specs.into_iter().enumerate() {
             let id = PropertyId::from_index(i);
             by_name.insert(spec.name.clone(), id);
-            by_concept.insert(concept, id);
             props.push(PropertyDef {
                 name: spec.name,
                 concept,
@@ -272,7 +270,6 @@ impl QosModelBuilder {
             ontology,
             props,
             by_name,
-            by_concept,
         })
     }
 }
@@ -299,7 +296,6 @@ pub struct QosModel {
     ontology: Ontology,
     props: Vec<PropertyDef>,
     by_name: HashMap<String, PropertyId>,
-    by_concept: HashMap<ConceptId, PropertyId>,
 }
 
 impl QosModel {
@@ -505,17 +501,6 @@ impl QosModel {
             .ok_or_else(|| QosModelError::UnknownProperty(name.to_owned()))
     }
 
-    /// Looks a property up by the ontology concept it denotes.
-    pub fn property_by_concept(&self, concept: ConceptId) -> Option<PropertyId> {
-        if let Some(&id) = self.by_concept.get(&concept) {
-            return Some(id);
-        }
-        // Fall back to equivalence-class search (alias concepts).
-        self.by_concept
-            .iter()
-            .find_map(|(&c, &id)| self.ontology.same_concept(c, concept).then_some(id))
-    }
-
     /// Full definition of a property.
     pub fn def(&self, id: PropertyId) -> &PropertyDef {
         &self.props[id.index()]
@@ -718,14 +703,6 @@ mod tests {
     fn constraint_on_unknown_property_errors() {
         let m = QosModel::standard();
         assert!(m.constraint("Nope", 1.0, Unit::Dimensionless).is_err());
-    }
-
-    #[test]
-    fn property_by_concept_handles_aliases() {
-        let m = QosModel::standard();
-        let delay = m.property("Delay").unwrap();
-        let concept = m.def(delay).concept();
-        assert_eq!(m.property_by_concept(concept), Some(delay));
     }
 
     #[test]

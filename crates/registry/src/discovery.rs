@@ -188,53 +188,12 @@ impl<'a> Discovery<'a> {
     }
 
     /// Semantic match degree between a required and an offered function,
-    /// both already resolved. Unknown IRIs match syntactically (equal →
-    /// exact).
+    /// both already resolved ([`Ontology::match_looked_up`]).
     fn match_resolved(&self, required: Resolved<'_>, offered: Resolved<'_>) -> MatchDegree {
-        match (required.concept, offered.concept) {
-            (Some(r), Some(o)) => self.ontology.match_degree(r, o),
-            _ => {
-                if required.iri == offered.iri {
-                    MatchDegree::Exact
-                } else {
-                    MatchDegree::Fail
-                }
-            }
-        }
-    }
-
-    /// Semantic match degree between a required and an offered function
-    /// IRI.
-    fn compute_match(&self, required: &Iri, offered: &Iri) -> MatchDegree {
-        self.match_resolved(self.resolve(required), self.resolve(offered))
-    }
-
-    /// Whether `required` is satisfied by `offered` (exact or plug-in).
-    fn satisfies(&self, required: &Iri, offered: &Iri) -> bool {
-        self.compute_match(required, offered).is_usable()
-    }
-
-    /// I/O compatibility of a service with an activity:
-    ///
-    /// * every *output* the activity requires must be produced by the
-    ///   service (semantically);
-    /// * every *input* the service consumes must be provided by the
-    ///   activity.
-    ///
-    /// Activities or services declaring no I/O impose no I/O constraint on
-    /// that side.
-    fn io_compatible(&self, activity: &Activity, service: &ServiceDescription) -> bool {
-        let outputs_ok = activity
-            .outputs()
-            .iter()
-            .all(|req| service.outputs().iter().any(|off| self.satisfies(req, off)));
-        let inputs_ok = service.inputs().iter().all(|need| {
-            activity
-                .inputs()
-                .iter()
-                .any(|have| self.satisfies(need, have))
-        });
-        outputs_ok && inputs_ok
+        self.ontology.match_looked_up(
+            (required.iri, required.concept),
+            (offered.iri, offered.concept),
+        )
     }
 
     /// QoS-aware discovery: the candidate set `S_i` for an abstract
@@ -406,7 +365,10 @@ impl<'a> Discovery<'a> {
         desc: &'r ServiceDescription,
     ) -> Option<Qualified<'r>> {
         let activity = query.activity;
-        if !self.io_compatible(activity, desc) {
+        if !self.ontology.io_compatible(
+            (activity.inputs(), activity.outputs()),
+            (desc.inputs(), desc.outputs()),
+        ) {
             return None;
         }
         let profile_degree = self.match_resolved(required, profile);
@@ -719,12 +681,6 @@ mod tests {
             };
             r.register(desc);
         }
-        let direct =
-            |required: &Iri, offered: &Iri| match (onto.concept(required), onto.concept(offered)) {
-                (Some(req), Some(off)) => onto.match_degree(req, off),
-                _ if required == offered => MatchDegree::Exact,
-                _ => MatchDegree::Fail,
-            };
         for function in ["shop#Pay", "shop#PayByCard", "shop#PayCash", "misc#Unknown"] {
             let activity = Activity::new("a", function);
             for white_box in [false, true] {
@@ -742,7 +698,7 @@ mod tests {
                         };
                         assert_eq!(
                             c.degree,
-                            direct(activity.function(), offered),
+                            onto.match_iri(activity.function(), offered),
                             "{function} -> {} (white-box {white_box}, linear {linear})",
                             desc.name()
                         );

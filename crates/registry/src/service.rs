@@ -219,12 +219,6 @@ impl ServiceDescription {
         self
     }
 
-    /// Replaces the whole advertised QoS vector.
-    pub fn with_qos_vector(mut self, qos: QosVector) -> Self {
-        self.qos = qos;
-        self
-    }
-
     /// Adds a white-box operation.
     pub fn with_operation(self, op: Operation) -> Self {
         self.edit_extras(|e| e.operations.push(op))

@@ -244,30 +244,31 @@ impl<'s> CompositionScorer<'s> {
     /// The exhaustive search over every composition that picks one of
     /// `sizes[i]` alternatives for activity `i`, whose values are
     /// `value(i, j, p)`: the feasible composition of highest utility,
-    /// else the one with the fewest violated constraints and then the
-    /// highest utility; the first one enumerated on ties. Returns its
-    /// indices and whether it is feasible. One aggregation per
-    /// composition; a utility only where it can change the answer.
+    /// else the one of least [`ConstraintSet::miss`] and then highest
+    /// utility; the first one enumerated on ties, so that only exact
+    /// utility ties depend on the enumeration order. Returns its indices
+    /// and whether it is feasible. One aggregation per composition; a
+    /// utility only where the miss ties or beats the best so far.
     pub(crate) fn exact(
         &self,
         sizes: &[usize],
         value: impl Fn(usize, usize, PropertyId) -> Option<f64>,
     ) -> (Vec<usize>, bool) {
         let mut indices = vec![0; sizes.len()];
-        // (violations, utility, indices) of the best composition so far.
-        let mut best = (usize::MAX, f64::NEG_INFINITY, Vec::new());
+        // (miss, utility, indices) of the best composition so far.
+        let mut best = ((usize::MAX, f64::INFINITY), f64::NEG_INFINITY, Vec::new());
         loop {
             let aggregated = self.aggregate(|i, p| value(i, indices[i], p));
-            let violations = self.constraints.violations(&aggregated).count();
-            if violations <= best.0 {
+            let miss = self.constraints.miss(&aggregated);
+            if miss <= best.0 {
                 let u = self.utility(&aggregated);
-                if violations < best.0 || u > best.1 {
-                    best = (violations, u, indices.clone());
+                if miss < best.0 || u > best.1 {
+                    best = (miss, u, indices.clone());
                 }
             }
             // Odometer: the last activity turns fastest.
             let Some(k) = (0..sizes.len()).rev().find(|&k| indices[k] + 1 < sizes[k]) else {
-                return (best.2, best.0 == 0);
+                return (best.2, best.0 .0 == 0);
             };
             indices[k] += 1;
             indices[k + 1..].fill(0);
@@ -505,7 +506,8 @@ impl<'a> Qassa<'a> {
 
         let max_levels = levels.iter().map(|l| l.level_count()).max().unwrap_or(0);
 
-        let mut best_infeasible: Option<(usize, f64, Vec<usize>, QosVector)> = None;
+        // (miss, indices, aggregate) of the least-violating assignment.
+        let mut best_infeasible: Option<((usize, f64), Vec<usize>, QosVector)> = None;
 
         // Prefix length of each activity's best-first table at the current
         // level, grown incrementally from the per-level sizes (the table
@@ -524,13 +526,8 @@ impl<'a> Qassa<'a> {
             for _ in 0..=self.config.max_repairs_per_level {
                 let aggregated = scorer.aggregate(|i, p| value(i, current[i], p));
                 tally.utility_evals += 1;
-                let violations: Vec<_> = problem
-                    .constraints()
-                    .violations(&aggregated)
-                    .copied()
-                    .collect();
-                if violations.is_empty() {
-                    // Candidates outside every admitted prefix were
+                let Some(worst) = problem.constraints().worst_violation(&aggregated) else {
+                    // Feasible. Candidates outside every admitted prefix were
                     // pruned: the search never had to look at them.
                     tally.pruned = levels
                         .iter()
@@ -546,23 +543,13 @@ impl<'a> Qassa<'a> {
                         true,
                         r + 1,
                     ));
-                }
+                };
                 // Track the least-violating assignment seen anywhere.
-                let severity = violation_severity(&violations, &aggregated);
-                if best_infeasible
-                    .as_ref()
-                    .is_none_or(|(n, s, ..)| severity < (*n, *s))
-                {
-                    best_infeasible =
-                        Some((severity.0, severity.1, current.clone(), aggregated.clone()));
+                let miss = problem.constraints().miss(&aggregated);
+                if best_infeasible.as_ref().is_none_or(|(m, ..)| miss < *m) {
+                    best_infeasible = Some((miss, current.clone(), aggregated));
                 }
                 // Repair the worst violation with the most improving swap.
-                let Some(worst) = violations.iter().max_by(|a, b| {
-                    relative_violation(a, &aggregated)
-                        .total_cmp(&relative_violation(b, &aggregated))
-                }) else {
-                    break; // violations is non-empty, but widen over panicking
-                };
                 match self.best_swap(levels, &pools, &current, worst.property(), worst.tendency()) {
                     Some((activity, j)) => {
                         tally.repair_swaps += 1;
@@ -574,23 +561,22 @@ impl<'a> Qassa<'a> {
         }
 
         // The level-wise heuristic found nothing feasible. On small
-        // problems, search the whole space exactly before giving up.
+        // problems, search the whole space exactly: its answer, feasible
+        // or not, is at least as good as anything the repairs saw.
         let combinations: u128 = levels.iter().map(|l| l.total() as u128).product();
         if combinations <= EXACT_FALLBACK_CAP {
             tally.exact_fallback = true;
             tally.utility_evals += u64::try_from(combinations).unwrap_or(u64::MAX);
             let sizes: Vec<usize> = levels.iter().map(|l| l.total()).collect();
             let (current, feasible) = scorer.exact(&sizes, value);
-            if feasible {
-                let aggregated = scorer.aggregate(|i, p| value(i, current[i], p));
-                return Ok(self.outcome(
-                    problem, &scorer, levels, &current, aggregated, true, max_levels,
-                ));
-            }
+            let aggregated = scorer.aggregate(|i, p| value(i, current[i], p));
+            return Ok(self.outcome(
+                problem, &scorer, levels, &current, aggregated, feasible, max_levels,
+            ));
         }
 
         // No feasible composition: return the least-violating one.
-        let (_, _, current, aggregated) =
+        let (_, current, aggregated) =
             best_infeasible.ok_or(SelectionError::NoCandidates { activity: 0 })?;
         Ok(self.outcome(
             problem, &scorer, levels, &current, aggregated, false, max_levels,
@@ -704,36 +690,6 @@ impl<'a> Qassa<'a> {
 /// hierarchies were ranked from it ([`SelectionOutcome::assignment`]).
 fn holds_candidates(problem: &SelectionProblem<'_>) -> bool {
     problem.candidates().iter().any(|c| !c.is_empty())
-}
-
-fn relative_violation(c: &qasom_qos::Constraint, aggregated: &QosVector) -> f64 {
-    let value = aggregated.get(c.property());
-    match value {
-        Some(v) => {
-            let slack = c.slack(v);
-            let scale = c.bound().abs().max(1e-9);
-            (-slack / scale).max(0.0)
-        }
-        None => f64::INFINITY,
-    }
-}
-
-fn violation_severity(
-    violations: &[qasom_qos::Constraint],
-    aggregated: &QosVector,
-) -> (usize, f64) {
-    let total: f64 = violations
-        .iter()
-        .map(|c| {
-            let rv = relative_violation(c, aggregated);
-            if rv.is_finite() {
-                rv
-            } else {
-                1e6
-            }
-        })
-        .sum();
-    (violations.len(), total)
 }
 
 #[cfg(test)]
