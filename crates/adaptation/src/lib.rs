@@ -10,11 +10,16 @@
 //!   service's delivered QoS plus EWMA trend prediction, aggregated over
 //!   the whole running composition so violations are detected (and
 //!   *predicted*, before they happen) against the user's global
-//!   constraints. Each service's full windows and SLA compliance settle
-//!   into a [`QosEstimate`], the QoS every later composition ranks it on;
-//! * **Service substitution** ([`Substitution`]) — the first-line
-//!   strategy: replace the degraded service with a ranked alternate kept
-//!   from selection time, re-validating the aggregate;
+//!   constraints. A [`CompositionMonitor`] borrows the running
+//!   composition, and each check returns one [`Assessment`]: the
+//!   believed QoS per activity, its aggregate and the violations. Each
+//!   service's full windows and SLA compliance settle into a
+//!   [`QosEstimate`], the QoS every later composition ranks it on;
+//! * **Service substitution**
+//!   ([`CompositionMonitor::plan_substitution`]) — the first-line
+//!   strategy: from a check's assessment, replace the degraded service
+//!   with a ranked alternate kept from selection time, re-validating the
+//!   aggregate;
 //! * **Behavioural adaptation** ([`BehaviouralAdapter`], [`homeo`]) —
 //!   the fallback when no substitute exists: realise the task through an
 //!   *alternative behaviour* of its task class. Whether the executed part
@@ -62,5 +67,5 @@ mod substitute;
 
 pub use behavioural::{AdaptationPlan, BehaviouralAdapter};
 pub use homeo::{find_homeomorphism, find_order_embedding, Homeomorphism};
-pub use monitor::{overlay, CompositionMonitor, QosEstimate, QosMonitor, Violation};
-pub use substitute::{Substitution, SubstitutionPlan};
+pub use monitor::{overlay, Assessment, CompositionMonitor, QosEstimate, QosMonitor, Violation};
+pub use substitute::SubstitutionPlan;

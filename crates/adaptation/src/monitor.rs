@@ -4,7 +4,7 @@ use std::collections::VecDeque;
 
 use qasom_qos::{Category, Constraint, ConstraintSet, PropertyId, QosModel, QosVector, Sla};
 use qasom_registry::ServiceId;
-use qasom_selection::{AggregationApproach, Aggregator};
+use qasom_selection::{AggregationApproach, Aggregator, ServiceCandidate};
 use qasom_task::UserTask;
 
 /// Sliding-window length (observations per property).
@@ -278,31 +278,54 @@ pub struct Violation {
     pub proactive: bool,
 }
 
+/// What one [`CompositionMonitor::check`] found: the QoS believed of
+/// each activity, its aggregate and the constraints it breaks. The
+/// substitution planner ([`CompositionMonitor::plan_substitution`])
+/// starts from it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Assessment {
+    /// Per-activity QoS as believed: the bound service's window means
+    /// where it was observed, its advertised values elsewhere.
+    pub(crate) believed: Vec<QosVector>,
+    /// `believed` aggregated over the task, on the constrained
+    /// properties.
+    pub(crate) aggregate: QosVector,
+    /// One entry per broken constraint, in constraint order: reactive
+    /// when `aggregate` breaks it, else proactive when the aggregate of
+    /// the trend predictions does.
+    pub violations: Vec<Violation>,
+    /// The constrained properties `aggregate` was taken over.
+    pub(crate) properties: Vec<PropertyId>,
+}
+
 /// Global monitoring of a running composition: combines the per-service
 /// estimates of every bound service, aggregates them over the task
 /// structure and checks the user's global constraints — both on current
 /// estimates (reactive) and on trend predictions (proactive).
-#[derive(Debug, Clone)]
-pub struct CompositionMonitor {
-    task: UserTask,
-    bindings: Vec<ServiceId>,
-    advertised: Vec<QosVector>,
-    constraints: ConstraintSet,
-    approach: AggregationApproach,
+///
+/// It borrows the running composition: `bindings[i]` is the service
+/// bound to activity `i` with the QoS it was bound with, so a rebind is
+/// an overwrite of that entry and the next check reads it.
+#[derive(Debug, Clone, Copy)]
+pub struct CompositionMonitor<'a> {
+    pub(crate) aggregator: Aggregator<'a>,
+    pub(crate) task: &'a UserTask,
+    pub(crate) bindings: &'a [ServiceCandidate],
+    pub(crate) constraints: &'a ConstraintSet,
 }
 
-impl CompositionMonitor {
-    /// Creates a monitor for a composition binding `bindings[i]` (with
-    /// advertised QoS `advertised[i]`) to activity `i`.
+impl<'a> CompositionMonitor<'a> {
+    /// Creates a monitor for a composition binding `bindings[i]` to
+    /// activity `i`, its constraints aggregated under `approach`.
     ///
     /// # Panics
     ///
-    /// Panics when the binding/advertised arities don't match the task.
+    /// Panics when the binding count doesn't match the task.
     pub fn new(
-        task: UserTask,
-        bindings: Vec<ServiceId>,
-        advertised: Vec<QosVector>,
-        constraints: ConstraintSet,
+        model: &'a QosModel,
+        task: &'a UserTask,
+        bindings: &'a [ServiceCandidate],
+        constraints: &'a ConstraintSet,
         approach: AggregationApproach,
     ) -> Self {
         assert_eq!(
@@ -310,88 +333,48 @@ impl CompositionMonitor {
             bindings.len(),
             "one binding per activity"
         );
-        assert_eq!(
-            bindings.len(),
-            advertised.len(),
-            "one advertised vector per binding"
-        );
         CompositionMonitor {
+            aggregator: Aggregator::new(model, approach),
             task,
             bindings,
-            advertised,
             constraints,
-            approach,
         }
     }
 
-    /// The monitored task.
-    pub fn task(&self) -> &UserTask {
-        &self.task
-    }
-
-    /// Current bindings (activity index → service).
-    pub fn bindings(&self) -> &[ServiceId] {
-        &self.bindings
-    }
-
-    /// The advertised QoS of the current bindings.
-    pub fn advertised(&self) -> &[QosVector] {
-        &self.advertised
-    }
-
-    /// The monitored global constraints.
-    pub fn constraints(&self) -> &ConstraintSet {
-        &self.constraints
-    }
-
-    /// The aggregation approach violations are evaluated under.
-    pub fn approach(&self) -> AggregationApproach {
-        self.approach
-    }
-
-    /// Rebinds one activity (after a substitution).
-    pub fn rebind(&mut self, activity: usize, service: ServiceId, advertised: QosVector) {
-        self.bindings[activity] = service;
-        self.advertised[activity] = advertised;
-    }
-
-    /// Per-activity QoS as currently believed: monitored estimate where
-    /// available, advertised value otherwise.
-    pub fn believed_qos(&self, monitor: &QosMonitor) -> Vec<QosVector> {
-        self.per_activity(monitor, QosMonitor::window_means)
-    }
-
     /// Checks the global constraints against the current estimates and
-    /// against trend predictions; returns every violation found, reactive
-    /// ones first.
-    pub fn check(&self, model: &QosModel, monitor: &QosMonitor) -> Vec<Violation> {
-        let props: Vec<PropertyId> = self.constraints.properties().collect();
-        let aggregator = Aggregator::new(model, self.approach);
-
-        let current = aggregator.aggregate(&self.task, &self.believed_qos(monitor), &props);
-        let predicted = aggregator.aggregate(
-            &self.task,
+    /// against trend predictions.
+    pub fn check(&self, monitor: &QosMonitor) -> Assessment {
+        let properties: Vec<PropertyId> = self.constraints.properties().collect();
+        let believed = self.per_activity(monitor, QosMonitor::window_means);
+        let aggregate = self.aggregator.aggregate(self.task, &believed, &properties);
+        let predicted = self.aggregator.aggregate(
+            self.task,
             &self.per_activity(monitor, QosMonitor::predict),
-            &props,
+            &properties,
         );
 
-        let mut out = Vec::new();
+        let mut violations = Vec::new();
         for c in self.constraints.iter() {
-            if !c.satisfied_by(&current) {
-                out.push(Violation {
+            if !c.satisfied_by(&aggregate) {
+                violations.push(Violation {
                     constraint: *c,
-                    value: current.get(c.property()),
+                    value: aggregate.get(c.property()),
                     proactive: false,
                 });
             } else if !c.satisfied_by(&predicted) {
-                out.push(Violation {
+                violations.push(Violation {
                     constraint: *c,
                     value: predicted.get(c.property()),
                     proactive: true,
                 });
             }
         }
-        out
+        Assessment {
+            believed,
+            aggregate,
+            violations,
+            properties,
+        }
     }
 
     fn per_activity(
@@ -401,8 +384,7 @@ impl CompositionMonitor {
     ) -> Vec<QosVector> {
         self.bindings
             .iter()
-            .zip(&self.advertised)
-            .map(|(&svc, advertised)| overlay(read(monitor, svc), advertised))
+            .map(|bound| overlay(read(monitor, bound.id()), bound.qos()))
             .collect()
     }
 }
@@ -555,7 +537,29 @@ mod tests {
         assert_eq!(m.qos_estimate(f.ids[0]).unwrap().get(rep), Some(3.75));
     }
 
-    fn composition(f: &Fx, bound: f64) -> CompositionMonitor {
+    /// A running two-activity sequence: services 0 and 1, each bound
+    /// advertising 100 ms, under `ResponseTime ≤ bound`.
+    struct Running {
+        task: UserTask,
+        bindings: Vec<ServiceCandidate>,
+        constraints: ConstraintSet,
+    }
+
+    impl Running {
+        fn check(&self, f: &Fx, m: &QosMonitor) -> Assessment {
+            let approach = AggregationApproach::MeanValue;
+            CompositionMonitor::new(
+                &f.model,
+                &self.task,
+                &self.bindings,
+                &self.constraints,
+                approach,
+            )
+            .check(m)
+        }
+    }
+
+    fn composition(f: &Fx, bound: f64) -> Running {
         let task = UserTask::new(
             "t",
             TaskNode::sequence([
@@ -567,22 +571,25 @@ mod tests {
         let constraints: ConstraintSet = [Constraint::new(f.rt, Tendency::LowerBetter, bound)]
             .into_iter()
             .collect();
-        CompositionMonitor::new(
+        let bindings = f.ids[..2]
+            .iter()
+            .map(|&id| ServiceCandidate::new(id, obs(f.rt, 100.0)))
+            .collect();
+        Running {
             task,
-            f.ids[..2].to_vec(),
-            vec![obs(f.rt, 100.0), obs(f.rt, 100.0)],
+            bindings,
             constraints,
-            AggregationApproach::MeanValue,
-        )
+        }
     }
 
     #[test]
     fn advertised_qos_is_used_before_observations() {
         let f = fx(2);
         let comp = composition(&f, 250.0);
-        let m = QosMonitor::new();
-        assert_eq!(comp.believed_qos(&m), [obs(f.rt, 100.0), obs(f.rt, 100.0)]);
-        assert!(comp.check(&f.model, &m).is_empty());
+        let assessment = comp.check(&f, &QosMonitor::new());
+        assert_eq!(assessment.believed, [obs(f.rt, 100.0), obs(f.rt, 100.0)]);
+        assert_eq!(assessment.aggregate, obs(f.rt, 200.0));
+        assert!(assessment.violations.is_empty());
     }
 
     #[test]
@@ -593,7 +600,7 @@ mod tests {
         for _ in 0..3 {
             m.observe(&f.model, f.ids[0], &obs(f.rt, 220.0)); // degraded service
         }
-        let violations = comp.check(&f.model, &m);
+        let violations = comp.check(&f, &m).violations;
         assert_eq!(violations.len(), 1);
         assert!(!violations[0].proactive);
         assert_eq!(violations[0].value, Some(320.0));
@@ -609,21 +616,21 @@ mod tests {
         for v in [100.0, 130.0, 160.0] {
             m.observe(&f.model, f.ids[0], &obs(f.rt, v));
         }
-        let violations = comp.check(&f.model, &m);
+        let violations = comp.check(&f, &m).violations;
         assert_eq!(violations.len(), 1, "trend must be flagged proactively");
         assert!(violations[0].proactive);
     }
 
     #[test]
-    fn rebind_switches_the_monitored_service() {
+    fn a_rebind_is_an_overwrite_the_next_check_reads() {
         let f = fx(3);
         let mut comp = composition(&f, 250.0);
         let mut m = QosMonitor::new();
         for _ in 0..3 {
             m.observe(&f.model, f.ids[0], &obs(f.rt, 400.0));
         }
-        assert_eq!(comp.check(&f.model, &m).len(), 1);
-        comp.rebind(0, f.ids[2], obs(f.rt, 90.0));
-        assert!(comp.check(&f.model, &m).is_empty());
+        assert_eq!(comp.check(&f, &m).violations.len(), 1);
+        comp.bindings[0] = ServiceCandidate::new(f.ids[2], obs(f.rt, 90.0));
+        assert!(comp.check(&f, &m).violations.is_empty());
     }
 }

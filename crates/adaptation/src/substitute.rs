@@ -1,10 +1,10 @@
 //! Service substitution — the first-line adaptation strategy.
 
-use qasom_qos::{PropertyId, QosModel, QosVector};
+use qasom_qos::QosVector;
 use qasom_registry::ServiceId;
-use qasom_selection::{Aggregator, ServiceCandidate};
+use qasom_selection::ServiceCandidate;
 
-use crate::{overlay, CompositionMonitor, QosMonitor};
+use crate::{overlay, Assessment, CompositionMonitor, QosMonitor};
 
 /// A planned substitution: replace the service bound to `activity`.
 #[derive(Debug, Clone, PartialEq)]
@@ -21,49 +21,40 @@ pub struct SubstitutionPlan {
     pub expected: QosVector,
 }
 
-/// Plans single-service substitutions that restore global-constraint
-/// satisfaction.
-///
-/// Alternates come from selection time: QASSA keeps every activity's
-/// candidates ranked best-first precisely so that substitution (and
-/// dynamic binding) can pick replacements without re-running discovery.
-#[derive(Debug, Clone, Copy)]
-pub struct Substitution<'a> {
-    model: &'a QosModel,
-}
-
-impl<'a> Substitution<'a> {
-    /// Creates a substitution planner.
-    pub fn new(model: &'a QosModel) -> Self {
-        Substitution { model }
-    }
-
-    /// Finds the first substitution that makes the believed aggregate
-    /// satisfy every constraint again.
+impl CompositionMonitor<'_> {
+    /// Plans the first single-service substitution that makes the
+    /// believed aggregate satisfy every constraint again, from the
+    /// `assessment` this monitor's [`CompositionMonitor::check`] made.
     ///
-    /// Activities are tried most-blamed-first (worst believed value on
-    /// the most violated property); within an activity, alternates are
-    /// tried in their selection-time rank order, as `alternates(activity)`
-    /// yields them — an activity that must not be rebound yields none.
-    /// Returns `None` when no single substitution suffices — the caller
-    /// then escalates to behavioural adaptation.
-    pub fn plan<I>(
+    /// Only a constraint the believed aggregate breaks now is repaired:
+    /// a proactive violation alone plans nothing. Activities are tried
+    /// most-blamed-first (worst believed value on the most violated
+    /// property); within an activity, alternates are tried in their
+    /// selection-time rank order, as `alternates(activity)` yields them —
+    /// an activity that must not be rebound yields none. Alternates come
+    /// from selection time: QASSA keeps every activity's candidates
+    /// ranked best-first so that substitution (and dynamic binding) can
+    /// pick replacements without re-running discovery. Returns `None`
+    /// when no single substitution suffices — the caller then escalates
+    /// to behavioural adaptation.
+    pub fn plan_substitution<I>(
         &self,
-        composition: &CompositionMonitor,
+        assessment: Assessment,
         monitor: &QosMonitor,
         alternates: impl Fn(usize) -> I,
     ) -> Option<SubstitutionPlan>
     where
         I: IntoIterator<Item = ServiceCandidate>,
     {
-        let believed = composition.believed_qos(monitor);
-        let properties: Vec<PropertyId> = composition.constraints().properties().collect();
-        let aggregator = Aggregator::new(self.model, composition.approach());
-
+        let Assessment {
+            mut believed,
+            aggregate,
+            properties,
+            ..
+        } = assessment;
         // Most violated constraint decides the blame order; a healthy
         // composition needs no substitution.
-        let aggregate = aggregator.aggregate(composition.task(), &believed, &properties);
-        let c = composition.constraints().worst_violation(&aggregate)?;
+        let c = self.constraints.worst_violation(&aggregate)?;
 
         let tendency = c.tendency();
         let mut activity_order: Vec<usize> = (0..believed.len()).collect();
@@ -85,18 +76,19 @@ impl<'a> Substitution<'a> {
         });
 
         for activity in activity_order {
-            let bound = composition.bindings()[activity];
+            let bound = self.bindings[activity].id();
             for alternate in alternates(activity) {
                 if alternate.id() == bound {
                     continue;
                 }
                 // Believe the monitor about the alternate too where it has
-                // history; trust its advertisement for the rest.
+                // history; trust its advertisement for the rest. Tried in
+                // the activity's own slot, which is then put back.
                 let alternate_qos = overlay(monitor.window_means(alternate.id()), alternate.qos());
-                let mut trial = believed.clone();
-                trial[activity] = alternate_qos;
-                let expected = aggregator.aggregate(composition.task(), &trial, &properties);
-                if composition.constraints().satisfied_by(&expected) {
+                let own = std::mem::replace(&mut believed[activity], alternate_qos);
+                let expected = self.aggregator.aggregate(self.task, &believed, &properties);
+                believed[activity] = own;
+                if self.constraints.satisfied_by(&expected) {
                     return Some(SubstitutionPlan {
                         activity,
                         from: bound,
@@ -113,37 +105,67 @@ impl<'a> Substitution<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qasom_qos::{Constraint, ConstraintSet, Tendency};
+    use qasom_qos::{Constraint, ConstraintSet, PropertyId, QosModel, Tendency};
     use qasom_registry::{ServiceDescription, ServiceRegistry};
     use qasom_selection::AggregationApproach;
     use qasom_task::{Activity, TaskNode, UserTask};
 
+    /// A running composition with its ranked alternates.
     struct Fx {
         model: QosModel,
         rt: PropertyId,
         ids: Vec<ServiceId>,
+        task: UserTask,
+        bindings: Vec<ServiceCandidate>,
+        constraints: ConstraintSet,
         alternates: Vec<Vec<ServiceCandidate>>,
+    }
+
+    impl Fx {
+        fn monitor(&self) -> CompositionMonitor<'_> {
+            let approach = AggregationApproach::MeanValue;
+            CompositionMonitor::new(
+                &self.model,
+                &self.task,
+                &self.bindings,
+                &self.constraints,
+                approach,
+            )
+        }
+
+        /// Checks, then plans from that check.
+        fn plan(&self, m: &QosMonitor) -> Option<SubstitutionPlan> {
+            let composition = self.monitor();
+            composition.plan_substitution(composition.check(m), m, |i| {
+                self.alternates.get(i).into_iter().flatten().cloned()
+            })
+        }
     }
 
     fn qv(p: PropertyId, v: f64) -> QosVector {
         [(p, v)].into_iter().collect()
     }
 
-    /// Two-activity sequence; per activity: bound service + one alternate.
-    fn fx(alt_rt: [f64; 2]) -> (Fx, CompositionMonitor) {
+    /// Two-activity sequence under `ResponseTime ≤ 250`; per activity:
+    /// the bound service advertising 100 ms, and one alternate.
+    fn fx(alt_rt: [f64; 2]) -> Fx {
         let model = QosModel::standard();
         let rt = model.property("ResponseTime").unwrap();
         let mut reg = ServiceRegistry::new();
         let ids: Vec<ServiceId> = (0..4)
             .map(|i| reg.register(ServiceDescription::new(format!("s{i}"), "d#F")))
             .collect();
+        let bindings = vec![
+            ServiceCandidate::new(ids[0], qv(rt, 100.0)),
+            ServiceCandidate::new(ids[1], qv(rt, 100.0)),
+        ];
         let alternates = vec![
             vec![
-                ServiceCandidate::new(ids[0], qv(rt, 100.0)),
+                bindings[0].clone(),
                 ServiceCandidate::new(ids[2], qv(rt, alt_rt[0])),
             ],
             vec![
-                ServiceCandidate::new(ids[1], qv(rt, 100.0)),
+                bindings[1].clone(),
                 ServiceCandidate::new(ids[3], qv(rt, alt_rt[1])),
             ],
         ];
@@ -155,66 +177,48 @@ mod tests {
             ]),
         )
         .unwrap();
-        let constraints: ConstraintSet = [Constraint::new(rt, Tendency::LowerBetter, 250.0)]
+        let constraints = [Constraint::new(rt, Tendency::LowerBetter, 250.0)]
             .into_iter()
             .collect();
-        let comp = CompositionMonitor::new(
+        Fx {
+            model,
+            rt,
+            ids,
             task,
-            vec![ids[0], ids[1]],
-            vec![qv(rt, 100.0), qv(rt, 100.0)],
+            bindings,
             constraints,
-            AggregationApproach::MeanValue,
-        );
-        (
-            Fx {
-                model,
-                rt,
-                ids,
-                alternates,
-            },
-            comp,
-        )
+            alternates,
+        }
     }
 
     #[test]
     fn substitutes_the_degraded_service() {
-        let (f, comp) = fx([90.0, 90.0]);
+        let f = fx([90.0, 90.0]);
         let mut m = QosMonitor::new();
         // Service 0 degrades badly: believed 300 + 100 > 250.
         for _ in 0..3 {
             m.observe(&f.model, f.ids[0], &qv(f.rt, 300.0));
         }
-        let plan = Substitution::new(&f.model)
-            .plan(&comp, &m, |i| {
-                f.alternates.get(i).into_iter().flatten().cloned()
-            })
-            .expect("a substitute exists");
+        let plan = f.plan(&m).expect("a substitute exists");
         assert_eq!(plan.activity, 0);
         assert_eq!(plan.from, f.ids[0]);
         assert_eq!(plan.to.id(), f.ids[2]);
-        assert!(comp.constraints().satisfied_by(&plan.expected));
+        assert!(f.constraints.satisfied_by(&plan.expected));
     }
 
     #[test]
     fn no_plan_when_no_alternate_helps() {
-        let (f, comp) = fx([400.0, 400.0]); // alternates are even worse
+        let f = fx([400.0, 400.0]); // alternates are even worse
         let mut m = QosMonitor::new();
         for _ in 0..3 {
             m.observe(&f.model, f.ids[0], &qv(f.rt, 300.0));
         }
-        assert!(Substitution::new(&f.model)
-            .plan(&comp, &m, |i| f
-                .alternates
-                .get(i)
-                .into_iter()
-                .flatten()
-                .cloned())
-            .is_none());
+        assert!(f.plan(&m).is_none());
     }
 
     #[test]
     fn monitored_history_of_alternate_overrides_its_advertisement() {
-        let (f, comp) = fx([90.0, 90.0]);
+        let f = fx([90.0, 90.0]);
         let mut m = QosMonitor::new();
         for _ in 0..3 {
             m.observe(&f.model, f.ids[0], &qv(f.rt, 300.0));
@@ -224,14 +228,7 @@ mod tests {
         // Activity 0's alternate is untrustworthy; the planner must fix
         // the violation elsewhere (activity 1's alternate at 90 keeps the
         // total at 300 + 90 = 390 > 250, so no plan at all).
-        assert!(Substitution::new(&f.model)
-            .plan(&comp, &m, |i| f
-                .alternates
-                .get(i)
-                .into_iter()
-                .flatten()
-                .cloned())
-            .is_none());
+        assert!(f.plan(&m).is_none());
     }
 
     #[test]
@@ -241,19 +238,16 @@ mod tests {
         // `partial_cmp().expect("finite")`; the planner must instead
         // keep ranking (total_cmp) and still produce a plan from the
         // healthy alternate.
-        let (f, comp) = fx([90.0, f64::NAN]);
+        let f = fx([90.0, f64::NAN]);
         let mut m = QosMonitor::new();
         for _ in 0..3 {
             m.observe(&f.model, f.ids[0], &qv(f.rt, 300.0));
             // The violated composition believes a NaN value too.
             m.observe(&f.model, f.ids[1], &qv(f.rt, f64::NAN));
         }
-        let plan = Substitution::new(&f.model).plan(&comp, &m, |i| {
-            f.alternates.get(i).into_iter().flatten().cloned()
-        });
         // No particular plan is promised for poisoned inputs — only that
         // the adaptation loop survives to report one or none.
-        if let Some(p) = plan {
+        if let Some(p) = f.plan(&m) {
             assert!(f.ids.contains(&p.to.id()));
         }
     }
@@ -271,46 +265,63 @@ mod tests {
         let alt = reg.register(ServiceDescription::new("alt", "d#F"));
         let advertised =
             |ms: f64, a: f64| -> QosVector { [(rt, ms), (av, a)].into_iter().collect() };
-        let alternates = [vec![
-            ServiceCandidate::new(bound, advertised(100.0, 0.99)),
-            ServiceCandidate::new(alt, advertised(90.0, 0.95)),
-        ]];
-        let task = UserTask::new("t", TaskNode::activity(Activity::new("a", "x#A"))).unwrap();
-        let constraints: ConstraintSet = [
-            Constraint::new(rt, Tendency::LowerBetter, 250.0),
-            Constraint::new(av, Tendency::HigherBetter, 0.9),
-        ]
-        .into_iter()
-        .collect();
-        let comp = CompositionMonitor::new(
-            task,
-            vec![bound],
-            vec![advertised(100.0, 0.99)],
-            constraints,
-            AggregationApproach::MeanValue,
-        );
+        let bindings = vec![ServiceCandidate::new(bound, advertised(100.0, 0.99))];
+        let f = Fx {
+            alternates: vec![vec![
+                bindings[0].clone(),
+                ServiceCandidate::new(alt, advertised(90.0, 0.95)),
+            ]],
+            task: UserTask::new("t", TaskNode::activity(Activity::new("a", "x#A"))).unwrap(),
+            bindings,
+            constraints: [
+                Constraint::new(rt, Tendency::LowerBetter, 250.0),
+                Constraint::new(av, Tendency::HigherBetter, 0.9),
+            ]
+            .into_iter()
+            .collect(),
+            model,
+            rt,
+            ids: vec![bound, alt],
+        };
         let mut m = QosMonitor::new();
         for _ in 0..3 {
-            m.observe(&model, bound, &qv(rt, 300.0));
-            m.observe(&model, alt, &qv(rt, 90.0));
+            m.observe(&f.model, bound, &qv(rt, 300.0));
+            m.observe(&f.model, alt, &qv(rt, 90.0));
         }
-        let plan = Substitution::new(&model)
-            .plan(&comp, &m, |i| {
-                alternates.get(i).into_iter().flatten().cloned()
-            })
-            .expect("the alternate meets both constraints");
+        let plan = f.plan(&m).expect("the alternate meets both constraints");
         assert_eq!(plan.to.id(), alt);
         assert_eq!(plan.expected.get(av), Some(0.95));
     }
 
     #[test]
     fn healthy_composition_yields_no_plan() {
-        let (f, comp) = fx([90.0, 90.0]);
-        let m = QosMonitor::new();
+        let f = fx([90.0, 90.0]);
         // No violation: the planner must not churn healthy bindings.
-        let plan = Substitution::new(&f.model).plan(&comp, &m, |i| {
-            f.alternates.get(i).into_iter().flatten().cloned()
-        });
-        assert!(plan.is_none());
+        assert!(f.plan(&QosMonitor::new()).is_none());
+    }
+
+    /// Today's rule: only a constraint the believed aggregate breaks now
+    /// is repaired. Service 0's window of 100/130/160 ms believes
+    /// 130 + 100 = 230 ms against 250, while its trend predicts about
+    /// 154 + 100 ≈ 254 ms, so the check flags the bound proactively —
+    /// and, although a 10 ms alternate would restore a wide margin, no
+    /// plan is made. ROADMAP item 7 (acting on the trend) is the change
+    /// that makes this case plan the alternate.
+    #[test]
+    fn a_proactive_violation_alone_plans_nothing() {
+        let f = fx([10.0, 10.0]);
+        let mut m = QosMonitor::new();
+        for v in [100.0, 130.0, 160.0] {
+            m.observe(&f.model, f.ids[0], &qv(f.rt, v));
+        }
+        let assessment = f.monitor().check(&m);
+        assert_eq!(assessment.aggregate.get(f.rt), Some(230.0));
+        let [violation] = &assessment.violations[..] else {
+            panic!("one violation: {:?}", assessment.violations);
+        };
+        assert!(violation.proactive);
+        let predicted = violation.value.unwrap();
+        assert!((254.0..255.0).contains(&predicted), "{predicted}");
+        assert!(f.plan(&m).is_none());
     }
 }

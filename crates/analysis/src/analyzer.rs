@@ -4,7 +4,10 @@
 use std::collections::BTreeMap;
 
 use qasom_ontology::{Iri, Ontology};
-use qasom_qos::{Category, Dimension, Layer, PropertyId, QosModel, QosVector, Tendency, Unit};
+use qasom_qos::{
+    AggregationApproach, Category, Dimension, Layer, PropertyId, QosModel, QosVector, Tendency,
+    Unit,
+};
 use qasom_task::{TaskNode, UserTask};
 
 use crate::diag::{Diagnostic, DiagnosticCode, Location};
@@ -12,21 +15,6 @@ use crate::diag::{Diagnostic, DiagnosticCode, Location};
 /// A choice branch below this normalised probability is reported as
 /// effectively unreachable (QA005).
 const NEGLIGIBLE_PROBABILITY: f64 = 1e-6;
-
-/// How non-deterministic patterns are folded during aggregation — the
-/// analyzer's view of the selection crate's aggregation approach (kept
-/// separate so this crate stays below `qasom-selection` in the dependency
-/// graph).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ApproachKind {
-    /// Worst-case folding: the aggregate is a guarantee.
-    Pessimistic,
-    /// Best-case folding: the aggregate is a best case.
-    Optimistic,
-    /// Expected-value folding.
-    #[default]
-    MeanValue,
-}
 
 /// The analyzer's view of a composition request: the task plus the *raw*
 /// (unresolved) QoS requirements, exactly as the user phrased them.
@@ -39,7 +27,7 @@ pub struct RequestSpec<'a> {
     /// Raw preference weights: `(property name, weight)`.
     pub weights: &'a [(String, f64)],
     /// The aggregation approach constraints will be checked under.
-    pub approach: ApproachKind,
+    pub approach: AggregationApproach,
 }
 
 /// The analyzer's view of one white-box operation of a service.
@@ -77,8 +65,8 @@ pub struct ServiceView<'a> {
 /// # Examples
 ///
 /// ```
-/// use qasom_analysis::{Analyzer, ApproachKind, RequestSpec};
-/// use qasom_qos::{QosModel, Unit};
+/// use qasom_analysis::{Analyzer, RequestSpec};
+/// use qasom_qos::{AggregationApproach, QosModel, Unit};
 /// use qasom_task::{Activity, TaskNode, UserTask};
 ///
 /// let model = QosModel::standard();
@@ -93,7 +81,7 @@ pub struct ServiceView<'a> {
 ///     task: &task,
 ///     constraints: &constraints,
 ///     weights: &[],
-///     approach: ApproachKind::MeanValue,
+///     approach: AggregationApproach::MeanValue,
 /// };
 /// let diags = Analyzer::new(&model).check_request(&spec);
 /// assert!(diags.iter().any(|d| d.code.code() == "QA011"));
@@ -427,7 +415,7 @@ impl<'a> Analyzer<'a> {
     }
 
     fn check_approach(&self, spec: &RequestSpec<'_>, out: &mut Vec<Diagnostic>) {
-        if spec.approach == ApproachKind::Optimistic
+        if spec.approach == AggregationApproach::Optimistic
             && !spec.constraints.is_empty()
             && has_nondeterministic_pattern(spec.task.root())
         {

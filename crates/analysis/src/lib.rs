@@ -19,5 +19,5 @@
 mod analyzer;
 mod diag;
 
-pub use analyzer::{Analyzer, ApproachKind, OperationView, RequestSpec, ServiceView};
+pub use analyzer::{Analyzer, OperationView, RequestSpec, ServiceView};
 pub use diag::{has_errors, partition, Diagnostic, DiagnosticCode, Location, Severity};

@@ -1,9 +1,11 @@
 //! Golden diagnostics: one test per analyzer rule, pinning the QA0xx
 //! code (and severity) each defect class is reported under.
 
-use qasom_analysis::{Analyzer, ApproachKind, Diagnostic, RequestSpec, ServiceView, Severity};
+use qasom_analysis::{Analyzer, Diagnostic, RequestSpec, ServiceView, Severity};
 use qasom_ontology::{Iri, OntologyBuilder};
-use qasom_qos::{Layer, PropertySpec, QosModel, QosModelBuilder, QosVector, Unit};
+use qasom_qos::{
+    AggregationApproach, Layer, PropertySpec, QosModel, QosModelBuilder, QosVector, Unit,
+};
 use qasom_task::{Activity, LoopBound, TaskNode, UserTask};
 
 fn codes(diags: &[Diagnostic]) -> Vec<&'static str> {
@@ -26,7 +28,7 @@ fn request_diags(
     task: &UserTask,
     constraints: &[(String, f64, Unit)],
     weights: &[(String, f64)],
-    approach: ApproachKind,
+    approach: AggregationApproach,
 ) -> Vec<Diagnostic> {
     let model = QosModel::standard();
     Analyzer::new(&model).check_request(&RequestSpec {
@@ -74,7 +76,7 @@ fn qa010_unknown_property() {
         &task,
         &constrain("Nope", 1.0, Unit::Dimensionless),
         &[],
-        ApproachKind::MeanValue,
+        AggregationApproach::MeanValue,
     );
     assert_eq!(codes(&diags), vec!["QA010"]);
     assert_eq!(severity_of(&diags, "QA010"), Severity::Error);
@@ -87,7 +89,7 @@ fn qa011_dimension_mismatch() {
         &task,
         &constrain("ResponseTime", 2.0, Unit::Euro),
         &[],
-        ApproachKind::MeanValue,
+        AggregationApproach::MeanValue,
     );
     assert_eq!(codes(&diags), vec!["QA011"]);
     assert_eq!(severity_of(&diags, "QA011"), Severity::Error);
@@ -102,7 +104,7 @@ fn qa012_unsatisfiable_bound() {
         &task,
         &constrain("ResponseTime", -5.0, Unit::Milliseconds),
         &[],
-        ApproachKind::MeanValue,
+        AggregationApproach::MeanValue,
     );
     assert_eq!(codes(&diags), vec!["QA012"]);
 
@@ -111,7 +113,7 @@ fn qa012_unsatisfiable_bound() {
         &task,
         &constrain("Availability", 1.5, Unit::Ratio),
         &[],
-        ApproachKind::MeanValue,
+        AggregationApproach::MeanValue,
     );
     assert_eq!(codes(&diags), vec!["QA012"]);
     assert_eq!(severity_of(&diags, "QA012"), Severity::Error);
@@ -125,7 +127,7 @@ fn qa013_vacuous_bound() {
         &task,
         &constrain("Availability", 0.0, Unit::Ratio),
         &[],
-        ApproachKind::MeanValue,
+        AggregationApproach::MeanValue,
     );
     assert_eq!(codes(&diags), vec!["QA013"]);
     assert_eq!(severity_of(&diags, "QA013"), Severity::Warning);
@@ -140,7 +142,7 @@ fn qa014_duplicate_constraint() {
         ("Delay".to_owned(), 2.0, Unit::Seconds),
         ("ResponseTime".to_owned(), 1000.0, Unit::Milliseconds),
     ];
-    let diags = request_diags(&task, &constraints, &[], ApproachKind::MeanValue);
+    let diags = request_diags(&task, &constraints, &[], AggregationApproach::MeanValue);
     assert_eq!(codes(&diags), vec!["QA014"]);
     assert_eq!(severity_of(&diags, "QA014"), Severity::Warning);
 }
@@ -152,7 +154,7 @@ fn qa015_dropped_weight() {
         ("ResponseTime".to_owned(), -1.0),
         ("Availability".to_owned(), 1.0),
     ];
-    let diags = request_diags(&task, &[], &weights, ApproachKind::MeanValue);
+    let diags = request_diags(&task, &[], &weights, AggregationApproach::MeanValue);
     assert_eq!(codes(&diags), vec!["QA015"]);
     assert_eq!(severity_of(&diags, "QA015"), Severity::Warning);
 }
@@ -161,7 +163,7 @@ fn qa015_dropped_weight() {
 fn qa016_unusable_weights() {
     let task = simple_task();
     let weights = vec![("ResponseTime".to_owned(), 0.0)];
-    let diags = request_diags(&task, &[], &weights, ApproachKind::MeanValue);
+    let diags = request_diags(&task, &[], &weights, AggregationApproach::MeanValue);
     assert!(codes(&diags).contains(&"QA016"), "{diags:?}");
     assert_eq!(severity_of(&diags, "QA016"), Severity::Error);
 }
@@ -179,7 +181,7 @@ fn qa017_unaligned_user_property() {
         task: &task,
         constraints: &constraints,
         weights: &[],
-        approach: ApproachKind::MeanValue,
+        approach: AggregationApproach::MeanValue,
     });
     assert!(codes(&diags).contains(&"QA017"), "{diags:?}");
     assert_eq!(severity_of(&diags, "QA017"), Severity::Warning);
@@ -196,7 +198,7 @@ fn qa018_optimistic_guarantee() {
         &task,
         &constrain("ResponseTime", 1000.0, Unit::Milliseconds),
         &[],
-        ApproachKind::Optimistic,
+        AggregationApproach::Optimistic,
     );
     assert_eq!(codes(&diags), vec!["QA018"]);
     assert_eq!(severity_of(&diags, "QA018"), Severity::Warning);
@@ -206,7 +208,7 @@ fn qa018_optimistic_guarantee() {
         &task,
         &constrain("ResponseTime", 1000.0, Unit::Milliseconds),
         &[],
-        ApproachKind::Pessimistic,
+        AggregationApproach::Pessimistic,
     );
     assert!(diags.is_empty(), "{diags:?}");
 }
@@ -227,7 +229,7 @@ fn qa020_unknown_function_iri() {
             task: &task,
             constraints: &[],
             weights: &[],
-            approach: ApproachKind::MeanValue,
+            approach: AggregationApproach::MeanValue,
         });
     assert_eq!(codes(&diags), vec!["QA020"]);
     assert_eq!(severity_of(&diags, "QA020"), Severity::Warning);
@@ -247,7 +249,7 @@ fn qa021_unknown_data_iri() {
             task: &task,
             constraints: &[],
             weights: &[],
-            approach: ApproachKind::MeanValue,
+            approach: AggregationApproach::MeanValue,
         });
     assert_eq!(codes(&diags), vec!["QA021"]);
     assert_eq!(severity_of(&diags, "QA021"), Severity::Warning);
@@ -318,7 +320,7 @@ fn a_well_formed_request_produces_no_diagnostics() {
         &task,
         &constrain("ResponseTime", 2.0, Unit::Seconds),
         &[("Availability".to_owned(), 1.0)],
-        ApproachKind::MeanValue,
+        AggregationApproach::MeanValue,
     );
     assert!(diags.is_empty(), "{diags:?}");
 }

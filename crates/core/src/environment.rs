@@ -4,7 +4,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 use qasom_adaptation::{QosEstimate, QosMonitor};
-use qasom_analysis::{Analyzer, ApproachKind, RequestSpec};
+use qasom_analysis::{Analyzer, RequestSpec};
 use qasom_netsim::runtime::{ServiceRuntime, SyntheticService};
 use qasom_obs::report::RunReport;
 use qasom_obs::{keys, JsonValue, Recorder};
@@ -581,16 +581,11 @@ impl Environment {
     /// dimensional analysis, constraint satisfiability, vocabulary
     /// alignment, ontology sanity).
     pub fn analyze(&self, request: &UserRequest) -> Vec<qasom_analysis::Diagnostic> {
-        let approach = match request.aggregation_approach() {
-            qasom_selection::AggregationApproach::Pessimistic => ApproachKind::Pessimistic,
-            qasom_selection::AggregationApproach::Optimistic => ApproachKind::Optimistic,
-            qasom_selection::AggregationApproach::MeanValue => ApproachKind::MeanValue,
-        };
         let spec = RequestSpec {
             task: request.task(),
             constraints: request.raw_constraints(),
             weights: request.raw_weights(),
-            approach,
+            approach: request.aggregation_approach(),
         };
         Analyzer::new(&self.model)
             .with_ontology(&self.ontology)

@@ -4,10 +4,10 @@
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
-use qasom_adaptation::{BehaviouralAdapter, CompositionMonitor, Substitution, Violation};
-use qasom_qos::{PropertyId, QosVector};
+use qasom_adaptation::{BehaviouralAdapter, CompositionMonitor, Violation};
+use qasom_qos::{PropertyId, QosModel, QosVector};
 use qasom_registry::ServiceId;
-use qasom_selection::{Aggregator, RankedCandidate};
+use qasom_selection::{Aggregator, ServiceCandidate};
 use qasom_task::{TaskNode, UserTask};
 
 use crate::{ComposeError, Environment, ExecutableComposition, MiddlewareEvent};
@@ -42,21 +42,6 @@ pub struct ExecutionReport {
     /// Aggregated delivered QoS (observed values where available,
     /// advertised ones elsewhere).
     pub delivered: QosVector,
-    /// Logical execution timeline derived from the task structure and
-    /// the observed per-activity response times: sequential activities
-    /// follow each other, parallel branches overlap, loop rounds repeat.
-    pub timeline: Vec<TimelineEntry>,
-}
-
-/// One activity occurrence on the execution timeline.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TimelineEntry {
-    /// Activity name.
-    pub activity: String,
-    /// Logical start, in milliseconds from composition start.
-    pub start_ms: f64,
-    /// Logical end (`start + observed response time`).
-    pub end_ms: f64,
 }
 
 /// Terminal execution failures.
@@ -100,98 +85,6 @@ const MAX_ATTEMPTS_PER_ACTIVITY: usize = 5;
 
 /// Behavioural-adaptation budget per execution.
 const MAX_BEHAVIOURAL_ADAPTATIONS: usize = 2;
-
-/// A relative schedule: entries `(activity index, start, end)` plus the
-/// total makespan, all in milliseconds from the schedule's own origin.
-struct Schedule {
-    entries: Vec<(usize, f64, f64)>,
-    duration: f64,
-}
-
-/// Builds the logical timeline of an executed task: observed response
-/// times (`rt_of(activity index)`) laid out over the task structure.
-/// Activities that never ran (skipped choice branches) produce no entry
-/// and contribute no time.
-fn build_timeline(task: &UserTask, rt_of: &dyn Fn(usize) -> Option<f64>) -> Schedule {
-    fn walk(node: &TaskNode, idx: &mut usize, rt_of: &dyn Fn(usize) -> Option<f64>) -> Schedule {
-        match node {
-            TaskNode::Activity(_) => {
-                let i = *idx;
-                *idx += 1;
-                match rt_of(i) {
-                    Some(rt) => Schedule {
-                        entries: vec![(i, 0.0, rt)],
-                        duration: rt,
-                    },
-                    None => Schedule {
-                        entries: Vec::new(),
-                        duration: 0.0,
-                    },
-                }
-            }
-            TaskNode::Sequence(cs) => {
-                let mut entries = Vec::new();
-                let mut offset = 0.0;
-                for c in cs {
-                    let s = walk(c, idx, rt_of);
-                    entries.extend(
-                        s.entries
-                            .into_iter()
-                            .map(|(i, a, b)| (i, a + offset, b + offset)),
-                    );
-                    offset += s.duration;
-                }
-                Schedule {
-                    entries,
-                    duration: offset,
-                }
-            }
-            TaskNode::Parallel(cs) => {
-                let mut entries = Vec::new();
-                let mut duration: f64 = 0.0;
-                for c in cs {
-                    let s = walk(c, idx, rt_of);
-                    duration = duration.max(s.duration);
-                    entries.extend(s.entries);
-                }
-                Schedule { entries, duration }
-            }
-            TaskNode::Choice(bs) => {
-                // Only the branch that actually executed produces entries.
-                let mut chosen = Schedule {
-                    entries: Vec::new(),
-                    duration: 0.0,
-                };
-                for (_, c) in bs {
-                    let s = walk(c, idx, rt_of);
-                    if !s.entries.is_empty() {
-                        chosen = s;
-                    }
-                }
-                chosen
-            }
-            TaskNode::Loop { body, bound } => {
-                let rounds = (bound.expected().round() as u32).clamp(1, bound.max());
-                let once = walk(body, idx, rt_of);
-                let mut entries = Vec::new();
-                for r in 0..rounds {
-                    let shift = f64::from(r) * once.duration;
-                    entries.extend(
-                        once.entries
-                            .iter()
-                            .map(|&(i, a, b)| (i, a + shift, b + shift)),
-                    );
-                }
-                Schedule {
-                    entries,
-                    duration: f64::from(rounds) * once.duration,
-                }
-            }
-        }
-    }
-    let mut idx = 0;
-    walk(task.root(), &mut idx, rt_of)
-}
 
 /// Deterministic execution order of a task: activity indices in the order
 /// they run. Choices take their most probable branch (ties: first); loops
@@ -249,7 +142,9 @@ impl Environment {
     /// QoS feeds the global/proactive monitor; violations trigger
     /// *service substitution* of not-yet-executed activities, and
     /// repeated failures without substitutes escalate to *behavioural
-    /// adaptation* through the task-class repository.
+    /// adaptation* through the task-class repository. Every rebind
+    /// overwrites the composition's own binding of the activity
+    /// (`outcome.assignment`), which the monitor reads.
     ///
     /// # Errors
     ///
@@ -272,27 +167,12 @@ impl Environment {
         let mut carried_over: HashSet<String> = HashSet::new();
 
         'behaviour: loop {
-            let task = comp.task.clone();
-            let names: Vec<String> = task
+            let names: Vec<String> = comp
+                .task
                 .activities()
                 .map(|r| r.activity().name().to_owned())
                 .collect();
-            let bindings: Vec<ServiceId> = comp.outcome.assignment.iter().map(|c| c.id()).collect();
-            let advertised: Vec<QosVector> = comp
-                .outcome
-                .assignment
-                .iter()
-                .map(|c| c.qos().clone())
-                .collect();
-            let mut cm = CompositionMonitor::new(
-                task.clone(),
-                bindings,
-                advertised,
-                comp.constraints.clone(),
-                comp.approach,
-            );
-
-            let order = execution_order(&task);
+            let order = execution_order(&comp.task);
             for pos in 0..order.len() {
                 let idx = order[pos];
                 let name = names[idx].clone();
@@ -302,25 +182,13 @@ impl Environment {
                 let mut tried: HashSet<ServiceId> = HashSet::new();
                 let mut attempts = 0usize;
                 loop {
-                    if attempts >= MAX_ATTEMPTS_PER_ACTIVITY {
+                    let binding = (attempts < MAX_ATTEMPTS_PER_ACTIVITY)
+                        .then(|| self.dynamic_bind(&comp, idx, &tried))
+                        .flatten();
+                    let Some(binding) = binding else {
+                        // Out of attempts or of live candidates: escalate.
                         match self.adapt_behaviour(
                             &mut comp,
-                            &task,
-                            &mut executed,
-                            &mut carried_over,
-                            &mut adaptations,
-                        )? {
-                            true => continue 'behaviour,
-                            false => return Err(ExecutionError::Abandoned { activity: name }),
-                        }
-                    }
-                    attempts += 1;
-
-                    let Some(service) = self.dynamic_bind(&cm, &comp, idx, &tried) else {
-                        // Nothing left to bind: escalate immediately.
-                        match self.adapt_behaviour(
-                            &mut comp,
-                            &task,
                             &mut executed,
                             &mut carried_over,
                             &mut adaptations,
@@ -329,23 +197,15 @@ impl Environment {
                             false => return Err(ExecutionError::Abandoned { activity: name }),
                         }
                     };
-                    if service != cm.bindings()[idx] {
-                        let from = cm.bindings()[idx];
-                        let advertised_qos = comp
-                            .outcome
-                            .alternates(idx)
-                            .find(|c| c.id() == service)
-                            .zip(task.activities().nth(idx))
-                            .map(|(c, a)| self.complete(a.activity(), &c))
-                            .unwrap_or_default();
-                        cm.rebind(idx, service, advertised_qos);
-                        substitutions += 1;
-                        self.emit(MiddlewareEvent::Substituted {
-                            activity: name.clone(),
-                            from,
-                            to: service,
-                        });
-                    }
+                    attempts += 1;
+                    let service = match binding {
+                        Binding::Kept(service) => service,
+                        Binding::Moved(to) => {
+                            self.substitute(&mut comp, idx, &to, &name);
+                            substitutions += 1;
+                            to.id()
+                        }
+                    };
                     tried.insert(service);
 
                     // A successful outcome always carries delivered QoS
@@ -368,12 +228,8 @@ impl Environment {
                             // Global + proactive check, then pre-emptive
                             // substitution of activities that still have
                             // upcoming invocations (loop bodies included).
-                            substitutions += self.check_and_substitute(
-                                &mut cm,
-                                &comp,
-                                &order[pos + 1..],
-                                &names,
-                            );
+                            substitutions +=
+                                self.check_and_substitute(&mut comp, &order[pos + 1..], &names);
                             break;
                         }
                         None => {
@@ -394,63 +250,68 @@ impl Environment {
             }
 
             // Every activity of this behaviour served.
-            let delivered = self.delivered_qos(&cm, &executed, &names);
-            let violations = cm.check(&self.model().clone(), &self.monitor);
-            let timeline = {
-                let rt_property = self.model().property("ResponseTime");
-                let rt_of = |i: usize| -> Option<f64> {
-                    let q = executed.get(&names[i])?;
-                    Some(rt_property.and_then(|p| q.get(p)).unwrap_or(0.0))
-                };
-                build_timeline(&task, &rt_of)
-                    .entries
-                    .into_iter()
-                    .map(|(i, start_ms, end_ms)| TimelineEntry {
-                        activity: names[i].clone(),
-                        start_ms,
-                        end_ms,
-                    })
-                    .collect()
-            };
+            let delivered = self.delivered_qos(&comp, &executed, &names);
+            let violations = comp
+                .monitor(&self.model().clone())
+                .check(&self.monitor)
+                .violations;
+            let final_task = comp.task.name().to_owned();
             self.emit(MiddlewareEvent::Completed {
-                task: task.name().to_owned(),
+                task: final_task.clone(),
                 success: true,
             });
             return Ok(ExecutionReport {
                 success: true,
-                final_task: task.name().to_owned(),
+                final_task,
                 invocations,
                 substitutions,
                 behavioural_adaptations: adaptations,
                 violations,
                 delivered,
-                timeline,
             });
         }
     }
 
-    /// Picks the service to invoke for activity `idx`: the currently
-    /// bound service when it is live and untried, otherwise the best
-    /// ranked live alternate.
+    /// Picks the service to invoke for activity `idx`: the bound service
+    /// when it is live and untried, otherwise the best ranked live
+    /// untried alternate.
     fn dynamic_bind(
         &self,
-        cm: &CompositionMonitor,
         comp: &ExecutableComposition,
         idx: usize,
         tried: &HashSet<ServiceId>,
-    ) -> Option<ServiceId> {
-        let alive = |id: ServiceId| self.registry().get(id).is_some();
-        let current = cm.bindings()[idx];
-        if alive(current) && !tried.contains(&current) {
-            return Some(current);
+    ) -> Option<Binding> {
+        let bindable = |id: ServiceId| self.registry().get(id).is_some() && !tried.contains(&id);
+        let bound = comp.outcome.assignment[idx].id();
+        if bindable(bound) {
+            return Some(Binding::Kept(bound));
         }
-        comp.outcome
-            .levels
-            .get(idx)
-            .into_iter()
-            .flat_map(|l| l.best_first())
-            .map(RankedCandidate::id)
-            .find(|&id| alive(id) && !tried.contains(&id))
+        let levels = comp.outcome.levels.get(idx)?;
+        let row = levels.best_first().iter().find(|r| bindable(r.id()))?;
+        Some(Binding::Moved(levels.candidate(row)))
+    }
+
+    /// Rebinds `activity` to the ranked alternate `to`, overwriting its
+    /// binding with the QoS `to` is bound with, and reports it.
+    fn substitute(
+        &self,
+        comp: &mut ExecutableComposition,
+        activity: usize,
+        to: &ServiceCandidate,
+        name: &str,
+    ) {
+        let qos = comp
+            .task
+            .activities()
+            .nth(activity)
+            .map_or_else(|| to.qos().clone(), |a| self.complete(a.activity(), to));
+        let bound = ServiceCandidate::new(to.id(), qos);
+        let from = std::mem::replace(&mut comp.outcome.assignment[activity], bound).id();
+        self.emit(MiddlewareEvent::Substituted {
+            activity: name.to_owned(),
+            from,
+            to: to.id(),
+        });
     }
 
     /// Checks the global constraints and, on violation, rebinds a future
@@ -458,23 +319,22 @@ impl Environment {
     /// substitutions performed.
     fn check_and_substitute(
         &mut self,
-        cm: &mut CompositionMonitor,
-        comp: &ExecutableComposition,
+        comp: &mut ExecutableComposition,
         upcoming: &[usize],
         names: &[String],
     ) -> usize {
         let model = self.model().clone();
-        let violations = cm.check(&model, &self.monitor);
-        if violations.is_empty() {
+        let cm = comp.monitor(&model);
+        let assessment = cm.check(&self.monitor);
+        if assessment.violations.is_empty() {
             return 0;
         }
-        for v in &violations {
+        for v in &assessment.violations {
             self.emit(MiddlewareEvent::ViolationDetected {
                 property: model.def(v.constraint.property()).name().to_owned(),
                 proactive: v.proactive,
             });
         }
-        let planner = Substitution::new(&model);
         // Activities with no upcoming invocation cannot be rebound: offer
         // no alternates for them, so the planner only proposes viable
         // plans.
@@ -485,22 +345,11 @@ impl Environment {
                 .into_iter()
                 .flatten()
         };
-        if let Some(plan) = planner.plan(cm, &self.monitor, alternates) {
-            if upcoming.contains(&plan.activity) {
-                let qos = comp.task.activities().nth(plan.activity).map_or_else(
-                    || plan.to.qos().clone(),
-                    |a| self.complete(a.activity(), &plan.to),
-                );
-                cm.rebind(plan.activity, plan.to.id(), qos);
-                self.emit(MiddlewareEvent::Substituted {
-                    activity: names[plan.activity].clone(),
-                    from: plan.from,
-                    to: plan.to.id(),
-                });
-                return 1;
-            }
-        }
-        0
+        let Some(plan) = cm.plan_substitution(assessment, &self.monitor, alternates) else {
+            return 0;
+        };
+        self.substitute(comp, plan.activity, &plan.to, &names[plan.activity]);
+        1
     }
 
     /// Attempts behavioural adaptation; `Ok(true)` when a new behaviour
@@ -508,7 +357,6 @@ impl Environment {
     fn adapt_behaviour(
         &mut self,
         comp: &mut ExecutableComposition,
-        task: &UserTask,
         executed: &mut HashMap<String, QosVector>,
         carried_over: &mut HashSet<String>,
         adaptations: &mut usize,
@@ -516,6 +364,7 @@ impl Environment {
         if *adaptations >= MAX_BEHAVIOURAL_ADAPTATIONS {
             return Ok(false);
         }
+        let task = &comp.task;
         let executed_names: Vec<&str> = task
             .activities()
             .map(|r| r.activity().name())
@@ -563,31 +412,47 @@ impl Environment {
     /// advertised ones elsewhere.
     fn delivered_qos(
         &self,
-        cm: &CompositionMonitor,
+        comp: &ExecutableComposition,
         executed: &HashMap<String, QosVector>,
         names: &[String],
     ) -> QosVector {
-        let model = self.model();
+        let bindings = &comp.outcome.assignment;
         // Report every property the bindings advertise, not only the
         // constrained ones — an unconstrained request still wants to know
         // what it got.
-        let mut props: Vec<PropertyId> = cm.constraints().properties().collect();
-        for advertised in cm.advertised() {
-            props.extend(advertised.properties());
+        let mut props: Vec<PropertyId> = comp.constraints.properties().collect();
+        for bound in bindings {
+            props.extend(bound.qos().properties());
         }
         props.sort();
         props.dedup();
         let vectors: Vec<QosVector> = names
             .iter()
-            .enumerate()
-            .map(|(i, n)| {
-                executed
-                    .get(n)
-                    .cloned()
-                    .unwrap_or_else(|| cm.advertised()[i].clone())
-            })
+            .zip(bindings)
+            .map(|(n, bound)| executed.get(n).unwrap_or(bound.qos()).clone())
             .collect();
-        Aggregator::new(model, cm.approach()).aggregate(cm.task(), &vectors, &props)
+        Aggregator::new(self.model(), comp.approach).aggregate(&comp.task, &vectors, &props)
+    }
+}
+
+/// What dynamic binding picked for an activity.
+enum Binding {
+    /// The bound service, still live and untried.
+    Kept(ServiceId),
+    /// A ranked alternate taking over.
+    Moved(ServiceCandidate),
+}
+
+impl ExecutableComposition {
+    /// The running composition as the monitor sees it.
+    fn monitor<'a>(&'a self, model: &'a QosModel) -> CompositionMonitor<'a> {
+        CompositionMonitor::new(
+            model,
+            &self.task,
+            &self.outcome.assignment,
+            &self.constraints,
+            self.approach,
+        )
     }
 }
 
@@ -757,70 +622,6 @@ mod tests {
                 .count(),
             3
         );
-    }
-
-    #[test]
-    fn timeline_sequences_and_overlaps() {
-        let mut e = env();
-        deploy_ok(&mut e, "a1", "d#A", 100.0);
-        deploy_ok(&mut e, "b1", "d#B", 50.0);
-        deploy_ok(&mut e, "c1", "d#C", 80.0);
-        let task = UserTask::new(
-            "tl",
-            TaskNode::sequence([
-                TaskNode::activity(Activity::new("first", "d#A")),
-                TaskNode::parallel([
-                    TaskNode::activity(Activity::new("left", "d#B")),
-                    TaskNode::activity(Activity::new("right", "d#C")),
-                ]),
-            ]),
-        )
-        .unwrap();
-        let comp = e.compose(&UserRequest::new(task)).unwrap();
-        let report = e.execute(comp).unwrap();
-        let by_name = |n: &str| {
-            report
-                .timeline
-                .iter()
-                .find(|t| t.activity == n)
-                .unwrap()
-                .clone()
-        };
-        let first = by_name("first");
-        let left = by_name("left");
-        let right = by_name("right");
-        assert_eq!(first.start_ms, 0.0);
-        assert_eq!(first.end_ms, 100.0);
-        // The parallel branches both start when `first` ends and overlap.
-        assert_eq!(left.start_ms, 100.0);
-        assert_eq!(right.start_ms, 100.0);
-        assert_eq!(left.end_ms, 150.0);
-        assert_eq!(right.end_ms, 180.0);
-    }
-
-    #[test]
-    fn timeline_repeats_loop_rounds() {
-        let mut e = env();
-        deploy_ok(&mut e, "a1", "d#A", 10.0);
-        let task = UserTask::new(
-            "tl",
-            TaskNode::repeat(
-                TaskNode::activity(Activity::new("body", "d#A")),
-                LoopBound::new(3.0, 5),
-            ),
-        )
-        .unwrap();
-        let comp = e.compose(&UserRequest::new(task)).unwrap();
-        let report = e.execute(comp).unwrap();
-        let body_entries: Vec<_> = report
-            .timeline
-            .iter()
-            .filter(|t| t.activity == "body")
-            .collect();
-        assert_eq!(body_entries.len(), 3);
-        assert_eq!(body_entries[0].start_ms, 0.0);
-        assert_eq!(body_entries[1].start_ms, 10.0);
-        assert_eq!(body_entries[2].start_ms, 20.0);
     }
 
     #[test]

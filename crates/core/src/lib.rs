@@ -64,6 +64,6 @@ mod shared;
 pub use composition::{ComposeError, ExecutableComposition};
 pub use environment::{Environment, EnvironmentConfig};
 pub use events::{EventLog, EventSink, MiddlewareEvent};
-pub use execution::{ExecutionError, ExecutionReport, InvocationRecord, TimelineEntry};
+pub use execution::{ExecutionError, ExecutionReport, InvocationRecord};
 pub use request::UserRequest;
 pub use shared::{ChurnReceipt, RegistryDelta, SharedEnvironment};

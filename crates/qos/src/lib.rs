@@ -69,7 +69,9 @@ pub use constraint::{Constraint, ConstraintSet};
 pub use model::{PropertySpec, QosModel, QosModelBuilder, QosModelError};
 pub use normalize::Normalizer;
 pub use perceived::{EndToEnd, EndToEndRule};
-pub use property::{AggregationOp, Category, Layer, PropertyDef, PropertyId, Tendency};
+pub use property::{
+    AggregationApproach, AggregationOp, Category, Layer, PropertyDef, PropertyId, Tendency,
+};
 pub use sla::Sla;
 pub use unit::{Dimension, ParseUnitError, Unit, UnitError};
 pub use utility::Preferences;

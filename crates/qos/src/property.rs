@@ -132,6 +132,25 @@ pub enum AggregationOp {
     Average,
 }
 
+/// How non-deterministic patterns (choice, loop) are folded into one
+/// number.
+///
+/// * **Pessimistic** — assume the worst branch / the maximum iteration
+///   count: the aggregate is a guarantee.
+/// * **Optimistic** — assume the best branch / a single iteration: the
+///   aggregate is a best case.
+/// * **MeanValue** — probability-weighted branches and expected iteration
+///   counts: the aggregate is an expectation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum AggregationApproach {
+    /// Worst-case folding.
+    Pessimistic,
+    /// Best-case folding.
+    Optimistic,
+    /// Expected-value folding.
+    MeanValue,
+}
+
 /// Full definition of a QoS property: the record a
 /// [`QosModel`](crate::QosModel) keeps per property.
 #[derive(Debug, Clone)]

@@ -1,26 +1,7 @@
 //! QoS aggregation across composition patterns (Table IV.1).
 
-use qasom_qos::{AggregationOp, Dimension, PropertyId, QosModel, QosVector, Tendency};
+use qasom_qos::{AggregationApproach, AggregationOp, Dimension, PropertyId, QosModel, QosVector};
 use qasom_task::{TaskNode, UserTask};
-
-/// How non-deterministic patterns (choice, loop) are folded into one
-/// number.
-///
-/// * **Pessimistic** — assume the worst branch / the maximum iteration
-///   count: the aggregate is a guarantee.
-/// * **Optimistic** — assume the best branch / a single iteration: the
-///   aggregate is a best case.
-/// * **MeanValue** — probability-weighted branches and expected iteration
-///   counts: the aggregate is an expectation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum AggregationApproach {
-    /// Worst-case folding.
-    Pessimistic,
-    /// Best-case folding.
-    Optimistic,
-    /// Expected-value folding.
-    MeanValue,
-}
 
 /// Aggregates per-activity QoS vectors into the QoS of a whole task
 /// (the `Q_j` of a composition `C_v`).
@@ -133,6 +114,8 @@ impl<'a> Aggregator<'a> {
     }
 
     /// Aggregates a single property; `idx` is the DFS activity cursor.
+    /// The first missing value ends the fold: it makes the whole
+    /// property missing, so nothing after it is read.
     fn fold<F: Fn(usize, PropertyId) -> Option<f64>>(
         &self,
         node: &TaskNode,
@@ -148,27 +131,61 @@ impl<'a> Aggregator<'a> {
                 *idx += 1;
                 v
             }
-            TaskNode::Sequence(cs) => {
-                let vals = self.fold_children(cs.iter(), value, property, idx)?;
-                Some(combine_sequence(op, &vals))
-            }
-            TaskNode::Parallel(cs) => {
-                let vals = self.fold_children(cs.iter(), value, property, idx)?;
-                Some(combine_parallel(op, def.unit().dimension(), &vals))
+            TaskNode::Sequence(cs) | TaskNode::Parallel(cs) => {
+                // Time-like additive properties overlap in parallel: the
+                // slowest branch dominates. Money/energy still add up.
+                let op = match node {
+                    TaskNode::Parallel(_)
+                        if op == AggregationOp::Sum
+                            && def.unit().dimension() == Dimension::Time =>
+                    {
+                        AggregationOp::Max
+                    }
+                    _ => op,
+                };
+                // From the operator's neutral element: `-0.0` for sums,
+                // as `f64`'s `Sum` starts, so the bits are those of
+                // summing the collected values.
+                let mut acc = match op {
+                    AggregationOp::Sum | AggregationOp::Average => -0.0,
+                    AggregationOp::Product => 1.0,
+                    AggregationOp::Min => f64::INFINITY,
+                    AggregationOp::Max => f64::NEG_INFINITY,
+                };
+                for c in cs {
+                    let v = self.fold(c, value, property, idx)?;
+                    acc = match op {
+                        AggregationOp::Sum | AggregationOp::Average => acc + v,
+                        AggregationOp::Product => acc * v,
+                        AggregationOp::Min => acc.min(v),
+                        AggregationOp::Max => acc.max(v),
+                    };
+                }
+                match op {
+                    _ if cs.is_empty() => None,
+                    AggregationOp::Average => Some(acc / cs.len() as f64),
+                    _ => Some(acc),
+                }
             }
             TaskNode::Choice(bs) => {
-                let mut vals = Vec::with_capacity(bs.len());
-                let mut missing = false;
+                let tendency = def.tendency();
+                // The worst (pessimistic) or best (optimistic) branch,
+                // and the sums the mean-value approach divides.
+                let mut picked: Option<f64> = None;
+                let (mut total_p, mut weighted) = (-0.0, -0.0);
                 for (prob, c) in bs {
-                    match self.fold(c, value, property, idx) {
-                        Some(v) => vals.push((*prob, v)),
-                        None => missing = true,
-                    }
+                    let v = self.fold(c, value, property, idx)?;
+                    total_p += prob;
+                    weighted += prob * v;
+                    picked = Some(picked.map_or(v, |a| match self.approach {
+                        AggregationApproach::Pessimistic => tendency.worse(a, v),
+                        _ => tendency.better(a, v),
+                    }));
                 }
-                if missing || vals.is_empty() {
-                    return None;
+                match self.approach {
+                    AggregationApproach::MeanValue => picked.map(|_| weighted / total_p),
+                    _ => picked,
                 }
-                self.combine_choice(def.tendency(), &vals)
             }
             TaskNode::Loop { body, bound } => {
                 let v = self.fold(body, value, property, idx)?;
@@ -177,76 +194,13 @@ impl<'a> Aggregator<'a> {
                     AggregationApproach::Optimistic => 1.0,
                     AggregationApproach::MeanValue => bound.expected().max(1.0),
                 };
-                Some(scale_loop(op, v, n))
+                Some(match op {
+                    AggregationOp::Sum => v * n,
+                    AggregationOp::Product => v.powf(n),
+                    AggregationOp::Min | AggregationOp::Max | AggregationOp::Average => v,
+                })
             }
         }
-    }
-
-    fn fold_children<'n, F: Fn(usize, PropertyId) -> Option<f64>>(
-        &self,
-        children: impl Iterator<Item = &'n TaskNode>,
-        value: &F,
-        property: PropertyId,
-        idx: &mut usize,
-    ) -> Option<Vec<f64>> {
-        let mut vals = Vec::new();
-        let mut missing = false;
-        for c in children {
-            match self.fold(c, value, property, idx) {
-                Some(v) => vals.push(v),
-                None => missing = true,
-            }
-        }
-        (!missing && !vals.is_empty()).then_some(vals)
-    }
-
-    /// Folds the branch values of a choice; `None` only for an empty
-    /// slice (which the caller already screens out), so the reduce-based
-    /// arms need no panicking unwrap.
-    fn combine_choice(&self, tendency: Tendency, vals: &[(f64, f64)]) -> Option<f64> {
-        match self.approach {
-            AggregationApproach::Pessimistic => vals
-                .iter()
-                .map(|&(_, v)| v)
-                .reduce(|a, b| tendency.worse(a, b)),
-            AggregationApproach::Optimistic => vals
-                .iter()
-                .map(|&(_, v)| v)
-                .reduce(|a, b| tendency.better(a, b)),
-            AggregationApproach::MeanValue => {
-                let total_p: f64 = vals.iter().map(|&(p, _)| p).sum();
-                (!vals.is_empty()).then(|| vals.iter().map(|&(p, v)| p * v).sum::<f64>() / total_p)
-            }
-        }
-    }
-}
-
-fn combine_sequence(op: AggregationOp, vals: &[f64]) -> f64 {
-    match op {
-        AggregationOp::Sum => vals.iter().sum(),
-        AggregationOp::Product => vals.iter().product(),
-        AggregationOp::Min => vals.iter().copied().fold(f64::INFINITY, f64::min),
-        AggregationOp::Max => vals.iter().copied().fold(f64::NEG_INFINITY, f64::max),
-        AggregationOp::Average => vals.iter().sum::<f64>() / vals.len() as f64,
-    }
-}
-
-fn combine_parallel(op: AggregationOp, dimension: Dimension, vals: &[f64]) -> f64 {
-    match op {
-        // Time-like additive properties overlap in parallel: the slowest
-        // branch dominates. Money/energy still add up.
-        AggregationOp::Sum if dimension == Dimension::Time => {
-            vals.iter().copied().fold(f64::NEG_INFINITY, f64::max)
-        }
-        other => combine_sequence(other, vals),
-    }
-}
-
-fn scale_loop(op: AggregationOp, v: f64, n: f64) -> f64 {
-    match op {
-        AggregationOp::Sum => v * n,
-        AggregationOp::Product => v.powf(n),
-        AggregationOp::Min | AggregationOp::Max | AggregationOp::Average => v,
     }
 }
 

@@ -131,14 +131,6 @@ fn main() {
         env.model().format_vector(&report.delivered)
     );
 
-    println!("\nexecution timeline (logical, from observed response times):");
-    for t in &report.timeline {
-        println!(
-            "  {:<12} {:>7.1} – {:>7.1} ms",
-            t.activity, t.start_ms, t.end_ms
-        );
-    }
-
     println!("\nadaptation-relevant events:");
     for event in &log.events() {
         match event {
