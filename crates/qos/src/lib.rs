@@ -67,7 +67,7 @@ mod vector;
 
 pub use constraint::{Constraint, ConstraintSet};
 pub use model::{PropertySpec, QosModel, QosModelBuilder, QosModelError};
-pub use normalize::Normalizer;
+pub use normalize::{Normalizer, Scale};
 pub use perceived::{EndToEnd, EndToEndRule};
 pub use property::{
     AggregationApproach, AggregationOp, Category, Layer, PropertyDef, PropertyId, Tendency,

@@ -116,14 +116,47 @@ impl Normalizer {
     /// Values outside the fitted bounds are clamped; unobserved properties
     /// score a neutral `1` (no candidate differentiates on them).
     pub fn score(&self, property: PropertyId, value: f64) -> f64 {
+        self.scale(property).score(value)
+    }
+
+    /// The fitted range of `property`, looked up once, for a caller that
+    /// scores many values of it: `scale(p).score(v)` is `score(p, v)`.
+    pub fn scale(&self, property: PropertyId) -> Scale {
+        Scale(
+            self.stats
+                .binary_search_by_key(&property, |&(id, ..)| id)
+                .ok()
+                .map(|i| {
+                    let (_, tendency, min, max) = self.stats[i];
+                    (tendency, min, max)
+                }),
+        )
+    }
+
+    /// Properties the normaliser observed.
+    pub fn properties(&self) -> impl Iterator<Item = PropertyId> + '_ {
+        self.stats.iter().map(|&(p, ..)| p)
+    }
+}
+
+/// One property's fitted `(tendency, min, max)`, or nothing when the
+/// normaliser never observed it: what [`Normalizer::score`] reads, so
+/// scoring a column of values searches the fitted properties once.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Scale(Option<(Tendency, f64, f64)>);
+
+impl Scale {
+    /// Normalised score of `value`, in `[0, 1]`, `1` best: the min–max
+    /// ratio under the property's tendency, clamped to the fitted range;
+    /// `1` for an unobserved property, `0` for a non-finite value.
+    pub fn score(self, value: f64) -> f64 {
         if !value.is_finite() {
             // Unknown or unusable quality is the worst quality.
             return 0.0;
         }
-        let Ok(i) = self.stats.binary_search_by_key(&property, |&(id, ..)| id) else {
+        let Some((tendency, min, max)) = self.0 else {
             return 1.0;
         };
-        let (_, tendency, min, max) = self.stats[i];
         if max == min {
             // Degenerate range: the min–max ratio would be 0/0. Score the
             // paper's neutral 0.5 — the property cannot differentiate
@@ -138,11 +171,6 @@ impl Normalizer {
         // `+0.0` and leaves every other value as it is: a zero score is
         // always the same bits, so it sorts the same in every build.
         raw.clamp(0.0, 1.0) + 0.0
-    }
-
-    /// Properties the normaliser observed.
-    pub fn properties(&self) -> impl Iterator<Item = PropertyId> + '_ {
-        self.stats.iter().map(|&(p, ..)| p)
     }
 }
 
@@ -223,5 +251,31 @@ mod tests {
         n.include(&m, rt, 300.0);
         assert_eq!(n.bounds(rt), Some((100.0, 300.0)));
         assert_eq!(n.score(rt, 200.0), 0.5);
+    }
+
+    #[test]
+    fn a_scale_scores_as_the_normalizer() {
+        let (m, rt, av) = setup();
+        let a = v(&[(rt, 100.0), (av, 0.9)]);
+        let b = v(&[(rt, 300.0), (av, 0.9)]);
+        let n = Normalizer::fit(&m, [&a, &b]);
+        let price = m.property("Price").unwrap();
+        for p in [rt, av, price] {
+            for x in [
+                -0.0,
+                0.0,
+                50.0,
+                100.0,
+                0.9,
+                250.0,
+                400.0,
+                f64::NAN,
+                f64::INFINITY,
+            ] {
+                assert_eq!(n.scale(p).score(x).to_bits(), n.score(p, x).to_bits());
+            }
+        }
+        assert_eq!(n.scale(price).score(7.0), 1.0);
+        assert_eq!(n.scale(av).score(0.9), 0.5);
     }
 }

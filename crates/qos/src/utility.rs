@@ -100,20 +100,9 @@ impl FromIterator<(PropertyId, f64)> for Preferences {
 /// A property the vector carries **no value** for scores `0` — an unknown
 /// quality cannot contribute utility.
 pub fn utility(qos: &QosVector, normalizer: &Normalizer, preferences: &Preferences) -> f64 {
-    utility_of(|p| qos.get(p), normalizer, preferences)
-}
-
-/// [`utility`] of the values `value` reads, one property at a time:
-/// the same terms, summed in the same order, so a table of values and a
-/// vector holding them score the same bits.
-pub fn utility_of(
-    value: impl Fn(PropertyId) -> Option<f64>,
-    normalizer: &Normalizer,
-    preferences: &Preferences,
-) -> f64 {
     preferences
         .iter()
-        .map(|(p, w)| match value(p) {
+        .map(|(p, w)| match qos.get(p) {
             Some(v) => w * normalizer.score(p, v),
             None => 0.0,
         })

@@ -1,56 +1,6 @@
 //! Deterministic 1-D K-means, the clustering primitive of QASSA's local
 //! selection phase.
 
-use qasom_qos::Tendency;
-
-/// Result of clustering scalar values into `k` quality bands.
-///
-/// Clusters are relabelled so that cluster `0` has the smallest centroid;
-/// [`Clustering::ranks`] converts labels into quality ranks (rank `0` =
-/// best) under a property's tendency.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Clustering {
-    assignments: Vec<usize>,
-    centroids: Vec<f64>,
-}
-
-impl Clustering {
-    /// Number of clusters actually produced (≤ requested `k`).
-    pub fn k(&self) -> usize {
-        self.centroids.len()
-    }
-
-    /// Cluster label of input point `i` (labels ordered by ascending
-    /// centroid).
-    pub fn assignment(&self, i: usize) -> usize {
-        self.assignments[i]
-    }
-
-    /// All labels, parallel to the input slice.
-    pub fn assignments(&self) -> &[usize] {
-        &self.assignments
-    }
-
-    /// Centroid of cluster `label`.
-    pub fn centroid(&self, label: usize) -> f64 {
-        self.centroids[label]
-    }
-
-    /// Quality rank (0 = best band) of every input point under the given
-    /// tendency: ascending centroids are best for lower-is-better
-    /// properties, descending for higher-is-better ones.
-    pub fn ranks(&self, tendency: Tendency) -> Vec<usize> {
-        let k = self.k();
-        self.assignments
-            .iter()
-            .map(|&label| match tendency {
-                Tendency::LowerBetter => label,
-                Tendency::HigherBetter => k - 1 - label,
-            })
-            .collect()
-    }
-}
-
 /// Reusable scratch buffers for repeated K-means runs.
 ///
 /// The local selection phase clusters one column per (activity, property)
@@ -60,7 +10,8 @@ impl Clustering {
 /// makes at most [`MAX_CLUSTERS`] clusters.
 #[derive(Debug, Clone, Default)]
 pub struct KmeansScratch {
-    sorted: Vec<f64>,
+    /// The input's [`total_key`]s, sorted and deduplicated.
+    sorted: Vec<u64>,
     centroids: Vec<f64>,
     assignments: Vec<u8>,
     sums: Vec<f64>,
@@ -99,7 +50,19 @@ pub(crate) fn total_key(x: f64) -> u64 {
     bits ^ ((((bits as i64) >> 63) as u64) | (1 << 63))
 }
 
-/// Clusters `values` into at most `k` bands with Lloyd's algorithm.
+/// The value whose [`total_key`] is `key`.
+pub(crate) fn from_total_key(key: u64) -> f64 {
+    f64::from_bits(key ^ (!(((key as i64) >> 63) as u64) | (1 << 63)))
+}
+
+/// Clusters `values` into at most `k` bands with Lloyd's algorithm,
+/// into caller-owned buffers.
+///
+/// After the call, `scratch.assignments()` holds the cluster labels
+/// (parallel to `values`, relabelled in ascending-centroid order) and
+/// `scratch.centroids()` the ascending centroids; the returned value is
+/// the effective cluster count. No allocation happens once the scratch
+/// has grown to the workload's size.
 ///
 /// Deterministic: centroids are initialised at evenly spaced quantiles of
 /// the sorted input. A `k` above [`MAX_CLUSTERS`] clusters as
@@ -117,37 +80,15 @@ pub(crate) fn total_key(x: f64) -> u64 {
 /// # Examples
 ///
 /// ```
-/// use qasom_selection::kmeans_1d;
+/// use qasom_selection::{kmeans_1d_with, KmeansScratch};
 ///
 /// let values = [1.0, 1.1, 0.9, 10.0, 10.2, 9.8];
-/// let c = kmeans_1d(&values, 2, 50);
-/// assert_eq!(c.k(), 2);
-/// assert_eq!(c.assignment(0), c.assignment(1));
-/// assert_ne!(c.assignment(0), c.assignment(3));
+/// let mut scratch = KmeansScratch::new();
+/// assert_eq!(kmeans_1d_with(&values, 2, 50, &mut scratch), 2);
+/// let labels = scratch.assignments();
+/// assert_eq!(labels[0], labels[1]);
+/// assert_ne!(labels[0], labels[3]);
 /// ```
-pub fn kmeans_1d(values: &[f64], k: usize, max_iters: usize) -> Clustering {
-    let mut scratch = KmeansScratch::new();
-    kmeans_1d_with(values, k, max_iters, &mut scratch);
-    Clustering {
-        assignments: scratch
-            .assignments
-            .iter()
-            .map(|&l| usize::from(l))
-            .collect(),
-        centroids: scratch.centroids,
-    }
-}
-
-/// [`kmeans_1d`] into caller-owned buffers: the hot-path variant.
-///
-/// After the call, `scratch.assignments()` holds the relabelled cluster
-/// labels (parallel to `values`) and `scratch.centroids()` the ascending
-/// centroids; the returned value is the effective cluster count. No
-/// allocation happens once the scratch has grown to the workload's size.
-///
-/// # Panics
-///
-/// Same conditions as [`kmeans_1d`].
 pub fn kmeans_1d_with(
     values: &[f64],
     k: usize,
@@ -165,18 +106,23 @@ pub fn kmeans_1d_with(
         "values must be finite"
     );
 
+    // The keys sort as `total_cmp` orders the values. Equal keys are
+    // bit-identical values, and equal values are adjacent keys, so the
+    // dedup keeps the first of `-0.0` and `+0.0` as a float dedup would.
     scratch.sorted.clear();
-    scratch.sorted.extend_from_slice(values);
-    // Keys equal under `total_key` are bit-identical, so an unstable
-    // sort by the integer key gives the column `total_cmp` would.
-    scratch.sorted.sort_unstable_by_key(|&v| total_key(v));
-    scratch.sorted.dedup();
+    scratch.sorted.extend(values.iter().map(|&v| total_key(v)));
+    scratch.sorted.sort_unstable();
+    scratch
+        .sorted
+        .dedup_by(|a, b| from_total_key(*a) == from_total_key(*b));
     let k = k.min(scratch.sorted.len()).min(MAX_CLUSTERS);
 
     // Quantile initialisation over distinct values.
     for i in 0..k {
         let pos = (i as f64 + 0.5) / k as f64 * (scratch.sorted.len() as f64 - 1.0);
-        scratch.centroids.push(scratch.sorted[pos.round() as usize]);
+        scratch
+            .centroids
+            .push(from_total_key(scratch.sorted[pos.round() as usize]));
     }
     scratch.centroids.dedup();
 
@@ -271,31 +217,39 @@ pub fn kmeans_1d_with(
 mod tests {
     use super::*;
 
+    /// One run through a fresh scratch: `(k, labels, centroids)`.
+    fn kmeans(values: &[f64], k: usize, max_iters: usize) -> (usize, Vec<u8>, Vec<f64>) {
+        let mut scratch = KmeansScratch::new();
+        let kc = kmeans_1d_with(values, k, max_iters, &mut scratch);
+        (kc, scratch.assignments, scratch.centroids)
+    }
+
     #[test]
     fn separates_obvious_bands() {
         let values = [1.0, 2.0, 1.5, 100.0, 101.0, 99.0, 50.0, 51.0];
-        let c = kmeans_1d(&values, 3, 100);
-        assert_eq!(c.k(), 3);
-        assert_eq!(c.assignment(0), 0);
-        assert_eq!(c.assignment(6), 1);
-        assert_eq!(c.assignment(3), 2);
+        let (k, labels, _) = kmeans(&values, 3, 100);
+        assert_eq!(k, 3);
+        assert_eq!(labels[0], 0);
+        assert_eq!(labels[6], 1);
+        assert_eq!(labels[3], 2);
     }
 
     #[test]
     fn centroids_are_sorted_ascending() {
         let values = [9.0, 1.0, 5.0, 9.5, 1.2, 5.1];
-        let c = kmeans_1d(&values, 3, 100);
-        for w in (0..c.k()).collect::<Vec<_>>().windows(2) {
-            assert!(c.centroid(w[0]) < c.centroid(w[1]));
+        let (k, _, centroids) = kmeans(&values, 3, 100);
+        assert_eq!(centroids.len(), k);
+        for w in centroids.windows(2) {
+            assert!(w[0] < w[1]);
         }
     }
 
     #[test]
     fn fewer_distinct_values_than_k() {
         let values = [5.0, 5.0, 5.0];
-        let c = kmeans_1d(&values, 4, 10);
-        assert_eq!(c.k(), 1);
-        assert!(c.assignments().iter().all(|&a| a == 0));
+        let (k, labels, _) = kmeans(&values, 4, 10);
+        assert_eq!(k, 1);
+        assert!(labels.iter().all(|&a| a == 0));
     }
 
     #[test]
@@ -304,10 +258,10 @@ mod tests {
         // (the neutral score); clustering it must yield one finite
         // band, never a NaN centroid.
         let values = [0.5; 8];
-        let c = kmeans_1d(&values, 4, 50);
-        assert_eq!(c.k(), 1);
-        assert!(c.centroid(0).is_finite());
-        assert_eq!(c.centroid(0), 0.5);
+        let (k, _, centroids) = kmeans(&values, 4, 50);
+        assert_eq!(k, 1);
+        assert!(centroids[0].is_finite());
+        assert_eq!(centroids[0], 0.5);
     }
 
     #[test]
@@ -315,33 +269,38 @@ mod tests {
         // Two tight value groups under k = 5: at most two clusters can
         // survive, and every surviving centroid must be finite.
         let values = [1.0, 1.0, 1.0001, 40.0, 40.0, 40.0001];
-        let c = kmeans_1d(&values, 5, 100);
-        assert!(c.k() <= 4);
-        for label in 0..c.k() {
-            assert!(c.centroid(label).is_finite(), "NaN centroid at {label}");
-            assert!(c.assignments().contains(&label), "empty cluster {label}");
+        let (k, labels, centroids) = kmeans(&values, 5, 100);
+        assert!(k <= 4);
+        assert_eq!(centroids.len(), k);
+        for (label, centroid) in centroids.iter().enumerate() {
+            assert!(centroid.is_finite(), "NaN centroid at {label}");
+            assert!(labels.contains(&(label as u8)), "empty cluster {label}");
         }
     }
 
     #[test]
     fn empty_input_yields_empty_clustering() {
-        let c = kmeans_1d(&[], 3, 10);
-        assert_eq!(c.k(), 0);
-        assert!(c.assignments().is_empty());
+        let (k, labels, centroids) = kmeans(&[], 3, 10);
+        assert_eq!(k, 0);
+        assert!(labels.is_empty());
+        assert!(centroids.is_empty());
     }
 
+    /// Labels ascend with the centroids; ranking inverts them for a
+    /// higher-is-better property (`local::tests::
+    /// band_ranks_follow_the_tendency`).
     #[test]
-    fn ranks_invert_for_higher_better() {
-        let values = [1.0, 10.0];
-        let c = kmeans_1d(&values, 2, 10);
-        assert_eq!(c.ranks(Tendency::LowerBetter), vec![0, 1]);
-        assert_eq!(c.ranks(Tendency::HigherBetter), vec![1, 0]);
+    fn labels_ascend_with_the_values() {
+        let (_, labels, _) = kmeans(&[1.0, 10.0], 2, 10);
+        assert_eq!(labels, [0, 1]);
+        let (_, labels, _) = kmeans(&[10.0, 1.0], 2, 10);
+        assert_eq!(labels, [1, 0]);
     }
 
     #[test]
     fn deterministic_across_calls() {
         let values: Vec<f64> = (0..100).map(|i| f64::from(i % 17) * 3.3).collect();
-        assert_eq!(kmeans_1d(&values, 4, 100), kmeans_1d(&values, 4, 100));
+        assert_eq!(kmeans(&values, 4, 100), kmeans(&values, 4, 100));
     }
 
     #[test]
@@ -353,38 +312,78 @@ mod tests {
             (0..31).map(|i| f64::from(i % 3)).collect(),
         ];
         for values in &columns {
-            let fresh = kmeans_1d(values, 4, 100);
+            let (fresh_k, labels, centroids) = kmeans(values, 4, 100);
             let k = kmeans_1d_with(values, 4, 100, &mut scratch);
-            assert_eq!(k, fresh.k());
-            let labels: Vec<usize> = scratch.assignments().iter().map(|&l| l.into()).collect();
-            assert_eq!(labels, fresh.assignments());
-            assert_eq!(scratch.centroids(), &fresh.centroids[..]);
+            assert_eq!(k, fresh_k);
+            assert_eq!(scratch.assignments(), &labels[..]);
+            assert_eq!(scratch.centroids(), &centroids[..]);
         }
     }
 
     #[test]
     fn partition_covers_all_points() {
         let values: Vec<f64> = (0..57).map(f64::from).collect();
-        let c = kmeans_1d(&values, 4, 100);
-        assert_eq!(c.assignments().len(), values.len());
-        assert!(c.assignments().iter().all(|&a| a < c.k()));
+        let (k, labels, _) = kmeans(&values, 4, 100);
+        assert_eq!(labels.len(), values.len());
+        assert!(labels.iter().all(|&a| usize::from(a) < k));
         // Every cluster is non-empty.
-        for label in 0..c.k() {
-            assert!(c.assignments().contains(&label));
+        for label in 0..k {
+            assert!(labels.contains(&(label as u8)));
         }
     }
 
     #[test]
     fn more_than_a_bytes_worth_of_clusters_clusters_as_max() {
         let values: Vec<f64> = (0..600).map(f64::from).collect();
-        let c = kmeans_1d(&values, 1_000, 5);
-        assert_eq!(c.k(), MAX_CLUSTERS);
-        assert_eq!(c, kmeans_1d(&values, MAX_CLUSTERS, 5));
+        let run = kmeans(&values, 1_000, 5);
+        assert_eq!(run.0, MAX_CLUSTERS);
+        assert_eq!(run, kmeans(&values, MAX_CLUSTERS, 5));
+    }
+
+    /// The key round-trips every value's bits, signed zeros and the
+    /// extremes included, and orders values as `total_cmp` does.
+    #[test]
+    fn the_total_key_round_trips_and_orders() {
+        let values = [
+            f64::NEG_INFINITY,
+            f64::MIN,
+            -1.0,
+            -f64::MIN_POSITIVE,
+            -0.0,
+            0.0,
+            1e-300,
+            1.0,
+            f64::MAX,
+            f64::INFINITY,
+        ];
+        for &v in &values {
+            assert_eq!(from_total_key(total_key(v)).to_bits(), v.to_bits());
+        }
+        for w in values.windows(2) {
+            assert!(total_key(w[0]) < total_key(w[1]), "{} !< {}", w[0], w[1]);
+        }
+    }
+
+    /// Signed zeros are one distinct value, kept as the first the sort
+    /// meets (`-0.0`), as a float sort and dedup keep it.
+    #[test]
+    fn signed_zeros_are_one_distinct_value() {
+        let mut scratch = KmeansScratch::new();
+        assert_eq!(
+            kmeans_1d_with(&[0.0, -0.0, 1.0, 0.0], 3, 10, &mut scratch),
+            2
+        );
+        let distinct: Vec<u64> = scratch
+            .sorted
+            .iter()
+            .map(|&key| from_total_key(key).to_bits())
+            .collect();
+        assert_eq!(distinct, [(-0.0f64).to_bits(), 1.0f64.to_bits()]);
     }
 
     #[test]
     #[should_panic(expected = "finite")]
     fn rejects_nan() {
-        let _ = kmeans_1d(&[1.0, f64::NAN], 2, 10);
+        let _ = kmeans(&[1.0, f64::NAN], 2, 10);
     }
 }

@@ -59,6 +59,6 @@ pub mod workload;
 pub use aggregate::Aggregator;
 pub use candidate::{SelectionProblem, ServiceCandidate};
 pub use global::{Qassa, QassaConfig, SelectionError, SelectionOutcome};
-pub use kmeans::{kmeans_1d, kmeans_1d_with, Clustering, KmeansScratch, MAX_CLUSTERS};
+pub use kmeans::{kmeans_1d_with, KmeansScratch, MAX_CLUSTERS};
 pub use local::{LocalRank, LocalScratch, QosColumns, QosLevels, RankedCandidate};
 pub use qasom_qos::AggregationApproach;

@@ -24,42 +24,52 @@
 
 use std::sync::Arc;
 
-use qasom_qos::utility::utility_of;
 use qasom_qos::{Normalizer, Preferences, PropertyId, QosModel, QosVector, Tendency};
 use qasom_registry::ServiceId;
 
-use crate::kmeans::total_key;
+use crate::kmeans::{from_total_key, total_key};
 use crate::{kmeans_1d_with, KmeansScratch, SelectionProblem, ServiceCandidate};
 
 /// One row of an activity's ranked table: a candidate's id, the
 /// position of its values in the table's [`QosColumns`], and its
 /// local-selection rank. Ranking sorts these rows, not the values.
-#[derive(Debug, Clone, Copy, PartialEq)]
+///
+/// A row is its own best-first sort key, `(hi, lo)` ascending: `hi`
+/// holds the level (8 bits), the class (24 bits) and the top half of
+/// the utility's descending key (`!total_key(utility)`); `lo` holds that
+/// key's bottom half and the id. So the order is level, then class, then
+/// utility descending (`+0.0` before `-0.0`), then id, and a sort reads
+/// two words per row instead of computing a key.
+#[derive(Clone, Copy, PartialEq, Eq)]
 pub struct RankedCandidate {
-    utility: f64,
-    id: ServiceId,
+    hi: u64,
+    lo: u64,
     position: u32,
-    class: u32,
-    level: u8,
 }
+
+/// The low half of a row word.
+const LOW: u64 = 0xFFFF_FFFF;
+
+/// The largest class a row holds.
+const CLASS_MAX: usize = 0xFF_FFFF;
 
 impl RankedCandidate {
     /// An unranked row for candidate `id`, whose values are row
     /// `position` of the table's columns. [`LocalRank::rank_table`]
     /// fills in its level, class and utility where it sorts the table.
     pub fn new(id: ServiceId, position: u32) -> Self {
-        RankedCandidate {
-            utility: 0.0,
-            id,
+        let mut row = RankedCandidate {
+            hi: 0,
+            lo: u64::from(id.raw()),
             position,
-            class: 0,
-            level: 0,
-        }
+        };
+        row.set_utility(0.0);
+        row
     }
 
     /// The registry id of the candidate.
     pub fn id(&self) -> ServiceId {
-        self.id
+        ServiceId::from_raw(self.lo as u32)
     }
 
     /// Where the candidate's values sit in its table's columns: its
@@ -71,38 +81,55 @@ impl RankedCandidate {
 
     /// QoS level (`0` = best band).
     pub fn level(&self) -> usize {
-        usize::from(self.level)
+        (self.hi >> 56) as usize
     }
 
     /// QoS class within the level (`1` = closest to the better level).
+    /// It saturates at 2²⁴ − 1: more requested properties at the worst
+    /// rank than that read as that many.
     pub fn class(&self) -> usize {
-        self.class as usize
+        (self.hi >> 32) as usize & CLASS_MAX
     }
 
     /// SAW utility among the activity's candidates (`f_{s_{i,k}}`).
     pub fn utility(&self) -> f64 {
-        self.utility
+        from_total_key(!(((self.hi & LOW) << 32) | (self.lo >> 32)))
+    }
+
+    fn set_utility(&mut self, utility: f64) {
+        let key = !total_key(utility);
+        self.hi = (self.hi & !LOW) | (key >> 32);
+        self.lo = (key << 32) | (self.lo & LOW);
     }
 
     /// Folds the band rank of one more requested property into the
     /// level (the worst rank) and the class (how many properties are at
     /// it).
     fn note_rank(&mut self, rank: u8) {
-        match rank.cmp(&self.level) {
-            std::cmp::Ordering::Greater => (self.level, self.class) = (rank, 1),
-            std::cmp::Ordering::Equal => self.class += 1,
-            std::cmp::Ordering::Less => {}
+        match usize::from(rank).cmp(&self.level()) {
+            std::cmp::Ordering::Greater => {
+                self.hi = (u64::from(rank) << 56) | (1 << 32) | (self.hi & LOW);
+            }
+            std::cmp::Ordering::Equal if self.class() < CLASS_MAX => self.hi += 1 << 32,
+            _ => {}
         }
     }
 
-    /// The best-first order as one integer: level, then class, then
-    /// utility descending, then id. Ranking and merging both sort by it.
-    /// A class beyond 2²⁴ − 1 (as many requested properties) saturates.
-    fn sort_key(&self) -> u128 {
-        (u128::from(self.level) << 120)
-            | (u128::from(self.class.min(0xFF_FFFF)) << 96)
-            | (u128::from(!total_key(self.utility)) << 32)
-            | u128::from(self.id.raw())
+    /// The best-first order: the row's two words.
+    fn sort_key(&self) -> (u64, u64) {
+        (self.hi, self.lo)
+    }
+}
+
+impl std::fmt::Debug for RankedCandidate {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("RankedCandidate")
+            .field("id", &self.id())
+            .field("position", &self.position)
+            .field("level", &self.level())
+            .field("class", &self.class())
+            .field("utility", &self.utility())
+            .finish()
     }
 }
 
@@ -401,14 +428,19 @@ impl LocalRank {
             kmeans,
         } = scratch;
 
+        // Each row starts at level 0, class 0 and the empty sum (`-0.0`),
+        // which utility adds its terms to below.
+        let empty_sum: f64 = std::iter::empty::<f64>().sum();
+        for row in rows.iter_mut() {
+            row.hi = 0;
+            row.set_utility(empty_sum);
+        }
+
         // Per property: cluster the column and fold each row's band rank
         // into its level (the worst rank so far) and class (how many
         // properties share it). The column's bounds fit the min–max
         // normaliser, so the candidate pool is traversed once per
         // property.
-        for row in rows.iter_mut() {
-            (row.level, row.class) = (0, 0);
-        }
         let mut normalizer = Normalizer::default();
         let mut bounds: Vec<(PropertyId, f64, f64)> = Vec::with_capacity(properties.len());
         for &p in properties {
@@ -479,9 +511,23 @@ impl LocalRank {
             }
         }
 
+        // Utility, one weighted property at a time: its column and fitted
+        // range are looked up once per activity, and every row adds its
+        // term, so each row sums its terms in preference order, the bits
+        // `qasom_qos::utility::utility` gives its vector.
         let prefs = SelectionProblem::effective_preferences(preferences, properties);
-        for (i, row) in rows.iter_mut().enumerate() {
-            row.utility = utility_of(|p| columns.get(i, p), &normalizer, &prefs);
+        for (p, w) in prefs.iter() {
+            let scale = normalizer.scale(p);
+            let column = columns
+                .column(p)
+                .map_or(&[][..], |c| columns.column_values(c));
+            for (i, row) in rows.iter_mut().enumerate() {
+                let term = match column.get(i) {
+                    Some(&v) if v.to_bits() != MISSING => w * scale.score(v),
+                    _ => 0.0,
+                };
+                row.set_utility(row.utility() + term);
+            }
         }
 
         bounds.sort_by_key(|&(p, ..)| p);
@@ -773,7 +819,118 @@ mod tests {
     /// size.
     #[test]
     fn a_ranked_row_fits_in_twenty_four_bytes() {
-        assert!(std::mem::size_of::<RankedCandidate>() <= 24);
+        assert_eq!(std::mem::size_of::<RankedCandidate>(), 24);
+    }
+
+    /// A row with `ranks` noted and `utility` set.
+    fn row(id: u32, position: u32, ranks: &[u8], utility: f64) -> RankedCandidate {
+        let mut row = RankedCandidate::new(ServiceId::from_raw(id), position);
+        for &rank in ranks {
+            row.note_rank(rank);
+        }
+        row.set_utility(utility);
+        row
+    }
+
+    /// Every field reads back as written, whatever the others hold.
+    #[test]
+    fn a_row_round_trips_its_fields() {
+        for id in [0, 1, 0xDEAD_BEEF, u32::MAX] {
+            for position in [0, 7, u32::MAX] {
+                for (ranks, level, class) in [
+                    (&[][..], 0, 0),
+                    (&[0, 0, 0][..], 0, 3),
+                    (&[2, 1, 2][..], 2, 2),
+                    (&[3, 255, 4, 255][..], 255, 2),
+                ] {
+                    for utility in [0.0, -0.0, 0.25, 1.0, f64::MIN_POSITIVE, 1.0 - f64::EPSILON] {
+                        let r = row(id, position, ranks, utility);
+                        assert_eq!(r.id().raw(), id);
+                        assert_eq!(r.position(), position as usize);
+                        assert_eq!((r.level(), r.class()), (level, class));
+                        assert_eq!(r.utility().to_bits(), utility.to_bits());
+                    }
+                }
+                let fresh = RankedCandidate::new(ServiceId::from_raw(id), position);
+                assert_eq!(fresh.utility().to_bits(), 0.0f64.to_bits());
+                assert_eq!((fresh.level(), fresh.class()), (0, 0));
+            }
+        }
+    }
+
+    /// The order the rows' words give is the order of the one-integer
+    /// key `(level, class, !total_key(utility), id)`: utility
+    /// descending puts `+0.0` before `-0.0`.
+    #[test]
+    fn rows_order_as_the_wide_key() {
+        let wide = |r: &RankedCandidate| {
+            (r.level() as u128) << 120
+                | (r.class() as u128) << 96
+                | u128::from(!total_key(r.utility())) << 32
+                | u128::from(r.id().raw())
+        };
+        let mut rows = Vec::new();
+        for id in [3, 1, 2] {
+            for ranks in [&[][..], &[1][..], &[1, 1][..], &[0, 2][..]] {
+                for utility in [0.0, -0.0, 0.5, 1.0, 1e-300] {
+                    rows.push(row(id, id, ranks, utility));
+                }
+            }
+        }
+        let mut by_words = rows.clone();
+        by_words.sort_by_key(RankedCandidate::sort_key);
+        rows.sort_by_key(wide);
+        assert_eq!(by_words, rows);
+        assert!(row(1, 0, &[], 0.0).sort_key() < row(1, 0, &[], -0.0).sort_key());
+    }
+
+    /// The class saturates at 2²⁴ − 1 instead of carrying into the level.
+    #[test]
+    fn the_class_saturates() {
+        let mut r = row(9, 0, &[1], 0.5);
+        for _ in 0..CLASS_MAX + 5 {
+            r.note_rank(1);
+        }
+        assert_eq!((r.level(), r.class()), (1, CLASS_MAX));
+        assert_eq!(r.utility(), 0.5);
+        assert_eq!(r.id().raw(), 9);
+        r.note_rank(2);
+        assert_eq!((r.level(), r.class()), (2, 1));
+    }
+
+    #[test]
+    fn a_row_debugs_as_its_decoded_fields() {
+        let r = row(4, 2, &[1, 1], 0.5);
+        assert_eq!(
+            format!("{r:?}"),
+            format!(
+                "RankedCandidate {{ id: {:?}, position: 2, level: 1, class: 2, utility: 0.5 }}",
+                ServiceId::from_raw(4)
+            )
+        );
+    }
+
+    /// A lower-is-better property's bands rank as K-means labels them, a
+    /// higher-is-better one's in reverse.
+    #[test]
+    fn band_ranks_follow_the_tendency() {
+        let m = QosModel::standard();
+        let cands = candidates(&m, &[(1.0, 0.5), (10.0, 0.99)]);
+        let cfg = LocalRank { bands: 2 };
+        let prefs = Preferences::default();
+        let level_of = |levels: &QosLevels, id| {
+            levels
+                .best_first()
+                .iter()
+                .find(|r| r.id() == id)
+                .unwrap()
+                .level()
+        };
+        for (p, best) in [(props(&m)[0], 0), (props(&m)[1], 1)] {
+            let levels = cfg.rank(&m, &cands, &[p], &prefs);
+            assert_eq!(level_of(&levels, cands[best].id()), 0);
+            assert_eq!(level_of(&levels, cands[1 - best].id()), 1);
+        }
     }
 
     /// Rows ranked out of column order (discovery puts better match

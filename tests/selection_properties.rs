@@ -9,9 +9,8 @@ use qasom_registry::{ServiceDescription, ServiceId, ServiceRegistry};
 use qasom_selection::baseline::Baselines;
 use qasom_selection::workload::{TaskShape, Tightness, WorkloadSpec};
 use qasom_selection::{
-    kmeans_1d, kmeans_1d_with, AggregationApproach, Aggregator, KmeansScratch, LocalRank,
-    LocalScratch, Qassa, QosColumns, QosLevels, RankedCandidate, SelectionProblem,
-    ServiceCandidate,
+    kmeans_1d_with, AggregationApproach, Aggregator, KmeansScratch, LocalRank, LocalScratch, Qassa,
+    QosColumns, QosLevels, RankedCandidate, SelectionProblem, ServiceCandidate,
 };
 
 fn model() -> QosModel {
@@ -250,11 +249,13 @@ proptest! {
     #[test]
     fn kmeans_handles_constant_values(value in 0.0f64..1e4, n in 1usize..100, k in 1usize..8) {
         let values = vec![value; n];
-        let c = kmeans_1d(&values, k, 50);
-        prop_assert_eq!(c.assignments().len(), n);
-        for label in 0..c.k() {
-            prop_assert!(c.assignments().contains(&label));
-            prop_assert!(c.centroid(label).is_finite(), "centroid {label} not finite");
+        let mut scratch = KmeansScratch::new();
+        let kc = kmeans_1d_with(&values, k, 50, &mut scratch);
+        prop_assert_eq!(scratch.assignments().len(), n);
+        prop_assert_eq!(scratch.centroids().len(), kc);
+        for label in 0..kc {
+            prop_assert!(scratch.assignments().contains(&(label as u8)));
+            prop_assert!(scratch.centroids()[label].is_finite(), "centroid {label} not finite");
         }
     }
 
@@ -262,17 +263,19 @@ proptest! {
     /// in range, non-empty clusters.
     #[test]
     fn kmeans_partitions_its_input(values in prop::collection::vec(0.0f64..1e4, 1..200), k in 1usize..8) {
-        let c = kmeans_1d(&values, k, 50);
-        prop_assert_eq!(c.assignments().len(), values.len());
-        for &a in c.assignments() {
-            prop_assert!(a < c.k());
+        let mut scratch = KmeansScratch::new();
+        let kc = kmeans_1d_with(&values, k, 50, &mut scratch);
+        prop_assert_eq!(scratch.assignments().len(), values.len());
+        prop_assert_eq!(scratch.centroids().len(), kc);
+        for &a in scratch.assignments() {
+            prop_assert!(usize::from(a) < kc);
         }
-        for label in 0..c.k() {
-            prop_assert!(c.assignments().contains(&label));
+        for label in 0..kc {
+            prop_assert!(scratch.assignments().contains(&(label as u8)));
         }
         // Centroids strictly increase.
-        for i in 1..c.k() {
-            prop_assert!(c.centroid(i - 1) <= c.centroid(i));
+        for i in 1..kc {
+            prop_assert!(scratch.centroids()[i - 1] <= scratch.centroids()[i]);
         }
     }
 }
@@ -752,4 +755,122 @@ proptest! {
         prop_assert_eq!(tagged(&merged), arrived);
         prop_assert_eq!(merged.total(), 2 * n);
     }
+}
+
+/// The sizes the serving workloads rank, 1 000 to 3 100 rows an
+/// activity, where the proptests above draw a few hundred at most.
+const SERVING_SIZES: [usize; 8] = [1_000, 3_100, 1_250, 2_800, 1_600, 3_120, 2_000, 2_400];
+
+/// K-means at serving size equals the two-pass reference on every
+/// column shape, signed zeros (shape 2) included, which pins how equal
+/// values of different bits collapse to one distinct value.
+#[test]
+fn fused_kmeans_matches_the_two_pass_reference_at_serving_size() {
+    let mut scratch = KmeansScratch::new();
+    for (shape, &n) in SERVING_SIZES.iter().enumerate() {
+        for (k, max_iters) in [(4, 50), (1 + shape, 3)] {
+            let values = column(shape, n, 0x5EED ^ shape as u64);
+            let (labels, centroids) = reference_kmeans(&values, k, max_iters);
+            let kc = kmeans_1d_with(&values, k, max_iters, &mut scratch);
+            assert_eq!(kc, centroids.len(), "shape {shape}, n {n}, k {k}");
+            let read: Vec<usize> = scratch.assignments().iter().map(|&l| l.into()).collect();
+            assert_eq!(read, labels, "shape {shape}, n {n}, k {k}");
+            let bits = |c: &[f64]| c.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(scratch.centroids()), bits(&centroids));
+        }
+    }
+}
+
+/// A serving-size table: on even cases every row holds a finite value
+/// of each of the four properties, one column shape each (the columns
+/// are clustered where they lie); on odd cases the rows of [`table`]
+/// (missing and non-finite values, gathered first).
+fn serving_table(model: &QosModel, case: usize) -> (Vec<ServiceCandidate>, Vec<PropertyId>) {
+    let n = SERVING_SIZES[case];
+    let seed = 0xC0FF_EE00 + case as u64;
+    let (candidates, props) = table(model, n, seed);
+    if case % 2 == 1 {
+        return (candidates, props);
+    }
+    let columns: Vec<Vec<f64>> = (0..props.len())
+        .map(|j| column((case + 2 * j) % 8, n, seed + j as u64))
+        .collect();
+    let candidates = candidates
+        .iter()
+        .enumerate()
+        .map(|(i, c)| {
+            let qos = props
+                .iter()
+                .zip(&columns)
+                .map(|(&p, col)| (p, col[i]))
+                .collect();
+            ServiceCandidate::new(c.id(), qos)
+        })
+        .collect();
+    (candidates, props)
+}
+
+/// Ranking at serving size equals the comparator reference row for row,
+/// utility bits included, with the same bounds.
+#[test]
+fn in_place_ranking_matches_the_comparator_reference_at_serving_size() {
+    let m = model();
+    let mut scratch = LocalScratch::new();
+    for case in 0..SERVING_SIZES.len() {
+        let (candidates, props) = serving_table(&m, case);
+        // The request names three properties, or all four; the weights
+        // fall on one outside them, on none, or on two inside.
+        let properties: Vec<PropertyId> = props.iter().copied().skip(case % 2).collect();
+        let preferences = match case % 3 {
+            0 => Preferences::uniform([props[0], props[2]]),
+            1 => Preferences::default(),
+            _ => Preferences::from_weights([(props[1], 2.0), (props[3], 1.0)]),
+        };
+        let bands = [4, 1, 8, 3][case % 4];
+        let (expected, bounds) = reference_rank(&m, bands, &candidates, &properties, &preferences);
+        let (rows_in, columns) = rows_and_columns(&candidates, &props);
+        let levels = LocalRank { bands }.rank_table(
+            &m,
+            rows_in,
+            columns,
+            &properties,
+            &preferences,
+            &mut scratch,
+        );
+        assert_eq!(rows(&levels), expected, "case {case}");
+        assert_eq!(levels.level_count(), expected.last().map_or(0, |r| r.1 + 1));
+        for &p in &properties {
+            let want = bounds
+                .iter()
+                .find(|b| b.0 == p)
+                .map(|b| (b.1.to_bits(), b.2.to_bits()));
+            let got = levels.bound(p).map(|(lo, hi)| (lo.to_bits(), hi.to_bits()));
+            assert_eq!(got, want, "case {case}");
+        }
+    }
+}
+
+/// Merging two serving-size tables whose ids repeat (each side was
+/// registered afresh) is a stable sort of both sides' reference rows.
+#[test]
+fn merging_serving_size_tables_is_a_stable_sort_of_both() {
+    let m = model();
+    let (left, props) = serving_table(&m, 0);
+    let (right, _) = serving_table(&m, 3);
+    let preferences = Preferences::default();
+    let rank =
+        |cands: &[ServiceCandidate]| LocalRank::default().rank(&m, cands, &props, &preferences);
+    let mut merged = rank(&left);
+    merged.merge(rank(&right));
+    let (mut expected, _) = reference_rank(&m, 4, &left, &props, &preferences);
+    expected.extend(reference_rank(&m, 4, &right, &props, &preferences).0);
+    expected.sort_by(|a, b| {
+        a.1.cmp(&b.1)
+            .then(a.2.cmp(&b.2))
+            .then(f64::from_bits(b.3).total_cmp(&f64::from_bits(a.3)))
+            .then(a.0.cmp(&b.0))
+    });
+    assert_eq!(merged.total(), left.len() + right.len());
+    assert_eq!(rows(&merged), expected);
+    assert_eq!(merged.level_count(), expected.last().map_or(0, |r| r.1 + 1));
 }
