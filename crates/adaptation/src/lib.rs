@@ -13,8 +13,9 @@
 //!   constraints. A [`CompositionMonitor`] borrows the running
 //!   composition, and each check returns one [`Assessment`]: the
 //!   believed QoS per activity, its aggregate and the violations. Each
-//!   service's full windows and SLA compliance settle into a
-//!   [`QosEstimate`], the QoS every later composition ranks it on;
+//!   service's window means and SLA compliance settle into one
+//!   [`QosEstimate`], which every composition ranks it on and every
+//!   check and substitution plan believes of it;
 //! * **Service substitution**
 //!   ([`CompositionMonitor::plan_substitution`]) — the first-line
 //!   strategy: from a check's assessment, replace the degraded service
@@ -49,11 +50,12 @@
 //!     obs.set(rt, v);
 //!     monitor.observe(&model, id, &obs);
 //! }
-//! // Completion checks read the window means at once…
-//! assert_eq!(monitor.window_means(id).unwrap().get(rt), Some(110.0));
-//! // …but composition ranks on the estimate, which keeps the
-//! // advertisement until a window is full.
-//! assert_eq!(monitor.qos_estimate(id).unwrap().get(rt), None);
+//! // Compose, the completion check and the substitution planner all
+//! // read one estimate: the window mean from the first delivery on…
+//! assert_eq!(monitor.qos_estimate(id).unwrap().get(rt), Some(110.0));
+//! // …and the proactive check reads the trend, which predicts the next
+//! // delivery above it.
+//! assert!(monitor.predict(id).unwrap().get(rt).unwrap() > 110.0);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -67,5 +69,5 @@ mod substitute;
 
 pub use behavioural::{AdaptationPlan, BehaviouralAdapter};
 pub use homeo::{find_homeomorphism, find_order_embedding, Homeomorphism};
-pub use monitor::{overlay, Assessment, CompositionMonitor, QosEstimate, QosMonitor, Violation};
+pub use monitor::{Assessment, CompositionMonitor, QosEstimate, QosMonitor, Violation};
 pub use substitute::SubstitutionPlan;

@@ -36,11 +36,9 @@ impl PropertyWindow {
         });
     }
 
-    fn mean(&self) -> Option<f64> {
-        if self.samples.is_empty() {
-            return None;
-        }
-        Some(self.samples.iter().sum::<f64>() / self.samples.len() as f64)
+    /// The mean of the samples the window holds (at least one).
+    fn mean(&self) -> f64 {
+        self.samples.iter().sum::<f64>() / self.samples.len() as f64
     }
 
     /// One-step-ahead prediction: EWMA plus the linear trend of the
@@ -55,7 +53,7 @@ impl PropertyWindow {
         }
         let xs = (0..n).map(|i| i as f64);
         let mean_x = (n as f64 - 1.0) / 2.0;
-        let mean_y = self.mean()?;
+        let mean_y = self.mean();
         let mut num = 0.0;
         let mut den = 0.0;
         for (x, &y) in xs.zip(self.samples.iter()) {
@@ -69,8 +67,8 @@ impl PropertyWindow {
 
 /// What the middleware has learnt of one service's QoS, per property:
 ///
-/// * a property whose window holds `WINDOW` deliveries takes the window
-///   mean;
+/// * a property the service has delivered takes the mean of its window
+///   (the last `WINDOW` deliveries, or as many as there were);
 /// * a Reputation-category property the service advertises takes
 ///   `5 × compliance` of the service's SLA once the SLA has checked a
 ///   delivery — and only that: delivered Reputation values are never
@@ -78,10 +76,10 @@ impl PropertyWindow {
 /// * every other property keeps its advertised value.
 ///
 /// The estimate holds only the learnt values; [`QosEstimate::apply`]
-/// lays them over an advertisement. Composition reads one per
-/// discovered service, so it is kept settled by the writes that change
-/// it ([`QosMonitor::observe`], [`QosMonitor::record_delivery`]) rather
-/// than recomputed by the read.
+/// lays them over an advertisement. Composition, the completion check
+/// and the substitution planner all read it, so it is kept settled by
+/// the writes that change it ([`QosMonitor::observe`],
+/// [`QosMonitor::record_delivery`]) rather than recomputed by the read.
 #[derive(Debug, Clone, Default)]
 pub struct QosEstimate {
     settled: QosVector,
@@ -118,15 +116,6 @@ impl ServiceRecord {
             .binary_search_by_key(&property, |&(p, _)| p)
             .ok()
             .map(|i| &self.windows[i].1)
-    }
-
-    fn per_property(&self, read: impl Fn(&PropertyWindow) -> Option<f64>) -> Option<QosVector> {
-        let v: QosVector = self
-            .windows
-            .iter()
-            .filter_map(|(p, w)| read(w).map(|m| (*p, m)))
-            .collect();
-        (!v.is_empty()).then_some(v)
     }
 }
 
@@ -184,11 +173,7 @@ impl QosMonitor {
             };
             let window = &mut record.windows[i].1;
             window.push(v);
-            if window.samples.len() == WINDOW {
-                if let Some(mean) = window.mean() {
-                    record.estimate.settled.set(p, mean);
-                }
-            }
+            record.estimate.settled.set(p, window.mean());
         }
     }
 
@@ -244,18 +229,27 @@ impl QosMonitor {
         self.record(service)?.sla.as_ref()
     }
 
-    /// The mean of each of a service's delivery windows, over however
-    /// many samples each holds (`None` when the service was never
-    /// observed). Completion checks and substitution read these; what
-    /// composition ranks a service on is its settled
-    /// [`QosMonitor::qos_estimate`].
-    pub fn window_means(&self, service: ServiceId) -> Option<QosVector> {
-        self.record(service)?.per_property(PropertyWindow::mean)
+    /// What is believed of a candidate: its QoS vector with the service's
+    /// [`QosEstimate`] laid over it. The completion check reads each
+    /// bound service this way, and the substitution planner each
+    /// alternate, as compose reads each discovered service.
+    pub(crate) fn believed(&self, candidate: &ServiceCandidate) -> QosVector {
+        let mut qos = candidate.qos().clone();
+        if let Some(estimate) = self.qos_estimate(candidate.id()) {
+            estimate.apply(&mut qos);
+        }
+        qos
     }
 
     /// Trend-adjusted one-step-ahead prediction of a service's QoS.
     pub fn predict(&self, service: ServiceId) -> Option<QosVector> {
-        self.record(service)?.per_property(PropertyWindow::predict)
+        let v: QosVector = self
+            .record(service)?
+            .windows
+            .iter()
+            .filter_map(|(p, w)| w.predict().map(|m| (*p, m)))
+            .collect();
+        (!v.is_empty()).then_some(v)
     }
 
     /// Number of observations recorded for a service/property.
@@ -284,8 +278,8 @@ pub struct Violation {
 /// starts from it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Assessment {
-    /// Per-activity QoS as believed: the bound service's window means
-    /// where it was observed, its advertised values elsewhere.
+    /// Per-activity QoS as believed: the bound service's vector with its
+    /// [`QosEstimate`] laid over it ([`QosMonitor::believed`]).
     pub(crate) believed: Vec<QosVector>,
     /// `believed` aggregated over the task, on the constrained
     /// properties.
@@ -345,13 +339,15 @@ impl<'a> CompositionMonitor<'a> {
     /// against trend predictions.
     pub fn check(&self, monitor: &QosMonitor) -> Assessment {
         let properties: Vec<PropertyId> = self.constraints.properties().collect();
-        let believed = self.per_activity(monitor, QosMonitor::window_means);
+        let believed: Vec<QosVector> = self.bindings.iter().map(|b| monitor.believed(b)).collect();
         let aggregate = self.aggregator.aggregate(self.task, &believed, &properties);
-        let predicted = self.aggregator.aggregate(
-            self.task,
-            &self.per_activity(monitor, QosMonitor::predict),
-            &properties,
-        );
+        let trend: Vec<QosVector> = self
+            .bindings
+            .iter()
+            .zip(&believed)
+            .map(|(bound, qos)| with_trend(monitor, bound.id(), qos))
+            .collect();
+        let predicted = self.aggregator.aggregate(self.task, &trend, &properties);
 
         let mut violations = Vec::new();
         for c in self.constraints.iter() {
@@ -376,32 +372,16 @@ impl<'a> CompositionMonitor<'a> {
             properties,
         }
     }
-
-    fn per_activity(
-        &self,
-        monitor: &QosMonitor,
-        read: impl Fn(&QosMonitor, ServiceId) -> Option<QosVector>,
-    ) -> Vec<QosVector> {
-        self.bindings
-            .iter()
-            .map(|bound| overlay(read(monitor, bound.id()), bound.qos()))
-            .collect()
-    }
 }
 
-/// What is believed of one service: every property in `observed` (a
-/// monitor estimate or prediction), and its advertised value for every
-/// property the monitor never saw delivered.
-pub fn overlay(observed: Option<QosVector>, advertised: &QosVector) -> QosVector {
-    let Some(mut observed) = observed else {
-        return advertised.clone();
-    };
-    for (p, v) in advertised.iter() {
-        if !observed.contains(p) {
-            observed.set(p, v);
-        }
+/// `believed` with the trend prediction of every property the service
+/// has delivered laid over it: what the proactive check aggregates.
+fn with_trend(monitor: &QosMonitor, service: ServiceId, believed: &QosVector) -> QosVector {
+    let mut qos = believed.clone();
+    if let Some(prediction) = monitor.predict(service) {
+        qos.overwrite(&prediction);
     }
-    observed
+    qos
 }
 
 #[cfg(test)]
@@ -431,6 +411,11 @@ mod tests {
         [(p, v)].into_iter().collect()
     }
 
+    /// The learnt ResponseTime of service `i`.
+    fn learnt(f: &Fx, m: &QosMonitor, i: usize) -> Option<f64> {
+        m.qos_estimate(f.ids[i])?.get(f.rt)
+    }
+
     #[test]
     fn estimate_is_window_mean() {
         let f = fx(1);
@@ -438,7 +423,7 @@ mod tests {
         for v in [100.0, 200.0, 300.0] {
             m.observe(&f.model, f.ids[0], &obs(f.rt, v));
         }
-        assert_eq!(m.window_means(f.ids[0]).unwrap().get(f.rt), Some(200.0));
+        assert_eq!(learnt(&f, &m, 0), Some(200.0));
     }
 
     #[test]
@@ -450,7 +435,7 @@ mod tests {
             m.observe(&f.model, f.ids[0], &obs(f.rt, 200.0));
         }
         // The first sample has left the window.
-        assert_eq!(m.window_means(f.ids[0]).unwrap().get(f.rt), Some(200.0));
+        assert_eq!(learnt(&f, &m, 0), Some(200.0));
         assert_eq!(m.sample_count(f.ids[0], f.rt), WINDOW);
     }
 
@@ -462,7 +447,7 @@ mod tests {
             m.observe(&f.model, f.ids[0], &obs(f.rt, v));
         }
         let predicted = m.predict(f.ids[0]).unwrap().get(f.rt).unwrap();
-        let estimated = m.window_means(f.ids[0]).unwrap().get(f.rt).unwrap();
+        let estimated = learnt(&f, &m, 0).unwrap();
         assert!(
             predicted > estimated,
             "worsening trend must predict above the mean: {predicted} vs {estimated}"
@@ -473,38 +458,50 @@ mod tests {
     fn unobserved_service_has_no_estimate() {
         let f = fx(1);
         let m = QosMonitor::new();
-        assert!(m.window_means(f.ids[0]).is_none());
+        assert!(m.qos_estimate(f.ids[0]).is_none());
         assert!(m.predict(f.ids[0]).is_none());
     }
 
+    /// One rule from the first delivery on: a delivered property's
+    /// estimate is the mean of its window, full or not; delivered
+    /// Reputation is never windowed, and a property never delivered
+    /// keeps its advertisement.
     #[test]
-    fn the_estimate_keeps_the_advertisement_until_a_window_is_full() {
+    fn the_estimate_is_the_window_mean_from_the_first_delivery() {
         let f = fx(2);
         let av = f.model.property("Availability").unwrap();
-        let advertised: QosVector = [(f.rt, 100.0), (av, 0.99)].into_iter().collect();
-        let estimated = |m: &QosMonitor, id| {
-            let mut qos = advertised.clone();
-            if let Some(estimate) = m.qos_estimate(id) {
-                estimate.apply(&mut qos);
-            }
-            qos
-        };
+        let rep = f.model.property("Reputation").unwrap();
+        let advertised: QosVector = [(f.rt, 100.0), (av, 0.99), (rep, 2.5)]
+            .into_iter()
+            .collect();
+        let estimated =
+            |m: &QosMonitor, id| m.believed(&ServiceCandidate::new(id, advertised.clone()));
         let mut m = QosMonitor::new();
         assert!(m.qos_estimate(f.ids[0]).is_none());
         assert_eq!(estimated(&m, f.ids[0]), advertised);
-        for _ in 1..WINDOW {
+
+        // One delivery moves the estimate, of the delivered property only;
+        // the Reputation it reports is dropped.
+        let delivered: QosVector = [(f.rt, 300.0), (rep, 0.0)].into_iter().collect();
+        m.observe(&f.model, f.ids[0], &delivered);
+        let learnt: QosVector = [(f.rt, 300.0), (av, 0.99), (rep, 2.5)]
+            .into_iter()
+            .collect();
+        assert_eq!(estimated(&m, f.ids[0]), learnt);
+        assert_eq!(m.sample_count(f.ids[0], rep), 0);
+
+        // A partial window's mean.
+        for _ in 2..WINDOW {
             m.observe(&f.model, f.ids[0], &obs(f.rt, 300.0));
         }
-        assert_eq!(estimated(&m, f.ids[0]), advertised, "a partial window");
         m.observe(&f.model, f.ids[0], &obs(f.rt, 1_300.0));
-        // The window mean, for the windowed property only.
-        let learnt: QosVector = [(f.rt, 400.0), (av, 0.99)].into_iter().collect();
-        assert_eq!(estimated(&m, f.ids[0]), learnt);
-        // It follows the window as it slides.
-        m.observe(&f.model, f.ids[0], &obs(f.rt, 300.0));
+        assert_eq!(m.sample_count(f.ids[0], f.rt), WINDOW);
         assert_eq!(estimated(&m, f.ids[0]).get(f.rt), Some(400.0));
+        // A full window drops its oldest sample as it takes a new one.
         m.observe(&f.model, f.ids[0], &obs(f.rt, 1_300.0));
         assert_eq!(estimated(&m, f.ids[0]).get(f.rt), Some(500.0));
+        assert_eq!(m.sample_count(f.ids[0], f.rt), WINDOW);
+
         assert_eq!(estimated(&m, f.ids[1]), advertised);
         m.forget(f.ids[0]);
         assert_eq!(estimated(&m, f.ids[0]), advertised);
@@ -522,7 +519,6 @@ mod tests {
             m.observe(&f.model, f.ids[0], &delivered);
         }
         assert_eq!(m.sample_count(f.ids[0], rep), 0, "never windowed");
-        assert_eq!(m.window_means(f.ids[0]).unwrap().get(rep), None);
         assert_eq!(m.qos_estimate(f.ids[0]).unwrap().get(rep), None);
         assert!(m.sla(f.ids[0]).is_none());
 
@@ -619,6 +615,35 @@ mod tests {
         let violations = comp.check(&f, &m).violations;
         assert_eq!(violations.len(), 1, "trend must be flagged proactively");
         assert!(violations[0].proactive);
+    }
+
+    /// The check believes a bound service's learnt Reputation, not the
+    /// value it was bound with: two compliant deliveries and two failures
+    /// lower an advertised 4.0 to `5 × 2/4`.
+    #[test]
+    fn the_check_reads_the_reputation_the_sla_has_learnt() {
+        let f = fx(1);
+        let rep = f.model.property("Reputation").unwrap();
+        let advertised: QosVector = [(f.rt, 100.0), (rep, 4.0)].into_iter().collect();
+        let task = UserTask::new("t", TaskNode::activity(Activity::new("a", "x#A"))).unwrap();
+        let bindings = [ServiceCandidate::new(f.ids[0], advertised.clone())];
+        let constraints: ConstraintSet = [Constraint::new(rep, Tendency::HigherBetter, 3.0)]
+            .into_iter()
+            .collect();
+        let approach = AggregationApproach::MeanValue;
+        let comp = CompositionMonitor::new(&f.model, &task, &bindings, &constraints, approach);
+        let mut m = QosMonitor::new();
+        assert!(comp.check(&m).violations.is_empty());
+        for delivered in [Some(&advertised), Some(&advertised), None, None] {
+            m.record_delivery(&f.model, f.ids[0], &advertised, delivered);
+        }
+        let assessment = comp.check(&m);
+        assert_eq!(assessment.believed[0].get(rep), Some(2.5));
+        let [violation] = &assessment.violations[..] else {
+            panic!("one violation: {:?}", assessment.violations);
+        };
+        assert!(!violation.proactive);
+        assert_eq!(violation.value, Some(2.5));
     }
 
     #[test]

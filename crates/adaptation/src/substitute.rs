@@ -4,7 +4,7 @@ use qasom_qos::QosVector;
 use qasom_registry::ServiceId;
 use qasom_selection::ServiceCandidate;
 
-use crate::{overlay, Assessment, CompositionMonitor, QosMonitor};
+use crate::{Assessment, CompositionMonitor, QosMonitor};
 
 /// A planned substitution: replace the service bound to `activity`.
 #[derive(Debug, Clone, PartialEq)]
@@ -81,10 +81,10 @@ impl CompositionMonitor<'_> {
                 if alternate.id() == bound {
                     continue;
                 }
-                // Believe the monitor about the alternate too where it has
-                // history; trust its advertisement for the rest. Tried in
-                // the activity's own slot, which is then put back.
-                let alternate_qos = overlay(monitor.window_means(alternate.id()), alternate.qos());
+                // Believe the alternate's estimate, as the check believes
+                // the bound service's. Tried in the activity's own slot,
+                // which is then put back.
+                let alternate_qos = monitor.believed(&alternate);
                 let own = std::mem::replace(&mut believed[activity], alternate_qos);
                 let expected = self.aggregator.aggregate(self.task, &believed, &properties);
                 believed[activity] = own;

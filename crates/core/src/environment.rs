@@ -915,6 +915,29 @@ mod tests {
         }
     }
 
+    /// A few deliveries count from the first: three slow ones of the
+    /// advertised-best service make the next compose bind the other.
+    #[test]
+    fn three_bad_deliveries_move_the_next_compose() {
+        let mut e = env();
+        let rt = e.model().property("ResponseTime").unwrap();
+        let fast = deploy(&mut e, "a-fast", "d#A", 50.0);
+        let other = deploy(&mut e, "a-other", "d#A", 80.0);
+        deploy(&mut e, "b", "d#B", 60.0);
+        let request = UserRequest::new(two_step_task())
+            .constraint("ResponseTime", 1.0, Unit::Seconds)
+            .unwrap()
+            .weight("ResponseTime", 1.0);
+        let bound = |e: &Environment| e.compose(&request).unwrap().outcome().assignment[0].id();
+        assert_eq!(bound(&e), fast);
+        let mut slow = QosVector::new();
+        slow.set(rt, 200.0);
+        for _ in 0..3 {
+            e.record_invocation(fast, Some(&slow));
+        }
+        assert_eq!(bound(&e), other);
+    }
+
     /// Compose ranks each discovered service on its QoS estimate: the
     /// outcome is the one QASSA selects over the discovered candidates
     /// with each service's estimate laid over its advertisement, and
@@ -1156,7 +1179,7 @@ mod tests {
     }
 
     #[test]
-    fn compose_stops_trusting_an_advertisement_once_the_window_is_full() {
+    fn compose_stops_trusting_an_advertisement_the_monitor_disproves() {
         let mut e = env();
         let rt = e.model().property("ResponseTime").unwrap();
         // Advertised-fast-but-actually-slow vs advertised-slow-but-fine.

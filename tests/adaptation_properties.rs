@@ -149,7 +149,7 @@ proptest! {
             q.set(rt, v);
             monitor.observe(&model, id, &q);
         }
-        let est = monitor.window_means(id).unwrap().get(rt).unwrap();
+        let est = monitor.qos_estimate(id).unwrap().get(rt).unwrap();
         let tail: Vec<f64> = values.iter().rev().take(WINDOW).copied().collect();
         let lo = tail.iter().cloned().fold(f64::INFINITY, f64::min);
         let hi = tail.iter().cloned().fold(f64::NEG_INFINITY, f64::max);

@@ -131,3 +131,33 @@ fn the_pinned_script_covers_every_adaptation_path() {
     assert!(after("ViolationDetected"), "a planner substitution");
     assert!(after("InvocationFailed"), "a dynamic-binding substitution");
 }
+
+/// Compose and the completion check believe one estimate of each
+/// service. Once session 0 has seen `stream-fast` drift, later sessions
+/// compose away from it, so none reports a reactive violation before its
+/// first `stream` invocation.
+#[test]
+fn no_later_session_breaks_its_bound_before_it_streams() {
+    let mut sessions: Vec<Vec<&str>> = vec![Vec::new()];
+    for line in FIXTURE.lines() {
+        sessions.last_mut().unwrap().push(line);
+        if line.starts_with("session ") {
+            sessions.push(Vec::new());
+        }
+    }
+    sessions.pop();
+    assert_eq!(sessions.len(), 3);
+    for (n, lines) in sessions.iter().enumerate().skip(1) {
+        let streamed = lines
+            .iter()
+            .position(|l| l.starts_with("Invoked { activity: \"stream\""))
+            .expect("a stream invocation");
+        assert!(
+            !lines[..streamed]
+                .iter()
+                .any(|l| l.starts_with("ViolationDetected") && l.contains("proactive: false")),
+            "session {n} breaks its bound before it streams:\n{}",
+            lines.join("\n")
+        );
+    }
+}

@@ -142,7 +142,7 @@ proptest! {
         // Whatever happened, monitor estimates remain well-formed.
         let rt = env.model().property("ResponseTime").unwrap();
         for (id, _) in env.registry().iter() {
-            if let Some(est) = env.monitor().window_means(id) {
+            if let Some(est) = env.monitor().qos_estimate(id) {
                 if let Some(v) = est.get(rt) {
                     prop_assert!(v.is_finite() && v >= 0.0, "estimate {v}");
                 }

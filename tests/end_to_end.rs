@@ -1,6 +1,7 @@
 //! End-to-end scenarios through the whole middleware stack:
 //! request → discovery → QASSA → execution → monitoring → adaptation.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use qasom::{Environment, EventLog, ExecutionError, MiddlewareEvent, UserRequest};
@@ -280,12 +281,13 @@ fn drifting_service_triggers_proactive_substitution() {
         .any(|e| matches!(e, MiddlewareEvent::ViolationDetected { .. })));
 }
 
-/// A provider whose response time drifts ×3 keeps being bound while its
-/// advertisement is all there is to judge it by. Once its window of
-/// deliveries is full, a fresh compose ranks it on the window mean and
-/// binds an honest provider instead.
+/// A provider whose response time drifts ×3 keeps being bound while what
+/// it is ranked on — its advertisement, then the mean of its last ten
+/// deliveries from the first one on — beats every honest provider's.
+/// The first compose after that passes the honest best binds an honest
+/// provider instead, and no later compose binds it again.
 #[test]
-fn a_fresh_compose_stops_binding_a_drifting_provider_once_its_window_is_full() {
+fn a_fresh_compose_drops_a_drifting_provider_once_its_estimate_passes_the_honest_best() {
     let mut env = Environment::new(QosModel::standard(), shop_ontology(), 12);
     let d = Deployer::new(&env);
     let rt = d.rt;
@@ -299,9 +301,9 @@ fn a_fresh_compose_stops_binding_a_drifting_provider_once_its_window_is_full() {
         }
         env.deploy(desc, behaviour)
     };
-    for i in 0..8 {
-        deploy(format!("kiosk{i}"), 60.0 + 10.0 * f64::from(i), false);
-    }
+    let honest: Vec<ServiceId> = (0..8)
+        .map(|i| deploy(format!("kiosk{i}"), 60.0 + 10.0 * f64::from(i), false))
+        .collect();
     let drifting = deploy("kiosk-fast".to_owned(), 40.0, true);
     let task = UserTask::new(
         "browse",
@@ -312,21 +314,49 @@ fn a_fresh_compose_stops_binding_a_drifting_provider_once_its_window_is_full() {
         .constraint("Delay", 1.0, Unit::Seconds)
         .unwrap()
         .weight("Delay", 1.0);
+    // Each provider's delivered response times, oldest first.
+    let mut delivered: BTreeMap<ServiceId, Vec<f64>> = BTreeMap::new();
+    // What compose should rank a provider on: the mean of its last ten
+    // deliveries, its advertisement while it has none.
+    let ranked_on = |env: &Environment, delivered: &BTreeMap<_, Vec<f64>>, id| {
+        let Some(all) = delivered.get(&id) else {
+            return env.registry().get(id).unwrap().qos().get(rt).unwrap();
+        };
+        let window = &all[all.len().saturating_sub(10)..];
+        window.iter().sum::<f64>() / window.len() as f64
+    };
 
-    let (mut before, mut after) = (Vec::new(), Vec::new());
-    for _ in 0..20 {
-        let settled = env
-            .monitor()
-            .qos_estimate(drifting)
-            .and_then(|e| e.get(rt))
-            .is_some();
+    let mut bound = Vec::new();
+    for session in 0..20 {
+        let drift = ranked_on(&env, &delivered, drifting);
+        let best = honest
+            .iter()
+            .map(|&id| ranked_on(&env, &delivered, id))
+            .fold(f64::INFINITY, f64::min);
         let comp = env.compose(&request).unwrap();
-        let bound = comp.outcome().assignment[0].id();
-        if settled { &mut after } else { &mut before }.push(bound);
-        assert!(env.execute(comp).unwrap().success);
+        let id = comp.outcome().assignment[0].id();
+        assert_eq!(
+            id == drifting,
+            drift < best,
+            "session {session}: drifting at {drift} ms, honest best {best} ms"
+        );
+        bound.push(id);
+        let report = env.execute(comp).unwrap();
+        assert!(report.success);
+        for r in &report.invocations {
+            let ms = r.qos.as_ref().and_then(|q| q.get(rt)).unwrap();
+            delivered.entry(r.service).or_default().push(ms);
+        }
     }
-    assert!(!before.is_empty() && before.iter().all(|&id| id == drifting));
-    assert!(!after.is_empty() && after.iter().all(|&id| id != drifting));
+    let dropped = bound
+        .iter()
+        .position(|&id| id != drifting)
+        .expect("the drifting provider is dropped");
+    assert!(dropped > 0, "bound while it ranks first: {bound:?}");
+    assert!(
+        bound[dropped..].iter().all(|&id| id != drifting),
+        "{bound:?}"
+    );
 }
 
 #[test]

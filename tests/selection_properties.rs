@@ -2,7 +2,6 @@
 //! workloads.
 
 use proptest::prelude::*;
-use qasom_adaptation::overlay;
 use qasom_qos::utility::utility;
 use qasom_qos::{Normalizer, Preferences, PropertyId, QosModel, QosVector, Tendency};
 use qasom_registry::{ServiceDescription, ServiceId, ServiceRegistry};
@@ -513,7 +512,7 @@ fn column(shape: usize, n: usize, seed: u64) -> Vec<f64> {
 /// A random activity table over four properties of the standard model
 /// (two lower-better, two higher-better): rows may miss a property or
 /// carry a non-finite value or a signed zero, and some rows' vectors are
-/// what the monitor overlay makes of an advertisement.
+/// an advertisement with one observed value set over it (or beside it).
 fn table(model: &QosModel, n: usize, seed: u64) -> (Vec<ServiceCandidate>, Vec<PropertyId>) {
     let props: Vec<PropertyId> = ["ResponseTime", "Price", "Availability", "Reliability"]
         .iter()
@@ -549,12 +548,10 @@ fn table(model: &QosModel, n: usize, seed: u64) -> (Vec<ServiceCandidate>, Vec<P
                 }
             }
             let qos = if splitmix(&mut st).is_multiple_of(4) {
-                let mut observed = QosVector::new();
-                observed.set(
-                    props[splitmix(&mut st) as usize % props.len()],
-                    value(&mut st),
-                );
-                overlay(Some(observed), &advertised)
+                let mut observed = advertised;
+                let p = props[splitmix(&mut st) as usize % props.len()];
+                observed.set(p, value(&mut st));
+                observed
             } else {
                 advertised
             };
